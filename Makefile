@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race lint lint-tools fmt-check vet nexusvet staticcheck govulncheck
+.PHONY: all build test race flake bench-check lint lint-tools fmt-check vet nexusvet staticcheck govulncheck
 
 all: build test lint
 
@@ -17,6 +17,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# flake hammers the tests whose outcome depends on who wins a race between
+# a finishing task and its submitter — poisoning, panics, the window, scope
+# accounting, the prefetch stage — twenty times under the race detector.
+flake:
+	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains' ./internal/starss/
+
+# bench-check vets and tests the nested benchmark module. Root `go test
+# ./...` does not descend into it, so without this an internal/ change that
+# breaks what bench/ compiles against only shows when the benchmark runs.
+bench-check:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
 # lint is the full static gate: formatting, stock vet, the project's own
 # nexusvet invariant suite, then staticcheck and govulncheck.

@@ -196,6 +196,41 @@ func TestServiceBackpressure(t *testing.T) {
 	}
 }
 
+// TestServiceTokensSettledBeforeAwaitReturns pins the accounting order on a
+// one-token session: the scope's completion hook runs before a task's
+// handle is published, so by the time an await has answered, the admission
+// token is back and the stats are final. A closed-loop client must never
+// draw a 429 on the submit that follows its await.
+func TestServiceTokensSettledBeforeAwaitReturns(t *testing.T) {
+	d := startDaemon(t, service.Config{Workers: 2, SessionWindow: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	s, err := d.client.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		ids, err := s.Submit(ctx, []service.TaskSpec{specOn(1, "inout", 0)})
+		if err != nil {
+			t.Fatalf("submit %d right after an await: %v", i, err)
+		}
+		sts, err := s.Await(ctx, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sts[0].State != service.StateOK {
+			t.Fatalf("task %d state = %q (%s)", i, sts[0].State, sts[0].Error)
+		}
+	}
+	st, err := s.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Executed != 1000 || st.InFlight != 0 {
+		t.Errorf("stats right after the last await = %+v, want executed=1000 in_flight=0", st)
+	}
+}
+
 // TestServiceDrainOnSessionClose kills a client mid-graph: closing the
 // session cancels its unstarted tasks, poisoning unwinds the rest of its
 // chain, the shared runtime drains, and new sessions keep working.

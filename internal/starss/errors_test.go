@@ -28,6 +28,7 @@ func TestMidChainFailurePoisonsDependents(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var ran [4]atomic.Bool
 			handles := make([]*Handle, 4)
+			gate := make(chan struct{}) // holds the chain until every link is queued
 			for i := 0; i < 4; i++ {
 				i := i
 				handles[i] = rt.MustSubmit(Task{
@@ -36,12 +37,14 @@ func TestMidChainFailurePoisonsDependents(t *testing.T) {
 					Do: func(context.Context) error {
 						ran[i].Store(true)
 						if i == 1 {
+							<-gate
 							return errBoom
 						}
 						return nil
 					},
 				})
 			}
+			close(gate)
 			if err := rt.Wait(context.Background()); !errors.Is(err, errBoom) {
 				t.Fatalf("Wait = %v, want the root cause errBoom", err)
 			}
@@ -89,17 +92,16 @@ func TestMidChainFailurePoisonsDependents(t *testing.T) {
 // window — so nothing leaks tokens or wedges.
 func TestFailureDrainsRuntime(t *testing.T) {
 	rt := New(Config{Workers: 2, Window: 8})
-	rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { return errBoom }})
+	gate := make(chan struct{}) // holds the segment until the chain is queued
+	rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { <-gate; return errBoom }})
 	for i := 0; i < 6; i++ {
 		rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Run: func() {}})
 	}
+	close(gate)
 	if err := rt.Wait(context.Background()); !errors.Is(err, errBoom) {
 		t.Fatalf("Wait = %v", err)
 	}
-	if n := rt.inFlight.Load(); n != 0 {
-		t.Errorf("in-flight = %d after drain, want 0", n)
-	}
-	if n := len(rt.window); n != 0 {
+	if n := rt.InFlight(); n != 0 {
 		t.Errorf("window holds %d tokens after drain, want 0", n)
 	}
 	if st := rt.Stats(); st.Skipped != 6 {
@@ -205,16 +207,18 @@ func TestReaderFailsWaitingWriterSkipped(t *testing.T) {
 func TestPanicBecomesError(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 2}) {
 		t.Run(name, func(t *testing.T) {
+			gate := make(chan struct{}) // holds the segment until the dependent is queued
 			h := rt.MustSubmit(Task{
 				Name: "kaboom",
 				Deps: []Dep{Out("k")},
-				Run:  func() { panic("kaboom payload") },
+				Run:  func() { <-gate; panic("kaboom payload") },
 			})
 			var ran atomic.Bool
 			dep := rt.MustSubmit(Task{
 				Deps: []Dep{In("k")},
 				Do:   func(context.Context) error { ran.Store(true); return nil },
 			})
+			close(gate)
 			err := rt.Wait(context.Background())
 			if !errors.Is(err, ErrTaskPanicked) {
 				t.Fatalf("Wait = %v, want ErrTaskPanicked", err)
@@ -298,7 +302,7 @@ func TestSubmitAllCancelledOnFullWindow(t *testing.T) {
 	if err := rt.Close(); err != nil {
 		t.Fatalf("Close = %v", err)
 	}
-	if n := len(rt.window); n != 0 {
+	if n := rt.InFlight(); n != 0 {
 		t.Fatalf("window holds %d tokens after Close", n)
 	}
 }
@@ -545,9 +549,10 @@ func itoa(i int) string {
 func TestWriteBackPanicBecomesError(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 2}) {
 		t.Run(name, func(t *testing.T) {
+			gate := make(chan struct{}) // holds the segment until the dependent is queued
 			h := rt.MustSubmit(Task{
 				Deps:      []Dep{Out("k")},
-				Run:       func() {},
+				Run:       func() { <-gate },
 				WriteBack: func() { panic("writeback exploded") },
 			})
 			var ran atomic.Bool
@@ -555,6 +560,7 @@ func TestWriteBackPanicBecomesError(t *testing.T) {
 				Deps: []Dep{In("k")},
 				Do:   func(context.Context) error { ran.Store(true); return nil },
 			})
+			close(gate)
 			if err := rt.Wait(context.Background()); !errors.Is(err, ErrTaskPanicked) {
 				t.Fatalf("Wait = %v, want ErrTaskPanicked", err)
 			}
@@ -569,19 +575,20 @@ func TestWriteBackPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestPrefetchPanicBecomesError: a panic on the controller goroutine's Get
-// Inputs phase fails the task (body never runs) rather than killing the
-// controller.
+// TestPrefetchPanicBecomesError: a panic in the Get Inputs phase fails the
+// task (body never runs) rather than killing the goroutine that fetched.
 func TestPrefetchPanicBecomesError(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 2, BufferingDepth: 2}) {
 		t.Run(name, func(t *testing.T) {
 			var ran atomic.Bool
+			gate := make(chan struct{}) // holds the segment until the dependent is queued
 			h := rt.MustSubmit(Task{
 				Deps:     []Dep{Out("k")},
-				Prefetch: func() { panic("prefetch exploded") },
+				Prefetch: func() { <-gate; panic("prefetch exploded") },
 				Do:       func(context.Context) error { ran.Store(true); return nil },
 			})
 			dep := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Run: func() {}})
+			close(gate)
 			if err := rt.Wait(context.Background()); !errors.Is(err, ErrTaskPanicked) {
 				t.Fatalf("Wait = %v, want ErrTaskPanicked", err)
 			}
@@ -603,21 +610,25 @@ func TestPrefetchPanicBecomesError(t *testing.T) {
 func TestReaderJoiningPoisonedSegmentSkipped(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 1, Window: 16}) {
 		t.Run(name, func(t *testing.T) {
+			writerGate := make(chan struct{})
 			rt.MustSubmit(Task{
 				Name: "writer",
 				Deps: []Dep{Out("k")},
-				Do:   func(context.Context) error { return errBoom },
+				Do:   func(context.Context) error { <-writerGate; return errBoom },
 			})
 			r1 := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Run: func() {}})
-			// An independent task that occupies the single worker: once it
-			// has started, the writer has finished (FIFO ready queue), so
-			// the segment is poisoned with r1 in its reader group.
+			// An independent task queued behind the writer on the single
+			// worker, and so ahead of r1, which only becomes ready when the
+			// writer finishes: once it has started, the writer has finished
+			// (FIFO ready queue) and r1 cannot have run, so the segment is
+			// poisoned with r1 in its reader group.
 			started := make(chan struct{})
 			gate := make(chan struct{})
 			rt.MustSubmit(Task{
 				Deps: []Dep{Out("other")},
 				Do:   func(context.Context) error { close(started); <-gate; return nil },
 			})
+			close(writerGate)
 			<-started
 			var lateRan atomic.Bool
 			late := rt.MustSubmit(Task{

@@ -51,15 +51,15 @@ type executor struct {
 func (e *executor) runNode(node *taskNode, worker int) {
 	if p := node.poison.Load(); p != nil {
 		node.wasSkipped = true
-		node.err = fmt.Errorf("%w: task %q skipped: %w", ErrDependencyFailed, node.handle.name, p.err)
+		node.err = fmt.Errorf("%w: task %q skipped: %w", ErrDependencyFailed, node.handle.Name(), p.err)
 		return
 	}
-	if node.prefetchErr != nil {
-		node.err = node.prefetchErr
+	if node.err != nil {
+		// The Get Inputs phase already failed the task (a Prefetch panic).
 		return
 	}
 	if err := node.ctx.Err(); err != nil {
-		node.err = fmt.Errorf("starss: task %q cancelled before start: %w", node.handle.name, err)
+		node.err = fmt.Errorf("starss: task %q cancelled before start: %w", node.handle.Name(), err)
 		return
 	}
 	attempts := 1 + node.task.MaxRetries
@@ -88,12 +88,12 @@ func (e *executor) runAttempt(node *taskNode, attempt, worker int) (err error) {
 	if deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadlineCause(ctx, time.Now().Add(deadline),
-			fmt.Errorf("%w: task %q after %v", ErrTaskTimeout, node.handle.name, deadline))
+			fmt.Errorf("%w: task %q after %v", ErrTaskTimeout, node.handle.Name(), deadline))
 		defer cancel()
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: task %q: %v", ErrTaskPanicked, node.handle.name, r)
+			err = fmt.Errorf("%w: task %q: %v", ErrTaskPanicked, node.handle.Name(), r)
 		}
 	}()
 	if f := e.faults; f != nil {
@@ -101,10 +101,10 @@ func (e *executor) runAttempt(node *taskNode, attempt, worker int) (err error) {
 		switch {
 		case f.Should(faults.SiteTaskError, k):
 			e.noteFault(node, worker)
-			return fmt.Errorf("%w: task %q body error", faults.ErrInjected, node.handle.name)
+			return fmt.Errorf("%w: task %q body error", faults.ErrInjected, node.handle.Name())
 		case f.Should(faults.SiteTaskPanic, k):
 			e.noteFault(node, worker)
-			panic(fmt.Sprintf("%v: injected panic in task %q", faults.ErrInjected, node.handle.name))
+			panic(fmt.Sprintf("%v: injected panic in task %q", faults.ErrInjected, node.handle.Name()))
 		case f.Should(faults.SiteTaskHang, k):
 			// A hang can only end when the context does — the stuck-worker
 			// case Task.Timeout exists to bound.

@@ -1,0 +1,160 @@
+package starss
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync/atomic"
+	"testing"
+)
+
+// Tests for the pooled Get Inputs stage and the allocation guard on the
+// admission path.
+
+// TestPrefetchStageSlotBound: with Workers=2 and BufferingDepth=2 the stage has
+// two buffer slots. Ten tasks with a Prefetch and gated bodies settle with
+// two bodies running and exactly two more tasks fetched — the rest wait in
+// front of the stage, unfetched, until a slot frees.
+func TestPrefetchStageSlotBound(t *testing.T) {
+	rt := New(Config{Workers: 2, BufferingDepth: 2, Window: 32})
+	gate := make(chan struct{})
+	var fetched, started atomic.Int32
+	const n = 10
+	handles := make([]*Handle, n)
+	for i := range handles {
+		handles[i] = rt.MustSubmit(Task{
+			Deps:     []Dep{Out(i)},
+			Prefetch: func() { fetched.Add(1) },
+			Do:       func(context.Context) error { started.Add(1); <-gate; return nil },
+		})
+	}
+	// Settled state: both workers inside a body, both slots held, and both
+	// fetchers parked on the slot semaphore holding their next task (so 4 of
+	// the 10 are still queued). Nothing can move until a body returns.
+	waitFor(t, "the stage to fill", func() bool {
+		return started.Load() == 2 && len(rt.fetchSlots) == 2 && len(rt.fetchCh) == n-6
+	})
+	if got := fetched.Load(); got != 4 {
+		t.Fatalf("%d tasks fetched with 2 running and 2 slots, want 4", got)
+	}
+	if got := rt.QueueDepth(); got != n-6+2 {
+		t.Errorf("QueueDepth = %d, want %d (4 unfetched + 2 fetched)", got, n-6+2)
+	}
+	close(gate)
+	mustClose(t, rt)
+	if fetched.Load() != n || started.Load() != n {
+		t.Fatalf("fetched %d, ran %d of %d", fetched.Load(), started.Load(), n)
+	}
+	if len(rt.fetchSlots) != 0 {
+		t.Fatalf("%d slots still held after Close", len(rt.fetchSlots))
+	}
+	for _, h := range handles {
+		if err := h.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPrefetchStagePanicFailsOnlyItsTask: a panicking Prefetch fails its own
+// task; its neighbours in the stage, tasks that bypass the stage, and the
+// fetcher goroutine that recovered the panic all carry on.
+func TestPrefetchStagePanicFailsOnlyItsTask(t *testing.T) {
+	rt := New(Config{Workers: 2, BufferingDepth: 2})
+	var ran atomic.Int32
+	body := func(context.Context) error { ran.Add(1); return nil }
+	bad := rt.MustSubmit(Task{Deps: []Dep{Out("a")}, Prefetch: func() { panic("fetch exploded") }, Do: body})
+	ok := rt.MustSubmit(Task{Deps: []Dep{Out("b")}, Prefetch: func() {}, Do: body})
+	plain := rt.MustSubmit(Task{Deps: []Dep{Out("c")}, Do: body})
+	if err := rt.Wait(context.Background()); !errors.Is(err, ErrTaskPanicked) {
+		t.Fatalf("Wait = %v, want ErrTaskPanicked", err)
+	}
+	if !errors.Is(bad.Err(), ErrTaskPanicked) || ok.Err() != nil || plain.Err() != nil {
+		t.Fatalf("errs: bad=%v ok=%v plain=%v", bad.Err(), ok.Err(), plain.Err())
+	}
+	// Every fetcher is still alive: more fetches than fetchers go through.
+	for i := 0; i < 8; i++ {
+		rt.MustSubmit(Task{Deps: []Dep{Out(i)}, Prefetch: func() {}, Do: body})
+	}
+	if err := rt.Close(); !errors.Is(err, ErrTaskPanicked) {
+		t.Fatalf("Close = %v", err)
+	}
+	if got := ran.Load(); got != 10 {
+		t.Fatalf("%d bodies ran, want 10 (all but the task whose Prefetch panicked)", got)
+	}
+	if st := rt.Stats(); st.Failed != 1 || st.Skipped != 0 || st.Executed != 10 {
+		t.Fatalf("stats = %s", st)
+	}
+}
+
+// TestCloseDrainsPrefetchStage: Close right behind a burst of Prefetch tasks
+// waits for every one of them — queued for a fetcher, being fetched, or
+// fetched and waiting for a worker — and returns with the stage's
+// goroutines gone.
+func TestCloseDrainsPrefetchStage(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		rt := New(Config{Workers: 2, BufferingDepth: 3, Window: 64})
+		var fetched, ran atomic.Int32
+		tasks := make([]Task, 200)
+		for i := range tasks {
+			tasks[i] = Task{
+				Deps:     []Dep{InOut(i % 16)},
+				Prefetch: func() { fetched.Add(1) },
+				Do:       func(context.Context) error { ran.Add(1); return nil },
+			}
+		}
+		handles, err := rt.SubmitAll(context.Background(), tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustClose(t, rt)
+		if fetched.Load() != 200 || ran.Load() != 200 {
+			t.Fatalf("round %d: fetched %d, ran %d of 200", round, fetched.Load(), ran.Load())
+		}
+		for _, h := range handles {
+			if !h.finished() {
+				t.Fatalf("round %d: handle %s pending after Close", round, h.Name())
+			}
+		}
+		if len(rt.fetchCh) != 0 || len(rt.fetchSlots) != 0 || len(rt.readyCh) != 0 {
+			t.Fatalf("round %d: stage not empty after Close", round)
+		}
+	}
+}
+
+// TestSubmitAllocations pins the admission diet: in steady state (keys
+// recycled, segments coming off the bank free lists) one Submit of a
+// nameless task costs its node and its handle. The budget of 3 leaves room
+// for the dependence map's occasional growth, not for a regression.
+func TestSubmitAllocations(t *testing.T) {
+	rt := New(Config{Workers: 1, Window: 64})
+	defer mustClose(t, rt)
+	ctx := context.Background()
+	nop := func(context.Context) error { return nil }
+	for _, tc := range []struct {
+		name string
+		task Task
+	}{
+		{"1 key", Task{Deps: []Dep{InOut(uint64(1))}, Do: nop}},
+		{"3 keys", Task{Deps: []Dep{In(uint64(2)), In(uint64(3)), Out(uint64(4))}, Do: nop}},
+	} {
+		submit := func() {
+			h, err := rt.Submit(ctx, tc.task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Spin rather than Wait: a handle's done channel is only made
+			// for callers that block on it.
+			for !h.finished() {
+				runtime.Gosched()
+			}
+		}
+		for i := 0; i < 100; i++ {
+			submit() // warm-up: map buckets, free lists, goroutine stacks
+		}
+		got := testing.AllocsPerRun(500, submit)
+		t.Logf("%s: %.2f allocations per Submit", tc.name, got)
+		if got > 3 {
+			t.Errorf("%s: %.2f allocations per Submit, want <= 3", tc.name, got)
+		}
+	}
+}

@@ -152,7 +152,7 @@ func (g *graphRecorder) record(node *taskNode) {
 		seen[from] = true
 		g.edges = append(g.edges, GraphEdge{From: from, To: id})
 	}
-	for _, d := range node.deps {
+	for _, d := range node.task.Deps {
 		if d.Mode != ModeOut {
 			if w, ok := g.lastWriter[d.Key]; ok {
 				addEdge(w)

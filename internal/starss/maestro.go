@@ -104,7 +104,7 @@ func (m *MaestroRuntime) Submit(ctx context.Context, t Task) (*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	node, err := makeNode(ctx, t)
+	node, err := makeNode(ctx, &t)
 	if err != nil {
 		return nil, err
 	}
@@ -118,12 +118,7 @@ func (m *MaestroRuntime) Submit(ctx context.Context, t Task) (*Handle, error) {
 		return nil, ctx.Err()
 	case m.window <- struct{}{}:
 	}
-	idx := m.nextIndex.Add(1) - 1
-	name := t.Name
-	if name == "" {
-		name = fmt.Sprintf("task%d", idx)
-	}
-	node.handle = &Handle{name: name, index: idx, done: make(chan struct{}), onDone: t.onDone}
+	node.handle = &Handle{name: t.Name, index: m.nextIndex.Add(1) - 1, onDone: t.onDone}
 	select {
 	case <-m.stopped:
 		<-m.window
@@ -246,10 +241,10 @@ func (m *MaestroRuntime) maestro() {
 			stats.Executed++
 		}
 		inFlight--
-		for _, d := range node.deps {
+		for _, d := range node.task.Deps {
 			seg := segs[d.Key]
 			if seg == nil {
-				panic(fmt.Sprintf("starss: finished task %q references unknown key %v", node.handle.name, d.Key))
+				panic(fmt.Sprintf("starss: finished task %q references unknown key %v", node.handle.Name(), d.Key))
 			}
 			if root != nil && seg.poison == nil {
 				seg.poison = root
@@ -325,7 +320,7 @@ func (m *MaestroRuntime) maestro() {
 				stats.MaxInFlight = inFlight
 			}
 			dc := int32(0)
-			for _, d := range node.deps {
+			for _, d := range node.task.Deps {
 				seg := segs[d.Key]
 				wantsWrite := d.Mode != ModeIn
 				if seg == nil {

@@ -146,14 +146,16 @@ func TestEventStreamWavefront(t *testing.T) {
 // TestEventStreamPoison checks skipped tasks appear as poison events.
 func TestEventStreamPoison(t *testing.T) {
 	rt := New(Config{Workers: 2, EventBuffer: 64})
+	gate := make(chan struct{}) // holds the segment until the dependent is queued
 	boom := rt.MustSubmit(Task{
 		Deps: []Dep{Out("k")},
-		Do:   func(context.Context) error { return errBoom },
+		Do:   func(context.Context) error { <-gate; return errBoom },
 	})
 	dep := rt.MustSubmit(Task{
 		Deps: []Dep{In("k")},
 		Do:   func(context.Context) error { return nil },
 	})
+	close(gate)
 	if err := rt.Close(); err == nil {
 		t.Fatal("Close should report the failure")
 	}

@@ -9,7 +9,10 @@ package starss
 // two masters' address spaces occupy distinct table entries in hardware.
 // A scope also keeps its own Stats, classified from each task's final
 // error via the handle-completion hook, so a long-lived service can report
-// per-tenant counters while the shared runtime reports the aggregate.
+// per-tenant counters while the shared runtime reports the aggregate. The
+// hook runs before the handle is published: once a task's handle reports
+// done, the scope's counters (and whatever SetOnDone's hook maintains)
+// already include it.
 
 import (
 	"context"
@@ -32,6 +35,9 @@ type ScopedKey struct {
 type Scope struct {
 	rt   *Runtime
 	name string
+	// hook is s.record bound once, so attaching it to a task does not
+	// allocate a method value per submission.
+	hook func(err error)
 	// onDone, when set, observes every scoped task's completion after the
 	// scope's own counters are updated. The service layer uses it to
 	// release per-session admission tokens.
@@ -50,15 +56,19 @@ type Scope struct {
 // keys; two Scope calls with the same name alias the same namespace (their
 // keys interact) but keep separate counters.
 func (rt *Runtime) Scope(name string) *Scope {
-	return &Scope{rt: rt, name: name}
+	s := &Scope{rt: rt, name: name}
+	s.hook = s.record
+	return s
 }
 
 // Name returns the scope's namespace name.
 func (s *Scope) Name() string { return s.name }
 
 // SetOnDone registers a hook invoked with every scoped task's final error
-// after the task completes and the scope's counters are updated. It must
-// be called before the scope's first submission and at most once.
+// once the scope's counters are updated and before the task's handle
+// reports done, so a caller woken by the handle sees the hook's effects.
+// It runs on the finishing worker and must not block. It must be called
+// before the scope's first submission and at most once.
 func (s *Scope) SetOnDone(fn func(err error)) { s.onDone = fn }
 
 // record classifies one completed task into the scope counters, mirroring
@@ -89,7 +99,7 @@ func (s *Scope) rewrite(t Task) Task {
 		}
 		t.Deps = deps
 	}
-	t.onDone = s.record
+	t.onDone = s.hook
 	return t
 }
 

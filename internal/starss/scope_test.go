@@ -131,17 +131,20 @@ func TestScopeStatsClassification(t *testing.T) {
 	bad := rt.Scope("bad")
 	good := rt.Scope("good")
 
+	gate := make(chan struct{}) // holds the segment until the dependent is queued
 	hFail, err := bad.Submit(context.Background(), Task{
 		Deps: []Dep{InOut("shared")},
-		Do:   func(context.Context) error { return errBoom },
+		Do:   func(context.Context) error { <-gate; return errBoom },
 	})
 	if err != nil {
+		close(gate)
 		t.Fatal(err)
 	}
 	hSkip, err := bad.Submit(context.Background(), Task{
 		Deps: []Dep{InOut("shared")},
 		Do:   func(context.Context) error { return nil },
 	})
+	close(gate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,5 +265,43 @@ func TestScopeWaitOn(t *testing.T) {
 	// Scope B's key space is quiet even though scope A still holds "k".
 	if err := b.WaitOn(ctx, "k"); err != nil {
 		t.Fatalf("scoped WaitOn blocked on another scope's segment: %v", err)
+	}
+}
+
+// TestScopeAccountingSettledBeforeHandle pins the ordering scope and session
+// accounting rely on: once Wait returns, everything the onDone hook did is
+// already visible.
+func TestScopeAccountingSettledBeforeHandle(t *testing.T) {
+	rt := New(Config{Workers: 2, Window: 16})
+	s := rt.Scope("tenant")
+	var avail int64 // what a session's token count would be; plain on purpose: -race checks the ordering
+	s.SetOnDone(func(error) { avail++ })
+	ctx := context.Background()
+	var failed uint64
+	for i := 0; i < 1000; i++ {
+		task := Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { return nil }}
+		if i%10 == 9 {
+			task.Do = func(context.Context) error { return errBoom }
+			failed++
+		}
+		h, err := s.Submit(ctx, task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = h.Wait(ctx) // the outcome is checked through the counters below
+		// No polling: the counters are final the moment Wait returns.
+		st := s.Stats()
+		if got := st.Executed + st.Failed + st.Skipped; got != uint64(i+1) || st.Failed != failed || st.Skipped != 0 {
+			t.Fatalf("task %d: scope stats %s lag the completed handle", i, st)
+		}
+		if n := s.InFlight(); n != 0 {
+			t.Fatalf("task %d: scope in-flight = %d after Wait returned", i, n)
+		}
+		if avail != int64(i+1) {
+			t.Fatalf("task %d: hook ran %d times before Wait returned, want %d", i, avail, i+1)
+		}
+	}
+	if err := rt.Close(); !errors.Is(err, errBoom) {
+		t.Fatalf("Close = %v, want the injected failure", err)
 	}
 }

@@ -75,7 +75,7 @@ func TestMultiKeyTasksAcrossBanks(t *testing.T) {
 				used[key] = true
 				deps = append(deps, Dep{Key: key, Mode: Mode(rng.Intn(3))})
 			}
-			norm, _ := normalizeDeps(deps)
+			norm := normalizeDeps(deps)
 			rt.MustSubmit(Task{
 				Deps: deps,
 				Run: func() {

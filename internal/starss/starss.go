@@ -27,10 +27,24 @@
 // order, which keeps the runtime deadlock-free. SubmitAll admits a batch of
 // tasks under one bank acquisition, amortising the locking.
 //
-// Per-worker double buffering is provided through the optional
-// Task.Prefetch hook: while a worker executes one task, its controller
-// goroutine prefetches the next task's inputs, mirroring the paper's Task
-// Controllers (Get Inputs overlapping Run Task).
+// The in-flight window — the paper's Task Pool size — is one atomic counter
+// that both admits and reports (window.go): a SubmitAll chunk reserves its
+// tokens with one compare-and-swap, a finisher returns one with one atomic
+// add, and only a full window parks the submitter on a FIFO wait list. A
+// ready task goes straight from the resolver to a worker through one shared
+// queue; a dependency-free task costs two allocations (its node and its
+// handle) and two channel operations.
+//
+// The paper's Task Controllers — Get Inputs overlapping Run Task through
+// per-worker double buffers — are the optional Task.Prefetch hook. Only a
+// task that sets it passes through a small Get Inputs stage in front of the
+// ready queue: Workers fetcher goroutines run the hook while the workers
+// execute earlier tasks, and at most Workers × (BufferingDepth−1) tasks hold
+// fetched inputs without running — the same buffer budget as the hardware.
+// We knowingly diverge in one respect: the buffers are pooled across
+// workers rather than owned by one, so a fetched task runs on whichever
+// worker frees up first. A task with nothing to fetch never enters the
+// stage, and BufferingDepth 1 runs the fetch inline on the worker.
 //
 // The paper's conclusion notes that parts of Nexus++ "can be reused for
 // other programming models"; this package is that reuse, in library form.
@@ -42,7 +56,8 @@ import (
 	"fmt"
 	"hash/maphash"
 	"runtime"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,7 +116,8 @@ type Task struct {
 	// Name is optional and used in diagnostics and Handle.Name.
 	Name string
 	// Deps declares the data the task accesses. Duplicate keys are merged
-	// (read + write on the same key becomes inout).
+	// (read + write on the same key becomes inout). The runtime reads the
+	// slice until the task finishes: do not modify it after submitting.
 	Deps []Dep
 	// Do executes the task. The context is the one the task was submitted
 	// with; bodies should honour its cancellation. A non-nil error marks
@@ -111,8 +127,8 @@ type Task struct {
 	// Run is the legacy task body: no context, cannot fail. It is adapted
 	// to Do during migration; new code should use Do.
 	Run func()
-	// Prefetch, when set, runs on the worker's controller before the task
-	// body may start, overlapping the previous task's execution (double
+	// Prefetch, when set, runs in the Get Inputs stage before the task body
+	// may start, overlapping the execution of earlier tasks (double
 	// buffering). It must only touch the task's declared In/InOut data.
 	// It does not run for skipped or cancelled tasks.
 	Prefetch func()
@@ -138,9 +154,11 @@ type Task struct {
 	// budget). 0 means no per-task deadline.
 	Timeout time.Duration
 	// onDone, when set, is invoked exactly once with the task's final error
-	// after its handle completes (executed, failed, or skipped). It is
+	// (executed, failed, or skipped) on the finishing worker, just before
+	// the handle is published — whoever a completed handle wakes finds the
+	// hook's accounting already settled. It must not block. It is
 	// unexported: only this package wires it (Scope uses it for per-session
-	// accounting), so user code cannot observe half-published state.
+	// accounting).
 	onDone func(err error)
 }
 
@@ -163,12 +181,14 @@ func (t *Task) body() (func(context.Context) error, error) {
 type Config struct {
 	// Workers is the number of worker goroutines; 0 selects GOMAXPROCS.
 	Workers int
-	// BufferingDepth is the per-worker task buffer: 1 disables the
-	// prefetch overlap, 2 (the default) is double buffering.
+	// BufferingDepth sizes the Get Inputs stage: Workers × (depth−1) tasks
+	// may hold prefetched inputs while the workers run others. 1 disables
+	// the overlap (Prefetch runs inline on the worker), 2 (the default) is
+	// double buffering. Tasks without a Prefetch are unaffected.
 	BufferingDepth int
 	// Window bounds the number of in-flight (submitted, unfinished) tasks,
-	// the analogue of the Task Pool size; Submit blocks when it is full.
-	// 0 selects 1024.
+	// the analogue of the Task Pool size; Submit blocks when it is full,
+	// and blocked submitters are served in arrival order. 0 selects 1024.
 	Window int
 	// Shards is the number of dependency-table banks the key space is
 	// hashed across — the software analogue of the Nexus++ Dependence
@@ -212,7 +232,8 @@ type Stats struct {
 	// Retried counts re-armed execution attempts: a task with MaxRetries
 	// whose attempt failed and ran again. A task retried twice counts 2.
 	Retried uint64
-	// MaxInFlight is the high-water mark of submitted-but-unfinished tasks.
+	// MaxInFlight is the high-water mark of submitted-but-unfinished tasks;
+	// it never exceeds Config.Window.
 	MaxInFlight int
 	// Hazards counts tasks that had to wait at least once (DC > 0).
 	Hazards uint64
@@ -239,28 +260,57 @@ func (s Stats) String() string {
 // Finished. Handles are returned by Submit/SubmitAll and stay valid after
 // the runtime is closed.
 type Handle struct {
-	name   string
-	index  uint64
-	done   chan struct{}
-	err    error // written before done is closed
+	index uint64
+	name  string // Task.Name; empty for a nameless task
+	// done holds a chan struct{}: unset until someone asks for the channel
+	// or the task finishes, doneClosed from then on. Most handles are never
+	// selected on, so the channel is made lazily (as context.cancelCtx
+	// does) and the finished state doubles as the Err/Wait fast path.
+	done   atomic.Value
+	err    error // written before done becomes doneClosed
 	onDone func(err error)
 }
 
+// closedChan is the channel every finished handle shares.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// doneClosed is closedChan boxed once, so the finished check is a plain
+// interface comparison.
+var doneClosed any = closedChan
+
+// finished reports whether the outcome is published; h.err may be read
+// after it returns true.
+func (h *Handle) finished() bool { return h.done.Load() == doneClosed }
+
 // Done returns a channel closed when the task completes: executed, failed,
-// or skipped because a dependency failed.
-func (h *Handle) Done() <-chan struct{} { return h.done }
+// or skipped because a dependency failed. Every call returns a channel that
+// is (or will be) closed, whether it is first requested before or after the
+// task finished.
+func (h *Handle) Done() <-chan struct{} {
+	if d := h.done.Load(); d != nil {
+		return d.(chan struct{})
+	}
+	c := make(chan struct{})
+	if h.done.CompareAndSwap(nil, c) {
+		return c
+	}
+	// Lost to another Done call or to complete; either left a channel.
+	return h.done.Load().(chan struct{})
+}
 
 // Err returns the task's final status: nil while the task is still pending
 // or after success; the body's error (or panic, or cancellation cause) on
 // failure; an error wrapping ErrDependencyFailed and the root cause when
 // the task was skipped.
 func (h *Handle) Err() error {
-	select {
-	case <-h.done:
+	if h.finished() {
 		return h.err
-	default:
-		return nil
 	}
+	return nil
 }
 
 // Index is the task's submission index, assigned in admission order — the
@@ -268,80 +318,130 @@ func (h *Handle) Err() error {
 func (h *Handle) Index() uint64 { return h.index }
 
 // Name is the task's resolved name: Task.Name, or "task<index>" when the
-// task was submitted nameless.
-func (h *Handle) Name() string { return h.name }
+// task was submitted nameless (formatted on demand, not at admission).
+func (h *Handle) Name() string {
+	if h.name != "" {
+		return h.name
+	}
+	return "task" + strconv.FormatUint(h.index, 10)
+}
 
 // Wait blocks until the task completes or ctx is cancelled, returning the
 // task's final error or ctx.Err().
 func (h *Handle) Wait(ctx context.Context) error {
+	if h.finished() {
+		return h.err
+	}
 	select {
-	case <-h.done:
+	case <-h.Done():
 		return h.err
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// complete publishes the task's outcome; err is visible to any Handle
-// reader ordered after the close. The onDone hook fires after the close,
-// so callbacks observe a completed handle.
+// complete runs the onDone hook and then publishes the task's outcome: err
+// is visible to any reader that observes the handle finished, and so is
+// everything the hook did.
 func (h *Handle) complete(err error) {
-	h.err = err
-	close(h.done)
 	if h.onDone != nil {
 		h.onDone(err)
 	}
+	h.err = err
+	if c := h.done.Swap(closedChan); c != nil {
+		close(c.(chan struct{}))
+	}
 }
 
-// bank is one lock-striped slice of the dependence table. The pad brings
-// the struct to 64 bytes so adjacent hot bank locks sit on separate cache
-// lines. The counters are only written when Config.BankCounters is set
+// bank is one lock-striped slice of the dependence table, sized to exactly
+// 64 bytes so adjacent hot bank locks sit on separate cache lines. The
+// counters are only written when Config.BankCounters is set
 // (acquisitions/contended under TryLock knowledge, maxQueue under the bank
 // lock) but are always read atomically by Stats.
 type bank struct {
-	mu           sync.Mutex
-	segs         map[Key]*segState
+	mu   sync.Mutex
+	segs map[Key]*segState
+	// free holds drained segments for reuse, guarded by mu like segs. It is
+	// bounded (segFreeMax) because an idle runtime keeps it: an unbounded
+	// list would pin a burst's worth of segments for the runtime's life.
+	free         []*segState
 	acquisitions atomic.Uint64
 	contended    atomic.Uint64
 	maxQueue     atomic.Uint64
-	_            [24]byte
+}
+
+const (
+	// segFreeMax bounds each bank's free list.
+	segFreeMax = 64
+	// segKeepQueue is the largest kick-off list capacity a recycled segment
+	// keeps; a deeper one (a hot key's burst) is dropped with the segment.
+	segKeepQueue = 16
+)
+
+// takeSeg returns an empty segment for key k and files it in the bank. The
+// caller holds b.mu.
+func (b *bank) takeSeg(k Key) *segState {
+	var seg *segState
+	if n := len(b.free); n > 0 {
+		seg = b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+	} else {
+		seg = &segState{}
+	}
+	b.segs[k] = seg
+	return seg
+}
+
+// dropSeg removes key k's drained segment and recycles it. The caller holds
+// b.mu.
+func (b *bank) dropSeg(k Key, seg *segState) {
+	delete(b.segs, k)
+	if len(b.free) >= segFreeMax {
+		return
+	}
+	ko := seg.ko[:0]
+	if cap(ko) > segKeepQueue {
+		ko = nil
+	}
+	*seg = segState{ko: ko}
+	b.free = append(b.free, seg)
 }
 
 // Runtime schedules and executes tasks.
 type Runtime struct {
-	cfg      Config
-	banks    []bank
-	mask     uint64
-	seed     maphash.Seed
-	window   chan struct{}
-	readyCh  chan *taskNode
-	stopOnce sync.Once
-	stopped  chan struct{}
-	workerWG sync.WaitGroup
+	cfg     Config
+	banks   []bank
+	mask    uint64
+	seed    maphash.Seed
+	win     window
+	readyCh chan *taskNode
+	// fetchCh and fetchSlots are the Get Inputs stage (nil when
+	// BufferingDepth is 1): ready tasks that carry a Prefetch queue on
+	// fetchCh, a fetcher takes a slot, runs the hook and forwards the task
+	// to readyCh, and the worker that picks it up frees the slot.
+	fetchCh    chan *taskNode
+	fetchSlots chan struct{}
+	stopOnce   sync.Once
+	stopped    chan struct{}
+	workerWG   sync.WaitGroup
 
 	// subMu fences admission against Close: submitters hold it shared
 	// while they admit and resolve; Close takes it exclusively to close
 	// stopped, so no submitter can be left mid-admission with a send to
 	// readyCh pending when the channel is closed.
 	subMu sync.RWMutex
-	// batchMu serialises SubmitAll's multi-token window acquisition: a
-	// chunk takes its tokens one at a time, and two batches each holding a
-	// fraction of the window would deadlock without it. Plain Submit takes
-	// a single token and needs no serialisation.
-	batchMu sync.Mutex
 
-	submitted   atomic.Uint64
-	executed    atomic.Uint64
-	failed      atomic.Uint64
-	skipped     atomic.Uint64
-	retried     atomic.Uint64
-	hazards     atomic.Uint64
-	inFlight    atomic.Int64
-	maxInFlight atomic.Int64
-	firstErr    atomic.Pointer[taskFailure]
+	submitted atomic.Uint64
+	executed  atomic.Uint64
+	failed    atomic.Uint64
+	skipped   atomic.Uint64
+	retried   atomic.Uint64
+	hazards   atomic.Uint64
+	firstErr  atomic.Pointer[taskFailure]
 
 	// coord serialises barrier and WaitOn bookkeeping; it is only taken on
-	// the finish path when a waiter is registered or in-flight hits zero,
+	// the token-return path when a waiter is registered or in-flight hits zero,
 	// so it stays off the steady-state hot path.
 	coord       sync.Mutex
 	barriers    []chan struct{}
@@ -367,30 +467,36 @@ type taskFailure struct {
 	err error
 }
 
+// inlineDeps is the dependency count up to which a node's bank mapping
+// lives inside the node itself.
+const inlineDeps = 4
+
 type taskNode struct {
+	// task is the submitted task; task.Deps is normalised (no duplicate
+	// keys) by makeNode.
 	task   Task
 	do     func(context.Context) error
 	ctx    context.Context
 	handle *Handle
-	deps   []Dep // normalised
-	// bankOf[i] is the bank index of deps[i]; banks is the sorted,
-	// deduplicated set — the per-task acquisition order.
-	bankOf []int
-	banks  []int
-	dc     atomic.Int32
+	// bankOf[i] is the bank index of task.Deps[i]; banks is the sorted,
+	// deduplicated set — the per-task acquisition order. Both are windows
+	// onto bankBuf for up to inlineDeps dependencies and onto one spilled
+	// heap slice above.
+	bankOf  []int32
+	banks   []int32
+	bankBuf [2 * inlineDeps]int32
+	dc      atomic.Int32
+	// wasSkipped and err are the node's outcome, written by its worker
+	// before resolveFinished and published through the handle. A panic
+	// recovered from Task.Prefetch lands in err before the node reaches a
+	// worker, which then fails the task instead of running the body.
+	wasSkipped bool
+	err        error
 	// poison carries the root-cause error of a failed transitive
 	// dependency. Set (first failure wins) by the finish path of a
 	// poisoned predecessor — or by checkDeps when the task joins a
-	// still-poisoned segment — before this node can reach a worker.
+	// still-poisoned segment — before this node becomes ready.
 	poison atomic.Pointer[taskFailure]
-	// prefetchErr records a panic recovered from Task.Prefetch on the
-	// controller goroutine; the worker converts it into the task's
-	// failure instead of running the body.
-	prefetchErr error
-	// err and wasSkipped are the node's outcome, written by its worker
-	// before resolveFinished and published through the handle.
-	err        error
-	wasSkipped bool
 }
 
 type segState struct {
@@ -408,6 +514,23 @@ type segState struct {
 type segWaiter struct {
 	node       *taskNode
 	wantsWrite bool
+}
+
+// pop takes the head of the kick-off list, taints it when the segment is
+// poisoned, and appends it to released if that was its last dependence.
+// The vacated slot is cleared: recycled segments keep their list's backing
+// array, which must not pin finished tasks.
+func (seg *segState) pop(released []*taskNode) []*taskNode {
+	n := seg.ko[0].node
+	seg.ko[0] = segWaiter{}
+	seg.ko = seg.ko[1:]
+	if seg.poison != nil {
+		n.poison.CompareAndSwap(nil, &taskFailure{err: seg.poison})
+	}
+	if n.dc.Add(-1) == 0 {
+		released = append(released, n)
+	}
+	return released
 }
 
 // ErrStopped is returned by Submit, Wait and WaitOn after Close.
@@ -459,14 +582,17 @@ func New(cfg Config) *Runtime {
 	}
 	cfg.Shards = nextPow2(cfg.Shards)
 	rt := &Runtime{
-		cfg:     cfg,
-		banks:   make([]bank, cfg.Shards),
-		mask:    uint64(cfg.Shards - 1),
-		seed:    maphash.MakeSeed(),
-		window:  make(chan struct{}, cfg.Window),
+		cfg:   cfg,
+		banks: make([]bank, cfg.Shards),
+		mask:  uint64(cfg.Shards - 1),
+		seed:  maphash.MakeSeed(),
+		// Every in-flight task fits in readyCh (and in fetchCh below), so
+		// dispatching a ready task never blocks — not a submitter inside
+		// the admission fence, not a worker on the finish path.
 		readyCh: make(chan *taskNode, cfg.Window),
 		stopped: make(chan struct{}),
 	}
+	rt.win.limit = int64(cfg.Window)
 	for i := range rt.banks {
 		rt.banks[i].segs = make(map[Key]*segState)
 	}
@@ -491,6 +617,14 @@ func New(cfg Config) *Runtime {
 	for i := 0; i < cfg.Workers; i++ {
 		go rt.worker(i)
 	}
+	if cfg.BufferingDepth > 1 {
+		rt.fetchCh = make(chan *taskNode, cfg.Window)
+		rt.fetchSlots = make(chan struct{}, cfg.Workers*(cfg.BufferingDepth-1))
+		rt.workerWG.Add(cfg.Workers)
+		for i := 0; i < cfg.Workers; i++ {
+			go rt.fetcher()
+		}
+	}
 	return rt
 }
 
@@ -507,7 +641,7 @@ func (node *taskNode) firstBank() int {
 	if len(node.banks) == 0 {
 		return -1
 	}
-	return node.banks[0]
+	return int(node.banks[0])
 }
 
 // emit records one lifecycle transition for node when the event stream is
@@ -516,52 +650,53 @@ func (rt *Runtime) emit(lane int, kind obs.Kind, node *taskNode, worker int) {
 	if rt.rec == nil {
 		return
 	}
-	rt.rec.Emit(lane, kind, node.handle.index, len(node.deps), node.firstBank(), worker)
+	rt.rec.Emit(lane, kind, node.handle.index, len(node.task.Deps), node.firstBank(), worker)
 }
 
 // bankIndex hashes a key to its bank. Like map insertion, it panics for
 // keys that are not comparable.
-func (rt *Runtime) bankIndex(k Key) int {
+func (rt *Runtime) bankIndex(k Key) int32 {
 	if rt.mask == 0 {
 		return 0
 	}
-	return int(maphash.Comparable(rt.seed, k) & rt.mask)
+	return int32(maphash.Comparable(rt.seed, k) & rt.mask)
 }
 
-// prepare computes the node's bank mapping and sorted acquisition order.
+// prepare computes the node's bank mapping and sorted acquisition order,
+// inside the node for up to inlineDeps dependencies and in one spilled
+// slice above. (slices.Sort insertion-sorts lists as short as these.)
 func (rt *Runtime) prepare(node *taskNode) {
-	if len(node.deps) == 0 {
+	deps := node.task.Deps
+	n := len(deps)
+	if n == 0 {
 		return
 	}
-	node.bankOf = make([]int, len(node.deps))
-	for i, d := range node.deps {
-		node.bankOf[i] = rt.bankIndex(d.Key)
+	buf := node.bankBuf[:]
+	if n > inlineDeps {
+		buf = make([]int32, 2*n)
 	}
-	node.banks = sortedUnique(append([]int(nil), node.bankOf...))
+	bankOf, banks := buf[:n:n], buf[n:2*n]
+	for i, d := range deps {
+		bankOf[i] = rt.bankIndex(d.Key)
+	}
+	copy(banks, bankOf)
+	node.bankOf, node.banks = bankOf, sortedUnique(banks)
 }
 
-// sortedUnique sorts ints in place and drops duplicates — the canonical
-// bank-acquisition order shared by Submit and SubmitAll, whose global
-// ascending total order is what keeps multi-bank locking deadlock-free.
-func sortedUnique(ints []int) []int {
-	if len(ints) == 0 {
-		return ints
-	}
-	sort.Ints(ints)
-	uniq := ints[:1]
-	for _, v := range ints[1:] {
-		if v != uniq[len(uniq)-1] {
-			uniq = append(uniq, v)
-		}
-	}
-	return uniq
+// sortedUnique sorts bank indices in place and drops duplicates — the
+// canonical bank-acquisition order shared by Submit and SubmitAll, whose
+// global ascending total order is what keeps multi-bank locking
+// deadlock-free.
+func sortedUnique(banks []int32) []int32 {
+	slices.Sort(banks)
+	return slices.Compact(banks)
 }
 
 // lockBanks acquires the given sorted bank set; the global ascending order
 // makes multi-bank acquisition deadlock-free. With BankCounters on, each
 // acquisition first tries the uncontended fast path so blocked acquisitions
 // can be counted separately; the acquisition order is identical.
-func (rt *Runtime) lockBanks(banks []int) {
+func (rt *Runtime) lockBanks(banks []int32) {
 	if rt.bankStats {
 		for _, i := range banks {
 			b := &rt.banks[i]
@@ -580,7 +715,7 @@ func (rt *Runtime) lockBanks(banks []int) {
 	}
 }
 
-func (rt *Runtime) unlockBanks(banks []int) {
+func (rt *Runtime) unlockBanks(banks []int32) {
 	for _, i := range banks {
 		rt.banks[i].mu.Unlock()
 	}
@@ -602,35 +737,65 @@ func (rt *Runtime) Submit(ctx context.Context, t Task) (*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	node, err := makeNode(ctx, t)
+	node, err := makeNode(ctx, &t)
 	if err != nil {
 		return nil, err
 	}
-	// Check cancellation before racing the window send, so a dead context
-	// is rejected deterministically rather than sometimes admitted.
+	// Check cancellation before reserving, so a dead context is rejected
+	// deterministically rather than sometimes admitted.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	select {
-	case <-rt.stopped:
-		return nil, ErrStopped
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case rt.window <- struct{}{}:
+	if err := rt.reserve(ctx, 1); err != nil {
+		return nil, err
+	}
+	defer rt.subMu.RUnlock()
+	rt.prepare(node)
+	rt.admit(node, rt.submitted.Add(1)-1)
+	rt.resolveNew(node)
+	return node.handle, nil
+}
+
+// reserve takes n window tokens and enters the admission fence: on success
+// the caller holds subMu shared, the runtime is not stopped, and it must
+// admit exactly n tasks and release subMu. The stop is only checked here,
+// under the fence — the window's fast path is a single compare-and-swap.
+func (rt *Runtime) reserve(ctx context.Context, n int) error {
+	if err := rt.win.acquire(ctx, rt.stopped, int64(n)); err != nil {
+		return err
 	}
 	rt.subMu.RLock()
 	select {
 	case <-rt.stopped:
 		rt.subMu.RUnlock()
-		<-rt.window
-		return nil, ErrStopped
+		rt.returnTokens(n)
+		return ErrStopped
 	default:
+		return nil
 	}
-	rt.prepare(node)
-	rt.admit(node)
-	rt.resolveNew(node)
-	rt.subMu.RUnlock()
-	return node.handle, nil
+}
+
+// returnTokens gives n window tokens back — one per finished task, or a
+// reservation that was never admitted — and runs the idle transition:
+// barriers fire when in-flight reaches zero, WaitOn callers are re-probed
+// while any is registered.
+func (rt *Runtime) returnTokens(n int) {
+	left := rt.win.release(int64(n))
+	if left != 0 && rt.waiterCount.Load() == 0 {
+		return
+	}
+	rt.coord.Lock()
+	// Re-read under coord: left may be stale — a task submitted (and a
+	// barrier registered for it) after the release must not be signalled
+	// past.
+	if rt.win.used.Load() == 0 {
+		for _, b := range rt.barriers {
+			close(b)
+		}
+		rt.barriers = rt.barriers[:0]
+	}
+	rt.checkWaitersLocked()
+	rt.coord.Unlock()
 }
 
 // SubmitAll enqueues a batch of tasks in order, amortising bank locking:
@@ -644,8 +809,8 @@ func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 		ctx = context.Background()
 	}
 	nodes := make([]*taskNode, len(tasks))
-	for i, t := range tasks {
-		node, err := makeNode(ctx, t)
+	for i := range tasks {
+		node, err := makeNode(ctx, &tasks[i])
 		if err != nil {
 			return nil, fmt.Errorf("task %d: %w", i, err)
 		}
@@ -656,14 +821,14 @@ func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 	}
 	// After Close every admission path must uniformly report ErrStopped —
 	// including a zero-length batch, which would otherwise skip the chunk
-	// loop (where submitChunk performs this check) and return success.
+	// loop (where reserve performs this check) and return success.
 	select {
 	case <-rt.stopped:
 		return nil, ErrStopped
 	default:
 	}
-	// Chunk so one batch can never hold more window tokens than exist, and
-	// so bank locks are not held for unboundedly long.
+	// Chunk so one reservation never asks for more window tokens than exist,
+	// and so bank locks are not held for unboundedly long.
 	chunkMax := rt.cfg.Window
 	if chunkMax > 256 {
 		chunkMax = 256
@@ -686,47 +851,21 @@ func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 }
 
 func (rt *Runtime) submitChunk(ctx context.Context, nodes []*taskNode) error {
-	// Chunks take their window tokens one at a time; batchMu makes that
-	// acquisition all-or-nothing across batches, so two concurrent
-	// SubmitAll calls cannot each hold a fraction of the window and wait
-	// forever for the rest.
-	rt.batchMu.Lock()
-	for taken := 0; taken < len(nodes); taken++ {
-		var err error
-		select {
-		case <-rt.stopped:
-			err = ErrStopped
-		case <-ctx.Done():
-			err = ctx.Err()
-		case rt.window <- struct{}{}:
-			continue
-		}
-		for ; taken > 0; taken-- {
-			<-rt.window
-		}
-		rt.batchMu.Unlock()
+	// The whole chunk's tokens are reserved in one step, all or nothing, so
+	// two concurrent SubmitAll calls can never each hold a fraction of the
+	// window and wait forever for the rest.
+	if err := rt.reserve(ctx, len(nodes)); err != nil {
 		return err
 	}
-	rt.batchMu.Unlock()
-	rt.subMu.RLock()
-	select {
-	case <-rt.stopped:
-		rt.subMu.RUnlock()
-		for range nodes {
-			<-rt.window
-		}
-		return ErrStopped
-	default:
-	}
-	var banks []int
-	for _, node := range nodes {
+	defer rt.subMu.RUnlock()
+	var banks []int32
+	first := rt.submitted.Add(uint64(len(nodes))) - uint64(len(nodes))
+	for i, node := range nodes {
 		rt.prepare(node)
 		banks = append(banks, node.banks...)
+		rt.admit(node, first+uint64(i))
 	}
 	uniq := sortedUnique(banks)
-	for _, node := range nodes {
-		rt.admit(node)
-	}
 	ready := make([]*taskNode, 0, len(nodes))
 	rt.lockBanks(uniq)
 	for _, node := range nodes {
@@ -739,45 +878,46 @@ func (rt *Runtime) submitChunk(ctx context.Context, nodes []*taskNode) error {
 	rt.unlockBanks(uniq)
 	for _, node := range ready {
 		rt.emit(-1, obs.KindReady, node, -1)
-		rt.readyCh <- node
+		rt.dispatch(node)
 	}
-	rt.subMu.RUnlock()
 	return nil
 }
 
 // makeNode validates and normalises one task.
-func makeNode(ctx context.Context, t Task) (*taskNode, error) {
+func makeNode(ctx context.Context, t *Task) (*taskNode, error) {
 	do, err := t.body()
 	if err != nil {
 		return nil, err
 	}
-	deps, err := normalizeDeps(t.Deps)
-	if err != nil {
-		return nil, err
-	}
-	return &taskNode{task: t, do: do, ctx: ctx, deps: deps}, nil
+	node := &taskNode{task: *t, do: do, ctx: ctx}
+	node.task.Deps = normalizeDeps(t.Deps)
+	return node, nil
 }
 
-// admit assigns the task its ID (submission index), creates the handle and
-// updates the graph recorder. The caller must already hold a window token.
-func (rt *Runtime) admit(node *taskNode) {
-	idx := rt.submitted.Add(1) - 1
-	name := node.task.Name
-	if name == "" {
-		name = fmt.Sprintf("task%d", idx)
-	}
-	node.handle = &Handle{name: name, index: idx, done: make(chan struct{}), onDone: node.task.onDone}
-	n := rt.inFlight.Add(1)
-	for {
-		max := rt.maxInFlight.Load()
-		if n <= max || rt.maxInFlight.CompareAndSwap(max, n) {
-			break
-		}
-	}
+// admit gives the task its ID (submission index idx) and handle and updates
+// the graph recorder. The caller already holds the task's window token.
+func (rt *Runtime) admit(node *taskNode, idx uint64) {
+	node.handle = &Handle{name: node.task.Name, index: idx, onDone: node.task.onDone}
 	if rt.recorder != nil {
 		rt.recorder.record(node)
 	}
 	rt.emit(-1, obs.KindSubmit, node, -1)
+}
+
+// staged reports whether the node passes through the Get Inputs stage: it
+// has something to fetch and the stage exists (BufferingDepth > 1).
+func (rt *Runtime) staged(node *taskNode) bool {
+	return node.task.Prefetch != nil && rt.fetchCh != nil
+}
+
+// dispatch hands a ready task (dependence count zero) to the workers,
+// through the Get Inputs stage when it is staged.
+func (rt *Runtime) dispatch(node *taskNode) {
+	if rt.staged(node) {
+		rt.fetchCh <- node
+		return
+	}
+	rt.readyCh <- node
 }
 
 // resolveNew runs Check Deps (Listing 2) for one task against its banks.
@@ -787,7 +927,7 @@ func (rt *Runtime) resolveNew(node *taskNode) {
 	rt.unlockBanks(node.banks)
 	if dc == 0 {
 		rt.emit(-1, obs.KindReady, node, -1)
-		rt.readyCh <- node
+		rt.dispatch(node)
 	} else {
 		rt.hazards.Add(1)
 	}
@@ -809,13 +949,12 @@ func (rt *Runtime) noteQueueDepth(b *bank, depth int) {
 // resulting dependence count. The caller holds all of node.banks.
 func (rt *Runtime) checkDeps(node *taskNode) int {
 	dc := 0
-	for i, d := range node.deps {
+	for i, d := range node.task.Deps {
 		b := &rt.banks[node.bankOf[i]]
 		seg := b.segs[d.Key]
 		wantsWrite := d.Mode != ModeIn
 		if seg == nil {
-			seg = &segState{}
-			b.segs[d.Key] = seg
+			seg = b.takeSeg(d.Key)
 			if wantsWrite {
 				seg.isOut = true
 			} else {
@@ -878,26 +1017,15 @@ func (node *taskNode) rootCause() error {
 // event stream.
 func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 	root := node.rootCause()
-	var released []*taskNode
-	release := func(n *taskNode) {
-		if n.dc.Add(-1) == 0 {
-			released = append(released, n)
-		}
-	}
-	pop := func(seg *segState) segWaiter {
-		w := seg.ko[0]
-		seg.ko = seg.ko[1:]
-		if seg.poison != nil {
-			w.node.poison.CompareAndSwap(nil, &taskFailure{err: seg.poison})
-		}
-		return w
-	}
+	// Most finishers release at most a few waiters; keep them off the heap.
+	var buf [8]*taskNode
+	released := buf[:0]
 	rt.lockBanks(node.banks)
-	for i, d := range node.deps {
+	for i, d := range node.task.Deps {
 		b := &rt.banks[node.bankOf[i]]
 		seg := b.segs[d.Key]
 		if seg == nil {
-			panic(fmt.Sprintf("starss: finished task %q references unknown key %v", node.handle.name, d.Key))
+			panic(fmt.Sprintf("starss: finished task %q references unknown key %v", node.handle.Name(), d.Key))
 		}
 		if root != nil && seg.poison == nil {
 			seg.poison = root
@@ -908,30 +1036,27 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 				continue
 			}
 			if !seg.ww {
-				delete(b.segs, d.Key)
+				b.dropSeg(d.Key, seg)
 				continue
 			}
-			w := pop(seg)
 			seg.isOut = true
 			seg.ww = false
-			release(w.node)
+			released = seg.pop(released)
 			continue
 		}
 		seg.isOut = false
 		if len(seg.ko) == 0 {
-			delete(b.segs, d.Key)
+			b.dropSeg(d.Key, seg)
 			continue
 		}
 		if seg.ko[0].wantsWrite {
-			w := pop(seg)
 			seg.isOut = true
-			release(w.node)
+			released = seg.pop(released)
 			continue
 		}
 		for len(seg.ko) > 0 && !seg.ko[0].wantsWrite {
-			w := pop(seg)
 			seg.rdrs++
-			release(w.node)
+			released = seg.pop(released)
 		}
 		if len(seg.ko) > 0 {
 			seg.ww = true
@@ -940,7 +1065,7 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 	rt.unlockBanks(node.banks)
 	for _, n := range released {
 		rt.emit(worker, obs.KindReady, n, worker)
-		rt.readyCh <- n
+		rt.dispatch(n)
 	}
 	switch {
 	case node.wasSkipped:
@@ -951,23 +1076,10 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 	default:
 		rt.executed.Add(1)
 	}
+	// Publish the handle before the token goes back: a barrier that sees
+	// in-flight reach zero must find every handle complete.
 	node.handle.complete(node.err)
-	<-rt.window
-	n := rt.inFlight.Add(-1)
-	if n == 0 || rt.waiterCount.Load() > 0 {
-		rt.coord.Lock()
-		// Re-read under coord: the pre-lock n may be stale — a task
-		// submitted (and a barrier registered for it) after the decrement
-		// must not be signalled past.
-		if rt.inFlight.Load() == 0 {
-			for _, b := range rt.barriers {
-				close(b)
-			}
-			rt.barriers = rt.barriers[:0]
-		}
-		rt.checkWaitersLocked()
-		rt.coord.Unlock()
-	}
+	rt.returnTokens(1)
 }
 
 // MustSubmit is Submit with a background context that panics on submission
@@ -995,7 +1107,7 @@ func (rt *Runtime) Wait(ctx context.Context) error {
 	default:
 	}
 	rt.coord.Lock()
-	if rt.inFlight.Load() == 0 {
+	if rt.win.used.Load() == 0 {
 		rt.coord.Unlock()
 		return rt.failure()
 	}
@@ -1025,7 +1137,7 @@ func (rt *Runtime) failure() error {
 // admissions before closing readyCh.
 func (rt *Runtime) waitIdle() {
 	rt.coord.Lock()
-	if rt.inFlight.Load() == 0 {
+	if rt.win.used.Load() == 0 {
 		rt.coord.Unlock()
 		return
 	}
@@ -1072,11 +1184,11 @@ func (rt *Runtime) checkWaitersLocked() {
 
 // InFlight returns the current number of submitted-but-unfinished tasks —
 // the live window occupancy, for service /debug endpoints.
-func (rt *Runtime) InFlight() int { return int(rt.inFlight.Load()) }
+func (rt *Runtime) InFlight() int { return int(rt.win.used.Load()) }
 
 // QueueDepth returns the number of ready tasks currently queued for a
 // worker (dependence count zero, body not yet started).
-func (rt *Runtime) QueueDepth() int { return len(rt.readyCh) }
+func (rt *Runtime) QueueDepth() int { return len(rt.readyCh) + len(rt.fetchCh) }
 
 // WindowSize returns the configured in-flight window capacity.
 func (rt *Runtime) WindowSize() int { return rt.cfg.Window }
@@ -1091,7 +1203,7 @@ func (rt *Runtime) Stats() Stats {
 		Failed:      rt.failed.Load(),
 		Skipped:     rt.skipped.Load(),
 		Retried:     rt.retried.Load(),
-		MaxInFlight: int(rt.maxInFlight.Load()),
+		MaxInFlight: int(rt.win.max.Load()),
 		Hazards:     rt.hazards.Load(),
 	}
 	for i := range rt.banks {
@@ -1121,17 +1233,25 @@ func (rt *Runtime) Close() error {
 		close(rt.stopped)
 		rt.subMu.Unlock()
 		rt.waitIdle()
+		if rt.fetchCh != nil {
+			close(rt.fetchCh)
+		}
 		close(rt.readyCh)
 	})
 	rt.workerWG.Wait()
 	return rt.failure()
 }
 
+// shortDeps is the longest dependency list checked for duplicate keys by
+// pairwise comparison instead of through a map.
+const shortDeps = 8
+
 // normalizeDeps merges duplicate keys: any read + any write on the same key
-// becomes inout, duplicate same-mode entries collapse.
-func normalizeDeps(deps []Dep) ([]Dep, error) {
-	if len(deps) <= 1 {
-		return deps, nil
+// becomes inout, duplicate same-mode entries collapse. A list without
+// duplicates — the common case — is returned as is, not copied.
+func normalizeDeps(deps []Dep) []Dep {
+	if len(deps) <= shortDeps && !hasDuplicateKey(deps) {
+		return deps
 	}
 	out := make([]Dep, 0, len(deps))
 	index := make(map[Key]int, len(deps))
@@ -1150,46 +1270,55 @@ func normalizeDeps(deps []Dep) ([]Dep, error) {
 			out[i].Mode = ModeInOut
 		}
 	}
-	return out, nil
+	return out
 }
 
-// worker is one worker core plus its Task Controller: a small pipeline that
-// prefetches the inputs of up to BufferingDepth-1 upcoming tasks while the
-// current one executes. id is the worker's index — its event-stream lane.
+// hasDuplicateKey compares every pair of keys. Like a map insertion, the
+// comparison panics for keys that are not comparable.
+func hasDuplicateKey(deps []Dep) bool {
+	for i := 1; i < len(deps); i++ {
+		for j := 0; j < i; j++ {
+			if deps[i].Key == deps[j].Key {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// worker is one worker core: it takes ready tasks and runs them. id is the
+// worker's index — its event-stream lane. A staged task arrives fetched and
+// frees its buffer slot as it starts; any other runs its Prefetch (if it
+// has one: BufferingDepth 1) inline.
 func (rt *Runtime) worker(id int) {
 	defer rt.workerWG.Done()
-	depth := rt.cfg.BufferingDepth
-	if depth <= 1 {
-		// No buffering: fetch, run and write back serially.
-		for node := range rt.readyCh {
+	for node := range rt.readyCh {
+		if rt.staged(node) {
+			<-rt.fetchSlots
+		} else {
 			prefetchNode(node)
-			rt.runBody(node, id)
 		}
-		return
-	}
-	// The controller goroutine prefetches into a bounded local buffer; this
-	// goroutine executes. Buffer capacity depth-1 means up to depth tasks
-	// are resident per worker (one executing, depth-1 prefetched).
-	local := make(chan *taskNode, depth-1)
-	var ctlWG sync.WaitGroup
-	ctlWG.Add(1)
-	go func() {
-		defer ctlWG.Done()
-		defer close(local)
-		for node := range rt.readyCh {
-			prefetchNode(node)
-			local <- node
-		}
-	}()
-	for node := range local {
 		rt.runBody(node, id)
 	}
-	ctlWG.Wait()
+}
+
+// fetcher is one Get Inputs unit of the pooled stage in front of readyCh:
+// it claims a buffer slot, fetches the task's inputs and queues the task
+// for the workers. Waiting for a slot cannot deadlock: slots are held by
+// tasks already in readyCh, which the workers drain without ever waiting
+// on this stage.
+func (rt *Runtime) fetcher() {
+	defer rt.workerWG.Done()
+	for node := range rt.fetchCh {
+		rt.fetchSlots <- struct{}{}
+		prefetchNode(node)
+		rt.readyCh <- node
+	}
 }
 
 // prefetchNode runs the Get Inputs phase unless the task will not run. A
-// panicking Prefetch is recorded on the node and fails the task when the
-// worker picks it up, instead of killing the controller goroutine.
+// panicking Prefetch is recorded as the node's failure — the worker then
+// skips the body — instead of killing the goroutine it ran on.
 func prefetchNode(node *taskNode) {
 	if node.task.Prefetch == nil {
 		return
@@ -1199,7 +1328,7 @@ func prefetchNode(node *taskNode) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			node.prefetchErr = fmt.Errorf("%w: task %q (in Prefetch): %v", ErrTaskPanicked, node.handle.name, r)
+			node.err = fmt.Errorf("%w: task %q (in Prefetch): %v", ErrTaskPanicked, node.handle.Name(), r)
 		}
 	}()
 	node.task.Prefetch()

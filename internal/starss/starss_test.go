@@ -29,10 +29,7 @@ func TestDepConstructors(t *testing.T) {
 }
 
 func TestNormalizeDeps(t *testing.T) {
-	deps, err := normalizeDeps([]Dep{In("a"), Out("a"), In("b"), In("b")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	deps := normalizeDeps([]Dep{In("a"), Out("a"), In("b"), In("b")})
 	if len(deps) != 2 {
 		t.Fatalf("deps = %v", deps)
 	}
@@ -230,7 +227,7 @@ func TestHazardExclusion(t *testing.T) {
 		if len(deps) == 0 {
 			deps = []Dep{In(99)}
 		}
-		norm, _ := normalizeDeps(deps)
+		norm := normalizeDeps(deps)
 		rt.MustSubmit(Task{
 			Deps: deps,
 			Run: func() {
@@ -393,7 +390,7 @@ func TestRandomGraphsProperty(t *testing.T) {
 			if len(deps) == 0 {
 				deps = []Dep{In(42)}
 			}
-			norm, _ := normalizeDeps(deps)
+			norm := normalizeDeps(deps)
 			if _, err := rt.Submit(context.Background(), Task{
 				Deps: deps,
 				Run: func() {
