@@ -8,6 +8,7 @@ package nexuspp_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -221,6 +222,39 @@ func BenchmarkSimEngine(b *testing.B) {
 	b.ResetTimer()
 	eng.After(0, next)
 	eng.Run()
+}
+
+// BenchmarkCoreRunGaussian250 is the simulator's host cost on Table II's
+// smallest matrix (31 374 tasks): ns/event and allocs/task at a core count
+// where per-worker scans are invisible (16) and at the paper's largest
+// (256), so a host cost that grows with the core count shows as a gap
+// between the two.
+func BenchmarkCoreRunGaussian250(b *testing.B) {
+	src := workload.Gaussian(workload.GaussianConfig{N: 250})
+	for _, workers := range []int{16, 256} {
+		b.Run("workers="+itoa(workers), func(b *testing.B) {
+			cfg := core.DefaultConfig(workers)
+			b.ReportAllocs()
+			var events, tasks uint64
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := core.Run(cfg, src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events += res.Events
+				tasks += res.TasksExecuted
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(tasks), "allocs/task")
+			b.ReportMetric(float64(events)/float64(tasks), "events/task")
+		})
+	}
 }
 
 func BenchmarkDepTableProcessNew(b *testing.B) {

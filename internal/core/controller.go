@@ -21,9 +21,19 @@ type TaskController struct {
 	runQ   *sim.FIFO[int32] // inputs fetched, waiting for the core
 	writeQ *sim.FIFO[int32] // executed, waiting for Put Outputs
 
+	// Each stage keeps the task it is serving in its own register; the
+	// completion callbacks are bound once per controller.
 	getInBusy  bool
+	getInTask  int32
+	getInStart sim.Time
+	getInDone  func()
 	runBusy    bool
+	runTask    int32
+	runExec    sim.Time
+	runDone    func()
 	putOutBusy bool
+	putOutTask int32
+	putOutDone func()
 
 	tasksRun    uint64
 	execBusy    sim.Time
@@ -39,6 +49,9 @@ func newTaskController(eng *sim.Engine, sys *System, core int, depth int) *TaskC
 		runQ:   sim.NewFIFO[int32]("tc-run", depth),
 		writeQ: sim.NewFIFO[int32]("tc-write", depth),
 	}
+	tc.getInDone = tc.finishGetInputs
+	tc.runDone = tc.finishRun
+	tc.putOutDone = tc.finishPutOutputs
 	tc.recvQ.OnData(tc.kickGetInputs)
 	tc.runQ.OnData(tc.kickRun)
 	tc.runQ.OnSpace(tc.kickGetInputs)
@@ -76,13 +89,15 @@ func (tc *TaskController) kickGetInputs() {
 	tc.sys.maestro.kickSendTDs() // a receive-buffer slot opened up
 	spec := tc.sys.maestro.tp.Spec(task)
 	tc.sys.markFetchStart(task)
-	start := tc.eng.Now()
-	tc.sys.memory.Access(spec.MemRead, func() {
-		tc.memReadBusy += tc.eng.Now() - start
-		tc.getInBusy = false
-		tc.runQ.MustPush(task)
-		tc.kickGetInputs()
-	})
+	tc.getInTask, tc.getInStart = task, tc.eng.Now()
+	tc.sys.memory.Access(spec.MemRead, tc.getInDone)
+}
+
+func (tc *TaskController) finishGetInputs() {
+	tc.memReadBusy += tc.eng.Now() - tc.getInStart
+	tc.getInBusy = false
+	tc.runQ.MustPush(tc.getInTask)
+	tc.kickGetInputs()
 }
 
 // Run Task: pass the task to the worker core.
@@ -97,14 +112,17 @@ func (tc *TaskController) kickRun() {
 	tc.runBusy = true
 	spec := tc.sys.maestro.tp.Spec(task)
 	tc.sys.markExecStart(task)
-	tc.eng.After(spec.Exec, func() {
-		tc.tasksRun++
-		tc.execBusy += spec.Exec
-		tc.runBusy = false
-		tc.sys.markExecEnd(task)
-		tc.writeQ.MustPush(task)
-		tc.kickRun()
-	})
+	tc.runTask, tc.runExec = task, spec.Exec
+	tc.eng.After(spec.Exec, tc.runDone)
+}
+
+func (tc *TaskController) finishRun() {
+	tc.tasksRun++
+	tc.execBusy += tc.runExec
+	tc.runBusy = false
+	tc.sys.markExecEnd(tc.runTask)
+	tc.writeQ.MustPush(tc.runTask)
+	tc.kickRun()
 }
 
 // Put Outputs: write results back to off-chip memory, then notify the
@@ -118,11 +136,13 @@ func (tc *TaskController) kickPutOutputs() {
 		return
 	}
 	tc.putOutBusy = true
-	spec := tc.sys.maestro.tp.Spec(task)
-	tc.sys.memory.Access(spec.MemWrite, func() {
-		tc.putOutBusy = false
-		tc.sys.markCommit(task)
-		tc.sys.maestro.taskFinished(tc.core)
-		tc.kickPutOutputs()
-	})
+	tc.putOutTask = task
+	tc.sys.memory.Access(tc.sys.maestro.tp.Spec(task).MemWrite, tc.putOutDone)
+}
+
+func (tc *TaskController) finishPutOutputs() {
+	tc.putOutBusy = false
+	tc.sys.markCommit(tc.putOutTask)
+	tc.sys.maestro.taskFinished(tc.core)
+	tc.kickPutOutputs()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nexuspp/internal/sim"
 	"nexuspp/internal/trace"
@@ -35,22 +36,49 @@ type Maestro struct {
 	sendTDs   *sim.Server
 	handleFin *sim.Server
 
-	// Check Deps in-flight state: the task being checked and the next
-	// parameter index (preserved across full-table stalls).
+	// Each block serves one item at a time and keeps it, between Start and
+	// the completion handler, in the registers below — never in a closure.
+
+	// Write TP: the descriptor taken off the TDs Buffer and the Task Pool
+	// index it was stored at.
+	wtpSpec trace.TaskSpec
+	wtpID   int32
+
+	// Check Deps: the task being checked and the next parameter index
+	// (preserved across full-table stalls).
 	cdTask    int32
 	cdParam   int
-	cdWaiting bool // stalled on a full Dependence Table
+	cdStalled bool // the service in flight ended on a full Dependence Table
+	cdWaiting bool // parked on a full Dependence Table
 
-	// Send TDs round-robin fairness pointer.
-	rrPtr int
+	// Schedule: the task and the core token it was paired with.
+	schTask int32
+	schCore int
+
+	// Send TDs: the task in flight and its destination; rrPtr is the
+	// round-robin fairness pointer and rdySet indexes the cores whose
+	// CiRdyTasks list is non-empty, so the request selection does not scan
+	// every list.
+	stdTask    int32
+	stdCore    int
+	rrPtr      int
+	rdySet     coreSet
+	canReceive func(core int) bool
+
+	// Handle Finished: the retiring task, its core, and the waiters its
+	// kick-off lists released (buffer reused across tasks).
+	hfTask  int32
+	hfCore  int
+	hfReady []int32
 
 	// Optional single-ported table modeling (Config.TablePorts): blocks
-	// acquire the ports of the tables they touch for their whole service.
-	tpPort, dtPort *sim.Resource
-	wtpPending     bool
-	cdPending      bool
-	stdPending     bool
-	hfPending      bool
+	// hold the ports of the tables they touch for their whole service. A
+	// pending flag marks a block queued for its ports.
+	wtpPorts, cdPorts, stdPorts, hfPorts tablePorts
+	wtpPending                           bool
+	cdPending                            bool
+	stdPending                           bool
+	hfPending                            bool
 
 	// Destination Task Controllers, one per worker core.
 	tcs []*TaskController
@@ -81,10 +109,15 @@ func newMaestro(eng *sim.Engine, cfg *Config) *Maestro {
 	if cfg.RenameFalseDeps {
 		m.dt.EnableRenaming()
 	}
+	var tpPort, dtPort *sim.Resource
 	if cfg.TablePorts > 0 {
-		m.tpPort = sim.NewResource("task-pool-ports", cfg.TablePorts)
-		m.dtPort = sim.NewResource("dep-table-ports", cfg.TablePorts)
+		tpPort = sim.NewResource("task-pool-ports", cfg.TablePorts)
+		dtPort = sim.NewResource("dep-table-ports", cfg.TablePorts)
 	}
+	m.wtpPorts = newTablePorts(tpPort, nil, m.startWriteTP)
+	m.cdPorts = newTablePorts(tpPort, dtPort, m.startCheckDeps)
+	m.stdPorts = newTablePorts(tpPort, nil, m.startSendTDs)
+	m.hfPorts = newTablePorts(tpPort, dtPort, m.startHandleFinished)
 	// Invariant-safe capacities: every ID in New Tasks or Global Ready
 	// belongs to a live Task Pool entry, so sizing both lists at the pool
 	// capacity makes overflow impossible (Table IV sizes them identically
@@ -96,6 +129,8 @@ func newMaestro(eng *sim.Engine, cfg *Config) *Maestro {
 	tokens := cfg.Workers * cfg.BufferingDepth
 	m.workerIDs = sim.NewFIFO[int]("worker-ids", tokens)
 	m.finishNotif = sim.NewFIFO[int]("finish-notif", tokens)
+	m.rdySet = newCoreSet(cfg.Workers)
+	m.canReceive = func(core int) bool { return m.tcs[core].canReceive() }
 	m.rdyTasks = make([]*sim.FIFO[int32], cfg.Workers)
 	m.finTasks = make([]*sim.FIFO[int32], cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -107,11 +142,11 @@ func newMaestro(eng *sim.Engine, cfg *Config) *Maestro {
 			m.workerIDs.MustPush(i)
 		}
 	}
-	m.writeTP = sim.NewServer(eng, "write-tp")
-	m.checkDeps = sim.NewServer(eng, "check-deps")
-	m.schedule = sim.NewServer(eng, "schedule")
-	m.sendTDs = sim.NewServer(eng, "send-tds")
-	m.handleFin = sim.NewServer(eng, "handle-finished")
+	m.writeTP = sim.NewServer(eng, "write-tp", m.writeTPDone)
+	m.checkDeps = sim.NewServer(eng, "check-deps", m.checkDepsDone)
+	m.schedule = sim.NewServer(eng, "schedule", m.scheduleDone)
+	m.sendTDs = sim.NewServer(eng, "send-tds", m.sendTDsDone)
+	m.handleFin = sim.NewServer(eng, "handle-finished", m.handleFinishedDone)
 
 	// Event wiring: FIFO writes are the 1-bit triggers of Figure 2.
 	m.tdsSizes.OnData(m.kickWriteTP)
@@ -143,35 +178,85 @@ func (m *Maestro) submitDelivered(spec trace.TaskSpec) {
 // is full "the Master Core stalls and stops sending new Task Descriptors".
 func (m *Maestro) canAcceptSubmission() bool { return !m.tdsSizes.Full() }
 
-// acquirePorts obtains the requested table ports in a fixed order (Task
-// Pool before Dependence Table, which makes the two-port holders
-// deadlock-free) and invokes fn with the matching release function. With
-// unlimited ports (Config.TablePorts == 0) fn runs synchronously.
-func (m *Maestro) acquirePorts(needTP, needDT bool, fn func(release func())) {
-	var held []*sim.Resource
-	release := func() {
-		for i := len(held) - 1; i >= 0; i-- {
-			held[i].Release()
-		}
+// tablePorts is one block's claim on the table ports it needs for a
+// service: the Task Pool port, then (for the two blocks that also touch it)
+// the Dependence Table port — that fixed order makes the two-port holders
+// deadlock-free. With unlimited ports (Config.TablePorts == 0) both
+// resources are nil and acquire is a direct call of start.
+type tablePorts struct {
+	tp, dt *sim.Resource
+	start  func() // the block's service, run once every port is held
+	gotTP  func() // the Task Pool port's grant callback, bound once
+}
+
+func newTablePorts(tp, dt *sim.Resource, start func()) tablePorts {
+	p := tablePorts{tp: tp, dt: dt, start: start, gotTP: start}
+	if dt != nil {
+		p.gotTP = func() { dt.Acquire(start) }
 	}
-	acquireDT := func() {
-		if needDT && m.dtPort != nil {
-			m.dtPort.Acquire(func() {
-				held = append(held, m.dtPort)
-				fn(release)
-			})
-			return
-		}
-		fn(release)
-	}
-	if needTP && m.tpPort != nil {
-		m.tpPort.Acquire(func() {
-			held = append(held, m.tpPort)
-			acquireDT()
-		})
+	return p
+}
+
+// acquire runs start as soon as the ports are held — synchronously when
+// they are free or unlimited.
+func (p *tablePorts) acquire() {
+	if p.tp == nil {
+		p.start()
 		return
 	}
-	acquireDT()
+	p.tp.Acquire(p.gotTP)
+}
+
+// release frees the ports in reverse acquisition order.
+func (p *tablePorts) release() {
+	if p.dt != nil {
+		p.dt.Release()
+	}
+	if p.tp != nil {
+		p.tp.Release()
+	}
+}
+
+// coreSet is a bitset over worker-core indices.
+type coreSet []uint64
+
+func newCoreSet(cores int) coreSet { return make(coreSet, (cores+63)/64) }
+
+func (s coreSet) add(core int)    { s[core>>6] |= 1 << (core & 63) }
+func (s coreSet) remove(core int) { s[core>>6] &^= 1 << (core & 63) }
+
+// next returns the smallest member >= from, or -1.
+func (s coreSet) next(from int) int {
+	w := from >> 6
+	if w >= len(s) {
+		return -1
+	}
+	if rest := s[w] >> (from & 63); rest != 0 {
+		return from + bits.TrailingZeros64(rest)
+	}
+	for w++; w < len(s); w++ {
+		if s[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(s[w])
+		}
+	}
+	return -1
+}
+
+// pickFrom returns the first member at or after start, wrapping around to
+// the members below it, that ok accepts — the member a linear round-robin
+// scan from start would stop at — or -1.
+func (s coreSet) pickFrom(start int, ok func(core int) bool) int {
+	for c := s.next(start); c >= 0; c = s.next(c + 1) {
+		if ok(c) {
+			return c
+		}
+	}
+	for c := s.next(0); c >= 0 && c < start; c = s.next(c + 1) {
+		if ok(c) {
+			return c
+		}
+	}
+	return -1
 }
 
 // --- Write TP block -------------------------------------------------------
@@ -196,21 +281,27 @@ func (m *Maestro) kickWriteTP() {
 	}
 	m.tdsSizes.Pop()
 	m.tdsBuffer.Pop()
+	m.wtpSpec = spec
 	m.wtpPending = true
-	m.acquirePorts(true, false, func(release func()) {
-		m.wtpPending = false
-		id, ok := m.tp.Alloc(spec)
-		if !ok {
-			panic("core: Task Pool allocation failed after free-count check")
-		}
-		lat := m.cfg.cycles(m.cfg.Costs.WriteTPBase + m.cfg.Costs.WriteTPPerTD*need)
-		m.writeTP.Start(lat, func() {
-			release()
-			m.tasksStored++
-			m.newTasks.MustPush(id)
-			m.kickWriteTP()
-		})
-	})
+	m.wtpPorts.acquire()
+}
+
+func (m *Maestro) startWriteTP() {
+	m.wtpPending = false
+	id, ok := m.tp.Alloc(m.wtpSpec)
+	if !ok {
+		panic("core: Task Pool allocation failed after free-count check")
+	}
+	m.wtpID = id
+	need := m.tp.NeededTDs(&m.wtpSpec)
+	m.writeTP.Start(m.cfg.cycles(m.cfg.Costs.WriteTPBase + m.cfg.Costs.WriteTPPerTD*need))
+}
+
+func (m *Maestro) writeTPDone() {
+	m.wtpPorts.release()
+	m.tasksStored++
+	m.newTasks.MustPush(m.wtpID)
+	m.kickWriteTP()
 }
 
 // --- Check Deps block ------------------------------------------------------
@@ -227,18 +318,16 @@ func (m *Maestro) kickCheckDeps() {
 		return
 	}
 	m.cdPending = true
-	m.acquirePorts(true, true, func(release func()) {
-		m.cdPending = false
-		m.doCheckDeps(release)
-	})
+	m.cdPorts.acquire()
 }
 
-func (m *Maestro) doCheckDeps(release func()) {
+func (m *Maestro) startCheckDeps() {
+	m.cdPending = false
 	accesses := 0
 	if m.cdTask < 0 {
 		id, ok := m.newTasks.Pop()
 		if !ok {
-			release()
+			m.cdPorts.release()
 			return
 		}
 		m.cdTask = id
@@ -274,32 +363,33 @@ func (m *Maestro) doCheckDeps(release func()) {
 		}
 		m.cdParam++
 	}
-	lat := m.cfg.cycles(m.cfg.Costs.CheckDepsBase + m.cfg.Costs.CheckDepsPerAccess*accesses)
+	m.cdStalled = stalled
+	m.checkDeps.Start(m.cfg.cycles(m.cfg.Costs.CheckDepsBase + m.cfg.Costs.CheckDepsPerAccess*accesses))
+}
+
+func (m *Maestro) checkDepsDone() {
+	m.cdPorts.release()
+	if m.cdStalled {
+		// Stalled on a full Dependence Table. Park until dt.OnFree
+		// re-kicks us — but a slot may already have been released
+		// during this service window (the wake-up fired while the
+		// block was busy), so check once before parking.
+		m.cdWaiting = true
+		if m.dt.HasFree() {
+			m.kickCheckDeps()
+		}
+		return
+	}
 	task := m.cdTask
-	done := !stalled
-	m.checkDeps.Start(lat, func() {
-		release()
-		if !done {
-			// Stalled on a full Dependence Table. Park until dt.OnFree
-			// re-kicks us — but a slot may already have been released
-			// during this service window (the wake-up fired while the
-			// block was busy), so check once before parking.
-			m.cdWaiting = true
-			if m.dt.HasFree() {
-				m.kickCheckDeps()
-			}
-			return
-		}
-		entry := m.tp.Entry(task)
-		entry.checking = false
-		m.tasksChecked++
-		if entry.dc == 0 {
-			m.readyAtCheck++
-			m.globalReady.MustPush(task)
-		}
-		m.cdTask = -1
-		m.kickCheckDeps()
-	})
+	entry := m.tp.Entry(task)
+	entry.checking = false
+	m.tasksChecked++
+	if entry.dc == 0 {
+		m.readyAtCheck++
+		m.globalReady.MustPush(task)
+	}
+	m.cdTask = -1
+	m.kickCheckDeps()
 }
 
 // --- Schedule block --------------------------------------------------------
@@ -308,12 +398,16 @@ func (m *Maestro) kickSchedule() {
 	if m.schedule.Busy() || m.globalReady.Empty() || m.workerIDs.Empty() {
 		return
 	}
-	task, _ := m.globalReady.Pop()
-	core, _ := m.workerIDs.Pop()
-	m.schedule.Start(m.cfg.cycles(m.cfg.Costs.ScheduleCycles), func() {
-		m.rdyTasks[core].MustPush(task)
-		m.kickSchedule()
-	})
+	m.schTask, _ = m.globalReady.Pop()
+	m.schCore, _ = m.workerIDs.Pop()
+	m.schedule.Start(m.cfg.cycles(m.cfg.Costs.ScheduleCycles))
+}
+
+func (m *Maestro) scheduleDone() {
+	// Index the core first: the push kicks Send TDs in the same step.
+	m.rdySet.add(m.schCore)
+	m.rdyTasks[m.schCore].MustPush(m.schTask)
+	m.kickSchedule()
 }
 
 // --- Send TDs block --------------------------------------------------------
@@ -322,36 +416,37 @@ func (m *Maestro) kickSendTDs() {
 	if m.sendTDs.Busy() || m.stdPending {
 		return
 	}
-	n := len(m.rdyTasks)
-	core := -1
-	for i := 0; i < n; i++ {
-		c := (m.rrPtr + i) % n
-		if !m.rdyTasks[c].Empty() && m.tcs[c].canReceive() {
-			core = c
-			break
-		}
-	}
+	core := m.rdySet.pickFrom(m.rrPtr, m.canReceive)
 	if core < 0 {
 		return
 	}
-	m.rrPtr = (core + 1) % n
-	task, _ := m.rdyTasks[core].Pop()
+	if m.rrPtr = core + 1; m.rrPtr == len(m.rdyTasks) {
+		m.rrPtr = 0
+	}
+	m.stdTask, _ = m.rdyTasks[core].Pop()
+	if m.rdyTasks[core].Empty() {
+		m.rdySet.remove(core)
+	}
+	m.stdCore = core
 	m.stdPending = true
-	m.acquirePorts(true, false, func(release func()) {
-		m.stdPending = false
-		spec := m.tp.Spec(task)
-		nTDs := NumTDs(len(spec.Params), m.cfg.MaxParamsPerTD)
-		c := m.cfg.Costs
-		lat := m.cfg.cycles(c.SendTDsBase + c.SendTDsPerTD*nTDs +
-			c.SendTDsLinkSetup + c.SendTDsPerParam*len(spec.Params))
-		m.sendTDs.Start(lat, func() {
-			release()
-			m.finTasks[core].MustPush(task)
-			m.tasksSent++
-			m.tcs[core].receive(task)
-			m.kickSendTDs()
-		})
-	})
+	m.stdPorts.acquire()
+}
+
+func (m *Maestro) startSendTDs() {
+	m.stdPending = false
+	spec := m.tp.Spec(m.stdTask)
+	nTDs := NumTDs(len(spec.Params), m.cfg.MaxParamsPerTD)
+	c := m.cfg.Costs
+	m.sendTDs.Start(m.cfg.cycles(c.SendTDsBase + c.SendTDsPerTD*nTDs +
+		c.SendTDsLinkSetup + c.SendTDsPerParam*len(spec.Params)))
+}
+
+func (m *Maestro) sendTDsDone() {
+	m.stdPorts.release()
+	m.finTasks[m.stdCore].MustPush(m.stdTask)
+	m.tasksSent++
+	m.tcs[m.stdCore].receive(m.stdTask)
+	m.kickSendTDs()
 }
 
 // taskFinished is the Task Controller's 1-bit task-finished notification.
@@ -385,43 +480,48 @@ func (m *Maestro) kickHandleFinished() {
 	if !ok {
 		panic("core: finished notification without a CiFinTasks entry")
 	}
+	m.hfTask, m.hfCore = task, core
 	m.hfPending = true
-	m.acquirePorts(true, true, func(release func()) {
-		m.hfPending = false
-		e := m.tp.Entry(task)
-		nTDs := 1 + len(e.extra)
-		accesses := 0
-		var ready []int32
-		for i, p := range e.spec.Params {
-			var grants []Grant
-			var acc int
-			if m.dt.Renaming() {
-				grants, acc = m.dt.ProcessFinishedVersioned(task, e.versions[i], p.Mode.Writes())
-			} else {
-				grants, acc = m.dt.ProcessFinished(task, p.Addr, p.Mode.Writes())
-			}
-			accesses += acc
-			for _, g := range grants {
-				waiter := m.tp.Entry(g.Task)
-				if m.tp.AddDC(g.Task, -1) == 0 && !waiter.checking {
-					ready = append(ready, g.Task)
-				}
+	m.hfPorts.acquire()
+}
+
+func (m *Maestro) startHandleFinished() {
+	m.hfPending = false
+	task := m.hfTask
+	e := m.tp.Entry(task)
+	nTDs := 1 + len(e.extra)
+	accesses := 0
+	m.hfReady = m.hfReady[:0]
+	for i, p := range e.spec.Params {
+		var grants []Grant
+		var acc int
+		if m.dt.Renaming() {
+			grants, acc = m.dt.ProcessFinishedVersioned(task, e.versions[i], p.Mode.Writes())
+		} else {
+			grants, acc = m.dt.ProcessFinished(task, p.Addr, p.Mode.Writes())
+		}
+		accesses += acc
+		for _, g := range grants {
+			waiter := m.tp.Entry(g.Task)
+			if m.tp.AddDC(g.Task, -1) == 0 && !waiter.checking {
+				m.hfReady = append(m.hfReady, g.Task)
 			}
 		}
-		c := m.cfg.Costs
-		lat := m.cfg.cycles(c.HandleFinBase + c.HandleFinPerTD*nTDs + c.HandleFinPerAccess*accesses)
-		m.handleFin.Start(lat, func() {
-			release()
-			for _, r := range ready {
-				m.globalReady.MustPush(r)
-			}
-			m.tp.Free(task)
-			m.workerIDs.MustPush(core)
-			m.tasksFinished++
-			if m.tasksFinished == m.expectTotal {
-				m.finishedAt = m.eng.Now()
-			}
-			m.kickHandleFinished()
-		})
-	})
+	}
+	c := m.cfg.Costs
+	m.handleFin.Start(m.cfg.cycles(c.HandleFinBase + c.HandleFinPerTD*nTDs + c.HandleFinPerAccess*accesses))
+}
+
+func (m *Maestro) handleFinishedDone() {
+	m.hfPorts.release()
+	for _, r := range m.hfReady {
+		m.globalReady.MustPush(r)
+	}
+	m.tp.Free(m.hfTask)
+	m.workerIDs.MustPush(m.hfCore)
+	m.tasksFinished++
+	if m.tasksFinished == m.expectTotal {
+		m.finishedAt = m.eng.Now()
+	}
+	m.kickHandleFinished()
 }

@@ -11,10 +11,17 @@ import (
 // the off-chip communication Nexus needed) and submits them to the Task
 // Maestro over the on-chip bus. It stalls while the TDs Sizes list is full.
 type MasterCore struct {
-	eng     *sim.Engine
-	sys     *System
-	src     workload.Source
-	pending *trace.TaskSpec // prepared descriptor waiting for FIFO space
+	eng *sim.Engine
+	sys *System
+	src workload.Source
+
+	// pending is the descriptor in the master's hands, from the moment the
+	// source yields it until the bus has delivered it; havePending is set
+	// while it is prepared and waiting for FIFO space.
+	pending     trace.TaskSpec
+	havePending bool
+	prepared    func() // bound once
+	delivered   func() // bound once
 
 	submitted  uint64
 	stallSince sim.Time
@@ -23,7 +30,10 @@ type MasterCore struct {
 }
 
 func newMasterCore(eng *sim.Engine, sys *System, src workload.Source) *MasterCore {
-	return &MasterCore{eng: eng, sys: sys, src: src, stallSince: -1}
+	mc := &MasterCore{eng: eng, sys: sys, src: src, stallSince: -1}
+	mc.prepared = mc.finishPrepare
+	mc.delivered = mc.finishSubmit
+	return mc
 }
 
 // start begins the generate-and-submit loop at time zero.
@@ -51,17 +61,20 @@ func (mc *MasterCore) prepareNext() {
 	if mc.sys.cfg.DisableTaskPrep {
 		prep = 0
 	}
-	mc.eng.After(prep, func() {
-		mc.pending = &spec
-		mc.trySubmit()
-	})
+	mc.pending = spec
+	mc.eng.After(prep, mc.prepared)
+}
+
+func (mc *MasterCore) finishPrepare() {
+	mc.havePending = true
+	mc.trySubmit()
 }
 
 // trySubmit sends the prepared descriptor when the Maestro can accept it;
 // otherwise the master stalls until the Get TDs path drains (retried via
 // the system's onSubmitSpace hook).
 func (mc *MasterCore) trySubmit() {
-	if mc.pending == nil {
+	if !mc.havePending {
 		return
 	}
 	if !mc.sys.maestro.canAcceptSubmission() {
@@ -74,14 +87,15 @@ func (mc *MasterCore) trySubmit() {
 		mc.stallTime += mc.eng.Now() - mc.stallSince
 		mc.stallSince = -1
 	}
-	spec := *mc.pending
-	mc.pending = nil
-	mc.sys.bus.Submit(len(spec.Params), func() {
-		mc.submitted++
-		mc.sys.maestro.submitDelivered(spec)
-		// The master drives the bus itself, so it prepares the next
-		// descriptor only after this transfer completes; the Get TDs block
-		// decouples it from the Maestro's processing, not from the bus.
-		mc.prepareNext()
-	})
+	mc.havePending = false
+	mc.sys.bus.Submit(len(mc.pending.Params), mc.delivered)
+}
+
+func (mc *MasterCore) finishSubmit() {
+	mc.submitted++
+	mc.sys.maestro.submitDelivered(mc.pending)
+	// The master drives the bus itself, so it prepares the next
+	// descriptor only after this transfer completes; the Get TDs block
+	// decouples it from the Maestro's processing, not from the bus.
+	mc.prepareNext()
 }

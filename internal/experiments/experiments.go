@@ -88,7 +88,7 @@ func Table2(opts Options) *report.Table {
 		t.AddRow(n, workload.GaussianTaskCount(n), paperTasks[n],
 			workload.GaussianMeanWeight(n), paperWeight[n])
 	}
-	t.AddNote("task counts follow (n^2+n-2)/2 exactly; Equation (1) reproduces the paper's average weights for n<=1000 and drifts ~5%% below for n=5000 (see EXPERIMENTS.md)")
+	t.AddNote("task counts follow (n^2+n-2)/2 exactly; Equation (1) reproduces the paper's average weights for n<=1000 and drifts ~5%% below for n=5000")
 	return t
 }
 
@@ -209,8 +209,7 @@ func Fig8(opts Options) (*report.Table, error) {
 		if sc.halfMem {
 			// Sensitivity: the paper does not state its Gaussian memory
 			// accounting; halving the per-float traffic (6ns per chunk)
-			// shows where its 45x at 64 cores comes from (see
-			// EXPERIMENTS.md).
+			// shows where its 45x at 64 cores comes from.
 			gcfg.MemChunkTime = 6 * sim.Nanosecond
 			name += " (half mem traffic)"
 		}
@@ -340,7 +339,7 @@ func Headline(opts Options) (*report.Table, error) {
 		}
 		t.AddRow(p.label, float64(t1)/float64(res.Makespan), p.paper)
 	}
-	t.AddNote("our fully pipelined Task Maestro sustains ~1 task per 44ns, so the contention-free plateau lands above the paper's 143x; the memory-contention bound matches closely (see EXPERIMENTS.md)")
+	t.AddNote("our fully pipelined Task Maestro sustains ~1 task per 44ns, so the contention-free plateau lands above the paper's 143x; the memory-contention bound matches closely")
 	return t, nil
 }
 

@@ -8,6 +8,63 @@ package mem
 
 import "nexuspp/internal/sim"
 
+// timedSlots is a Resource whose slots are held for a stated time: a hold
+// queues for a slot in FIFO order, keeps it for its duration, releases it
+// and only then calls back. Both models in this package have that shape
+// (32 memory ports, one bus line).
+//
+// A hold's state — its duration and the caller's callback — lives in a
+// record that is recycled through a free list, with its two event
+// callbacks bound when the record is first made. The caller's callback is
+// therefore never wrapped, and a hold allocates nothing once as many
+// records exist as holds are ever outstanding at once.
+type timedSlots struct {
+	eng  *sim.Engine
+	res  *sim.Resource
+	free []*hold
+
+	// Statistics.
+	completed uint64
+	heldTime  sim.Time
+}
+
+type hold struct {
+	ts       *timedSlots
+	d        sim.Time
+	done     func()
+	granted  func() // h.start, bound once
+	released func() // h.finish, bound once
+}
+
+func newTimedSlots(eng *sim.Engine, name string, slots int) *timedSlots {
+	return &timedSlots{eng: eng, res: sim.NewResource(name, slots)}
+}
+
+// hold occupies one slot for d, then calls done.
+func (ts *timedSlots) hold(d sim.Time, done func()) {
+	var h *hold
+	if n := len(ts.free); n > 0 {
+		h, ts.free = ts.free[n-1], ts.free[:n-1]
+	} else {
+		h = &hold{ts: ts}
+		h.granted, h.released = h.start, h.finish
+	}
+	h.d, h.done = d, done
+	ts.res.Acquire(h.granted)
+}
+
+func (h *hold) start() { h.ts.eng.After(h.d, h.released) }
+
+func (h *hold) finish() {
+	ts, done := h.ts, h.done
+	ts.completed++
+	ts.heldTime += h.d
+	h.done = nil
+	ts.free = append(ts.free, h)
+	ts.res.Release()
+	done()
+}
+
 // MemConfig describes the off-chip memory.
 type MemConfig struct {
 	// Ports is the number of concurrent accessors (banks with one
@@ -31,7 +88,7 @@ func DefaultMemConfig() MemConfig {
 type Memory struct {
 	cfg   MemConfig
 	eng   *sim.Engine
-	ports *sim.Resource // nil when contention-free
+	ports *timedSlots // nil when contention-free
 }
 
 // NewMemory builds a memory bound to eng. A zero Ports/ChunkBytes/ChunkTime
@@ -49,7 +106,7 @@ func NewMemory(eng *sim.Engine, cfg MemConfig) *Memory {
 	}
 	m := &Memory{cfg: cfg, eng: eng}
 	if !cfg.ContentionFree {
-		m.ports = sim.NewResource("memory-ports", cfg.Ports)
+		m.ports = newTimedSlots(eng, "memory-ports", cfg.Ports)
 	}
 	return m
 }
@@ -76,12 +133,7 @@ func (m *Memory) Access(duration sim.Time, done func()) {
 		m.eng.After(duration, done)
 		return
 	}
-	m.ports.Acquire(func() {
-		m.eng.After(duration, func() {
-			m.ports.Release()
-			done()
-		})
-	})
+	m.ports.hold(duration, done)
 }
 
 // InUse returns the number of busy ports (always 0 when contention-free).
@@ -89,7 +141,7 @@ func (m *Memory) InUse() int {
 	if m.ports == nil {
 		return 0
 	}
-	return m.ports.InUse()
+	return m.ports.res.InUse()
 }
 
 // HighWater returns the maximum number of concurrently busy ports.
@@ -97,7 +149,7 @@ func (m *Memory) HighWater() int {
 	if m.ports == nil {
 		return 0
 	}
-	return m.ports.HighWater()
+	return m.ports.res.HighWater()
 }
 
 // Waits returns how many accesses had to queue for a port.
@@ -105,7 +157,7 @@ func (m *Memory) Waits() uint64 {
 	if m.ports == nil {
 		return 0
 	}
-	return m.ports.Waits()
+	return m.ports.res.Waits()
 }
 
 // BusConfig describes the on-chip master-to-maestro bus.
@@ -130,11 +182,8 @@ func DefaultBusConfig() BusConfig {
 // Bus is a single-master serial link: one submission occupies it at a time,
 // later submissions queue in FIFO order.
 type Bus struct {
-	cfg       BusConfig
-	eng       *sim.Engine
-	line      *sim.Resource
-	transfers uint64
-	busyTime  sim.Time
+	cfg  BusConfig
+	line *timedSlots
 }
 
 // NewBus builds a bus bound to eng; zero config fields select defaults.
@@ -149,7 +198,7 @@ func NewBus(eng *sim.Engine, cfg BusConfig) *Bus {
 	if cfg.HeaderWords == 0 {
 		cfg.HeaderWords = def.HeaderWords
 	}
-	return &Bus{cfg: cfg, eng: eng, line: sim.NewResource("onchip-bus", 1)}
+	return &Bus{cfg: cfg, line: newTimedSlots(eng, "onchip-bus", 1)}
 }
 
 // Config returns the effective configuration.
@@ -164,19 +213,11 @@ func (b *Bus) SubmitTime(nParams int) sim.Time {
 
 // Submit occupies the bus for SubmitTime(nParams) and then calls delivered.
 func (b *Bus) Submit(nParams int, delivered func()) {
-	d := b.SubmitTime(nParams)
-	b.line.Acquire(func() {
-		b.eng.After(d, func() {
-			b.transfers++
-			b.busyTime += d
-			b.line.Release()
-			delivered()
-		})
-	})
+	b.line.hold(b.SubmitTime(nParams), delivered)
 }
 
 // Transfers returns the number of completed submissions.
-func (b *Bus) Transfers() uint64 { return b.transfers }
+func (b *Bus) Transfers() uint64 { return b.line.completed }
 
 // BusyTime returns cumulative bus occupancy.
-func (b *Bus) BusyTime() sim.Time { return b.busyTime }
+func (b *Bus) BusyTime() sim.Time { return b.line.heldTime }

@@ -9,10 +9,7 @@
 // configuration produce bit-identical results.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a simulated instant or duration in picoseconds. Picoseconds keep
 // every latency in the paper (2 ns cycles, 4 ns bus words, 12 ns memory
@@ -61,24 +58,13 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (time, insertion sequence); sequence numbers are
+// unique, so the order is total and the heap's shape cannot influence it.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = event{}
-	*h = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine is the discrete-event simulation core. The zero value is not
@@ -86,17 +72,13 @@ func (h *eventHeap) Pop() interface{} {
 type Engine struct {
 	now       Time
 	seq       uint64
-	pq        eventHeap
+	pq        []event // binary min-heap under event.before
 	processed uint64
 	running   bool
 }
 
 // NewEngine returns an empty engine positioned at time zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	heap.Init(&e.pq)
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -114,7 +96,49 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before current time %v", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.pq, event{at: t, seq: e.seq, fn: fn})
+	ev := event{at: t, seq: e.seq, fn: fn}
+	// Sift up with a hole: parents move down until ev's place is found.
+	e.pq = append(e.pq, ev)
+	i := len(e.pq) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&e.pq[parent]) {
+			break
+		}
+		e.pq[i] = e.pq[parent]
+		i = parent
+	}
+	e.pq[i] = ev
+}
+
+// pop removes and returns the earliest event.
+func (e *Engine) pop() event {
+	top := e.pq[0]
+	n := len(e.pq) - 1
+	last := e.pq[n]
+	e.pq[n] = event{} // drop the callback reference
+	e.pq = e.pq[:n]
+	if n == 0 {
+		return top
+	}
+	// Sift the former last element down from the root, again with a hole.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && e.pq[r].before(&e.pq[child]) {
+			child = r
+		}
+		if !e.pq[child].before(&last) {
+			break
+		}
+		e.pq[i] = e.pq[child]
+		i = child
+	}
+	e.pq[i] = last
+	return top
 }
 
 // After schedules fn to run d after the current time. Negative delays panic.
@@ -143,7 +167,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 		if e.pq[0].at > limit {
 			break
 		}
-		ev := heap.Pop(&e.pq).(event)
+		ev := e.pop()
 		e.now = ev.at
 		e.processed++
 		ev.fn()

@@ -12,9 +12,9 @@ package sim
 // kicks are cheap no-ops when they are busy.
 type FIFO[T any] struct {
 	name    string
-	cap     int
-	items   []T
-	head    int
+	buf     []T // ring of len == capacity, allocated once
+	head    int // index of the oldest item
+	n       int // queued items
 	onData  []func()
 	onSpace []func()
 
@@ -30,23 +30,23 @@ func NewFIFO[T any](name string, capacity int) *FIFO[T] {
 	if capacity < 1 {
 		panic("sim: FIFO capacity must be >= 1: " + name)
 	}
-	return &FIFO[T]{name: name, cap: capacity}
+	return &FIFO[T]{name: name, buf: make([]T, capacity)}
 }
 
 // Name returns the FIFO's diagnostic name.
 func (f *FIFO[T]) Name() string { return f.name }
 
 // Cap returns the configured capacity.
-func (f *FIFO[T]) Cap() int { return f.cap }
+func (f *FIFO[T]) Cap() int { return len(f.buf) }
 
 // Len returns the number of queued items.
-func (f *FIFO[T]) Len() int { return len(f.items) - f.head }
+func (f *FIFO[T]) Len() int { return f.n }
 
 // Full reports whether a Push would fail.
-func (f *FIFO[T]) Full() bool { return f.Len() >= f.cap }
+func (f *FIFO[T]) Full() bool { return f.n == len(f.buf) }
 
 // Empty reports whether a Pop would fail.
-func (f *FIFO[T]) Empty() bool { return f.Len() == 0 }
+func (f *FIFO[T]) Empty() bool { return f.n == 0 }
 
 // HighWater returns the maximum occupancy ever observed.
 func (f *FIFO[T]) HighWater() int { return f.highWater }
@@ -71,10 +71,15 @@ func (f *FIFO[T]) Push(v T) bool {
 		f.fullStalls++
 		return false
 	}
-	f.items = append(f.items, v)
+	tail := f.head + f.n
+	if tail >= len(f.buf) {
+		tail -= len(f.buf)
+	}
+	f.buf[tail] = v
+	f.n++
 	f.pushes++
-	if n := f.Len(); n > f.highWater {
-		f.highWater = n
+	if f.n > f.highWater {
+		f.highWater = f.n
 	}
 	for _, fn := range f.onData {
 		fn()
@@ -95,16 +100,13 @@ func (f *FIFO[T]) Pop() (v T, ok bool) {
 	if f.Empty() {
 		return v, false
 	}
-	v = f.items[f.head]
+	v = f.buf[f.head]
 	var zero T
-	f.items[f.head] = zero
-	f.head++
-	// Compact occasionally so memory stays bounded on long runs.
-	if f.head > 64 && f.head*2 >= len(f.items) {
-		n := copy(f.items, f.items[f.head:])
-		f.items = f.items[:n]
+	f.buf[f.head] = zero
+	if f.head++; f.head == len(f.buf) {
 		f.head = 0
 	}
+	f.n--
 	for _, fn := range f.onSpace {
 		fn()
 	}
@@ -116,5 +118,5 @@ func (f *FIFO[T]) Peek() (v T, ok bool) {
 	if f.Empty() {
 		return v, false
 	}
-	return f.items[f.head], true
+	return f.buf[f.head], true
 }

@@ -97,8 +97,8 @@ func TestFIFOZeroCapacityPanics(t *testing.T) {
 }
 
 func TestFIFOCompaction(t *testing.T) {
-	// Force many push/pop cycles so the internal compaction path runs and
-	// verify ordering survives it.
+	// Force many push/pop cycles so the ring's head wraps at every offset
+	// (capacity 8, three pops a round) and verify ordering survives it.
 	f := NewFIFO[int]("compact", 8)
 	next, expect := 0, 0
 	for round := 0; round < 1000; round++ {

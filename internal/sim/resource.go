@@ -5,10 +5,16 @@ package sim
 // concurrent accessors (one per bank port), and Resource reproduces exactly
 // that "no more than N tasks can access the memory at a given time" rule.
 type Resource struct {
-	name    string
-	cap     int
-	inUse   int
+	name  string
+	cap   int
+	inUse int
+
+	// Waiters queue in a ring that doubles when full (its length stays a
+	// power of two), so a grant pops in constant time however deep the
+	// queue runs.
 	waiters []func()
+	head    int // index of the oldest waiter
+	waiting int
 
 	// Statistics.
 	acquires  uint64
@@ -34,7 +40,7 @@ func (r *Resource) Cap() int { return r.cap }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of waiters.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiting }
 
 // HighWater returns the maximum concurrent holders observed.
 func (r *Resource) HighWater() int { return r.highWater }
@@ -55,7 +61,14 @@ func (r *Resource) Acquire(granted func()) {
 		return
 	}
 	r.waits++
-	r.waiters = append(r.waiters, granted)
+	if r.waiting == len(r.waiters) {
+		grown := make([]func(), max(8, 2*len(r.waiters)))
+		n := copy(grown, r.waiters[r.head:])
+		copy(grown[n:], r.waiters[:r.head])
+		r.waiters, r.head = grown, 0
+	}
+	r.waiters[(r.head+r.waiting)&(len(r.waiters)-1)] = granted
+	r.waiting++
 }
 
 // TryAcquire takes a slot if one is free and returns whether it did.
@@ -81,10 +94,11 @@ func (r *Resource) Release() {
 		panic("sim: Release without Acquire on " + r.name)
 	}
 	r.inUse--
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		copy(r.waiters, r.waiters[1:])
-		r.waiters = r.waiters[:len(r.waiters)-1]
+	if r.waiting > 0 {
+		next := r.waiters[r.head]
+		r.waiters[r.head] = nil
+		r.head = (r.head + 1) & (len(r.waiters) - 1)
+		r.waiting--
 		r.take()
 		next()
 	}

@@ -119,6 +119,10 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 	}
 	src.Reset()
 	eng := sim.NewEngine()
+	// A task sits in each software queue at most once, so the task count
+	// bounds both; the cap keeps paper-scale graphs from pre-allocating
+	// rings far deeper than the queues ever run.
+	queueCap := min(max(src.Total(), 1), 1<<20)
 	s := &simulator{
 		cfg:           cfg,
 		eng:           eng,
@@ -126,8 +130,8 @@ func Run(cfg Config, src workload.Source) (*Result, error) {
 		src:           src,
 		segs:          make(map[uint64]*segState),
 		tasks:         make(map[int32]*taskState),
-		finishQ:       sim.NewFIFO[int32]("sw-finish", 1<<20),
-		readyQ:        sim.NewFIFO[int32]("sw-ready", 1<<20),
+		finishQ:       sim.NewFIFO[int32]("sw-finish", queueCap),
+		readyQ:        sim.NewFIFO[int32]("sw-ready", queueCap),
 		idleWorkers:   sim.NewFIFO[int]("sw-idle", cfg.Workers),
 		total:         src.Total(),
 		record:        cfg.RecordSchedule,

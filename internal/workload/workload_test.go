@@ -168,7 +168,7 @@ func TestGaussianTaskCountTableII(t *testing.T) {
 func TestGaussianMeanWeightNearTableII(t *testing.T) {
 	// Equation (1) reproduces Table II's average weight to within a few
 	// FLOPs for small matrices (the paper's own numbers drift from Eq. (1)
-	// for large N; see EXPERIMENTS.md).
+	// for large N; `nexusbench exp table2` prints both columns).
 	cases := map[int]float64{250: 167, 500: 334, 1000: 667}
 	for n, want := range cases {
 		got := GaussianMeanWeight(n)
