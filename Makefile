@@ -20,9 +20,10 @@ race:
 
 # flake hammers the tests whose outcome depends on who wins a race between
 # a finishing task and its submitter — poisoning, panics, the window, scope
-# accounting, the prefetch stage — twenty times under the race detector.
+# accounting, the prefetch stage, the maestro funnel's shutdown and fence —
+# twenty times under the race detector.
 flake:
-	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains' ./internal/starss/
+	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains|Maestro|Close|WaitOn' ./internal/starss/
 
 # bench-check vets and tests the nested benchmark module. Root `go test
 # ./...` does not descend into it, so without this an internal/ change that

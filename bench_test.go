@@ -289,27 +289,27 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 
 // BenchmarkShardScalability is the contended-vs-independent-keys
 // scalability benchmark for the sharded dependency banks, against the
-// retained single-maestro baseline (every Submit and finish funnels
+// single-maestro baseline (every Submit and finish funnels
 // through one resolver goroutine — the serialization the paper motivates
 // against) and against the sharded table clamped to one bank. On
 // independent keys (each submitter goroutine owns a disjoint key range)
 // sharding must win; on one globally contended key the dependency chain
 // itself is serial and no resolver design can help. Both are measured as
 // full Submit→completion throughput (tasks/s, submission from GOMAXPROCS
-// goroutines, Barrier included). `go run ./cmd/nexusbench shards` prints
+// goroutines, Barrier included). `go run ./cmd/nexusbench exp shards` prints
 // the same comparison as a table.
 func BenchmarkShardScalability(b *testing.B) {
 	resolvers := []struct {
 		name string
-		mk   func(workers int) starss.TaskRuntime
+		mk   func(workers int) *starss.Runtime
 	}{
-		{"maestro", func(w int) starss.TaskRuntime {
+		{"maestro", func(w int) *starss.Runtime {
 			return starss.NewMaestro(starss.Config{Workers: w, Window: 4096})
 		}},
-		{"single_bank", func(w int) starss.TaskRuntime {
+		{"single_bank", func(w int) *starss.Runtime {
 			return starss.New(starss.Config{Workers: w, Shards: 1, Window: 4096})
 		}},
-		{"sharded", func(w int) starss.TaskRuntime {
+		{"sharded", func(w int) *starss.Runtime {
 			return starss.New(starss.Config{Workers: w, Window: 4096})
 		}},
 	}
@@ -374,8 +374,8 @@ func BenchmarkShardScalability(b *testing.B) {
 // Submit→completion loop with the event layer off (the default — must stay
 // within noise of the uninstrumented runtime, since "off" costs one nil
 // check per emission point), with bank counters, and with full event
-// recording. CI runs it at -benchtime=1x as a smoke; compare off vs the
-// BENCH_<pr>.json trajectory for the regression check.
+// recording. CI runs it at -benchtime=1x as a smoke; the regression check is
+// bench/'s traced run (obs.overhead_ratio).
 func BenchmarkObsOverhead(b *testing.B) {
 	configs := []struct {
 		name string
@@ -413,8 +413,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 // Submit→completion loop with injection off (nil injector — one nil check
 // per task, must stay within noise), with an armed injector whose rule
 // never fires (the hash is paid, the fault is not), and with live injection
-// plus retries recovering every injected failure. BENCH_10.json records the
-// off-configuration baseline.
+// plus retries recovering every injected failure.
 func BenchmarkFaultOverhead(b *testing.B) {
 	configs := []struct {
 		name string

@@ -9,7 +9,6 @@
 //	nexusbench golden [-check|-regen] [-dir=<path>] [-case=<name>]
 //	nexusbench exp    [flags] [experiment...]
 //	nexusbench serve  [-addr=<url>] [-clients=N] [-tasks=N] [flags]
-//	nexusbench bench  [-out=<path>] [-seed=N] [-repeat=N]
 //	nexusbench chaos  [-seed=N] [-scenarios=all] [-repeat=N] [-json=<path>]
 //	nexusbench trace  [-workload=<name>] [-o=trace.json] [flags]
 //
@@ -27,16 +26,11 @@
 //
 // `exp` regenerates the paper's tables and figures: table2, fig6, fig7,
 // fig8, headline, ablation-buffering, ablation-dummies, ablation-ports,
-// ablation-renaming, rts, nexus, cholesky, shards, all (default). For
-// backward compatibility, invoking nexusbench with experiment names (or
-// experiment flags) and no subcommand is treated as `exp`.
+// ablation-renaming, rts, nexus, cholesky, shards, all (default).
 //
 // `serve` is the service smoke: concurrent clients drive a nexusd daemon
 // (a running one via -addr, or an in-process loopback server) with
 // overlapping-address task graphs and verify per-session accounting.
-//
-// `bench` records the fixed performance sweep committed as BENCH_<pr>.json:
-// maestro vs the sharded runtime on zero-cost replays.
 //
 // `chaos` runs the seeded fault-injection scenarios of internal/chaos —
 // task panics, hangs under deadlines, retry recovery, duplicated and
@@ -48,7 +42,8 @@
 // chrome://tracing / Perfetto timeline inspection.
 //
 // Unknown backend, workload, or experiment names fail with an error listing
-// the valid names.
+// the valid names; a missing or unknown subcommand prints the usage and
+// exits 2. (The repository's benchmark is the nested bench/ module.)
 package main
 
 import (
@@ -70,32 +65,33 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	if len(args) > 0 {
-		switch args[0] {
-		case "run":
-			os.Exit(runCmd(args[1:]))
-		case "list":
-			os.Exit(listCmd(os.Stdout))
-		case "golden":
-			os.Exit(goldenCmd(args[1:]))
-		case "exp":
-			os.Exit(expCmd(args[1:]))
-		case "serve":
-			os.Exit(serveCmd(args[1:]))
-		case "bench":
-			os.Exit(benchCmd(args[1:]))
-		case "chaos":
-			os.Exit(chaosCmd(args[1:]))
-		case "trace":
-			os.Exit(traceCmd(args[1:]))
-		case "help", "-h", "-help", "--help":
-			usage(os.Stdout)
-			os.Exit(0)
-		}
+	if len(os.Args) < 2 {
+		usage(os.Stderr)
+		os.Exit(2)
 	}
-	// Back-compat: no subcommand means the old experiment-driver CLI.
-	os.Exit(expCmd(args))
+	cmd, args := os.Args[1], os.Args[2:]
+	switch cmd {
+	case "run":
+		os.Exit(runCmd(args))
+	case "list":
+		os.Exit(listCmd(os.Stdout))
+	case "golden":
+		os.Exit(goldenCmd(args))
+	case "exp":
+		os.Exit(expCmd(args))
+	case "serve":
+		os.Exit(serveCmd(args))
+	case "chaos":
+		os.Exit(chaosCmd(args))
+	case "trace":
+		os.Exit(traceCmd(args))
+	case "help", "-h", "-help", "--help":
+		usage(os.Stdout)
+	default:
+		fmt.Fprintf(os.Stderr, "nexusbench: unknown subcommand %q\n", cmd)
+		usage(os.Stderr)
+		os.Exit(2)
+	}
 }
 
 func usage(w io.Writer) {
@@ -104,7 +100,6 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "       nexusbench golden [-check|-regen] [-dir=<path>] [-case=<name>]")
 	fmt.Fprintln(w, "       nexusbench exp [flags] [experiment...]")
 	fmt.Fprintln(w, "       nexusbench serve [-addr=<url>] [-clients=N] [-tasks=N] [flags]")
-	fmt.Fprintln(w, "       nexusbench bench [-out=<path>] [-seed=N] [-repeat=N]")
 	fmt.Fprintln(w, "       nexusbench chaos [-seed=N] [-scenarios=all] [-repeat=N] [-json=<path>]")
 	fmt.Fprintln(w, "       nexusbench trace [-backend=runtime] [-workload=<name>] [-o=trace.json] [flags]")
 	fmt.Fprintln(w, "run 'nexusbench list' for backends and workloads,")
@@ -252,7 +247,7 @@ func experimentNames() []string {
 	return names
 }
 
-// expCmd is the paper-evaluation experiment driver (the original CLI).
+// expCmd is the paper-evaluation experiment driver.
 func expCmd(args []string) int {
 	fs := flag.NewFlagSet("nexusbench exp", flag.ExitOnError)
 	var (

@@ -58,6 +58,23 @@ func main() {
 	os.Exit(run())
 }
 
+// Connection timeouts. Without them one client that never finishes its
+// request headers, or parks an idle keep-alive connection, pins a goroutine
+// for the daemon's life. There is deliberately no WriteTimeout (and no
+// whole-request ReadTimeout): await long-polls until its tasks complete.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run() int {
 	var (
 		addr          = flag.String("addr", "127.0.0.1:8037", "listen address")
@@ -106,7 +123,7 @@ func run() int {
 		log.Printf("listen: %v", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	log.Printf("listening on http://%s (session window %d, ttl %v, max sessions %d)",

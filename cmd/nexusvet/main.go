@@ -1,7 +1,7 @@
 // Command nexusvet statically enforces the runtime's concurrency
 // invariants: sorted bank-lock acquisition (lockorder), handle-error
-// consumption (handleleak), context threading (ctxflow), scoped service
-// keys (scopedkey) and the retirement of the legacy Task.Run body (norun).
+// consumption (handleleak), context threading (ctxflow) and scoped service
+// keys (scopedkey).
 // See DESIGN.md "Statically enforced invariants" for the mapping from each
 // analyzer to the hardware guarantee it replaces.
 //

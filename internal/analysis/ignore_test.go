@@ -25,7 +25,7 @@ func diagAt(fset *token.FileSet, files []*ast.File, line int, a string) Diagnost
 	return Diagnostic{Pos: file.LineStart(line), Message: "finding", Analyzer: a}
 }
 
-var known = []string{"norun", "handleleak"}
+var known = []string{"lockorder", "handleleak"}
 
 func messages(diags []Diagnostic) []string {
 	var out []string
@@ -38,13 +38,13 @@ func messages(diags []Diagnostic) []string {
 func TestIgnoreSuppressesSameLineAndLineBelow(t *testing.T) {
 	fset, files := load(t, `package p
 
-//nexusvet:ignore norun reasoned suppression on the line above
+//nexusvet:ignore lockorder reasoned suppression on the line above
 var a = 1
-var b = 2 //nexusvet:ignore norun trailing form
+var b = 2 //nexusvet:ignore lockorder trailing form
 `)
 	diags := []Diagnostic{
-		diagAt(fset, files, 4, "norun"), // line below the standalone directive
-		diagAt(fset, files, 5, "norun"), // same line as the trailing directive
+		diagAt(fset, files, 4, "lockorder"), // line below the standalone directive
+		diagAt(fset, files, 5, "lockorder"), // same line as the trailing directive
 	}
 	if got := ApplyIgnores(fset, files, diags, known); len(got) != 0 {
 		t.Errorf("want all suppressed, got %v", messages(got))
@@ -54,7 +54,7 @@ var b = 2 //nexusvet:ignore norun trailing form
 func TestIgnoreOnlyNamedAnalyzer(t *testing.T) {
 	fset, files := load(t, `package p
 
-//nexusvet:ignore norun wrong analyzer for this finding
+//nexusvet:ignore lockorder wrong analyzer for this finding
 var a = 1
 `)
 	diags := []Diagnostic{diagAt(fset, files, 4, "handleleak")}
@@ -75,10 +75,10 @@ var a = 1
 func TestIgnoreAnalyzerList(t *testing.T) {
 	fset, files := load(t, `package p
 
-//nexusvet:ignore norun,handleleak one reason covering both findings
+//nexusvet:ignore lockorder,handleleak one reason covering both findings
 var a = 1
 `)
-	diags := []Diagnostic{diagAt(fset, files, 4, "norun"), diagAt(fset, files, 4, "handleleak")}
+	diags := []Diagnostic{diagAt(fset, files, 4, "lockorder"), diagAt(fset, files, 4, "handleleak")}
 	if got := ApplyIgnores(fset, files, diags, known); len(got) != 0 {
 		t.Errorf("want both suppressed, got %v", messages(got))
 	}
@@ -87,10 +87,10 @@ var a = 1
 func TestIgnoreRequiresReason(t *testing.T) {
 	fset, files := load(t, `package p
 
-//nexusvet:ignore norun
+//nexusvet:ignore lockorder
 var a = 1
 `)
-	got := ApplyIgnores(fset, files, []Diagnostic{diagAt(fset, files, 4, "norun")}, known)
+	got := ApplyIgnores(fset, files, []Diagnostic{diagAt(fset, files, 4, "lockorder")}, known)
 	// A reasonless directive suppresses nothing and is itself reported.
 	if len(got) != 2 {
 		t.Fatalf("want finding + malformed report, got %v", messages(got))
@@ -127,7 +127,7 @@ var a = 1
 func TestIgnoreStaleDirectiveReported(t *testing.T) {
 	fset, files := load(t, `package p
 
-//nexusvet:ignore norun the code this excused is long gone
+//nexusvet:ignore lockorder the code this excused is long gone
 var a = 1
 `)
 	got := ApplyIgnores(fset, files, nil, known)
@@ -139,14 +139,14 @@ var a = 1
 func TestIgnoreProseIsNotADirective(t *testing.T) {
 	fset, files := load(t, `package p
 
-// nexusvet:ignore norun prose mention with a space is documentation
+// nexusvet:ignore lockorder prose mention with a space is documentation
 // Doc comments that merely discuss the nexusvet:ignore convention are
 // not directives either.
 var a = 1
 `)
-	diags := []Diagnostic{diagAt(fset, files, 6, "norun")}
+	diags := []Diagnostic{diagAt(fset, files, 6, "lockorder")}
 	got := ApplyIgnores(fset, files, diags, known)
-	if len(got) != 1 || got[0].Analyzer != "norun" {
+	if len(got) != 1 || got[0].Analyzer != "lockorder" {
 		t.Errorf("prose comment treated as directive: %v", messages(got))
 	}
 }
@@ -154,13 +154,13 @@ var a = 1
 func TestIgnoreDoesNotReachFurtherLines(t *testing.T) {
 	fset, files := load(t, `package p
 
-//nexusvet:ignore norun only covers the next line
+//nexusvet:ignore lockorder only covers the next line
 var a = 1
 var b = 2
 `)
 	diags := []Diagnostic{
-		diagAt(fset, files, 4, "norun"),
-		diagAt(fset, files, 5, "norun"), // two lines below: out of the directive's reach
+		diagAt(fset, files, 4, "lockorder"),
+		diagAt(fset, files, 5, "lockorder"), // two lines below: out of the directive's reach
 	}
 	got := ApplyIgnores(fset, files, diags, known)
 	if len(got) != 1 || fset.Position(got[0].Pos).Line != 5 {

@@ -1,4 +1,4 @@
-// Package nexusvet assembles the project's analyzer suite — the five
+// Package nexusvet assembles the project's analyzer suite — the four
 // statically enforced concurrency invariants documented in DESIGN.md
 // ("Statically enforced invariants"). The drivers (cmd/nexusvet standalone
 // mode and the go vet -vettool unit-checker protocol) both run exactly this
@@ -10,7 +10,6 @@ import (
 	"nexuspp/internal/analysis/ctxflow"
 	"nexuspp/internal/analysis/handleleak"
 	"nexuspp/internal/analysis/lockorder"
-	"nexuspp/internal/analysis/norun"
 	"nexuspp/internal/analysis/scopedkey"
 )
 
@@ -20,7 +19,6 @@ func Analyzers() []*analysis.Analyzer {
 		ctxflow.Analyzer,
 		handleleak.Analyzer,
 		lockorder.Analyzer,
-		norun.Analyzer,
 		scopedkey.Analyzer,
 	}
 }

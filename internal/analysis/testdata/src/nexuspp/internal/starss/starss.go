@@ -27,7 +27,6 @@ type Task struct {
 	Name string
 	Deps []Dep
 	Do   func(context.Context) error
-	Run  func()
 }
 
 type Handle struct{ name string }

@@ -4,7 +4,7 @@ package backend
 // discrete-event kernel and report simulated makespans): the Nexus++ model,
 // the original-Nexus configuration of the same model, and the software-RTS
 // model. Two execute for real (they run synthesized Go closures on worker
-// goroutines and report wall time): the sharded runtime and the retained
+// goroutines and report wall time): the sharded runtime and its
 // single-maestro baseline, both fed through the starss.Replay adapter.
 
 import (
@@ -117,12 +117,11 @@ func (b replayBackend) Describe() string { return b.desc }
 
 func (b replayBackend) Run(ctx context.Context, cfg Config, src workload.Source) (*Report, error) {
 	cfg = cfg.withDefaults()
-	var rt starss.TaskRuntime
+	newRuntime := starss.New
 	if b.maestro {
-		rt = starss.NewMaestro(starss.Config{Workers: cfg.Workers, Window: 4096})
-	} else {
-		rt = starss.New(starss.Config{Workers: cfg.Workers, Window: 4096, Shards: cfg.Shards})
+		newRuntime = starss.NewMaestro // ignores Shards
 	}
+	rt := newRuntime(starss.Config{Workers: cfg.Workers, Window: 4096, Shards: cfg.Shards})
 	res, err := starss.Replay(ctx, rt, src, starss.ReplayOptions{
 		ZeroCost:  cfg.ZeroCost,
 		TimeScale: cfg.TimeScale,

@@ -257,12 +257,11 @@ func descendantCount(g *depgraph.Graph, idx int) int {
 func poisonReplay(ctx context.Context, c GoldenCase, maestro bool, failIdx int) (failed, skipped uint64, err error) {
 	tr := workload.Collect(c.New(c.Seed))
 	cfg := starss.Config{Workers: c.Workers, Window: len(tr.Tasks) + 1}
-	var rt starss.TaskRuntime
+	newRuntime := starss.New
 	if maestro {
-		rt = starss.NewMaestro(cfg)
-	} else {
-		rt = starss.New(cfg)
+		newRuntime = starss.NewMaestro
 	}
+	rt := newRuntime(cfg)
 	gate := make(chan struct{})
 	for i := range tr.Tasks {
 		t := starss.TaskFromSpec(tr.Tasks[i], starss.ReplayOptions{ZeroCost: true})

@@ -15,7 +15,7 @@ import (
 // ShardScaling measures the executing runtime's replay throughput under
 // three dependency resolvers, all driven through the unified backend
 // interface in zero-cost mode (empty task bodies, so the resolver is the
-// only cost): the retained single-maestro baseline backend (every submit
+// only cost): the single-maestro baseline backend (every submit
 // and finish funnels through one resolver goroutine — the software
 // bottleneck of the paper's SSI motivation), the sharded runtime backend
 // clamped to one bank, and the sharded default. Striped keys is the
@@ -90,7 +90,7 @@ func ShardScaling(opts Options) (*report.Table, error) {
 		}
 		t.AddRow(row...)
 	}
-	t.AddNote("maestro: the original resolver goroutine, a synchronous channel rendezvous per submit and per finish (the serialization the paper motivates against); it has no batch admission")
+	t.AddNote("maestro: one resolver goroutine over the same table and scheduler, a synchronous channel rendezvous per submit and per finish (the serialization the paper motivates against); a batch shares only its window reservation, every task still crosses on its own")
 	t.AddNote("striped keys: 4096 independent InOut chains, the resolver itself is the bottleneck; sharded banks plus batch admission remove it")
 	t.AddNote("contended: every task InOuts one key (1/10th the task count — the chain is serial by construction), no resolver design can help; tasks/s stays comparable")
 	t.AddNote("runtime health across all runs: %v (failed/skipped must be 0 on this workload)", health)

@@ -15,9 +15,10 @@ import (
 var errBoom = errors.New("boom")
 
 // newRuntimes builds both the sharded runtime and the single-maestro
-// baseline, so every handle/poisoning test pins API parity across the two.
-func newRuntimes(cfg Config) map[string]TaskRuntime {
-	return map[string]TaskRuntime{
+// baseline, so every test ranging over it pins the two resolvers to the
+// same expectations.
+func newRuntimes(cfg Config) map[string]*Runtime {
+	return map[string]*Runtime{
 		"sharded": New(cfg),
 		"maestro": NewMaestro(cfg),
 	}
@@ -95,7 +96,7 @@ func TestFailureDrainsRuntime(t *testing.T) {
 	gate := make(chan struct{}) // holds the segment until the chain is queued
 	rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { <-gate; return errBoom }})
 	for i := 0; i < 6; i++ {
-		rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Run: func() {}})
+		rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: do(func() {})})
 	}
 	close(gate)
 	if err := rt.Wait(context.Background()); !errors.Is(err, errBoom) {
@@ -211,7 +212,7 @@ func TestPanicBecomesError(t *testing.T) {
 			h := rt.MustSubmit(Task{
 				Name: "kaboom",
 				Deps: []Dep{Out("k")},
-				Run:  func() { <-gate; panic("kaboom payload") },
+				Do:   do(func() { <-gate; panic("kaboom payload") }),
 			})
 			var ran atomic.Bool
 			dep := rt.MustSubmit(Task{
@@ -248,7 +249,7 @@ func TestSubmitCancelledOnFullWindow(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			res := make(chan error, 1)
 			go func() {
-				_, err := rt.Submit(ctx, Task{Run: func() {}})
+				_, err := rt.Submit(ctx, Task{Do: do(func() {})})
 				res <- err
 			}()
 			select {
@@ -282,7 +283,7 @@ func TestSubmitAllCancelledOnFullWindow(t *testing.T) {
 	go func() {
 		tasks := make([]Task, 8)
 		for i := range tasks {
-			tasks[i] = Task{Run: func() {}}
+			tasks[i] = Task{Do: do(func() {})}
 		}
 		_, err := rt.SubmitAll(ctx, tasks)
 		res <- err
@@ -312,10 +313,10 @@ func TestSubmitRejectsDeadContext(t *testing.T) {
 	defer mustClose(t, rt)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := rt.Submit(ctx, Task{Run: func() {}}); !errors.Is(err, context.Canceled) {
+	if _, err := rt.Submit(ctx, Task{Do: do(func() {})}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Submit with dead ctx = %v", err)
 	}
-	if _, err := rt.SubmitAll(ctx, []Task{{Run: func() {}}}); !errors.Is(err, context.Canceled) {
+	if _, err := rt.SubmitAll(ctx, []Task{{Do: do(func() {})}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SubmitAll with dead ctx = %v", err)
 	}
 	if st := rt.Stats(); st.Submitted != 0 {
@@ -409,8 +410,8 @@ func TestWaitOnCancellation(t *testing.T) {
 func TestHandleIdentity(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 2}) {
 		t.Run(name, func(t *testing.T) {
-			named := rt.MustSubmit(Task{Name: "alpha", Deps: []Dep{Out("a")}, Run: func() {}})
-			anon := rt.MustSubmit(Task{Deps: []Dep{Out("b")}, Run: func() {}})
+			named := rt.MustSubmit(Task{Name: "alpha", Deps: []Dep{Out("a")}, Do: do(func() {})})
+			anon := rt.MustSubmit(Task{Deps: []Dep{Out("b")}, Do: do(func() {})})
 			if named.Name() != "alpha" {
 				t.Errorf("Name = %q", named.Name())
 			}
@@ -513,21 +514,6 @@ func TestSubmitAllHandles(t *testing.T) {
 	rt.Close()
 }
 
-// TestLegacyRunAdapter: tasks written against the pre-handle API (Run, no
-// context, no error) still execute unchanged through the adapter.
-func TestLegacyRunAdapter(t *testing.T) {
-	rt := New(Config{Workers: 2})
-	var ran atomic.Bool
-	h := rt.MustSubmit(Task{Deps: []Dep{Out("k")}, Run: func() { ran.Store(true) }})
-	<-h.Done()
-	if !ran.Load() || h.Err() != nil {
-		t.Fatalf("legacy Run task: ran=%v err=%v", ran.Load(), h.Err())
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStatsString pins the report-path rendering of the new counters.
 func TestStatsString(t *testing.T) {
 	s := Stats{Submitted: 5, Executed: 2, Failed: 1, Skipped: 2, Hazards: 3, MaxInFlight: 4}
@@ -552,7 +538,7 @@ func TestWriteBackPanicBecomesError(t *testing.T) {
 			gate := make(chan struct{}) // holds the segment until the dependent is queued
 			h := rt.MustSubmit(Task{
 				Deps:      []Dep{Out("k")},
-				Run:       func() { <-gate },
+				Do:        do(func() { <-gate }),
 				WriteBack: func() { panic("writeback exploded") },
 			})
 			var ran atomic.Bool
@@ -587,7 +573,7 @@ func TestPrefetchPanicBecomesError(t *testing.T) {
 				Prefetch: func() { <-gate; panic("prefetch exploded") },
 				Do:       func(context.Context) error { ran.Store(true); return nil },
 			})
-			dep := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Run: func() {}})
+			dep := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Do: do(func() {})})
 			close(gate)
 			if err := rt.Wait(context.Background()); !errors.Is(err, ErrTaskPanicked) {
 				t.Fatalf("Wait = %v, want ErrTaskPanicked", err)
@@ -616,7 +602,7 @@ func TestReaderJoiningPoisonedSegmentSkipped(t *testing.T) {
 				Deps: []Dep{Out("k")},
 				Do:   func(context.Context) error { <-writerGate; return errBoom },
 			})
-			r1 := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Run: func() {}})
+			r1 := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Do: do(func() {})})
 			// An independent task queued behind the writer on the single
 			// worker, and so ahead of r1, which only becomes ready when the
 			// writer finishes: once it has started, the writer has finished
@@ -655,8 +641,9 @@ func TestReaderJoiningPoisonedSegmentSkipped(t *testing.T) {
 }
 
 // TestMaestroCloseSubmitRace stresses Close racing concurrent Submits: a
-// straggler admitted between Close's drain and the stop must be finished
-// by the maestro's drain loop, never leaving a worker wedged on doneCh.
+// straggler admitted between Close's drain and the stop must still find the
+// maestro goroutine alive — it outlives both drains and the worker join —
+// never leaving a submitter wedged on submitCh or a worker on doneCh.
 func TestMaestroCloseSubmitRace(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m := NewMaestro(Config{Workers: 2, Window: 8})
@@ -666,7 +653,7 @@ func TestMaestroCloseSubmitRace(t *testing.T) {
 			for j := 0; j < 500; j++ {
 				if _, err := m.Submit(context.Background(), Task{
 					Deps: []Dep{InOut(j % 4)},
-					Run:  func() {},
+					Do:   do(func() {}),
 				}); err != nil {
 					if !errors.Is(err, ErrStopped) {
 						t.Errorf("Submit = %v", err)
@@ -684,8 +671,8 @@ func TestMaestroCloseSubmitRace(t *testing.T) {
 
 // TestSubmitAfterCloseUniformErrStopped pins the post-Close admission
 // contract on both runtimes: every Submit/SubmitAll after Close returns
-// ErrStopped — including the sharded runtime's zero-length batch, which
-// once skipped the stopped check entirely and reported success.
+// ErrStopped — including the zero-length batch, which once skipped the
+// stopped check entirely and reported success.
 func TestSubmitAfterCloseUniformErrStopped(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 2, Window: 8}) {
 		t.Run(name, func(t *testing.T) {
@@ -708,15 +695,11 @@ func TestSubmitAfterCloseUniformErrStopped(t *testing.T) {
 			if err := rt.Wait(context.Background()); !errors.Is(err, ErrStopped) {
 				t.Errorf("Wait after Close = %v, want ErrStopped", err)
 			}
-			sharded, ok := rt.(*Runtime)
-			if !ok {
-				return
-			}
 			for _, batch := range [][]Task{
 				nil, // the empty batch must not short-circuit to success
 				{{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { return nil }}},
 			} {
-				handles, err := sharded.SubmitAll(context.Background(), batch)
+				handles, err := rt.SubmitAll(context.Background(), batch)
 				if !errors.Is(err, ErrStopped) {
 					t.Errorf("SubmitAll(len=%d) after Close = %v, want ErrStopped", len(batch), err)
 				}

@@ -1,15 +1,14 @@
 package starss
 
-// This file is the body-execution engine shared by the sharded Runtime and
-// the maestro baseline: one attempt loop per released task, applying — in
-// order — injected faults (internal/faults), the per-task deadline, and the
-// per-task retry policy. The paper's hardware never re-runs a task: a
-// worker core either completes it or the whole chip has failed. In the
-// software service a body failing is an ordinary event, so Task gains the
-// recovery policy the hardware never needed: MaxRetries re-arms the task on
-// the worker — before resolveFinished runs, so a recovered attempt never
-// poisons dependents — with capped exponential backoff and full jitter
-// between attempts.
+// This file is the body-execution engine: one attempt loop per released
+// task, applying — in order — injected faults (internal/faults), the
+// per-task deadline, and the per-task retry policy. The paper's hardware
+// never re-runs a task: a worker core either completes it or the whole chip
+// has failed. In the software service a body failing is an ordinary event,
+// so Task gains the recovery policy the hardware never needed: MaxRetries
+// re-arms the task on the worker — before resolveFinished runs, so a
+// recovered attempt never poisons dependents — with capped exponential
+// backoff and full jitter between attempts.
 
 import (
 	"context"
@@ -19,27 +18,13 @@ import (
 	"time"
 
 	"nexuspp/internal/faults"
+	"nexuspp/internal/obs"
 )
 
 // ErrTaskTimeout marks a task body that exceeded its Task.Timeout; the
 // wrapping error names the task and the deadline. Dependents are poisoned
 // exactly as for any other failure.
 var ErrTaskTimeout = errors.New("starss: task deadline exceeded")
-
-// executor runs task bodies with fault injection, per-task deadlines and
-// the retry policy. Both runtimes embed one; the callbacks let the sharded
-// runtime emit lifecycle events and count retries without the executor
-// knowing about either.
-type executor struct {
-	// faults injects task-level faults; nil (the default) disables
-	// injection at the cost of one branch per task.
-	faults *faults.Injector
-	// onRetry observes each re-arm: the task failed attempt `attempt` and
-	// will run again. May be nil.
-	onRetry func(node *taskNode, worker, attempt int)
-	// onFault observes each injected task fault. May be nil.
-	onFault func(node *taskNode, worker int)
-}
 
 // runNode executes one released node's lifecycle up to (not including) the
 // handle-finished path, recording the outcome on the node: skipped when a
@@ -48,7 +33,7 @@ type executor struct {
 // (from the body or WriteBack) recovered into ErrTaskPanicked, deadline
 // overruns surfaced as ErrTaskTimeout, and failures re-armed up to
 // Task.MaxRetries times before they stick and poison dependents.
-func (e *executor) runNode(node *taskNode, worker int) {
+func (rt *Runtime) runNode(node *taskNode, worker int) {
 	if p := node.poison.Load(); p != nil {
 		node.wasSkipped = true
 		node.err = fmt.Errorf("%w: task %q skipped: %w", ErrDependencyFailed, node.handle.Name(), p.err)
@@ -64,13 +49,12 @@ func (e *executor) runNode(node *taskNode, worker int) {
 	}
 	attempts := 1 + node.task.MaxRetries
 	for attempt := 0; ; attempt++ {
-		node.err = e.runAttempt(node, attempt, worker)
+		node.err = rt.runAttempt(node, attempt, worker)
 		if node.err == nil || attempt+1 >= attempts || !retryable(node) {
 			return
 		}
-		if e.onRetry != nil {
-			e.onRetry(node, worker, attempt)
-		}
+		rt.retried.Add(1)
+		rt.emit(worker, obs.KindRetry, node, worker)
 		if !sleepBackoff(node.ctx, &node.task, attempt) {
 			// The submission context died during the backoff; the recorded
 			// error of the last attempt stands and poisons dependents.
@@ -81,8 +65,9 @@ func (e *executor) runNode(node *taskNode, worker int) {
 
 // runAttempt executes one attempt of the task body: injected faults first,
 // then the body under the per-task deadline, then WriteBack. Panics from
-// the body or WriteBack are recovered into ErrTaskPanicked.
-func (e *executor) runAttempt(node *taskNode, attempt, worker int) (err error) {
+// the body or WriteBack are recovered into ErrTaskPanicked. Config.Faults nil
+// (the default) disables injection at the cost of one branch per attempt.
+func (rt *Runtime) runAttempt(node *taskNode, attempt, worker int) (err error) {
 	ctx := node.ctx
 	deadline := node.task.Timeout
 	if deadline > 0 {
@@ -96,36 +81,30 @@ func (e *executor) runAttempt(node *taskNode, attempt, worker int) (err error) {
 			err = fmt.Errorf("%w: task %q: %v", ErrTaskPanicked, node.handle.Name(), r)
 		}
 	}()
-	if f := e.faults; f != nil {
+	if f := rt.cfg.Faults; f != nil {
 		k := faults.TaskKey(node.handle.index, attempt)
 		switch {
 		case f.Should(faults.SiteTaskError, k):
-			e.noteFault(node, worker)
+			rt.emit(worker, obs.KindFault, node, worker)
 			return fmt.Errorf("%w: task %q body error", faults.ErrInjected, node.handle.Name())
 		case f.Should(faults.SiteTaskPanic, k):
-			e.noteFault(node, worker)
+			rt.emit(worker, obs.KindFault, node, worker)
 			panic(fmt.Sprintf("%v: injected panic in task %q", faults.ErrInjected, node.handle.Name()))
 		case f.Should(faults.SiteTaskHang, k):
 			// A hang can only end when the context does — the stuck-worker
 			// case Task.Timeout exists to bound.
-			e.noteFault(node, worker)
+			rt.emit(worker, obs.KindFault, node, worker)
 			<-ctx.Done()
 			return timeoutCause(ctx, deadline, context.Cause(ctx))
 		}
 	}
-	if err := node.do(ctx); err != nil {
+	if err := node.task.Do(ctx); err != nil {
 		return timeoutCause(ctx, deadline, err)
 	}
 	if node.task.WriteBack != nil {
 		node.task.WriteBack()
 	}
 	return nil
-}
-
-func (e *executor) noteFault(node *taskNode, worker int) {
-	if e.onFault != nil {
-		e.onFault(node, worker)
-	}
 }
 
 // timeoutCause rewrites a bare context.DeadlineExceeded coming out of a

@@ -85,7 +85,7 @@ func TestRetryRearmsBeforePoison(t *testing.T) {
 	})
 	dep := rt.MustSubmit(Task{
 		Deps: []Dep{In("chain")},
-		Run:  func() { depRan.Store(true) },
+		Do:   do(func() { depRan.Store(true) }),
 	})
 	mustClose(t, rt)
 	if err := dep.Err(); err != nil {
@@ -186,7 +186,7 @@ func TestInjectedFaultsRetried(t *testing.T) {
 	for i := 0; i < n; i++ {
 		handles[i] = rt.MustSubmit(Task{
 			Deps:         []Dep{Out(i)},
-			Run:          func() {},
+			Do:           do(func() {}),
 			MaxRetries:   maxRetries,
 			RetryBackoff: time.Microsecond,
 		})
@@ -253,7 +253,7 @@ func TestKickoffDelayInjection(t *testing.T) {
 	rt := New(Config{Workers: 4, Faults: in})
 	var ran atomic.Int64
 	for i := 0; i < 16; i++ {
-		rt.MustSubmit(Task{Deps: []Dep{Out(i)}, Run: func() { ran.Add(1) }})
+		rt.MustSubmit(Task{Deps: []Dep{Out(i)}, Do: do(func() { ran.Add(1) })})
 	}
 	mustClose(t, rt)
 	if ran.Load() != 16 {

@@ -99,7 +99,7 @@ func TestHandleNameOnDemand(t *testing.T) {
 	// Through the runtime: nothing is formatted at admission, and failure
 	// messages still carry the resolved name.
 	rt := New(Config{Workers: 1})
-	rt.MustSubmit(Task{Run: func() {}})
+	rt.MustSubmit(Task{Do: do(func() {})})
 	h := rt.MustSubmit(Task{Do: func(context.Context) error { panic("x") }})
 	if err := rt.Close(); !errors.Is(err, ErrTaskPanicked) {
 		t.Fatalf("Close = %v", err)

@@ -1,6 +1,9 @@
 package starss
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // mustClose shuts the runtime down and fails the test if Close reports a
 // task failure. Close is the run's last error barrier (it returns the
@@ -12,4 +15,9 @@ func mustClose(t testing.TB, rt interface{ Close() error }) {
 	if err := rt.Close(); err != nil {
 		t.Errorf("Close: %v", err)
 	}
+}
+
+// do adapts a body that takes no context and cannot fail to Task.Do.
+func do(f func()) func(context.Context) error {
+	return func(context.Context) error { f(); return nil }
 }

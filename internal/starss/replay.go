@@ -2,7 +2,7 @@ package starss
 
 // This file is the bridge between the traced-workload world (internal/trace,
 // internal/workload) and the executing runtime: it replays any workload.Source
-// on a real TaskRuntime by synthesizing task bodies from the trace's timing.
+// on a real Runtime by synthesizing task bodies from the trace's timing.
 // For the first time the real runtime's schedules can be cross-validated
 // against the dependency-graph oracle and the Nexus++ simulator on the
 // paper's own workloads — the same trace drives every engine.
@@ -26,9 +26,8 @@ type ReplayOptions struct {
 	// trace's timing unscaled, 10 replays ten times faster. Ignored when
 	// ZeroCost is set.
 	TimeScale int
-	// BatchSize is the SubmitAll chunk size on runtimes that support batch
-	// admission; 0 selects 256. Runtimes without SubmitAll (the maestro
-	// baseline) always admit one task at a time.
+	// BatchSize is the SubmitAll chunk size; 0 selects 256. The maestro
+	// baseline still resolves a chunk one task per rendezvous.
 	BatchSize int
 }
 
@@ -62,12 +61,6 @@ func statsDelta(before, after Stats) Stats {
 		BankContended:    after.BankContended - before.BankContended,
 		BankMaxQueue:     after.BankMaxQueue,
 	}
-}
-
-// batchSubmitter is implemented by runtimes with batch admission (the
-// sharded Runtime); the maestro baseline intentionally lacks it.
-type batchSubmitter interface {
-	SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error)
 }
 
 // durationOf converts a simulated time into wall-clock time.
@@ -130,10 +123,11 @@ func sleepFor(ctx context.Context, d time.Duration) error {
 // runtime is left open (the caller owns its lifecycle), so several replays
 // can share one runtime as long as their key spaces are disjoint or drained.
 //
-// Sharded runtimes are fed through SubmitAll in chunks; the single-maestro
-// baseline, which has no batch admission, is fed one task at a time —
-// exactly the serialization it exists to measure.
-func Replay(ctx context.Context, rt TaskRuntime, src workload.Source, opts ReplayOptions) (*ReplayResult, error) {
+// Tasks are fed through SubmitAll in chunks of opts.BatchSize. On the
+// single-maestro baseline a chunk shares only its window reservation: every
+// task still crosses to the resolver goroutine on its own — exactly the
+// serialization it exists to measure.
+func Replay(ctx context.Context, rt *Runtime, src workload.Source, opts ReplayOptions) (*ReplayResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -144,35 +138,20 @@ func Replay(ctx context.Context, rt TaskRuntime, src workload.Source, opts Repla
 	src.Reset()
 	before := rt.Stats()
 	start := time.Now()
-	if bs, ok := rt.(batchSubmitter); ok {
-		buf := make([]Task, 0, batch)
-		for {
-			spec, ok := src.Next()
-			if !ok {
-				break
-			}
+	buf := make([]Task, 0, batch)
+	for {
+		spec, more := src.Next()
+		if more {
 			buf = append(buf, TaskFromSpec(spec, opts))
-			if len(buf) == batch {
-				if _, err := bs.SubmitAll(ctx, buf); err != nil {
-					return nil, fmt.Errorf("starss: replay %s: %w", src.Name(), err)
-				}
-				buf = buf[:0]
-			}
 		}
-		if len(buf) > 0 {
-			if _, err := bs.SubmitAll(ctx, buf); err != nil {
+		if len(buf) == batch || (!more && len(buf) > 0) {
+			if _, err := rt.SubmitAll(ctx, buf); err != nil {
 				return nil, fmt.Errorf("starss: replay %s: %w", src.Name(), err)
 			}
+			buf = buf[:0]
 		}
-	} else {
-		for {
-			spec, ok := src.Next()
-			if !ok {
-				break
-			}
-			if _, err := rt.Submit(ctx, TaskFromSpec(spec, opts)); err != nil {
-				return nil, fmt.Errorf("starss: replay %s: %w", src.Name(), err)
-			}
+		if !more {
+			break
 		}
 	}
 	if err := rt.Wait(ctx); err != nil {

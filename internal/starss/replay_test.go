@@ -46,12 +46,13 @@ func TestTaskFromSpecMapsModes(t *testing.T) {
 }
 
 // TestReplayOnBothRuntimes replays the same trace on the sharded runtime
-// (batch admission path) and the maestro baseline (one-at-a-time path) and
-// checks both execute every task cleanly.
+// (a chunk resolved under one bank acquisition) and the maestro baseline
+// (the chunk resolved one rendezvous per task) and checks both execute
+// every task cleanly.
 func TestReplayOnBothRuntimes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		rt   TaskRuntime
+		rt   *Runtime
 	}{
 		{"sharded", New(Config{Workers: 2})},
 		{"maestro", NewMaestro(Config{Workers: 2})},

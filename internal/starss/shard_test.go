@@ -40,11 +40,11 @@ func TestSingleShardPreservesSemantics(t *testing.T) {
 		i := i
 		rt.MustSubmit(Task{
 			Deps: []Dep{InOut("chain")},
-			Run: func() {
+			Do: do(func() {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
-			},
+			}),
 		})
 	}
 	mustClose(t, rt)
@@ -78,11 +78,11 @@ func TestMultiKeyTasksAcrossBanks(t *testing.T) {
 			norm := normalizeDeps(deps)
 			rt.MustSubmit(Task{
 				Deps: deps,
-				Run: func() {
+				Do: do(func() {
 					h.enter(norm)
 					defer h.exit(norm)
 					spin(100)
-				},
+				}),
 			})
 		}
 		mustClose(t, rt)
@@ -110,7 +110,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				rt.MustSubmit(Task{
 					Deps: []Dep{InOut([2]int{g, i}), In([2]int{g, (i + 1) % perG})},
-					Run:  func() { executed.Add(1) },
+					Do:   do(func() { executed.Add(1) }),
 				})
 			}
 		}()
@@ -136,11 +136,11 @@ func TestSubmitAllOrdering(t *testing.T) {
 		i := i
 		tasks[i] = Task{
 			Deps: []Dep{InOut("chain"), In(i % 7)},
-			Run: func() {
+			Do: do(func() {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
-			},
+			}),
 		}
 	}
 	if _, err := rt.SubmitAll(context.Background(), tasks); err != nil {
@@ -164,7 +164,7 @@ func TestSubmitAllLargerThanWindow(t *testing.T) {
 	tasks := make([]Task, 100)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task{Deps: []Dep{Out(i)}, Run: func() { n.Add(1) }}
+		tasks[i] = Task{Deps: []Dep{Out(i)}, Do: do(func() { n.Add(1) })}
 	}
 	if _, err := rt.SubmitAll(context.Background(), tasks); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestSubmitAllLargerThanWindow(t *testing.T) {
 func TestSubmitAllValidation(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	_, err := rt.SubmitAll(context.Background(), []Task{
-		{Run: func() {}},
+		{Do: do(func() {})},
 		{}, // no Run
 	})
 	if err == nil {
@@ -196,7 +196,7 @@ func TestSubmitAllValidation(t *testing.T) {
 		t.Fatalf("empty batch: %v", err)
 	}
 	mustClose(t, rt)
-	if _, err := rt.SubmitAll(context.Background(), []Task{{Run: func() {}}}); err != ErrStopped {
+	if _, err := rt.SubmitAll(context.Background(), []Task{{Do: do(func() {})}}); err != ErrStopped {
 		t.Fatalf("SubmitAll after Close = %v, want ErrStopped", err)
 	}
 }
@@ -209,7 +209,7 @@ func TestSubmitAllRAWAcrossBatches(t *testing.T) {
 	writers := make([]Task, len(data))
 	for i := range writers {
 		i := i
-		writers[i] = Task{Deps: []Dep{Out(i)}, Run: func() { data[i] = i + 1 }}
+		writers[i] = Task{Deps: []Dep{Out(i)}, Do: do(func() { data[i] = i + 1 })}
 	}
 	if _, err := rt.SubmitAll(context.Background(), writers); err != nil {
 		t.Fatal(err)
@@ -219,11 +219,11 @@ func TestSubmitAllRAWAcrossBatches(t *testing.T) {
 	for i := range deps {
 		deps[i] = In(i)
 	}
-	rt.MustSubmit(Task{Deps: deps, Run: func() {
+	rt.MustSubmit(Task{Deps: deps, Do: do(func() {
 		for _, v := range data {
 			sum += v
 		}
-	}})
+	})})
 	mustClose(t, rt)
 	want := 0
 	for i := range data {
@@ -248,22 +248,22 @@ func TestBankIndexStable(t *testing.T) {
 	}
 }
 
-// TestMaestroBaselineSemantics keeps the retained single-maestro baseline
-// honest: it must execute the same chains with the same ordering and
-// counters as the sharded runtime it is benchmarked against.
+// TestMaestroBaselineSemantics keeps the single-maestro baseline honest: it
+// must execute the same chains with the same ordering and counters as the
+// sharded runtime it is benchmarked against.
 func TestMaestroBaselineSemantics(t *testing.T) {
-	var rt TaskRuntime = NewMaestro(Config{Workers: 4, Window: 32})
+	rt := NewMaestro(Config{Workers: 4, Window: 32})
 	var order []int
 	var mu sync.Mutex
 	for i := 0; i < 40; i++ {
 		i := i
 		rt.MustSubmit(Task{
 			Deps: []Dep{InOut("chain"), In(i % 3)},
-			Run: func() {
+			Do: do(func() {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
-			},
+			}),
 		})
 	}
 	rt.Wait(context.Background())
@@ -277,45 +277,60 @@ func TestMaestroBaselineSemantics(t *testing.T) {
 	if st.Submitted != 40 || st.Executed != 40 {
 		t.Fatalf("maestro stats = %+v", st)
 	}
-	if _, err := rt.Submit(context.Background(), Task{Run: func() {}}); err != ErrStopped {
+	if _, err := rt.Submit(context.Background(), Task{Do: do(func() {})}); err != ErrStopped {
 		t.Fatalf("maestro Submit after Close = %v, want ErrStopped", err)
 	}
 }
 
 // TestConcurrentSubmitAll pins the all-or-nothing window acquisition:
 // several batches whose combined demand exceeds the window must not each
-// grab a fraction of the tokens and deadlock.
+// grab a fraction of the tokens and deadlock — on either resolver, since
+// the maestro shares the reservation. WaitOn then has to see one batch's
+// keys drain.
 func TestConcurrentSubmitAll(t *testing.T) {
-	rt := New(Config{Workers: 2, Window: 16})
-	var executed atomic.Int64
-	var wg sync.WaitGroup
-	const batches, perBatch = 4, 64 // 4×64 tasks through a 16-slot window
-	for b := 0; b < batches; b++ {
-		b := b
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tasks := make([]Task, perBatch)
-			for i := range tasks {
-				tasks[i] = Task{
-					Deps: []Dep{InOut([2]int{b, i % 8})},
-					Run:  func() { executed.Add(1) },
-				}
+	for name, rt := range newRuntimes(Config{Workers: 2, Window: 16}) {
+		t.Run(name, func(t *testing.T) {
+			var executed atomic.Int64
+			var wg sync.WaitGroup
+			const batches, perBatch = 4, 64 // 4×64 tasks through a 16-slot window
+			for b := 0; b < batches; b++ {
+				b := b
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					tasks := make([]Task, perBatch)
+					for i := range tasks {
+						tasks[i] = Task{
+							Deps: []Dep{InOut([2]int{b, i % 8})},
+							Do:   do(func() { executed.Add(1) }),
+						}
+					}
+					if _, err := rt.SubmitAll(context.Background(), tasks); err != nil {
+						t.Error(err)
+					}
+				}()
 			}
-			if _, err := rt.SubmitAll(context.Background(), tasks); err != nil {
-				t.Error(err)
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("concurrent SubmitAll deadlocked on window tokens")
 			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("concurrent SubmitAll deadlocked on window tokens")
-	}
-	mustClose(t, rt)
-	if executed.Load() != batches*perBatch {
-		t.Fatalf("executed %d of %d", executed.Load(), batches*perBatch)
+			keys := make([]Key, 8)
+			for i := range keys {
+				keys[i] = [2]int{0, i}
+			}
+			if err := rt.WaitOn(context.Background(), keys...); err != nil {
+				t.Fatalf("WaitOn = %v", err)
+			}
+			if n := executed.Load(); n < perBatch {
+				t.Fatalf("WaitOn returned with %d tasks executed, batch 0 alone has %d", n, perBatch)
+			}
+			mustClose(t, rt)
+			if executed.Load() != batches*perBatch {
+				t.Fatalf("executed %d of %d", executed.Load(), batches*perBatch)
+			}
+		})
 	}
 }

@@ -25,7 +25,9 @@
 // and the handle-finished path instead of funnelling through a single
 // resolver goroutine. Multi-key tasks acquire their banks in sorted index
 // order, which keeps the runtime deadlock-free. SubmitAll admits a batch of
-// tasks under one bank acquisition, amortising the locking.
+// tasks under one bank acquisition, amortising the locking. NewMaestro
+// (maestro.go) builds the same runtime with that single resolver goroutine
+// put back, as the baseline the banks are measured against.
 //
 // The in-flight window — the paper's Task Pool size — is one atomic counter
 // that both admits and reports (window.go): a SubmitAll chunk reserves its
@@ -121,12 +123,8 @@ type Task struct {
 	Deps []Dep
 	// Do executes the task. The context is the one the task was submitted
 	// with; bodies should honour its cancellation. A non-nil error marks
-	// the task failed and poisons its transitive dependents. Exactly one
-	// of Do and Run must be set.
+	// the task failed and poisons its transitive dependents. Required.
 	Do func(ctx context.Context) error
-	// Run is the legacy task body: no context, cannot fail. It is adapted
-	// to Do during migration; new code should use Do.
-	Run func()
 	// Prefetch, when set, runs in the Get Inputs stage before the task body
 	// may start, overlapping the execution of earlier tasks (double
 	// buffering). It must only touch the task's declared In/InOut data.
@@ -162,21 +160,6 @@ type Task struct {
 	onDone func(err error)
 }
 
-// body resolves the task's executable: Do, or the legacy Run adapted.
-func (t *Task) body() (func(context.Context) error, error) {
-	switch {
-	case t.Do != nil && t.Run != nil:
-		return nil, errors.New("starss: task sets both Do and Run")
-	case t.Do != nil:
-		return t.Do, nil
-	case t.Run != nil:
-		run := t.Run
-		return func(context.Context) error { run(); return nil }, nil
-	default:
-		return nil, errors.New("starss: task has no Do or Run function")
-	}
-}
-
 // Config parameterises a Runtime.
 type Config struct {
 	// Workers is the number of worker goroutines; 0 selects GOMAXPROCS.
@@ -197,9 +180,6 @@ type Config struct {
 	// rounded up to a power of two; 0 selects a default scaled to
 	// Workers.
 	Shards int
-	// RecordGraph keeps the discovered task graph (names and dependency
-	// edges) for Graph/ExportDOT. Memory grows with the task count.
-	RecordGraph bool
 	// EventBuffer enables the lifecycle event stream (submit/ready/run/
 	// finish/poison) and sets the per-lane ring capacity; 0 (the default)
 	// disables it, leaving a single nil check on every emission point.
@@ -448,18 +428,17 @@ type Runtime struct {
 	waiters     []waitReq
 	waiterCount atomic.Int32
 
-	recorder *graphRecorder
-
 	// rec is the lifecycle event stream (nil unless Config.EventBuffer is
 	// set); bankStats gates the per-bank lock counters. Both are fixed at
 	// construction, so emission points pay one predictable branch.
 	rec       *obs.Recorder
 	bankStats bool
 
-	// exec runs task bodies: fault injection, per-task deadlines, retry
-	// policy. Fixed at construction; with Config.Faults nil the execution
-	// path pays one nil check.
-	exec executor
+	// funnel, when non-nil (NewMaestro), is the one goroutine that performs
+	// every Check Deps and Handle Finished: Submit, submitChunk and runBody
+	// hand it their nodes instead of resolving in place, and WaitOn fences
+	// on it.
+	funnel *funnel
 }
 
 // taskFailure is the boxed root-cause record behind firstErr.
@@ -475,7 +454,6 @@ type taskNode struct {
 	// task is the submitted task; task.Deps is normalised (no duplicate
 	// keys) by makeNode.
 	task   Task
-	do     func(context.Context) error
 	ctx    context.Context
 	handle *Handle
 	// bankOf[i] is the bank index of task.Deps[i]; banks is the sorted,
@@ -567,7 +545,11 @@ func nextPow2(n int) int {
 }
 
 // New starts a runtime with the given configuration.
-func New(cfg Config) *Runtime {
+func New(cfg Config) *Runtime { return newRuntime(cfg, nil) }
+
+// newRuntime applies the defaults and starts the workers. A non-nil funnel
+// (NewMaestro) takes over all dependency resolution; the caller starts it.
+func newRuntime(cfg Config, f *funnel) *Runtime {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -582,10 +564,11 @@ func New(cfg Config) *Runtime {
 	}
 	cfg.Shards = nextPow2(cfg.Shards)
 	rt := &Runtime{
-		cfg:   cfg,
-		banks: make([]bank, cfg.Shards),
-		mask:  uint64(cfg.Shards - 1),
-		seed:  maphash.MakeSeed(),
+		cfg:    cfg,
+		banks:  make([]bank, cfg.Shards),
+		mask:   uint64(cfg.Shards - 1),
+		seed:   maphash.MakeSeed(),
+		funnel: f,
 		// Every in-flight task fits in readyCh (and in fetchCh below), so
 		// dispatching a ready task never blocks — not a submitter inside
 		// the admission fence, not a worker on the finish path.
@@ -596,23 +579,10 @@ func New(cfg Config) *Runtime {
 	for i := range rt.banks {
 		rt.banks[i].segs = make(map[Key]*segState)
 	}
-	if cfg.RecordGraph {
-		rt.recorder = newGraphRecorder()
-	}
 	if cfg.EventBuffer > 0 {
 		rt.rec = obs.NewRecorder(cfg.Workers, cfg.EventBuffer)
 	}
 	rt.bankStats = cfg.BankCounters
-	rt.exec = executor{
-		faults: cfg.Faults,
-		onRetry: func(node *taskNode, worker, _ int) {
-			rt.retried.Add(1)
-			rt.emit(worker, obs.KindRetry, node, worker)
-		},
-		onFault: func(node *taskNode, worker int) {
-			rt.emit(worker, obs.KindFault, node, worker)
-		},
-	}
 	rt.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go rt.worker(i)
@@ -752,7 +722,11 @@ func (rt *Runtime) Submit(ctx context.Context, t Task) (*Handle, error) {
 	defer rt.subMu.RUnlock()
 	rt.prepare(node)
 	rt.admit(node, rt.submitted.Add(1)-1)
-	rt.resolveNew(node)
+	if f := rt.funnel; f != nil {
+		f.submitCh <- node
+	} else {
+		rt.resolveNew(node)
+	}
 	return node.handle, nil
 }
 
@@ -865,6 +839,14 @@ func (rt *Runtime) submitChunk(ctx context.Context, nodes []*taskNode) error {
 		banks = append(banks, node.banks...)
 		rt.admit(node, first+uint64(i))
 	}
+	if f := rt.funnel; f != nil {
+		// The maestro takes one task per rendezvous, batch or not; only the
+		// token reservation above is shared with the banked path.
+		for _, node := range nodes {
+			f.submitCh <- node
+		}
+		return nil
+	}
 	uniq := sortedUnique(banks)
 	ready := make([]*taskNode, 0, len(nodes))
 	rt.lockBanks(uniq)
@@ -885,22 +867,18 @@ func (rt *Runtime) submitChunk(ctx context.Context, nodes []*taskNode) error {
 
 // makeNode validates and normalises one task.
 func makeNode(ctx context.Context, t *Task) (*taskNode, error) {
-	do, err := t.body()
-	if err != nil {
-		return nil, err
+	if t.Do == nil {
+		return nil, errors.New("starss: task has no Do function")
 	}
-	node := &taskNode{task: *t, do: do, ctx: ctx}
+	node := &taskNode{task: *t, ctx: ctx}
 	node.task.Deps = normalizeDeps(t.Deps)
 	return node, nil
 }
 
-// admit gives the task its ID (submission index idx) and handle and updates
-// the graph recorder. The caller already holds the task's window token.
+// admit gives the task its ID (submission index idx) and handle. The caller
+// already holds the task's window token.
 func (rt *Runtime) admit(node *taskNode, idx uint64) {
 	node.handle = &Handle{name: node.task.Name, index: idx, onDone: node.task.onDone}
-	if rt.recorder != nil {
-		rt.recorder.record(node)
-	}
 	rt.emit(-1, obs.KindSubmit, node, -1)
 }
 
@@ -1237,8 +1215,13 @@ func (rt *Runtime) Close() error {
 			close(rt.fetchCh)
 		}
 		close(rt.readyCh)
+		rt.workerWG.Wait()
+		if rt.funnel != nil {
+			// Only now: the maestro had to resolve the finishers both
+			// drains waited for, and the workers that feed it are gone.
+			rt.funnel.stop()
+		}
 	})
-	rt.workerWG.Wait()
 	return rt.failure()
 }
 
@@ -1338,20 +1321,24 @@ func prefetchNode(node *taskNode) {
 // bracketing the body with run and finish (or poison, for skipped tasks)
 // events on the worker's own lane — the per-worker ordering the Chrome
 // exporter's timeline nesting relies on. Execution itself (fault injection,
-// deadlines, retries) lives in executor.runNode (exec.go).
+// deadlines, retries) lives in runNode (exec.go).
 func (rt *Runtime) runBody(node *taskNode, id int) {
-	if rt.exec.faults != nil {
+	if inj := rt.cfg.Faults; inj != nil {
 		// A slow bank: the task is ready but its kick-off is delayed.
-		if d := rt.exec.faults.Delay(faults.SiteKickoffDelay, node.handle.index); d > 0 {
+		if d := inj.Delay(faults.SiteKickoffDelay, node.handle.index); d > 0 {
 			time.Sleep(d)
 		}
 	}
 	rt.emit(id, obs.KindRun, node, id)
-	rt.exec.runNode(node, id)
+	rt.runNode(node, id)
 	if node.wasSkipped {
 		rt.emit(id, obs.KindPoison, node, id)
 	} else {
 		rt.emit(id, obs.KindFinish, node, id)
+	}
+	if f := rt.funnel; f != nil {
+		f.doneCh <- node
+		return
 	}
 	rt.resolveFinished(node, id)
 }

@@ -47,7 +47,7 @@ func TestBasicExecution(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rt.MustSubmit(Task{
 			Deps: []Dep{InOut(i)},
-			Run:  func() { count.Add(1) },
+			Do:   do(func() { count.Add(1) }),
 		})
 	}
 	mustClose(t, rt)
@@ -68,11 +68,11 @@ func TestChainOrdering(t *testing.T) {
 		i := i
 		rt.MustSubmit(Task{
 			Deps: []Dep{InOut("chain")},
-			Run: func() {
+			Do: do(func() {
 				mu.Lock()
 				order = append(order, i)
 				mu.Unlock()
-			},
+			}),
 		})
 	}
 	mustClose(t, rt)
@@ -93,7 +93,7 @@ func TestRAWVisibility(t *testing.T) {
 		i := i
 		rt.MustSubmit(Task{
 			Deps: []Dep{Out(i)},
-			Run:  func() { data[i] = i * i },
+			Do:   do(func() { data[i] = i * i }),
 		})
 	}
 	sum := 0
@@ -103,11 +103,11 @@ func TestRAWVisibility(t *testing.T) {
 	}
 	rt.MustSubmit(Task{
 		Deps: deps,
-		Run: func() {
+		Do: do(func() {
 			for _, v := range data {
 				sum += v
 			}
-		},
+		}),
 	})
 	mustClose(t, rt)
 	want := 0
@@ -124,13 +124,10 @@ func TestSubmitErrors(t *testing.T) {
 	if _, err := rt.Submit(context.Background(), Task{}); err == nil {
 		t.Error("task without a body accepted")
 	}
-	if _, err := rt.Submit(context.Background(), Task{Run: func() {}, Do: func(context.Context) error { return nil }}); err == nil {
-		t.Error("task with both Do and Run accepted")
-	}
 	if err := rt.Close(); err != nil {
 		t.Errorf("Close = %v", err)
 	}
-	if _, err := rt.Submit(context.Background(), Task{Run: func() {}}); err != ErrStopped {
+	if _, err := rt.Submit(context.Background(), Task{Do: do(func() {})}); err != ErrStopped {
 		t.Errorf("Submit after Close = %v, want ErrStopped", err)
 	}
 	if err := rt.Close(); err != nil { // idempotent
@@ -151,7 +148,7 @@ func TestBarrierWaitsForAll(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		rt.MustSubmit(Task{
 			Deps: []Dep{InOut(i % 7)},
-			Run:  func() { done.Add(1) },
+			Do:   do(func() { done.Add(1) }),
 		})
 	}
 	rt.Wait(context.Background())
@@ -159,7 +156,7 @@ func TestBarrierWaitsForAll(t *testing.T) {
 		t.Fatalf("barrier returned with %d of 64 done", done.Load())
 	}
 	// The runtime stays usable after a barrier.
-	rt.MustSubmit(Task{Deps: []Dep{In("x")}, Run: func() { done.Add(1) }})
+	rt.MustSubmit(Task{Deps: []Dep{In("x")}, Do: do(func() { done.Add(1) })})
 	rt.Wait(context.Background())
 	if done.Load() != 65 {
 		t.Fatal("submission after barrier did not run")
@@ -230,11 +227,11 @@ func TestHazardExclusion(t *testing.T) {
 		norm := normalizeDeps(deps)
 		rt.MustSubmit(Task{
 			Deps: deps,
-			Run: func() {
+			Do: do(func() {
 				h.enter(norm)
 				defer h.exit(norm)
 				spin(200)
-			},
+			}),
 		})
 	}
 	mustClose(t, rt)
@@ -260,7 +257,7 @@ func TestPrefetchOverlap(t *testing.T) {
 	var overlapped atomic.Bool
 	rt.MustSubmit(Task{
 		Deps: []Dep{InOut(0)},
-		Run: func() {
+		Do: do(func() {
 			running.Add(1)
 			close(firstRunning)
 			// If the prefetch never overlaps (a buffering regression), time
@@ -270,7 +267,7 @@ func TestPrefetchOverlap(t *testing.T) {
 			case <-time.After(10 * time.Second):
 			}
 			running.Add(-1)
-		},
+		}),
 	})
 	rt.MustSubmit(Task{
 		Deps: []Dep{InOut(1)},
@@ -281,7 +278,7 @@ func TestPrefetchOverlap(t *testing.T) {
 			}
 			close(release)
 		},
-		Run: func() {},
+		Do: do(func() {}),
 	})
 	mustClose(t, rt)
 	if !overlapped.Load() {
@@ -303,11 +300,11 @@ func TestDepthOneNoPipelineOverlap(t *testing.T) {
 					overlapped.Store(true)
 				}
 			},
-			Run: func() {
+			Do: do(func() {
 				running.Add(1)
 				spin(500)
 				running.Add(-1)
-			},
+			}),
 		})
 	}
 	mustClose(t, rt)
@@ -323,12 +320,12 @@ func TestWriteBackRuns(t *testing.T) {
 	consumed := -1
 	rt.MustSubmit(Task{
 		Deps:      []Dep{Out("v")},
-		Run:       func() { produced = 41 },
+		Do:        do(func() { produced = 41 }),
 		WriteBack: func() { produced++; wrote.Add(1) },
 	})
 	rt.MustSubmit(Task{
 		Deps: []Dep{In("v")},
-		Run:  func() { consumed = produced },
+		Do:   do(func() { consumed = produced }),
 	})
 	mustClose(t, rt)
 	if wrote.Load() != 1 {
@@ -342,11 +339,11 @@ func TestWriteBackRuns(t *testing.T) {
 func TestWindowBackPressure(t *testing.T) {
 	rt := New(Config{Workers: 1, Window: 4})
 	block := make(chan struct{})
-	rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Run: func() { <-block }})
+	rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: do(func() { <-block })})
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 10; i++ {
-			rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Run: func() {}})
+			rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: do(func() {})})
 		}
 		close(done)
 	}()
@@ -393,11 +390,11 @@ func TestRandomGraphsProperty(t *testing.T) {
 			norm := normalizeDeps(deps)
 			if _, err := rt.Submit(context.Background(), Task{
 				Deps: deps,
-				Run: func() {
+				Do: do(func() {
 					h.enter(norm)
 					defer h.exit(norm)
 					spin(50)
-				},
+				}),
 			}); err != nil {
 				return false
 			}

@@ -189,7 +189,7 @@ type RuntimeConfig = starss.Config
 type RuntimeStats = starss.Stats
 
 // Task is a unit of executable work with declared dependencies. The body
-// is Do (context-aware, may fail); the legacy Run field is still accepted.
+// is Do (context-aware, may fail).
 type Task = starss.Task
 
 // Dep declares one data access of a Task.

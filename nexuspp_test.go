@@ -129,8 +129,7 @@ func ExampleNewRuntime() {
 	})
 	rt.MustSubmit(nexuspp.Task{
 		Deps: []nexuspp.Dep{nexuspp.InOut("block")},
-		//nexusvet:ignore norun this Example is the documented legacy-adapter demo; everything else uses Do
-		Run: func() { block++ }, // the legacy Run form still works
+		Do:   func(context.Context) error { block++; return nil },
 	})
 	if err := rt.Wait(context.Background()); err != nil {
 		panic(err)
