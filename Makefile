@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race flake bench-check lint lint-tools fmt-check vet nexusvet staticcheck govulncheck
+.PHONY: all build test race flake fuzz bench-check lint lint-tools fmt-check vet nexusvet staticcheck govulncheck
 
 all: build test lint
 
@@ -24,6 +24,15 @@ race:
 # twenty times under the race detector.
 flake:
 	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains|Maestro|Close|WaitOn' ./internal/starss/
+
+# fuzz gives each of the service's wire fuzz targets twenty seconds: the
+# hand-written codec against encoding/json, round trips, and the real
+# handler, which may answer hostile bytes with nothing but a typed 4xx.
+# (`go test ./...` already runs their seed corpora.)
+fuzz:
+	@for t in FuzzSubmitRequest FuzzAwaitRequest FuzzAwaitResponse; do \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime=20s ./internal/service/ || exit 1; \
+	done
 
 # bench-check vets and tests the nested benchmark module. Root `go test
 # ./...` does not descend into it, so without this an internal/ change that

@@ -7,7 +7,10 @@ package nexuspp_test
 // complete tables with every operating point.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,6 +20,7 @@ import (
 	"nexuspp"
 	"nexuspp/internal/core"
 	"nexuspp/internal/faults"
+	"nexuspp/internal/service"
 	"nexuspp/internal/sim"
 	"nexuspp/internal/softrts"
 	"nexuspp/internal/starss"
@@ -544,4 +548,70 @@ func itoa(v int) string {
 		buf[i] = '-'
 	}
 	return string(buf[i:])
+}
+
+// BenchmarkWireCodec times the service's wire codec on the benchmark's two
+// request bodies — a 64-task random-DAG batch (svc_closed) and an 8-task
+// inout chain (svc_open) — through the encoding/json entry points, exactly
+// as bench/'s wire.decode/encode/await_encode_ns_per_task probes do, and
+// reports the same unit. encoding/json scans a document twice before it
+// hands it to UnmarshalJSON and re-validates what MarshalJSON returns, so
+// these are upper bounds on what the server and client pay: they call the
+// codec directly (internal/service BenchmarkCodec).
+func BenchmarkWireCodec(b *testing.B) {
+	dag := make([]service.TaskSpec, 0, 64)
+	src := workload.RandomDAG(workload.RandomDAGConfig{Tasks: 64, Seed: 42, BaseAddr: 0x3000_0000})
+	for spec, ok := src.Next(); ok; spec, ok = src.Next() {
+		spec.Exec = 0
+		dag = append(dag, service.FromTraceSpec(spec))
+	}
+	chain := make([]service.TaskSpec, 8)
+	for i := range chain {
+		chain[i] = service.TaskSpec{Params: []service.Param{{Addr: 0x5000_0000, Size: 64, Mode: "inout"}}}
+	}
+	for _, tc := range []struct {
+		name  string
+		batch []service.TaskSpec
+	}{{"dag64", dag}, {"chain8", chain}} {
+		req := service.SubmitRequest{Tasks: tc.batch}
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp := service.AwaitResponse{Done: true, Tasks: make([]service.TaskStatus, len(tc.batch))}
+		for i := range resp.Tasks {
+			resp.Tasks[i] = service.TaskStatus{ID: uint64(i), State: service.StateOK}
+		}
+		perTask := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tc.batch)), "ns/task")
+		}
+		b.Run(tc.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var got service.SubmitRequest
+				if err := json.NewDecoder(bytes.NewReader(body)).Decode(&got); err != nil || len(got.Tasks) != len(tc.batch) {
+					b.Fatalf("decode: %d tasks, %v", len(got.Tasks), err)
+				}
+			}
+			perTask(b)
+		})
+		b.Run(tc.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := json.Marshal(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perTask(b)
+		})
+		b.Run(tc.name+"/await_encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := json.NewEncoder(io.Discard).Encode(resp); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perTask(b)
+		})
+	}
 }

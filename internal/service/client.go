@@ -12,6 +12,7 @@ import (
 	mrand "math/rand/v2"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 )
 
@@ -59,17 +60,62 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
+// pooledBody is a request body in a pooled buffer. The transport closes a
+// request's body when it is done with it, which can be after Do has
+// returned — a server may answer before it has read the request through —
+// so Close, not the end of do, is what frees the buffer.
+type pooledBody struct {
+	bytes.Reader
+	buf atomic.Pointer[wireBuf]
+}
+
+func newPooledBody(msg wireEncoder) *pooledBody {
+	buf := bufPool.Get().(*wireBuf)
+	buf.b = msg.appendJSON(buf.b[:0])
+	body := new(pooledBody)
+	body.Reset(buf.b)
+	body.buf.Store(buf)
+	return body
+}
+
+func (b *pooledBody) Close() error {
+	if buf := b.buf.Swap(nil); buf != nil {
+		bufPool.Put(buf)
+	}
+	return nil
+}
+
+// newRequest builds the request for one call. The per-task messages are
+// encoded by the codec into a pooled buffer, cold ones by encoding/json.
+func (c *Client) newRequest(ctx context.Context, method, path string, in any) (*http.Request, error) {
+	msg, hot := in.(wireEncoder)
+	if !hot {
+		var body io.Reader
+		if in != nil {
+			buf, err := json.Marshal(in)
+			if err != nil {
+				return nil, err
+			}
+			body = bytes.NewReader(buf)
+		}
+		return http.NewRequestWithContext(ctx, method, c.base+path, body)
+	}
+	body := newPooledBody(msg)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		_ = body.Close() // only frees the buffer
+		return nil, err
+	}
+	req.ContentLength = int64(body.Len())
+	// A body the transport has to send again (a stale keep-alive
+	// connection) is encoded again: the first one's buffer may be gone.
+	req.GetBody = func() (io.ReadCloser, error) { return newPooledBody(msg), nil }
+	return req, nil
+}
+
 // do issues one JSON request; in and out may be nil.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	req, err := c.newRequest(ctx, method, path, in)
 	if err != nil {
 		return err
 	}
@@ -95,10 +141,19 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		return &APIError{Status: resp.StatusCode, Message: er.Error}
 	}
-	if out != nil {
+	switch out := out.(type) {
+	case nil:
+		return nil
+	case wireDecoder:
+		buf := bufPool.Get().(*wireBuf)
+		defer bufPool.Put(buf)
+		if buf.b, err = readAll(buf.b[:0], resp.Body, resp.ContentLength); err != nil {
+			return err
+		}
+		return out.parseJSON(buf.b)
+	default:
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
-	return nil
 }
 
 // Debug fetches the server-wide /debug counters.

@@ -5,10 +5,13 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -231,10 +234,86 @@ type httpError struct {
 
 func badRequest(msg string) *httpError { return &httpError{code: http.StatusBadRequest, msg: msg} }
 
+// maxBodyBytes bounds every request body: the handlers read a body whole
+// before decoding it. A batch can never exceed its session's window, so
+// this is room for tens of thousands of tasks per request.
+const maxBodyBytes = 8 << 20
+
+// wireBuf is a pooled byte buffer: request and response bodies pass
+// through one, and nothing decoded from or encoded into it refers to its
+// bytes afterwards (codec.go copies or interns every string).
+type wireBuf struct{ b []byte }
+
+var bufPool = sync.Pool{New: func() any { return new(wireBuf) }}
+
+// readAll reads r to its end onto dst, which is grown once, up front, when
+// size — a Content-Length — says how much is coming.
+func readAll(dst []byte, r io.Reader, size int64) ([]byte, error) {
+	if size > 0 && size <= maxBodyBytes {
+		dst = slices.Grow(dst, int(size)+1) // +1: room to read the EOF without growing
+	}
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+}
+
+// readBody reads a request body of at most maxBodyBytes into a pooled
+// buffer, which the caller returns to bufPool. what names the endpoint in
+// the 413 or 400 an oversized or unreadable body gets.
+func readBody(w http.ResponseWriter, r *http.Request, what string) (*wireBuf, *httpError) {
+	if r.ContentLength > maxBodyBytes {
+		return nil, tooLarge(what)
+	}
+	buf := bufPool.Get().(*wireBuf)
+	var err error
+	buf.b, err = readAll(buf.b[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	if err == nil {
+		return buf, nil
+	}
+	bufPool.Put(buf)
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return nil, tooLarge(what)
+	}
+	return nil, badRequest(what + ": read body: " + err.Error())
+}
+
+func tooLarge(what string) *httpError {
+	return &httpError{
+		code: http.StatusRequestEntityTooLarge,
+		msg:  fmt.Sprintf("%s: request body exceeds %d bytes", what, maxBodyBytes),
+	}
+}
+
+// writeJSON answers with a cold message (or an error) through
+// encoding/json.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeWire answers with one of the per-task messages: encoded by the
+// codec into a pooled buffer and sent with its Content-Length, newline
+// terminated as json.Encoder's output is.
+func writeWire(w http.ResponseWriter, code int, msg wireEncoder) {
+	buf := bufPool.Get().(*wireBuf)
+	buf.b = append(msg.appendJSON(buf.b[:0]), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf.b)))
+	w.WriteHeader(code)
+	_, _ = w.Write(buf.b)
+	bufPool.Put(buf)
 }
 
 func writeError(w http.ResponseWriter, e *httpError) {
@@ -274,8 +353,13 @@ func newSessionID() string {
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// The body is optional: an empty body means default options.
 	var req CreateSessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
-		writeError(w, badRequest("create session: invalid JSON: "+err.Error()))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil && err != io.EOF {
+		herr := badRequest("create session: invalid JSON: " + err.Error())
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			herr = tooLarge("create session")
+		}
+		writeError(w, herr)
 		return
 	}
 	if req.DeadlineMS < 0 {
@@ -325,31 +409,85 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, ss *sessio
 		})
 		return
 	}
-	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, herr := readBody(w, r, "submit")
+	if herr != nil {
+		writeError(w, herr)
+		return
+	}
+	sc := submitPool.Get().(*submitScratch)
+	defer sc.release()
+	err := sc.dec.decodeSubmit(body.b, &sc.req)
+	bufPool.Put(body)
+	if err != nil {
 		writeError(w, badRequest("submit: invalid JSON: "+err.Error()))
 		return
 	}
-	resp, herr := ss.submit(req.Tasks, req.IdempotencyKey)
+	resp, herr := ss.submit(sc.req.Tasks, sc.req.IdempotencyKey)
 	if herr != nil {
 		writeError(w, herr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeWire(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleAwait(w http.ResponseWriter, r *http.Request, ss *session) {
-	var req AwaitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest("await: invalid JSON: "+err.Error()))
-		return
-	}
-	resp, herr := ss.await(r.Context(), req)
+	body, herr := readBody(w, r, "await")
 	if herr != nil {
 		writeError(w, herr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	sc := awaitPool.Get().(*awaitScratch)
+	defer sc.release()
+	err := sc.req.parseJSON(body.b)
+	bufPool.Put(body)
+	if err != nil {
+		writeError(w, badRequest("await: invalid JSON: "+err.Error()))
+		return
+	}
+	if herr := ss.await(r.Context(), sc); herr != nil {
+		writeError(w, herr)
+		return
+	}
+	writeWire(w, http.StatusOK, &sc.resp)
+}
+
+// submitScratch is what decoding one submit request needs and nothing
+// keeps afterwards: what the session retains of req (task names, the
+// idempotency key) are strings the decoder allocated, not parts of it.
+type submitScratch struct {
+	dec decoder
+	req SubmitRequest
+}
+
+var submitPool = sync.Pool{New: func() any { return new(submitScratch) }}
+
+// release drops the scratch's references to the last request's strings —
+// a pooled request must not pin them — and pools it.
+func (sc *submitScratch) release() {
+	clear(sc.req.Tasks)
+	sc.req.Tasks = sc.req.Tasks[:0]
+	sc.req.IdempotencyKey = ""
+	clear(sc.dec.params)
+	submitPool.Put(sc)
+}
+
+// awaitScratch is one await's working set: the decoded request, the
+// handles it names and the response, which is dead once encoded.
+type awaitScratch struct {
+	req     AwaitRequest
+	handles []*starss.Handle
+	resp    AwaitResponse
+}
+
+var awaitPool = sync.Pool{New: func() any { return new(awaitScratch) }}
+
+func (sc *awaitScratch) release() {
+	sc.req.IDs, sc.req.TimeoutMS = sc.req.IDs[:0], 0
+	clear(sc.handles)
+	sc.handles = sc.handles[:0]
+	clear(sc.resp.Tasks)
+	sc.resp.Tasks = sc.resp.Tasks[:0]
+	awaitPool.Put(sc)
 }
 
 func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {

@@ -1,13 +1,18 @@
 package service_test
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -512,4 +517,176 @@ func TestServiceMultiClientStress(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// rawPost sends body as-is to a session endpoint and returns the status and
+// the decoded error message (empty on 2xx).
+func rawPost(t *testing.T, url string, body io.Reader) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", body)
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("POST %s: Content-Type %q", url, ct)
+	}
+	if resp.StatusCode/100 == 2 {
+		return resp.StatusCode, ""
+	}
+	var er service.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Error == "" {
+		t.Fatalf("POST %s: HTTP %d without a typed error body: %v", url, resp.StatusCode, err)
+	}
+	return resp.StatusCode, er.Error
+}
+
+// TestServiceMalformedBodies covers what the hand-written decoder and the
+// body bound reject — each with a typed 4xx, its endpoint's message prefix,
+// and the session's admission tokens untouched.
+func TestServiceMalformedBodies(t *testing.T) {
+	const window = 4
+	d := startDaemon(t, service.Config{SessionWindow: window})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	s, err := d.client.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := d.http.URL + "/v1/sessions/" + s.ID
+	huge := strings.Repeat(" ", 8<<20) + `{"tasks":null}`
+	for _, tc := range []struct {
+		name, endpoint string
+		body           io.Reader
+		status         int
+		message        string
+	}{
+		{"trailing bytes", "/submit", strings.NewReader(`{"tasks":[{"params":[{"addr":1,"mode":"in"}]}]} x`), 400, "submit: invalid JSON: "},
+		{"second document", "/await", strings.NewReader(`{}{}`), 400, "await: invalid JSON: "},
+		{"wrong-typed field", "/submit", strings.NewReader(`{"tasks":[{"params":[{"addr":"1","mode":"in"}]}]}`), 400, "submit: invalid JSON: "},
+		{"fractional id", "/await", strings.NewReader(`{"ids":[1.5]}`), 400, "await: invalid JSON: "},
+		{"truncated document", "/submit", strings.NewReader(`{"tasks":[{"params":[{"addr":1,"mode":"in"}`), 400, "submit: invalid JSON: "},
+		{"empty body", "/await", strings.NewReader(``), 400, "await: invalid JSON: "},
+		{"unknown mode, escaped name", "/submit", strings.NewReader(`{"tasks":[{"name":"bad \"q\"","params":[{"addr":1,"mode":"rw"}]}]}`),
+			400, `submit: task "bad \"q\"" param 0: unknown mode "rw"`},
+		{"null batch", "/submit", strings.NewReader(`{"tasks":null}`), 400, "submit: empty task list"},
+		{"oversized, length declared", "/submit", strings.NewReader(huge), 413, "submit: request body exceeds"},
+		// Not a *strings.Reader: no Content-Length, so the body is chunked
+		// and only reading it finds the bound.
+		{"oversized, chunked", "/submit", io.MultiReader(strings.NewReader(huge)), 413, "submit: request body exceeds"},
+		{"oversized await", "/await", strings.NewReader(huge), 413, "await: request body exceeds"},
+	} {
+		status, msg := rawPost(t, base+tc.endpoint, tc.body)
+		if status != tc.status || !strings.HasPrefix(msg, tc.message) {
+			t.Errorf("%s: HTTP %d %q, want %d %q...", tc.name, status, msg, tc.status, tc.message)
+		}
+	}
+	if status, _ := rawPost(t, d.http.URL+"/v1/sessions", strings.NewReader(huge)); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized create-session body: HTTP %d, want 413", status)
+	}
+
+	// A body cut short of its declared length: the connection half-closes
+	// after ten of a hundred promised bytes.
+	conn, err := net.Dial("tcp", d.http.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/sessions/%s/submit HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"tasks\":[", s.ID)
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("short body: no response: %v", err)
+	}
+	var er service.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); resp.StatusCode != 400 || err != nil || !strings.HasPrefix(er.Error, "submit: read body: ") {
+		t.Errorf("short body: HTTP %d %q (%v), want 400 submit: read body: ...", resp.StatusCode, er.Error, err)
+	}
+	resp.Body.Close()
+
+	// None of it took a token or a task ID: a full-window batch is still
+	// admitted, from ID 0.
+	if st, err := s.Stats(ctx); err != nil || st.Submitted != 0 || st.InFlight != 0 {
+		t.Fatalf("stats after rejected bodies = %+v, %v; want nothing submitted or in flight", st, err)
+	}
+	full := make([]service.TaskSpec, window)
+	for i := range full {
+		full[i] = specOn(uint64(i), "out", 0)
+	}
+	ids, err := s.Submit(ctx, full)
+	if err != nil || len(ids) != window || ids[0] != 0 {
+		t.Fatalf("full-window batch after rejected bodies: ids %v, %v", ids, err)
+	}
+	if _, err := s.Await(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServiceConcurrentSubmitKeepsBatchesApart hammers the pooled request
+// scratch, task slices and body buffers from many sessions at once. Every
+// batch interleaves two chains on addresses of its own: one whose head
+// times out, so the rest of it must be skipped, and one that must run. A
+// request decoded into memory another batch still used — its params, deps
+// or names — would cross the chains (or trip the race detector).
+func TestServiceConcurrentSubmitKeepsBatchesApart(t *testing.T) {
+	const clients, rounds, chain = 8, 12, 6
+	d := startDaemon(t, service.Config{Workers: 4, SessionWindow: 2 * chain})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			s, err := d.client.Open(ctx)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for r := 0; r < rounds; r++ {
+				doomed := uint64(c)<<32 | uint64(r)<<8 | 1
+				fine := doomed + 1
+				var batch []service.TaskSpec
+				for i := 0; i < chain; i++ {
+					head := service.TaskSpec{
+						Name:   fmt.Sprintf("c%d-r%d-doomed-%d", c, r, i),
+						Params: []service.Param{{Addr: doomed, Size: 8, Mode: "inout"}},
+					}
+					if i == 0 {
+						head.ExecUS, head.TimeoutMS = 10_000_000, 1
+					}
+					batch = append(batch, head, service.TaskSpec{
+						Name:   fmt.Sprintf("c%d-r%d-fine-%d", c, r, i),
+						Params: []service.Param{{Addr: fine, Size: 8, Mode: "inout"}, {Addr: doomed + 2 + uint64(i), Mode: "out"}},
+					})
+				}
+				ids, _, err := s.SubmitWait(ctx, batch)
+				if err != nil {
+					t.Errorf("client %d round %d: submit: %v", c, r, err)
+					return
+				}
+				statuses, err := s.Await(ctx, ids)
+				if err != nil || len(statuses) != len(batch) {
+					t.Errorf("client %d round %d: await: %d statuses, %v", c, r, len(statuses), err)
+					return
+				}
+				for i, st := range statuses {
+					want := service.StateOK
+					switch {
+					case i == 0:
+						want = service.StateFailed
+					case i%2 == 0:
+						want = service.StateSkipped
+					}
+					if st.ID != ids[i] || st.State != want {
+						t.Errorf("client %d round %d task %d (%s): id %d state %s (%s), want id %d state %s",
+							c, r, i, batch[i].Name, st.ID, st.State, st.Error, ids[i], want)
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,8 +29,8 @@ var (
 // session is one client's isolated slice of the shared runtime: a
 // starss.Scope for keyspace isolation and per-session stats, an admission
 // window enforced with tokens (never by blocking the HTTP handler), and
-// the handles of every task it has submitted, addressable by session-local
-// ID for await.
+// the handles of every task it has submitted, indexed by session-local ID
+// for await.
 type session struct {
 	id    string
 	scope *starss.Scope
@@ -48,9 +47,11 @@ type session struct {
 	lastActive atomic.Int64 // unix nanoseconds
 	closed     atomic.Bool
 
-	mu      sync.Mutex
-	handles map[uint64]*starss.Handle
-	nextID  uint64
+	mu sync.Mutex
+	// handles[id] is task id's handle: IDs are dense, assigned under mu in
+	// admission order. Never pruned while the session lives — a retried
+	// await may name IDs that were already awaited.
+	handles []*starss.Handle
 	// idem is the session's dedup window: idempotency key -> the submit it
 	// named. Entries for admitted batches are memoized (a retried POST gets
 	// the original IDs); failed submits are removed so a retry re-attempts.
@@ -86,13 +87,12 @@ func newSession(parent context.Context, id string, scope *starss.Scope, window i
 		}()
 	}
 	ss := &session{
-		id:      id,
-		scope:   scope,
-		ctx:     ctx,
-		cancel:  cancel,
-		window:  window,
-		handles: make(map[uint64]*starss.Handle),
-		idem:    make(map[string]*idemEntry),
+		id:     id,
+		scope:  scope,
+		ctx:    ctx,
+		cancel: cancel,
+		window: window,
+		idem:   make(map[string]*idemEntry),
 	}
 	ss.avail.Store(int64(window))
 	ss.touch()
@@ -210,14 +210,19 @@ func (ss *session) submitOnce(specs []TaskSpec) (*SubmitResponse, *httpError) {
 		return nil, badRequest(fmt.Sprintf(
 			"submit: batch of %d exceeds the session window of %d and can never be admitted; split the batch", n, ss.window))
 	}
-	tasks := make([]starss.Task, n)
-	for i, spec := range specs {
-		t, err := spec.task()
-		if err != nil {
-			return nil, badRequest("submit: " + err.Error())
-		}
-		tasks[i] = t
+	// The runtime copies each Task into its node, so the slice the batch is
+	// built in is free again once SubmitAllInPlace returns; cleared, so the
+	// pool pins neither names nor Deps slabs.
+	buf := taskSlices.Get().(*[]starss.Task)
+	defer func() {
+		clear(*buf)
+		taskSlices.Put(buf)
+	}()
+	var err error
+	if *buf, err = buildTasks((*buf)[:0], specs); err != nil {
+		return nil, badRequest("submit: " + err.Error())
 	}
+	tasks := *buf
 	if ok, inFlight := ss.reserve(int64(n)); !ok {
 		return nil, &httpError{
 			code:       429,
@@ -225,22 +230,26 @@ func (ss *session) submitOnce(specs []TaskSpec) (*SubmitResponse, *httpError) {
 			retryAfter: 1,
 		}
 	}
-	handles, err := ss.scope.SubmitAll(ss.ctx, tasks)
+	handles, err := ss.scope.SubmitAllInPlace(ss.ctx, tasks)
 	ss.release(int64(n - len(handles))) // tokens of tasks never admitted
 	if len(handles) == 0 && err != nil {
 		return nil, submitError(err)
 	}
+	// The response outlives the request (an idempotency entry keeps it), so
+	// it is a fresh exact-size allocation, never pooled.
 	resp := &SubmitResponse{IDs: make([]uint64, len(handles))}
 	ss.mu.Lock()
-	for i, h := range handles {
-		id := ss.nextID
-		ss.nextID++
-		ss.handles[id] = h
-		resp.IDs[i] = id
-	}
+	first := uint64(len(ss.handles))
+	ss.handles = append(ss.handles, handles...)
 	ss.mu.Unlock()
+	for i := range resp.IDs {
+		resp.IDs[i] = first + uint64(i)
+	}
 	return resp, nil
 }
+
+// taskSlices pools the []starss.Task a batch is built in.
+var taskSlices = sync.Pool{New: func() any { return new([]starss.Task) }}
 
 // submitError maps a runtime admission error onto an HTTP status.
 func submitError(err error) *httpError {
@@ -256,45 +265,45 @@ func submitError(err error) *httpError {
 	}
 }
 
-// await blocks until the requested tasks complete or the timeout expires,
-// reporting each task's state. Unknown IDs are a client error.
-func (ss *session) await(ctx context.Context, req AwaitRequest) (*AwaitResponse, *httpError) {
+// await blocks until the tasks sc.req names (every task submitted so far
+// when it names none) complete or the timeout expires, and reports each
+// task's state in sc.resp. Unknown IDs are a client error.
+func (ss *session) await(ctx context.Context, sc *awaitScratch) *httpError {
 	ss.touch()
+	ids := sc.req.IDs
 	timeout := 30 * time.Second
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if sc.req.TimeoutMS > 0 {
+		timeout = time.Duration(sc.req.TimeoutMS) * time.Millisecond
 	}
 	if timeout > 2*time.Minute {
 		timeout = 2 * time.Minute
 	}
 	ss.mu.Lock()
-	ids := req.IDs
 	if len(ids) == 0 {
-		ids = make([]uint64, 0, len(ss.handles))
-		for id := range ss.handles {
-			ids = append(ids, id)
+		sc.handles = append(sc.handles[:0], ss.handles...)
+	} else {
+		sc.handles = sc.handles[:0]
+		for _, id := range ids {
+			if id >= uint64(len(ss.handles)) {
+				ss.mu.Unlock()
+				return badRequest(fmt.Sprintf("await: unknown task id %d", id))
+			}
+			sc.handles = append(sc.handles, ss.handles[id])
 		}
-		slices.Sort(ids)
-	}
-	handles := make([]*starss.Handle, len(ids))
-	for i, id := range ids {
-		h, ok := ss.handles[id]
-		if !ok {
-			ss.mu.Unlock()
-			return nil, badRequest(fmt.Sprintf("await: unknown task id %d", id))
-		}
-		handles[i] = h
 	}
 	ss.mu.Unlock()
 
 	wctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	resp := &AwaitResponse{Done: true, Tasks: make([]TaskStatus, len(ids))}
-	for i, h := range handles {
+	sc.resp.Done, sc.resp.Tasks = true, sc.resp.Tasks[:0]
+	for i, h := range sc.handles {
 		// Block on the first still-pending task; once the deadline fires,
 		// the remaining handles resolve instantly to pending or done.
 		_ = h.Wait(wctx)
-		st := TaskStatus{ID: ids[i]}
+		st := TaskStatus{ID: uint64(i)}
+		if len(ids) > 0 {
+			st.ID = ids[i]
+		}
 		select {
 		case <-h.Done():
 			err := h.Err()
@@ -310,12 +319,12 @@ func (ss *session) await(ctx context.Context, req AwaitRequest) (*AwaitResponse,
 			}
 		default:
 			st.State = StatePending
-			resp.Done = false
+			sc.resp.Done = false
 		}
-		resp.Tasks[i] = st
+		sc.resp.Tasks = append(sc.resp.Tasks, st)
 	}
 	ss.touch()
-	return resp, nil
+	return nil
 }
 
 // stats snapshots the session counters.

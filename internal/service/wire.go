@@ -13,6 +13,17 @@
 // internal/trace: a task is a parameter list of (addr, size, mode) plus a
 // synthesized execution time, so any traced workload can be shipped to a
 // live daemon with a trivial transform (see cmd/nexusbench serve).
+//
+// It is JSON, and one format: the structs and tags in this file are the
+// schema. The four messages a task passes through — SubmitRequest,
+// SubmitResponse, AwaitRequest, AwaitResponse — are encoded and decoded by
+// the hand-written codec in codec.go, on both the server and the client,
+// through pooled buffers and without a per-task allocation; encoding/json
+// reaches the same code through their MarshalJSON/UnmarshalJSON. The cold
+// messages (session creation, stats, /debug, errors) stay on encoding/json.
+// A submitted batch then becomes runtime tasks in one pass (buildTasks) and
+// is namespaced in place (starss.Scope.SubmitAllInPlace). DESIGN.md, "What
+// one submitted task costs", has the numbers and the lifetime rules.
 package service
 
 import (
@@ -66,40 +77,57 @@ func FromTraceSpec(spec trace.TaskSpec) TaskSpec {
 	return ts
 }
 
-// task converts the wire form into an executable runtime task.
-func (ts TaskSpec) task() (starss.Task, error) {
-	if len(ts.Params) == 0 {
-		return starss.Task{}, fmt.Errorf("task %q has no params", ts.Name)
+// buildTasks converts a wire batch into runtime tasks in one pass,
+// appending them to dst. Every task's Deps are carved from one slab, the
+// batch's only allocation here besides the boxed keys; the runtime reads
+// Deps until each task finishes, so the slab is never pooled.
+func buildTasks(dst []starss.Task, specs []TaskSpec) ([]starss.Task, error) {
+	total := 0
+	for i := range specs {
+		total += len(specs[i].Params)
 	}
-	deps := make([]starss.Dep, len(ts.Params))
-	for i, p := range ts.Params {
-		switch p.Mode {
-		case "in":
-			deps[i] = starss.In(p.Addr)
-		case "out":
-			deps[i] = starss.Out(p.Addr)
-		case "inout":
-			deps[i] = starss.InOut(p.Addr)
-		default:
-			return starss.Task{}, fmt.Errorf("task %q param %d: unknown mode %q (valid: in, out, inout)", ts.Name, i, p.Mode)
+	slab := make([]starss.Dep, total)
+	for i := range specs {
+		ts := &specs[i]
+		n := len(ts.Params)
+		if n == 0 {
+			return dst, fmt.Errorf("task %q has no params", ts.Name)
 		}
+		var deps []starss.Dep
+		deps, slab = slab[:n:n], slab[n:]
+		for j, p := range ts.Params {
+			switch p.Mode {
+			case "in":
+				deps[j] = starss.In(p.Addr)
+			case "out":
+				deps[j] = starss.Out(p.Addr)
+			case "inout":
+				deps[j] = starss.InOut(p.Addr)
+			default:
+				return dst, fmt.Errorf("task %q param %d: unknown mode %q (valid: in, out, inout)", ts.Name, j, p.Mode)
+			}
+		}
+		if ts.MaxRetries < 0 || ts.MaxRetries > 16 {
+			return dst, fmt.Errorf("task %q: max_retries %d out of range [0,16]", ts.Name, ts.MaxRetries)
+		}
+		t := starss.Task{
+			Name:       ts.Name,
+			Deps:       deps,
+			Do:         emptyBody,
+			MaxRetries: ts.MaxRetries,
+			Timeout:    time.Duration(ts.TimeoutMS) * time.Millisecond,
+		}
+		if d := time.Duration(ts.ExecUS) * time.Microsecond; d > 0 {
+			t.Do = func(ctx context.Context) error { return sleepFor(ctx, d) }
+		}
+		dst = append(dst, t)
 	}
-	if ts.MaxRetries < 0 || ts.MaxRetries > 16 {
-		return starss.Task{}, fmt.Errorf("task %q: max_retries %d out of range [0,16]", ts.Name, ts.MaxRetries)
-	}
-	t := starss.Task{
-		Name:       ts.Name,
-		Deps:       deps,
-		MaxRetries: ts.MaxRetries,
-		Timeout:    time.Duration(ts.TimeoutMS) * time.Millisecond,
-	}
-	if d := time.Duration(ts.ExecUS) * time.Microsecond; d > 0 {
-		t.Do = func(ctx context.Context) error { return sleepFor(ctx, d) }
-	} else {
-		t.Do = func(ctx context.Context) error { return ctx.Err() }
-	}
-	return t, nil
+	return dst, nil
 }
+
+// emptyBody is the body of a task with no exec_us: it only observes
+// cancellation.
+func emptyBody(ctx context.Context) error { return ctx.Err() }
 
 // sleepFor blocks for d, honouring cancellation — the synthesized task
 // body, mirroring the replay adapter's timed bodies.

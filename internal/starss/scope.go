@@ -17,6 +17,7 @@ package starss
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 )
 
@@ -88,19 +89,20 @@ func (s *Scope) record(err error) {
 	}
 }
 
-// rewrite returns a copy of t with every dependency key wrapped in the
-// scope's namespace and the completion hook attached. The caller's Task
-// and Deps slice are not mutated.
-func (s *Scope) rewrite(t Task) Task {
-	if len(t.Deps) > 0 {
-		deps := make([]Dep, len(t.Deps))
-		for i, d := range t.Deps {
-			deps[i] = Dep{Key: ScopedKey{Scope: s.name, Key: d.Key}, Mode: d.Mode}
+// key namespaces one user key: the only place a ScopedKey is made.
+func (s *Scope) key(k Key) Key { return ScopedKey{Scope: s.name, Key: k} }
+
+// adopt makes tasks the scope's own: every dependency key is namespaced
+// where it sits and the completion hook attached. The caller must own the
+// tasks and their Deps slices.
+func (s *Scope) adopt(tasks []Task) {
+	for i := range tasks {
+		t := &tasks[i]
+		for j := range t.Deps {
+			t.Deps[j].Key = s.key(t.Deps[j].Key)
 		}
-		t.Deps = deps
+		t.onDone = s.hook
 	}
-	t.onDone = s.hook
-	return t
 }
 
 // noteMax folds the current in-flight count into the high-water mark.
@@ -115,10 +117,13 @@ func (s *Scope) noteMax(n int64) {
 
 // Submit submits one task through the scope: keys are namespaced, and the
 // scope's counters track the task's lifecycle. Semantics otherwise match
-// Runtime.Submit.
+// Runtime.Submit. The caller's Deps slice is not mutated.
 func (s *Scope) Submit(ctx context.Context, t Task) (*Handle, error) {
+	one := [1]Task{t}
+	one[0].Deps = slices.Clone(t.Deps)
+	s.adopt(one[:])
 	s.noteMax(s.inFlight.Add(1))
-	h, err := s.rt.Submit(ctx, s.rewrite(t))
+	h, err := s.rt.Submit(ctx, one[0])
 	if err != nil {
 		s.inFlight.Add(-1)
 		return nil, err
@@ -129,15 +134,32 @@ func (s *Scope) Submit(ctx context.Context, t Task) (*Handle, error) {
 
 // SubmitAll submits a batch through the scope with the same partial-prefix
 // contract as Runtime.SubmitAll: on error the returned handles cover the
-// admitted prefix, and the scope's counters cover exactly that prefix.
+// admitted prefix, and the scope's counters cover exactly that prefix. The
+// caller's slices are not mutated: the batch is copied, its Deps into one
+// slab, and the copy handed to SubmitAllInPlace.
 func (s *Scope) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
-	scoped := make([]Task, len(tasks))
-	for i, t := range tasks {
-		scoped[i] = s.rewrite(t)
+	total := 0
+	for i := range tasks {
+		total += len(tasks[i].Deps)
 	}
-	s.noteMax(s.inFlight.Add(int64(len(scoped))))
-	handles, err := s.rt.SubmitAll(ctx, scoped)
-	if n := len(scoped) - len(handles); n > 0 {
+	owned, slab := slices.Clone(tasks), make([]Dep, total)
+	for i := range owned {
+		n := copy(slab, owned[i].Deps)
+		owned[i].Deps, slab = slab[:n:n], slab[n:]
+	}
+	return s.SubmitAllInPlace(ctx, owned)
+}
+
+// SubmitAllInPlace is SubmitAll for a caller that built the batch for this
+// call and hands it over: keys are namespaced in place, so nothing is
+// copied. The tasks slice is the caller's again once the call returns (the
+// runtime keeps its own copy of each Task); the Deps slices belong to the
+// runtime until their task finishes and must not be touched again.
+func (s *Scope) SubmitAllInPlace(ctx context.Context, tasks []Task) ([]*Handle, error) {
+	s.adopt(tasks)
+	s.noteMax(s.inFlight.Add(int64(len(tasks))))
+	handles, err := s.rt.SubmitAll(ctx, tasks)
+	if n := len(tasks) - len(handles); n > 0 {
 		s.inFlight.Add(-int64(n))
 	}
 	s.submitted.Add(uint64(len(handles)))
@@ -149,7 +171,7 @@ func (s *Scope) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) 
 func (s *Scope) WaitOn(ctx context.Context, keys ...Key) error {
 	scoped := make([]Key, len(keys))
 	for i, k := range keys {
-		scoped[i] = ScopedKey{Scope: s.name, Key: k}
+		scoped[i] = s.key(k)
 	}
 	return s.rt.WaitOn(ctx, scoped...)
 }
