@@ -20,10 +20,11 @@ race:
 
 # flake hammers the tests whose outcome depends on who wins a race between
 # a finishing task and its submitter — poisoning, panics, the window, scope
-# accounting, the prefetch stage, the maestro funnel's shutdown and fence —
-# twenty times under the race detector.
+# accounting, the prefetch stage, the maestro funnel's shutdown and fence,
+# the kick-off lists threaded through waiting tasks — twenty times under the
+# race detector.
 flake:
-	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains|Maestro|Close|WaitOn' ./internal/starss/
+	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains|Maestro|Close|WaitOn|Kickoff' ./internal/starss/
 
 # fuzz gives each of the service's wire fuzz targets twenty seconds: the
 # hand-written codec against encoding/json, round trips, and the real

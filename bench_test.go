@@ -455,8 +455,11 @@ func BenchmarkFaultOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkSubmitAll measures the batch-admission amortisation against
-// task-at-a-time Submit on the same independent-keys workload.
+// BenchmarkSubmitAll measures what a batch saves against task-at-a-time
+// Submit on the same independent-keys workload: one window reservation and
+// one pass through the admission fence per 256-task chunk instead of per
+// task. The bank work is the same on both sides — SubmitAll holds each
+// task's banks for that task only, as Submit does.
 func BenchmarkSubmitAll(b *testing.B) {
 	const batch = 256
 	mkTasks := func(round int) []starss.Task {

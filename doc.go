@@ -61,7 +61,8 @@
 // IDs the Nexus++ hardware assigns and tracks. Task bodies take a context
 // and may fail; a failed, panicking or cancelled task poisons its
 // transitive dependents, which are skipped (never run) while the
-// dependence table drains normally. Batches of tasks can be admitted under
-// one bank acquisition with rt.SubmitAll(ctx, []nexuspp.Task{...}), which
-// amortises locking on high-frequency submission paths.
+// dependence table drains normally. Batches of tasks can be admitted with
+// rt.SubmitAll(ctx, []nexuspp.Task{...}), which reserves the in-flight
+// window once per chunk on high-frequency submission paths; dependences are
+// still checked task by task, each under its own banks.
 package nexuspp

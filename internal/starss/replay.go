@@ -26,8 +26,10 @@ type ReplayOptions struct {
 	// trace's timing unscaled, 10 replays ten times faster. Ignored when
 	// ZeroCost is set.
 	TimeScale int
-	// BatchSize is the SubmitAll chunk size; 0 selects 256. The maestro
-	// baseline still resolves a chunk one task per rendezvous.
+	// BatchSize is the SubmitAll chunk size; 0 selects 256. A chunk shares
+	// its window reservation, nothing else: the banked runtime checks it
+	// task by task under each task's own banks, the maestro baseline one
+	// task per rendezvous.
 	BatchSize int
 }
 
@@ -123,8 +125,8 @@ func sleepFor(ctx context.Context, d time.Duration) error {
 // runtime is left open (the caller owns its lifecycle), so several replays
 // can share one runtime as long as their key spaces are disjoint or drained.
 //
-// Tasks are fed through SubmitAll in chunks of opts.BatchSize. On the
-// single-maestro baseline a chunk shares only its window reservation: every
+// Tasks are fed through SubmitAll in chunks of opts.BatchSize. A chunk
+// shares only its window reservation; on the single-maestro baseline every
 // task still crosses to the resolver goroutine on its own — exactly the
 // serialization it exists to measure.
 func Replay(ctx context.Context, rt *Runtime, src workload.Source, opts ReplayOptions) (*ReplayResult, error) {

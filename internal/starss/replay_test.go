@@ -46,7 +46,7 @@ func TestTaskFromSpecMapsModes(t *testing.T) {
 }
 
 // TestReplayOnBothRuntimes replays the same trace on the sharded runtime
-// (a chunk resolved under one bank acquisition) and the maestro baseline
+// (a chunk resolved task by task in the caller) and the maestro baseline
 // (the chunk resolved one rendezvous per task) and checks both execute
 // every task cleanly.
 func TestReplayOnBothRuntimes(t *testing.T) {

@@ -24,18 +24,23 @@
 // hardware — so independent keys resolve concurrently on both the Submit
 // and the handle-finished path instead of funnelling through a single
 // resolver goroutine. Multi-key tasks acquire their banks in sorted index
-// order, which keeps the runtime deadlock-free. SubmitAll admits a batch of
-// tasks under one bank acquisition, amortising the locking. NewMaestro
-// (maestro.go) builds the same runtime with that single resolver goroutine
-// put back, as the baseline the banks are measured against.
+// order, which keeps the runtime deadlock-free, and no bank is held for
+// longer than one task's Check Deps or Handle Finished: SubmitAll reserves
+// a chunk's window tokens at once but checks it task by task. Each key is
+// hashed and looked up once in a task's life — the task keeps, per
+// dependency, the segment Check Deps found, Handle Finished follows those
+// pointers, and a segment's kick-off list is threaded through the waiting
+// tasks themselves. NewMaestro (maestro.go) builds the same runtime with
+// that single resolver goroutine put back, as the baseline the banks are
+// measured against.
 //
 // The in-flight window — the paper's Task Pool size — is one atomic counter
 // that both admits and reports (window.go): a SubmitAll chunk reserves its
 // tokens with one compare-and-swap, a finisher returns one with one atomic
 // add, and only a full window parks the submitter on a FIFO wait list. A
 // ready task goes straight from the resolver to a worker through one shared
-// queue; a dependency-free task costs two allocations (its node and its
-// handle) and two channel operations.
+// queue; a task costs two allocations (its node and its handle) whether it
+// waits or not, and two channel operations.
 //
 // The paper's Task Controllers — Get Inputs overlapping Run Task through
 // per-worker double buffers — are the optional Task.Prefetch hook. Only a
@@ -342,57 +347,57 @@ type bank struct {
 	mu   sync.Mutex
 	segs map[Key]*segState
 	// free holds drained segments for reuse, guarded by mu like segs. It is
-	// bounded (segFreeMax) because an idle runtime keeps it: an unbounded
-	// list would pin a burst's worth of segments for the runtime's life.
+	// bounded (Runtime.segFree) because an idle runtime keeps it: an
+	// unbounded list would pin a burst's worth of segments for the runtime's
+	// life.
 	free         []*segState
 	acquisitions atomic.Uint64
 	contended    atomic.Uint64
 	maxQueue     atomic.Uint64
 }
 
-const (
-	// segFreeMax bounds each bank's free list.
-	segFreeMax = 64
-	// segKeepQueue is the largest kick-off list capacity a recycled segment
-	// keeps; a deeper one (a hot key's burst) is dropped with the segment.
-	segKeepQueue = 16
-)
+// segFreeMin is the least a bank's free list may hold.
+const segFreeMin = 64
 
-// takeSeg returns an empty segment for key k and files it in the bank. The
-// caller holds b.mu.
-func (b *bank) takeSeg(k Key) *segState {
+// takeSeg returns an empty segment for key k and files it in the bank, whose
+// index is idx. The caller holds b.mu.
+func (b *bank) takeSeg(k Key, idx int32) *segState {
 	var seg *segState
 	if n := len(b.free); n > 0 {
 		seg = b.free[n-1]
 		b.free[n-1] = nil
 		b.free = b.free[:n-1]
 	} else {
-		seg = &segState{}
+		seg = &segState{bank: idx}
 	}
 	b.segs[k] = seg
 	return seg
 }
 
-// dropSeg removes key k's drained segment and recycles it. The caller holds
-// b.mu.
-func (b *bank) dropSeg(k Key, seg *segState) {
+// dropSeg removes key k's drained segment and recycles it, unless the free
+// list already holds keep segments. The caller holds b.mu. A drained
+// segment's kick-off list is empty, so the free list pins no task; the reset
+// keeps only the bank index, which a segment never changes — it is recycled
+// through its own bank.
+func (b *bank) dropSeg(k Key, seg *segState, keep int) {
 	delete(b.segs, k)
-	if len(b.free) >= segFreeMax {
+	if len(b.free) >= keep {
 		return
 	}
-	ko := seg.ko[:0]
-	if cap(ko) > segKeepQueue {
-		ko = nil
-	}
-	*seg = segState{ko: ko}
+	*seg = segState{bank: seg.bank}
 	b.free = append(b.free, seg)
 }
 
 // Runtime schedules and executes tasks.
 type Runtime struct {
-	cfg     Config
-	banks   []bank
-	mask    uint64
+	cfg   Config
+	banks []bank
+	mask  uint64
+	// segFree bounds each bank's free list at the bank's share of a full
+	// window, one new segment per task: the in-flight count swings between
+	// empty and full many times in a long run, and a smaller list turns every
+	// swing into garbage on the way down and allocations on the way up.
+	segFree int
 	seed    maphash.Seed
 	win     window
 	readyCh chan *taskNode
@@ -435,9 +440,8 @@ type Runtime struct {
 	bankStats bool
 
 	// funnel, when non-nil (NewMaestro), is the one goroutine that performs
-	// every Check Deps and Handle Finished: Submit, submitChunk and runBody
-	// hand it their nodes instead of resolving in place, and WaitOn fences
-	// on it.
+	// every Check Deps and Handle Finished: admit and runBody hand it their
+	// nodes instead of resolving in place, and WaitOn fences on it.
 	funnel *funnel
 }
 
@@ -446,9 +450,32 @@ type taskFailure struct {
 	err error
 }
 
-// inlineDeps is the dependency count up to which a node's bank mapping
-// lives inside the node itself.
+// inlineDeps is the dependency count up to which a node's per-dependency
+// slots live inside the node itself.
 const inlineDeps = 4
+
+// access is a task's hold on one dependency — the paper's Task Pool entry
+// carrying its own Dependence Table linkage. seg is the segment Check Deps
+// found or created for the key, so Handle Finished follows the pointer and
+// never looks the key up again. While the task waits in that segment's
+// kick-off list, next is the task queued behind it: the list is threaded
+// through its waiters and costs no memory of its own.
+type access struct {
+	seg  *segState
+	next *taskNode
+}
+
+// spilled holds the per-dependency slots of a task with more than inlineDeps
+// dependencies, and its bank mapping.
+type spilled struct {
+	acc      []access
+	nextSlot []int32
+	// banks is hashDeps' scratch space. order, a window onto it, is the
+	// sorted, deduplicated bank set, kept from Check Deps for Handle
+	// Finished: deriving it again would cost such a task a sort and an
+	// allocation.
+	banks, order []int32
+}
 
 type taskNode struct {
 	// task is the submitted task; task.Deps is normalised (no duplicate
@@ -456,14 +483,16 @@ type taskNode struct {
 	task   Task
 	ctx    context.Context
 	handle *Handle
-	// bankOf[i] is the bank index of task.Deps[i]; banks is the sorted,
-	// deduplicated set — the per-task acquisition order. Both are windows
-	// onto bankBuf for up to inlineDeps dependencies and onto one spilled
-	// heap slice above.
-	bankOf  []int32
-	banks   []int32
-	bankBuf [2 * inlineDeps]int32
-	dc      atomic.Int32
+	// acc[i] is the node's access to task.Deps[i]; nextSlot[i] says which
+	// access of acc[i].next is the one queued on the same segment, so a walk
+	// down a kick-off list never searches a node for its link. (Kept as two
+	// arrays because a {seg, next, slot} triple pads to 24 bytes, and four of
+	// them push the node out of its 256-byte size class.) Both are written
+	// under the bank lock of acc[i].seg only, and unused once spill is set.
+	acc      [inlineDeps]access
+	nextSlot [inlineDeps]int32
+	spill    *spilled
+	dc       atomic.Int32
 	// wasSkipped and err are the node's outcome, written by its worker
 	// before resolveFinished and published through the handle. A panic
 	// recovered from Task.Prefetch lands in err before the node reaches a
@@ -477,11 +506,31 @@ type taskNode struct {
 	poison atomic.Pointer[taskFailure]
 }
 
+// slots returns the node's per-dependency slots, indexed like task.Deps.
+func (node *taskNode) slots() (acc []access, nextSlot []int32) {
+	if sp := node.spill; sp != nil {
+		return sp.acc, sp.nextSlot
+	}
+	return node.acc[:], node.nextSlot[:]
+}
+
 type segState struct {
 	isOut bool
-	rdrs  int
 	ww    bool
-	ko    []segWaiter
+	// bank is the index of the bank the segment lives in. It is set when the
+	// segment is first allocated and never changes, so a task may read it
+	// through its access without holding the bank — that is how Handle
+	// Finished learns which banks to lock.
+	bank int32
+	rdrs int32
+	// head and tail delimit the kick-off list: tasks waiting for the segment,
+	// in arrival order, linked through the access each has on it (slot
+	// headSlot of head, slot tailSlot of tail). waiting is its length.
+	waiting  int32
+	headSlot int32
+	tailSlot int32
+	head     *taskNode
+	tail     *taskNode
 	// poison records that a task ordered in this segment's history failed;
 	// every waiter popped afterwards is a transitive dependent and is
 	// skipped. It dies with the segment: once the key drains and the
@@ -489,19 +538,38 @@ type segState struct {
 	poison error
 }
 
-type segWaiter struct {
-	node       *taskNode
-	wantsWrite bool
+// enqueue appends the node to the kick-off list, waiting with its access i.
+func (seg *segState) enqueue(node *taskNode, i int32) {
+	if t := seg.tail; t != nil {
+		acc, nextSlot := t.slots()
+		acc[seg.tailSlot].next, nextSlot[seg.tailSlot] = node, i
+	} else {
+		seg.head, seg.headSlot = node, i
+	}
+	seg.tail, seg.tailSlot = node, i
+	seg.waiting++
+}
+
+// headWrites reports whether the first waiter wants to write. The list must
+// not be empty.
+func (seg *segState) headWrites() bool {
+	return seg.head.task.Deps[seg.headSlot].Mode != ModeIn
 }
 
 // pop takes the head of the kick-off list, taints it when the segment is
 // poisoned, and appends it to released if that was its last dependence.
-// The vacated slot is cleared: recycled segments keep their list's backing
-// array, which must not pin finished tasks.
+// The popped access gives up its link: a task that runs for long must not
+// pin the ones that queued behind it.
 func (seg *segState) pop(released []*taskNode) []*taskNode {
-	n := seg.ko[0].node
-	seg.ko[0] = segWaiter{}
-	seg.ko = seg.ko[1:]
+	n := seg.head
+	acc, nextSlot := n.slots()
+	a := &acc[seg.headSlot]
+	seg.head, seg.headSlot = a.next, nextSlot[seg.headSlot]
+	a.next = nil
+	if seg.head == nil {
+		seg.tail = nil
+	}
+	seg.waiting--
 	if seg.poison != nil {
 		n.poison.CompareAndSwap(nil, &taskFailure{err: seg.poison})
 	}
@@ -564,11 +632,12 @@ func newRuntime(cfg Config, f *funnel) *Runtime {
 	}
 	cfg.Shards = nextPow2(cfg.Shards)
 	rt := &Runtime{
-		cfg:    cfg,
-		banks:  make([]bank, cfg.Shards),
-		mask:   uint64(cfg.Shards - 1),
-		seed:   maphash.MakeSeed(),
-		funnel: f,
+		cfg:     cfg,
+		banks:   make([]bank, cfg.Shards),
+		mask:    uint64(cfg.Shards - 1),
+		segFree: max(segFreeMin, cfg.Window/cfg.Shards),
+		seed:    maphash.MakeSeed(),
+		funnel:  f,
 		// Every in-flight task fits in readyCh (and in fetchCh below), so
 		// dispatching a ready task never blocks — not a submitter inside
 		// the admission fence, not a worker on the finish path.
@@ -604,14 +673,19 @@ func newRuntime(cfg Config, f *funnel) *Runtime {
 // may split a task's run/finish pair across drains.
 func (rt *Runtime) Events() *obs.Recorder { return rt.rec }
 
-// firstBank is the first dependence bank in the node's sorted acquisition
-// order, or -1 for tasks with no dependencies — the bank identity recorded
-// on the node's lifecycle events.
+// firstBank is the lowest dependence bank the node's keys live in, or -1
+// for tasks with no dependencies — the bank identity recorded on the node's
+// lifecycle events. It reads the node's segments, so it is valid from Check
+// Deps until the node's Handle Finished.
 func (node *taskNode) firstBank() int {
-	if len(node.banks) == 0 {
-		return -1
+	acc, _ := node.slots()
+	first := -1
+	for i := range node.task.Deps {
+		if b := int(acc[i].seg.bank); first < 0 || b < first {
+			first = b
+		}
 	}
-	return int(node.banks[0])
+	return first
 }
 
 // emit records one lifecycle transition for node when the event stream is
@@ -632,34 +706,29 @@ func (rt *Runtime) bankIndex(k Key) int32 {
 	return int32(maphash.Comparable(rt.seed, k) & rt.mask)
 }
 
-// prepare computes the node's bank mapping and sorted acquisition order,
-// inside the node for up to inlineDeps dependencies and in one spilled
-// slice above. (slices.Sort insertion-sorts lists as short as these.)
-func (rt *Runtime) prepare(node *taskNode) {
-	deps := node.task.Deps
-	n := len(deps)
-	if n == 0 {
-		return
-	}
-	buf := node.bankBuf[:]
-	if n > inlineDeps {
-		buf = make([]int32, 2*n)
-	}
-	bankOf, banks := buf[:n:n], buf[n:2*n]
-	for i, d := range deps {
-		bankOf[i] = rt.bankIndex(d.Key)
-	}
-	copy(banks, bankOf)
-	node.bankOf, node.banks = bankOf, sortedUnique(banks)
-}
-
 // sortedUnique sorts bank indices in place and drops duplicates — the
-// canonical bank-acquisition order shared by Submit and SubmitAll, whose
-// global ascending total order is what keeps multi-bank locking
+// canonical bank-acquisition order shared by Check Deps and Handle Finished,
+// whose global ascending total order is what keeps multi-bank locking
 // deadlock-free.
 func sortedUnique(banks []int32) []int32 {
+	if len(banks) < 2 {
+		return banks
+	}
 	slices.Sort(banks)
 	return slices.Compact(banks)
+}
+
+// lockOrder is the node's bank acquisition order for Handle Finished, read
+// off the segments in acc (the node's access slots) into buf. A spilled
+// node kept the one Check Deps derived.
+func (node *taskNode) lockOrder(acc []access, buf []int32) []int32 {
+	if sp := node.spill; sp != nil {
+		return sp.order
+	}
+	for i := range node.task.Deps {
+		buf = append(buf, acc[i].seg.bank)
+	}
+	return sortedUnique(buf)
 }
 
 // lockBanks acquires the given sorted bank set; the global ascending order
@@ -720,13 +789,7 @@ func (rt *Runtime) Submit(ctx context.Context, t Task) (*Handle, error) {
 		return nil, err
 	}
 	defer rt.subMu.RUnlock()
-	rt.prepare(node)
 	rt.admit(node, rt.submitted.Add(1)-1)
-	if f := rt.funnel; f != nil {
-		f.submitCh <- node
-	} else {
-		rt.resolveNew(node)
-	}
 	return node.handle, nil
 }
 
@@ -772,12 +835,16 @@ func (rt *Runtime) returnTokens(n int) {
 	rt.coord.Unlock()
 }
 
-// SubmitAll enqueues a batch of tasks in order, amortising bank locking:
-// each chunk of the batch is admitted under a single acquisition of the
-// banks it touches. It blocks while the window is full (cancelling ctx
-// unblocks it) and returns the first validation error before admitting
-// anything, or ErrStopped/ctx.Err() mid-batch; the returned handles cover
-// the prefix that was admitted (all tasks on success).
+// SubmitAll enqueues a batch of tasks in order. A chunk of the batch (up to
+// 256 tasks) costs one window reservation and one pass through the
+// admission fence; Check Deps then runs task by task, each under its own
+// banks exactly as in Submit, and a task found free of dependencies starts
+// before the next one is checked. (Holding the union of a chunk's banks for
+// the whole chunk was measured: every finishing worker parked behind the
+// submitter for the duration.) It blocks while the window is full
+// (cancelling ctx unblocks it) and returns the first validation error before
+// admitting anything, or ErrStopped/ctx.Err() mid-batch; the returned
+// handles cover the prefix that was admitted (all tasks on success).
 func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -801,8 +868,7 @@ func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 		return nil, ErrStopped
 	default:
 	}
-	// Chunk so one reservation never asks for more window tokens than exist,
-	// and so bank locks are not held for unboundedly long.
+	// Chunk so one reservation never asks for more window tokens than exist.
 	chunkMax := rt.cfg.Window
 	if chunkMax > 256 {
 		chunkMax = 256
@@ -832,35 +898,9 @@ func (rt *Runtime) submitChunk(ctx context.Context, nodes []*taskNode) error {
 		return err
 	}
 	defer rt.subMu.RUnlock()
-	var banks []int32
 	first := rt.submitted.Add(uint64(len(nodes))) - uint64(len(nodes))
 	for i, node := range nodes {
-		rt.prepare(node)
-		banks = append(banks, node.banks...)
 		rt.admit(node, first+uint64(i))
-	}
-	if f := rt.funnel; f != nil {
-		// The maestro takes one task per rendezvous, batch or not; only the
-		// token reservation above is shared with the banked path.
-		for _, node := range nodes {
-			f.submitCh <- node
-		}
-		return nil
-	}
-	uniq := sortedUnique(banks)
-	ready := make([]*taskNode, 0, len(nodes))
-	rt.lockBanks(uniq)
-	for _, node := range nodes {
-		if rt.checkDeps(node) == 0 {
-			ready = append(ready, node)
-		} else {
-			rt.hazards.Add(1)
-		}
-	}
-	rt.unlockBanks(uniq)
-	for _, node := range ready {
-		rt.emit(-1, obs.KindReady, node, -1)
-		rt.dispatch(node)
 	}
 	return nil
 }
@@ -872,14 +912,23 @@ func makeNode(ctx context.Context, t *Task) (*taskNode, error) {
 	}
 	node := &taskNode{task: *t, ctx: ctx}
 	node.task.Deps = normalizeDeps(t.Deps)
+	if n := len(node.task.Deps); n > inlineDeps {
+		ints := make([]int32, 3*n)
+		node.spill = &spilled{acc: make([]access, n), nextSlot: ints[:n:n], banks: ints[n:]}
+	}
 	return node, nil
 }
 
-// admit gives the task its ID (submission index idx) and handle. The caller
-// already holds the task's window token.
+// admit gives the task its ID (submission index idx) and handle and hands
+// it to Check Deps: in place, or through the maestro, which takes one task
+// per rendezvous. The caller already holds the task's window token.
 func (rt *Runtime) admit(node *taskNode, idx uint64) {
 	node.handle = &Handle{name: node.task.Name, index: idx, onDone: node.task.onDone}
-	rt.emit(-1, obs.KindSubmit, node, -1)
+	if f := rt.funnel; f != nil {
+		f.submitCh <- node
+		return
+	}
+	rt.resolveNew(node)
 }
 
 // staged reports whether the node passes through the Get Inputs stage: it
@@ -898,11 +947,43 @@ func (rt *Runtime) dispatch(node *taskNode) {
 	rt.readyCh <- node
 }
 
-// resolveNew runs Check Deps (Listing 2) for one task against its banks.
+// hashDeps hashes each dependency's key to its bank — the only time a
+// task's keys are hashed — into scratch, which must hold twice len(deps)
+// entries: bankOf[i] is the bank of deps[i], order the sorted, deduplicated
+// set, the task's acquisition order.
+func (rt *Runtime) hashDeps(deps []Dep, scratch []int32) (bankOf, order []int32) {
+	n := len(deps)
+	bankOf, order = scratch[:n:n], scratch[n:2*n]
+	for i, d := range deps {
+		bankOf[i] = rt.bankIndex(d.Key)
+	}
+	copy(order, bankOf)
+	return bankOf, sortedUnique(order)
+}
+
+// resolveNew runs Check Deps (Listing 2) for one task, holding the task's
+// banks for this one task only; a task that comes out free of dependencies
+// is dispatched as soon as they are released.
 func (rt *Runtime) resolveNew(node *taskNode) {
-	rt.lockBanks(node.banks)
-	dc := rt.checkDeps(node)
-	rt.unlockBanks(node.banks)
+	deps := node.task.Deps
+	var buf [2 * inlineDeps]int32
+	var bankOf, order []int32
+	if sp := node.spill; sp != nil {
+		bankOf, sp.order = rt.hashDeps(deps, sp.banks)
+		order = sp.order
+	} else {
+		bankOf, order = rt.hashDeps(deps, buf[:])
+	}
+	if rt.rec != nil {
+		first := -1
+		if len(order) > 0 {
+			first = int(order[0])
+		}
+		rt.rec.Emit(-1, obs.KindSubmit, node.handle.index, len(deps), first, -1)
+	}
+	rt.lockBanks(order)
+	dc := rt.checkDeps(node, bankOf)
+	rt.unlockBanks(order)
 	if dc == 0 {
 		rt.emit(-1, obs.KindReady, node, -1)
 		rt.dispatch(node)
@@ -914,7 +995,7 @@ func (rt *Runtime) resolveNew(node *taskNode) {
 // noteQueueDepth raises the bank's kick-off high-water mark. The caller
 // holds the bank lock, so the load/store pair has a single writer; the
 // atomic lets Stats read it without the lock.
-func (rt *Runtime) noteQueueDepth(b *bank, depth int) {
+func (rt *Runtime) noteQueueDepth(b *bank, depth int32) {
 	if !rt.bankStats {
 		return
 	}
@@ -923,23 +1004,27 @@ func (rt *Runtime) noteQueueDepth(b *bank, depth int) {
 	}
 }
 
-// checkDeps acquires or queues on every segment of the node and returns the
-// resulting dependence count. The caller holds all of node.banks.
-func (rt *Runtime) checkDeps(node *taskNode) int {
+// checkDeps acquires or queues on every segment of the node, recording each
+// in the node's access slots, and returns the resulting dependence count.
+// bankOf[i] is the bank of task.Deps[i]; the caller holds them all.
+func (rt *Runtime) checkDeps(node *taskNode, bankOf []int32) int {
 	dc := 0
+	acc, _ := node.slots()
 	for i, d := range node.task.Deps {
-		b := &rt.banks[node.bankOf[i]]
+		b := &rt.banks[bankOf[i]]
 		seg := b.segs[d.Key]
 		wantsWrite := d.Mode != ModeIn
 		if seg == nil {
-			seg = b.takeSeg(d.Key)
+			seg = b.takeSeg(d.Key, bankOf[i])
 			if wantsWrite {
 				seg.isOut = true
 			} else {
 				seg.rdrs = 1
 			}
+			acc[i].seg = seg
 			continue
 		}
+		acc[i].seg = seg
 		// A still-live poisoned segment taints every task that joins it —
 		// reader or writer, queued or not — until the key drains and the
 		// segment is deleted. Without this a reader sharing the segment
@@ -948,27 +1033,23 @@ func (rt *Runtime) checkDeps(node *taskNode) int {
 		if seg.poison != nil {
 			node.poison.CompareAndSwap(nil, &taskFailure{err: seg.poison})
 		}
-		if !wantsWrite {
-			if !seg.isOut && !seg.ww {
-				seg.rdrs++
-			} else {
-				seg.ko = append(seg.ko, segWaiter{node: node})
-				dc++
-				rt.noteQueueDepth(b, len(seg.ko))
-			}
+		if !wantsWrite && !seg.isOut && !seg.ww {
+			seg.rdrs++
 			continue
 		}
-		seg.ko = append(seg.ko, segWaiter{node: node, wantsWrite: true})
+		seg.enqueue(node, int32(i))
 		dc++
-		rt.noteQueueDepth(b, len(seg.ko))
-		if !seg.isOut {
+		rt.noteQueueDepth(b, seg.waiting)
+		if wantsWrite && !seg.isOut {
 			seg.ww = true
 		}
 	}
 	// The count must be published before the banks are released: a
 	// finisher may pop this node from a kick-off list the moment the
-	// bank unlocks.
-	node.dc.Store(int32(dc))
+	// bank unlocks. (A free task keeps the zero it was made with.)
+	if dc > 0 {
+		node.dc.Store(int32(dc))
+	}
 	return dc
 }
 
@@ -988,23 +1069,24 @@ func (node *taskNode) rootCause() error {
 
 // resolveFinished runs the Handle Finished path (SSIII-B) for one task:
 // releases its segments, pops kick-off lists and dispatches any task whose
-// dependence count reaches zero. A failed (or skipped) finisher poisons the
-// segments it releases, so every waiter popped behind it — now or by a
-// later finisher — is skipped as a transitive dependent while the kick-off
-// lists drain normally. worker is the finishing worker's index, for the
-// event stream.
+// dependence count reaches zero. It starts from the task and follows the
+// segment pointers Check Deps left in its access slots: no key is hashed or
+// looked up here. A failed (or skipped) finisher poisons the segments it
+// releases, so every waiter popped behind it — now or by a later finisher —
+// is skipped as a transitive dependent while the kick-off lists drain
+// normally. worker is the finishing worker's index, for the event stream.
 func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 	root := node.rootCause()
 	// Most finishers release at most a few waiters; keep them off the heap.
 	var buf [8]*taskNode
 	released := buf[:0]
-	rt.lockBanks(node.banks)
+	acc, _ := node.slots()
+	var orderBuf [inlineDeps]int32
+	order := node.lockOrder(acc, orderBuf[:0])
+	rt.lockBanks(order)
 	for i, d := range node.task.Deps {
-		b := &rt.banks[node.bankOf[i]]
-		seg := b.segs[d.Key]
-		if seg == nil {
-			panic(fmt.Sprintf("starss: finished task %q references unknown key %v", node.handle.Name(), d.Key))
-		}
+		seg := acc[i].seg
+		b := &rt.banks[seg.bank]
 		if root != nil && seg.poison == nil {
 			seg.poison = root
 		}
@@ -1014,7 +1096,7 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 				continue
 			}
 			if !seg.ww {
-				b.dropSeg(d.Key, seg)
+				b.dropSeg(d.Key, seg, rt.segFree)
 				continue
 			}
 			seg.isOut = true
@@ -1023,24 +1105,24 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 			continue
 		}
 		seg.isOut = false
-		if len(seg.ko) == 0 {
-			b.dropSeg(d.Key, seg)
+		if seg.head == nil {
+			b.dropSeg(d.Key, seg, rt.segFree)
 			continue
 		}
-		if seg.ko[0].wantsWrite {
+		if seg.headWrites() {
 			seg.isOut = true
 			released = seg.pop(released)
 			continue
 		}
-		for len(seg.ko) > 0 && !seg.ko[0].wantsWrite {
+		for seg.head != nil && !seg.headWrites() {
 			seg.rdrs++
 			released = seg.pop(released)
 		}
-		if len(seg.ko) > 0 {
+		if seg.head != nil {
 			seg.ww = true
 		}
 	}
-	rt.unlockBanks(node.banks)
+	rt.unlockBanks(order)
 	for _, n := range released {
 		rt.emit(worker, obs.KindReady, n, worker)
 		rt.dispatch(n)

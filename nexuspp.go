@@ -169,8 +169,8 @@ func FromSpecs(name string, specs []TaskSpec) Source {
 // scheduled by the Nexus++ dependency-resolution algorithm. Its dependency
 // table is sharded into lock-striped banks (the software analogue of the
 // Nexus++ Dependence Table banks) so independent keys resolve concurrently;
-// SubmitAll admits a batch of tasks under one bank acquisition. Every
-// submission returns a *Handle (the software analogue of the paper's
+// SubmitAll admits a batch of tasks under one window reservation per chunk,
+// holding each task's banks for that task only. Every submission returns a *Handle (the software analogue of the paper's
 // hardware task IDs) carrying the task's completion channel and error; a
 // failed, panicking or cancelled task poisons its transitive dependents,
 // which are skipped with an error wrapping ErrDependencyFailed.

@@ -172,7 +172,7 @@ func ExampleHandle() {
 }
 
 // ExampleRuntime_SubmitAll admits a whole batch of independent tasks under
-// one bank acquisition and waits for the results.
+// one window reservation and waits for the results.
 func ExampleRuntime_SubmitAll() {
 	rt := nexuspp.NewRuntime(nexuspp.RuntimeConfig{Workers: 4})
 	squares := make([]int, 5)
