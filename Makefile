@@ -22,9 +22,12 @@ race:
 # a finishing task and its submitter — poisoning, panics, the window, scope
 # accounting, the prefetch stage, the maestro funnel's shutdown and fence,
 # the kick-off lists threaded through waiting tasks — twenty times under the
-# race detector.
+# race detector. The second line does the same for the service's admission:
+# a submit is refused or admitted by a tryAcquire on two windows (the shared
+# one, then the session's) racing the finishers' releases.
 flake:
 	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains|Maestro|Close|WaitOn|Kickoff' ./internal/starss/
+	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled' ./internal/service/
 
 # fuzz gives each of the service's wire fuzz targets twenty seconds: the
 # hand-written codec against encoding/json, round trips, and the real

@@ -7,20 +7,22 @@
 //
 //	nexusd [-addr host:port] [-workers N] [-shards N] [-window N]
 //	       [-session-window N] [-session-ttl D] [-max-sessions N]
-//	       [-shed-ratio R] [-faults spec] [-fault-seed N]
+//	       [-faults spec] [-fault-seed N]
 //
-// -shed-ratio sets the global window occupancy fraction past which submits
-// are shed with 503 + Retry-After (default 0.9; negative disables).
-// -faults arms deterministic, seeded server-side fault injection for chaos
-// drills (e.g. -faults server_delay:0.01:5ms,server_drop:every=100); off by
-// default and zero-cost when disabled.
+// -window is the Task Pool every session shares and -session-window each
+// session's share of it; a submit that does not fit its session's share
+// gets 429 + Retry-After, one that does not fit the pool 503 + Retry-After,
+// and neither ever waits. -faults arms deterministic, seeded server-side
+// fault injection for chaos drills (e.g. -faults
+// server_delay:0.01:5ms,server_drop:every=100); off by default and
+// zero-cost when disabled.
 //
 // API (JSON everywhere; see internal/service for the wire types):
 //
 //	POST   /v1/sessions               create a session (isolated keyspace,
 //	                                  own window, own stats)
-//	POST   /v1/sessions/{id}/submit   submit a batch of task specs; 429 +
-//	                                  Retry-After when the window is full
+//	POST   /v1/sessions/{id}/submit   submit a batch of task specs; 429 or
+//	                                  503 + Retry-After when a window is full
 //	POST   /v1/sessions/{id}/await    wait for task completion
 //	GET    /v1/sessions/{id}/stats    per-session counters
 //	DELETE /v1/sessions/{id}          graceful drain
@@ -84,7 +86,6 @@ func run() int {
 		sessionWindow = flag.Int("session-window", 256, "per-session in-flight window (backpressure threshold)")
 		sessionTTL    = flag.Duration("session-ttl", 2*time.Minute, "idle time before a session is drained")
 		maxSessions   = flag.Int("max-sessions", 256, "maximum live sessions")
-		shedRatio     = flag.Float64("shed-ratio", 0, "window occupancy fraction past which submits shed with 503 (0 = default 0.9, negative disables)")
 		faultSpec     = flag.String("faults", "", "server-side fault injection spec, e.g. server_delay:0.01:5ms (empty = disabled)")
 		faultSeed     = flag.Uint64("fault-seed", 1, "seed for the -faults schedule")
 	)
@@ -115,7 +116,6 @@ func run() int {
 		SessionWindow: *sessionWindow,
 		SessionTTL:    *sessionTTL,
 		MaxSessions:   *maxSessions,
-		ShedRatio:     *shedRatio,
 		Faults:        injector,
 	})
 	ln, err := net.Listen("tcp", *addr)

@@ -245,7 +245,7 @@ func newChaosServer(cfg service.Config) (*service.Server, *httptest.Server, *ser
 // exactly once.
 func runDupSubmit(ctx context.Context, seed uint64) (*Report, error) {
 	const n = 20
-	srv, hs, client := newChaosServer(service.Config{Workers: 4, ShedRatio: -1})
+	srv, hs, client := newChaosServer(service.Config{Workers: 4})
 	defer func() { _ = srv.Close() }() // infrastructure-only; scenario invariants are checked explicitly
 	defer hs.Close()
 	sess, err := client.Open(ctx)
@@ -299,7 +299,7 @@ func runDupSubmit(ctx context.Context, seed uint64) (*Report, error) {
 // SubmitWait's idempotent retry keeps each logical batch exactly-once.
 func runDroppedResponse(ctx context.Context, seed uint64) (*Report, error) {
 	const n = 12
-	srv, hs, client := newChaosServer(service.Config{Workers: 4, ShedRatio: -1})
+	srv, hs, client := newChaosServer(service.Config{Workers: 4})
 	defer func() { _ = srv.Close() }() // infrastructure-only; scenario invariants are checked explicitly
 	defer hs.Close()
 	sess, err := client.Open(ctx)
@@ -355,7 +355,7 @@ func runSessionExpiry(ctx context.Context, seed uint64) (*Report, error) {
 	const depth = 20
 	// TTL of 1ns makes any reap pass treat the session as idle, forcing
 	// the janitor race deterministically mid-graph.
-	srv, hs, client := newChaosServer(service.Config{Workers: 4, SessionTTL: time.Nanosecond, ShedRatio: -1})
+	srv, hs, client := newChaosServer(service.Config{Workers: 4, SessionTTL: time.Nanosecond})
 	defer func() { _ = srv.Close() }() // infrastructure-only; scenario invariants are checked explicitly
 	defer hs.Close()
 	sess, err := client.Open(ctx)
@@ -428,7 +428,7 @@ func runSessionExpiry(ctx context.Context, seed uint64) (*Report, error) {
 // recovers: everything it admitted still executes.
 func runOverloadShed(ctx context.Context, seed uint64) (*Report, error) {
 	srv, hs, client := newChaosServer(service.Config{
-		Workers: 2, Window: 8, SessionWindow: 64, ShedRatio: 0.5,
+		Workers: 2, Window: 8, SessionWindow: 64,
 	})
 	defer func() { _ = srv.Close() }() // infrastructure-only; scenario invariants are checked explicitly
 	defer hs.Close()

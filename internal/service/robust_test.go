@@ -10,9 +10,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -175,12 +177,11 @@ func TestServiceSessionDeadline(t *testing.T) {
 	}
 }
 
-// TestServiceOverloadShed drives the global window past the shed threshold
-// and checks submits are refused with 503 + Retry-After instead of being
-// allowed to saturate the window.
+// TestServiceOverloadShed fills the global window and checks further submits
+// are refused with 503 + Retry-After instead of queueing behind it.
 func TestServiceOverloadShed(t *testing.T) {
 	d := startDaemon(t, service.Config{
-		Workers: 2, Window: 8, SessionWindow: 64, ShedRatio: 0.5, // sheds at 4 in flight
+		Workers: 2, Window: 8, SessionWindow: 64, // sheds once 8 are in flight
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -219,7 +220,7 @@ func TestServiceOverloadShed(t *testing.T) {
 		}
 	}
 	if shed == 0 {
-		t.Fatal("24 submits of 100ms tasks against shedAt=4 never shed")
+		t.Fatal("24 submits of 100ms tasks against an 8-slot window never shed")
 	}
 	if _, err := s.Await(ctx, nil); err != nil {
 		t.Fatal(err)
@@ -230,6 +231,123 @@ func TestServiceOverloadShed(t *testing.T) {
 	}
 	if int(st.Executed)+shed != 24 || st.Failed != 0 {
 		t.Errorf("executed=%d shed=%d failed=%d: admitted work must all execute", st.Executed, shed, st.Failed)
+	}
+}
+
+// TestServiceSubmitNeverBlocks pins the submit handler's promise for an
+// explicitly small -window: with the shared window full of long bodies,
+// every further submit — single tasks, a batch that fits the window but not
+// right now, a batch that never could — is answered in a fraction of one
+// body time with 200, 429, 503 + Retry-After or 400, never parked until a
+// slot frees. What was admitted executes, and the shed counter is exactly
+// the 503s clients saw.
+func TestServiceSubmitNeverBlocks(t *testing.T) {
+	const (
+		window = 8
+		bodyUS = 250_000
+		prompt = bodyUS * time.Microsecond / 2
+	)
+	d := startDaemon(t, service.Config{Workers: 2, Window: window, SessionWindow: 64})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	a, err := d.client.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Window != window {
+		t.Fatalf("session window = %d, want it clamped to the shared window of %d", a.Window, window)
+	}
+	b, err := d.client.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	next := uint64(0x100)
+	admitted, shed := 0, 0
+	// post submits n independent long tasks raw, so the status, the
+	// Retry-After header and the time to answer are all observable.
+	post := func(sess *service.Session, n int) int {
+		t.Helper()
+		specs := make([]service.TaskSpec, n)
+		for i := range specs {
+			specs[i] = specOn(next, "inout", bodyUS)
+			next++
+		}
+		body, _ := json.Marshal(service.SubmitRequest{Tasks: specs})
+		start := time.Now()
+		resp, err := http.Post(d.http.URL+"/v1/sessions/"+sess.ID+"/submit", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		if took := time.Since(start); took > prompt {
+			t.Errorf("submit of %d answered %d after %v: the handler waited (one body is %v)",
+				n, resp.StatusCode, took, 2*prompt)
+		}
+		switch resp.StatusCode {
+		case http.StatusOK:
+			admitted += n
+		case http.StatusServiceUnavailable:
+			shed++
+			fallthrough
+		case http.StatusTooManyRequests:
+			if resp.Header.Get("Retry-After") == "" {
+				t.Errorf("%d without a Retry-After header", resp.StatusCode)
+			}
+		case http.StatusBadRequest:
+		default:
+			t.Fatalf("submit of %d: unexpected status %d", n, resp.StatusCode)
+		}
+		return resp.StatusCode
+	}
+
+	if got := post(a, window-2); got != http.StatusOK {
+		t.Fatalf("%d tasks into an empty window = %d, want 200", window-2, got)
+	}
+	if got := post(a, window); got != http.StatusServiceUnavailable {
+		t.Errorf("batch of %d beside a busy window = %d, want 503", window, got)
+	}
+	if got := post(a, 2); got != http.StatusOK {
+		t.Fatalf("filling the window = %d, want 200", got)
+	}
+	for i := 0; i < 16; i++ {
+		post(a, 1)
+	}
+	if got := post(a, 32); got != http.StatusBadRequest {
+		t.Errorf("batch of 32 on a window of %d = %d, want 400: it can never be admitted", window, got)
+	}
+	// The window is shared: a session with nothing in flight is shed too.
+	post(b, 1)
+	if shed == 0 {
+		t.Error("nothing was shed with the window full")
+	}
+
+	for _, sess := range []*service.Session{a, b} {
+		if _, err := sess.Await(ctx, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	executed := 0
+	for _, sess := range []*service.Session{a, b} {
+		st, err := sess.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Failed != 0 || st.Skipped != 0 || st.InFlight != 0 || st.MaxInFlight > window {
+			t.Errorf("session stats after the drain = %+v", st)
+		}
+		executed += int(st.Executed)
+	}
+	if executed != admitted {
+		t.Errorf("executed %d of %d admitted tasks", executed, admitted)
+	}
+	metrics, err := d.client.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\nnexuspp_submits_shed_total %d\n", shed); !strings.Contains(metrics, want) {
+		t.Errorf("/metrics does not report the %d sheds seen:\n%s", shed, metrics)
 	}
 }
 

@@ -33,12 +33,14 @@ type Config struct {
 	// selects the runtime default. Depth 1 disables prefetching, trading
 	// dispatch overlap for strict readiness ordering.
 	BufferingDepth int
-	// Window is the shared runtime's global in-flight window. 0 derives it
-	// from MaxSessions*SessionWindow (capped at 262144), so per-session
-	// admission control fills before the global window can block a submit.
+	// Window is the shared runtime's in-flight window, the Task Pool every
+	// session draws from: a batch that does not fit it right now is shed
+	// with 503 + Retry-After, never queued. 0 derives it from
+	// MaxSessions*SessionWindow (capped at 262144): room for every share.
 	Window int
-	// SessionWindow is each session's admission window: the maximum number
-	// of in-flight tasks before submits get 429. 0 selects 256.
+	// SessionWindow is each session's share of Window: the maximum number
+	// of its tasks in flight before its submits get 429. 0 selects 256; it
+	// is clamped to Window, so no admissible batch exceeds the shared one.
 	SessionWindow int
 	// SessionTTL is the idle time after which a session is reaped and
 	// drained (the vanished-client path). 0 selects 2 minutes.
@@ -46,11 +48,6 @@ type Config struct {
 	// MaxSessions bounds the number of live sessions; creation beyond it
 	// gets 503. 0 selects 256.
 	MaxSessions int
-	// ShedRatio is the global window occupancy fraction beyond which the
-	// server sheds new submits with 503 + Retry-After instead of letting
-	// them run the window to saturation. 0 selects 0.9; negative disables
-	// shedding (submits then only see per-session 429 backpressure).
-	ShedRatio float64
 	// Faults, when non-nil, injects server-side wire faults (delays,
 	// dropped connections) around every request; nil — the default — adds
 	// no wrapper and no per-request cost.
@@ -73,9 +70,7 @@ func (c Config) withDefaults() Config {
 			c.Window = 1 << 18
 		}
 	}
-	if c.ShedRatio == 0 {
-		c.ShedRatio = 0.9
-	}
+	c.SessionWindow = min(c.SessionWindow, c.Window)
 	return c
 }
 
@@ -91,11 +86,9 @@ type Server struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 
-	// shed counts submits rejected by the overload-shed check, exported
-	// through /metrics.
+	// shed counts submits refused because the shared window had no room
+	// for them (errShed), exported through /metrics.
 	shed atomic.Uint64
-	// shedAt is the precomputed occupancy threshold; <0 disables shedding.
-	shedAt int
 
 	janitorStop chan struct{}
 	janitorWG   sync.WaitGroup
@@ -120,14 +113,6 @@ func New(cfg Config) *Server {
 		start:       time.Now(),
 		sessions:    make(map[string]*session),
 		janitorStop: make(chan struct{}),
-	}
-	if cfg.ShedRatio < 0 {
-		s.shedAt = -1
-	} else {
-		s.shedAt = int(cfg.ShedRatio * float64(cfg.Window))
-		if s.shedAt < 1 {
-			s.shedAt = 1
-		}
 	}
 	s.routes()
 	s.janitorWG.Add(1)
@@ -378,7 +363,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	id := newSessionID()
 	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
-	ss := newSession(context.Background(), id, s.rt.Scope(id), s.cfg.SessionWindow, deadline)
+	ss := newSession(context.Background(), id, s.rt.BoundedScope(id, s.cfg.SessionWindow), s.cfg.SessionWindow, deadline)
 	s.sessions[id] = ss
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, SessionInfo{Session: id, Window: ss.window, DeadlineMS: req.DeadlineMS})
@@ -397,18 +382,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, ss *session
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, ss *session) {
-	// Overload shed: reject before decoding once the shared window runs
-	// close to saturation, so the server degrades with an explicit 503 +
-	// Retry-After instead of queueing submits into a saturated window.
-	if s.shedAt >= 0 && s.rt.InFlight() >= s.shedAt {
-		s.shed.Add(1)
-		writeError(w, &httpError{
-			code:       http.StatusServiceUnavailable,
-			msg:        fmt.Sprintf("server overloaded: %d of %d window slots in flight", s.rt.InFlight(), s.rt.WindowSize()),
-			retryAfter: ShedRetryAfterS,
-		})
-		return
-	}
 	body, herr := readBody(w, r, "submit")
 	if herr != nil {
 		writeError(w, herr)
@@ -424,6 +397,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, ss *sessio
 	}
 	resp, herr := ss.submit(sc.req.Tasks, sc.req.IdempotencyKey)
 	if herr != nil {
+		if herr == errShed {
+			s.shed.Add(1)
+		}
 		writeError(w, herr)
 		return
 	}
@@ -490,66 +466,58 @@ func (sc *awaitScratch) release() {
 	awaitPool.Put(sc)
 }
 
-func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
-	st := s.rt.Stats()
+// sessionStats snapshots every live session.
+func (s *Server) sessionStats() []SessionStats {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	per := make([]SessionStats, 0, len(s.sessions))
 	for _, ss := range s.sessions {
 		per = append(per, ss.stats())
 	}
-	s.mu.Unlock()
+	return per
+}
+
+func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
+	per := s.sessionStats()
 	writeJSON(w, http.StatusOK, DebugInfo{
 		UptimeS:    time.Since(s.start).Seconds(),
 		Goroutines: runtime.NumGoroutine(),
 		Sessions:   len(per),
 		Runtime: RuntimeDebug{
-			Submitted:        st.Submitted,
-			Executed:         st.Executed,
-			Failed:           st.Failed,
-			Skipped:          st.Skipped,
-			Retried:          st.Retried,
-			Hazards:          st.Hazards,
-			InFlight:         s.rt.InFlight(),
-			QueueDepth:       s.rt.QueueDepth(),
-			Window:           s.rt.WindowSize(),
-			BankAcquisitions: st.BankAcquisitions,
-			BankContended:    st.BankContended,
-			BankMaxQueue:     st.BankMaxQueue,
+			Stats:      s.rt.Stats(),
+			InFlight:   s.rt.InFlight(),
+			QueueDepth: s.rt.QueueDepth(),
+			Window:     s.rt.WindowSize(),
 		},
 		PerSession: per,
 	})
+}
+
+// outcomeSamples appends one tally's completed-task counters to dst as
+// outcome-labelled samples, each followed by labels.
+func outcomeSamples(dst []obs.Sample, c starss.TaskCounts, labels ...obs.Label) []obs.Sample {
+	for _, o := range []struct {
+		outcome string
+		v       uint64
+	}{{"executed", c.Executed}, {"failed", c.Failed}, {"skipped", c.Skipped}} {
+		dst = append(dst, obs.Sample{
+			Labels: append([]obs.Label{{Name: "outcome", Value: o.outcome}}, labels...),
+			Value:  float64(o.v),
+		})
+	}
+	return dst
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
 // format: the runtime counters /debug reports (window occupancy, queue
 // depth, bank contention) plus per-session task outcomes.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.rt.Stats()
-	s.mu.Lock()
-	per := make([]SessionStats, 0, len(s.sessions))
-	for _, ss := range s.sessions {
-		per = append(per, ss.stats())
-	}
-	s.mu.Unlock()
-
-	taskSamples := []obs.Sample{
-		{Labels: []obs.Label{{Name: "outcome", Value: "executed"}}, Value: float64(st.Executed)},
-		{Labels: []obs.Label{{Name: "outcome", Value: "failed"}}, Value: float64(st.Failed)},
-		{Labels: []obs.Label{{Name: "outcome", Value: "skipped"}}, Value: float64(st.Skipped)},
-	}
+	st, per := s.rt.Stats(), s.sessionStats()
 	var sessionTasks, sessionInFlight []obs.Sample
 	for _, ss := range per {
-		sl := []obs.Label{{Name: "session", Value: ss.Session}}
-		for _, o := range []struct {
-			outcome string
-			v       uint64
-		}{{"executed", ss.Executed}, {"failed", ss.Failed}, {"skipped", ss.Skipped}} {
-			sessionTasks = append(sessionTasks, obs.Sample{
-				Labels: append([]obs.Label{{Name: "outcome", Value: o.outcome}}, sl...),
-				Value:  float64(o.v),
-			})
-		}
-		sessionInFlight = append(sessionInFlight, obs.Sample{Labels: sl, Value: float64(ss.InFlight)})
+		sl := obs.Label{Name: "session", Value: ss.Session}
+		sessionTasks = outcomeSamples(sessionTasks, ss.TaskCounts, sl)
+		sessionInFlight = append(sessionInFlight, obs.Sample{Labels: []obs.Label{sl}, Value: float64(ss.InFlight)})
 	}
 
 	families := []obs.Metric{
@@ -562,12 +530,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{Name: "nexuspp_tasks_submitted_total", Help: "Tasks admitted into the shared runtime.", Type: "counter",
 			Samples: []obs.Sample{{Value: float64(st.Submitted)}}},
 		{Name: "nexuspp_tasks_total", Help: "Completed tasks by outcome.", Type: "counter",
-			Samples: taskSamples},
+			Samples: outcomeSamples(nil, st.TaskCounts)},
 		{Name: "nexuspp_hazards_total", Help: "Tasks that waited on at least one dependence.", Type: "counter",
 			Samples: []obs.Sample{{Value: float64(st.Hazards)}}},
 		{Name: "nexuspp_tasks_retried_total", Help: "Task attempts re-armed under a retry policy.", Type: "counter",
 			Samples: []obs.Sample{{Value: float64(st.Retried)}}},
-		{Name: "nexuspp_submits_shed_total", Help: "Submits rejected by the overload shed (503 + Retry-After).", Type: "counter",
+		{Name: "nexuspp_submits_shed_total", Help: "Submits shed because the shared window had no room (503 + Retry-After).", Type: "counter",
 			Samples: []obs.Sample{{Value: float64(s.shed.Load())}}},
 		{Name: "nexuspp_bank_acquisitions_total", Help: "Dependence-bank lock acquisitions.", Type: "counter",
 			Samples: []obs.Sample{{Value: float64(st.BankAcquisitions)}}},

@@ -26,24 +26,20 @@ var (
 	ErrSessionDeadline = errors.New("service: session deadline exceeded")
 )
 
-// session is one client's isolated slice of the shared runtime: a
-// starss.Scope for keyspace isolation and per-session stats, an admission
-// window enforced with tokens (never by blocking the HTTP handler), and
-// the handles of every task it has submitted, indexed by session-local ID
-// for await.
+// session is one client's isolated slice of the shared runtime: a bounded
+// starss.Scope — keyspace isolation, the session's admission window (which
+// refuses, never blocks the HTTP handler) and its counters — and the handles
+// of every task it has submitted, indexed by session-local ID for await.
 type session struct {
 	id    string
 	scope *starss.Scope
 	// ctx is the context every task is submitted with; cancel drains the
 	// session: unstarted tasks fail, dependents poison, kick-off lists
-	// drain, and the window tokens flow back through the scope's hook.
+	// drain, and the scope's window empties as they finish.
 	ctx    context.Context
 	cancel context.CancelCauseFunc
-	window int
-	// avail is the session's remaining admission tokens. Submits reserve
-	// tokens up front and get backpressure when too few remain; tokens
-	// return on task completion.
-	avail      atomic.Int64
+	// window is the scope's limit, kept for reporting.
+	window     int
 	lastActive atomic.Int64 // unix nanoseconds
 	closed     atomic.Bool
 
@@ -94,41 +90,15 @@ func newSession(parent context.Context, id string, scope *starss.Scope, window i
 		window: window,
 		idem:   make(map[string]*idemEntry),
 	}
-	ss.avail.Store(int64(window))
 	ss.touch()
-	// The scope hook returns the admission token of every completed task
-	// and counts as activity, so a session with live work never expires.
-	scope.SetOnDone(func(error) {
-		ss.avail.Add(1)
-		ss.touch()
-	})
+	// Completions count as activity: a session with live work never expires.
+	scope.SetOnDone(func(error) { ss.touch() })
 	return ss
 }
 
 func (ss *session) touch() { ss.lastActive.Store(time.Now().UnixNano()) }
 func (ss *session) idleFor() time.Duration {
 	return time.Duration(time.Now().UnixNano() - ss.lastActive.Load())
-}
-
-// reserve takes n admission tokens, or reports how many are in flight when
-// the window has too few left (the backpressure signal).
-func (ss *session) reserve(n int64) (ok bool, inFlight int64) {
-	for {
-		cur := ss.avail.Load()
-		if cur < n {
-			return false, int64(ss.window) - cur
-		}
-		if ss.avail.CompareAndSwap(cur, cur-n) {
-			return true, 0
-		}
-	}
-}
-
-// release returns tokens reserved for tasks that were never admitted.
-func (ss *session) release(n int64) {
-	if n > 0 {
-		ss.avail.Add(n)
-	}
 }
 
 // submit admits a batch, deduplicating on the idempotency key when one is
@@ -199,7 +169,8 @@ func (ss *session) evictIdemLocked() {
 
 // submitOnce is the non-deduplicating admission path: it returns the
 // assigned session-local IDs or an httpError (429 with Retry-After on a
-// full window; the submit path never blocks the caller on admission).
+// full session window, 503 on a full shared one; the submit path never
+// blocks the caller on admission).
 func (ss *session) submitOnce(specs []TaskSpec) (*SubmitResponse, *httpError) {
 	ss.touch()
 	n := len(specs)
@@ -211,7 +182,7 @@ func (ss *session) submitOnce(specs []TaskSpec) (*SubmitResponse, *httpError) {
 			"submit: batch of %d exceeds the session window of %d and can never be admitted; split the batch", n, ss.window))
 	}
 	// The runtime copies each Task into its node, so the slice the batch is
-	// built in is free again once SubmitAllInPlace returns; cleared, so the
+	// built in is free again once TrySubmitAll returns; cleared, so the
 	// pool pins neither names nor Deps slabs.
 	buf := taskSlices.Get().(*[]starss.Task)
 	defer func() {
@@ -222,17 +193,8 @@ func (ss *session) submitOnce(specs []TaskSpec) (*SubmitResponse, *httpError) {
 	if *buf, err = buildTasks((*buf)[:0], specs); err != nil {
 		return nil, badRequest("submit: " + err.Error())
 	}
-	tasks := *buf
-	if ok, inFlight := ss.reserve(int64(n)); !ok {
-		return nil, &httpError{
-			code:       429,
-			msg:        fmt.Sprintf("session window full: %d of %d tasks in flight, batch of %d rejected", inFlight, ss.window, n),
-			retryAfter: 1,
-		}
-	}
-	handles, err := ss.scope.SubmitAllInPlace(ss.ctx, tasks)
-	ss.release(int64(n - len(handles))) // tokens of tasks never admitted
-	if len(handles) == 0 && err != nil {
+	handles, err := ss.scope.TrySubmitAll(ss.ctx, *buf)
+	if err != nil {
 		return nil, submitError(err)
 	}
 	// The response outlives the request (an idempotency entry keeps it), so
@@ -251,9 +213,20 @@ func (ss *session) submitOnce(specs []TaskSpec) (*SubmitResponse, *httpError) {
 // taskSlices pools the []starss.Task a batch is built in.
 var taskSlices = sync.Pool{New: func() any { return new([]starss.Task) }}
 
+// The refusals of a full window are shared values: a refused submit
+// allocates nothing. errShed is the overload shed the submit handler counts.
+var (
+	errSessionFull = &httpError{code: 429, msg: "session window full: the batch does not fit beside the session's in-flight tasks", retryAfter: 1}
+	errShed        = &httpError{code: 503, msg: "server overloaded: the batch does not fit the shared in-flight window", retryAfter: 1}
+)
+
 // submitError maps a runtime admission error onto an HTTP status.
 func submitError(err error) *httpError {
 	switch {
+	case errors.Is(err, starss.ErrScopeFull):
+		return errSessionFull
+	case errors.Is(err, starss.ErrWindowFull):
+		return errShed
 	case errors.Is(err, starss.ErrStopped):
 		return &httpError{code: 503, msg: "runtime is shutting down"}
 	case errors.Is(err, ErrSessionDeadline), errors.Is(err, context.DeadlineExceeded):
@@ -304,19 +277,13 @@ func (ss *session) await(ctx context.Context, sc *awaitScratch) *httpError {
 		if len(ids) > 0 {
 			st.ID = ids[i]
 		}
-		select {
-		case <-h.Done():
-			err := h.Err()
-			switch {
-			case err == nil:
-				st.State = StateOK
-			case errors.Is(err, starss.ErrDependencyFailed):
-				st.State = StateSkipped
-				st.Error = err.Error()
-			default:
-				st.State = StateFailed
-				st.Error = err.Error()
-			}
+		switch h.Outcome() {
+		case starss.Executed:
+			st.State = StateOK
+		case starss.Failed:
+			st.State, st.Error = StateFailed, h.Err().Error()
+		case starss.Skipped:
+			st.State, st.Error = StateSkipped, h.Err().Error()
 		default:
 			st.State = StatePending
 			sc.resp.Done = false
@@ -334,10 +301,7 @@ func (ss *session) stats() SessionStats {
 		Session:     ss.id,
 		Window:      ss.window,
 		InFlight:    ss.scope.InFlight(),
-		Submitted:   st.Submitted,
-		Executed:    st.Executed,
-		Failed:      st.Failed,
-		Skipped:     st.Skipped,
+		TaskCounts:  st.TaskCounts,
 		MaxInFlight: st.MaxInFlight,
 	}
 }

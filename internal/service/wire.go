@@ -22,7 +22,7 @@
 // reaches the same code through their MarshalJSON/UnmarshalJSON. The cold
 // messages (session creation, stats, /debug, errors) stay on encoding/json.
 // A submitted batch then becomes runtime tasks in one pass (buildTasks) and
-// is namespaced in place (starss.Scope.SubmitAllInPlace). DESIGN.md, "What
+// is namespaced in place (starss.Scope.TrySubmitAll). DESIGN.md, "What
 // one submitted task costs", has the numbers and the lifetime rules.
 package service
 
@@ -211,36 +211,22 @@ type SessionInfo struct {
 
 // SessionStats is the response to GET /v1/sessions/{id}/stats.
 type SessionStats struct {
-	Session     string `json:"session"`
-	Window      int    `json:"window"`
-	InFlight    int64  `json:"in_flight"`
-	Submitted   uint64 `json:"submitted"`
-	Executed    uint64 `json:"executed"`
-	Failed      uint64 `json:"failed"`
-	Skipped     uint64 `json:"skipped"`
-	MaxInFlight int    `json:"max_in_flight"`
+	Session  string `json:"session"`
+	Window   int    `json:"window"`
+	InFlight int64  `json:"in_flight"`
+	starss.TaskCounts
+	MaxInFlight int `json:"max_in_flight"`
 }
 
-// ShedRetryAfterS is the Retry-After hint (seconds) carried by a 503
-// overload-shed response.
-const ShedRetryAfterS = 1
-
-// RuntimeDebug is the shared runtime's slice of the /debug report. The
-// bank_* fields are the dependence-bank lock counters (the service enables
-// starss.Config.BankCounters), also exported through GET /metrics.
+// RuntimeDebug is the shared runtime's slice of the /debug report: its
+// Stats — the bank_* fields are the dependence-bank lock counters (the
+// service enables starss.Config.BankCounters), also exported through GET
+// /metrics — and the live window and queue gauges.
 type RuntimeDebug struct {
-	Submitted        uint64 `json:"submitted"`
-	Executed         uint64 `json:"executed"`
-	Failed           uint64 `json:"failed"`
-	Skipped          uint64 `json:"skipped"`
-	Retried          uint64 `json:"retried"`
-	Hazards          uint64 `json:"hazards"`
-	InFlight         int    `json:"in_flight"`
-	QueueDepth       int    `json:"queue_depth"`
-	Window           int    `json:"window"`
-	BankAcquisitions uint64 `json:"bank_acquisitions"`
-	BankContended    uint64 `json:"bank_contended"`
-	BankMaxQueue     uint64 `json:"bank_max_queue"`
+	starss.Stats
+	InFlight   int `json:"in_flight"`
+	QueueDepth int `json:"queue_depth"`
+	Window     int `json:"window"`
 }
 
 // DebugInfo is the response to GET /debug: server-wide counters plus one

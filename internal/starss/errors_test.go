@@ -516,7 +516,7 @@ func TestSubmitAllHandles(t *testing.T) {
 
 // TestStatsString pins the report-path rendering of the new counters.
 func TestStatsString(t *testing.T) {
-	s := Stats{Submitted: 5, Executed: 2, Failed: 1, Skipped: 2, Hazards: 3, MaxInFlight: 4}
+	s := Stats{TaskCounts: TaskCounts{Submitted: 5, Executed: 2, Failed: 1, Skipped: 2}, Hazards: 3, MaxInFlight: 4}
 	got := s.String()
 	for _, want := range []string{"submitted=5", "executed=2", "failed=1", "skipped=2", "hazards=3", "max-in-flight=4"} {
 		if !strings.Contains(got, want) {

@@ -30,7 +30,7 @@ func TestHandleDoneBeforeAndAfterCompletion(t *testing.T) {
 	if again := early.Done(); again != ch {
 		t.Fatal("two Done calls on a pending handle returned different channels")
 	}
-	early.complete(errBoom)
+	early.complete(Failed, errBoom)
 	if !isClosed(ch) {
 		t.Fatal("Done channel requested before completion was not closed by it")
 	}
@@ -41,7 +41,7 @@ func TestHandleDoneBeforeAndAfterCompletion(t *testing.T) {
 	// First requested after completion: no channel was ever made, and the
 	// one returned is closed all the same.
 	late := &Handle{}
-	late.complete(nil)
+	late.complete(Executed, nil)
 	if !isClosed(late.Done()) {
 		t.Fatal("Done channel first requested after completion is open")
 	}
@@ -81,7 +81,7 @@ func TestHandleConcurrentDoneWaitComplete(t *testing.T) {
 				}
 			}(g)
 		}
-		h.complete(errBoom)
+		h.complete(Failed, errBoom)
 		wg.Wait()
 		if !isClosed(h.Done()) {
 			t.Fatalf("round %d: Done open after complete", round)

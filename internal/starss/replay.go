@@ -51,18 +51,16 @@ type ReplayResult struct {
 // MaxInFlight, BankMaxQueue is a high-water mark and cannot be attributed
 // to one replay, so the runtime's mark is reported as-is.
 func statsDelta(before, after Stats) Stats {
-	return Stats{
-		Submitted:        after.Submitted - before.Submitted,
-		Executed:         after.Executed - before.Executed,
-		Failed:           after.Failed - before.Failed,
-		Skipped:          after.Skipped - before.Skipped,
-		Retried:          after.Retried - before.Retried,
-		Hazards:          after.Hazards - before.Hazards,
-		MaxInFlight:      after.MaxInFlight,
-		BankAcquisitions: after.BankAcquisitions - before.BankAcquisitions,
-		BankContended:    after.BankContended - before.BankContended,
-		BankMaxQueue:     after.BankMaxQueue,
-	}
+	d := after
+	d.Submitted -= before.Submitted
+	d.Executed -= before.Executed
+	d.Failed -= before.Failed
+	d.Skipped -= before.Skipped
+	d.Retried -= before.Retried
+	d.Hazards -= before.Hazards
+	d.BankAcquisitions -= before.BankAcquisitions
+	d.BankContended -= before.BankContended
+	return d
 }
 
 // durationOf converts a simulated time into wall-clock time.

@@ -7,18 +7,21 @@ package starss
 // scopes using identical key names can never create cross-scope
 // dependencies: they hash to distinct dependence-table segments exactly as
 // two masters' address spaces occupy distinct table entries in hardware.
-// A scope also keeps its own Stats, classified from each task's final
-// error via the handle-completion hook, so a long-lived service can report
-// per-tenant counters while the shared runtime reports the aggregate. The
-// hook runs before the handle is published: once a task's handle reports
-// done, the scope's counters (and whatever SetOnDone's hook maintains)
+// A scope also has a window of the runtime's own type (window.go), its
+// share of the shared Task Pool — a scoped task holds one token of each
+// from admission to Handle Finished — and its own tally, fed the outcome
+// the runtime decided, so a long-lived service can bound and report each
+// tenant while the shared runtime reports the aggregate. Both are settled
+// before the handle is published: once a task's handle reports done, the
+// scope's window and counters (and whatever SetOnDone's hook maintains)
 // already include it.
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"slices"
-	"sync/atomic"
 )
 
 // ScopedKey is a user key namespaced by the scope that submitted it. It is
@@ -31,34 +34,32 @@ type ScopedKey struct {
 }
 
 // Scope is a named, isolated submission namespace over a shared Runtime.
-// Create one per tenant with Runtime.Scope. Methods are safe for
-// concurrent use; SetOnDone must be called before the first submission.
+// Create one per tenant with Runtime.Scope or BoundedScope. Methods are safe
+// for concurrent use; SetOnDone must be called before the first submission.
 type Scope struct {
 	rt   *Runtime
 	name string
-	// hook is s.record bound once, so attaching it to a task does not
-	// allocate a method value per submission.
-	hook func(err error)
 	// onDone, when set, observes every scoped task's completion after the
-	// scope's own counters are updated. The service layer uses it to
-	// release per-session admission tokens.
+	// scope's own accounting is settled.
 	onDone func(err error)
-
-	submitted   atomic.Uint64
-	executed    atomic.Uint64
-	failed      atomic.Uint64
-	skipped     atomic.Uint64
-	inFlight    atomic.Int64
-	maxInFlight atomic.Int64
+	// win is the scope's share of rt.win: used is its in-flight count, max
+	// that count's high-water mark.
+	win window
+	tally
 }
 
-// Scope returns a new submission namespace named name on the runtime. Two
-// scopes with different names are fully isolated even on identical user
-// keys; two Scope calls with the same name alias the same namespace (their
-// keys interact) but keep separate counters.
-func (rt *Runtime) Scope(name string) *Scope {
+// Scope returns a new submission namespace named name on the runtime, with
+// an unbounded share of the window. Two scopes with different names are
+// fully isolated even on identical user keys; two Scope calls with the same
+// name alias the same namespace (their keys interact) but keep separate
+// counters.
+func (rt *Runtime) Scope(name string) *Scope { return rt.BoundedScope(name, math.MaxInt) }
+
+// BoundedScope is Scope with at most limit of the scope's tasks in flight:
+// Submit and SubmitAll block while the scope is full, TrySubmitAll refuses.
+func (rt *Runtime) BoundedScope(name string, limit int) *Scope {
 	s := &Scope{rt: rt, name: name}
-	s.hook = s.record
+	s.win.limit = int64(limit)
 	return s
 }
 
@@ -66,24 +67,18 @@ func (rt *Runtime) Scope(name string) *Scope {
 func (s *Scope) Name() string { return s.name }
 
 // SetOnDone registers a hook invoked with every scoped task's final error
-// once the scope's counters are updated and before the task's handle
+// once the scope's accounting is settled and before the task's handle
 // reports done, so a caller woken by the handle sees the hook's effects.
 // It runs on the finishing worker and must not block. It must be called
 // before the scope's first submission and at most once.
 func (s *Scope) SetOnDone(fn func(err error)) { s.onDone = fn }
 
-// record classifies one completed task into the scope counters, mirroring
-// the runtime-wide executed/failed/skipped classification.
-func (s *Scope) record(err error) {
-	switch {
-	case err == nil:
-		s.executed.Add(1)
-	case errors.Is(err, ErrDependencyFailed):
-		s.skipped.Add(1)
-	default:
-		s.failed.Add(1)
-	}
-	s.inFlight.Add(-1)
+// taskDone settles the scope's side of one finished task, on the finishing
+// worker. Its token goes back before the runtime's own: the scope never
+// holds more of the shared window than the runtime has counted.
+func (s *Scope) taskDone(o Outcome, err error) {
+	s.record(o)
+	s.win.release(1)
 	if s.onDone != nil {
 		s.onDone(err)
 	}
@@ -93,39 +88,34 @@ func (s *Scope) record(err error) {
 func (s *Scope) key(k Key) Key { return ScopedKey{Scope: s.name, Key: k} }
 
 // adopt makes tasks the scope's own: every dependency key is namespaced
-// where it sits and the completion hook attached. The caller must own the
-// tasks and their Deps slices.
+// where it sits and the scope attached. The caller must own the tasks and
+// their Deps slices.
 func (s *Scope) adopt(tasks []Task) {
 	for i := range tasks {
 		t := &tasks[i]
 		for j := range t.Deps {
 			t.Deps[j].Key = s.key(t.Deps[j].Key)
 		}
-		t.onDone = s.hook
-	}
-}
-
-// noteMax folds the current in-flight count into the high-water mark.
-func (s *Scope) noteMax(n int64) {
-	for {
-		max := s.maxInFlight.Load()
-		if n <= max || s.maxInFlight.CompareAndSwap(max, n) {
-			return
-		}
+		t.scope = s
 	}
 }
 
 // Submit submits one task through the scope: keys are namespaced, and the
-// scope's counters track the task's lifecycle. Semantics otherwise match
-// Runtime.Submit. The caller's Deps slice is not mutated.
+// scope's window and counters track the task's lifecycle. Semantics
+// otherwise match Runtime.Submit. The caller's Deps slice is not mutated.
 func (s *Scope) Submit(ctx context.Context, t Task) (*Handle, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	one := [1]Task{t}
 	one[0].Deps = slices.Clone(t.Deps)
 	s.adopt(one[:])
-	s.noteMax(s.inFlight.Add(1))
+	if err := s.win.acquire(ctx, s.rt.stopped, 1); err != nil {
+		return nil, err
+	}
 	h, err := s.rt.Submit(ctx, one[0])
 	if err != nil {
-		s.inFlight.Add(-1)
+		s.win.release(1)
 		return nil, err
 	}
 	s.submitted.Add(1)
@@ -134,36 +124,72 @@ func (s *Scope) Submit(ctx context.Context, t Task) (*Handle, error) {
 
 // SubmitAll submits a batch through the scope with the same partial-prefix
 // contract as Runtime.SubmitAll: on error the returned handles cover the
-// admitted prefix, and the scope's counters cover exactly that prefix. The
+// admitted prefix, and the scope's window and counters cover exactly that
+// prefix. A batch larger than a bounded scope's limit is an error. The
 // caller's slices are not mutated: the batch is copied, its Deps into one
-// slab, and the copy handed to SubmitAllInPlace.
+// slab.
 func (s *Scope) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
-	total := 0
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	n, total := int64(len(tasks)), 0
+	if n > s.win.limit {
+		return nil, fmt.Errorf("starss: batch of %d exceeds the scope window of %d", n, s.win.limit)
+	}
 	for i := range tasks {
 		total += len(tasks[i].Deps)
 	}
 	owned, slab := slices.Clone(tasks), make([]Dep, total)
 	for i := range owned {
-		n := copy(slab, owned[i].Deps)
-		owned[i].Deps, slab = slab[:n:n], slab[n:]
+		k := copy(slab, owned[i].Deps)
+		owned[i].Deps, slab = slab[:k:k], slab[k:]
 	}
-	return s.SubmitAllInPlace(ctx, owned)
-}
-
-// SubmitAllInPlace is SubmitAll for a caller that built the batch for this
-// call and hands it over: keys are namespaced in place, so nothing is
-// copied. The tasks slice is the caller's again once the call returns (the
-// runtime keeps its own copy of each Task); the Deps slices belong to the
-// runtime until their task finishes and must not be touched again.
-func (s *Scope) SubmitAllInPlace(ctx context.Context, tasks []Task) ([]*Handle, error) {
-	s.adopt(tasks)
-	s.noteMax(s.inFlight.Add(int64(len(tasks))))
-	handles, err := s.rt.SubmitAll(ctx, tasks)
-	if n := len(tasks) - len(handles); n > 0 {
-		s.inFlight.Add(-int64(n))
+	s.adopt(owned)
+	if err := s.win.acquire(ctx, s.rt.stopped, n); err != nil {
+		return nil, err
 	}
+	handles, err := s.rt.SubmitAll(ctx, owned)
+	s.win.release(n - int64(len(handles))) // tokens of tasks never admitted
 	s.submitted.Add(uint64(len(handles)))
 	return handles, err
+}
+
+// TrySubmitAll's refusals: the batch does not fit the runtime's window right
+// now, or the scope's.
+var (
+	ErrWindowFull = errors.New("starss: in-flight window full")
+	ErrScopeFull  = errors.New("starss: scope window full")
+)
+
+// TrySubmitAll is the admission that never waits: the whole batch is
+// admitted, in order, or none of it is and no token is kept. It gives way
+// to any submitter already blocked on either window, and tries the shared
+// one first, so that a scope whose limit is the whole window hears
+// ErrWindowFull, not ErrScopeFull, once it has filled both. Unlike
+// SubmitAll it takes the batch over and copies nothing: keys are namespaced
+// in place; the tasks slice is the caller's again once the call returns,
+// the Deps slices belong to the runtime until their task finishes. ctx
+// must not be nil.
+func (s *Scope) TrySubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
+	s.adopt(tasks)
+	nodes, err := makeNodes(ctx, tasks)
+	if err != nil {
+		return nil, err
+	}
+	rt, n := s.rt, len(nodes)
+	if !rt.win.tryAcquire(int64(n)) {
+		return nil, ErrWindowFull
+	}
+	if !s.win.tryAcquire(int64(n)) {
+		rt.returnTokens(n)
+		return nil, ErrScopeFull
+	}
+	if err := rt.enterFence(n); err != nil {
+		s.win.release(int64(n))
+		return nil, err
+	}
+	s.submitted.Add(uint64(n))
+	return rt.admitAll(nodes, make([]*Handle, 0, n)), nil
 }
 
 // WaitOn blocks until every previously submitted scoped task accessing any
@@ -178,16 +204,10 @@ func (s *Scope) WaitOn(ctx context.Context, keys ...Key) error {
 
 // InFlight returns the scope's current submitted-but-unfinished count —
 // the session window occupancy of the service layer.
-func (s *Scope) InFlight() int64 { return s.inFlight.Load() }
+func (s *Scope) InFlight() int64 { return s.win.used.Load() }
 
 // Stats returns the scope's own counters. Hazards is always zero: hazard
 // detection happens inside the shared banks and is reported runtime-wide.
 func (s *Scope) Stats() Stats {
-	return Stats{
-		Submitted:   s.submitted.Load(),
-		Executed:    s.executed.Load(),
-		Failed:      s.failed.Load(),
-		Skipped:     s.skipped.Load(),
-		MaxInFlight: int(s.maxInFlight.Load()),
-	}
+	return Stats{TaskCounts: s.counts(), MaxInFlight: int(s.win.max.Load())}
 }

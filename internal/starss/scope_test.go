@@ -3,7 +3,9 @@ package starss
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -124,7 +126,9 @@ func TestScopeOrderingWithinScope(t *testing.T) {
 
 // TestScopeStatsClassification pins the per-scope executed/failed/skipped
 // split and that a failure in one scope cannot poison another scope's
-// tasks on the same user key.
+// tasks on the same user key. The runtime, the scope and the handles must
+// agree on every task, including one whose body returns an error that
+// merely looks like a skip: it ran, so it failed.
 func TestScopeStatsClassification(t *testing.T) {
 	rt := New(Config{Workers: 2, Window: 16})
 	defer rt.Close()
@@ -170,16 +174,48 @@ func TestScopeStatsClassification(t *testing.T) {
 		t.Fatalf("clean scope's task poisoned across scopes: %v", err)
 	}
 
-	if st := bad.Stats(); st.Failed != 1 || st.Skipped != 1 || st.Executed != 0 {
-		t.Errorf("bad scope stats = %s, want failed=1 skipped=1", st)
+	// A body that relays a dependency failure it met elsewhere.
+	hWrap, err := bad.Submit(context.Background(), Task{
+		Deps: []Dep{InOut("relay")},
+		Do:   func(context.Context) error { return fmt.Errorf("upstream: %w", ErrDependencyFailed) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hWrapDep, err := bad.Submit(context.Background(), Task{
+		Deps: []Dep{InOut("relay")},
+		Do:   func(context.Context) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Handle{hWrap, hWrapDep} {
+		if err := h.Wait(ctx); !errors.Is(err, ErrDependencyFailed) {
+			t.Fatalf("%s err = %v", h.Name(), err)
+		}
+	}
+	for _, c := range []struct {
+		h    *Handle
+		want Outcome
+	}{{hFail, Failed}, {hSkip, Skipped}, {hOK, Executed}, {hWrap, Failed}, {hWrapDep, Skipped}} {
+		if got := c.h.Outcome(); got != c.want {
+			t.Errorf("%s outcome = %d, want %d", c.h.Name(), got, c.want)
+		}
+	}
+
+	if st := bad.Stats(); st.Failed != 2 || st.Skipped != 2 || st.Executed != 0 {
+		t.Errorf("bad scope stats = %s, want failed=2 skipped=2", st)
 	}
 	if st := good.Stats(); st.Executed != 1 || st.Failed != 0 || st.Skipped != 0 {
 		t.Errorf("good scope stats = %s, want executed=1", st)
 	}
+	if st := rt.Stats(); st.Failed != 2 || st.Skipped != 2 || st.Executed != 1 {
+		t.Errorf("runtime stats = %s, want executed=1 failed=2 skipped=2", st)
+	}
 }
 
 // TestScopeSubmitAllAndOnDone covers batch admission through a scope and
-// the completion hook the service layer uses for window accounting.
+// the completion hook the service layer keeps its idle clock with.
 func TestScopeSubmitAllAndOnDone(t *testing.T) {
 	rt := New(Config{Workers: 4, Window: 64})
 	defer rt.Close()
@@ -303,5 +339,142 @@ func TestScopeAccountingSettledBeforeHandle(t *testing.T) {
 	}
 	if err := rt.Close(); !errors.Is(err, errBoom) {
 		t.Fatalf("Close = %v, want the injected failure", err)
+	}
+}
+
+// gatedTasks returns n independent tasks on keys first, first+1, … whose
+// bodies wait for gate.
+func gatedTasks(n, first int, gate <-chan struct{}) []Task {
+	tasks := make([]Task, n)
+	for i := range tasks {
+		tasks[i] = Task{
+			Deps: []Dep{InOut(first + i)},
+			Do:   func(context.Context) error { <-gate; return nil },
+		}
+	}
+	return tasks
+}
+
+// TestScopeTrySubmitAllRefusals: the non-blocking admission takes a batch
+// whole or not at all, names the window that refused it, and a refusal —
+// by the scope's window, by the runtime's, or by Close under the fence —
+// leaves no token behind in either.
+func TestScopeTrySubmitAllRefusals(t *testing.T) {
+	rt := New(Config{Workers: 2, Window: 8})
+	small := rt.BoundedScope("small", 4)
+	whole := rt.BoundedScope("whole", 8) // its share is the whole window
+	ctx := context.Background()
+	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate()
+	held := func(wantSmall, wantWhole int64) {
+		t.Helper()
+		if a, b, all := small.InFlight(), whole.InFlight(), rt.InFlight(); a != wantSmall || b != wantWhole || int64(all) != a+b {
+			t.Fatalf("in flight: small %d whole %d runtime %d, want %d, %d and their sum", a, b, all, wantSmall, wantWhole)
+		}
+	}
+
+	hs, err := small.TrySubmitAll(ctx, gatedTasks(3, 0, gate))
+	if err != nil || len(hs) != 3 {
+		t.Fatalf("3 into an empty scope of 4 = (%d handles, %v)", len(hs), err)
+	}
+	// One scope token left: a batch of two is refused whole.
+	if hs, err := small.TrySubmitAll(ctx, gatedTasks(2, 10, gate)); !errors.Is(err, ErrScopeFull) || hs != nil {
+		t.Fatalf("2 into a scope with 1 free = (%v, %v), want ErrScopeFull", hs, err)
+	}
+	held(3, 0)
+	// Five runtime tokens left: six do not fit, whatever the scope allows.
+	if hs, err := whole.TrySubmitAll(ctx, gatedTasks(6, 20, gate)); !errors.Is(err, ErrWindowFull) || hs != nil {
+		t.Fatalf("6 into a runtime with 5 free = (%v, %v), want ErrWindowFull", hs, err)
+	}
+	held(3, 0)
+	if _, err := whole.TrySubmitAll(ctx, gatedTasks(5, 30, gate)); err != nil {
+		t.Fatal(err)
+	}
+	held(3, 5)
+	// Both windows that matter to small are full now; the shared one speaks.
+	if _, err := small.TrySubmitAll(ctx, gatedTasks(1, 40, gate)); !errors.Is(err, ErrWindowFull) {
+		t.Fatalf("1 into a full runtime = %v, want ErrWindowFull", err)
+	}
+	// A validation error is reported before any token moves.
+	if _, err := small.TrySubmitAll(ctx, []Task{{Deps: []Dep{Out(50)}}}); err == nil {
+		t.Fatal("a task without Do was admitted")
+	}
+	held(3, 5)
+
+	openGate()
+	if err := rt.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	held(0, 0)
+	for _, s := range []*Scope{small, whole} {
+		st := s.Stats()
+		if st.Submitted != st.Executed+st.Failed+st.Skipped || int64(st.MaxInFlight) > s.win.limit {
+			t.Errorf("scope %s after drain: %s (limit %d)", s.Name(), st, s.win.limit)
+		}
+	}
+	if st := small.Stats(); st.Submitted != 3 || st.MaxInFlight > 4 {
+		t.Errorf("small scope = %s, want 3 submitted", st)
+	}
+
+	mustClose(t, rt)
+	if _, err := small.TrySubmitAll(ctx, gatedTasks(1, 60, gate)); !errors.Is(err, ErrStopped) {
+		t.Fatalf("TrySubmitAll after Close = %v, want ErrStopped", err)
+	}
+	held(0, 0)
+}
+
+// TestScopeWindowBoundsConcurrentSubmitters races eight submitters, half
+// blocking and half refusing, on one bounded scope: the scope's in-flight
+// count never passes its limit, and every token and count settles.
+func TestScopeWindowBoundsConcurrentSubmitters(t *testing.T) {
+	const limit = 3
+	rt := New(Config{Workers: 2, Window: 64})
+	defer rt.Close()
+	s := rt.BoundedScope("tenant", limit)
+	var over atomic.Int64
+	body := func(context.Context) error {
+		if n := s.InFlight(); n > limit {
+			over.Store(n)
+		}
+		return nil
+	}
+	ctx := context.Background()
+	var admitted atomic.Uint64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				batch := make([]Task, 1+(g+i)%limit)
+				for j := range batch {
+					batch[j] = Task{Deps: []Dep{InOut([3]int{g, i, j})}, Do: body}
+				}
+				var hs []*Handle
+				var err error
+				if g%2 == 0 {
+					hs, err = s.SubmitAll(ctx, batch)
+				} else if hs, err = s.TrySubmitAll(ctx, batch); errors.Is(err, ErrScopeFull) {
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				admitted.Add(uint64(len(hs)))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := rt.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.MaxInFlight > limit || over.Load() != 0 {
+		t.Errorf("scope of %d reached %d in flight (a body saw %d)", limit, st.MaxInFlight, over.Load())
+	}
+	if st.Submitted != admitted.Load() || st.Executed != st.Submitted || s.InFlight() != 0 {
+		t.Errorf("after drain: %s, in flight %d, want %d submitted and executed", st, s.InFlight(), admitted.Load())
 	}
 }

@@ -156,13 +156,10 @@ type Task struct {
 	// error wrapping ErrTaskTimeout (retryable — each attempt gets a fresh
 	// budget). 0 means no per-task deadline.
 	Timeout time.Duration
-	// onDone, when set, is invoked exactly once with the task's final error
-	// (executed, failed, or skipped) on the finishing worker, just before
-	// the handle is published — whoever a completed handle wakes finds the
-	// hook's accounting already settled. It must not block. It is
-	// unexported: only this package wires it (Scope uses it for per-session
-	// accounting).
-	onDone func(err error)
+	// scope is the Scope the task was submitted through, if any. The
+	// finishing worker settles its accounting (Scope.taskDone) just before
+	// the handle is published: whoever the handle wakes finds it settled.
+	scope *Scope
 }
 
 // Config parameterises a Runtime.
@@ -203,34 +200,26 @@ type Config struct {
 	Faults *faults.Injector
 }
 
-// Stats reports runtime counters.
+// Stats reports runtime counters; the JSON keys are the service's.
 type Stats struct {
-	Submitted uint64
-	// Executed counts tasks whose body ran to completion successfully.
-	Executed uint64
-	// Failed counts tasks whose body returned an error, panicked, or was
-	// cancelled before running — the root causes of poisoning.
-	Failed uint64
-	// Skipped counts tasks that never ran because a transitive dependency
-	// failed; their handles report ErrDependencyFailed.
-	Skipped uint64
+	TaskCounts
 	// Retried counts re-armed execution attempts: a task with MaxRetries
 	// whose attempt failed and ran again. A task retried twice counts 2.
-	Retried uint64
+	Retried uint64 `json:"retried"`
 	// MaxInFlight is the high-water mark of submitted-but-unfinished tasks;
-	// it never exceeds Config.Window.
-	MaxInFlight int
+	// it never exceeds Config.Window (for a Scope, its own limit).
+	MaxInFlight int `json:"max_in_flight"`
 	// Hazards counts tasks that had to wait at least once (DC > 0).
-	Hazards uint64
+	Hazards uint64 `json:"hazards"`
 	// BankAcquisitions counts dependence-bank lock acquisitions; zero
 	// unless Config.BankCounters is set.
-	BankAcquisitions uint64
+	BankAcquisitions uint64 `json:"bank_acquisitions"`
 	// BankContended counts the subset of BankAcquisitions that had to
 	// block because another goroutine held the bank.
-	BankContended uint64
+	BankContended uint64 `json:"bank_contended"`
 	// BankMaxQueue is the high-water mark of any single segment's kick-off
 	// list — the deepest dependence queue observed on any bank.
-	BankMaxQueue uint64
+	BankMaxQueue uint64 `json:"bank_max_queue"`
 }
 
 // String renders the counters in one line, for reports and logs.
@@ -251,9 +240,9 @@ type Handle struct {
 	// or the task finishes, doneClosed from then on. Most handles are never
 	// selected on, so the channel is made lazily (as context.cancelCtx
 	// does) and the finished state doubles as the Err/Wait fast path.
-	done   atomic.Value
-	err    error // written before done becomes doneClosed
-	onDone func(err error)
+	done    atomic.Value
+	err     error // err and outcome are written before done becomes doneClosed
+	outcome Outcome
 }
 
 // closedChan is the channel every finished handle shares.
@@ -298,6 +287,15 @@ func (h *Handle) Err() error {
 	return nil
 }
 
+// Outcome reports how the task ended, as the runtime classified it and
+// counted it, or Pending while it has not.
+func (h *Handle) Outcome() Outcome {
+	if h.finished() {
+		return h.outcome
+	}
+	return Pending
+}
+
 // Index is the task's submission index, assigned in admission order — the
 // task-ID analogue.
 func (h *Handle) Index() uint64 { return h.index }
@@ -325,14 +323,11 @@ func (h *Handle) Wait(ctx context.Context) error {
 	}
 }
 
-// complete runs the onDone hook and then publishes the task's outcome: err
-// is visible to any reader that observes the handle finished, and so is
-// everything the hook did.
-func (h *Handle) complete(err error) {
-	if h.onDone != nil {
-		h.onDone(err)
-	}
-	h.err = err
+// complete publishes the task's outcome: o and err are visible to any
+// reader that observes the handle finished, and so is everything the
+// finishing worker did before the call.
+func (h *Handle) complete(o Outcome, err error) {
+	h.err, h.outcome = err, o
 	if c := h.done.Swap(closedChan); c != nil {
 		close(c.(chan struct{}))
 	}
@@ -417,13 +412,10 @@ type Runtime struct {
 	// readyCh pending when the channel is closed.
 	subMu sync.RWMutex
 
-	submitted atomic.Uint64
-	executed  atomic.Uint64
-	failed    atomic.Uint64
-	skipped   atomic.Uint64
-	retried   atomic.Uint64
-	hazards   atomic.Uint64
-	firstErr  atomic.Pointer[taskFailure]
+	tally
+	retried  atomic.Uint64
+	hazards  atomic.Uint64
+	firstErr atomic.Pointer[taskFailure]
 
 	// coord serialises barrier and WaitOn bookkeeping; it is only taken on
 	// the token-return path when a waiter is registered or in-flight hits zero,
@@ -801,6 +793,12 @@ func (rt *Runtime) reserve(ctx context.Context, n int) error {
 	if err := rt.win.acquire(ctx, rt.stopped, int64(n)); err != nil {
 		return err
 	}
+	return rt.enterFence(n)
+}
+
+// enterFence is the second half of reserve, for a caller that already holds
+// its n tokens; on ErrStopped they have been returned.
+func (rt *Runtime) enterFence(n int) error {
 	rt.subMu.RLock()
 	select {
 	case <-rt.stopped:
@@ -849,15 +847,8 @@ func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	nodes := make([]*taskNode, len(tasks))
-	for i := range tasks {
-		node, err := makeNode(ctx, &tasks[i])
-		if err != nil {
-			return nil, fmt.Errorf("task %d: %w", i, err)
-		}
-		nodes[i] = node
-	}
-	if err := ctx.Err(); err != nil {
+	nodes, err := makeNodes(ctx, tasks)
+	if err != nil {
 		return nil, err
 	}
 	// After Close every admission path must uniformly report ErrStopped —
@@ -879,30 +870,42 @@ func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 		if n > chunkMax {
 			n = chunkMax
 		}
-		if err := rt.submitChunk(ctx, nodes[:n]); err != nil {
+		// The whole chunk's tokens are reserved in one step, all or nothing,
+		// so two concurrent SubmitAll calls can never each hold a fraction of
+		// the window and wait forever for the rest.
+		if err := rt.reserve(ctx, n); err != nil {
 			return handles, err
 		}
-		for _, node := range nodes[:n] {
-			handles = append(handles, node.handle)
-		}
+		handles = rt.admitAll(nodes[:n], handles)
 		nodes = nodes[n:]
 	}
 	return handles, nil
 }
 
-func (rt *Runtime) submitChunk(ctx context.Context, nodes []*taskNode) error {
-	// The whole chunk's tokens are reserved in one step, all or nothing, so
-	// two concurrent SubmitAll calls can never each hold a fraction of the
-	// window and wait forever for the rest.
-	if err := rt.reserve(ctx, len(nodes)); err != nil {
-		return err
-	}
+// admitAll admits the nodes in order, appending their handles to handles,
+// and leaves the admission fence; the caller holds their window tokens.
+func (rt *Runtime) admitAll(nodes []*taskNode, handles []*Handle) []*Handle {
 	defer rt.subMu.RUnlock()
 	first := rt.submitted.Add(uint64(len(nodes))) - uint64(len(nodes))
 	for i, node := range nodes {
 		rt.admit(node, first+uint64(i))
+		handles = append(handles, node.handle)
 	}
-	return nil
+	return handles
+}
+
+// makeNodes validates and normalises a batch, and rejects a dead context
+// before anything is reserved.
+func makeNodes(ctx context.Context, tasks []Task) ([]*taskNode, error) {
+	nodes := make([]*taskNode, len(tasks))
+	for i := range tasks {
+		node, err := makeNode(ctx, &tasks[i])
+		if err != nil {
+			return nil, fmt.Errorf("task %d: %w", i, err)
+		}
+		nodes[i] = node
+	}
+	return nodes, ctx.Err()
 }
 
 // makeNode validates and normalises one task.
@@ -923,7 +926,7 @@ func makeNode(ctx context.Context, t *Task) (*taskNode, error) {
 // it to Check Deps: in place, or through the maestro, which takes one task
 // per rendezvous. The caller already holds the task's window token.
 func (rt *Runtime) admit(node *taskNode, idx uint64) {
-	node.handle = &Handle{name: node.task.Name, index: idx, onDone: node.task.onDone}
+	node.handle = &Handle{name: node.task.Name, index: idx}
 	if f := rt.funnel; f != nil {
 		f.submitCh <- node
 		return
@@ -1127,18 +1130,23 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 		rt.emit(worker, obs.KindReady, n, worker)
 		rt.dispatch(n)
 	}
+	// The one place a task is declared executed, failed or skipped: by what
+	// the runtime did with it, never by what its error looks like.
+	o := Executed
 	switch {
 	case node.wasSkipped:
-		rt.skipped.Add(1)
+		o = Skipped
 	case node.err != nil:
-		rt.failed.Add(1)
+		o = Failed
 		rt.firstErr.CompareAndSwap(nil, &taskFailure{err: node.err})
-	default:
-		rt.executed.Add(1)
+	}
+	rt.record(o)
+	if s := node.task.scope; s != nil {
+		s.taskDone(o, node.err)
 	}
 	// Publish the handle before the token goes back: a barrier that sees
 	// in-flight reach zero must find every handle complete.
-	node.handle.complete(node.err)
+	node.handle.complete(o, node.err)
 	rt.returnTokens(1)
 }
 
@@ -1258,10 +1266,7 @@ func (rt *Runtime) WindowSize() int { return rt.cfg.Window }
 // was set.
 func (rt *Runtime) Stats() Stats {
 	s := Stats{
-		Submitted:   rt.submitted.Load(),
-		Executed:    rt.executed.Load(),
-		Failed:      rt.failed.Load(),
-		Skipped:     rt.skipped.Load(),
+		TaskCounts:  rt.counts(),
 		Retried:     rt.retried.Load(),
 		MaxInFlight: int(rt.win.max.Load()),
 		Hazards:     rt.hazards.Load(),

@@ -7,7 +7,8 @@ import (
 	"sync/atomic"
 )
 
-// window is the counted in-flight window — the software Task Pool. One
+// window is a counted in-flight window, the one admission mechanism: the
+// runtime's is the software Task Pool, a Scope's its share of it. One
 // atomic counter is both the number of submitted-but-unfinished tasks and
 // the admission gate: a submitter reserves the tokens of a whole SubmitAll
 // chunk with one compare-and-swap, a finisher returns one with one atomic
@@ -24,8 +25,8 @@ type window struct {
 	used  atomic.Int64 // reserved tokens == in-flight tasks
 	max   atomic.Int64 // high-water mark of used
 	// need is the head waiter's demand, 0 while nobody is queued. It is the
-	// only thing the fast paths read: acquire bypasses the list when it is
-	// 0, release takes mu only when the head would now fit.
+	// only thing the fast paths read: tryAcquire bypasses the list when it
+	// is 0, release takes mu only when the head would now fit.
 	need  atomic.Int64
 	mu    sync.Mutex
 	queue []*windowWaiter // FIFO, guarded by mu
@@ -54,13 +55,19 @@ func (w *window) tryReserve(n int64) bool {
 	}
 }
 
+// tryAcquire is acquire for a caller that will not wait: all n tokens or
+// none, and none while anyone is queued, so it never overtakes an acquire.
+func (w *window) tryAcquire(n int64) bool {
+	return w.need.Load() == 0 && w.tryReserve(n)
+}
+
 // acquire reserves n tokens (n <= limit), blocking in FIFO order while the
 // window is full. It returns ctx.Err() or ErrStopped — holding no tokens —
 // when ctx is cancelled or stopped closes first. A grant that races the
 // cancellation wins: acquire then returns nil with the tokens held, and the
 // caller's own post-admission checks see the dead context or the stop.
 func (w *window) acquire(ctx context.Context, stopped <-chan struct{}, n int64) error {
-	if w.need.Load() == 0 && w.tryReserve(n) {
+	if w.tryAcquire(n) {
 		return nil
 	}
 	wt := &windowWaiter{n: n, ready: make(chan struct{})}

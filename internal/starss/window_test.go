@@ -129,6 +129,44 @@ func TestWindowQueuedChunkServedBeforeLaterSingles(t *testing.T) {
 	}
 }
 
+// TestWindowTryAcquireNeverOvertakes: the admission that does not wait
+// takes its tokens only when nobody is queued — even a demand that would
+// fit stays behind a blocked acquire — and a refusal takes nothing.
+func TestWindowTryAcquireNeverOvertakes(t *testing.T) {
+	w := newWindow(4)
+	if !w.tryAcquire(3) {
+		t.Fatal("3 of 4 refused on an empty window")
+	}
+	if w.tryAcquire(2) {
+		t.Fatal("2 admitted with 1 free")
+	}
+	if got := w.used.Load(); got != 3 {
+		t.Fatalf("a refused tryAcquire moved used to %d, want 3", got)
+	}
+	chunk := acquireAsync(context.Background(), w, nil, 3)
+	waitFor(t, "the chunk to queue", func() bool { return w.queued() == 1 })
+	if w.tryAcquire(1) {
+		t.Fatal("tryAcquire took the free token past a queued acquire")
+	}
+	w.release(1) // two free: still short of the chunk's three
+	if w.tryAcquire(1) {
+		t.Fatal("tryAcquire took a token the queued chunk is waiting for")
+	}
+	if got := w.used.Load(); got != 2 {
+		t.Fatalf("used = %d, want 2: refusals must leave the count alone", got)
+	}
+	mustNotBeGranted(t, "chunk", chunk)
+	w.release(1)
+	mustBeGranted(t, "chunk", chunk) // 1 held + the chunk's 3: full again
+	w.release(1)
+	if !w.tryAcquire(1) {
+		t.Fatal("tryAcquire refused a free token with nobody queued")
+	}
+	if w.release(4) != 0 || w.need.Load() != 0 || w.max.Load() != 4 {
+		t.Fatalf("at the end: used %d need %d max %d", w.used.Load(), w.need.Load(), w.max.Load())
+	}
+}
+
 func TestWindowCancelAndStopWhileQueued(t *testing.T) {
 	w := newWindow(4)
 	bg := context.Background()
