@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race flake fuzz bench-check lint lint-tools fmt-check vet nexusvet staticcheck govulncheck
+.PHONY: all build test race allocs flake fuzz bench-check lint lint-tools fmt-check vet nexusvet staticcheck govulncheck
 
 all: build test lint
 
@@ -18,15 +18,24 @@ test:
 race:
 	$(GO) test -race ./...
 
+# allocs runs the allocation pins without the race detector, whose
+# instrumentation changes what escapes: the zero-allocation pins on
+# sim.Engine / sim.Server, the allocations-per-task budget on core.Run, the
+# service's codec and submit-handler pins (which skip under -race), and the
+# runtime's two-allocations-per-task pins, on the Runtime and through a Scope.
+allocs:
+	$(GO) test ./internal/sim ./internal/mem ./internal/core ./internal/service ./internal/starss
+
 # flake hammers the tests whose outcome depends on who wins a race between
 # a finishing task and its submitter — poisoning, panics, the window, scope
 # accounting, the prefetch stage, the maestro funnel's shutdown and fence,
-# the kick-off lists threaded through waiting tasks — twenty times under the
-# race detector. The second line does the same for the service's admission:
+# the kick-off lists threaded through waiting tasks, key identity and
+# namespace isolation with concurrent scopes — twenty times under the race
+# detector. The second line does the same for the service's admission:
 # a submit is refused or admitted by a tryAcquire on two windows (the shared
 # one, then the session's) racing the finishers' releases.
 flake:
-	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains|Maestro|Close|WaitOn|Kickoff' ./internal/starss/
+	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName' ./internal/starss/
 	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled' ./internal/service/
 
 # fuzz gives each of the service's wire fuzz targets twenty seconds: the

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"io"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -459,14 +460,19 @@ func BenchmarkFaultOverhead(b *testing.B) {
 // Submit on the same independent-keys workload: one window reservation and
 // one pass through the admission fence per 256-task chunk instead of per
 // task. The bank work is the same on both sides — SubmitAll holds each
-// task's banks for that task only, as Submit does.
+// task's banks for that task only, as Submit does. scoped_addr and
+// scoped_any push the same batch through Scope.SubmitAll, keyed by address
+// and by string: the per-key cost of the Dependence Table's address map and
+// of its fallback map, namespace included, side by side.
 func BenchmarkSubmitAll(b *testing.B) {
 	const batch = 256
-	mkTasks := func(round int) []starss.Task {
+	type depFn func(round, i int) starss.Dep
+	pair := func(round, i int) starss.Dep { return starss.InOut([2]int{round, i}) }
+	mkTasks := func(round int, dep depFn) []starss.Task {
 		tasks := make([]starss.Task, batch)
 		for i := range tasks {
 			tasks[i] = starss.Task{
-				Deps: []starss.Dep{starss.InOut([2]int{round, i})},
+				Deps: []starss.Dep{dep(round, i)},
 				Do:   func(context.Context) error { return nil },
 			}
 		}
@@ -478,7 +484,7 @@ func BenchmarkSubmitAll(b *testing.B) {
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, t := range mkTasks(i) {
+			for _, t := range mkTasks(i, pair) {
 				if _, err := rt.Submit(ctx, t); err != nil {
 					b.Fatal(err)
 				}
@@ -495,7 +501,7 @@ func BenchmarkSubmitAll(b *testing.B) {
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := rt.SubmitAll(ctx, mkTasks(i)); err != nil {
+			if _, err := rt.SubmitAll(ctx, mkTasks(i, pair)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -504,6 +510,35 @@ func BenchmarkSubmitAll(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "tasks/s")
 	})
+	names := make([]string, batch)
+	for i := range names {
+		names[i] = "block" + strconv.Itoa(i)
+	}
+	for _, tc := range []struct {
+		name string
+		dep  depFn
+	}{
+		{"scoped_addr", func(round, i int) starss.Dep { return starss.Addr(uint64(round*batch+i)*64, starss.ModeInOut) }},
+		{"scoped_any", func(_, i int) starss.Dep { return starss.InOut(names[i]) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			rt := starss.New(starss.Config{Workers: 4, Window: 1024})
+			defer rt.Close()
+			scope := rt.Scope("bench")
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := scope.SubmitAll(ctx, mkTasks(i, tc.dep)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := rt.Wait(ctx); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "tasks/s")
+		})
+	}
 }
 
 func BenchmarkRuntimeGaussian64(b *testing.B) {

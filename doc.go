@@ -65,4 +65,11 @@
 // rt.SubmitAll(ctx, []nexuspp.Task{...}), which reserves the in-flight
 // window once per chunk on high-frequency submission paths; dependences are
 // still checked task by task, each under its own banks.
+//
+// A dependency key is any comparable value (In, Out, InOut) or — the paper's
+// own Dependence Table key — a base address: Addr(addr, ReadWrite) names the
+// same data as InOut(uint64(addr)) and boxes nothing. rt.Scope(label) makes
+// an isolated namespace on a shared runtime (one master core's address
+// space): every call makes a new one, the label is for diagnostics only,
+// and the namespace is a field of the table key, not a wrapper around it.
 package nexuspp

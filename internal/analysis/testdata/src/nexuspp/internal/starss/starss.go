@@ -12,16 +12,24 @@ import (
 
 type Key = any
 
-type Mode int
+type Mode uint8
+
+const (
+	ModeIn Mode = iota
+	ModeOut
+	ModeInOut
+)
 
 type Dep struct {
 	Key  Key
 	Mode Mode
+	addr uint64
 }
 
-func In(k Key) Dep    { return Dep{Key: k} }
-func Out(k Key) Dep   { return Dep{Key: k} }
-func InOut(k Key) Dep { return Dep{Key: k} }
+func In(k Key) Dep                 { return Dep{Key: k} }
+func Out(k Key) Dep                { return Dep{Key: k} }
+func InOut(k Key) Dep              { return Dep{Key: k} }
+func Addr(addr uint64, m Mode) Dep { return Dep{addr: addr, Mode: m} }
 
 type Task struct {
 	Name string

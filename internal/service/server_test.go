@@ -655,7 +655,10 @@ func TestServiceConcurrentSubmitKeepsBatchesApart(t *testing.T) {
 						Params: []service.Param{{Addr: doomed, Size: 8, Mode: "inout"}},
 					}
 					if i == 0 {
-						head.ExecUS, head.TimeoutMS = 10_000_000, 1
+						// Long enough for the batch to be queued behind the
+						// head before it fails, under -race too: a chain
+						// whose key has drained is no longer poisoned.
+						head.ExecUS, head.TimeoutMS = 10_000_000, 30
 					}
 					batch = append(batch, head, service.TaskSpec{
 						Name:   fmt.Sprintf("c%d-r%d-fine-%d", c, r, i),

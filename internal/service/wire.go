@@ -2,12 +2,12 @@
 // sharded executing runtime: the software analogue of the paper's hardware
 // task manager serving many master cores concurrently. A single shared
 // starss.Runtime resolves dependencies for every client, while each client
-// session gets an isolated namespace (its own keyspace prefix via
-// starss.Scope), its own admission window with 429 backpressure, and its
-// own per-session Stats. Sessions drain gracefully on explicit close or
-// idle expiry: cancelling the session context fails its unstarted tasks
-// and the runtime's poisoning propagates through its graph without ever
-// wedging the shared resolver.
+// session gets an isolated namespace (its own starss.Scope, the address
+// space of one master core), its own admission window with 429
+// backpressure, and its own per-session Stats. Sessions drain gracefully on
+// explicit close or idle expiry: cancelling the session context fails its
+// unstarted tasks and the runtime's poisoning propagates through its graph
+// without ever wedging the shared resolver.
 //
 // The wire format deliberately reuses the traced-task shape of
 // internal/trace: a task is a parameter list of (addr, size, mode) plus a
@@ -21,9 +21,10 @@
 // through pooled buffers and without a per-task allocation; encoding/json
 // reaches the same code through their MarshalJSON/UnmarshalJSON. The cold
 // messages (session creation, stats, /debug, errors) stay on encoding/json.
-// A submitted batch then becomes runtime tasks in one pass (buildTasks) and
-// is namespaced in place (starss.Scope.TrySubmitAll). DESIGN.md, "What
-// one submitted task costs", has the numbers and the lifetime rules.
+// A submitted batch then becomes runtime tasks in one pass (buildTasks),
+// its parameters address dependencies (starss.Addr), and is adopted in
+// place by the session's namespace (starss.Scope.TrySubmitAll). DESIGN.md,
+// "What one submitted task costs", has the numbers and the lifetime rules.
 package service
 
 import (
@@ -79,8 +80,8 @@ func FromTraceSpec(spec trace.TaskSpec) TaskSpec {
 
 // buildTasks converts a wire batch into runtime tasks in one pass,
 // appending them to dst. Every task's Deps are carved from one slab, the
-// batch's only allocation here besides the boxed keys; the runtime reads
-// Deps until each task finishes, so the slab is never pooled.
+// batch's only allocation here — an address dependency boxes nothing; the
+// runtime reads Deps until each task finishes, so the slab is never pooled.
 func buildTasks(dst []starss.Task, specs []TaskSpec) ([]starss.Task, error) {
 	total := 0
 	for i := range specs {
@@ -98,11 +99,11 @@ func buildTasks(dst []starss.Task, specs []TaskSpec) ([]starss.Task, error) {
 		for j, p := range ts.Params {
 			switch p.Mode {
 			case "in":
-				deps[j] = starss.In(p.Addr)
+				deps[j] = starss.Addr(p.Addr, starss.ModeIn)
 			case "out":
-				deps[j] = starss.Out(p.Addr)
+				deps[j] = starss.Addr(p.Addr, starss.ModeOut)
 			case "inout":
-				deps[j] = starss.InOut(p.Addr)
+				deps[j] = starss.Addr(p.Addr, starss.ModeInOut)
 			default:
 				return dst, fmt.Errorf("task %q param %d: unknown mode %q (valid: in, out, inout)", ts.Name, j, p.Mode)
 			}

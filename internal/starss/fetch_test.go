@@ -149,6 +149,8 @@ func TestSubmitAllocations(t *testing.T) {
 		}{
 			{"1 key", Task{Deps: []Dep{InOut(uint64(1))}, Do: nop}},
 			{"3 keys", Task{Deps: []Dep{In(uint64(2)), In(uint64(3)), Out(uint64(4))}, Do: nop}},
+			{"2 addresses", Task{Deps: []Dep{Addr(1<<40, ModeInOut), Addr(1<<41, ModeIn)}, Do: nop}},
+			{"an address and a string", Task{Deps: []Dep{Addr(1<<42, ModeIn), Out("block")}, Do: nop}},
 		} {
 			submit := func() *Handle {
 				h, err := rt.Submit(ctx, tc.task)
@@ -161,7 +163,8 @@ func TestSubmitAllocations(t *testing.T) {
 			// task queues on each of its segments.
 			holder := Task{Do: func(context.Context) error { <-gate; return nil }}
 			for _, d := range tc.task.Deps {
-				holder.Deps = append(holder.Deps, InOut(d.Key))
+				d.Mode = ModeInOut
+				holder.Deps = append(holder.Deps, d)
 			}
 			for _, run := range []struct {
 				name   string
@@ -202,5 +205,18 @@ func TestSubmitAllocations(t *testing.T) {
 func TestTaskNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(taskNode{}); got > 256 {
 		t.Fatalf("taskNode is %d bytes, want <= 256", got)
+	}
+}
+
+// TestBankAndSegmentSize pins the two sizes the table's layout was chosen
+// for: a bank is one cache line, so adjacent banks' locks never share one,
+// and a segment — with the free-list link that keeps the bank that small —
+// stays in the 64-byte size class.
+func TestBankAndSegmentSize(t *testing.T) {
+	if got := unsafe.Sizeof(bank{}); got != 64 {
+		t.Errorf("bank is %d bytes, want 64", got)
+	}
+	if got := unsafe.Sizeof(segState{}); got > 64 {
+		t.Errorf("segState is %d bytes, want <= 64", got)
 	}
 }

@@ -21,3 +21,13 @@ func mustClose(t testing.TB, rt interface{ Close() error }) {
 func do(f func()) func(context.Context) error {
 	return func(context.Context) error { f(); return nil }
 }
+
+// fenceMaestro returns once every task submitted so far has been through
+// Check Deps. On the sharded runtime that is when Submit returns; the
+// maestro's Submit returns at the rendezvous, so the test fences on it.
+func fenceMaestro(t testing.TB, rt *Runtime) {
+	t.Helper()
+	if f := rt.funnel; f != nil && !f.fence(rt.stopped) {
+		t.Fatal("runtime stopped under the test")
+	}
+}

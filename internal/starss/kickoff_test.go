@@ -170,18 +170,18 @@ func TestKickoffDeepMixedQueue(t *testing.T) {
 // order, checking the list's own bookkeeping on the way.
 func hotWaiters(t *testing.T, rt *Runtime) []*taskNode {
 	t.Helper()
-	var key Key = hotKey
+	key := tableKeyOf(0, Dep{Key: hotKey})
 	idx := []int32{rt.bankIndex(key)}
 	rt.lockBanks(idx)
 	defer rt.unlockBanks(idx)
-	seg := rt.banks[idx[0]].segs[key]
+	seg := rt.banks[idx[0]].lookup(key)
 	if seg == nil {
 		t.Fatal("the hot key has no segment")
 	}
 	var nodes []*taskNode
 	for n, slot := seg.head, seg.headSlot; n != nil; {
-		if n.task.Deps[slot].Key != key {
-			t.Fatalf("waiter %d is linked through slot %d, which holds key %v", len(nodes), slot, n.task.Deps[slot].Key)
+		if got := tableKeyOf(0, n.task.Deps[slot]); got != key {
+			t.Fatalf("waiter %d is linked through slot %d, which holds key %v", len(nodes), slot, got)
 		}
 		nodes = append(nodes, n)
 		acc, nextSlot := n.slots()
@@ -221,9 +221,7 @@ func TestKickoffDrainLeavesNoLinks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f := rt.funnel; f != nil && !f.fence(rt.stopped) {
-				t.Fatal("runtime stopped under the test")
-			}
+			fenceMaestro(t, rt)
 			nodes := hotWaiters(t, rt)
 			if len(nodes) != len(specs)-1 {
 				t.Fatalf("%d tasks wait on the hot key, want %d", len(nodes), len(specs)-1)
@@ -257,18 +255,26 @@ func TestKickoffDrainLeavesNoLinks(t *testing.T) {
 				idx := []int32{int32(i)}
 				rt.lockBanks(idx)
 				b := &rt.banks[i]
-				if len(b.segs) != 0 {
-					t.Errorf("bank %d still files %d keys", i, len(b.segs))
+				if n := len(b.addrs) + len(b.others); n != 0 {
+					t.Errorf("bank %d still files %d keys", i, n)
 				}
-				if len(b.free) > rt.segFree {
-					t.Errorf("bank %d keeps %d free segments, bound %d", i, len(b.free), rt.segFree)
+				if b.others != nil {
+					t.Errorf("bank %d made its fallback table for a workload of addresses", i)
 				}
-				for _, seg := range b.free {
-					recycled++
-					if *seg != (segState{bank: int32(i)}) {
+				if b.nfree > rt.segFree {
+					t.Errorf("bank %d keeps %d free segments, bound %d", i, b.nfree, rt.segFree)
+				}
+				listed := 0
+				for seg := b.free; seg != nil; seg = seg.nextFree {
+					listed++
+					if *seg != (segState{bank: int32(i), nextFree: seg.nextFree}) {
 						t.Errorf("bank %d recycles a segment that is not empty: %+v", i, *seg)
 					}
 				}
+				if listed != b.nfree {
+					t.Errorf("bank %d counts %d free segments, its list holds %d", i, b.nfree, listed)
+				}
+				recycled += listed
 				rt.unlockBanks(idx)
 			}
 			if recycled == 0 {

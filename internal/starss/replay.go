@@ -69,19 +69,19 @@ func durationOf(t sim.Time) time.Duration {
 }
 
 // TaskFromSpec synthesizes an executable Task from one traced task: the
-// parameter list becomes In/Out/InOut dependencies keyed by base address,
+// parameter list becomes Addr dependencies on the parameters' base addresses,
 // and the body sleeps for the traced execution plus memory time (scaled by
 // opts.TimeScale) or does nothing under ZeroCost.
 func TaskFromSpec(spec trace.TaskSpec, opts ReplayOptions) Task {
 	deps := make([]Dep, len(spec.Params))
 	for i, p := range spec.Params {
-		switch {
-		case p.Mode == trace.In:
-			deps[i] = In(p.Addr)
-		case p.Mode == trace.Out:
-			deps[i] = Out(p.Addr)
+		switch p.Mode {
+		case trace.In:
+			deps[i] = Addr(p.Addr, ModeIn)
+		case trace.Out:
+			deps[i] = Addr(p.Addr, ModeOut)
 		default:
-			deps[i] = InOut(p.Addr)
+			deps[i] = Addr(p.Addr, ModeInOut)
 		}
 	}
 	// No Name: the runtime derives "task<index>" on demand, and the

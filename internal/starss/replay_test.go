@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 
+	"nexuspp/internal/depgraph"
+	"nexuspp/internal/obs"
 	"nexuspp/internal/sim"
 	"nexuspp/internal/trace"
 	"nexuspp/internal/workload"
@@ -28,7 +30,7 @@ func TestTaskFromSpecMapsModes(t *testing.T) {
 		{Addr: 3, Mode: trace.InOut},
 	}}
 	task := TaskFromSpec(spec, ReplayOptions{ZeroCost: true})
-	want := []Dep{In(uint64(1)), Out(uint64(2)), InOut(uint64(3))}
+	want := []Dep{Addr(1, ModeIn), Addr(2, ModeOut), Addr(3, ModeInOut)}
 	if len(task.Deps) != len(want) {
 		t.Fatalf("deps = %v", task.Deps)
 	}
@@ -91,10 +93,11 @@ func TestReplayHonoursCancellation(t *testing.T) {
 	}
 }
 
-// TestReplayRespectsDependencies replays a wavefront slice with recorded
-// completion order: the trace's RAW edges must hold in the real execution.
+// TestReplayRespectsDependencies replays a serial chain on the instrumented
+// runtime and checks the event stream against the dependency-graph oracle:
+// no task's body starts before every predecessor's has finished.
 func TestReplayRespectsDependencies(t *testing.T) {
-	// Diagonal chain: each task InOuts its predecessor's address.
+	// Serial chain: each task InOuts its predecessor's address.
 	var tasks []trace.TaskSpec
 	const n = 64
 	for i := 0; i < n; i++ {
@@ -104,7 +107,8 @@ func TestReplayRespectsDependencies(t *testing.T) {
 		})
 	}
 	src := workload.FromTrace(&trace.Trace{Name: "serial-chain", Tasks: tasks})
-	rt := New(Config{Workers: 4})
+	g := depgraph.Build(src)
+	rt := New(Config{Workers: 4, EventBuffer: 8 * n})
 	res, err := Replay(context.Background(), rt, src, ReplayOptions{ZeroCost: true})
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +119,30 @@ func TestReplayRespectsDependencies(t *testing.T) {
 	if res.Stats.Executed != n {
 		t.Fatalf("executed = %d, want %d", res.Stats.Executed, n)
 	}
-	// A serial InOut chain admits at most one runnable task at a time.
-	if res.Stats.Hazards != n-1 {
-		t.Errorf("hazards = %d, want %d (every task but the first waits)", res.Stats.Hazards, n-1)
+	// A task waits only if its predecessor is still in flight when it is
+	// checked, so zero-cost bodies bound the count without fixing it.
+	if res.Stats.Hazards > n-1 {
+		t.Errorf("hazards = %d, want at most %d (every task but the first)", res.Stats.Hazards, n-1)
+	}
+	// Under in-order replay the submission index is the trace ID.
+	var run, finish [n]int64
+	for _, ev := range rt.Events().Drain() {
+		switch ev.Kind {
+		case obs.KindRun:
+			run[ev.Task] = ev.TS
+		case obs.KindFinish:
+			finish[ev.Task] = ev.TS
+		}
+	}
+	for i := 0; i < n; i++ {
+		if run[i] == 0 || finish[i] < run[i] {
+			t.Fatalf("task %d: run at %d, finish at %d", i, run[i], finish[i])
+		}
+		for _, p := range g.Preds(i) {
+			if finish[p] > run[i] {
+				t.Errorf("task %d ran at %d, before its predecessor %d finished at %d", i, run[i], p, finish[p])
+			}
+		}
 	}
 }
 

@@ -2,11 +2,14 @@ package starss
 
 // A Scope multiplexes one tenant onto a shared Runtime — the software
 // analogue of one master core among the many a single Nexus++ task manager
-// serves (internal/core/master.go). Every dependency key submitted through
-// a scope is rewritten to a ScopedKey carrying the scope's name, so two
-// scopes using identical key names can never create cross-scope
-// dependencies: they hash to distinct dependence-table segments exactly as
-// two masters' address spaces occupy distinct table entries in hardware.
+// serves (internal/core/master.go). Every scope is a namespace of its own:
+// the number it takes from the runtime is part of the Dependence Table key
+// of every dependency submitted through it (tableKeyOf), so two scopes
+// using identical keys can never create cross-scope dependencies — they
+// file distinct dependence-table segments exactly as two masters' address
+// spaces occupy distinct table entries in hardware. Nothing is rewritten:
+// a scoped task carries its scope, and Check Deps and Handle Finished read
+// the namespace off it.
 // A scope also has a window of the runtime's own type (window.go), its
 // share of the shared Task Pool — a scoped task holds one token of each
 // from admission to Handle Finished — and its own tally, fed the outcome
@@ -24,21 +27,15 @@ import (
 	"slices"
 )
 
-// ScopedKey is a user key namespaced by the scope that submitted it. It is
-// the concrete key type the shared runtime's dependence banks see for
-// scoped submissions; it is exported so diagnostics and tests can name it,
-// but user code normally never constructs one.
-type ScopedKey struct {
-	Scope string
-	Key   Key
-}
-
-// Scope is a named, isolated submission namespace over a shared Runtime.
+// Scope is a labelled, isolated submission namespace over a shared Runtime.
 // Create one per tenant with Runtime.Scope or BoundedScope. Methods are safe
 // for concurrent use; SetOnDone must be called before the first submission.
 type Scope struct {
 	rt   *Runtime
 	name string
+	// ns is the scope's namespace, unique on its runtime and never 0 (the
+	// runtime's own): the ns field of every table key the scope's tasks use.
+	ns uint64
 	// onDone, when set, observes every scoped task's completion after the
 	// scope's own accounting is settled.
 	onDone func(err error)
@@ -48,22 +45,23 @@ type Scope struct {
 	tally
 }
 
-// Scope returns a new submission namespace named name on the runtime, with
-// an unbounded share of the window. Two scopes with different names are
-// fully isolated even on identical user keys; two Scope calls with the same
-// name alias the same namespace (their keys interact) but keep separate
-// counters.
+// Scope returns a new submission namespace on the runtime, with an unbounded
+// share of the window. Every call makes a fresh namespace, fully isolated
+// from every other scope and from the runtime's own keys even on identical
+// user keys. The name is a label for diagnostics only: two Scope calls with
+// the same name are two namespaces, not one.
 func (rt *Runtime) Scope(name string) *Scope { return rt.BoundedScope(name, math.MaxInt) }
 
 // BoundedScope is Scope with at most limit of the scope's tasks in flight:
 // Submit and SubmitAll block while the scope is full, TrySubmitAll refuses.
+// Like Scope, every call makes a fresh namespace whatever the name.
 func (rt *Runtime) BoundedScope(name string, limit int) *Scope {
-	s := &Scope{rt: rt, name: name}
+	s := &Scope{rt: rt, name: name, ns: rt.lastNS.Add(1)}
 	s.win.limit = int64(limit)
 	return s
 }
 
-// Name returns the scope's namespace name.
+// Name returns the scope's label.
 func (s *Scope) Name() string { return s.name }
 
 // SetOnDone registers a hook invoked with every scoped task's final error
@@ -84,36 +82,26 @@ func (s *Scope) taskDone(o Outcome, err error) {
 	}
 }
 
-// key namespaces one user key: the only place a ScopedKey is made.
-func (s *Scope) key(k Key) Key { return ScopedKey{Scope: s.name, Key: k} }
-
-// adopt makes tasks the scope's own: every dependency key is namespaced
-// where it sits and the scope attached. The caller must own the tasks and
-// their Deps slices.
+// adopt makes tasks the scope's own — and with that puts their keys in its
+// namespace. The caller must own the tasks slice.
 func (s *Scope) adopt(tasks []Task) {
 	for i := range tasks {
-		t := &tasks[i]
-		for j := range t.Deps {
-			t.Deps[j].Key = s.key(t.Deps[j].Key)
-		}
-		t.scope = s
+		tasks[i].scope = s
 	}
 }
 
-// Submit submits one task through the scope: keys are namespaced, and the
-// scope's window and counters track the task's lifecycle. Semantics
-// otherwise match Runtime.Submit. The caller's Deps slice is not mutated.
+// Submit submits one task through the scope: its keys live in the scope's
+// namespace, and the scope's window and counters track the task's
+// lifecycle. Semantics (and cost) otherwise match Runtime.Submit.
 func (s *Scope) Submit(ctx context.Context, t Task) (*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	one := [1]Task{t}
-	one[0].Deps = slices.Clone(t.Deps)
-	s.adopt(one[:])
+	t.scope = s
 	if err := s.win.acquire(ctx, s.rt.stopped, 1); err != nil {
 		return nil, err
 	}
-	h, err := s.rt.Submit(ctx, one[0])
+	h, err := s.rt.Submit(ctx, t)
 	if err != nil {
 		s.win.release(1)
 		return nil, err
@@ -126,24 +114,17 @@ func (s *Scope) Submit(ctx context.Context, t Task) (*Handle, error) {
 // contract as Runtime.SubmitAll: on error the returned handles cover the
 // admitted prefix, and the scope's window and counters cover exactly that
 // prefix. A batch larger than a bounded scope's limit is an error. The
-// caller's slices are not mutated: the batch is copied, its Deps into one
-// slab.
+// caller's tasks are not mutated: the batch is copied, the Deps slices are
+// shared (the runtime reads them until their task finishes).
 func (s *Scope) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n, total := int64(len(tasks)), 0
+	n := int64(len(tasks))
 	if n > s.win.limit {
 		return nil, fmt.Errorf("starss: batch of %d exceeds the scope window of %d", n, s.win.limit)
 	}
-	for i := range tasks {
-		total += len(tasks[i].Deps)
-	}
-	owned, slab := slices.Clone(tasks), make([]Dep, total)
-	for i := range owned {
-		k := copy(slab, owned[i].Deps)
-		owned[i].Deps, slab = slab[:k:k], slab[k:]
-	}
+	owned := slices.Clone(tasks)
 	s.adopt(owned)
 	if err := s.win.acquire(ctx, s.rt.stopped, n); err != nil {
 		return nil, err
@@ -166,10 +147,10 @@ var (
 // to any submitter already blocked on either window, and tries the shared
 // one first, so that a scope whose limit is the whole window hears
 // ErrWindowFull, not ErrScopeFull, once it has filled both. Unlike
-// SubmitAll it takes the batch over and copies nothing: keys are namespaced
-// in place; the tasks slice is the caller's again once the call returns,
-// the Deps slices belong to the runtime until their task finishes. ctx
-// must not be nil.
+// SubmitAll it takes the batch over and copies nothing: the tasks are
+// adopted in place; the tasks slice is the caller's again once the call
+// returns, the Deps slices belong to the runtime until their task finishes.
+// ctx must not be nil.
 func (s *Scope) TrySubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
 	s.adopt(tasks)
 	nodes, err := makeNodes(ctx, tasks)
@@ -192,14 +173,10 @@ func (s *Scope) TrySubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 	return rt.admitAll(nodes, make([]*Handle, 0, n)), nil
 }
 
-// WaitOn blocks until every previously submitted scoped task accessing any
-// of the given (un-namespaced) keys has completed; see Runtime.WaitOn.
+// WaitOn blocks until every task previously submitted through the scope that
+// accesses any of the given keys has completed; see Runtime.WaitOn.
 func (s *Scope) WaitOn(ctx context.Context, keys ...Key) error {
-	scoped := make([]Key, len(keys))
-	for i, k := range keys {
-		scoped[i] = s.key(k)
-	}
-	return s.rt.WaitOn(ctx, scoped...)
+	return s.rt.waitOn(ctx, s.ns, keys)
 }
 
 // InFlight returns the scope's current submitted-but-unfinished count —

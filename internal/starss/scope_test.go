@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -301,6 +302,149 @@ func TestScopeWaitOn(t *testing.T) {
 	// Scope B's key space is quiet even though scope A still holds "k".
 	if err := b.WaitOn(ctx, "k"); err != nil {
 		t.Fatalf("scoped WaitOn blocked on another scope's segment: %v", err)
+	}
+}
+
+// TestScopeSameNameIsolated pins that a scope's name is a label, not its
+// identity: two Scope calls with one name are two namespaces. On both
+// runtimes and for both key kinds, a writer held in the first must not hold
+// up the second's writer on the same key, the second's WaitOn must not see
+// the first's segment, and several goroutines making same-named scopes at
+// once must each get a namespace of their own.
+func TestScopeSameNameIsolated(t *testing.T) {
+	for name, rt := range newRuntimes(Config{Workers: 2, Window: 64, BufferingDepth: 1}) {
+		t.Run(name, func(t *testing.T) {
+			defer mustClose(t, rt)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			first, second := rt.Scope("x"), rt.BoundedScope("x", 8)
+			if first.Name() != "x" || second.Name() != "x" {
+				t.Fatalf("names %q and %q, want x twice", first.Name(), second.Name())
+			}
+			gate := make(chan struct{})
+			deps := []Dep{Addr(0x40, ModeInOut), InOut("matrix")}
+			held, err := first.Submit(ctx, Task{Deps: deps, Do: func(context.Context) error { <-gate; return nil }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			free, err := second.Submit(ctx, Task{Deps: deps, Do: func(context.Context) error { return nil }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := free.Wait(ctx); err != nil {
+				t.Fatalf("the second scope named x waited for the first one's writer: %v", err)
+			}
+			if err := second.WaitOn(ctx, uint64(0x40), "matrix"); err != nil {
+				t.Fatalf("the second scope's WaitOn saw the first one's segments: %v", err)
+			}
+			if held.finished() {
+				t.Fatal("the gated writer finished early")
+			}
+			close(gate)
+			if err := held.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+
+			// Concurrent tenants, one label: every writer is gated, so any two
+			// scopes sharing a namespace would show as a hazard.
+			const tenants = 8
+			gate = make(chan struct{})
+			before := rt.Stats().Hazards
+			var wg sync.WaitGroup
+			handles := make([]*Handle, tenants)
+			for i := range handles {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					h, err := rt.Scope("tenant").Submit(ctx, Task{
+						Deps: []Dep{Addr(7, ModeInOut), InOut("k")},
+						Do:   func(context.Context) error { <-gate; return nil },
+					})
+					if err != nil {
+						t.Error(err)
+					}
+					handles[i] = h
+				}()
+			}
+			wg.Wait()
+			fenceMaestro(t, rt)
+			if got := rt.Stats().Hazards - before; got != 0 {
+				t.Errorf("%d of %d same-named scopes queued behind another", got, tenants)
+			}
+			close(gate)
+			for _, h := range handles {
+				if h != nil {
+					if err := h.Wait(ctx); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestScopeSubmitAllocations pins what a namespace costs: nothing. A scoped
+// task's keys are not rewritten, boxed or copied — the task carries its
+// scope — so in steady state a 64-task TrySubmitAll of two-address tasks
+// costs two allocations per task (node and handle) plus the batch's node and
+// handle slices, and Scope.Submit costs exactly what Runtime.Submit does.
+func TestScopeSubmitAllocations(t *testing.T) {
+	ctx := context.Background()
+	nop := func(context.Context) error { return nil }
+	await := func(h *Handle) {
+		for !h.finished() { // spinning: Wait would make the done channel
+			runtime.Gosched()
+		}
+	}
+	rt := New(Config{Workers: 1, Window: 128})
+	defer mustClose(t, rt)
+	s := rt.Scope("tenant")
+
+	const n = 64
+	tasks := make([]Task, n)
+	for i := range tasks {
+		// A ring: each task writes its own address and reads its neighbour's.
+		tasks[i] = Task{Do: nop, Deps: []Dep{
+			Addr(0x1000+uint64(i)*64, ModeOut),
+			Addr(0x1000+uint64((i+n-1)%n)*64, ModeIn),
+		}}
+	}
+	batch := func() {
+		handles, err := s.TrySubmitAll(ctx, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range handles {
+			await(h)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		batch() // warm-up: map buckets, free lists
+	}
+	got := testing.AllocsPerRun(200, batch)
+	t.Logf("TrySubmitAll of %d tasks: %.1f allocations", n, got)
+	if budget := float64(2*n + 2); got > budget {
+		t.Errorf("TrySubmitAll of %d tasks: %.1f allocations, want <= %.0f", n, got, budget)
+	}
+
+	one := Task{Do: nop, Deps: []Dep{Addr(0x40, ModeInOut), In("k")}}
+	var perSubmit [2]float64
+	for i, sub := range []submitter{rt, s} {
+		single := func() {
+			h, err := sub.Submit(ctx, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			await(h)
+		}
+		for j := 0; j < 50; j++ {
+			single()
+		}
+		perSubmit[i] = testing.AllocsPerRun(500, single)
+	}
+	t.Logf("Submit: %.2f allocations on the runtime, %.2f through the scope", perSubmit[0], perSubmit[1])
+	if perSubmit[0] != 2 || perSubmit[1] != perSubmit[0] {
+		t.Errorf("Submit costs %.2f allocations on the runtime and %.2f through a scope, want 2 and 2", perSubmit[0], perSubmit[1])
 	}
 }
 

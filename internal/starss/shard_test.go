@@ -58,11 +58,14 @@ func TestSingleShardPreservesSemantics(t *testing.T) {
 // TestMultiKeyTasksAcrossBanks stresses tasks whose keys hash to several
 // banks at once: the sorted bank-acquisition order must neither deadlock
 // nor break hazard exclusion. Two shards with many keys guarantees
-// cross-bank key sets.
+// cross-bank key sets. The keys are drawn from both kinds (addresses and
+// the fallback table's) and the tasks from three namespaces, so one task's
+// bank set mixes the two tables and one bank files the same key three times.
 func TestMultiKeyTasksAcrossBanks(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		rt := New(Config{Workers: 8, Shards: shards, Window: 128})
 		h := newHazardChecker()
+		subs, nss := namespaces(rt)
 		rng := sim.NewRand(11)
 		for i := 0; i < 400; i++ {
 			var deps []Dep
@@ -73,17 +76,20 @@ func TestMultiKeyTasksAcrossBanks(t *testing.T) {
 					continue
 				}
 				used[key] = true
-				deps = append(deps, Dep{Key: key, Mode: Mode(rng.Intn(3))})
+				deps = append(deps, mixedDep(rng, key, Mode(rng.Intn(3))))
 			}
 			norm := normalizeDeps(deps)
-			rt.MustSubmit(Task{
+			who := rng.Intn(len(subs))
+			if _, err := subs[who].Submit(context.Background(), Task{
 				Deps: deps,
 				Do: do(func() {
-					h.enter(norm)
-					defer h.exit(norm)
+					h.enter(nss[who], norm)
+					defer h.exit(nss[who], norm)
 					spin(100)
 				}),
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		mustClose(t, rt)
 		if len(h.bad) > 0 {
@@ -237,8 +243,9 @@ func TestSubmitAllRAWAcrossBatches(t *testing.T) {
 func TestBankIndexStable(t *testing.T) {
 	rt := New(Config{Workers: 1, Shards: 16})
 	defer mustClose(t, rt)
-	for _, k := range []Key{"a", 7, [2]int{1, 2}, 3.5} {
-		i, j := rt.bankIndex(k), rt.bankIndex(k)
+	for _, k := range []Key{"a", 7, [2]int{1, 2}, 3.5, uint64(7), nil} {
+		key := tableKeyOf(3, Dep{Key: k})
+		i, j := rt.bankIndex(key), rt.bankIndex(key)
 		if i != j {
 			t.Fatalf("bankIndex(%v) unstable: %d vs %d", k, i, j)
 		}

@@ -1,13 +1,14 @@
 // Package starss is a real, executing StarSs-style task-dataflow runtime
 // for Go whose scheduler is the Nexus++ dependency-resolution algorithm.
 //
-// Tasks are Go closures annotated with the data they read and write
-// (In/Out/InOut dependencies on user-chosen keys, the analogue of the
-// paper's base addresses). The runtime discovers RAW dependencies and
-// enforces WAR/WAW hazards without renaming — exactly the semantics of the
-// paper's Dependence Table: concurrent readers share a segment, a writer
-// waits for all previous readers ("a writer waits" flag), and waiters queue
-// in per-segment kick-off lists released by the handle-finished path.
+// Tasks are Go closures annotated with the data they read and write: Addr
+// dependencies on base addresses, as in the paper, or In/Out/InOut
+// dependencies on any comparable user-chosen key. The runtime discovers RAW
+// dependencies and enforces WAR/WAW hazards without renaming — exactly the
+// semantics of the paper's Dependence Table: concurrent readers share a
+// segment, a writer waits for all previous readers ("a writer waits" flag),
+// and waiters queue in per-segment kick-off lists released by the
+// handle-finished path.
 //
 // Every submission returns a *Handle — the software analogue of the task ID
 // Nexus++ assigns in hardware and tracks from Check Deps through Handle
@@ -30,7 +31,11 @@
 // hashed and looked up once in a task's life — the task keeps, per
 // dependency, the segment Check Deps found, Handle Finished follows those
 // pointers, and a segment's kick-off list is threaded through the waiting
-// tasks themselves. NewMaestro (maestro.go) builds the same runtime with
+// tasks themselves. The table is keyed as the paper's is, by address: a
+// bank files {namespace, address} keys in one map and every other kind of
+// key in a second, made on first use (tableKeyOf), and the namespace — 0 for
+// the runtime, one per Scope — is a field of the key, never a wrapper around
+// it. NewMaestro (maestro.go) builds the same runtime with
 // that single resolver goroutine put back, as the baseline the banks are
 // measured against.
 //
@@ -100,14 +105,23 @@ func (m Mode) String() string {
 }
 
 // Key identifies a piece of data. Keys are compared with ==; any comparable
-// value works (strings, ints, pointers, small structs).
+// value works (strings, ints, pointers, small structs). A uint64 is a base
+// address: it names the same data as Addr of that value.
 type Key = any
 
 // Dep declares one data access of a task.
 type Dep struct {
 	Key  Key
 	Mode Mode
+	// isAddr marks a dependency made by Addr: addr is its key and Key is nil.
+	isAddr bool
+	addr   uint64
 }
+
+// Addr declares an access of mode m to the data at base address addr — the
+// paper's own Dependence Table key. It names the same data as a Key holding
+// uint64(addr), without boxing the address into an interface.
+func Addr(addr uint64, m Mode) Dep { return Dep{Mode: m, isAddr: true, addr: addr} }
 
 // In declares a read-only dependency.
 func In(k Key) Dep { return Dep{Key: k, Mode: ModeIn} }
@@ -156,10 +170,63 @@ type Task struct {
 	// error wrapping ErrTaskTimeout (retryable — each attempt gets a fresh
 	// budget). 0 means no per-task deadline.
 	Timeout time.Duration
-	// scope is the Scope the task was submitted through, if any. The
-	// finishing worker settles its accounting (Scope.taskDone) just before
-	// the handle is published: whoever the handle wakes finds it settled.
+	// scope is the Scope the task was submitted through, if any. It names
+	// the namespace the task's keys live in, and the finishing worker settles
+	// its accounting (Scope.taskDone) just before the handle is published:
+	// whoever the handle wakes finds it settled.
 	scope *Scope
+}
+
+// ns is the namespace of the task's keys: its scope's, or 0 — the runtime's
+// own — for a task submitted on the Runtime directly.
+func (t *Task) ns() uint64 {
+	if t.scope != nil {
+		return t.scope.ns
+	}
+	return 0
+}
+
+// addrKey is the Dependence Table key of a parameter's base address: the
+// address and the namespace (the master core's address space) it belongs to.
+type addrKey struct{ ns, addr uint64 }
+
+// anyKey is the table key of a Key that is not an address.
+type anyKey struct {
+	ns uint64
+	k  Key
+}
+
+// tableKey is a dependency's key as the banks see it: an address key, or —
+// when other is set — the key {ns, other} of the fallback table. It is
+// derived where it is needed (a type switch, no hash) and never stored.
+type tableKey struct {
+	addrKey
+	other Key
+}
+
+// fallback is k's key in the fallback table; k.other must be set.
+func (k tableKey) fallback() anyKey { return anyKey{k.ns, k.other} }
+
+// nilKey stands in for a nil Key in the fallback table, so that In(nil) is
+// a key of its own and not address 0.
+type nilKey struct{}
+
+// tableKeyOf derives d's table key in namespace ns — the one place a Dep
+// becomes a key. An Addr dependency and any Key holding a uint64 are the
+// same address key; every other Key goes to the fallback table. (A bare Key
+// k is derived as tableKeyOf(ns, Dep{Key: k}).)
+func tableKeyOf(ns uint64, d Dep) tableKey {
+	if d.isAddr {
+		return tableKey{addrKey: addrKey{ns, d.addr}}
+	}
+	switch k := d.Key.(type) {
+	case uint64:
+		return tableKey{addrKey: addrKey{ns, k}}
+	case nil:
+		return tableKey{addrKey: addrKey{ns: ns}, other: nilKey{}}
+	default:
+		return tableKey{addrKey: addrKey{ns: ns}, other: k}
+	}
 }
 
 // Config parameterises a Runtime.
@@ -339,13 +406,18 @@ func (h *Handle) complete(o Outcome, err error) {
 // (acquisitions/contended under TryLock knowledge, maxQueue under the bank
 // lock) but are always read atomically by Stats.
 type bank struct {
-	mu   sync.Mutex
-	segs map[Key]*segState
-	// free holds drained segments for reuse, guarded by mu like segs. It is
-	// bounded (Runtime.segFree) because an idle runtime keeps it: an
-	// unbounded list would pin a burst's worth of segments for the runtime's
-	// life.
-	free         []*segState
+	mu sync.Mutex
+	// addrs files the segments of address keys; others, nil until the first
+	// key that is not an address, those of every other Key. Only lookup,
+	// takeSeg and dropSeg choose between the two.
+	addrs  map[addrKey]*segState
+	others map[anyKey]*segState
+	// free lists nfree drained segments for reuse (linked through
+	// segState.nextFree), guarded by mu like the tables. It is bounded
+	// (Runtime.segFree) because an idle runtime keeps it: an unbounded list
+	// would pin a burst's worth of segments for the runtime's life.
+	free         *segState
+	nfree        int
 	acquisitions atomic.Uint64
 	contended    atomic.Uint64
 	maxQueue     atomic.Uint64
@@ -354,18 +426,32 @@ type bank struct {
 // segFreeMin is the least a bank's free list may hold.
 const segFreeMin = 64
 
+// lookup returns key k's live segment, or nil. The caller holds b.mu.
+func (b *bank) lookup(k tableKey) *segState {
+	if k.other == nil {
+		return b.addrs[k.addrKey]
+	}
+	return b.others[k.fallback()]
+}
+
 // takeSeg returns an empty segment for key k and files it in the bank, whose
 // index is idx. The caller holds b.mu.
-func (b *bank) takeSeg(k Key, idx int32) *segState {
-	var seg *segState
-	if n := len(b.free); n > 0 {
-		seg = b.free[n-1]
-		b.free[n-1] = nil
-		b.free = b.free[:n-1]
+func (b *bank) takeSeg(k tableKey, idx int32) *segState {
+	seg := b.free
+	if seg != nil {
+		b.free, seg.nextFree = seg.nextFree, nil
+		b.nfree--
 	} else {
 		seg = &segState{bank: idx}
 	}
-	b.segs[k] = seg
+	if k.other == nil {
+		b.addrs[k.addrKey] = seg
+		return seg
+	}
+	if b.others == nil {
+		b.others = make(map[anyKey]*segState)
+	}
+	b.others[k.fallback()] = seg
 	return seg
 }
 
@@ -374,13 +460,18 @@ func (b *bank) takeSeg(k Key, idx int32) *segState {
 // segment's kick-off list is empty, so the free list pins no task; the reset
 // keeps only the bank index, which a segment never changes — it is recycled
 // through its own bank.
-func (b *bank) dropSeg(k Key, seg *segState, keep int) {
-	delete(b.segs, k)
-	if len(b.free) >= keep {
+func (b *bank) dropSeg(k tableKey, seg *segState, keep int) {
+	if k.other == nil {
+		delete(b.addrs, k.addrKey)
+	} else {
+		delete(b.others, k.fallback())
+	}
+	if b.nfree >= keep {
 		return
 	}
-	*seg = segState{bank: seg.bank}
-	b.free = append(b.free, seg)
+	*seg = segState{bank: seg.bank, nextFree: b.free}
+	b.free = seg
+	b.nfree++
 }
 
 // Runtime schedules and executes tasks.
@@ -411,6 +502,9 @@ type Runtime struct {
 	// stopped, so no submitter can be left mid-admission with a send to
 	// readyCh pending when the channel is closed.
 	subMu sync.RWMutex
+
+	// lastNS is the namespace of the newest Scope; 0 is the runtime's own.
+	lastNS atomic.Uint64
 
 	tally
 	retried  atomic.Uint64
@@ -528,6 +622,9 @@ type segState struct {
 	// skipped. It dies with the segment: once the key drains and the
 	// segment is deleted, later submissions start clean.
 	poison error
+	// nextFree links the segment into its bank's free list while it is
+	// drained and recycled; nil while it is live.
+	nextFree *segState
 }
 
 // enqueue appends the node to the kick-off list, waiting with its access i.
@@ -638,7 +735,7 @@ func newRuntime(cfg Config, f *funnel) *Runtime {
 	}
 	rt.win.limit = int64(cfg.Window)
 	for i := range rt.banks {
-		rt.banks[i].segs = make(map[Key]*segState)
+		rt.banks[i].addrs = make(map[addrKey]*segState)
 	}
 	if cfg.EventBuffer > 0 {
 		rt.rec = obs.NewRecorder(cfg.Workers, cfg.EventBuffer)
@@ -691,11 +788,14 @@ func (rt *Runtime) emit(lane int, kind obs.Kind, node *taskNode, worker int) {
 
 // bankIndex hashes a key to its bank. Like map insertion, it panics for
 // keys that are not comparable.
-func (rt *Runtime) bankIndex(k Key) int32 {
+func (rt *Runtime) bankIndex(k tableKey) int32 {
 	if rt.mask == 0 {
 		return 0
 	}
-	return int32(maphash.Comparable(rt.seed, k) & rt.mask)
+	if k.other == nil {
+		return int32(maphash.Comparable(rt.seed, k.addrKey) & rt.mask)
+	}
+	return int32(maphash.Comparable(rt.seed, k.fallback()) & rt.mask)
 }
 
 // sortedUnique sorts bank indices in place and drops duplicates — the
@@ -950,15 +1050,15 @@ func (rt *Runtime) dispatch(node *taskNode) {
 	rt.readyCh <- node
 }
 
-// hashDeps hashes each dependency's key to its bank — the only time a
-// task's keys are hashed — into scratch, which must hold twice len(deps)
-// entries: bankOf[i] is the bank of deps[i], order the sorted, deduplicated
-// set, the task's acquisition order.
-func (rt *Runtime) hashDeps(deps []Dep, scratch []int32) (bankOf, order []int32) {
+// hashDeps hashes each dependency's key (in namespace ns) to its bank — the
+// only time a task's keys are hashed — into scratch, which must hold twice
+// len(deps) entries: bankOf[i] is the bank of deps[i], order the sorted,
+// deduplicated set, the task's acquisition order.
+func (rt *Runtime) hashDeps(ns uint64, deps []Dep, scratch []int32) (bankOf, order []int32) {
 	n := len(deps)
 	bankOf, order = scratch[:n:n], scratch[n:2*n]
 	for i, d := range deps {
-		bankOf[i] = rt.bankIndex(d.Key)
+		bankOf[i] = rt.bankIndex(tableKeyOf(ns, d))
 	}
 	copy(order, bankOf)
 	return bankOf, sortedUnique(order)
@@ -968,14 +1068,14 @@ func (rt *Runtime) hashDeps(deps []Dep, scratch []int32) (bankOf, order []int32)
 // banks for this one task only; a task that comes out free of dependencies
 // is dispatched as soon as they are released.
 func (rt *Runtime) resolveNew(node *taskNode) {
-	deps := node.task.Deps
+	deps, ns := node.task.Deps, node.task.ns()
 	var buf [2 * inlineDeps]int32
 	var bankOf, order []int32
 	if sp := node.spill; sp != nil {
-		bankOf, sp.order = rt.hashDeps(deps, sp.banks)
+		bankOf, sp.order = rt.hashDeps(ns, deps, sp.banks)
 		order = sp.order
 	} else {
-		bankOf, order = rt.hashDeps(deps, buf[:])
+		bankOf, order = rt.hashDeps(ns, deps, buf[:])
 	}
 	if rt.rec != nil {
 		first := -1
@@ -1011,14 +1111,15 @@ func (rt *Runtime) noteQueueDepth(b *bank, depth int32) {
 // in the node's access slots, and returns the resulting dependence count.
 // bankOf[i] is the bank of task.Deps[i]; the caller holds them all.
 func (rt *Runtime) checkDeps(node *taskNode, bankOf []int32) int {
-	dc := 0
+	dc, ns := 0, node.task.ns()
 	acc, _ := node.slots()
 	for i, d := range node.task.Deps {
 		b := &rt.banks[bankOf[i]]
-		seg := b.segs[d.Key]
+		key := tableKeyOf(ns, d)
+		seg := b.lookup(key)
 		wantsWrite := d.Mode != ModeIn
 		if seg == nil {
-			seg = b.takeSeg(d.Key, bankOf[i])
+			seg = b.takeSeg(key, bankOf[i])
 			if wantsWrite {
 				seg.isOut = true
 			} else {
@@ -1079,7 +1180,7 @@ func (node *taskNode) rootCause() error {
 // is skipped as a transitive dependent while the kick-off lists drain
 // normally. worker is the finishing worker's index, for the event stream.
 func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
-	root := node.rootCause()
+	root, ns := node.rootCause(), node.task.ns()
 	// Most finishers release at most a few waiters; keep them off the heap.
 	var buf [8]*taskNode
 	released := buf[:0]
@@ -1099,7 +1200,7 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 				continue
 			}
 			if !seg.ww {
-				b.dropSeg(d.Key, seg, rt.segFree)
+				b.dropSeg(tableKeyOf(ns, d), seg, rt.segFree)
 				continue
 			}
 			seg.isOut = true
@@ -1109,7 +1210,7 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 		}
 		seg.isOut = false
 		if seg.head == nil {
-			b.dropSeg(d.Key, seg, rt.segFree)
+			b.dropSeg(tableKeyOf(ns, d), seg, rt.segFree)
 			continue
 		}
 		if seg.headWrites() {
@@ -1215,15 +1316,16 @@ func (rt *Runtime) waitIdle() {
 	<-reply
 }
 
-// quiet reports whether none of the keys has a live segment. Keys are
-// inspected one bank at a time; a key observed quiet has completed every
-// access submitted before the observation.
-func (rt *Runtime) quiet(keys []Key) bool {
+// quiet reports whether none of the keys has a live segment in namespace ns.
+// Keys are inspected one bank at a time; a key observed quiet has completed
+// every access submitted before the observation.
+func (rt *Runtime) quiet(ns uint64, keys []Key) bool {
 	for _, k := range keys {
-		b := &rt.banks[rt.bankIndex(k)]
+		key := tableKeyOf(ns, Dep{Key: k})
+		b := &rt.banks[rt.bankIndex(key)]
 		//nexusvet:ignore lockorder single-bank probe: one mutex held at a time, released before the next key, so no acquisition order exists to violate
 		b.mu.Lock()
-		_, busy := b.segs[k]
+		busy := b.lookup(key) != nil
 		b.mu.Unlock()
 		if busy {
 			return false
@@ -1240,7 +1342,7 @@ func (rt *Runtime) checkWaitersLocked() {
 	}
 	kept := rt.waiters[:0]
 	for _, w := range rt.waiters {
-		if rt.quiet(w.keys) {
+		if rt.quiet(w.ns, w.keys) {
 			close(w.reply)
 			rt.waiterCount.Add(-1)
 		} else {
@@ -1324,11 +1426,12 @@ func normalizeDeps(deps []Dep) []Dep {
 		return deps
 	}
 	out := make([]Dep, 0, len(deps))
-	index := make(map[Key]int, len(deps))
+	index := make(map[tableKey]int, len(deps))
 	for _, d := range deps {
-		i, seen := index[d.Key]
+		k := tableKeyOf(0, d)
+		i, seen := index[k]
 		if !seen {
-			index[d.Key] = len(out)
+			index[k] = len(out)
 			out = append(out, d)
 			continue
 		}
@@ -1343,12 +1446,18 @@ func normalizeDeps(deps []Dep) []Dep {
 	return out
 }
 
-// hasDuplicateKey compares every pair of keys. Like a map insertion, the
-// comparison panics for keys that are not comparable.
+// hasDuplicateKey compares every pair of table keys of at most shortDeps
+// dependencies. Like a map insertion, the comparison panics for keys that
+// are not comparable.
 func hasDuplicateKey(deps []Dep) bool {
-	for i := 1; i < len(deps); i++ {
+	if len(deps) < 2 {
+		return false
+	}
+	var keys [shortDeps]tableKey
+	for i, d := range deps {
+		keys[i] = tableKeyOf(0, d)
 		for j := 0; j < i; j++ {
-			if deps[i].Key == deps[j].Key {
+			if keys[i] == keys[j] {
 				return true
 			}
 		}

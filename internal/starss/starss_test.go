@@ -2,6 +2,7 @@ package starss
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,6 +39,131 @@ func TestNormalizeDeps(t *testing.T) {
 	}
 	if deps[1].Key != "b" || deps[1].Mode != ModeIn {
 		t.Errorf("dep b = %v", deps[1])
+	}
+}
+
+// TestKeyIdentity pins which dependencies name the same data: the table key
+// is {namespace, address} for an Addr and for any Key holding a uint64, and
+// {namespace, Key} for everything else.
+func TestKeyIdentity(t *testing.T) {
+	merged := normalizeDeps([]Dep{In(uint64(7)), Addr(7, ModeOut)})
+	if len(merged) != 1 || merged[0].Mode != ModeInOut {
+		t.Errorf("normalizeDeps(in 7, out Addr 7) = %v, want one inout", merged)
+	}
+	if kept := normalizeDeps([]Dep{In(7), In("7"), In(uint64(7)), In(nil), Addr(0, ModeIn)}); len(kept) != 5 {
+		t.Errorf("normalizeDeps merged distinct keys: %v", kept)
+	}
+	ctx := context.Background()
+	nop := func(context.Context) error { return nil }
+	for name, rt := range newRuntimes(Config{Workers: 4, Window: 16, BufferingDepth: 1}) {
+		t.Run(name, func(t *testing.T) {
+			defer mustClose(t, rt)
+			scopeA, scopeB := rt.Scope("a"), rt.Scope("b")
+			submit := func(s submitter, task Task) *Handle {
+				t.Helper()
+				h, err := s.Submit(ctx, task)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return h
+			}
+			// waits reports whether a task on d2 is held up by a running
+			// task on d1: Check Deps counts it as a hazard or it does not.
+			waits := func(s1 submitter, d1 Dep, s2 submitter, d2 Dep) bool {
+				t.Helper()
+				gate := make(chan struct{})
+				before := rt.Stats().Hazards
+				first := submit(s1, Task{Deps: []Dep{d1}, Do: func(context.Context) error { <-gate; return nil }})
+				second := submit(s2, Task{Deps: []Dep{d2}, Do: nop})
+				fenceMaestro(t, rt)
+				waited := rt.Stats().Hazards - before
+				close(gate)
+				for _, h := range []*Handle{first, second} {
+					if err := h.Wait(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return waited == 1
+			}
+			for _, tc := range []struct {
+				name   string
+				s1     submitter
+				d1     Dep
+				s2     submitter
+				d2     Dep
+				serial bool
+			}{
+				{"Addr then boxed uint64", rt, Addr(7, ModeInOut), rt, In(uint64(7)), true},
+				{"boxed uint64 then Addr", rt, In(uint64(7)), rt, Addr(7, ModeOut), true},
+				{"Dep literal then Addr", rt, Dep{Key: uint64(7)}, rt, Addr(7, ModeInOut), true},
+				{"Addr then Addr", rt, Addr(7, ModeOut), rt, Addr(7, ModeIn), true},
+				{"int and string", rt, InOut(7), rt, InOut("7"), false},
+				{"int and uint64", rt, InOut(7), rt, InOut(uint64(7)), false},
+				{"string and Addr", rt, InOut("7"), rt, Addr(7, ModeInOut), false},
+				{"nil and nil", rt, InOut(nil), rt, InOut(nil), true},
+				{"nil and address 0", rt, InOut(nil), rt, Addr(0, ModeInOut), false},
+				{"nil and boxed 0", rt, InOut(nil), rt, InOut(uint64(0)), false},
+				{"unscoped and scope A", rt, Addr(7, ModeInOut), scopeA, Addr(7, ModeInOut), false},
+				{"scope A and scope B", scopeA, Addr(7, ModeInOut), scopeB, InOut(uint64(7)), false},
+				{"scope B and unscoped", scopeB, InOut("k"), rt, InOut("k"), false},
+				{"scope A and scope A", scopeA, Addr(7, ModeInOut), scopeA, InOut(uint64(7)), true},
+				{"scope B, fallback table", scopeB, InOut("k"), scopeB, In("k"), true},
+			} {
+				if got := waits(tc.s1, tc.d1, tc.s2, tc.d2); got != tc.serial {
+					t.Errorf("%s: second task waited = %v, want %v", tc.name, got, tc.serial)
+				}
+			}
+
+			// WaitOn sees its own namespace's address 7 and nobody else's:
+			// with one task on it held in each of two namespaces, the one
+			// whose task has finished returns and the other times out.
+			type waiter interface {
+				submitter
+				WaitOn(ctx context.Context, keys ...Key) error
+			}
+			for _, pair := range [][2]waiter{{rt, scopeA}, {scopeA, rt}, {scopeA, scopeB}} {
+				done, held := pair[0], pair[1]
+				gates := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+				var handles [2]*Handle
+				for i, w := range pair {
+					gate := gates[i]
+					handles[i] = submit(w, Task{
+						Deps: []Dep{Addr(7, ModeInOut)},
+						Do:   func(context.Context) error { <-gate; return nil },
+					})
+				}
+				close(gates[0])
+				if err := done.WaitOn(ctx, uint64(7)); err != nil {
+					t.Fatal(err)
+				}
+				if !handles[0].finished() {
+					t.Error("WaitOn returned before its own namespace's task finished")
+				}
+				short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+				if err := held.WaitOn(short, uint64(7)); err != context.DeadlineExceeded {
+					t.Errorf("WaitOn = %v while its namespace's task is held, want a timeout", err)
+				}
+				cancel()
+				close(gates[1])
+				if err := held.WaitOn(ctx, uint64(7)); err != nil {
+					t.Fatal(err)
+				}
+				if !handles[1].finished() {
+					t.Error("WaitOn returned before its own namespace's task finished")
+				}
+			}
+
+			// A key that is not comparable panics as a map insertion does —
+			// here where duplicates are looked for, before anything is admitted.
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("a non-comparable key did not panic")
+					}
+				}()
+				rt.Submit(ctx, Task{Deps: []Dep{In([]int{1}), Out([]int{2})}, Do: nop})
+			}()
+		})
 	}
 }
 
@@ -165,45 +291,79 @@ func TestBarrierWaitsForAll(t *testing.T) {
 
 // hazardChecker verifies reader/writer exclusion at execution time: readers
 // of a key may overlap each other but never a writer; writers are exclusive.
+// Keys are told apart as the Dependence Table tells them apart: by table key,
+// so an Addr and the same address boxed are one key, and one key in two
+// namespaces is two.
 type hazardChecker struct {
 	mu      sync.Mutex
-	readers map[Key]int
-	writers map[Key]int
+	readers map[tableKey]int
+	writers map[tableKey]int
 	bad     []string
 }
 
 func newHazardChecker() *hazardChecker {
-	return &hazardChecker{readers: map[Key]int{}, writers: map[Key]int{}}
+	return &hazardChecker{readers: map[tableKey]int{}, writers: map[tableKey]int{}}
 }
 
-func (h *hazardChecker) enter(deps []Dep) {
+func (h *hazardChecker) enter(ns uint64, deps []Dep) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, d := range deps {
+		k := tableKeyOf(ns, d)
 		if d.Mode == ModeIn {
-			if h.writers[d.Key] > 0 {
+			if h.writers[k] > 0 {
 				h.bad = append(h.bad, "reader overlaps writer")
 			}
-			h.readers[d.Key]++
+			h.readers[k]++
 		} else {
-			if h.writers[d.Key] > 0 || h.readers[d.Key] > 0 {
+			if h.writers[k] > 0 || h.readers[k] > 0 {
 				h.bad = append(h.bad, "writer overlaps access")
 			}
-			h.writers[d.Key]++
+			h.writers[k]++
 		}
 	}
 }
 
-func (h *hazardChecker) exit(deps []Dep) {
+func (h *hazardChecker) exit(ns uint64, deps []Dep) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, d := range deps {
+		k := tableKeyOf(ns, d)
 		if d.Mode == ModeIn {
-			h.readers[d.Key]--
+			h.readers[k]--
 		} else {
-			h.writers[d.Key]--
+			h.writers[k]--
 		}
 	}
+}
+
+// mixedDep spells key id of a small key space one of four ways, at random:
+// as an Addr, as the same address boxed in a Key (both the one address key),
+// as an int and as a string (two more keys, in the fallback table).
+func mixedDep(rng *sim.Rand, id int, m Mode) Dep {
+	switch rng.Intn(4) {
+	case 0:
+		return Addr(uint64(id), m)
+	case 1:
+		return Dep{Key: uint64(id), Mode: m}
+	case 2:
+		return Dep{Key: id, Mode: m}
+	default:
+		return Dep{Key: strconv.Itoa(id), Mode: m}
+	}
+}
+
+// submitter is what a Runtime and a Scope have in common.
+type submitter interface {
+	Submit(ctx context.Context, t Task) (*Handle, error)
+}
+
+// namespaces returns the runtime and two scopes on it — with their
+// namespaces, for the hazard checker — so a property test can spread one
+// small key space over three tables' worth of keys.
+func namespaces(rt *Runtime) ([]submitter, []uint64) {
+	a, b := rt.Scope("a"), rt.Scope("b")
+	return []submitter{rt, a, b}, []uint64{0, a.ns, b.ns}
 }
 
 func TestHazardExclusion(t *testing.T) {
@@ -228,8 +388,8 @@ func TestHazardExclusion(t *testing.T) {
 		rt.MustSubmit(Task{
 			Deps: deps,
 			Do: do(func() {
-				h.enter(norm)
-				defer h.exit(norm)
+				h.enter(0, norm)
+				defer h.exit(0, norm)
 				spin(200)
 			}),
 		})
@@ -360,8 +520,11 @@ func TestWindowBackPressure(t *testing.T) {
 	}
 }
 
-// Property: random task graphs over a small key space always execute all
-// tasks without hazard violations, for any worker count and depth.
+// Property: random task graphs over a small key space — spelled as
+// addresses and as other keys, in the runtime's namespace and in two scopes'
+// — always execute all tasks without hazard violations, for any worker
+// count, depth and bank count. A task may name one key twice in two
+// spellings; normalizeDeps has to merge those.
 func TestRandomGraphsProperty(t *testing.T) {
 	prop := func(seed uint64, wRaw, dRaw, sRaw uint8) bool {
 		rng := sim.NewRand(seed)
@@ -372,27 +535,20 @@ func TestRandomGraphsProperty(t *testing.T) {
 			Shards:         int(sRaw % 5), // 0 (default), 1, 2, 3→4, 4
 		})
 		h := newHazardChecker()
+		subs, nss := namespaces(rt)
 		n := 120
 		for i := 0; i < n; i++ {
 			var deps []Dep
-			used := map[int]bool{}
-			for k := 0; k <= rng.Intn(2); k++ {
-				key := rng.Intn(4)
-				if used[key] {
-					continue
-				}
-				used[key] = true
-				deps = append(deps, Dep{Key: key, Mode: Mode(rng.Intn(3))})
-			}
-			if len(deps) == 0 {
-				deps = []Dep{In(42)}
+			for k := 0; k <= rng.Intn(3); k++ {
+				deps = append(deps, mixedDep(rng, rng.Intn(4), Mode(rng.Intn(3))))
 			}
 			norm := normalizeDeps(deps)
-			if _, err := rt.Submit(context.Background(), Task{
+			who := rng.Intn(len(subs))
+			if _, err := subs[who].Submit(context.Background(), Task{
 				Deps: deps,
 				Do: do(func() {
-					h.enter(norm)
-					defer h.exit(norm)
+					h.enter(nss[who], norm)
+					defer h.exit(nss[who], norm)
 					spin(50)
 				}),
 			}); err != nil {

@@ -2,14 +2,20 @@ package starss
 
 import "context"
 
-// WaitOn blocks until every previously submitted task that accesses any of
-// the given keys has completed — StarSs's "wait on" pragma, a targeted
+// WaitOn blocks until every task previously submitted on the runtime itself
+// (not through a Scope, whose keys are its own: Scope.WaitOn) that accesses
+// any of the given keys has completed — StarSs's "wait on" pragma, a targeted
 // alternative to the full Wait. Like Wait, it observes every Submit that
 // returned before the call, returns ctx.Err() if the context is cancelled
 // first, and returns ErrStopped when the runtime is already closed instead
 // of silently succeeding. An empty key set is a no-op. A nil ctx means
 // context.Background().
 func (rt *Runtime) WaitOn(ctx context.Context, keys ...Key) error {
+	return rt.waitOn(ctx, 0, keys)
+}
+
+// waitOn is WaitOn for the keys of namespace ns.
+func (rt *Runtime) waitOn(ctx context.Context, ns uint64, keys []Key) error {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -30,12 +36,12 @@ func (rt *Runtime) WaitOn(ctx context.Context, keys ...Key) error {
 	reply := make(chan struct{})
 	rt.coord.Lock()
 	rt.waiterCount.Add(1)
-	if rt.quiet(keys) {
+	if rt.quiet(ns, keys) {
 		rt.waiterCount.Add(-1)
 		rt.coord.Unlock()
 		return nil
 	}
-	rt.waiters = append(rt.waiters, waitReq{keys: keys, reply: reply})
+	rt.waiters = append(rt.waiters, waitReq{ns: ns, keys: keys, reply: reply})
 	rt.coord.Unlock()
 	select {
 	case <-reply:
@@ -58,6 +64,7 @@ func (rt *Runtime) WaitOn(ctx context.Context, keys ...Key) error {
 }
 
 type waitReq struct {
+	ns    uint64
 	keys  []Key
 	reply chan struct{}
 }

@@ -218,20 +218,32 @@ func Out(k any) Dep { return starss.Out(k) }
 // InOut declares a read-write dependency on k.
 func InOut(k any) Dep { return starss.InOut(k) }
 
+// Addr declares an access to the data at base address addr — the paper's
+// own Dependence Table key — in the direction m (ReadOnly, WriteOnly or
+// ReadWrite, as in a traced Param). It names the same data as a key holding
+// uint64(addr) and, unlike In/Out/InOut, boxes nothing.
+func Addr(addr uint64, m AccessMode) Dep {
+	switch m {
+	case ReadOnly:
+		return starss.Addr(addr, starss.ModeIn)
+	case WriteOnly:
+		return starss.Addr(addr, starss.ModeOut)
+	default:
+		return starss.Addr(addr, starss.ModeInOut)
+	}
+}
+
 // NewRuntime starts an executing runtime.
 func NewRuntime(cfg RuntimeConfig) *Runtime { return starss.New(cfg) }
 
 // Scope is an isolated namespace on a shared Runtime, created with
-// Runtime.Scope: keys submitted through different scopes never alias, and
-// each scope keeps its own submitted/executed/failed/skipped counters. It
+// Runtime.Scope: every call makes a new one (the name is a label only),
+// keys submitted through different scopes never alias, and each scope
+// keeps its own submitted/executed/failed/skipped counters. It
 // is the software analogue of one master core among many sharing the
 // paper's hardware task manager, and the isolation primitive under the
 // multi-tenant task service.
 type Scope = starss.Scope
-
-// ScopedKey is the namespaced form of a dependency key as seen by the
-// shared dependency table; useful for diagnostics.
-type ScopedKey = starss.ScopedKey
 
 // --- Observability --------------------------------------------------------
 
