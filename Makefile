@@ -28,7 +28,8 @@ allocs:
 
 # flake hammers the tests whose outcome depends on who wins a race between
 # a finishing task and its submitter — poisoning, panics, the window, scope
-# accounting, the prefetch stage, the maestro funnel's shutdown and fence,
+# accounting, the prefetch stage, the maestro funnel's shutdown, WaitOn's
+# empty task, Close shutting the window on parked submitters,
 # the kick-off lists threaded through waiting tasks, key identity and
 # namespace isolation with concurrent scopes — twenty times under the race
 # detector. The second line does the same for the service's admission:

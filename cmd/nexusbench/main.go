@@ -101,7 +101,7 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "       nexusbench exp [flags] [experiment...]")
 	fmt.Fprintln(w, "       nexusbench serve [-addr=<url>] [-clients=N] [-tasks=N] [flags]")
 	fmt.Fprintln(w, "       nexusbench chaos [-seed=N] [-scenarios=all] [-repeat=N] [-json=<path>]")
-	fmt.Fprintln(w, "       nexusbench trace [-backend=runtime] [-workload=<name>] [-o=trace.json] [flags]")
+	fmt.Fprintln(w, "       nexusbench trace [-workload=<name>] [-o=trace.json] [flags]")
 	fmt.Fprintln(w, "run 'nexusbench list' for backends and workloads,")
 	fmt.Fprintln(w, "    'nexusbench exp unknown' for the experiment names.")
 }

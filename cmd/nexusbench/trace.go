@@ -16,29 +16,24 @@ import (
 
 // traceCmd replays one workload on the instrumented executing runtime and
 // writes the drained lifecycle event log as Chrome trace-viewer JSON
-// (loadable in chrome://tracing and ui.perfetto.dev). Only the sharded
-// runtime backend emits events, so -backend accepts only "runtime".
+// (loadable in chrome://tracing and ui.perfetto.dev). The sharded runtime is
+// the one backend that emits events, so there is none to choose.
 func traceCmd(args []string) int {
 	fs := flag.NewFlagSet("nexusbench trace", flag.ExitOnError)
 	var (
-		backendName = fs.String("backend", "runtime", "backend to trace (only 'runtime' emits events)")
-		workName    = fs.String("workload", "wavefront", "workload name (see 'nexusbench list')")
-		out         = fs.String("o", "trace.json", "output path for the Chrome trace")
-		workers     = fs.Int("workers", 4, "worker goroutines")
-		shards      = fs.Int("shards", 0, "dependency-table banks (0 default)")
-		seed        = fs.Uint64("seed", 42, "trace generator seed")
-		zerocost    = fs.Bool("zerocost", false, "empty task bodies (pure resolver throughput)")
-		timescale   = fs.Int("timescale", 100, "divide synthesized body durations (1 = traced timing)")
-		buffer      = fs.Int("buffer", 1<<16, "per-worker event ring capacity")
-		verify      = fs.Bool("verify", false, "re-parse the written file and fail on invalid JSON (CI smoke)")
+		workName  = fs.String("workload", "wavefront", "workload name (see 'nexusbench list')")
+		out       = fs.String("o", "trace.json", "output path for the Chrome trace")
+		workers   = fs.Int("workers", 4, "worker goroutines")
+		shards    = fs.Int("shards", 0, "dependency-table banks (0 default)")
+		seed      = fs.Uint64("seed", 42, "trace generator seed")
+		zerocost  = fs.Bool("zerocost", false, "empty task bodies (pure resolver throughput)")
+		timescale = fs.Int("timescale", 100, "divide synthesized body durations (1 = traced timing)")
+		buffer    = fs.Int("buffer", 1<<16, "per-worker event ring capacity")
+		verify    = fs.Bool("verify", false, "re-parse the written file and fail on invalid JSON (CI smoke)")
 	)
 	fs.Parse(args)
 	if fs.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "nexusbench trace: unexpected argument %q\n", fs.Arg(0))
-		return 2
-	}
-	if *backendName != "runtime" {
-		fmt.Fprintf(os.Stderr, "nexusbench trace: backend %q does not emit lifecycle events (only 'runtime' does)\n", *backendName)
 		return 2
 	}
 	wl, err := backend.LookupWorkload(*workName)

@@ -5,10 +5,10 @@
 // See DESIGN.md "Statically enforced invariants" for the mapping from each
 // analyzer to the hardware guarantee it replaces.
 //
-// Two modes share one suite:
+// It is a go vet tool (the unit-checker protocol) and nothing else — cmd/go
+// loads the packages, in-package test files included:
 //
-//	nexusvet ./...                            standalone, loads via go list
-//	go vet -vettool=$(pwd)/bin/nexusvet ./...  the CI gate (unit-checker protocol)
+//	go vet -vettool=$(pwd)/bin/nexusvet ./...
 //
 // Findings exit nonzero. Suppress a finding only with a reasoned
 // directive: //nexusvet:ignore <analyzer> <reason>.

@@ -53,8 +53,9 @@
 //	})
 //	<-consumer.Done()          // per-task completion, the paper's task IDs
 //	err := consumer.Err()      // wraps ErrDependencyFailed if producer failed
+//	err = rt.WaitOn(ctx, "block") // wait on: an empty task behind the key's accesses
 //	err = rt.Wait(ctx)         // barrier; returns the first root-cause failure
-//	err = rt.Close()           // drain, stop, report the first failure
+//	err = rt.Close()           // refuse new work, drain, stop, report the first failure
 //	_ = producer
 //
 // Every submission returns a *Handle — the software analogue of the task
@@ -64,7 +65,10 @@
 // dependence table drains normally. Batches of tasks can be admitted with
 // rt.SubmitAll(ctx, []nexuspp.Task{...}), which reserves the in-flight
 // window once per chunk on high-frequency submission paths; dependences are
-// still checked task by task, each under its own banks.
+// still checked task by task, each under its own banks. rt.WaitOn(ctx,
+// keys...) is itself a task — no body, an inout access to each key — so it
+// is ordered by the same table, counted by Stats like any task, and safe to
+// call from inside a task body.
 //
 // A dependency key is any comparable value (In, Out, InOut) or — the paper's
 // own Dependence Table key — a base address: Addr(addr, ReadWrite) names the

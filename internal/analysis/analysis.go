@@ -1,16 +1,14 @@
 // Package analysis is the dependency-free core of nexusvet, the project's
 // static checker for the concurrency invariants the runtime relies on by
 // convention: sorted bank-lock acquisition, handle-error consumption,
-// context threading, scoped service keys, and the retirement of the legacy
-// Task.Run body.
+// context threading and scoped service keys.
 //
 // It deliberately mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) so the analyzers read like standard vet
 // checks, but it is implemented entirely on the standard library's go/ast,
 // go/types and go/importer: the repository builds hermetically, with no
-// module downloads, and the checker must too. cmd/nexusvet provides both a
-// standalone driver and the `go vet -vettool=` unit-checker protocol on top
-// of this package.
+// module downloads, and the checker must too. cmd/nexusvet puts the
+// `go vet -vettool=` unit-checker protocol on top of this package.
 package analysis
 
 import (

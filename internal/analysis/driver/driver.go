@@ -1,17 +1,13 @@
-// Package driver loads and type-checks packages for the nexusvet analyzer
-// suite using only the standard library and the go command.
-//
-// The standalone loader shells out to `go list -test -export -deps -json`,
-// which compiles dependencies and hands back gc export data for every
-// import; each target package is then parsed from source and type-checked
-// with go/importer's lookup-based gc importer. No network, no module
-// downloads, no golang.org/x/tools — the same hermetic constraint as the
-// rest of the repository.
+// Package driver runs the nexusvet analyzer suite as a `go vet -vettool=`
+// unit checker (vet.go) using only the standard library: cmd/go compiles the
+// dependencies and hands over gc export data for every import, and the one
+// package under analysis is parsed from source and type-checked with
+// go/importer's lookup-based gc importer. No network, no module downloads, no
+// golang.org/x/tools — the same hermetic constraint as the rest of the
+// repository.
 package driver
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -19,28 +15,11 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"os"
-	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"nexuspp/internal/analysis"
 )
-
-// listPackage is the subset of `go list -json` output the loader consumes.
-type listPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	Standard   bool
-	ForTest    string
-	DepOnly    bool
-	GoFiles    []string
-	ImportMap  map[string]string
-	Module     *struct{ Path string }
-	Error      *struct{ Err string }
-}
 
 // cleanPath strips the test-variant annotation: "p [p.test]" -> "p".
 func cleanPath(importPath string) string {
@@ -50,98 +29,9 @@ func cleanPath(importPath string) string {
 	return importPath
 }
 
-// goList runs the go command and decodes the package stream.
-func goList(patterns []string) ([]*listPackage, error) {
-	args := append([]string{
-		"list", "-test", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,Standard,ForTest,DepOnly,GoFiles,ImportMap,Module,Error",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
-	}
-	var pkgs []*listPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list: decoding output: %v", err)
-		}
-		pkgs = append(pkgs, &p)
-	}
-	return pkgs, nil
-}
-
-// Run executes the analyzers over the packages matched by patterns,
-// printing diagnostics to out. It returns 0 when clean, 2 when findings
-// were reported, 1 on load or type-check failure.
-func Run(out io.Writer, analyzers []*analysis.Analyzer, patterns []string) int {
-	pkgs, err := goList(patterns)
-	if err != nil {
-		fmt.Fprintln(out, err)
-		return 1
-	}
-	exports := make(map[string]string)
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	// Pick one entry per import path: the test variant when it exists
-	// (its GoFiles include the in-package _test.go files), else the base.
-	targets := make(map[string]*listPackage)
-	for _, p := range pkgs {
-		if p.Module == nil || p.Error != nil || strings.HasSuffix(p.ImportPath, ".test") {
-			continue
-		}
-		base := cleanPath(p.ImportPath)
-		if cur, ok := targets[base]; !ok || (p.ForTest != "" && cur.ForTest == "") {
-			targets[base] = p
-		}
-	}
-	order := make([]string, 0, len(targets))
-	for path := range targets {
-		order = append(order, path)
-	}
-	sort.Strings(order) // deterministic output order
-	exit := 0
-	for _, path := range order {
-		p := targets[path]
-		lookup := func(importPath string) (io.ReadCloser, error) {
-			resolved := importPath
-			if mapped, ok := p.ImportMap[importPath]; ok {
-				resolved = mapped
-			}
-			file, ok := exports[resolved]
-			if !ok {
-				return nil, fmt.Errorf("no export data for %q", resolved)
-			}
-			return os.Open(file)
-		}
-		diags, err := checkPackage(path, p.Dir, p.GoFiles, lookup, analyzers, "")
-		if err != nil {
-			fmt.Fprintf(out, "%s: %v\n", path, err)
-			exit = 1
-			continue
-		}
-		for _, d := range diags {
-			fmt.Fprintln(out, d)
-		}
-		if len(diags) > 0 && exit == 0 {
-			exit = 2
-		}
-	}
-	return exit
-}
-
 // checkPackage parses and type-checks one package from source, resolving
-// imports through lookup, and runs the analyzers. goVersion, when
-// non-empty, pins the language version (the vet protocol supplies it).
+// imports through lookup, and runs the analyzers. goVersion pins the
+// language version (the vet protocol supplies it).
 // Returned diagnostics are fully rendered "file:line:col: message [name]"
 // strings.
 func checkPackage(path, dir string, goFiles []string, lookup func(string) (io.ReadCloser, error),

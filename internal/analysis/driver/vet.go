@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"nexuspp/internal/analysis"
 )
@@ -42,8 +43,8 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-// Main is the entry point shared by both driver modes; cmd/nexusvet calls
-// it with the full suite. It returns the process exit code.
+// Main is the tool's entry point; cmd/nexusvet calls it with the full suite.
+// It returns the process exit code.
 func Main(args []string, stdout, stderr io.Writer, analyzers []*analysis.Analyzer) int {
 	if len(args) == 1 {
 		switch args[0] {
@@ -60,22 +61,19 @@ func Main(args []string, stdout, stderr io.Writer, analyzers []*analysis.Analyze
 			printHelp(stdout, analyzers)
 			return 0
 		}
-		if len(args[0]) > 4 && args[0][len(args[0])-4:] == ".cfg" {
+		if strings.HasSuffix(args[0], ".cfg") {
 			return vetUnit(args[0], stderr, analyzers)
 		}
 	}
-	if len(args) == 0 {
-		printHelp(stderr, analyzers)
-		return 1
-	}
-	return Run(stderr, analyzers, args)
+	printHelp(stderr, analyzers)
+	return 1
 }
 
 func printHelp(w io.Writer, analyzers []*analysis.Analyzer) {
 	fmt.Fprintln(w, "nexusvet statically enforces the runtime's concurrency invariants.")
+	fmt.Fprintln(w, "It is a go vet tool and loads no packages of its own.")
 	fmt.Fprintln(w, "\nusage:")
-	fmt.Fprintln(w, "  nexusvet ./...                     standalone run over packages")
-	fmt.Fprintln(w, "  go vet -vettool=$(which nexusvet) ./...   as a vet tool (CI gate)")
+	fmt.Fprintln(w, "  go vet -vettool=$(which nexusvet) ./...")
 	fmt.Fprintln(w, "\nanalyzers:")
 	for _, a := range analyzers {
 		fmt.Fprintf(w, "  %-12s %s\n", a.Name, a.Doc)

@@ -1,8 +1,7 @@
 // Package nexusvet assembles the project's analyzer suite — the four
 // statically enforced concurrency invariants documented in DESIGN.md
-// ("Statically enforced invariants"). The drivers (cmd/nexusvet standalone
-// mode and the go vet -vettool unit-checker protocol) both run exactly this
-// list, so local runs and CI cannot disagree about what is checked.
+// ("Statically enforced invariants"). cmd/nexusvet, the go vet -vettool unit
+// checker that `make lint` runs locally and in CI, runs exactly this list.
 package nexusvet
 
 import (

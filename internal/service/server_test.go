@@ -58,7 +58,7 @@ func specOn(addr uint64, mode string, execUS int64) service.TaskSpec {
 // writer; session B's writer on the identical address must finish while A's
 // is still in flight.
 func TestServiceSessionIsolationIdenticalKeys(t *testing.T) {
-	d := startDaemon(t, service.Config{Workers: 4, BufferingDepth: 1})
+	d := startDaemon(t, service.Config{Workers: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

@@ -28,7 +28,6 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -114,33 +113,13 @@ func buildTasks(dst []starss.Task, specs []TaskSpec) ([]starss.Task, error) {
 		t := starss.Task{
 			Name:       ts.Name,
 			Deps:       deps,
-			Do:         emptyBody,
+			Do:         starss.SleepBody(time.Duration(ts.ExecUS) * time.Microsecond),
 			MaxRetries: ts.MaxRetries,
 			Timeout:    time.Duration(ts.TimeoutMS) * time.Millisecond,
-		}
-		if d := time.Duration(ts.ExecUS) * time.Microsecond; d > 0 {
-			t.Do = func(ctx context.Context) error { return sleepFor(ctx, d) }
 		}
 		dst = append(dst, t)
 	}
 	return dst, nil
-}
-
-// emptyBody is the body of a task with no exec_us: it only observes
-// cancellation.
-func emptyBody(ctx context.Context) error { return ctx.Err() }
-
-// sleepFor blocks for d, honouring cancellation — the synthesized task
-// body, mirroring the replay adapter's timed bodies.
-func sleepFor(ctx context.Context, d time.Duration) error {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // SubmitRequest is the body of POST /v1/sessions/{id}/submit.

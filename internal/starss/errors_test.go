@@ -387,24 +387,41 @@ func TestWaitCancellation(t *testing.T) {
 	}
 }
 
+// TestWaitOnCancellation: a WaitOn abandoned on its deadline leaves its task
+// behind. The task does not carry the caller's context, so it completes in
+// order as Executed — never Failed — and the key it sat on is not poisoned.
 func TestWaitOnCancellation(t *testing.T) {
-	rt := New(Config{Workers: 1, Window: 4})
-	block := make(chan struct{})
-	rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { <-block; return nil }})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := rt.WaitOn(ctx, "k"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("WaitOn under deadline = %v", err)
+	for name, rt := range newRuntimes(Config{Workers: 1, Window: 4}) {
+		t.Run(name, func(t *testing.T) {
+			block := make(chan struct{})
+			rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { <-block; return nil }})
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			if err := rt.WaitOn(ctx, "k"); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("WaitOn under deadline = %v", err)
+			}
+			if got := rt.InFlight(); got != 2 {
+				t.Fatalf("InFlight = %d after the abandoned WaitOn, want its task and the blocker", got)
+			}
+			// A reader submitted behind the abandoned wait, under a live context.
+			var read atomic.Bool
+			reader := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Do: do(func() { read.Store(true) })})
+			close(block)
+			if err := rt.WaitOn(context.Background(), "k"); err != nil {
+				t.Fatalf("WaitOn = %v", err)
+			}
+			if err := reader.Err(); err != nil || !read.Load() {
+				t.Fatalf("reader behind the abandoned WaitOn: err = %v, ran = %v", err, read.Load())
+			}
+			if err := rt.Close(); err != nil {
+				t.Fatalf("Close = %v", err)
+			}
+			// The blocker, the reader and both WaitOn tasks, the abandoned one included.
+			if st := rt.Stats(); st.Submitted != 4 || st.Executed != 4 || st.Failed != 0 || st.Skipped != 0 {
+				t.Fatalf("stats = %v", st)
+			}
+		})
 	}
-	// The cancelled waiter must have deregistered itself.
-	if n := rt.waiterCount.Load(); n != 0 {
-		t.Fatalf("waiterCount = %d after cancelled WaitOn", n)
-	}
-	close(block)
-	if err := rt.WaitOn(context.Background(), "k"); err != nil {
-		t.Fatalf("WaitOn = %v", err)
-	}
-	rt.Close()
 }
 
 func TestHandleIdentity(t *testing.T) {
@@ -470,12 +487,19 @@ func TestHandleWaitCancellation(t *testing.T) {
 func TestSubmitAllHandles(t *testing.T) {
 	rt := New(Config{Workers: 4})
 	tasks := make([]Task, 5)
+	// The head holds the chain until the whole batch is checked: SubmitAll
+	// checks task by task, and a key that drains between the failure and the
+	// next check takes its poison with it.
+	gate := make(chan struct{})
 	for i := range tasks {
 		i := i
 		tasks[i] = Task{
 			Deps: []Dep{InOut("chain")},
 			Do: func(context.Context) error {
-				if i == 2 {
+				switch i {
+				case 0:
+					<-gate
+				case 2:
 					return errBoom
 				}
 				return nil
@@ -483,6 +507,7 @@ func TestSubmitAllHandles(t *testing.T) {
 		}
 	}
 	handles, err := rt.SubmitAll(context.Background(), tasks)
+	close(gate)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,8 @@ var ErrTaskTimeout = errors.New("starss: task deadline exceeded")
 // runNode executes one released node's lifecycle up to (not including) the
 // handle-finished path, recording the outcome on the node: skipped when a
 // transitive dependency poisoned it, failed when its context was cancelled
-// before it started, and otherwise the final attempt's result — panics
+// before it started, executed as it stands when it has no body (a WaitOn),
+// and otherwise the final attempt's result — panics
 // (from the body or WriteBack) recovered into ErrTaskPanicked, deadline
 // overruns surfaced as ErrTaskTimeout, and failures re-armed up to
 // Task.MaxRetries times before they stick and poison dependents.
@@ -45,6 +46,11 @@ func (rt *Runtime) runNode(node *taskNode, worker int) {
 	}
 	if err := node.ctx.Err(); err != nil {
 		node.err = fmt.Errorf("starss: task %q cancelled before start: %w", node.handle.Name(), err)
+		return
+	}
+	if node.task.Do == nil {
+		// A WaitOn: being ready was all it was submitted for. No attempt
+		// means no injected fault either — it cannot fail, only be skipped.
 		return
 	}
 	attempts := 1 + node.task.MaxRetries

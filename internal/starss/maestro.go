@@ -16,7 +16,6 @@ package starss
 type funnel struct {
 	submitCh chan *taskNode // admitted tasks, for Check Deps
 	doneCh   chan *taskNode // finished tasks, for Handle Finished
-	fenceCh  chan struct{}  // see fence
 	quit     chan struct{}  // see stop
 }
 
@@ -28,7 +27,6 @@ func NewMaestro(cfg Config) *Runtime {
 	f := &funnel{
 		submitCh: make(chan *taskNode),
 		doneCh:   make(chan *taskNode),
-		fenceCh:  make(chan struct{}),
 		quit:     make(chan struct{}),
 	}
 	rt := newRuntime(cfg, f)
@@ -37,9 +35,11 @@ func NewMaestro(cfg Config) *Runtime {
 }
 
 // run is the maestro. Nothing it calls blocks on another task's progress:
-// dispatch has room for every in-flight task and the token return takes
-// only coord and single bank locks, so workers parked on doneCh always get
-// through.
+// dispatch has room for every in-flight task (and finishes a WaitOn in
+// place, without a trip through doneCh) and the token return takes only
+// coord and the window's wait list, so workers parked on doneCh always get
+// through. One goroutine resolving in arrival order is also all the fence a
+// WaitOn needs: its task is checked after every task submitted before it.
 func (f *funnel) run(rt *Runtime) {
 	for {
 		select {
@@ -47,23 +47,9 @@ func (f *funnel) run(rt *Runtime) {
 			rt.resolveNew(node)
 		case node := <-f.doneCh:
 			rt.resolveFinished(node, -1) // not a worker: submit-side event lane
-		case <-f.fenceCh:
 		case <-f.quit:
 			return
 		}
-	}
-}
-
-// fence returns once the maestro has resolved every task handed to it
-// before the call. Submit returns at the rendezvous, before Check Deps has
-// run, so WaitOn fences before it probes the table for a task's segments.
-// It reports false when the runtime stopped instead.
-func (f *funnel) fence(stopped <-chan struct{}) bool {
-	select {
-	case f.fenceCh <- struct{}{}:
-		return true
-	case <-stopped:
-		return false
 	}
 }
 

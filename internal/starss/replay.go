@@ -26,11 +26,6 @@ type ReplayOptions struct {
 	// trace's timing unscaled, 10 replays ten times faster. Ignored when
 	// ZeroCost is set.
 	TimeScale int
-	// BatchSize is the SubmitAll chunk size; 0 selects 256. A chunk shares
-	// its window reservation, nothing else: the banked runtime checks it
-	// task by task under each task's own banks, the maestro baseline one
-	// task per rendezvous.
-	BatchSize int
 }
 
 // ReplayResult reports one replay of a traced workload on a real runtime.
@@ -88,34 +83,37 @@ func TaskFromSpec(spec trace.TaskSpec, opts ReplayOptions) Task {
 	// submission index equals the trace ID under in-order replay; a
 	// per-task Sprintf would tax the feeder inside the timed region of the
 	// resolver-throughput experiments.
-	t := Task{Deps: deps}
-	if opts.ZeroCost {
-		t.Do = func(ctx context.Context) error { return ctx.Err() }
-		return t
+	var d time.Duration
+	if !opts.ZeroCost {
+		d = durationOf(spec.Exec+spec.MemRead+spec.MemWrite) / time.Duration(max(opts.TimeScale, 1))
 	}
-	scale := opts.TimeScale
-	if scale < 1 {
-		scale = 1
-	}
-	d := durationOf(spec.Exec+spec.MemRead+spec.MemWrite) / time.Duration(scale)
-	t.Do = func(ctx context.Context) error { return sleepFor(ctx, d) }
-	return t
+	return Task{Deps: deps, Do: SleepBody(d)}
 }
 
-// sleepFor blocks for d, honouring cancellation.
-func sleepFor(ctx context.Context, d time.Duration) error {
+// SleepBody synthesizes the body of a task that stands for d of work: it
+// sleeps for d, honouring cancellation, or — for d <= 0 — only observes
+// cancellation. The empty body is one shared function: it costs a task no
+// allocation.
+func SleepBody(d time.Duration) func(context.Context) error {
 	if d <= 0 {
-		return ctx.Err()
+		return emptyBody
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	return func(ctx context.Context) error {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 }
+
+func emptyBody(ctx context.Context) error { return ctx.Err() }
+
+// replayBatch is Replay's SubmitAll chunk size.
+const replayBatch = 256
 
 // Replay runs src to completion on rt: every traced task is admitted in
 // submission order with its parameter list as dependencies and a body
@@ -123,28 +121,25 @@ func sleepFor(ctx context.Context, d time.Duration) error {
 // runtime is left open (the caller owns its lifecycle), so several replays
 // can share one runtime as long as their key spaces are disjoint or drained.
 //
-// Tasks are fed through SubmitAll in chunks of opts.BatchSize. A chunk
-// shares only its window reservation; on the single-maestro baseline every
-// task still crosses to the resolver goroutine on its own — exactly the
+// Tasks are fed through SubmitAll in chunks of replayBatch. A chunk shares
+// only its window reservation: the banked runtime checks it task by task
+// under each task's own banks, and on the single-maestro baseline every task
+// still crosses to the resolver goroutine on its own — exactly the
 // serialization it exists to measure.
 func Replay(ctx context.Context, rt *Runtime, src workload.Source, opts ReplayOptions) (*ReplayResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	batch := opts.BatchSize
-	if batch <= 0 {
-		batch = 256
-	}
 	src.Reset()
 	before := rt.Stats()
 	start := time.Now()
-	buf := make([]Task, 0, batch)
+	buf := make([]Task, 0, replayBatch)
 	for {
 		spec, more := src.Next()
 		if more {
 			buf = append(buf, TaskFromSpec(spec, opts))
 		}
-		if len(buf) == batch || (!more && len(buf) > 0) {
+		if len(buf) == replayBatch || (!more && len(buf) > 0) {
 			if _, err := rt.SubmitAll(ctx, buf); err != nil {
 				return nil, fmt.Errorf("starss: replay %s: %w", src.Name(), err)
 			}

@@ -94,20 +94,8 @@ func (s *Scope) adopt(tasks []Task) {
 // namespace, and the scope's window and counters track the task's
 // lifecycle. Semantics (and cost) otherwise match Runtime.Submit.
 func (s *Scope) Submit(ctx context.Context, t Task) (*Handle, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	t.scope = s
-	if err := s.win.acquire(ctx, s.rt.stopped, 1); err != nil {
-		return nil, err
-	}
-	h, err := s.rt.Submit(ctx, t)
-	if err != nil {
-		s.win.release(1)
-		return nil, err
-	}
-	s.submitted.Add(1)
-	return h, nil
+	return s.rt.Submit(ctx, t)
 }
 
 // SubmitAll submits a batch through the scope with the same partial-prefix
@@ -159,29 +147,30 @@ func (s *Scope) TrySubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 	}
 	rt, n := s.rt, len(nodes)
 	if !rt.win.tryAcquire(int64(n)) {
+		if rt.win.isShut() {
+			return nil, ErrStopped
+		}
 		return nil, ErrWindowFull
 	}
 	if !s.win.tryAcquire(int64(n)) {
 		rt.returnTokens(n)
 		return nil, ErrScopeFull
 	}
-	if err := rt.enterFence(n); err != nil {
-		s.win.release(int64(n))
-		return nil, err
-	}
 	s.submitted.Add(uint64(n))
 	return rt.admitAll(nodes, make([]*Handle, 0, n)), nil
 }
 
 // WaitOn blocks until every task previously submitted through the scope that
-// accesses any of the given keys has completed; see Runtime.WaitOn.
+// accesses any of the given keys has completed; see Runtime.WaitOn. The task
+// it submits is the scope's: it takes a token of the scope's window too, and
+// the scope's counters include it.
 func (s *Scope) WaitOn(ctx context.Context, keys ...Key) error {
-	return s.rt.waitOn(ctx, s.ns, keys)
+	return s.rt.waitOn(ctx, s, keys)
 }
 
 // InFlight returns the scope's current submitted-but-unfinished count —
 // the session window occupancy of the service layer.
-func (s *Scope) InFlight() int64 { return s.win.used.Load() }
+func (s *Scope) InFlight() int64 { return s.win.count() }
 
 // Stats returns the scope's own counters. Hazards is always zero: hazard
 // detection happens inside the shared banks and is reported runtime-wide.

@@ -501,8 +501,8 @@ func gatedTasks(n, first int, gate <-chan struct{}) []Task {
 
 // TestScopeTrySubmitAllRefusals: the non-blocking admission takes a batch
 // whole or not at all, names the window that refused it, and a refusal —
-// by the scope's window, by the runtime's, or by Close under the fence —
-// leaves no token behind in either.
+// by the scope's window, by the runtime's, or by the shut window of a closed
+// runtime — leaves no token behind in either.
 func TestScopeTrySubmitAllRefusals(t *testing.T) {
 	rt := New(Config{Workers: 2, Window: 8})
 	small := rt.BoundedScope("small", 4)

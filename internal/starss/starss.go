@@ -142,7 +142,8 @@ type Task struct {
 	Deps []Dep
 	// Do executes the task. The context is the one the task was submitted
 	// with; bodies should honour its cancellation. A non-nil error marks
-	// the task failed and poisons its transitive dependents. Required.
+	// the task failed and poisons its transitive dependents. Required (only
+	// WaitOn admits a task without one: see dispatch).
 	Do func(ctx context.Context) error
 	// Prefetch, when set, runs in the Get Inputs stage before the task body
 	// may start, overlapping the execution of earlier tasks (double
@@ -494,14 +495,11 @@ type Runtime struct {
 	fetchCh    chan *taskNode
 	fetchSlots chan struct{}
 	stopOnce   sync.Once
-	stopped    chan struct{}
-	workerWG   sync.WaitGroup
-
-	// subMu fences admission against Close: submitters hold it shared
-	// while they admit and resolve; Close takes it exclusively to close
-	// stopped, so no submitter can be left mid-admission with a send to
-	// readyCh pending when the channel is closed.
-	subMu sync.RWMutex
+	// stopped is closed by Close, once the window is shut, to wake submitters
+	// queued on a full window — the runtime's or a scope's — with ErrStopped.
+	// Whether the runtime is stopped is the window's to say (win.isShut).
+	stopped  chan struct{}
+	workerWG sync.WaitGroup
 
 	// lastNS is the namespace of the newest Scope; 0 is the runtime's own.
 	lastNS atomic.Uint64
@@ -511,13 +509,12 @@ type Runtime struct {
 	hazards  atomic.Uint64
 	firstErr atomic.Pointer[taskFailure]
 
-	// coord serialises barrier and WaitOn bookkeeping; it is only taken on
-	// the token-return path when a waiter is registered or in-flight hits zero,
-	// so it stays off the steady-state hot path.
-	coord       sync.Mutex
-	barriers    []chan struct{}
-	waiters     []waitReq
-	waiterCount atomic.Int32
+	// coord guards idleCh, the barrier every Wait and Close parks on: made by
+	// the first of them to find tasks in flight, closed and dropped by the
+	// finisher that returns the last token. The token-return path takes coord
+	// only when in-flight hits zero, so it stays off the steady-state hot path.
+	coord  sync.Mutex
+	idleCh chan struct{}
 
 	// rec is the lifecycle event stream (nil unless Config.EventBuffer is
 	// set); bankStats gates the per-bank lock counters. Both are fixed at
@@ -527,7 +524,7 @@ type Runtime struct {
 
 	// funnel, when non-nil (NewMaestro), is the one goroutine that performs
 	// every Check Deps and Handle Finished: admit and runBody hand it their
-	// nodes instead of resolving in place, and WaitOn fences on it.
+	// nodes instead of resolving in place.
 	funnel *funnel
 }
 
@@ -565,7 +562,7 @@ type spilled struct {
 
 type taskNode struct {
 	// task is the submitted task; task.Deps is normalised (no duplicate
-	// keys) by makeNode.
+	// keys) by newNode.
 	task   Task
 	ctx    context.Context
 	handle *Handle
@@ -728,8 +725,8 @@ func newRuntime(cfg Config, f *funnel) *Runtime {
 		seed:    maphash.MakeSeed(),
 		funnel:  f,
 		// Every in-flight task fits in readyCh (and in fetchCh below), so
-		// dispatching a ready task never blocks — not a submitter inside
-		// the admission fence, not a worker on the finish path.
+		// dispatching a ready task never blocks — not a submitter, not a
+		// worker on the finish path.
 		readyCh: make(chan *taskNode, cfg.Window),
 		stopped: make(chan struct{}),
 	}
@@ -872,76 +869,78 @@ func (rt *Runtime) Submit(ctx context.Context, t Task) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
+	return rt.submitNode(ctx, node)
+}
+
+// submitNode admits one node, waiting under ctx for its window token — and
+// first for its scope's, when it has one. A granted token is the licence to
+// admit: from there on the path takes no lock and never looks at the stop,
+// because Close cannot finish while the token is out.
+func (rt *Runtime) submitNode(ctx context.Context, node *taskNode) (*Handle, error) {
 	// Check cancellation before reserving, so a dead context is rejected
 	// deterministically rather than sometimes admitted.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := rt.reserve(ctx, 1); err != nil {
+	s := node.task.scope
+	if s != nil {
+		if err := s.win.acquire(ctx, rt.stopped, 1); err != nil {
+			return nil, err
+		}
+	}
+	if err := rt.win.acquire(ctx, rt.stopped, 1); err != nil {
+		if s != nil {
+			s.win.release(1)
+		}
 		return nil, err
 	}
-	defer rt.subMu.RUnlock()
+	if s != nil {
+		s.submitted.Add(1)
+	}
 	rt.admit(node, rt.submitted.Add(1)-1)
 	return node.handle, nil
 }
 
-// reserve takes n window tokens and enters the admission fence: on success
-// the caller holds subMu shared, the runtime is not stopped, and it must
-// admit exactly n tasks and release subMu. The stop is only checked here,
-// under the fence — the window's fast path is a single compare-and-swap.
-func (rt *Runtime) reserve(ctx context.Context, n int) error {
-	if err := rt.win.acquire(ctx, rt.stopped, int64(n)); err != nil {
-		return err
-	}
-	return rt.enterFence(n)
-}
-
-// enterFence is the second half of reserve, for a caller that already holds
-// its n tokens; on ErrStopped they have been returned.
-func (rt *Runtime) enterFence(n int) error {
-	rt.subMu.RLock()
-	select {
-	case <-rt.stopped:
-		rt.subMu.RUnlock()
-		rt.returnTokens(n)
-		return ErrStopped
-	default:
-		return nil
-	}
-}
-
 // returnTokens gives n window tokens back — one per finished task, or a
-// reservation that was never admitted — and runs the idle transition:
-// barriers fire when in-flight reaches zero, WaitOn callers are re-probed
-// while any is registered.
+// reservation that was never admitted — and fires the barrier when in-flight
+// reaches zero.
 func (rt *Runtime) returnTokens(n int) {
-	left := rt.win.release(int64(n))
-	if left != 0 && rt.waiterCount.Load() == 0 {
+	if rt.win.release(int64(n)) != 0 {
 		return
 	}
 	rt.coord.Lock()
-	// Re-read under coord: left may be stale — a task submitted (and a
+	// Re-read under coord: the count may be stale — a task submitted (and a
 	// barrier registered for it) after the release must not be signalled
 	// past.
-	if rt.win.used.Load() == 0 {
-		for _, b := range rt.barriers {
-			close(b)
-		}
-		rt.barriers = rt.barriers[:0]
+	if rt.idleCh != nil && rt.win.count() == 0 {
+		close(rt.idleCh)
+		rt.idleCh = nil
 	}
-	rt.checkWaitersLocked()
 	rt.coord.Unlock()
 }
 
+// idle returns a channel that is closed once no task is in flight: at the
+// next idle transition, or already when there is none now.
+func (rt *Runtime) idle() <-chan struct{} {
+	rt.coord.Lock()
+	defer rt.coord.Unlock()
+	if rt.win.count() == 0 {
+		return closedChan
+	}
+	if rt.idleCh == nil {
+		rt.idleCh = make(chan struct{})
+	}
+	return rt.idleCh
+}
+
 // SubmitAll enqueues a batch of tasks in order. A chunk of the batch (up to
-// 256 tasks) costs one window reservation and one pass through the
-// admission fence; Check Deps then runs task by task, each under its own
-// banks exactly as in Submit, and a task found free of dependencies starts
-// before the next one is checked. (Holding the union of a chunk's banks for
-// the whole chunk was measured: every finishing worker parked behind the
-// submitter for the duration.) It blocks while the window is full
-// (cancelling ctx unblocks it) and returns the first validation error before
-// admitting anything, or ErrStopped/ctx.Err() mid-batch; the returned
+// 256 tasks) costs one window reservation; Check Deps then runs task by task,
+// each under its own banks exactly as in Submit, and a task found free of
+// dependencies starts before the next one is checked. (Holding the union of
+// a chunk's banks for the whole chunk was measured: every finishing worker
+// parked behind the submitter for the duration.) It blocks while the window
+// is full (cancelling ctx unblocks it) and returns the first validation error
+// before admitting anything, or ErrStopped/ctx.Err() mid-batch; the returned
 // handles cover the prefix that was admitted (all tasks on success).
 func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
 	if ctx == nil {
@@ -952,28 +951,19 @@ func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 		return nil, err
 	}
 	// After Close every admission path must uniformly report ErrStopped —
-	// including a zero-length batch, which would otherwise skip the chunk
-	// loop (where reserve performs this check) and return success.
-	select {
-	case <-rt.stopped:
+	// including a zero-length batch, which reserves nothing and would
+	// otherwise return success.
+	if rt.win.isShut() {
 		return nil, ErrStopped
-	default:
-	}
-	// Chunk so one reservation never asks for more window tokens than exist.
-	chunkMax := rt.cfg.Window
-	if chunkMax > 256 {
-		chunkMax = 256
 	}
 	handles := make([]*Handle, 0, len(nodes))
 	for len(nodes) > 0 {
-		n := len(nodes)
-		if n > chunkMax {
-			n = chunkMax
-		}
+		// Chunk so one reservation never asks for more tokens than exist.
+		n := min(len(nodes), rt.cfg.Window, 256)
 		// The whole chunk's tokens are reserved in one step, all or nothing,
 		// so two concurrent SubmitAll calls can never each hold a fraction of
 		// the window and wait forever for the rest.
-		if err := rt.reserve(ctx, n); err != nil {
+		if err := rt.win.acquire(ctx, rt.stopped, int64(n)); err != nil {
 			return handles, err
 		}
 		handles = rt.admitAll(nodes[:n], handles)
@@ -982,10 +972,9 @@ func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 	return handles, nil
 }
 
-// admitAll admits the nodes in order, appending their handles to handles,
-// and leaves the admission fence; the caller holds their window tokens.
+// admitAll admits the nodes in order, appending their handles to handles;
+// the caller holds their window tokens.
 func (rt *Runtime) admitAll(nodes []*taskNode, handles []*Handle) []*Handle {
-	defer rt.subMu.RUnlock()
 	first := rt.submitted.Add(uint64(len(nodes))) - uint64(len(nodes))
 	for i, node := range nodes {
 		rt.admit(node, first+uint64(i))
@@ -1013,13 +1002,18 @@ func makeNode(ctx context.Context, t *Task) (*taskNode, error) {
 	if t.Do == nil {
 		return nil, errors.New("starss: task has no Do function")
 	}
+	return newNode(ctx, t), nil
+}
+
+// newNode normalises one task into its node.
+func newNode(ctx context.Context, t *Task) *taskNode {
 	node := &taskNode{task: *t, ctx: ctx}
 	node.task.Deps = normalizeDeps(t.Deps)
 	if n := len(node.task.Deps); n > inlineDeps {
 		ints := make([]int32, 3*n)
 		node.spill = &spilled{acc: make([]access, n), nextSlot: ints[:n:n], banks: ints[n:]}
 	}
-	return node, nil
+	return node
 }
 
 // admit gives the task its ID (submission index idx) and handle and hands
@@ -1041,13 +1035,21 @@ func (rt *Runtime) staged(node *taskNode) bool {
 }
 
 // dispatch hands a ready task (dependence count zero) to the workers,
-// through the Get Inputs stage when it is staged.
-func (rt *Runtime) dispatch(node *taskNode) {
-	if rt.staged(node) {
+// through the Get Inputs stage when it is staged. A task without a body — a
+// WaitOn — has nothing for a worker to do: it finishes right here, on the
+// goroutine that found it ready (lane is that goroutine's event lane), so a
+// WaitOn never waits for a worker to come free. The caller holds no bank:
+// the task's Handle Finished takes its own.
+func (rt *Runtime) dispatch(node *taskNode, lane int) {
+	switch {
+	case node.task.Do == nil:
+		rt.execute(node, lane)
+		rt.resolveFinished(node, lane)
+	case rt.staged(node):
 		rt.fetchCh <- node
-		return
+	default:
+		rt.readyCh <- node
 	}
-	rt.readyCh <- node
 }
 
 // hashDeps hashes each dependency's key (in namespace ns) to its bank — the
@@ -1089,7 +1091,7 @@ func (rt *Runtime) resolveNew(node *taskNode) {
 	rt.unlockBanks(order)
 	if dc == 0 {
 		rt.emit(-1, obs.KindReady, node, -1)
-		rt.dispatch(node)
+		rt.dispatch(node, -1)
 	} else {
 		rt.hazards.Add(1)
 	}
@@ -1227,9 +1229,17 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 		}
 	}
 	rt.unlockBanks(order)
+	// A released task goes to the workers at once — except a WaitOn, which
+	// dispatch would finish on the spot: its caller expects to find this task
+	// done, so it is held back until this task's handle is published.
+	held := released[:0]
 	for _, n := range released {
 		rt.emit(worker, obs.KindReady, n, worker)
-		rt.dispatch(n)
+		if n.task.Do == nil {
+			held = append(held, n)
+			continue
+		}
+		rt.dispatch(n, worker)
 	}
 	// The one place a task is declared executed, failed or skipped: by what
 	// the runtime did with it, never by what its error looks like.
@@ -1249,6 +1259,9 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 	// in-flight reach zero must find every handle complete.
 	node.handle.complete(o, node.err)
 	rt.returnTokens(1)
+	for _, n := range held {
+		rt.dispatch(n, worker)
+	}
 }
 
 // MustSubmit is Submit with a background context that panics on submission
@@ -1270,25 +1283,13 @@ func (rt *Runtime) Wait(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	select {
-	case <-rt.stopped:
+	if rt.win.isShut() {
 		return ErrStopped
-	default:
 	}
-	rt.coord.Lock()
-	if rt.win.used.Load() == 0 {
-		rt.coord.Unlock()
-		return rt.failure()
-	}
-	reply := make(chan struct{})
-	rt.barriers = append(rt.barriers, reply)
-	rt.coord.Unlock()
 	select {
-	case <-reply:
+	case <-rt.idle():
 		return rt.failure()
 	case <-ctx.Done():
-		// The abandoned reply channel is closed and dropped by the next
-		// idle transition; nothing leaks beyond it.
 		return ctx.Err()
 	}
 }
@@ -1301,60 +1302,9 @@ func (rt *Runtime) failure() error {
 	return nil
 }
 
-// waitIdle blocks until the in-flight count reaches zero. Unlike Wait it
-// works after stopped is closed, which Close needs to drain last-moment
-// admissions before closing readyCh.
-func (rt *Runtime) waitIdle() {
-	rt.coord.Lock()
-	if rt.win.used.Load() == 0 {
-		rt.coord.Unlock()
-		return
-	}
-	reply := make(chan struct{})
-	rt.barriers = append(rt.barriers, reply)
-	rt.coord.Unlock()
-	<-reply
-}
-
-// quiet reports whether none of the keys has a live segment in namespace ns.
-// Keys are inspected one bank at a time; a key observed quiet has completed
-// every access submitted before the observation.
-func (rt *Runtime) quiet(ns uint64, keys []Key) bool {
-	for _, k := range keys {
-		key := tableKeyOf(ns, Dep{Key: k})
-		b := &rt.banks[rt.bankIndex(key)]
-		//nexusvet:ignore lockorder single-bank probe: one mutex held at a time, released before the next key, so no acquisition order exists to violate
-		b.mu.Lock()
-		busy := b.lookup(key) != nil
-		b.mu.Unlock()
-		if busy {
-			return false
-		}
-	}
-	return true
-}
-
-// checkWaitersLocked wakes WaitOn callers whose keys have gone quiet. The
-// caller holds coord.
-func (rt *Runtime) checkWaitersLocked() {
-	if len(rt.waiters) == 0 {
-		return
-	}
-	kept := rt.waiters[:0]
-	for _, w := range rt.waiters {
-		if rt.quiet(w.ns, w.keys) {
-			close(w.reply)
-			rt.waiterCount.Add(-1)
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	rt.waiters = kept
-}
-
 // InFlight returns the current number of submitted-but-unfinished tasks —
 // the live window occupancy, for service /debug endpoints.
-func (rt *Runtime) InFlight() int { return int(rt.win.used.Load()) }
+func (rt *Runtime) InFlight() int { return int(rt.win.count()) }
 
 // QueueDepth returns the number of ready tasks currently queued for a
 // worker (dependence count zero, body not yet started).
@@ -1384,30 +1334,29 @@ func (rt *Runtime) Stats() Stats {
 	return s
 }
 
-// Close waits for all submitted tasks, stops the workers and returns the
-// first task failure (nil when every task succeeded). The runtime cannot
-// be reused afterwards; further Submit/Wait/WaitOn calls return ErrStopped
-// and further Close calls return the same failure.
+// Close refuses further submissions, waits for every task already admitted,
+// stops the workers and returns the first task failure (nil when every task
+// succeeded). Submitters still waiting for room in the window are woken with
+// ErrStopped. The runtime cannot be reused afterwards; further
+// Submit/Wait/WaitOn calls return ErrStopped and further Close calls return
+// the same failure.
 func (rt *Runtime) Close() error {
-	rt.waitIdle()
 	rt.stopOnce.Do(func() {
-		// Closing stopped under the exclusive fence guarantees no
-		// submitter is mid-admission; any Submit that raced past the drain
-		// above has either fully admitted (drained by waitIdle below) or
-		// will observe stopped under its shared lock and back out. Only
-		// then is readyCh safe to close.
-		rt.subMu.Lock()
+		// Shutting the window is the stop: from here no reservation succeeds,
+		// so the tasks in flight — and the submitters that hold tokens but
+		// have not admitted yet — are all there will ever be, and one drain
+		// sees the last of them. Only then are the queues safe to close.
+		rt.win.shut()
 		close(rt.stopped)
-		rt.subMu.Unlock()
-		rt.waitIdle()
+		<-rt.idle()
 		if rt.fetchCh != nil {
 			close(rt.fetchCh)
 		}
 		close(rt.readyCh)
 		rt.workerWG.Wait()
 		if rt.funnel != nil {
-			// Only now: the maestro had to resolve the finishers both
-			// drains waited for, and the workers that feed it are gone.
+			// Only now: the maestro had to resolve the finishers the drain
+			// waited for, and the workers that feed it are gone.
 			rt.funnel.stop()
 		}
 	})
@@ -1513,11 +1462,7 @@ func prefetchNode(node *taskNode) {
 	node.task.Prefetch()
 }
 
-// runBody executes one node on worker id and resolves its completion,
-// bracketing the body with run and finish (or poison, for skipped tasks)
-// events on the worker's own lane — the per-worker ordering the Chrome
-// exporter's timeline nesting relies on. Execution itself (fault injection,
-// deadlines, retries) lives in runNode (exec.go).
+// runBody executes one node on worker id and resolves its completion.
 func (rt *Runtime) runBody(node *taskNode, id int) {
 	if inj := rt.cfg.Faults; inj != nil {
 		// A slow bank: the task is ready but its kick-off is delayed.
@@ -1525,16 +1470,25 @@ func (rt *Runtime) runBody(node *taskNode, id int) {
 			time.Sleep(d)
 		}
 	}
-	rt.emit(id, obs.KindRun, node, id)
-	rt.runNode(node, id)
-	if node.wasSkipped {
-		rt.emit(id, obs.KindPoison, node, id)
-	} else {
-		rt.emit(id, obs.KindFinish, node, id)
-	}
+	rt.execute(node, id)
 	if f := rt.funnel; f != nil {
 		f.doneCh <- node
 		return
 	}
 	rt.resolveFinished(node, id)
+}
+
+// execute runs the node's lifecycle up to Handle Finished, bracketed with run
+// and finish (or poison, for skipped tasks) events on one lane — the
+// per-worker ordering the Chrome exporter's timeline nesting relies on.
+// Execution itself (fault injection, deadlines, retries) lives in runNode
+// (exec.go).
+func (rt *Runtime) execute(node *taskNode, lane int) {
+	rt.emit(lane, obs.KindRun, node, lane)
+	rt.runNode(node, lane)
+	if node.wasSkipped {
+		rt.emit(lane, obs.KindPoison, node, lane)
+	} else {
+		rt.emit(lane, obs.KindFinish, node, lane)
+	}
 }

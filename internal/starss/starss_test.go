@@ -572,10 +572,3 @@ func spin(iters int) {
 	}
 	_ = x
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

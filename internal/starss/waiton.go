@@ -5,66 +5,48 @@ import "context"
 // WaitOn blocks until every task previously submitted on the runtime itself
 // (not through a Scope, whose keys are its own: Scope.WaitOn) that accesses
 // any of the given keys has completed — StarSs's "wait on" pragma, a targeted
-// alternative to the full Wait. Like Wait, it observes every Submit that
-// returned before the call, returns ctx.Err() if the context is cancelled
-// first, and returns ErrStopped when the runtime is already closed instead
-// of silently succeeding. An empty key set is a no-op. A nil ctx means
-// context.Background().
+// alternative to the full Wait.
+//
+// It is a task: WaitOn submits one task without a body that declares an inout
+// access to each key, and waits for its handle. The Dependence Table orders
+// it behind every earlier access exactly as it would a real task, and it
+// completes where its dependence count reaches zero, without visiting a
+// worker — so WaitOn may be called from inside a task body even when every
+// worker is busy. Being a task, it takes one window token (and blocks while
+// the window is full, as Submit does), is counted by Stats — Executed, or
+// Skipped when a key is poisoned, which is not WaitOn's error to report — and
+// later accesses to the keys queue behind it, not beside it. The task does
+// not carry ctx: a WaitOn abandoned on its deadline leaves a task that still
+// completes in order and can never fail.
+//
+// Like Wait, WaitOn observes every Submit that returned before the call,
+// returns ctx.Err() if the context is cancelled first, and returns ErrStopped
+// when the runtime is already closed instead of silently succeeding. An empty
+// key set is a no-op. A nil ctx means context.Background().
 func (rt *Runtime) WaitOn(ctx context.Context, keys ...Key) error {
-	return rt.waitOn(ctx, 0, keys)
+	return rt.waitOn(ctx, nil, keys)
 }
 
-// waitOn is WaitOn for the keys of namespace ns.
-func (rt *Runtime) waitOn(ctx context.Context, ns uint64, keys []Key) error {
+// waitOn is WaitOn for the keys of scope s's namespace; nil is the runtime's.
+func (rt *Runtime) waitOn(ctx context.Context, s *Scope, keys []Key) error {
 	if len(keys) == 0 {
 		return nil
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	select {
-	case <-rt.stopped:
-		return ErrStopped
-	default:
+	deps := make([]Dep, len(keys))
+	for i, k := range keys {
+		deps[i] = InOut(k)
 	}
-	if f := rt.funnel; f != nil && !f.fence(rt.stopped) {
-		return ErrStopped
+	h, err := rt.submitNode(ctx, newNode(context.Background(), &Task{Deps: deps, scope: s}))
+	if err != nil {
+		return err
 	}
-	// Register before probing: the finish path only takes coord when it
-	// sees a positive waiter count, so the count must be visible before
-	// the segments this waiter saw busy can drain.
-	reply := make(chan struct{})
-	rt.coord.Lock()
-	rt.waiterCount.Add(1)
-	if rt.quiet(ns, keys) {
-		rt.waiterCount.Add(-1)
-		rt.coord.Unlock()
-		return nil
+	// Once the task has finished the wait is over, whatever its own outcome:
+	// skipped behind a failed task is the runtime's to count, not an error here.
+	if err := h.Wait(ctx); !h.finished() {
+		return err
 	}
-	rt.waiters = append(rt.waiters, waitReq{ns: ns, keys: keys, reply: reply})
-	rt.coord.Unlock()
-	select {
-	case <-reply:
-		return nil
-	case <-ctx.Done():
-	}
-	// Deregister, unless a finisher signalled us concurrently — then the
-	// wait in fact completed and the cancellation lost the race.
-	rt.coord.Lock()
-	for i := range rt.waiters {
-		if rt.waiters[i].reply == reply {
-			rt.waiters = append(rt.waiters[:i], rt.waiters[i+1:]...)
-			rt.waiterCount.Add(-1)
-			rt.coord.Unlock()
-			return ctx.Err()
-		}
-	}
-	rt.coord.Unlock()
 	return nil
-}
-
-type waitReq struct {
-	ns    uint64
-	keys  []Key
-	reply chan struct{}
 }

@@ -2,8 +2,10 @@ package starss
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWaitOnKeys(t *testing.T) {
@@ -54,5 +56,66 @@ func TestWaitOnAfterClose(t *testing.T) {
 	}
 	if err := rt.Wait(context.Background()); err != ErrStopped {
 		t.Fatalf("Wait after Close = %v, want ErrStopped", err)
+	}
+}
+
+// TestWaitOnFromTaskBody: a WaitOn is a task without a body, finished by
+// whoever finds it ready, so it needs no worker — the only one there is may
+// be the caller.
+func TestWaitOnFromTaskBody(t *testing.T) {
+	for name, rt := range newRuntimes(Config{Workers: 1}) {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			var wrote atomic.Bool
+			rt.MustSubmit(Task{Deps: []Dep{Out("x")}, Do: do(func() { wrote.Store(true) })})
+			h := rt.MustSubmit(Task{Deps: []Dep{Out("y")}, Do: func(context.Context) error {
+				// On the worker: "x" is behind us in the ready queue or done, "z" unused.
+				if err := rt.WaitOn(ctx, "x", "z"); err != nil {
+					return err
+				}
+				if !wrote.Load() {
+					return errors.New("WaitOn(x) returned before x's writer ran")
+				}
+				return nil
+			}})
+			if err := h.Wait(ctx); err != nil {
+				t.Fatalf("the body that called WaitOn: %v", err)
+			}
+			mustClose(t, rt)
+			if st := rt.Stats(); st.Submitted != 3 || st.Executed != 3 {
+				t.Fatalf("stats = %v, want the two tasks and the WaitOn executed", st)
+			}
+		})
+	}
+}
+
+// TestWaitOnPoisonedKey: the WaitOn's task is skipped like any dependent of a
+// failed task, and that is the runtime's count to keep, not the caller's
+// error: the wait is over either way.
+func TestWaitOnPoisonedKey(t *testing.T) {
+	for name, rt := range newRuntimes(Config{Workers: 2}) {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			boom := errors.New("boom")
+			gate := make(chan struct{})
+			failed := rt.MustSubmit(Task{Deps: []Dep{Out("k")}, Do: func(context.Context) error { <-gate; return boom }})
+			waited := make(chan error, 1)
+			go func() { waited <- rt.WaitOn(ctx, "k") }()
+			waitFor(t, "the WaitOn's task to queue behind the writer", func() bool { return rt.Stats().Hazards == 1 })
+			close(gate)
+			if err := <-waited; err != nil {
+				t.Fatalf("WaitOn on a poisoned key = %v, want nil", err)
+			}
+			if !failed.finished() {
+				t.Fatal("WaitOn returned before the failed writer's handle was published")
+			}
+			if err := rt.Close(); !errors.Is(err, boom) {
+				t.Fatalf("Close = %v, want the writer's failure", err)
+			}
+			if st := rt.Stats(); st.Failed != 1 || st.Skipped != 1 || st.Executed != 0 {
+				t.Fatalf("stats = %v, want the writer failed and the WaitOn skipped", st)
+			}
+		})
 	}
 }

@@ -14,7 +14,9 @@ import (
 // chunk with one compare-and-swap, a finisher returns one with one atomic
 // add, and nobody touches a lock or a channel unless the window is full.
 // Because the count that admits is the count that is reported, in-flight
-// can never exceed the limit.
+// can never exceed the limit. It is also the count that refuses: shut sets
+// one bit of it, so whoever holds a token got it before the window shut and
+// a shut window that reads zero stays empty — all Close needs to know.
 //
 // Only a full window sends a submitter to the wait list. The list is FIFO:
 // once anyone is queued, later arrivals queue behind them even when their
@@ -22,7 +24,7 @@ import (
 // a stream of single Submits.
 type window struct {
 	limit int64
-	used  atomic.Int64 // reserved tokens == in-flight tasks
+	used  atomic.Int64 // reserved tokens == in-flight tasks; plus windowShut once shut
 	max   atomic.Int64 // high-water mark of used
 	// need is the head waiter's demand, 0 while nobody is queued. It is the
 	// only thing the fast paths read: tryAcquire bypasses the list when it
@@ -37,11 +39,23 @@ type windowWaiter struct {
 	ready chan struct{} // closed once n tokens are reserved for the waiter
 }
 
+// windowShut is the bit of used that marks the window shut, above any count.
+const windowShut = 1 << 62
+
+// count is the number of reserved tokens: the tasks in flight.
+func (w *window) count() int64 { return w.used.Load() &^ windowShut }
+
+// shut makes every later reservation fail, in one atomic step with the
+// count: a tryReserve racing it either took its tokens first or takes none.
+func (w *window) shut() { w.used.Or(windowShut) }
+
+func (w *window) isShut() bool { return w.used.Load() >= windowShut }
+
 // tryReserve takes n tokens if they fit, all or nothing.
 func (w *window) tryReserve(n int64) bool {
 	for {
 		u := w.used.Load()
-		if u+n > w.limit {
+		if u >= windowShut || u+n > w.limit {
 			return false
 		}
 		if w.used.CompareAndSwap(u, u+n) {
@@ -63,9 +77,10 @@ func (w *window) tryAcquire(n int64) bool {
 
 // acquire reserves n tokens (n <= limit), blocking in FIFO order while the
 // window is full. It returns ctx.Err() or ErrStopped — holding no tokens —
-// when ctx is cancelled or stopped closes first. A grant that races the
-// cancellation wins: acquire then returns nil with the tokens held, and the
-// caller's own post-admission checks see the dead context or the stop.
+// when ctx is cancelled or stopped closes first; a shut window grants
+// nothing, so its acquirers all end up here once stopped closes. A grant
+// that races the cancellation or the stop wins: acquire then returns nil
+// with the tokens held, and the caller admits its tasks like any other.
 func (w *window) acquire(ctx context.Context, stopped <-chan struct{}, n int64) error {
 	if w.tryAcquire(n) {
 		return nil
@@ -128,5 +143,5 @@ func (w *window) release(n int64) int64 {
 		w.grantLocked()
 		w.mu.Unlock()
 	}
-	return u
+	return u &^ windowShut
 }

@@ -293,3 +293,56 @@ func TestInFlightNeverExceedsWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestCloseWakesParkedSubmitters: Close shuts the window before it drains, so
+// a submitter parked on a full window is refused, not admitted late; the
+// refusal is ErrStopped on every path, the non-blocking one included, even
+// though the window is also full; and the counters stay truthful afterwards.
+func TestCloseWakesParkedSubmitters(t *testing.T) {
+	const window = 2
+	for name, rt := range newRuntimes(Config{Workers: 2, Window: window}) {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			gate := make(chan struct{})
+			held := func(context.Context) error { <-gate; return nil }
+			for i := 0; i < window; i++ {
+				rt.MustSubmit(Task{Deps: []Dep{Out(i)}, Do: held})
+			}
+			scope := rt.Scope("tenant")
+			parked := []func() error{
+				func() error { _, err := rt.Submit(ctx, Task{Do: held}); return err },
+				func() error { _, err := rt.SubmitAll(ctx, []Task{{Do: held}, {Do: held}}); return err },
+				func() error { _, err := scope.Submit(ctx, Task{Do: held}); return err },
+				func() error { _, err := scope.SubmitAll(ctx, []Task{{Do: held}}); return err },
+				func() error { return rt.WaitOn(ctx, 0) },
+			}
+			errs := make(chan error, len(parked))
+			for _, submit := range parked {
+				go func() { errs <- submit() }()
+			}
+			waitFor(t, "every submitter to park", func() bool { return rt.win.queued() == len(parked) })
+			closed := make(chan error, 1)
+			go func() { closed <- rt.Close() }()
+			for range parked {
+				if err := <-errs; !errors.Is(err, ErrStopped) {
+					t.Errorf("a submitter parked on the full window got %v, want ErrStopped", err)
+				}
+			}
+			// Close is still draining the two held tasks: full and shut.
+			if _, err := scope.TrySubmitAll(ctx, []Task{{Do: held}}); !errors.Is(err, ErrStopped) {
+				t.Errorf("TrySubmitAll on a closing runtime = %v, want ErrStopped", err)
+			}
+			if got := rt.InFlight(); got != window {
+				t.Errorf("InFlight = %d while Close drains, want %d", got, window)
+			}
+			close(gate)
+			if err := <-closed; err != nil {
+				t.Fatalf("Close = %v", err)
+			}
+			st := rt.Stats()
+			if rt.InFlight() != 0 || scope.InFlight() != 0 || st.MaxInFlight != window || st.Submitted != window || st.Executed != window {
+				t.Fatalf("after Close: in flight %d (scope %d), %v", rt.InFlight(), scope.InFlight(), st)
+			}
+		})
+	}
+}
