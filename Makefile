@@ -39,13 +39,15 @@ flake:
 	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName' ./internal/starss/
 	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled' ./internal/service/
 
-# fuzz gives each of the service's wire fuzz targets twenty seconds: the
-# hand-written codec against encoding/json, round trips, and the real
-# handler, which may answer hostile bytes with nothing but a typed 4xx.
+# fuzz gives each fuzz target twenty seconds. Three are the service's wire:
+# the hand-written codec against encoding/json, round trips, and the real
+# handler, which may answer hostile bytes with nothing but a typed 4xx. The
+# fourth drives the runtime's dependence table beside a map model, with
+# hashes the input degrades until everything collides.
 # (`go test ./...` already runs their seed corpora.)
 fuzz:
-	@for t in FuzzSubmitRequest FuzzAwaitRequest FuzzAwaitResponse; do \
-		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime=20s ./internal/service/ || exit 1; \
+	@for t in service/FuzzSubmitRequest service/FuzzAwaitRequest service/FuzzAwaitResponse starss/FuzzAddrTable; do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*/}\$$" -fuzztime=20s ./internal/$${t%/*}/ || exit 1; \
 	done
 
 # bench-check vets and tests the nested benchmark module. Root `go test

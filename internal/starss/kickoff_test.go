@@ -171,10 +171,11 @@ func TestKickoffDeepMixedQueue(t *testing.T) {
 func hotWaiters(t *testing.T, rt *Runtime) []*taskNode {
 	t.Helper()
 	key := tableKeyOf(0, Dep{Key: hotKey})
-	idx := []int32{rt.bankIndex(key)}
+	h := rt.hashKey(key)
+	idx := []int32{rt.bankOf(h)}
 	rt.lockBanks(idx)
 	defer rt.unlockBanks(idx)
-	seg := rt.banks[idx[0]].lookup(key)
+	seg, _ := rt.banks[idx[0]].lookup(key, h)
 	if seg == nil {
 		t.Fatal("the hot key has no segment")
 	}
@@ -255,8 +256,15 @@ func TestKickoffDrainLeavesNoLinks(t *testing.T) {
 				idx := []int32{int32(i)}
 				rt.lockBanks(idx)
 				b := &rt.banks[i]
-				if n := len(b.addrs) + len(b.others); n != 0 {
+				if n := b.addrs.count + len(b.others); n != 0 {
 					t.Errorf("bank %d still files %d keys", i, n)
+				}
+				// A stale pointer in a vacated slot would pin a recycled
+				// segment, and through it a poison error, for good.
+				for j, s := range b.addrs.slots {
+					if s != (slot{}) {
+						t.Errorf("bank %d, slot %d of its drained table is not zero: %+v", i, j, s)
+					}
 				}
 				if b.others != nil {
 					t.Errorf("bank %d made its fallback table for a workload of addresses", i)
@@ -267,7 +275,7 @@ func TestKickoffDrainLeavesNoLinks(t *testing.T) {
 				listed := 0
 				for seg := b.free; seg != nil; seg = seg.nextFree {
 					listed++
-					if *seg != (segState{bank: int32(i), nextFree: seg.nextFree}) {
+					if *seg != (segState{nextFree: seg.nextFree}) {
 						t.Errorf("bank %d recycles a segment that is not empty: %+v", i, *seg)
 					}
 				}

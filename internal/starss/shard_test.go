@@ -240,18 +240,61 @@ func TestSubmitAllRAWAcrossBatches(t *testing.T) {
 	}
 }
 
+// TestBankIndexStable: a key hashes the same way every time it is asked, and
+// its bank is one the runtime has.
 func TestBankIndexStable(t *testing.T) {
 	rt := New(Config{Workers: 1, Shards: 16})
 	defer mustClose(t, rt)
 	for _, k := range []Key{"a", 7, [2]int{1, 2}, 3.5, uint64(7), nil} {
 		key := tableKeyOf(3, Dep{Key: k})
-		i, j := rt.bankIndex(key), rt.bankIndex(key)
-		if i != j {
-			t.Fatalf("bankIndex(%v) unstable: %d vs %d", k, i, j)
+		h, again := rt.hashKey(key), rt.hashKey(key)
+		if h != again {
+			t.Fatalf("hashKey(%v) unstable: %#x vs %#x", k, h, again)
 		}
-		if i < 0 || i >= 16 {
-			t.Fatalf("bankIndex(%v) = %d out of range", k, i)
+		if i := rt.bankOf(h); i < 0 || i >= 16 {
+			t.Fatalf("bankOf(hashKey(%v)) = %d out of range", k, i)
 		}
+	}
+}
+
+// TestHashKeySeeded pins what keeps a tenant from choosing its collisions:
+// the hash is keyed per runtime, so one address key hashes differently on
+// two of them; and the namespace is part of what is hashed, so one address
+// in two scopes has two homes — over a thousand addresses the top bits
+// (a 256-slot table's home) differ far more often than not. A single bank
+// (Shards: 1, and the maestro) still hashes: the home slot needs the bits
+// the bank index does not.
+func TestHashKeySeeded(t *testing.T) {
+	const n = 1000
+	for name, rt := range newRuntimes(Config{Workers: 1, Shards: 1}) {
+		other := New(Config{Workers: 1, Shards: 1})
+		acrossRuntimes, acrossScopes, homes := 0, 0, map[uint64]bool{}
+		for a := uint64(0); a < n; a++ {
+			key := tableKey{addrKey: addrKey{ns: 1, addr: a << 6}}
+			h := rt.hashKey(key)
+			if rt.bankOf(h) != 0 {
+				t.Fatalf("%s: bank %d on a runtime with one", name, rt.bankOf(h))
+			}
+			homes[h>>56] = true
+			if other.hashKey(key) != h {
+				acrossRuntimes++
+			}
+			key.ns = 2
+			if rt.hashKey(key)>>56 != h>>56 {
+				acrossScopes++
+			}
+		}
+		if acrossRuntimes < n-1 {
+			t.Errorf("%s: only %d of %d keys hash differently on a second runtime", name, acrossRuntimes, n)
+		}
+		if acrossScopes <= n/2 {
+			t.Errorf("%s: only %d of %d addresses change home with the namespace", name, acrossScopes, n)
+		}
+		if len(homes) < 200 {
+			t.Errorf("%s: %d keys share %d of 256 homes: a single bank must still hash", name, n, len(homes))
+		}
+		mustClose(t, other)
+		mustClose(t, rt)
 	}
 }
 

@@ -28,16 +28,17 @@
 // order, which keeps the runtime deadlock-free, and no bank is held for
 // longer than one task's Check Deps or Handle Finished: SubmitAll reserves
 // a chunk's window tokens at once but checks it task by task. Each key is
-// hashed and looked up once in a task's life — the task keeps, per
-// dependency, the segment Check Deps found, Handle Finished follows those
-// pointers, and a segment's kick-off list is threaded through the waiting
-// tasks themselves. The table is keyed as the paper's is, by address: a
-// bank files {namespace, address} keys in one map and every other kind of
-// key in a second, made on first use (tableKeyOf), and the namespace — 0 for
-// the runtime, one per Scope — is a field of the key, never a wrapper around
-// it. NewMaestro (maestro.go) builds the same runtime with
-// that single resolver goroutine put back, as the baseline the banks are
-// measured against.
+// hashed once in a task's life (hashKey) and probed for once, by Check Deps —
+// the task keeps, per dependency, the segment Check Deps found or filed,
+// Handle Finished follows those pointers, a drained segment leaves the table
+// by the hash it carries, and a segment's kick-off list is threaded through
+// the waiting tasks themselves. The table is keyed as the paper's is, by
+// address: a bank files {namespace, address} keys in an open-addressed
+// table of its own (table.go) and every other kind of key in a Go map made
+// on first use (tableKeyOf), and the namespace — 0 for the runtime, one per
+// Scope — is a field of the key, never a wrapper around it. NewMaestro
+// (maestro.go) builds the same runtime with that single resolver goroutine
+// put back, as the baseline the banks are measured against.
 //
 // The in-flight window — the paper's Task Pool size — is one atomic counter
 // that both admits and reports (window.go): a SubmitAll chunk reserves its
@@ -408,10 +409,10 @@ func (h *Handle) complete(o Outcome, err error) {
 // lock) but are always read atomically by Stats.
 type bank struct {
 	mu sync.Mutex
-	// addrs files the segments of address keys; others, nil until the first
-	// key that is not an address, those of every other Key. Only lookup,
-	// takeSeg and dropSeg choose between the two.
-	addrs  map[addrKey]*segState
+	// addrs files the segments of address keys (table.go); others, a Go map
+	// that is nil until the first key that is not an address, those of every
+	// other Key. Only lookup, takeSeg and dropSeg choose between the two.
+	addrs  *addrTable
 	others map[anyKey]*segState
 	// free lists nfree drained segments for reuse (linked through
 	// segState.nextFree), guarded by mu like the tables. It is bounded
@@ -427,28 +428,34 @@ type bank struct {
 // segFreeMin is the least a bank's free list may hold.
 const segFreeMin = 64
 
-// lookup returns key k's live segment, or nil. The caller holds b.mu.
-func (b *bank) lookup(k tableKey) *segState {
+// lookup returns the live segment of key k, whose hash is h, or nil — and
+// then, for an address key, the table slot takeSeg files a new one in. The
+// caller holds b.mu.
+func (b *bank) lookup(k tableKey, h uint64) (seg *segState, at int) {
 	if k.other == nil {
-		return b.addrs[k.addrKey]
+		return b.addrs.find(h, k.addrKey)
 	}
-	return b.others[k.fallback()]
+	return b.others[k.fallback()], 0
 }
 
-// takeSeg returns an empty segment for key k and files it in the bank, whose
-// index is idx. The caller holds b.mu.
-func (b *bank) takeSeg(k tableKey, idx int32) *segState {
+// takeSeg returns an empty segment for key k, whose hash is h, and files it
+// in the bank: an address key in slot at, where lookup just missed it. The
+// caller holds b.mu.
+func (b *bank) takeSeg(k tableKey, h uint64, at int) *segState {
 	seg := b.free
 	if seg != nil {
 		b.free, seg.nextFree = seg.nextFree, nil
 		b.nfree--
 	} else {
-		seg = &segState{bank: idx}
+		seg = &segState{}
 	}
+	seg.hash = h
 	if k.other == nil {
-		b.addrs[k.addrKey] = seg
+		seg.key = k.addrKey
+		b.addrs.put(at, seg)
 		return seg
 	}
+	seg.other = true
 	if b.others == nil {
 		b.others = make(map[anyKey]*segState)
 	}
@@ -456,21 +463,22 @@ func (b *bank) takeSeg(k tableKey, idx int32) *segState {
 	return seg
 }
 
-// dropSeg removes key k's drained segment and recycles it, unless the free
-// list already holds keep segments. The caller holds b.mu. A drained
-// segment's kick-off list is empty, so the free list pins no task; the reset
-// keeps only the bank index, which a segment never changes — it is recycled
-// through its own bank.
-func (b *bank) dropSeg(k tableKey, seg *segState, keep int) {
-	if k.other == nil {
-		delete(b.addrs, k.addrKey)
+// dropSeg removes the drained segment seg — the one t holds for its
+// dependency i — and recycles it, unless the free list already holds keep
+// segments. An address segment names its own slot; only a fallback key is
+// derived again from the task. The caller holds b.mu. A drained segment's
+// kick-off list is empty, so the free list pins no task, and the reset
+// leaves nothing of the key it served.
+func (b *bank) dropSeg(seg *segState, t *Task, i, keep int) {
+	if seg.other {
+		delete(b.others, tableKeyOf(t.ns(), t.Deps[i]).fallback())
 	} else {
-		delete(b.others, k.fallback())
+		b.addrs.remove(seg)
 	}
 	if b.nfree >= keep {
 		return
 	}
-	*seg = segState{bank: seg.bank, nextFree: b.free}
+	*seg = segState{nextFree: b.free}
 	b.free = seg
 	b.nfree++
 }
@@ -528,7 +536,9 @@ type Runtime struct {
 	funnel *funnel
 }
 
-// taskFailure is the boxed root-cause record behind firstErr.
+// taskFailure is the boxed root-cause record behind firstErr and every
+// poison mark: a failed task's is made once and shared by the segments it
+// poisons and the dependents they taint.
 type taskFailure struct {
 	err error
 }
@@ -553,11 +563,10 @@ type access struct {
 type spilled struct {
 	acc      []access
 	nextSlot []int32
-	// banks is hashDeps' scratch space. order, a window onto it, is the
-	// sorted, deduplicated bank set, kept from Check Deps for Handle
-	// Finished: deriving it again would cost such a task a sort and an
-	// allocation.
-	banks, order []int32
+	// scratch is hashDeps' space. order, a window onto it, is the sorted,
+	// deduplicated bank set, kept from Check Deps for Handle Finished:
+	// deriving it again would cost such a task a sort and an allocation.
+	scratch, order []int32
 }
 
 type taskNode struct {
@@ -598,14 +607,18 @@ func (node *taskNode) slots() (acc []access, nextSlot []int32) {
 }
 
 type segState struct {
+	// key and hash are what the segment is filed under: the hash of its key
+	// (Runtime.hashKey) and, for an address segment, the key itself — other
+	// marks a segment of the fallback table, whose key is not kept. They are
+	// set when the segment is filed and do not change while it is live, so a
+	// task may read them through its access without holding the bank: the
+	// hash's low bits are how Handle Finished learns which banks to lock.
+	key   addrKey
+	hash  uint64
+	other bool
 	isOut bool
 	ww    bool
-	// bank is the index of the bank the segment lives in. It is set when the
-	// segment is first allocated and never changes, so a task may read it
-	// through its access without holding the bank — that is how Handle
-	// Finished learns which banks to lock.
-	bank int32
-	rdrs int32
+	rdrs  int32
 	// head and tail delimit the kick-off list: tasks waiting for the segment,
 	// in arrival order, linked through the access each has on it (slot
 	// headSlot of head, slot tailSlot of tail). waiting is its length.
@@ -614,11 +627,13 @@ type segState struct {
 	tailSlot int32
 	head     *taskNode
 	tail     *taskNode
-	// poison records that a task ordered in this segment's history failed;
-	// every waiter popped afterwards is a transitive dependent and is
-	// skipped. It dies with the segment: once the key drains and the
-	// segment is deleted, later submissions start clean.
-	poison error
+	// poison records that a task ordered in this segment's history failed,
+	// and why; every waiter popped afterwards is a transitive dependent and
+	// is skipped. It dies with the segment: once the key drains and the
+	// segment is deleted, later submissions start clean. (The boxed record
+	// the tainted tasks share, not an error value: one word, which keeps the
+	// segment in the 80-byte size class.)
+	poison *taskFailure
 	// nextFree links the segment into its bank's free list while it is
 	// drained and recycled; nil while it is live.
 	nextFree *segState
@@ -657,7 +672,7 @@ func (seg *segState) pop(released []*taskNode) []*taskNode {
 	}
 	seg.waiting--
 	if seg.poison != nil {
-		n.poison.CompareAndSwap(nil, &taskFailure{err: seg.poison})
+		n.poison.CompareAndSwap(nil, seg.poison)
 	}
 	if n.dc.Add(-1) == 0 {
 		released = append(released, n)
@@ -732,7 +747,7 @@ func newRuntime(cfg Config, f *funnel) *Runtime {
 	}
 	rt.win.limit = int64(cfg.Window)
 	for i := range rt.banks {
-		rt.banks[i].addrs = make(map[addrKey]*segState)
+		rt.banks[i].addrs = newAddrTable()
 	}
 	if cfg.EventBuffer > 0 {
 		rt.rec = obs.NewRecorder(cfg.Workers, cfg.EventBuffer)
@@ -763,11 +778,11 @@ func (rt *Runtime) Events() *obs.Recorder { return rt.rec }
 // for tasks with no dependencies — the bank identity recorded on the node's
 // lifecycle events. It reads the node's segments, so it is valid from Check
 // Deps until the node's Handle Finished.
-func (node *taskNode) firstBank() int {
+func (rt *Runtime) firstBank(node *taskNode) int {
 	acc, _ := node.slots()
 	first := -1
 	for i := range node.task.Deps {
-		if b := int(acc[i].seg.bank); first < 0 || b < first {
+		if b := int(rt.bankOf(acc[i].seg.hash)); first < 0 || b < first {
 			first = b
 		}
 	}
@@ -780,20 +795,23 @@ func (rt *Runtime) emit(lane int, kind obs.Kind, node *taskNode, worker int) {
 	if rt.rec == nil {
 		return
 	}
-	rt.rec.Emit(lane, kind, node.handle.index, len(node.task.Deps), node.firstBank(), worker)
+	rt.rec.Emit(lane, kind, node.handle.index, len(node.task.Deps), rt.firstBank(node), worker)
 }
 
-// bankIndex hashes a key to its bank. Like map insertion, it panics for
-// keys that are not comparable.
-func (rt *Runtime) bankIndex(k tableKey) int32 {
-	if rt.mask == 0 {
-		return 0
-	}
+// hashKey is the one hash of a key in a task's life, seeded per runtime —
+// tenants choose their addresses, so they must not be able to choose their
+// collisions. Its low bits pick the key's bank (bankOf), its high bits the
+// home slot in that bank's table, and the segment keeps it for Handle
+// Finished. Like map insertion, it panics for keys that are not comparable.
+func (rt *Runtime) hashKey(k tableKey) uint64 {
 	if k.other == nil {
-		return int32(maphash.Comparable(rt.seed, k.addrKey) & rt.mask)
+		return maphash.Comparable(rt.seed, k.addrKey)
 	}
-	return int32(maphash.Comparable(rt.seed, k.fallback()) & rt.mask)
+	return maphash.Comparable(rt.seed, k.fallback())
 }
+
+// bankOf is the bank of a key whose hash is h.
+func (rt *Runtime) bankOf(h uint64) int32 { return int32(h & rt.mask) }
 
 // sortedUnique sorts bank indices in place and drops duplicates — the
 // canonical bank-acquisition order shared by Check Deps and Handle Finished,
@@ -810,12 +828,12 @@ func sortedUnique(banks []int32) []int32 {
 // lockOrder is the node's bank acquisition order for Handle Finished, read
 // off the segments in acc (the node's access slots) into buf. A spilled
 // node kept the one Check Deps derived.
-func (node *taskNode) lockOrder(acc []access, buf []int32) []int32 {
+func (rt *Runtime) lockOrder(node *taskNode, acc []access, buf []int32) []int32 {
 	if sp := node.spill; sp != nil {
 		return sp.order
 	}
 	for i := range node.task.Deps {
-		buf = append(buf, acc[i].seg.bank)
+		buf = append(buf, rt.bankOf(acc[i].seg.hash))
 	}
 	return sortedUnique(buf)
 }
@@ -1010,8 +1028,8 @@ func newNode(ctx context.Context, t *Task) *taskNode {
 	node := &taskNode{task: *t, ctx: ctx}
 	node.task.Deps = normalizeDeps(t.Deps)
 	if n := len(node.task.Deps); n > inlineDeps {
-		ints := make([]int32, 3*n)
-		node.spill = &spilled{acc: make([]access, n), nextSlot: ints[:n:n], banks: ints[n:]}
+		ints := make([]int32, (1+hashScratch)*n)
+		node.spill = &spilled{acc: make([]access, n), nextSlot: ints[:n:n], scratch: ints[n:]}
 	}
 	return node
 }
@@ -1052,18 +1070,30 @@ func (rt *Runtime) dispatch(node *taskNode, lane int) {
 	}
 }
 
-// hashDeps hashes each dependency's key (in namespace ns) to its bank — the
-// only time a task's keys are hashed — into scratch, which must hold twice
-// len(deps) entries: bankOf[i] is the bank of deps[i], order the sorted,
-// deduplicated set, the task's acquisition order.
-func (rt *Runtime) hashDeps(ns uint64, deps []Dep, scratch []int32) (bankOf, order []int32) {
+// hashScratch is the int32 words of scratch hashDeps needs per dependency:
+// two for the hash, one for the bank.
+const hashScratch = 3
+
+// hashDeps hashes each dependency's key (in namespace ns) — the only time a
+// task's keys are hashed — into scratch, which must hold hashScratch words
+// per dependency: hashes holds the hash of deps[i] as words 2i and 2i+1
+// (hashAt), order the sorted, deduplicated set of their banks, the task's
+// acquisition order. (Halved, because a spilled task's scratch is the one
+// int32 block it already allocates for its other per-dependency numbers.)
+func (rt *Runtime) hashDeps(ns uint64, deps []Dep, scratch []int32) (hashes, order []int32) {
 	n := len(deps)
-	bankOf, order = scratch[:n:n], scratch[n:2*n]
+	hashes, order = scratch[:2*n:2*n], scratch[2*n:3*n]
 	for i, d := range deps {
-		bankOf[i] = rt.bankIndex(tableKeyOf(ns, d))
+		h := rt.hashKey(tableKeyOf(ns, d))
+		hashes[2*i], hashes[2*i+1] = int32(h), int32(h>>32)
+		order[i] = rt.bankOf(h)
 	}
-	copy(order, bankOf)
-	return bankOf, sortedUnique(order)
+	return hashes, sortedUnique(order)
+}
+
+// hashAt reads hash i back out of hashDeps' words.
+func hashAt(hashes []int32, i int) uint64 {
+	return uint64(uint32(hashes[2*i])) | uint64(uint32(hashes[2*i+1]))<<32
 }
 
 // resolveNew runs Check Deps (Listing 2) for one task, holding the task's
@@ -1071,13 +1101,13 @@ func (rt *Runtime) hashDeps(ns uint64, deps []Dep, scratch []int32) (bankOf, ord
 // is dispatched as soon as they are released.
 func (rt *Runtime) resolveNew(node *taskNode) {
 	deps, ns := node.task.Deps, node.task.ns()
-	var buf [2 * inlineDeps]int32
-	var bankOf, order []int32
+	var buf [hashScratch * inlineDeps]int32
+	var hashes, order []int32
 	if sp := node.spill; sp != nil {
-		bankOf, sp.order = rt.hashDeps(ns, deps, sp.banks)
+		hashes, sp.order = rt.hashDeps(ns, deps, sp.scratch)
 		order = sp.order
 	} else {
-		bankOf, order = rt.hashDeps(ns, deps, buf[:])
+		hashes, order = rt.hashDeps(ns, deps, buf[:])
 	}
 	if rt.rec != nil {
 		first := -1
@@ -1087,7 +1117,7 @@ func (rt *Runtime) resolveNew(node *taskNode) {
 		rt.rec.Emit(-1, obs.KindSubmit, node.handle.index, len(deps), first, -1)
 	}
 	rt.lockBanks(order)
-	dc := rt.checkDeps(node, bankOf)
+	dc := rt.checkDeps(node, hashes)
 	rt.unlockBanks(order)
 	if dc == 0 {
 		rt.emit(-1, obs.KindReady, node, -1)
@@ -1111,17 +1141,20 @@ func (rt *Runtime) noteQueueDepth(b *bank, depth int32) {
 
 // checkDeps acquires or queues on every segment of the node, recording each
 // in the node's access slots, and returns the resulting dependence count.
-// bankOf[i] is the bank of task.Deps[i]; the caller holds them all.
-func (rt *Runtime) checkDeps(node *taskNode, bankOf []int32) int {
+// hashes are hashDeps' words for task.Deps; the caller holds every bank they
+// name. One probe per key either finds its segment or the slot to file a new
+// one in.
+func (rt *Runtime) checkDeps(node *taskNode, hashes []int32) int {
 	dc, ns := 0, node.task.ns()
 	acc, _ := node.slots()
 	for i, d := range node.task.Deps {
-		b := &rt.banks[bankOf[i]]
+		h := hashAt(hashes, i)
+		b := &rt.banks[rt.bankOf(h)]
 		key := tableKeyOf(ns, d)
-		seg := b.lookup(key)
+		seg, at := b.lookup(key, h)
 		wantsWrite := d.Mode != ModeIn
 		if seg == nil {
-			seg = b.takeSeg(key, bankOf[i])
+			seg = b.takeSeg(key, h, at)
 			if wantsWrite {
 				seg.isOut = true
 			} else {
@@ -1137,7 +1170,7 @@ func (rt *Runtime) checkDeps(node *taskNode, bankOf []int32) int {
 		// with already-skipped readers would run against data its failed
 		// producer never wrote.
 		if seg.poison != nil {
-			node.poison.CompareAndSwap(nil, &taskFailure{err: seg.poison})
+			node.poison.CompareAndSwap(nil, seg.poison)
 		}
 		if !wantsWrite && !seg.isOut && !seg.ww {
 			seg.rdrs++
@@ -1159,40 +1192,42 @@ func (rt *Runtime) checkDeps(node *taskNode, bankOf []int32) int {
 	return dc
 }
 
-// rootCause is the error a finished node propagates to its dependents: its
-// own failure, or — when the node itself was skipped — the original root
-// cause it was poisoned with, so chains report the first failure, not a
-// nest of skip wrappers.
-func (node *taskNode) rootCause() error {
+// rootCause is the failure a finished node propagates to its dependents: its
+// own, or — when the node itself was skipped — the original root cause it
+// was poisoned with, so chains report the first failure, not a nest of skip
+// wrappers.
+func (node *taskNode) rootCause() *taskFailure {
 	if node.err == nil {
 		return nil
 	}
 	if p := node.poison.Load(); p != nil {
-		return p.err
+		return p
 	}
-	return node.err
+	return &taskFailure{err: node.err}
 }
 
 // resolveFinished runs the Handle Finished path (SSIII-B) for one task:
 // releases its segments, pops kick-off lists and dispatches any task whose
 // dependence count reaches zero. It starts from the task and follows the
-// segment pointers Check Deps left in its access slots: no key is hashed or
-// looked up here. A failed (or skipped) finisher poisons the segments it
-// releases, so every waiter popped behind it — now or by a later finisher —
-// is skipped as a transitive dependent while the kick-off lists drain
-// normally. worker is the finishing worker's index, for the event stream.
+// segment pointers Check Deps left in its access slots: no key is hashed
+// here, and an address key is not even derived — a drained segment is
+// removed from the table by its own pointer and the hash it carries. A
+// failed (or skipped) finisher poisons the segments it releases, so every
+// waiter popped behind it — now or by a later finisher — is skipped as a
+// transitive dependent while the kick-off lists drain normally. worker is
+// the finishing worker's index, for the event stream.
 func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
-	root, ns := node.rootCause(), node.task.ns()
+	root := node.rootCause()
 	// Most finishers release at most a few waiters; keep them off the heap.
 	var buf [8]*taskNode
 	released := buf[:0]
 	acc, _ := node.slots()
 	var orderBuf [inlineDeps]int32
-	order := node.lockOrder(acc, orderBuf[:0])
+	order := rt.lockOrder(node, acc, orderBuf[:0])
 	rt.lockBanks(order)
 	for i, d := range node.task.Deps {
 		seg := acc[i].seg
-		b := &rt.banks[seg.bank]
+		b := &rt.banks[rt.bankOf(seg.hash)]
 		if root != nil && seg.poison == nil {
 			seg.poison = root
 		}
@@ -1202,7 +1237,7 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 				continue
 			}
 			if !seg.ww {
-				b.dropSeg(tableKeyOf(ns, d), seg, rt.segFree)
+				b.dropSeg(seg, &node.task, i, rt.segFree)
 				continue
 			}
 			seg.isOut = true
@@ -1212,7 +1247,7 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) {
 		}
 		seg.isOut = false
 		if seg.head == nil {
-			b.dropSeg(tableKeyOf(ns, d), seg, rt.segFree)
+			b.dropSeg(seg, &node.task, i, rt.segFree)
 			continue
 		}
 		if seg.headWrites() {

@@ -1,0 +1,119 @@
+package starss
+
+import "math/bits"
+
+// addrTable is one bank's Dependence Table proper: an open-addressed hash
+// table of the bank's live address segments, written for this one job. The
+// caller supplies each key's 64-bit hash (Runtime.hashKey, computed once in
+// a task's life), whose high bits choose the home slot — the low bits chose
+// the bank. A segment carries its own key and hash, so removing one needs
+// neither a key nor a second hash.
+//
+// Collisions probe linearly: a lookup compares the 8-byte hash stored in
+// the slot and touches the segment only on a match, so a probe walks one or
+// two cache lines of slots. The load stays at or below ½, which keeps the
+// expected probe of a miss under three slots. Deletion shifts the rest of
+// the cluster back over the hole instead of leaving a tombstone: a table
+// whose keys come and go at the rate of the task stream would otherwise
+// fill with tombstones and have to be rebuilt. The table doubles when it
+// must and never shrinks; it is bounded, as the map it replaces was, by the
+// keys in flight — Window × keys per task, spread over the banks. All of it,
+// growth included, runs under the bank lock.
+type addrTable struct {
+	slots []slot // len is a power of two
+	shift uint8  // 64 − log2(len(slots)): home = hash >> shift
+	count int
+}
+
+// slot files one segment under its key's hash; a nil seg marks it empty.
+type slot struct {
+	hash uint64
+	seg  *segState
+}
+
+// tableMinSlots is the size every table starts at.
+const tableMinSlots = 8
+
+func newAddrTable() *addrTable {
+	t := &addrTable{}
+	t.resize(tableMinSlots)
+	return t
+}
+
+// resize gives the table n empty slots; n is a power of two.
+func (t *addrTable) resize(n int) {
+	t.slots = make([]slot, n)
+	t.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+}
+
+// find probes for key k, whose hash is h. It returns k's segment, or nil and
+// the empty slot that ended the probe — the one put files a new segment in,
+// valid until the table next changes.
+func (t *addrTable) find(h uint64, k addrKey) (*segState, int) {
+	mask := len(t.slots) - 1
+	for i := int(h >> t.shift); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.seg == nil {
+			return nil, i
+		}
+		if s.hash == h && s.seg.key == k {
+			return s.seg, i
+		}
+	}
+}
+
+// put files seg, under the key and hash it carries, in slot at: the slot a
+// find of that key just missed on. The load is restored afterwards, so the
+// next find always has an empty slot to end on.
+func (t *addrTable) put(at int, seg *segState) {
+	t.slots[at] = slot{seg.hash, seg}
+	t.count++
+	if 2*t.count > len(t.slots) {
+		t.grow()
+	}
+}
+
+// grow doubles the table. No two slots hold the same key, so re-filing a
+// segment never compares keys: it takes the first empty slot from its home.
+func (t *addrTable) grow() {
+	old := t.slots
+	t.resize(2 * len(old))
+	mask := len(t.slots) - 1
+	for _, s := range old {
+		if s.seg == nil {
+			continue
+		}
+		i := int(s.hash >> t.shift)
+		for t.slots[i].seg != nil {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}
+
+// remove takes seg out of the table and closes the hole it leaves: every
+// later member of the cluster that the hole would cut off from its home
+// moves back into it, by the hashes the slots store. The last slot vacated
+// is zeroed, so the table keeps no pointer to a segment it no longer files.
+// Removing a segment that is not filed is a bug in the caller and panics.
+func (t *addrTable) remove(seg *segState) {
+	mask := len(t.slots) - 1
+	i := int(seg.hash >> t.shift)
+	for t.slots[i].seg != seg {
+		if t.slots[i].seg == nil {
+			panic("starss: removing a segment the dependence table does not file")
+		}
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; t.slots[j].seg != nil; j = (j + 1) & mask {
+		// The member in j may fill the hole in i unless its home lies
+		// (cyclically) after i: then it is still reachable where it is.
+		home := int(t.slots[j].hash >> t.shift)
+		if (j-home)&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = slot{}
+	t.count--
+}
