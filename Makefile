@@ -31,12 +31,14 @@ allocs:
 # accounting, the prefetch stage, the maestro funnel's shutdown, WaitOn's
 # empty task, Close shutting the window on parked submitters,
 # the kick-off lists threaded through waiting tasks, key identity and
-# namespace isolation with concurrent scopes — twenty times under the race
-# detector. The second line does the same for the service's admission:
+# namespace isolation with concurrent scopes, the ready queue's parked-worker
+# wake-ups and the successor a finishing worker keeps for itself
+# (Ready|Successor) — twenty times under the race detector. The second line
+# does the same for the service's admission:
 # a submit is refused or admitted by a tryAcquire on two windows (the shared
 # one, then the session's) racing the finishers' releases.
 flake:
-	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName' ./internal/starss/
+	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor' ./internal/starss/
 	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled' ./internal/service/
 
 # fuzz gives each fuzz target twenty seconds. Three are the service's wire:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 )
 
@@ -75,4 +76,71 @@ func BenchmarkDepTableKeyLife(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkReadyHandOff times the hop between a task becoming ready and a
+// worker holding it, per task, both ways the runtime makes it. push32_pop1
+// is the ready queue alone: one goroutine hands tasks over readyBatch at a
+// time — what admitAll does — and another takes them one by one, as a worker
+// does. chain1000 is the hop the queue never sees: a 1 000-link inout chain
+// on one worker, every link but the first (and each successorRun-th, which
+// goes round through the queue) run by the worker that released it.
+//
+//	go test -run '^$' -bench ReadyHandOff -benchtime 2000000x -count 6 ./internal/starss
+func BenchmarkReadyHandOff(b *testing.B) {
+	b.Run("push32_pop1", func(b *testing.B) {
+		const window = 1024
+		q := newReadyQueue(window)
+		// popped trails the consumer's count by less than a batch, so the
+		// producer — standing in for the window — only ever underestimates
+		// the room it has.
+		var popped atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for n := int64(1); ; n++ {
+				if _, ok := q.pop(); !ok {
+					return
+				}
+				if n%readyBatch == 0 {
+					popped.Store(n)
+				}
+			}
+		}()
+		node := new(taskNode)
+		var batch [readyBatch]*taskNode
+		for i := range batch {
+			batch[i] = node
+		}
+		b.ResetTimer()
+		for pushed := 0; pushed < b.N; {
+			n := min(readyBatch, b.N-pushed)
+			for int64(pushed+n)-popped.Load() > window {
+				runtime.Gosched()
+			}
+			q.push(batch[:n])
+			pushed += n
+		}
+		q.close()
+		<-done
+	})
+	b.Run("chain1000", func(b *testing.B) {
+		const links = 1000
+		rt := New(Config{Workers: 1, Window: 2 * links})
+		defer mustClose(b, rt)
+		ctx := context.Background()
+		tasks := make([]Task, links)
+		for i := range tasks {
+			tasks[i] = Task{Deps: []Dep{Addr(0x40, ModeInOut)}, Do: emptyBody}
+		}
+		b.ResetTimer()
+		for done := 0; done < b.N; done += links {
+			if _, err := rt.SubmitAll(ctx, tasks[:min(links, b.N-done)]); err != nil {
+				b.Fatal(err)
+			}
+			if err := rt.Wait(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -622,25 +622,23 @@ func TestReaderJoiningPoisonedSegmentSkipped(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 1, Window: 16}) {
 		t.Run(name, func(t *testing.T) {
 			writerGate := make(chan struct{})
-			rt.MustSubmit(Task{
+			writer := rt.MustSubmit(Task{
 				Name: "writer",
 				Deps: []Dep{Out("k")},
 				Do:   func(context.Context) error { <-writerGate; return errBoom },
 			})
-			r1 := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Do: do(func() {})})
-			// An independent task queued behind the writer on the single
-			// worker, and so ahead of r1, which only becomes ready when the
-			// writer finishes: once it has started, the writer has finished
-			// (FIFO ready queue) and r1 cannot have run, so the segment is
-			// poisoned with r1 in its reader group.
-			started := make(chan struct{})
+			// r1 also reads k2, which a gated writer holds: when the failed
+			// writer releases k, r1 joins k's reader group but cannot finish —
+			// whatever order the workers take ready tasks in — so the segment
+			// stays live, poisoned, with r1 in it until the test opens the gate.
 			gate := make(chan struct{})
 			rt.MustSubmit(Task{
-				Deps: []Dep{Out("other")},
-				Do:   func(context.Context) error { close(started); <-gate; return nil },
+				Deps: []Dep{Out("k2")},
+				Do:   func(context.Context) error { <-gate; return nil },
 			})
+			r1 := rt.MustSubmit(Task{Deps: []Dep{In("k"), In("k2")}, Do: do(func() {})})
 			close(writerGate)
-			<-started
+			<-writer.Done()
 			var lateRan atomic.Bool
 			late := rt.MustSubmit(Task{
 				Name: "late-reader",

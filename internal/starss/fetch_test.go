@@ -116,7 +116,7 @@ func TestCloseDrainsPrefetchStage(t *testing.T) {
 				t.Fatalf("round %d: handle %s pending after Close", round, h.Name())
 			}
 		}
-		if len(rt.fetchCh) != 0 || len(rt.fetchSlots) != 0 || len(rt.readyCh) != 0 {
+		if len(rt.fetchCh) != 0 || len(rt.fetchSlots) != 0 || rt.ready.len() != 0 {
 			t.Fatalf("round %d: stage not empty after Close", round)
 		}
 	}
@@ -205,6 +205,15 @@ func TestSubmitAllocations(t *testing.T) {
 func TestTaskNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(taskNode{}); got > 256 {
 		t.Fatalf("taskNode is %d bytes, want <= 256", got)
+	}
+}
+
+// TestHandleSize pins the task's other allocation inside the 64-byte size
+// class: the completion channel sits behind one typed pointer, not in an
+// interface.
+func TestHandleSize(t *testing.T) {
+	if got := unsafe.Sizeof(Handle{}); got > 64 {
+		t.Fatalf("Handle is %d bytes, want <= 64", got)
 	}
 }
 

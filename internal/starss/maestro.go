@@ -7,7 +7,9 @@ package starss
 // bottleneck the paper's SSI motivation describes and the banked Runtime
 // removes. Everything else is the shared Runtime, and the maestro calls the
 // same resolveNew/resolveFinished, so a throughput ratio between New and
-// NewMaestro isolates the two channel rendezvous per task. Use NewMaestro
+// NewMaestro isolates the two channel rendezvous per task — and what only a
+// worker resolving its own finish can do: keep the successor it released,
+// which the maestro has to queue (finish). Use NewMaestro
 // only to measure against it (nexusbench exp shards,
 // BenchmarkShardScalability, bench/'s starss.vs_maestro).
 
@@ -44,9 +46,11 @@ func (f *funnel) run(rt *Runtime) {
 	for {
 		select {
 		case node := <-f.submitCh:
-			rt.resolveNew(node)
+			if rt.resolveNew(node) {
+				rt.dispatch(node, -1)
+			}
 		case node := <-f.doneCh:
-			rt.resolveFinished(node, -1) // not a worker: submit-side event lane
+			rt.finish(node, -1) // not a worker: submit-side event lane
 		case <-f.quit:
 			return
 		}

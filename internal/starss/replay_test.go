@@ -124,8 +124,20 @@ func TestReplayRespectsDependencies(t *testing.T) {
 	if res.Stats.Hazards > n-1 {
 		t.Errorf("hazards = %d, want at most %d (every task but the first)", res.Stats.Hazards, n-1)
 	}
-	// Under in-order replay the submission index is the trace ID.
-	var run, finish [n]int64
+	checkRunOrder(t, rt, g)
+}
+
+// checkRunOrder holds a drained runtime's event stream against the
+// dependency-graph oracle: every task of g ran, and no body started before
+// all its predecessors' had finished. The tasks must have been submitted in
+// trace order, so that the submission index is the trace ID.
+func checkRunOrder(t *testing.T, rt *Runtime, g *depgraph.Graph) {
+	t.Helper()
+	if d := rt.Events().Dropped(); d != 0 {
+		t.Fatalf("%d events dropped: the oracle check would be partial", d)
+	}
+	n := g.NumTasks()
+	run, finish := make([]int64, n), make([]int64, n)
 	for _, ev := range rt.Events().Drain() {
 		switch ev.Kind {
 		case obs.KindRun:

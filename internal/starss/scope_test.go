@@ -176,17 +176,23 @@ func TestScopeStatsClassification(t *testing.T) {
 	}
 
 	// A body that relays a dependency failure it met elsewhere.
+	relayGate := make(chan struct{}) // holds the segment until the dependent is queued
 	hWrap, err := bad.Submit(context.Background(), Task{
 		Deps: []Dep{InOut("relay")},
-		Do:   func(context.Context) error { return fmt.Errorf("upstream: %w", ErrDependencyFailed) },
+		Do: func(context.Context) error {
+			<-relayGate
+			return fmt.Errorf("upstream: %w", ErrDependencyFailed)
+		},
 	})
 	if err != nil {
+		close(relayGate)
 		t.Fatal(err)
 	}
 	hWrapDep, err := bad.Submit(context.Background(), Task{
 		Deps: []Dep{InOut("relay")},
 		Do:   func(context.Context) error { return nil },
 	})
+	close(relayGate)
 	if err != nil {
 		t.Fatal(err)
 	}

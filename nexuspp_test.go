@@ -147,10 +147,14 @@ func ExampleNewRuntime() {
 // wrapping the root cause.
 func ExampleHandle() {
 	rt := nexuspp.NewRuntime(nexuspp.RuntimeConfig{Workers: 2})
+	// The gate keeps the producer from finishing — and "data" from draining,
+	// its failure with it — before the consumer is submitted behind it.
+	submitted := make(chan struct{})
 	producer, _ := rt.Submit(context.Background(), nexuspp.Task{
 		Name: "producer",
 		Deps: []nexuspp.Dep{nexuspp.Out("data")},
 		Do: func(context.Context) error {
+			<-submitted
 			return errors.New("disk on fire")
 		},
 	})
@@ -159,6 +163,7 @@ func ExampleHandle() {
 		Deps: []nexuspp.Dep{nexuspp.In("data")},
 		Do:   func(context.Context) error { return nil }, // never runs
 	})
+	close(submitted)
 	<-consumer.Done()
 	fmt.Println("producer:", producer.Err())
 	fmt.Println("consumer skipped:", errors.Is(consumer.Err(), nexuspp.ErrDependencyFailed))
