@@ -22,13 +22,14 @@ race:
 # instrumentation changes what escapes: the zero-allocation pins on
 # sim.Engine / sim.Server, the allocations-per-task budget on core.Run, the
 # service's codec and submit-handler pins (which skip under -race), and the
-# runtime's two-allocations-per-task pins, on the Runtime and through a Scope.
+# runtime's two-allocations-per-task pins, on the Runtime and through a Scope,
+# for addresses and for keys of any other kind.
 allocs:
 	$(GO) test ./internal/sim ./internal/mem ./internal/core ./internal/service ./internal/starss
 
 # flake hammers the tests whose outcome depends on who wins a race between
 # a finishing task and its submitter — poisoning, panics, the window, scope
-# accounting, the prefetch stage, the maestro funnel's shutdown, WaitOn's
+# accounting, the Prefetch phase, the maestro funnel's shutdown, WaitOn's
 # empty task, Close shutting the window on parked submitters,
 # the kick-off lists threaded through waiting tasks, key identity and
 # namespace isolation with concurrent scopes, the ready queue's parked-worker
@@ -44,8 +45,8 @@ flake:
 # fuzz gives each fuzz target twenty seconds. Three are the service's wire:
 # the hand-written codec against encoding/json, round trips, and the real
 # handler, which may answer hostile bytes with nothing but a typed 4xx. The
-# fourth drives the runtime's dependence table beside a map model, with
-# hashes the input degrades until everything collides.
+# fourth drives the runtime's dependence table beside a map model, with keys
+# of every kind and hashes the input degrades until everything collides.
 # (`go test ./...` already runs their seed corpora.)
 fuzz:
 	@for t in service/FuzzSubmitRequest service/FuzzAwaitRequest service/FuzzAwaitResponse starss/FuzzAddrTable; do \

@@ -462,8 +462,8 @@ func BenchmarkFaultOverhead(b *testing.B) {
 // task. The bank work is the same on both sides — SubmitAll holds each
 // task's banks for that task only, as Submit does. scoped_addr and
 // scoped_any push the same batch through Scope.SubmitAll, keyed by address
-// and by string: the per-key cost of the Dependence Table's address map and
-// of its fallback map, namespace included, side by side.
+// and by string: the per-key cost of the Dependence Table for an address and
+// for a key of another kind, namespace included, side by side.
 func BenchmarkSubmitAll(b *testing.B) {
 	const batch = 256
 	type depFn func(round, i int) starss.Dep

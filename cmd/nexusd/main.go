@@ -5,9 +5,8 @@
 //
 // Usage:
 //
-//	nexusd [-addr host:port] [-workers N] [-shards N] [-window N]
-//	       [-session-window N] [-session-ttl D] [-max-sessions N]
-//	       [-faults spec] [-fault-seed N]
+//	nexusd [-addr host:port] [-workers N] [-window N] [-session-window N]
+//	       [-session-ttl D] [-max-sessions N] [-faults spec] [-fault-seed N]
 //
 // -window is the Task Pool every session shares and -session-window each
 // session's share of it; a submit that does not fit its session's share
@@ -81,7 +80,6 @@ func run() int {
 	var (
 		addr          = flag.String("addr", "127.0.0.1:8037", "listen address")
 		workers       = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		shards        = flag.Int("shards", 0, "dependency-table banks (0 = scaled to workers)")
 		window        = flag.Int("window", 0, "shared runtime in-flight window (0 = derived)")
 		sessionWindow = flag.Int("session-window", 256, "per-session in-flight window (backpressure threshold)")
 		sessionTTL    = flag.Duration("session-ttl", 2*time.Minute, "idle time before a session is drained")
@@ -111,7 +109,6 @@ func run() int {
 
 	srv := service.New(service.Config{
 		Workers:       *workers,
-		Shards:        *shards,
 		Window:        *window,
 		SessionWindow: *sessionWindow,
 		SessionTTL:    *sessionTTL,

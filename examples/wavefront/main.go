@@ -5,8 +5,8 @@
 // and its up-right neighbour (r-1,c+1), the exact dependency pattern of
 // Figure 4(a). Tasks are submitted in the serial loop order of Listing 1;
 // the runtime discovers the diagonal wavefront automatically. The Prefetch
-// hook demonstrates double buffering: it precomputes a checksum of the
-// input blocks while the worker executes the previous task.
+// hook is the task's Get Inputs phase: the worker runs it immediately before
+// the body, here to touch the input blocks.
 //
 // The parallel result is verified against a serial execution.
 //
@@ -69,7 +69,7 @@ func run(rows, cols, workers int, prefetched *atomic.Int64) [][]block {
 				Name: fmt.Sprintf("decode-%d-%d", r, c),
 				Deps: deps,
 				Prefetch: func() {
-					// Double buffering: touch the inputs ahead of Run.
+					// Get Inputs: touch the inputs just ahead of the body.
 					var sum int32
 					if left != nil {
 						sum += left[0]
@@ -120,7 +120,7 @@ func main() {
 	}
 	fmt.Printf("wavefront decode: %dx%d blocks (%d tasks) on %d workers\n",
 		*rows, *cols, *rows**cols, *workers)
-	fmt.Printf("parallel %v, serial-runtime %v, prefetches overlapped: %d\n",
+	fmt.Printf("parallel %v, serial-runtime %v, prefetches run: %d\n",
 		par.Round(time.Millisecond), ser.Round(time.Millisecond), prefetched.Load())
 	fmt.Println("verified: parallel result matches serial execution")
 }

@@ -499,10 +499,13 @@ func TestClientAwaitDeadlineClamp(t *testing.T) {
 	var polls []int64
 	hs := newStubServer(t, func(w http.ResponseWriter, r *http.Request) {
 		var req service.AwaitRequest
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		mu.Lock()
-		polls = append(polls, req.TimeoutMS)
-		mu.Unlock()
+		// A poll counts only when its body decoded: the client's context may
+		// expire mid-request and leave the stub a truncated one.
+		if err := json.NewDecoder(r.Body).Decode(&req); err == nil {
+			mu.Lock()
+			polls = append(polls, req.TimeoutMS)
+			mu.Unlock()
+		}
 		_ = json.NewEncoder(w).Encode(service.AwaitResponse{Done: false}) // never finishes
 	})
 	s := service.NewClient(hs.URL).Session("x")

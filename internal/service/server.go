@@ -26,9 +26,6 @@ type Config struct {
 	// Workers is the shared runtime's worker-goroutine count; 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// Shards is the shared runtime's dependency-table bank count; 0 selects
-	// the runtime default scaled to Workers.
-	Shards int
 	// Window is the shared runtime's in-flight window, the Task Pool every
 	// session draws from: a batch that does not fit it right now is shed
 	// with 503 + Retry-After, never queued. 0 derives it from
@@ -98,11 +95,7 @@ func New(cfg Config) *Server {
 		cfg: cfg,
 		rt: starss.New(starss.Config{
 			Workers: cfg.Workers,
-			Shards:  cfg.Shards,
 			Window:  cfg.Window,
-			// Wire tasks carry no Prefetch: depth 1 starts no Get Inputs
-			// stage (Workers idle fetchers behind a Window-sized queue).
-			BufferingDepth: 1,
 			// The service always measures bank contention: /metrics exposes
 			// it, and the TryLock fast path keeps the cost a counter bump
 			// per acquisition.

@@ -70,7 +70,7 @@ func BenchmarkDepTableKeyLife(b *testing.B) {
 				rt.resolveFinished(node, -1)
 			}
 			for i := range rt.banks {
-				if n := rt.banks[i].addrs.count; n != 0 {
+				if n := rt.banks[i].table.count; n != 0 {
 					b.Fatalf("bank %d still files %d keys", i, n)
 				}
 			}

@@ -587,9 +587,9 @@ func TestWriteBackPanicBecomesError(t *testing.T) {
 }
 
 // TestPrefetchPanicBecomesError: a panic in the Get Inputs phase fails the
-// task (body never runs) rather than killing the goroutine that fetched.
+// task (body never runs) rather than killing the worker that fetched.
 func TestPrefetchPanicBecomesError(t *testing.T) {
-	for name, rt := range newRuntimes(Config{Workers: 2, BufferingDepth: 2}) {
+	for name, rt := range newRuntimes(Config{Workers: 2}) {
 		t.Run(name, func(t *testing.T) {
 			var ran atomic.Bool
 			gate := make(chan struct{}) // holds the segment until the dependent is queued

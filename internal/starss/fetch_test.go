@@ -9,58 +9,29 @@ import (
 	"unsafe"
 )
 
-// Tests for the pooled Get Inputs stage and the allocation guard on the
+// Tests for the Get Inputs phase the worker runs before a body, the
+// goroutines a runtime starts, and the allocation and size guards on the
 // admission path.
 
-// TestPrefetchStageSlotBound: with Workers=2 and BufferingDepth=2 the stage has
-// two buffer slots. Ten tasks with a Prefetch and gated bodies settle with
-// two bodies running and exactly two more tasks fetched — the rest wait in
-// front of the stage, unfetched, until a slot frees.
-func TestPrefetchStageSlotBound(t *testing.T) {
-	rt := New(Config{Workers: 2, BufferingDepth: 2, Window: 32})
-	gate := make(chan struct{})
-	var fetched, started atomic.Int32
-	const n = 10
-	handles := make([]*Handle, n)
-	for i := range handles {
-		handles[i] = rt.MustSubmit(Task{
-			Deps:     []Dep{Out(i)},
-			Prefetch: func() { fetched.Add(1) },
-			Do:       func(context.Context) error { started.Add(1); <-gate; return nil },
-		})
-	}
-	// Settled state: both workers inside a body, both slots held, and both
-	// fetchers parked on the slot semaphore holding their next task (so 4 of
-	// the 10 are still queued). Nothing can move until a body returns.
-	waitFor(t, "the stage to fill", func() bool {
-		return started.Load() == 2 && len(rt.fetchSlots) == 2 && len(rt.fetchCh) == n-6
-	})
-	if got := fetched.Load(); got != 4 {
-		t.Fatalf("%d tasks fetched with 2 running and 2 slots, want 4", got)
-	}
-	if got := rt.QueueDepth(); got != n-6+2 {
-		t.Errorf("QueueDepth = %d, want %d (4 unfetched + 2 fetched)", got, n-6+2)
-	}
-	close(gate)
-	mustClose(t, rt)
-	if fetched.Load() != n || started.Load() != n {
-		t.Fatalf("fetched %d, ran %d of %d", fetched.Load(), started.Load(), n)
-	}
-	if len(rt.fetchSlots) != 0 {
-		t.Fatalf("%d slots still held after Close", len(rt.fetchSlots))
-	}
-	for _, h := range handles {
-		if err := h.Err(); err != nil {
-			t.Fatal(err)
+// TestRuntimeGoroutines: a runtime is its workers — New starts exactly
+// Workers goroutines (NewMaestro one more, the resolver) and Close ends them.
+func TestRuntimeGoroutines(t *testing.T) {
+	for want, start := range map[int]func(Config) *Runtime{3: New, 4: NewMaestro} {
+		base := runtime.NumGoroutine()
+		rt := start(Config{Workers: 3})
+		if got := runtime.NumGoroutine() - base; got != want {
+			t.Errorf("%d goroutines started for 3 workers, want %d", got, want)
 		}
+		mustClose(t, rt)
+		waitFor(t, "the runtime's goroutines to exit", func() bool { return runtime.NumGoroutine() == base })
 	}
 }
 
 // TestPrefetchStagePanicFailsOnlyItsTask: a panicking Prefetch fails its own
-// task; its neighbours in the stage, tasks that bypass the stage, and the
-// fetcher goroutine that recovered the panic all carry on.
+// task; the tasks around it, with a Prefetch or without, and the worker that
+// recovered the panic all carry on.
 func TestPrefetchStagePanicFailsOnlyItsTask(t *testing.T) {
-	rt := New(Config{Workers: 2, BufferingDepth: 2})
+	rt := New(Config{Workers: 2})
 	var ran atomic.Int32
 	body := func(context.Context) error { ran.Add(1); return nil }
 	bad := rt.MustSubmit(Task{Deps: []Dep{Out("a")}, Prefetch: func() { panic("fetch exploded") }, Do: body})
@@ -72,7 +43,7 @@ func TestPrefetchStagePanicFailsOnlyItsTask(t *testing.T) {
 	if !errors.Is(bad.Err(), ErrTaskPanicked) || ok.Err() != nil || plain.Err() != nil {
 		t.Fatalf("errs: bad=%v ok=%v plain=%v", bad.Err(), ok.Err(), plain.Err())
 	}
-	// Every fetcher is still alive: more fetches than fetchers go through.
+	// Every worker is still alive: more fetches than workers go through.
 	for i := 0; i < 8; i++ {
 		rt.MustSubmit(Task{Deps: []Dep{Out(i)}, Prefetch: func() {}, Do: body})
 	}
@@ -88,12 +59,11 @@ func TestPrefetchStagePanicFailsOnlyItsTask(t *testing.T) {
 }
 
 // TestCloseDrainsPrefetchStage: Close right behind a burst of Prefetch tasks
-// waits for every one of them — queued for a fetcher, being fetched, or
-// fetched and waiting for a worker — and returns with the stage's
-// goroutines gone.
+// waits for every one of them — queued, being fetched or running — and
+// leaves the ready queue empty.
 func TestCloseDrainsPrefetchStage(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		rt := New(Config{Workers: 2, BufferingDepth: 3, Window: 64})
+		rt := New(Config{Workers: 2, Window: 64})
 		var fetched, ran atomic.Int32
 		tasks := make([]Task, 200)
 		for i := range tasks {
@@ -116,8 +86,8 @@ func TestCloseDrainsPrefetchStage(t *testing.T) {
 				t.Fatalf("round %d: handle %s pending after Close", round, h.Name())
 			}
 		}
-		if len(rt.fetchCh) != 0 || len(rt.fetchSlots) != 0 || rt.ready.len() != 0 {
-			t.Fatalf("round %d: stage not empty after Close", round)
+		if rt.ready.len() != 0 {
+			t.Fatalf("round %d: ready queue not empty after Close", round)
 		}
 	}
 }
@@ -221,12 +191,12 @@ func TestHandleSize(t *testing.T) {
 // for: a bank is one cache line, so adjacent banks' locks never share one —
 // the table's header sits behind a pointer for that — and a segment, with
 // the key and hash it is filed under and the free-list link that keeps the
-// bank that small, stays in the 80-byte size class.
+// bank that small, stays in the 96-byte size class.
 func TestBankAndSegmentSize(t *testing.T) {
 	if got := unsafe.Sizeof(bank{}); got != 64 {
 		t.Errorf("bank is %d bytes, want 64", got)
 	}
-	if got := unsafe.Sizeof(segState{}); got > 80 {
-		t.Errorf("segState is %d bytes, want <= 80", got)
+	if got := unsafe.Sizeof(segState{}); got > 96 {
+		t.Errorf("segState is %d bytes, want <= 96", got)
 	}
 }

@@ -166,16 +166,16 @@ func TestKickoffDeepMixedQueue(t *testing.T) {
 	}
 }
 
-// hotWaiters walks the hot key's kick-off list and returns its nodes in
+// hotWaiters walks the kick-off list of hot's key and returns its nodes in
 // order, checking the list's own bookkeeping on the way.
-func hotWaiters(t *testing.T, rt *Runtime) []*taskNode {
+func hotWaiters(t *testing.T, rt *Runtime, hot Dep) []*taskNode {
 	t.Helper()
-	key := tableKeyOf(0, Dep{Key: hotKey})
+	key := tableKeyOf(0, hot)
 	h := rt.hashKey(key)
 	idx := []int32{rt.bankOf(h)}
 	rt.lockBanks(idx)
 	defer rt.unlockBanks(idx)
-	seg, _ := rt.banks[idx[0]].lookup(key, h)
+	seg, _ := rt.banks[idx[0]].table.find(h, key)
 	if seg == nil {
 		t.Fatal("the hot key has no segment")
 	}
@@ -205,88 +205,94 @@ func hotWaiters(t *testing.T, rt *Runtime) []*taskNode {
 // task in submission order, inline and spilled nodes alike; once the graph
 // has drained no popped access still links to the task that queued behind
 // it, no key is left in any bank, and every recycled segment on the bank
-// free lists is empty — no head, no tail, no reader, no poison.
+// free lists is empty — no head, no tail, no reader, no poison, no key. It
+// runs over addresses and then, on the same runtime, with every address
+// boxed into a key of another kind: the banks file both in the one table,
+// and a recycled segment must not pin a boxed key.
 func TestKickoffDrainLeavesNoLinks(t *testing.T) {
 	specs := deepQueue(5, 4)
+	boxed := func(addr uint64, m Mode) Dep { return Dep{Key: [2]uint64{addr, ^addr}, Mode: m} }
 	for name, rt := range newRuntimes(Config{Workers: 4, Window: 2 * len(specs)}) {
 		t.Run(name, func(t *testing.T) {
-			gate := make(chan struct{})
-			tasks := make([]Task, len(specs))
-			for i, spec := range specs {
-				tasks[i] = TaskFromSpec(spec, ReplayOptions{ZeroCost: true})
-			}
-			tasks[0].Do = func(context.Context) error { <-gate; return nil }
-			// One batch: SubmitAll checks it task by task, so the gate runs
-			// (and holds both shared keys) while the rest queue behind it.
-			handles, err := rt.SubmitAll(context.Background(), tasks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fenceMaestro(t, rt)
-			nodes := hotWaiters(t, rt)
-			if len(nodes) != len(specs)-1 {
-				t.Fatalf("%d tasks wait on the hot key, want %d", len(nodes), len(specs)-1)
-			}
-			spilled := 0
-			for i, n := range nodes {
-				if n.handle != handles[i+1] {
-					t.Fatalf("waiter %d is task %s, want %s", i, n.handle.Name(), handles[i+1].Name())
-				}
-				if n.spill != nil {
-					spilled++
-				}
-			}
-			if spilled == 0 || spilled == len(nodes) {
-				t.Fatalf("%d of %d waiters are spilled; the scenario must mix both layouts", spilled, len(nodes))
-			}
-			close(gate)
-			if err := rt.Wait(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			for i, n := range nodes {
-				acc, _ := n.slots()
-				for slot := range n.task.Deps {
-					if acc[slot].next != nil {
-						t.Errorf("waiter %d, slot %d: link to %s survives the pop", i, slot, acc[slot].next.handle.Name())
+			for _, dep := range []func(uint64, Mode) Dep{Addr, boxed} {
+				gate := make(chan struct{})
+				tasks := make([]Task, len(specs))
+				for i, spec := range specs {
+					tasks[i] = TaskFromSpec(spec, ReplayOptions{ZeroCost: true})
+					for j, d := range tasks[i].Deps {
+						tasks[i].Deps[j] = dep(d.addr, d.Mode)
 					}
 				}
-			}
-			recycled := 0
-			for i := range rt.banks {
-				idx := []int32{int32(i)}
-				rt.lockBanks(idx)
-				b := &rt.banks[i]
-				if n := b.addrs.count + len(b.others); n != 0 {
-					t.Errorf("bank %d still files %d keys", i, n)
+				tasks[0].Do = func(context.Context) error { <-gate; return nil }
+				// One batch: SubmitAll checks it task by task, so the gate runs
+				// (and holds both shared keys) while the rest queue behind it.
+				handles, err := rt.SubmitAll(context.Background(), tasks)
+				if err != nil {
+					t.Fatal(err)
 				}
-				// A stale pointer in a vacated slot would pin a recycled
-				// segment, and through it a poison error, for good.
-				for j, s := range b.addrs.slots {
-					if s != (slot{}) {
-						t.Errorf("bank %d, slot %d of its drained table is not zero: %+v", i, j, s)
+				fenceMaestro(t, rt)
+				nodes := hotWaiters(t, rt, dep(hotKey, ModeIn))
+				if len(nodes) != len(specs)-1 {
+					t.Fatalf("%d tasks wait on the hot key, want %d", len(nodes), len(specs)-1)
+				}
+				spilled := 0
+				for i, n := range nodes {
+					if n.handle != handles[i+1] {
+						t.Fatalf("waiter %d is task %s, want %s", i, n.handle.Name(), handles[i+1].Name())
+					}
+					if n.spill != nil {
+						spilled++
 					}
 				}
-				if b.others != nil {
-					t.Errorf("bank %d made its fallback table for a workload of addresses", i)
+				if spilled == 0 || spilled == len(nodes) {
+					t.Fatalf("%d of %d waiters are spilled; the scenario must mix both layouts", spilled, len(nodes))
 				}
-				if b.nfree > rt.segFree {
-					t.Errorf("bank %d keeps %d free segments, bound %d", i, b.nfree, rt.segFree)
+				close(gate)
+				if err := rt.Wait(context.Background()); err != nil {
+					t.Fatal(err)
 				}
-				listed := 0
-				for seg := b.free; seg != nil; seg = seg.nextFree {
-					listed++
-					if *seg != (segState{nextFree: seg.nextFree}) {
-						t.Errorf("bank %d recycles a segment that is not empty: %+v", i, *seg)
+				for i, n := range nodes {
+					acc, _ := n.slots()
+					for slot := range n.task.Deps {
+						if acc[slot].next != nil {
+							t.Errorf("waiter %d, slot %d: link to %s survives the pop", i, slot, acc[slot].next.handle.Name())
+						}
 					}
 				}
-				if listed != b.nfree {
-					t.Errorf("bank %d counts %d free segments, its list holds %d", i, b.nfree, listed)
+				recycled := 0
+				for i := range rt.banks {
+					idx := []int32{int32(i)}
+					rt.lockBanks(idx)
+					b := &rt.banks[i]
+					if n := b.table.count; n != 0 {
+						t.Errorf("bank %d still files %d keys", i, n)
+					}
+					// A stale pointer in a vacated slot would pin a recycled
+					// segment, and through it a poison error, for good.
+					for j, s := range b.table.slots {
+						if s != (slot{}) {
+							t.Errorf("bank %d, slot %d of its drained table is not zero: %+v", i, j, s)
+						}
+					}
+					if b.nfree > rt.segFree {
+						t.Errorf("bank %d keeps %d free segments, bound %d", i, b.nfree, rt.segFree)
+					}
+					listed := 0
+					for seg := b.free; seg != nil; seg = seg.nextFree {
+						listed++
+						if *seg != (segState{nextFree: seg.nextFree}) {
+							t.Errorf("bank %d recycles a segment that is not empty: %+v", i, *seg)
+						}
+					}
+					if listed != b.nfree {
+						t.Errorf("bank %d counts %d free segments, its list holds %d", i, b.nfree, listed)
+					}
+					recycled += listed
+					rt.unlockBanks(idx)
 				}
-				recycled += listed
-				rt.unlockBanks(idx)
-			}
-			if recycled == 0 {
-				t.Error("no segment was recycled")
+				if recycled == 0 {
+					t.Error("no segment was recycled")
+				}
 			}
 			mustClose(t, rt)
 		})

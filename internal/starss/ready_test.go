@@ -193,13 +193,13 @@ func TestReadyNoHiddenTask(t *testing.T) {
 
 // TestSuccessorRunsNext: on one worker, the task a finisher releases runs
 // before a ready task that was queued earlier — it never enters the queue —
-// and it still gets what the queue's path would have given it: its inline
-// Prefetch (BufferingDepth 1) and the injected kick-off delay.
+// and it still gets what the queue's path would have given it: its Prefetch
+// and the injected kick-off delay.
 func TestSuccessorRunsNext(t *testing.T) {
 	in := faults.New(&faults.Plan{Seed: 1, Rules: []faults.Rule{
 		{Site: faults.SiteKickoffDelay, Every: 1, Delay: time.Microsecond},
 	}})
-	rt := New(Config{Workers: 1, BufferingDepth: 1, Faults: in})
+	rt := New(Config{Workers: 1, Faults: in})
 	var mu sync.Mutex
 	var order []string
 	note := func(s string) func() {

@@ -21,10 +21,7 @@ import (
 // writer on the identical key were queued behind it, B could not complete
 // until the gate opens and the test would time out.
 func TestScopeIsolationIdenticalKeys(t *testing.T) {
-	// BufferingDepth 1: a ready task must never sit in a busy worker's
-	// prefetch buffer behind the gated task, which would stall the test
-	// for reasons unrelated to scoping.
-	rt := New(Config{Workers: 2, Window: 16, BufferingDepth: 1})
+	rt := New(Config{Workers: 2, Window: 16})
 	defer rt.Close()
 	a := rt.Scope("tenant-a")
 	b := rt.Scope("tenant-b")
@@ -79,7 +76,7 @@ func TestScopeIsolationIdenticalKeys(t *testing.T) {
 // intra-scope StarSs contract: two writers on one key inside one scope
 // still serialize.
 func TestScopeOrderingWithinScope(t *testing.T) {
-	rt := New(Config{Workers: 4, Window: 16, BufferingDepth: 1})
+	rt := New(Config{Workers: 4, Window: 16})
 	defer rt.Close()
 	s := rt.Scope("tenant")
 
@@ -273,7 +270,7 @@ func TestScopeSubmitAllAndOnDone(t *testing.T) {
 // returns once the scope's own accesses drain, regardless of another
 // scope holding the same user key.
 func TestScopeWaitOn(t *testing.T) {
-	rt := New(Config{Workers: 2, Window: 16, BufferingDepth: 1})
+	rt := New(Config{Workers: 2, Window: 16})
 	defer rt.Close()
 	a := rt.Scope("a")
 	b := rt.Scope("b")
@@ -318,7 +315,7 @@ func TestScopeWaitOn(t *testing.T) {
 // the first's segment, and several goroutines making same-named scopes at
 // once must each get a namespace of their own.
 func TestScopeSameNameIsolated(t *testing.T) {
-	for name, rt := range newRuntimes(Config{Workers: 2, Window: 64, BufferingDepth: 1}) {
+	for name, rt := range newRuntimes(Config{Workers: 2, Window: 64}) {
 		t.Run(name, func(t *testing.T) {
 			defer mustClose(t, rt)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

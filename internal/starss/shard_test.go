@@ -59,8 +59,8 @@ func TestSingleShardPreservesSemantics(t *testing.T) {
 // banks at once: the sorted bank-acquisition order must neither deadlock
 // nor break hazard exclusion. Two shards with many keys guarantees
 // cross-bank key sets. The keys are drawn from both kinds (addresses and
-// the fallback table's) and the tasks from three namespaces, so one task's
-// bank set mixes the two tables and one bank files the same key three times.
+// others) and the tasks from three namespaces, so one task's bank set mixes
+// the two kinds and one bank files the same key three times.
 func TestMultiKeyTasksAcrossBanks(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		rt := New(Config{Workers: 8, Shards: shards, Window: 128})

@@ -33,10 +33,10 @@
 // Handle Finished follows those pointers, a drained segment leaves the table
 // by the hash it carries, and a segment's kick-off list is threaded through
 // the waiting tasks themselves. The table is keyed as the paper's is, by
-// address: a bank files {namespace, address} keys in an open-addressed
-// table of its own (table.go) and every other kind of key in a Go map made
-// on first use (tableKeyOf), and the namespace — 0 for the runtime, one per
-// Scope — is a field of the key, never a wrapper around it. NewMaestro
+// address: a bank files its keys — {namespace, address}, or {namespace, any
+// other comparable value} (tableKeyOf) — in one open-addressed table of its
+// own (table.go), and the namespace — 0 for the runtime, one per Scope — is
+// a field of the key, never a wrapper around it. NewMaestro
 // (maestro.go) builds the same runtime with that single resolver goroutine
 // put back, as the baseline the banks are measured against.
 //
@@ -52,16 +52,10 @@
 // allocations (its node and its handle) whether it waits or not, and no
 // channel operation.
 //
-// The paper's Task Controllers — Get Inputs overlapping Run Task through
-// per-worker double buffers — are the optional Task.Prefetch hook. Only a
-// task that sets it passes through a small Get Inputs stage in front of the
-// ready queue: Workers fetcher goroutines run the hook while the workers
-// execute earlier tasks, and at most Workers × (BufferingDepth−1) tasks hold
-// fetched inputs without running — the same buffer budget as the hardware.
-// We knowingly diverge in one respect: the buffers are pooled across
-// workers rather than owned by one, so a fetched task runs on whichever
-// worker frees up first. A task with nothing to fetch never enters the
-// stage, and BufferingDepth 1 runs the fetch inline on the worker.
+// The three phases of the paper's Task Controllers — Get Inputs
+// (Task.Prefetch), Run Task (Task.Do), Put Outputs (Task.WriteBack) — run
+// back to back on the worker. Their double buffering, a property of private
+// per-core memory, is modelled and measured in internal/core.
 //
 // The paper's conclusion notes that parts of Nexus++ "can be reused for
 // other programming models"; this package is that reuse, in library form.
@@ -150,10 +144,10 @@ type Task struct {
 	// the task failed and poisons its transitive dependents. Required (only
 	// WaitOn admits a task without one: see dispatch).
 	Do func(ctx context.Context) error
-	// Prefetch, when set, runs in the Get Inputs stage before the task body
-	// may start, overlapping the execution of earlier tasks (double
-	// buffering). It must only touch the task's declared In/InOut data.
-	// It does not run for skipped or cancelled tasks.
+	// Prefetch, when set, runs on the worker immediately before the task
+	// body (the Get Inputs phase). It must only touch the task's declared
+	// In/InOut data. It does not run for skipped or cancelled tasks, and a
+	// panic in it fails the task like a panic in the body.
 	Prefetch func()
 	// WriteBack, when set, runs after a successful task body on the worker
 	// (the Put Outputs phase). The task's outputs are only visible to
@@ -196,31 +190,22 @@ func (t *Task) ns() uint64 {
 // address and the namespace (the master core's address space) it belongs to.
 type addrKey struct{ ns, addr uint64 }
 
-// anyKey is the table key of a Key that is not an address.
-type anyKey struct {
-	ns uint64
-	k  Key
-}
-
-// tableKey is a dependency's key as the banks see it: an address key, or —
-// when other is set — the key {ns, other} of the fallback table. It is
-// derived where it is needed (a type switch, no hash) and never stored.
+// tableKey is a dependency's key as the banks file it: an address key
+// (other nil), or — for a Key that is not an address — {ns, other}, with addr
+// zero. It is derived where it is needed (a type switch, no hash) and kept
+// by the segment it files.
 type tableKey struct {
 	addrKey
 	other Key
 }
 
-// fallback is k's key in the fallback table; k.other must be set.
-func (k tableKey) fallback() anyKey { return anyKey{k.ns, k.other} }
-
-// nilKey stands in for a nil Key in the fallback table, so that In(nil) is
-// a key of its own and not address 0.
+// nilKey stands in for a nil Key, so that In(nil) is a key of its own and
+// not address 0.
 type nilKey struct{}
 
 // tableKeyOf derives d's table key in namespace ns — the one place a Dep
 // becomes a key. An Addr dependency and any Key holding a uint64 are the
-// same address key; every other Key goes to the fallback table. (A bare Key
-// k is derived as tableKeyOf(ns, Dep{Key: k}).)
+// same address key. (A bare Key k is derived as tableKeyOf(ns, Dep{Key: k}).)
 func tableKeyOf(ns uint64, d Dep) tableKey {
 	if d.isAddr {
 		return tableKey{addrKey: addrKey{ns, d.addr}}
@@ -239,11 +224,6 @@ func tableKeyOf(ns uint64, d Dep) tableKey {
 type Config struct {
 	// Workers is the number of worker goroutines; 0 selects GOMAXPROCS.
 	Workers int
-	// BufferingDepth sizes the Get Inputs stage: Workers × (depth−1) tasks
-	// may hold prefetched inputs while the workers run others. 1 disables
-	// the overlap (Prefetch runs inline on the worker), 2 (the default) is
-	// double buffering. Tasks without a Prefetch are unaffected.
-	BufferingDepth int
 	// Window bounds the number of in-flight (submitted, unfinished) tasks,
 	// the analogue of the Task Pool size; Submit blocks when it is full,
 	// and blocked submitters are served in arrival order. 0 selects 1024.
@@ -418,13 +398,11 @@ func (h *Handle) complete(o Outcome, err error) {
 // lock) but are always read atomically by Stats.
 type bank struct {
 	mu sync.Mutex
-	// addrs files the segments of address keys (table.go); others, a Go map
-	// that is nil until the first key that is not an address, those of every
-	// other Key. Only lookup, takeSeg and dropSeg choose between the two.
-	addrs  *addrTable
-	others map[anyKey]*segState
+	// table files the bank's live segments (table.go), whatever their kind of
+	// key.
+	table *addrTable
 	// free lists nfree drained segments for reuse (linked through
-	// segState.nextFree), guarded by mu like the tables. It is bounded
+	// segState.nextFree), guarded by mu like the table. It is bounded
 	// (Runtime.segFree) because an idle runtime keeps it: an unbounded list
 	// would pin a burst's worth of segments for the runtime's life.
 	free         *segState
@@ -432,23 +410,14 @@ type bank struct {
 	acquisitions atomic.Uint64
 	contended    atomic.Uint64
 	maxQueue     atomic.Uint64
+	_            [8]byte // pad to the cache line
 }
 
 // segFreeMin is the least a bank's free list may hold.
 const segFreeMin = 64
 
-// lookup returns the live segment of key k, whose hash is h, or nil — and
-// then, for an address key, the table slot takeSeg files a new one in. The
-// caller holds b.mu.
-func (b *bank) lookup(k tableKey, h uint64) (seg *segState, at int) {
-	if k.other == nil {
-		return b.addrs.find(h, k.addrKey)
-	}
-	return b.others[k.fallback()], 0
-}
-
 // takeSeg returns an empty segment for key k, whose hash is h, and files it
-// in the bank: an address key in slot at, where lookup just missed it. The
+// in slot at of the bank's table, where a find of k just missed it. The
 // caller holds b.mu.
 func (b *bank) takeSeg(k tableKey, h uint64, at int) *segState {
 	seg := b.free
@@ -458,32 +427,17 @@ func (b *bank) takeSeg(k tableKey, h uint64, at int) *segState {
 	} else {
 		seg = &segState{}
 	}
-	seg.hash = h
-	if k.other == nil {
-		seg.key = k.addrKey
-		b.addrs.put(at, seg)
-		return seg
-	}
-	seg.other = true
-	if b.others == nil {
-		b.others = make(map[anyKey]*segState)
-	}
-	b.others[k.fallback()] = seg
+	seg.key, seg.hash = k, h
+	b.table.put(at, seg)
 	return seg
 }
 
-// dropSeg removes the drained segment seg — the one t holds for its
-// dependency i — and recycles it, unless the free list already holds keep
-// segments. An address segment names its own slot; only a fallback key is
-// derived again from the task. The caller holds b.mu. A drained segment's
-// kick-off list is empty, so the free list pins no task, and the reset
-// leaves nothing of the key it served.
-func (b *bank) dropSeg(seg *segState, t *Task, i, keep int) {
-	if seg.other {
-		delete(b.others, tableKeyOf(t.ns(), t.Deps[i]).fallback())
-	} else {
-		b.addrs.remove(seg)
-	}
+// dropSeg removes the drained segment seg and recycles it, unless the free
+// list already holds keep segments. The caller holds b.mu. A drained
+// segment's kick-off list is empty, so the free list pins no task, and the
+// reset leaves nothing of the key it served — a boxed key included.
+func (b *bank) dropSeg(seg *segState, keep int) {
+	b.table.remove(seg)
 	if b.nfree >= keep {
 		return
 	}
@@ -501,17 +455,11 @@ type Runtime struct {
 	// window, one new segment per task: the in-flight count swings between
 	// empty and full many times in a long run, and a smaller list turns every
 	// swing into garbage on the way down and allocations on the way up.
-	segFree int
-	seed    maphash.Seed
-	win     window
-	ready   readyQueue
-	// fetchCh and fetchSlots are the Get Inputs stage (nil when
-	// BufferingDepth is 1): ready tasks that carry a Prefetch queue on
-	// fetchCh, a fetcher takes a slot, runs the hook and forwards the task
-	// to the ready queue, and the worker that picks it up frees the slot.
-	fetchCh    chan *taskNode
-	fetchSlots chan struct{}
-	stopOnce   sync.Once
+	segFree  int
+	seed     maphash.Seed
+	win      window
+	ready    readyQueue
+	stopOnce sync.Once
 	// stopped is closed by Close, once the window is shut, to wake submitters
 	// queued on a full window — the runtime's or a scope's — with ErrStopped.
 	// Whether the runtime is stopped is the window's to say (win.isShut).
@@ -596,8 +544,8 @@ type taskNode struct {
 	dc       atomic.Int32
 	// wasSkipped and err are the node's outcome, written by its worker
 	// before resolveFinished and published through the handle. A panic
-	// recovered from Task.Prefetch lands in err before the node reaches a
-	// worker, which then fails the task instead of running the body.
+	// recovered from Task.Prefetch lands in err, and the worker then fails
+	// the task instead of running the body.
 	wasSkipped bool
 	err        error
 	// poison carries the root-cause error of a failed transitive
@@ -616,15 +564,13 @@ func (node *taskNode) slots() (acc []access, nextSlot []int32) {
 }
 
 type segState struct {
-	// key and hash are what the segment is filed under: the hash of its key
-	// (Runtime.hashKey) and, for an address segment, the key itself — other
-	// marks a segment of the fallback table, whose key is not kept. They are
-	// set when the segment is filed and do not change while it is live, so a
-	// task may read them through its access without holding the bank: the
-	// hash's low bits are how Handle Finished learns which banks to lock.
-	key   addrKey
+	// key and hash are what the segment is filed under: its key and that
+	// key's hash (Runtime.hashKey). They are set when the segment is filed and
+	// do not change while it is live, so a task may read them through its
+	// access without holding the bank: the hash's low bits are how Handle
+	// Finished learns which banks to lock.
+	key   tableKey
 	hash  uint64
-	other bool
 	isOut bool
 	ww    bool
 	rdrs  int32
@@ -641,7 +587,7 @@ type segState struct {
 	// is skipped. It dies with the segment: once the key drains and the
 	// segment is deleted, later submissions start clean. (The boxed record
 	// the tainted tasks share, not an error value: one word, which keeps the
-	// segment in the 80-byte size class.)
+	// segment in the 96-byte size class.)
 	poison *taskFailure
 	// nextFree links the segment into its bank's free list while it is
 	// drained and recycled; nil while it is live.
@@ -731,9 +677,6 @@ func newRuntime(cfg Config, f *funnel) *Runtime {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.BufferingDepth <= 0 {
-		cfg.BufferingDepth = 2
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = 1024
 	}
@@ -751,12 +694,11 @@ func newRuntime(cfg Config, f *funnel) *Runtime {
 		stopped: make(chan struct{}),
 	}
 	rt.win.limit = int64(cfg.Window)
-	// Every in-flight task fits in the ready queue (and in fetchCh below), so
-	// dispatching a ready task never blocks — not a submitter, not a worker
-	// on the finish path.
+	// Every in-flight task fits in the ready queue, so dispatching a ready
+	// task never blocks — not a submitter, not a worker on the finish path.
 	rt.ready.init(cfg.Window)
 	for i := range rt.banks {
-		rt.banks[i].addrs = newAddrTable()
+		rt.banks[i].table = newAddrTable()
 	}
 	if cfg.EventBuffer > 0 {
 		rt.rec = obs.NewRecorder(cfg.Workers, cfg.EventBuffer)
@@ -765,14 +707,6 @@ func newRuntime(cfg Config, f *funnel) *Runtime {
 	rt.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go rt.worker(i)
-	}
-	if cfg.BufferingDepth > 1 {
-		rt.fetchCh = make(chan *taskNode, cfg.Window)
-		rt.fetchSlots = make(chan struct{}, cfg.Workers*(cfg.BufferingDepth-1))
-		rt.workerWG.Add(cfg.Workers)
-		for i := 0; i < cfg.Workers; i++ {
-			go rt.fetcher()
-		}
 	}
 	return rt
 }
@@ -811,12 +745,14 @@ func (rt *Runtime) emit(lane int, kind obs.Kind, node *taskNode, worker int) {
 // tenants choose their addresses, so they must not be able to choose their
 // collisions. Its low bits pick the key's bank (bankOf), its high bits the
 // home slot in that bank's table, and the segment keeps it for Handle
-// Finished. Like map insertion, it panics for keys that are not comparable.
+// Finished. This is the package's one branch on the kind of key: an address
+// is hashed as 16 flat bytes, never through the interface path. Like map
+// insertion, it panics for keys that are not comparable.
 func (rt *Runtime) hashKey(k tableKey) uint64 {
 	if k.other == nil {
 		return maphash.Comparable(rt.seed, k.addrKey)
 	}
-	return maphash.Comparable(rt.seed, k.fallback())
+	return maphash.Comparable(rt.seed, k)
 }
 
 // bankOf is the bank of a key whose hash is h.
@@ -1022,14 +958,14 @@ func (rt *Runtime) admitAll(nodes []*taskNode, handles []*Handle) []*Handle {
 		handles = append(handles, node.handle)
 		switch {
 		case !ready:
-		case rt.queued(node):
+		case node.task.Do == nil:
+			rt.dispatch(node, -1)
+		default:
 			batch = append(batch, node)
 			if len(batch) == len(buf) {
 				rt.ready.push(batch)
 				batch = batch[:0]
 			}
-		default:
-			rt.dispatch(node, -1)
 		}
 	}
 	if len(batch) > 0 {
@@ -1085,35 +1021,19 @@ func (rt *Runtime) admit(node *taskNode, idx uint64) (ready bool) {
 	return rt.resolveNew(node)
 }
 
-// staged reports whether the node passes through the Get Inputs stage: it
-// has something to fetch and the stage exists (BufferingDepth > 1).
-func (rt *Runtime) staged(node *taskNode) bool {
-	return node.task.Prefetch != nil && rt.fetchCh != nil
-}
-
-// queued reports whether dispatch puts the node on the ready queue as it
-// is: it has a body and does not pass through the Get Inputs stage first.
-func (rt *Runtime) queued(node *taskNode) bool {
-	return node.task.Do != nil && !rt.staged(node)
-}
-
-// dispatch hands a ready task (dependence count zero) to the workers,
-// through the Get Inputs stage when it is staged. A task without a body — a
-// WaitOn — has nothing for a worker to do: it finishes right here, on the
-// goroutine that found it ready (lane is that goroutine's event lane), so a
-// WaitOn never waits for a worker to come free. The caller holds no bank:
-// the task's Handle Finished takes its own, and so does the ready queue's
-// lock.
+// dispatch hands a ready task (dependence count zero) to the workers. A task
+// without a body — a WaitOn — has nothing for a worker to do: it finishes
+// right here, on the goroutine that found it ready (lane is that goroutine's
+// event lane), so a WaitOn never waits for a worker to come free. The caller
+// holds no bank: the task's Handle Finished takes its own, and so does the
+// ready queue's lock.
 func (rt *Runtime) dispatch(node *taskNode, lane int) {
-	switch {
-	case node.task.Do == nil:
+	if node.task.Do == nil {
 		rt.execute(node, lane)
 		rt.finish(node, lane)
-	case rt.staged(node):
-		rt.fetchCh <- node
-	default:
-		rt.ready.push([]*taskNode{node})
+		return
 	}
+	rt.ready.push([]*taskNode{node})
 }
 
 // finish is Handle Finished on a goroutine that runs no bodies (a submitter,
@@ -1206,7 +1126,7 @@ func (rt *Runtime) checkDeps(node *taskNode, hashes []int32) int {
 		h := hashAt(hashes, i)
 		b := &rt.banks[rt.bankOf(h)]
 		key := tableKeyOf(ns, d)
-		seg, at := b.lookup(key, h)
+		seg, at := b.table.find(h, key)
 		wantsWrite := d.Mode != ModeIn
 		if seg == nil {
 			seg = b.takeSeg(key, h, at)
@@ -1265,15 +1185,15 @@ func (node *taskNode) rootCause() *taskFailure {
 // releases its segments, pops kick-off lists and dispatches any task whose
 // dependence count reaches zero. It starts from the task and follows the
 // segment pointers Check Deps left in its access slots: no key is hashed
-// here, and an address key is not even derived — a drained segment is
-// removed from the table by its own pointer and the hash it carries. A
-// failed (or skipped) finisher poisons the segments it releases, so every
-// waiter popped behind it — now or by a later finisher — is skipped as a
-// transitive dependent while the kick-off lists drain normally. worker is
-// the finishing worker's index, for the event stream.
+// or even derived here — a drained segment is removed from the table by its
+// own pointer and the hash it carries. A failed (or skipped) finisher
+// poisons the segments it releases, so every waiter popped behind it — now
+// or by a later finisher — is skipped as a transitive dependent while the
+// kick-off lists drain normally. worker is the finishing worker's index, for
+// the event stream.
 //
-// The first task it releases that a worker could start as it is (queued) is
-// not dispatched but returned: the caller runs it next — its data is what
+// The first task it releases that has a body is not dispatched but returned:
+// the caller runs it next — its data is what
 // this task just touched — or, when it runs no bodies, queues it (finish).
 func (rt *Runtime) resolveFinished(node *taskNode, worker int) (next *taskNode) {
 	root := node.rootCause()
@@ -1296,7 +1216,7 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) (next *taskNode) 
 				continue
 			}
 			if !seg.ww {
-				b.dropSeg(seg, &node.task, i, rt.segFree)
+				b.dropSeg(seg, rt.segFree)
 				continue
 			}
 			seg.isOut = true
@@ -1306,7 +1226,7 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) (next *taskNode) 
 		}
 		seg.isOut = false
 		if seg.head == nil {
-			b.dropSeg(seg, &node.task, i, rt.segFree)
+			b.dropSeg(seg, rt.segFree)
 			continue
 		}
 		if seg.headWrites() {
@@ -1333,7 +1253,7 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) (next *taskNode) 
 		switch {
 		case n.task.Do == nil:
 			held = append(held, n)
-		case next == nil && rt.queued(n):
+		case next == nil:
 			next = n
 		default:
 			rt.dispatch(n, worker)
@@ -1407,7 +1327,7 @@ func (rt *Runtime) InFlight() int { return int(rt.win.count()) }
 
 // QueueDepth returns the number of ready tasks currently queued for a
 // worker (dependence count zero, body not yet started).
-func (rt *Runtime) QueueDepth() int { return rt.ready.len() + len(rt.fetchCh) }
+func (rt *Runtime) QueueDepth() int { return rt.ready.len() }
 
 // WindowSize returns the configured in-flight window capacity.
 func (rt *Runtime) WindowSize() int { return rt.cfg.Window }
@@ -1444,13 +1364,10 @@ func (rt *Runtime) Close() error {
 		// Shutting the window is the stop: from here no reservation succeeds,
 		// so the tasks in flight — and the submitters that hold tokens but
 		// have not admitted yet — are all there will ever be, and one drain
-		// sees the last of them. Only then are the queues safe to close.
+		// sees the last of them. Only then is the ready queue safe to close.
 		rt.win.shut()
 		close(rt.stopped)
 		<-rt.idle()
-		if rt.fetchCh != nil {
-			close(rt.fetchCh)
-		}
 		rt.ready.close()
 		rt.workerWG.Wait()
 		if rt.funnel != nil {
@@ -1519,11 +1436,10 @@ func hasDuplicateKey(deps []Dep) bool {
 const successorRun = 16
 
 // worker is one worker core: it takes ready tasks, one at a time, and runs
-// them — and after each, the successor its Handle Finished released, without
-// a trip through the queue, for up to successorRun in a row. id is the
-// worker's index — its event-stream lane. A staged task arrives fetched and
-// frees its buffer slot as it starts; any other (a successor is never
-// staged) runs its Prefetch (if it has one: BufferingDepth 1) inline.
+// them — Get Inputs, then the body and Put Outputs (runBody) — and after
+// each, the successor its Handle Finished released, without a trip through
+// the queue, for up to successorRun in a row. id is the worker's index — its
+// event-stream lane.
 func (rt *Runtime) worker(id int) {
 	defer rt.workerWG.Done()
 	for {
@@ -1532,31 +1448,13 @@ func (rt *Runtime) worker(id int) {
 			return
 		}
 		for run := 0; node != nil; run++ {
-			if rt.staged(node) {
-				<-rt.fetchSlots
-			} else {
-				prefetchNode(node)
-			}
+			prefetchNode(node)
 			node = rt.runBody(node, id)
 			if node != nil && run == successorRun {
 				rt.dispatch(node, id)
 				break
 			}
 		}
-	}
-}
-
-// fetcher is one Get Inputs unit of the pooled stage in front of the ready
-// queue: it claims a buffer slot, fetches the task's inputs and queues the
-// task for the workers. Waiting for a slot cannot deadlock: slots are held
-// by tasks already in the ready queue, which the workers drain without ever
-// waiting on this stage.
-func (rt *Runtime) fetcher() {
-	defer rt.workerWG.Done()
-	for node := range rt.fetchCh {
-		rt.fetchSlots <- struct{}{}
-		prefetchNode(node)
-		rt.ready.push([]*taskNode{node})
 	}
 }
 

@@ -2,6 +2,7 @@ package starss
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -44,7 +45,8 @@ func TestNormalizeDeps(t *testing.T) {
 
 // TestKeyIdentity pins which dependencies name the same data: the table key
 // is {namespace, address} for an Addr and for any Key holding a uint64, and
-// {namespace, Key} for everything else.
+// {namespace, Key} for everything else. The "one bank" run puts every key in
+// the same table, where nothing but the key compare keeps them apart.
 func TestKeyIdentity(t *testing.T) {
 	merged := normalizeDeps([]Dep{In(uint64(7)), Addr(7, ModeOut)})
 	if len(merged) != 1 || merged[0].Mode != ModeInOut {
@@ -55,7 +57,9 @@ func TestKeyIdentity(t *testing.T) {
 	}
 	ctx := context.Background()
 	nop := func(context.Context) error { return nil }
-	for name, rt := range newRuntimes(Config{Workers: 4, Window: 16, BufferingDepth: 1}) {
+	runtimes := newRuntimes(Config{Workers: 4, Window: 16})
+	runtimes["one bank"] = New(Config{Workers: 4, Window: 16, Shards: 1})
+	for name, rt := range runtimes {
 		t.Run(name, func(t *testing.T) {
 			defer mustClose(t, rt)
 			scopeA, scopeB := rt.Scope("a"), rt.Scope("b")
@@ -107,10 +111,31 @@ func TestKeyIdentity(t *testing.T) {
 				{"scope A and scope B", scopeA, Addr(7, ModeInOut), scopeB, InOut(uint64(7)), false},
 				{"scope B and unscoped", scopeB, InOut("k"), rt, InOut("k"), false},
 				{"scope A and scope A", scopeA, Addr(7, ModeInOut), scopeA, InOut(uint64(7)), true},
-				{"scope B, fallback table", scopeB, InOut("k"), scopeB, In("k"), true},
+				{"scope B, a string key", scopeB, InOut("k"), scopeB, In("k"), true},
 			} {
 				if got := waits(tc.s1, tc.d1, tc.s2, tc.d2); got != tc.serial {
 					t.Errorf("%s: second task waited = %v, want %v", tc.name, got, tc.serial)
+				}
+			}
+
+			if len(rt.banks) == 1 {
+				// Five distinct keys, held at once, are five segments of the
+				// one table.
+				gate := make(chan struct{})
+				h := submit(rt, Task{
+					Deps: []Dep{InOut(7), InOut("7"), InOut(uint64(7)), InOut(nil), Addr(0, ModeInOut)},
+					Do:   func(context.Context) error { <-gate; return nil },
+				})
+				fenceMaestro(t, rt)
+				rt.lockBanks([]int32{0})
+				filed := rt.banks[0].table.count
+				rt.unlockBanks([]int32{0})
+				if filed != 5 {
+					t.Errorf("the one bank files %d keys for 7, \"7\", uint64(7), nil and Addr(0), want 5", filed)
+				}
+				close(gate)
+				if err := h.Wait(ctx); err != nil {
+					t.Fatal(err)
 				}
 			}
 
@@ -339,7 +364,7 @@ func (h *hazardChecker) exit(ns uint64, deps []Dep) {
 
 // mixedDep spells key id of a small key space one of four ways, at random:
 // as an Addr, as the same address boxed in a Key (both the one address key),
-// as an int and as a string (two more keys, in the fallback table).
+// as an int and as a string (two more keys, of another kind).
 func mixedDep(rng *sim.Rand, id int, m Mode) Dep {
 	switch rng.Intn(4) {
 	case 0:
@@ -403,73 +428,36 @@ func TestHazardExclusion(t *testing.T) {
 	}
 }
 
-func TestPrefetchOverlap(t *testing.T) {
-	// With double buffering on a single worker, the controller must start
-	// prefetching task 1 while task 0 is still inside Run. Rendezvous
-	// through channels makes the overlap deterministic instead of racing a
-	// timing window: task 0's Run cannot finish until task 1's Prefetch has
-	// observed it running, and the prefetch cannot be observed unless it
-	// genuinely overlaps.
-	rt := New(Config{Workers: 1, BufferingDepth: 2})
-	var running atomic.Int64
-	firstRunning := make(chan struct{}) // closed when task 0 enters Run
-	release := make(chan struct{})      // closed by task 1's Prefetch
-	var overlapped atomic.Bool
-	rt.MustSubmit(Task{
-		Deps: []Dep{InOut(0)},
-		Do: do(func() {
-			running.Add(1)
-			close(firstRunning)
-			// If the prefetch never overlaps (a buffering regression), time
-			// out and let the assertion below report it instead of hanging.
-			select {
-			case <-release:
-			case <-time.After(10 * time.Second):
-			}
-			running.Add(-1)
-		}),
-	})
-	rt.MustSubmit(Task{
-		Deps: []Dep{InOut(1)},
-		Prefetch: func() {
-			<-firstRunning
-			if running.Load() > 0 {
-				overlapped.Store(true)
-			}
-			close(release)
-		},
-		Do: do(func() {}),
-	})
-	mustClose(t, rt)
-	if !overlapped.Load() {
-		t.Fatal("no prefetch overlapped execution with double buffering")
-	}
-}
-
+// TestDepthOneNoPipelineOverlap: on one worker Prefetch, Do and WriteBack of
+// a task run back to back, and all three before the Prefetch of the next —
+// whether the next comes off the ready queue (independent keys) or is the
+// successor the finishing worker keeps for itself (a chain on one key).
 func TestDepthOneNoPipelineOverlap(t *testing.T) {
-	// With depth 1 on a single worker, prefetches never overlap runs.
-	rt := New(Config{Workers: 1, BufferingDepth: 1})
-	var running atomic.Int64
-	overlapped := atomic.Bool{}
-	for i := 0; i < 10; i++ {
-		i := i
-		rt.MustSubmit(Task{
-			Deps: []Dep{InOut(i)},
-			Prefetch: func() {
-				if running.Load() > 0 {
-					overlapped.Store(true)
-				}
-			},
-			Do: do(func() {
-				running.Add(1)
-				spin(500)
-				running.Add(-1)
-			}),
-		})
-	}
-	mustClose(t, rt)
-	if overlapped.Load() {
-		t.Fatal("prefetch overlapped execution despite depth 1")
+	const n = 20
+	for name, dep := range map[string]func(i int) Dep{
+		"queued":    func(i int) Dep { return Out(i) },
+		"successor": func(int) Dep { return InOut("chain") },
+	} {
+		rt := New(Config{Workers: 1})
+		var got, want []string // got is written by the one worker only
+		tasks := make([]Task, n)
+		for i := range tasks {
+			phase := func(p string) func() { return func() { got = append(got, p+itoa(i)) } }
+			tasks[i] = Task{
+				Deps:      []Dep{dep(i)},
+				Prefetch:  phase("fetch"),
+				Do:        do(phase("do")),
+				WriteBack: phase("put"),
+			}
+			want = append(want, "fetch"+itoa(i), "do"+itoa(i), "put"+itoa(i))
+		}
+		if _, err := rt.SubmitAll(context.Background(), tasks); err != nil {
+			t.Fatal(err)
+		}
+		mustClose(t, rt)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: phases ran as %v, want %v", name, got, want)
+		}
 	}
 }
 
@@ -523,16 +511,15 @@ func TestWindowBackPressure(t *testing.T) {
 // Property: random task graphs over a small key space — spelled as
 // addresses and as other keys, in the runtime's namespace and in two scopes'
 // — always execute all tasks without hazard violations, for any worker
-// count, depth and bank count. A task may name one key twice in two
-// spellings; normalizeDeps has to merge those.
+// count and bank count. A task may name one key twice in two spellings;
+// normalizeDeps has to merge those.
 func TestRandomGraphsProperty(t *testing.T) {
-	prop := func(seed uint64, wRaw, dRaw, sRaw uint8) bool {
+	prop := func(seed uint64, wRaw, sRaw uint8) bool {
 		rng := sim.NewRand(seed)
 		rt := New(Config{
-			Workers:        int(wRaw%4) + 1,
-			BufferingDepth: int(dRaw%3) + 1,
-			Window:         64,
-			Shards:         int(sRaw % 5), // 0 (default), 1, 2, 3→4, 4
+			Workers: int(wRaw%4) + 1,
+			Window:  64,
+			Shards:  int(sRaw % 5), // 0 (default), 1, 2, 3→4, 4
 		})
 		h := newHazardChecker()
 		subs, nss := namespaces(rt)

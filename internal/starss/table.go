@@ -3,20 +3,20 @@ package starss
 import "math/bits"
 
 // addrTable is one bank's Dependence Table proper: an open-addressed hash
-// table of the bank's live address segments, written for this one job. The
+// table of the bank's live segments, written for this one job. The
 // caller supplies each key's 64-bit hash (Runtime.hashKey, computed once in
 // a task's life), whose high bits choose the home slot — the low bits chose
 // the bank. A segment carries its own key and hash, so removing one needs
 // neither a key nor a second hash.
 //
 // Collisions probe linearly: a lookup compares the 8-byte hash stored in
-// the slot and touches the segment only on a match, so a probe walks one or
-// two cache lines of slots. The load stays at or below ½, which keeps the
-// expected probe of a miss under three slots. Deletion shifts the rest of
-// the cluster back over the hole instead of leaving a tombstone: a table
-// whose keys come and go at the rate of the task stream would otherwise
-// fill with tombstones and have to be rebuilt. The table doubles when it
-// must and never shrinks; it is bounded, as the map it replaces was, by the
+// the slot and touches the segment — to compare keys, address or not — only
+// on a match, so a probe walks one or two cache lines of slots. The load
+// stays at or below ½, which keeps the expected probe of a miss under three
+// slots. Deletion shifts the rest of the cluster back over the hole instead
+// of leaving a tombstone: a table whose keys come and go at the rate of the
+// task stream would otherwise fill with tombstones and have to be rebuilt.
+// The table doubles when it must and never shrinks; it is bounded by the
 // keys in flight — Window × keys per task, spread over the banks. All of it,
 // growth included, runs under the bank lock.
 type addrTable struct {
@@ -49,7 +49,7 @@ func (t *addrTable) resize(n int) {
 // find probes for key k, whose hash is h. It returns k's segment, or nil and
 // the empty slot that ended the probe — the one put files a new segment in,
 // valid until the table next changes.
-func (t *addrTable) find(h uint64, k addrKey) (*segState, int) {
+func (t *addrTable) find(h uint64, k tableKey) (*segState, int) {
 	mask := len(t.slots) - 1
 	for i := int(h >> t.shift); ; i = (i + 1) & mask {
 		s := &t.slots[i]

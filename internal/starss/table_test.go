@@ -2,24 +2,25 @@ package starss
 
 import (
 	"math/bits"
+	"strconv"
 	"testing"
 )
 
-// tableModel drives an addrTable beside the map it replaced. The tests
+// tableModel drives an addrTable beside a Go map of the same keys. The tests
 // inject the hashes — the table takes them from its caller — so they choose
-// which keys collide.
+// which keys collide, whatever their kind.
 type tableModel struct {
 	t     testing.TB
 	tab   *addrTable
-	model map[addrKey]*segState
+	model map[tableKey]*segState
 }
 
 func newTableModel(t testing.TB) *tableModel {
-	return &tableModel{t: t, tab: newAddrTable(), model: map[addrKey]*segState{}}
+	return &tableModel{t: t, tab: newAddrTable(), model: map[tableKey]*segState{}}
 }
 
 // insert files a new segment for k under hash h; k must not be filed.
-func (m *tableModel) insert(k addrKey, h uint64) {
+func (m *tableModel) insert(k tableKey, h uint64) {
 	m.t.Helper()
 	got, at := m.tab.find(h, k)
 	if got != nil {
@@ -30,7 +31,7 @@ func (m *tableModel) insert(k addrKey, h uint64) {
 	m.model[k] = seg
 }
 
-func (m *tableModel) remove(k addrKey) {
+func (m *tableModel) remove(k tableKey) {
 	m.t.Helper()
 	m.tab.remove(m.model[k])
 	delete(m.model, k)
@@ -80,7 +81,26 @@ func (m *tableModel) check() {
 // the table, at every table size; low tells the hashes of one home apart.
 func homeHash(home, low uint64) uint64 { return home<<61 | low }
 
-func key(i int) addrKey { return addrKey{ns: uint64(i % 3), addr: uint64(i) << 6} }
+// key is the i-th test key, in one of three namespaces: two in five are
+// addresses, the others a string, an int and an array — and key(9) is the nil
+// key of namespace 0, where key(0) is address 0. The hashes being the tests'
+// to choose, keys of every kind share clusters, and only find's key compare
+// tells them apart.
+func key(i int) tableKey {
+	ns := uint64(i % 3)
+	switch {
+	case i == 9:
+		return tableKeyOf(ns, In(nil))
+	case i%5 == 1:
+		return tableKeyOf(ns, In(strconv.Itoa(i)))
+	case i%5 == 2:
+		return tableKeyOf(ns, In(i))
+	case i%5 == 3:
+		return tableKeyOf(ns, In([2]int{i, -i}))
+	default:
+		return tableKeyOf(ns, Addr(uint64(i)<<6, ModeIn))
+	}
+}
 
 // TestAddrTableClusters forces every collision shape: all keys on one home
 // slot (in the middle of the table, and on its last slot at every size, so
@@ -152,7 +172,8 @@ func TestAddrTableInterleavedClusters(t *testing.T) {
 }
 
 // TestAddrTableEqualHashes files keys whose 64-bit hashes are equal: the
-// hash compare passes, so only the key compare tells them apart.
+// hash compare passes, so only the key compare tells them apart — an address
+// from a key of another kind included.
 func TestAddrTableEqualHashes(t *testing.T) {
 	m := newTableModel(t)
 	const h = 0xdeadbeefcafef00d
@@ -160,9 +181,14 @@ func TestAddrTableEqualHashes(t *testing.T) {
 		m.insert(key(i), h)
 	}
 	m.check()
-	// Same address, another namespace: a key of its own.
-	if got, _ := m.tab.find(h, addrKey{ns: 9, addr: key(4).addr}); got != nil {
-		t.Fatalf("found %+v for a key that was never filed", *got)
+	for name, k := range map[string]tableKey{
+		"a filed address in another namespace": tableKeyOf(9, Addr(key(4).addr, ModeIn)),
+		"a filed int as a string":              tableKeyOf(key(2).ns, In("2")),
+		"address 0 beside a filed string":      tableKeyOf(key(1).ns, Addr(0, ModeIn)),
+	} {
+		if got, _ := m.tab.find(h, k); got != nil {
+			t.Fatalf("%s: found %+v for a key that was never filed", name, *got)
+		}
 	}
 	for _, i := range []int{4, 0, 9} {
 		m.remove(key(i))
@@ -236,7 +262,8 @@ func TestAddrTableChurn(t *testing.T) {
 // FuzzAddrTable replays a byte stream as insert/find/remove operations on a
 // table and on the map model, with hashes the stream itself degrades: byte 0
 // chooses how many home slots the keys share, byte 1 whether all hashes of a
-// home are equal. Then two bytes an operation: what, and on which of 256 keys.
+// home are equal. Then two bytes an operation: what, and on which of 256 keys
+// — the second byte so also draws the kind of key (key).
 func FuzzAddrTable(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 2, 1, 1, 2, 2, 3, 2, 2})
 	f.Add([]byte{7, 1, 0, 9, 0, 17, 0, 25, 0, 33, 2, 17, 1, 25, 2, 9, 0, 9})
