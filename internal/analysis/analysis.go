@@ -1,7 +1,6 @@
 // Package analysis is the dependency-free core of nexusvet, the project's
-// static checker for the concurrency invariants the runtime relies on by
-// convention: sorted bank-lock acquisition, handle-error consumption,
-// context threading and scoped service keys.
+// static checker for the two conventions of the runtime's API that its
+// tests cannot see: handle-error consumption and context threading.
 //
 // It deliberately mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) so the analyzers read like standard vet
@@ -21,8 +20,7 @@ import (
 
 // Analyzer is one named invariant check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// nexusvet:ignore suppression comments. It must be a single
+	// Name identifies the analyzer in diagnostics. It must be a single
 	// lower-case word.
 	Name string
 	// Doc is the one-line invariant statement shown by `nexusvet help`.
@@ -62,9 +60,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Package bundles one loaded, type-checked package for the drivers.
 type Package struct {
-	// Path is the package's import path with any test-variant annotation
-	// ("pkg [pkg.test]") stripped; analyzers scope themselves by it.
-	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -82,14 +77,11 @@ func NewInfo() *types.Info {
 	}
 }
 
-// Run executes the analyzers over one package, applies the
-// nexusvet:ignore suppression convention, and returns the surviving
+// Run executes the analyzers over one package and returns their
 // diagnostics in position order.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	known := make([]string, 0, len(analyzers))
 	for _, a := range analyzers {
-		known = append(known, a.Name)
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
@@ -102,7 +94,6 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
 		}
 	}
-	diags = ApplyIgnores(pkg.Fset, pkg.Files, diags, known)
 	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags, nil
 }

@@ -5,7 +5,7 @@
 // library so the checker's tests are as hermetic as the checker.
 //
 // Every import in a fixture resolves from testdata/src too, including
-// "sync" and "context": the stubs there shadow the real standard library.
+// "context": the stub there shadows the real standard library.
 // That keeps fixtures self-contained and lets them live at the real
 // package paths the analyzers scope themselves by (nexuspp/internal/...).
 //
@@ -59,7 +59,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, path string) {
 		t.Fatalf("type-checking fixture %s: %v", path, err)
 	}
 	diags, err := analysis.Run(&analysis.Package{
-		Path: path, Fset: fset, Files: files, Types: tpkg, Info: info,
+		Fset: fset, Files: files, Types: tpkg, Info: info,
 	}, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, path, err)

@@ -1,9 +1,9 @@
 // Package ctxflow enforces context threading on the runtime's blocking
 // API. A function that receives a context.Context and then calls
-// Submit/SubmitAll/Wait/WaitOn with context.Background() or context.TODO()
-// has disconnected its caller's cancellation from the very operations that
-// block on the in-flight window — the exact path PR 2 wired cancellation
-// through. The fix is always the same: thread the parameter.
+// Submit/SubmitAll/TrySubmitAll/Wait/WaitOn with context.Background() or
+// context.TODO() has disconnected its caller's cancellation from the very
+// operations that block on the in-flight window, or from the bodies of the
+// tasks it submits. The fix is always the same: thread the parameter.
 package ctxflow
 
 import (
@@ -17,17 +17,20 @@ import (
 // with context.Background or context.TODO.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc:  "functions receiving a ctx must thread it into Submit/SubmitAll/Wait/WaitOn, not substitute context.Background/TODO",
+	Doc:  "functions receiving a ctx must thread it into Submit/SubmitAll/TrySubmitAll/Wait/WaitOn, not substitute context.Background/TODO",
 	Run:  run,
 }
 
-// blocking is the set of runtime entry points whose context governs both
-// admission blocking and task-body cancellation.
+// blocking is the set of runtime entry points whose context governs
+// admission blocking, task-body cancellation or both. TrySubmitAll never
+// waits, but its ctx is the one its tasks' bodies run under — the context a
+// service session cancels to drain.
 var blocking = map[string]bool{
-	"Submit":    true,
-	"SubmitAll": true,
-	"Wait":      true,
-	"WaitOn":    true,
+	"Submit":       true,
+	"SubmitAll":    true,
+	"TrySubmitAll": true,
+	"Wait":         true,
+	"WaitOn":       true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -9,10 +9,10 @@
 //
 // The analyzer reports, per function (including its nested literals):
 //
-//   - Submit/SubmitAll/MustSubmit results dropped outright or bound to the
-//     blank identifier, unless the function consults a barrier-level error
-//     (Wait/WaitOn/Close/Err used as a value) or hands the runtime itself
-//     to another function (delegated shutdown);
+//   - Submit/SubmitAll/TrySubmitAll/MustSubmit results dropped outright or
+//     bound to the blank identifier, unless the function consults a
+//     barrier-level error (Wait/WaitOn/Close/Err used as a value) or hands
+//     the runtime itself to another function (delegated shutdown);
 //   - a named handle variable whose Err/Done/Wait is never consulted and
 //     which escapes no further;
 //   - a bare or deferred x.Close() statement on one of this module's
@@ -46,7 +46,7 @@ var Analyzer = &analysis.Analyzer{
 // methods that observe an outcome; sinks are the barrier-level calls whose
 // error carries the first task failure.
 var (
-	submitters = map[string]bool{"Submit": true, "SubmitAll": true, "MustSubmit": true}
+	submitters = map[string]bool{"Submit": true, "SubmitAll": true, "TrySubmitAll": true, "MustSubmit": true}
 	consulters = map[string]bool{"Err": true, "Done": true, "Wait": true}
 	sinks      = map[string]bool{"Wait": true, "WaitOn": true, "Close": true}
 )

@@ -24,6 +24,13 @@ func badFresh(ctx context.Context, rt *starss.Runtime) error {
 	return err
 }
 
+// TrySubmitAll never waits, but its ctx is the one the tasks' bodies run
+// under: a session's drain cancels exactly that.
+func badTry(ctx context.Context, s *starss.Scope, ts []starss.Task) error {
+	_, err := s.TrySubmitAll(context.Background(), ts) // want "TrySubmitAll called with context.Background"
+	return err
+}
+
 func good(ctx context.Context, rt *starss.Runtime) error {
 	return rt.Wait(ctx)
 }

@@ -14,6 +14,11 @@ func dropped(rt *starss.Runtime) {
 	rt.MustSubmit(starss.Task{}) // want "task handle from MustSubmit dropped"
 }
 
+// The admission that never waits hands out handles like the others.
+func tryDropped(ctx context.Context, s *starss.Scope, ts []starss.Task) {
+	s.TrySubmitAll(ctx, ts) // want "task handle from TrySubmitAll dropped"
+}
+
 // Discarding as _ is the same leak, spelled louder.
 func blankDiscard(ctx context.Context, rt *starss.Runtime) {
 	_, _ = rt.Submit(ctx, starss.Task{}) // want "task handle from Submit discarded as _"

@@ -61,6 +61,7 @@ func (rt *Runtime) Events() *obs.Recorder                                       
 
 type Scope struct{ rt *Runtime }
 
-func (s *Scope) Submit(ctx context.Context, t Task) (*Handle, error)            { return nil, nil }
-func (s *Scope) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) { return nil, nil }
-func (s *Scope) WaitOn(ctx context.Context, keys ...Key) error                  { return nil }
+func (s *Scope) Submit(ctx context.Context, t Task) (*Handle, error)               { return nil, nil }
+func (s *Scope) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error)    { return nil, nil }
+func (s *Scope) TrySubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) { return nil, nil }
+func (s *Scope) WaitOn(ctx context.Context, keys ...Key) error                     { return nil }

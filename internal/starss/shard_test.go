@@ -31,7 +31,7 @@ func TestShardsRoundedToPowerOfTwo(t *testing.T) {
 }
 
 func TestSingleShardPreservesSemantics(t *testing.T) {
-	// Shards=1 is the single-resolver baseline; the full ordering
+	// Shards=1 is one bank every caller locks itself; the full ordering
 	// semantics must hold there too.
 	rt := New(Config{Workers: 8, Shards: 1})
 	var order []int

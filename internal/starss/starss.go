@@ -231,8 +231,9 @@ type Config struct {
 	// Shards is the number of dependency-table banks the key space is
 	// hashed across — the software analogue of the Nexus++ Dependence
 	// Table banks. Tasks on keys in different banks resolve concurrently;
-	// 1 reproduces the old single-resolver serialization. Values are
-	// rounded up to a power of two; 0 selects a default scaled to
+	// 1 is one bank, whose lock every submitter and finisher takes itself
+	// (the single-resolver baseline is NewMaestro, not Shards: 1). Values
+	// are rounded up to a power of two; 0 selects a default scaled to
 	// Workers.
 	Shards int
 	// EventBuffer enables the lifecycle event stream (submit/ready/run/
@@ -635,7 +636,8 @@ func (seg *segState) pop(released []*taskNode) []*taskNode {
 	return released
 }
 
-// ErrStopped is returned by Submit, Wait and WaitOn after Close.
+// ErrStopped is returned by Submit, SubmitAll, Scope.TrySubmitAll, Wait and
+// WaitOn after Close.
 var ErrStopped = errors.New("starss: runtime is shut down")
 
 // ErrDependencyFailed marks a task skipped because a transitive dependency

@@ -180,8 +180,9 @@ type Runtime = starss.Runtime
 type Handle = starss.Handle
 
 // RuntimeConfig parameterises a Runtime. The Shards field sets the number
-// of dependency-table banks: 1 reproduces the single-resolver baseline, 0
-// selects a default scaled to Workers.
+// of dependency-table banks, 0 selecting a default scaled to Workers. 1 is
+// one bank lock taken by each caller, not the single-resolver baseline: that
+// is the maestro runtime (backend "maestro").
 type RuntimeConfig = starss.Config
 
 // RuntimeStats reports the runtime counters, including the Failed and
@@ -198,7 +199,8 @@ type Dep = starss.Dep
 // Runtime lifecycle errors, re-exported for errors.Is against handle and
 // Wait/Close results.
 var (
-	// ErrRuntimeStopped is returned by Submit, Wait and WaitOn after Close.
+	// ErrRuntimeStopped is returned by Submit, SubmitAll,
+	// Scope.TrySubmitAll, Wait and WaitOn after Close.
 	ErrRuntimeStopped = starss.ErrStopped
 	// ErrDependencyFailed marks a task skipped because a transitive
 	// dependency failed; the wrapping error carries the root cause.
