@@ -22,8 +22,9 @@ race:
 # instrumentation changes what escapes: the zero-allocation pins on
 # sim.Engine / sim.Server, the allocations-per-task budget on core.Run, the
 # service's codec and submit-handler pins (which skip under -race), and the
-# runtime's two-allocations-per-task pins, on the Runtime and through a Scope,
-# for addresses and for keys of any other kind.
+# runtime's admission pins — two allocations per Submit, three per SubmitAll
+# or TrySubmitAll chunk of up to 256 tasks — on the Runtime and through a
+# Scope, for addresses and for keys of any other kind.
 allocs:
 	$(GO) test ./internal/sim ./internal/mem ./internal/core ./internal/service ./internal/starss
 
@@ -34,12 +35,15 @@ allocs:
 # the kick-off lists threaded through waiting tasks, key identity and
 # namespace isolation with concurrent scopes, the ready queue's parked-worker
 # wake-ups and the successor a finishing worker keeps for itself
-# (Ready|Successor) — twenty times under the race detector. The second line
+# (Ready|Successor), what a finished task, a kept handle and a drained chunk
+# leave reachable of a SubmitAll chunk's blocks (Retention), and a task
+# finishing, its node cleared, before the call that admitted it returns
+# (FinishesBefore) — twenty times under the race detector. The second line
 # does the same for the service's admission:
 # a submit is refused or admitted by a tryAcquire on two windows (the shared
 # one, then the session's) racing the finishers' releases.
 flake:
-	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor' ./internal/starss/
+	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor|Retention|FinishesBefore' ./internal/starss/
 	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled' ./internal/service/
 
 # fuzz gives each fuzz target twenty seconds. Three are the service's wire:

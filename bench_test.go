@@ -457,13 +457,16 @@ func BenchmarkFaultOverhead(b *testing.B) {
 }
 
 // BenchmarkSubmitAll measures what a batch saves against task-at-a-time
-// Submit on the same independent-keys workload: one window reservation and
-// one pass through the admission fence per 256-task chunk instead of per
-// task. The bank work is the same on both sides — SubmitAll holds each
-// task's banks for that task only, as Submit does. scoped_addr and
-// scoped_any push the same batch through Scope.SubmitAll, keyed by address
-// and by string: the per-key cost of the Dependence Table for an address and
-// for a key of another kind, namespace included, side by side.
+// Submit on the same independent-keys workload: per 256-task chunk instead
+// of per task, one window reservation, one node block and one handle block
+// (Submit allocates a node and a handle for every task), and one hand-off
+// to the ready queue per 32 ready tasks. The bank work is the same on both
+// sides — SubmitAll holds each task's banks for that task only, as Submit
+// does. scoped_addr and scoped_any push the same batch through
+// Scope.SubmitAll, keyed by address and by string: the per-key cost of the
+// Dependence Table for an address and for a key of another kind, namespace
+// included, side by side. Every sub-benchmark reports its allocations; the
+// batch the benchmark builds for each round is among them.
 func BenchmarkSubmitAll(b *testing.B) {
 	const batch = 256
 	type depFn func(round, i int) starss.Dep
@@ -482,6 +485,7 @@ func BenchmarkSubmitAll(b *testing.B) {
 		rt := starss.New(starss.Config{Workers: 4, Window: 1024})
 		defer rt.Close()
 		ctx := context.Background()
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, t := range mkTasks(i, pair) {
@@ -499,6 +503,7 @@ func BenchmarkSubmitAll(b *testing.B) {
 		rt := starss.New(starss.Config{Workers: 4, Window: 1024})
 		defer rt.Close()
 		ctx := context.Background()
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := rt.SubmitAll(ctx, mkTasks(i, pair)); err != nil {

@@ -28,15 +28,15 @@ func BenchmarkDepTableKeyLife(b *testing.B) {
 			defer mustClose(b, rt)
 			ctx := context.Background()
 			// checkIn is resolveNew without the dispatch: these tasks have
-			// no body to run, only keys to take and give back.
-			checkIn := func(node *taskNode) {
+			// no body to run, only keys to take and give back. It fills the
+			// node in again each time — Handle Finished leaves it zero —
+			// around a reused handle: the loop allocates nothing.
+			checkIn := func(node *taskNode, h *Handle, deps []Dep) {
 				if err := rt.win.acquire(ctx, rt.stopped, 1); err != nil {
 					b.Fatal(err)
 				}
-				if node.handle == nil {
-					node.handle = new(Handle)
-				}
-				*node.handle = Handle{} // reused: the loop allocates nothing
+				*h = Handle{}
+				*node = taskNode{ctx: ctx, task: Task{Deps: deps}, handle: h}
 				var buf [hashScratch * inlineDeps]int32
 				hashes, order := rt.hashDeps(0, node.task.Deps, buf[:])
 				rt.lockBanks(order)
@@ -48,22 +48,22 @@ func BenchmarkDepTableKeyLife(b *testing.B) {
 			}
 			holders := make([]*taskNode, resident)
 			for i := range holders {
-				holders[i] = &taskNode{ctx: ctx, task: Task{Deps: []Dep{Addr(uint64(i)<<6, ModeIn)}}}
-				checkIn(holders[i])
+				holders[i] = new(taskNode)
+				checkIn(holders[i], new(Handle), []Dep{Addr(uint64(i)<<6, ModeIn)})
 			}
 			deps := make([]Dep, keys)
-			first := &taskNode{ctx: ctx, task: Task{Deps: deps}}
-			second := &taskNode{ctx: ctx, task: Task{Deps: deps}}
+			var first, second taskNode
+			var firstH, secondH Handle
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := range deps {
 					deps[j] = Addr(uint64(resident+i*keys+j)<<6, ModeIn)
 				}
-				checkIn(first)
-				checkIn(second)
-				rt.resolveFinished(first, -1)
-				rt.resolveFinished(second, -1)
+				checkIn(&first, &firstH, deps)
+				checkIn(&second, &secondH, deps)
+				rt.resolveFinished(&first, -1)
+				rt.resolveFinished(&second, -1)
 			}
 			b.StopTimer()
 			for _, node := range holders {

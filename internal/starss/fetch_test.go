@@ -95,12 +95,15 @@ func TestCloseDrainsPrefetchStage(t *testing.T) {
 // TestSubmitAllocations pins the admission diet: in steady state (keys
 // recycled, segments coming off the bank free lists) one Submit of a
 // nameless task costs its node and its handle, nothing else — whether the
-// task is free to run or has to wait. A waiting task queues through the
-// access slots inside its node (the kick-off list is intrusive), so the
-// "held" rows submit a writer that blocks on every key, then the measured
-// task behind it, and must come out at twice the budget for the pair. The
-// maestro baseline is held to the same budget: its two rendezvous move the
-// node, they do not copy it.
+// task is free to run or has to wait — and a SubmitAll chunk of chunkMax
+// such tasks costs its node block, its handle block and the handle slice it
+// returns, nothing per task. A waiting task queues through the access slots
+// inside its node (the kick-off list is intrusive), so the "held" rows
+// submit a writer that blocks on every key, then the measured task or chunk
+// behind it, and must come out at the budget for both. (A chunk of tasks
+// on the same keys waits on itself too: each task queues behind the one
+// before it.) The maestro baseline is held to the same budget: its two
+// rendezvous move the node, they do not copy it.
 func TestSubmitAllocations(t *testing.T) {
 	ctx := context.Background()
 	nop := func(context.Context) error { return nil }
@@ -112,7 +115,7 @@ func TestSubmitAllocations(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
-	for name, rt := range newRuntimes(Config{Workers: 1, Window: 64}) {
+	for name, rt := range newRuntimes(Config{Workers: 1, Window: 2 * chunkMax}) {
 		for _, tc := range []struct {
 			name string
 			task Task
@@ -129,6 +132,22 @@ func TestSubmitAllocations(t *testing.T) {
 				}
 				return h
 			}
+			chunk := make([]Task, chunkMax)
+			for i := range chunk {
+				chunk[i] = tc.task
+			}
+			submitAll := func() []*Handle {
+				handles, err := rt.SubmitAll(ctx, chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return handles
+			}
+			awaitAll := func(handles []*Handle) {
+				for _, h := range handles {
+					await(h)
+				}
+			}
 			// The holder writes every key of the measured task, so that
 			// task queues on each of its segments.
 			holder := Task{Do: func(context.Context) error { <-gate; return nil }}
@@ -136,27 +155,32 @@ func TestSubmitAllocations(t *testing.T) {
 				d.Mode = ModeInOut
 				holder.Deps = append(holder.Deps, d)
 			}
+			hold := func() *Handle {
+				h, err := rt.Submit(ctx, holder)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return h
+			}
+			release := func(hold *Handle) {
+				gate <- struct{}{}
+				await(hold)
+			}
 			for _, run := range []struct {
 				name   string
 				budget float64
+				runs   int
 				f      func()
 			}{
-				{"free", 2, func() { await(submit()) }},
-				{"held", 4, func() {
-					hold, err := rt.Submit(ctx, holder)
-					if err != nil {
-						t.Fatal(err)
-					}
-					h := submit()
-					gate <- struct{}{}
-					await(hold)
-					await(h)
-				}},
+				{"free", 2, 500, func() { await(submit()) }},
+				{"held", 4, 500, func() { hh := hold(); h := submit(); release(hh); await(h) }},
+				{"chunk", 4, 20, func() { awaitAll(submitAll()) }},
+				{"held chunk", 6, 20, func() { hh := hold(); hs := submitAll(); release(hh); awaitAll(hs) }},
 			} {
-				for i := 0; i < 100; i++ {
+				for i := 0; i < run.runs/5; i++ {
 					run.f() // warm-up: map buckets, free lists, goroutine stacks
 				}
-				got := testing.AllocsPerRun(500, run.f)
+				got := testing.AllocsPerRun(run.runs, run.f)
 				t.Logf("%s, %s, %s: %.2f allocations", name, tc.name, run.name, got)
 				if got > run.budget {
 					t.Errorf("%s, %s, %s: %.2f allocations, want <= %.0f", name, tc.name, run.name, got, run.budget)
@@ -167,20 +191,23 @@ func TestSubmitAllocations(t *testing.T) {
 	}
 }
 
-// TestTaskNodeSize pins the node inside the allocator's 256-byte size class.
-// The node is one of the two allocations every task costs; one byte over and
-// it is served from the 288-byte class, which shows as bytes_per_task (+32 B
-// on every bench/ workload that runs starss) and in the live heap of a full
-// window. The per-dependency access slots are sized to fit: see taskNode.
+// TestTaskNodeSize pins the node at 256 bytes. Submit allocates it on its
+// own, where one byte over moves it to the allocator's 288-byte size class;
+// SubmitAll carves a chunk's nodes out of one block, an array with no size
+// class to absorb a byte, so each byte counts chunkMax times. Either shows as
+// bytes_per_task on every bench/ workload that runs starss and in the live
+// heap of a full window. The per-dependency access slots are sized to fit:
+// see taskNode.
 func TestTaskNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(taskNode{}); got > 256 {
 		t.Fatalf("taskNode is %d bytes, want <= 256", got)
 	}
 }
 
-// TestHandleSize pins the task's other allocation inside the 64-byte size
-// class: the completion channel sits behind one typed pointer, not in an
-// interface.
+// TestHandleSize pins the handle at 64 bytes: a Submit's own allocation in
+// the 64-byte size class, and an element of a SubmitAll chunk's handle block,
+// which a handle the caller keeps keeps whole — chunkMax × 64 B, 16 KiB. The
+// completion channel sits behind one typed pointer, not in an interface.
 func TestHandleSize(t *testing.T) {
 	if got := unsafe.Sizeof(Handle{}); got > 64 {
 		t.Fatalf("Handle is %d bytes, want <= 64", got)

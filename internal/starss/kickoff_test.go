@@ -3,6 +3,7 @@ package starss
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -202,9 +203,12 @@ func hotWaiters(t *testing.T, rt *Runtime, hot Dep) []*taskNode {
 
 // TestKickoffDrainLeavesNoLinks checks what keeps the intrusive list from
 // pinning memory: with the gate held the hot key's list holds every other
-// task in submission order, inline and spilled nodes alike; once the graph
-// has drained no popped access still links to the task that queued behind
-// it, no key is left in any bank, and every recycled segment on the bank
+// task in submission order, inline and spilled nodes alike; every task has
+// given up its links by the time its body runs — checked while the body is
+// held, because a finished node is cleared — so no popped access links to
+// the task that queued behind it; every finished node is zero, holding no
+// pointer into its chunk's block or out of it; and once the graph has
+// drained no key is left in any bank, and every recycled segment on the bank
 // free lists is empty — no head, no tail, no reader, no poison, no key. It
 // runs over addresses and then, on the same runtime, with every address
 // boxed into a key of another kind: the banks file both in the one table,
@@ -215,20 +219,27 @@ func TestKickoffDrainLeavesNoLinks(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 4, Window: 2 * len(specs)}) {
 		t.Run(name, func(t *testing.T) {
 			for _, dep := range []func(uint64, Mode) Dep{Addr, boxed} {
-				gate := make(chan struct{})
+				// Every body reports that it runs and holds until released.
+				started := make(chan int)
+				release := make([]chan struct{}, len(specs))
 				tasks := make([]Task, len(specs))
 				for i, spec := range specs {
 					tasks[i] = TaskFromSpec(spec, ReplayOptions{ZeroCost: true})
 					for j, d := range tasks[i].Deps {
 						tasks[i].Deps[j] = dep(d.addr, d.Mode)
 					}
+					release[i] = make(chan struct{})
+					tasks[i].Do = func(context.Context) error { started <- i; <-release[i]; return nil }
 				}
-				tasks[0].Do = func(context.Context) error { <-gate; return nil }
-				// One batch: SubmitAll checks it task by task, so the gate runs
-				// (and holds both shared keys) while the rest queue behind it.
+				// One batch: SubmitAll checks it task by task, so the gate —
+				// task 0 — runs (and holds both shared keys) while the rest
+				// queue behind it.
 				handles, err := rt.SubmitAll(context.Background(), tasks)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if i := <-started; i != 0 {
+					t.Fatalf("task %d runs before the gate", i)
 				}
 				fenceMaestro(t, rt)
 				nodes := hotWaiters(t, rt, dep(hotKey, ModeIn))
@@ -247,16 +258,26 @@ func TestKickoffDrainLeavesNoLinks(t *testing.T) {
 				if spilled == 0 || spilled == len(nodes) {
 					t.Fatalf("%d of %d waiters are spilled; the scenario must mix both layouts", spilled, len(nodes))
 				}
-				close(gate)
+				close(release[0])
+				// A running task has been popped from every list it was on,
+				// and nothing links to it or from it any more.
+				for range nodes {
+					i := <-started
+					n := nodes[i-1]
+					acc, _ := n.slots()
+					for slot := range n.task.Deps {
+						if acc[slot].next != nil {
+							t.Errorf("task %d, slot %d: link to %s survives the pop", i, slot, acc[slot].next.handle.Name())
+						}
+					}
+					close(release[i])
+				}
 				if err := rt.Wait(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 				for i, n := range nodes {
-					acc, _ := n.slots()
-					for slot := range n.task.Deps {
-						if acc[slot].next != nil {
-							t.Errorf("waiter %d, slot %d: link to %s survives the pop", i, slot, acc[slot].next.handle.Name())
-						}
+					if !reflect.ValueOf(n).Elem().IsZero() {
+						t.Errorf("task %d finished, but its node still holds %+v", i+1, n.task)
 					}
 				}
 				recycled := 0

@@ -141,11 +141,10 @@ var (
 // ctx must not be nil.
 func (s *Scope) TrySubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
 	s.adopt(tasks)
-	nodes, err := makeNodes(ctx, tasks)
-	if err != nil {
+	if err := validate(ctx, tasks); err != nil {
 		return nil, err
 	}
-	rt, n := s.rt, len(nodes)
+	rt, n := s.rt, len(tasks)
 	if !rt.win.tryAcquire(int64(n)) {
 		if rt.win.isShut() {
 			return nil, ErrStopped
@@ -157,7 +156,14 @@ func (s *Scope) TrySubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 		return nil, ErrScopeFull
 	}
 	s.submitted.Add(uint64(n))
-	return rt.admitAll(nodes, make([]*Handle, 0, n)), nil
+	// The chunks SubmitAll would reserve one by one, admitted back to back.
+	handles := make([]*Handle, 0, n)
+	for len(tasks) > 0 {
+		c := min(len(tasks), chunkMax)
+		handles = rt.admitAll(ctx, tasks[:c], handles)
+		tasks = tasks[c:]
+	}
+	return handles, nil
 }
 
 // WaitOn blocks until every task previously submitted through the scope that

@@ -48,9 +48,13 @@
 // (ready.go) — a ring of Window slots under one lock, which SubmitAll feeds
 // up to 32 tasks at a time and which wakes a worker only when one is parked —
 // or not through any queue: the worker that finishes a task runs the first
-// successor it released itself, for a bounded run. A task costs two
-// allocations (its node and its handle) whether it waits or not, and no
-// channel operation.
+// successor it released itself, for a bounded run. No task costs a channel
+// operation, and no batched task an allocation of its own: Submit and WaitOn
+// allocate a task's node and its handle, two allocations whether it waits or
+// not, but SubmitAll and Scope.TrySubmitAll carve the nodes and handles of a
+// chunk of up to 256 tasks out of one block each — three allocations per
+// chunk, the handle slice included (TestSubmitAllocations,
+// TestScopeSubmitAllocations: go test -run Allocations ./internal/starss).
 //
 // The three phases of the paper's Task Controllers — Get Inputs
 // (Task.Prefetch), Run Task (Task.Do), Put Outputs (Task.WriteBack) — run
@@ -527,9 +531,12 @@ type spilled struct {
 	scratch, order []int32
 }
 
+// taskNode is a task's slot in the Task Pool: an allocation of its own for
+// Submit and WaitOn, an element of its chunk's block for SubmitAll. It is
+// zeroed when the task finishes (resolveFinished).
 type taskNode struct {
 	// task is the submitted task; task.Deps is normalised (no duplicate
-	// keys) by newNode.
+	// keys) by init.
 	task   Task
 	ctx    context.Context
 	handle *Handle
@@ -830,17 +837,17 @@ func (rt *Runtime) Submit(ctx context.Context, t Task) (*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	node, err := makeNode(ctx, &t)
-	if err != nil {
-		return nil, err
+	if t.Do == nil {
+		return nil, errNoDo
 	}
-	return rt.submitNode(ctx, node)
+	return rt.submitNode(ctx, newNode(ctx, &t))
 }
 
 // submitNode admits one node, waiting under ctx for its window token — and
-// first for its scope's, when it has one. A granted token is the licence to
-// admit: from there on the path takes no lock and never looks at the stop,
-// because Close cannot finish while the token is out.
+// first for its scope's, when it has one — and gives it a handle of its own.
+// A granted token is the licence to admit: from there on the path takes no
+// lock and never looks at the stop, because Close cannot finish while the
+// token is out.
 func (rt *Runtime) submitNode(ctx context.Context, node *taskNode) (*Handle, error) {
 	// Check cancellation before reserving, so a dead context is rejected
 	// deterministically rather than sometimes admitted.
@@ -862,10 +869,11 @@ func (rt *Runtime) submitNode(ctx context.Context, node *taskNode) (*Handle, err
 	if s != nil {
 		s.submitted.Add(1)
 	}
-	if rt.admit(node, rt.submitted.Add(1)-1) {
+	h := new(Handle)
+	if rt.admit(node, h, rt.submitted.Add(1)-1) {
 		rt.dispatch(node, -1)
 	}
-	return node.handle, nil
+	return h, nil
 }
 
 // returnTokens gives n window tokens back — one per finished task, or a
@@ -901,21 +909,23 @@ func (rt *Runtime) idle() <-chan struct{} {
 }
 
 // SubmitAll enqueues a batch of tasks in order. A chunk of the batch (up to
-// 256 tasks) costs one window reservation; Check Deps then runs task by task,
-// each under its own banks exactly as in Submit, and the tasks found free of
-// dependencies go to the workers 32 at a time, the last of them when the
-// chunk ends (admitAll). (Holding the union of a chunk's banks for the whole
-// chunk was measured: every finishing worker parked behind the submitter for
-// the duration.) It blocks while the window is full (cancelling ctx unblocks
-// it) and returns the first validation error before admitting anything, or
+// chunkMax tasks) costs one window reservation, and its task nodes and
+// handles are one allocation each (admitAll); Check Deps then runs task by
+// task, each under its own banks exactly as in Submit, and the tasks found
+// free of dependencies go to the workers 32 at a time, the last of them when
+// the chunk ends. (Holding the union of a chunk's banks for the whole chunk
+// was measured: every finishing worker parked behind the submitter for the
+// duration.) It blocks while the window is full (cancelling ctx unblocks it)
+// and returns the first validation error before admitting anything, or
 // ErrStopped/ctx.Err() mid-batch; the returned handles cover the prefix that
-// was admitted (all tasks on success).
+// was admitted (all tasks on success). A handle the caller keeps keeps its
+// chunk's handle block — at most chunkMax × 64 B, 16 KiB — and never a task
+// node.
 func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	nodes, err := makeNodes(ctx, tasks)
-	if err != nil {
+	if err := validate(ctx, tasks); err != nil {
 		return nil, err
 	}
 	// After Close every admission path must uniformly report ErrStopped —
@@ -924,40 +934,53 @@ func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 	if rt.win.isShut() {
 		return nil, ErrStopped
 	}
-	handles := make([]*Handle, 0, len(nodes))
-	for len(nodes) > 0 {
+	handles := make([]*Handle, 0, len(tasks))
+	for len(tasks) > 0 {
 		// Chunk so one reservation never asks for more tokens than exist.
-		n := min(len(nodes), rt.cfg.Window, 256)
+		n := min(len(tasks), rt.cfg.Window, chunkMax)
 		// The whole chunk's tokens are reserved in one step, all or nothing,
 		// so two concurrent SubmitAll calls can never each hold a fraction of
 		// the window and wait forever for the rest.
 		if err := rt.win.acquire(ctx, rt.stopped, int64(n)); err != nil {
 			return handles, err
 		}
-		handles = rt.admitAll(nodes[:n], handles)
-		nodes = nodes[n:]
+		handles = rt.admitAll(ctx, tasks[:n], handles)
+		tasks = tasks[n:]
 	}
 	return handles, nil
 }
 
+// chunkMax is the most tasks an admission chunk holds: one window reservation
+// in SubmitAll, one node block and one handle block in admitAll.
+const chunkMax = 256
+
 // readyBatch is the most tasks admitAll hands to the ready queue at once.
 const readyBatch = 32
 
-// admitAll admits the nodes in order, appending their handles to handles;
-// the caller holds their window tokens. The tasks it finds free of
+// admitAll admits one chunk of tasks in order under ctx, appending their
+// handles to handles; the caller holds their window tokens. The chunk's nodes
+// are built in one block and its handles in another — the Task Pool slots
+// Nexus++ writes descriptors into, allocated once per chunk instead of twice
+// per task. The node block lives as long as any task of the chunk does,
+// which is why a finished node lets go of everything it points at
+// (resolveFinished); the handle block lives as long as the caller keeps a
+// handle, and points at no node. The tasks admitAll finds free of
 // dependencies reach the ready queue when readyBatch of them are collected,
 // and the rest when the chunk ends — one lock, and at most one wake-up per
 // task, for the batch instead of for each — out of a buffer that stays on
 // this stack. (Handing over every readyBatch checks instead, however few
 // were ready, was measured: more pushes, 2–4 % fewer tasks per second on
 // the wavefront, and the same ready-to-run tail.)
-func (rt *Runtime) admitAll(nodes []*taskNode, handles []*Handle) []*Handle {
-	first := rt.submitted.Add(uint64(len(nodes))) - uint64(len(nodes))
+func (rt *Runtime) admitAll(ctx context.Context, tasks []Task, handles []*Handle) []*Handle {
+	first := rt.submitted.Add(uint64(len(tasks))) - uint64(len(tasks))
+	nodes, hs := make([]taskNode, len(tasks)), make([]Handle, len(tasks))
 	var buf [readyBatch]*taskNode
 	batch := buf[:0]
-	for i, node := range nodes {
-		ready := rt.admit(node, first+uint64(i))
-		handles = append(handles, node.handle)
+	for i := range tasks {
+		node, h := &nodes[i], &hs[i]
+		node.init(ctx, &tasks[i])
+		ready := rt.admit(node, h, first+uint64(i))
+		handles = append(handles, h)
 		switch {
 		case !ready:
 		case node.task.Do == nil:
@@ -976,46 +999,47 @@ func (rt *Runtime) admitAll(nodes []*taskNode, handles []*Handle) []*Handle {
 	return handles
 }
 
-// makeNodes validates and normalises a batch, and rejects a dead context
-// before anything is reserved.
-func makeNodes(ctx context.Context, tasks []Task) ([]*taskNode, error) {
-	nodes := make([]*taskNode, len(tasks))
+// errNoDo rejects a task submitted without a body.
+var errNoDo = errors.New("starss: task has no Do function")
+
+// validate rejects a batch holding a task without a body, naming the first,
+// and a dead context — before anything is reserved.
+func validate(ctx context.Context, tasks []Task) error {
 	for i := range tasks {
-		node, err := makeNode(ctx, &tasks[i])
-		if err != nil {
-			return nil, fmt.Errorf("task %d: %w", i, err)
+		if tasks[i].Do == nil {
+			return fmt.Errorf("task %d: %w", i, errNoDo)
 		}
-		nodes[i] = node
 	}
-	return nodes, ctx.Err()
+	return ctx.Err()
 }
 
-// makeNode validates and normalises one task.
-func makeNode(ctx context.Context, t *Task) (*taskNode, error) {
-	if t.Do == nil {
-		return nil, errors.New("starss: task has no Do function")
-	}
-	return newNode(ctx, t), nil
-}
-
-// newNode normalises one task into its node.
+// newNode is the node of one task admitted on its own, in an allocation of
+// its own.
 func newNode(ctx context.Context, t *Task) *taskNode {
-	node := &taskNode{task: *t, ctx: ctx}
+	node := new(taskNode)
+	node.init(ctx, t)
+	return node
+}
+
+// init normalises task t, submitted under ctx, into the zero node.
+func (node *taskNode) init(ctx context.Context, t *Task) {
+	node.task, node.ctx = *t, ctx
 	node.task.Deps = normalizeDeps(t.Deps)
 	if n := len(node.task.Deps); n > inlineDeps {
 		ints := make([]int32, (1+hashScratch)*n)
 		node.spill = &spilled{acc: make([]access, n), nextSlot: ints[:n:n], scratch: ints[n:]}
 	}
-	return node
 }
 
-// admit gives the task its ID (submission index idx) and handle and hands
-// it to Check Deps: in place, or through the maestro, which takes one task
-// per rendezvous. The caller already holds the task's window token, and
-// dispatches the task when admit reports it ready (the maestro dispatches
-// its own).
-func (rt *Runtime) admit(node *taskNode, idx uint64) (ready bool) {
-	node.handle = &Handle{name: node.task.Name, index: idx}
+// admit gives the task its ID (submission index idx) and its handle h and
+// hands it to Check Deps: in place, or through the maestro, which takes one
+// task per rendezvous. The caller already holds the task's window token, and
+// dispatches the task when admit reports it ready (the maestro dispatches its
+// own). Otherwise the node is no longer the caller's to read: it may finish,
+// and be cleared, before admit returns — the caller keeps h instead.
+func (rt *Runtime) admit(node *taskNode, h *Handle, idx uint64) (ready bool) {
+	h.name, h.index = node.task.Name, idx
+	node.handle = h
 	if f := rt.funnel; f != nil {
 		f.submitCh <- node
 		return false
@@ -1272,12 +1296,19 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) (next *taskNode) 
 		rt.firstErr.CompareAndSwap(nil, &taskFailure{err: node.err})
 	}
 	rt.record(o)
-	if s := node.task.scope; s != nil {
-		s.taskDone(o, node.err)
+	h, err, s := node.handle, node.err, node.task.scope
+	// The finished node lets go of everything it points at: a node of a
+	// SubmitAll chunk shares its block with its chunk-mates, and one of them
+	// still running would otherwise pin this task's body, context and
+	// dependencies. Nobody reads the node from here on, and whoever the
+	// handle wakes finds it cleared.
+	*node = taskNode{}
+	if s != nil {
+		s.taskDone(o, err)
 	}
 	// Publish the handle before the token goes back: a barrier that sees
 	// in-flight reach zero must find every handle complete.
-	node.handle.complete(o, node.err)
+	h.complete(o, err)
 	rt.returnTokens(1)
 	for _, n := range held {
 		rt.dispatch(n, worker)
