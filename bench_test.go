@@ -458,15 +458,19 @@ func BenchmarkFaultOverhead(b *testing.B) {
 
 // BenchmarkSubmitAll measures what a batch saves against task-at-a-time
 // Submit on the same independent-keys workload: per 256-task chunk instead
-// of per task, one window reservation, one node block and one handle block
-// (Submit allocates a node and a handle for every task), and one hand-off
-// to the ready queue per 32 ready tasks. The bank work is the same on both
-// sides — SubmitAll holds each task's banks for that task only, as Submit
-// does. scoped_addr and scoped_any push the same batch through
-// Scope.SubmitAll, keyed by address and by string: the per-key cost of the
-// Dependence Table for an address and for a key of another kind, namespace
-// included, side by side. Every sub-benchmark reports its allocations; the
-// batch the benchmark builds for each round is among them.
+// of per task, one window reservation, one handle block and a node block
+// reused from a drained chunk (Submit allocates a node and a handle for
+// every task), and one hand-off to the ready queue per 32 ready tasks. The
+// bank work is the same on both sides — SubmitAll holds each task's banks
+// for that task only, as Submit does. scoped_addr and scoped_any push the
+// same batch through Scope.SubmitAll, keyed by address and by string: the
+// per-key cost of the Dependence Table for an address and for a key of
+// another kind, namespace included, side by side. Every sub-benchmark
+// reports its allocations; the batch the benchmark builds for each round is
+// among them — except in prebuilt, whose batches are built before the timer
+// starts, so its B/task is admission's own: bench/'s bytes_per_task on
+// rt_independent without the harness (go test -run '^$' -bench
+// SubmitAll/prebuilt -benchtime 4000x .).
 func BenchmarkSubmitAll(b *testing.B) {
 	const batch = 256
 	type depFn func(round, i int) starss.Dep
@@ -513,6 +517,41 @@ func BenchmarkSubmitAll(b *testing.B) {
 		if err := rt.Wait(ctx); err != nil {
 			b.Fatal(err)
 		}
+		b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "tasks/s")
+	})
+	b.Run("prebuilt", func(b *testing.B) {
+		const window = 1024
+		rt := starss.New(starss.Config{Workers: 4, Window: window})
+		defer rt.Close()
+		ctx := context.Background()
+		// Four windows of distinct addresses: by the time a round reuses an
+		// address, the window has retired the task that used it before, so
+		// no task waits.
+		batches := make([][]starss.Task, 4*window/batch)
+		for j := range batches {
+			batches[j] = make([]starss.Task, batch)
+			for i := range batches[j] {
+				batches[j][i] = starss.Task{
+					Deps: []starss.Dep{starss.Addr(uint64(j*batch+i)*64, starss.ModeInOut)},
+					Do:   func(context.Context) error { return nil },
+				}
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := rt.SubmitAll(ctx, batches[i%len(batches)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := rt.Wait(ctx); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*batch), "B/task")
 		b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "tasks/s")
 	})
 	names := make([]string, batch)

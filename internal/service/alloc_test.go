@@ -83,12 +83,13 @@ func TestCodecAllocations(t *testing.T) {
 // TestSubmitHandlerAllocations is the budget for one submit request through
 // the in-memory handler, the measure behind the benchmark's
 // service.submit_handler_ns_per_task: a 64-task batch of two-param tasks may
-// cost 40 allocations per request — the recorder, the request, the
-// response, the batch's own slices, and the runtime's one admission chunk
-// (a node block, a handle block and the handle slice) — and nothing per
-// task or per param: a param is an address dependency in the batch's one
-// slab, its session the namespace field of the table key, and its segment
-// comes off a bank free list.
+// cost 36 allocations per request (30 measured) — the recorder, the request,
+// the response, the batch's own slices, and the runtime's one admission
+// chunk (a handle block and the handle slice; its node block is the last
+// request's, off the runtime's free list) — and nothing per task or per
+// param: a param is an address dependency in the batch's one slab, its
+// session the namespace field of the table key, and its segment comes off a
+// bank free list.
 func TestSubmitHandlerAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins hold only without the race detector")
@@ -127,7 +128,7 @@ func TestSubmitHandlerAllocations(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(100, round)
 	t.Logf("%.1f allocations per %d-task submit round: %.2f per task", got, tasks, got/tasks)
-	if budget := 40.0; got > budget {
+	if budget := 36.0; got > budget {
 		t.Errorf("%.1f allocations per %d-task submit round, want <= %.0f", got, tasks, budget)
 	}
 }

@@ -96,8 +96,12 @@ func TestCloseDrainsPrefetchStage(t *testing.T) {
 // recycled, segments coming off the bank free lists) one Submit of a
 // nameless task costs its node and its handle, nothing else — whether the
 // task is free to run or has to wait — and a SubmitAll chunk of chunkMax
-// such tasks costs its node block, its handle block and the handle slice it
-// returns, nothing per task. A waiting task queues through the access slots
+// such tasks costs its handle block and the handle slice it returns, nothing
+// per task: its node block is the one the previous chunk drained, off the
+// runtime's free list. (The budget has room for one more: a collection may
+// take the listed block, and the chunk after it allocates a new one — three
+// allocations, the block, its node array and its weak pointer, once in
+// AllocsPerRun's twenty runs.) A waiting task queues through the access slots
 // inside its node (the kick-off list is intrusive), so the "held" rows
 // submit a writer that blocks on every key, then the measured task or chunk
 // behind it, and must come out at the budget for both. (A chunk of tasks
@@ -174,8 +178,8 @@ func TestSubmitAllocations(t *testing.T) {
 			}{
 				{"free", 2, 500, func() { await(submit()) }},
 				{"held", 4, 500, func() { hh := hold(); h := submit(); release(hh); await(h) }},
-				{"chunk", 4, 20, func() { awaitAll(submitAll()) }},
-				{"held chunk", 6, 20, func() { hh := hold(); hs := submitAll(); release(hh); awaitAll(hs) }},
+				{"chunk", 3, 20, func() { awaitAll(submitAll()) }},
+				{"held chunk", 5, 20, func() { hh := hold(); hs := submitAll(); release(hh); awaitAll(hs) }},
 			} {
 				for i := 0; i < run.runs/5; i++ {
 					run.f() // warm-up: map buckets, free lists, goroutine stacks
@@ -193,11 +197,11 @@ func TestSubmitAllocations(t *testing.T) {
 
 // TestTaskNodeSize pins the node at 256 bytes. Submit allocates it on its
 // own, where one byte over moves it to the allocator's 288-byte size class;
-// SubmitAll carves a chunk's nodes out of one block, an array with no size
+// SubmitAll takes a chunk's nodes from one node block, an array with no size
 // class to absorb a byte, so each byte counts chunkMax times. Either shows as
-// bytes_per_task on every bench/ workload that runs starss and in the live
-// heap of a full window. The per-dependency access slots are sized to fit:
-// see taskNode.
+// bytes_per_task on bench/ workloads that run starss and in the live heap of
+// a full window. The per-dependency access slots are sized to fit — see
+// taskNode — and the block pointer took the node's last free word.
 func TestTaskNodeSize(t *testing.T) {
 	if got := unsafe.Sizeof(taskNode{}); got > 256 {
 		t.Fatalf("taskNode is %d bytes, want <= 256", got)

@@ -389,9 +389,10 @@ func TestScopeSameNameIsolated(t *testing.T) {
 // TestScopeSubmitAllocations pins what a namespace costs: nothing. A scoped
 // task's keys are not rewritten, boxed or copied — the task carries its
 // scope — so in steady state a 64-task TrySubmitAll of two-address tasks
-// costs what its one admission chunk does, a node block, a handle block and
-// the handle slice, nothing per task; and Scope.Submit costs exactly what
-// Runtime.Submit does, its node and its handle.
+// costs what its one admission chunk does, a handle block and the handle
+// slice (its node block comes back off the free list), nothing per task; and
+// Scope.Submit costs exactly what Runtime.Submit does, its node and its
+// handle.
 func TestScopeSubmitAllocations(t *testing.T) {
 	ctx := context.Background()
 	nop := func(context.Context) error { return nil }
@@ -427,7 +428,7 @@ func TestScopeSubmitAllocations(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(200, batch)
 	t.Logf("TrySubmitAll of %d tasks: %.1f allocations", n, got)
-	if budget := 6.0; got > budget {
+	if budget := 4.0; got > budget {
 		t.Errorf("TrySubmitAll of %d tasks: %.1f allocations, want <= %.0f", n, got, budget)
 	}
 

@@ -51,10 +51,13 @@
 // successor it released itself, for a bounded run. No task costs a channel
 // operation, and no batched task an allocation of its own: Submit and WaitOn
 // allocate a task's node and its handle, two allocations whether it waits or
-// not, but SubmitAll and Scope.TrySubmitAll carve the nodes and handles of a
-// chunk of up to 256 tasks out of one block each — three allocations per
+// not, but SubmitAll and Scope.TrySubmitAll take the nodes of a chunk of up
+// to 256 tasks from a node block a drained chunk left on the runtime's free
+// list, and carve its handles out of one new block — two allocations per
 // chunk, the handle slice included (TestSubmitAllocations,
 // TestScopeSubmitAllocations: go test -run Allocations ./internal/starss).
+// The free list holds its blocks weakly: an idle runtime keeps none past the
+// next collection (TestNodeBlock*).
 //
 // The three phases of the paper's Task Controllers — Get Inputs
 // (Task.Prefetch), Run Task (Task.Do), Put Outputs (Task.WriteBack) — run
@@ -70,12 +73,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"nexuspp/internal/faults"
 	"nexuspp/internal/obs"
@@ -456,14 +461,23 @@ type Runtime struct {
 	cfg   Config
 	banks []bank
 	mask  uint64
-	// segFree bounds each bank's free list at the bank's share of a full
-	// window, one new segment per task: the in-flight count swings between
-	// empty and full many times in a long run, and a smaller list turns every
-	// swing into garbage on the way down and allocations on the way up.
-	segFree  int
-	seed     maphash.Seed
-	win      window
-	ready    readyQueue
+	// segFree bounds each bank's free list at twice the bank's share of a
+	// full window. The in-flight count swings between empty and full many
+	// times in a long run, and a list smaller than the live segments of a
+	// full window turns every swing into garbage on the way down and
+	// allocations on the way up. A task files up to one segment per key, not
+	// per task: on the bench/ rt_* shapes (Window 4096, 8 banks) a bank's
+	// peak is 550–616 live segments, up to 1.2 times its share of 512, and
+	// wavefront tasks hold three keys. An idle runtime keeps what the lists
+	// hold, at most segFree × 96 B × banks — 2 × Window × 96 B, 48 MiB for the
+	// service's largest derived window of 1<<18 — and only once that many
+	// segments were live at once.
+	segFree int
+	seed    maphash.Seed
+	win     window
+	ready   readyQueue
+	// blocks lists the drained SubmitAll node blocks, by class.
+	blocks   [blockClasses]blockList
 	stopOnce sync.Once
 	// stopped is closed by Close, once the window is shut, to wake submitters
 	// queued on a full window — the runtime's or a scope's — with ErrStopped.
@@ -532,8 +546,8 @@ type spilled struct {
 }
 
 // taskNode is a task's slot in the Task Pool: an allocation of its own for
-// Submit and WaitOn, an element of its chunk's block for SubmitAll. It is
-// zeroed when the task finishes (resolveFinished).
+// Submit and WaitOn, an element of its chunk's node block for SubmitAll. It
+// is zeroed when the task finishes (resolveFinished).
 type taskNode struct {
 	// task is the submitted task; task.Deps is normalised (no duplicate
 	// keys) by init.
@@ -561,6 +575,68 @@ type taskNode struct {
 	// poisoned predecessor — or by checkDeps when the task joins a
 	// still-poisoned segment — before this node becomes ready.
 	poison atomic.Pointer[taskFailure]
+	// blk is the node block the node belongs to, nil for a node of its own.
+	blk *nodeBlock
+}
+
+// nodeBlock holds the task nodes of one SubmitAll chunk: a run of Task Pool
+// entries, reused chunk after chunk the way Nexus++ reuses its fixed pool.
+// A chunk of n tasks takes a block of the smallest class — 1, 2, 4, …
+// chunkMax nodes — that holds n, so a short chunk never pins a full one.
+type nodeBlock struct {
+	// live counts the chunk's tasks that have not finished. admitAll sets it
+	// before it admits the first, so the block cannot drain while it is still
+	// being filled; the finisher that takes it to zero lists the block free.
+	live  atomic.Int32
+	self  weak.Pointer[nodeBlock] // made once, with the block: what the free list holds
+	nodes []taskNode
+}
+
+// blockClasses is the number of node block sizes, 1 to chunkMax nodes.
+const blockClasses = 9
+
+// blockClassOf is the class of the smallest block that holds n ≥ 1 nodes.
+func blockClassOf(n int) int { return bits.Len(uint(n - 1)) }
+
+// blockList is one class's free node blocks. Every node of a listed block is
+// zero, so a listed block pins nothing, and the list holds its blocks only
+// weakly: a block no chunk takes before the next collection is collected, so
+// an idle runtime keeps none, and the list drops its entry when it meets it.
+// (A list that holds blocks strongly pins an idle runtime's peak; a sync.Pool
+// keeps its victims across the collection after which a runtime is idle.)
+type blockList struct {
+	mu   sync.Mutex
+	free []weak.Pointer[nodeBlock]
+}
+
+// takeBlock returns a block for a chunk of n tasks with its live count set
+// to n: the last listed block of n's class that is still alive, or a new one.
+func (rt *Runtime) takeBlock(n int) *nodeBlock {
+	c := blockClassOf(n)
+	l := &rt.blocks[c]
+	var blk *nodeBlock
+	l.mu.Lock()
+	for blk == nil && len(l.free) > 0 {
+		last := len(l.free) - 1
+		blk = l.free[last].Value()
+		l.free = l.free[:last]
+	}
+	l.mu.Unlock()
+	if blk == nil {
+		blk = &nodeBlock{nodes: make([]taskNode, 1<<c)}
+		blk.self = weak.Make(blk)
+	}
+	blk.live.Store(int32(n))
+	return blk
+}
+
+// putBlock lists a drained block as free; its finishers have zeroed every
+// node it lent out.
+func (rt *Runtime) putBlock(blk *nodeBlock) {
+	l := &rt.blocks[blockClassOf(len(blk.nodes))]
+	l.mu.Lock()
+	l.free = append(l.free, blk.self)
+	l.mu.Unlock()
 }
 
 // slots returns the node's per-dependency slots, indexed like task.Deps.
@@ -697,7 +773,7 @@ func newRuntime(cfg Config, f *funnel) *Runtime {
 		cfg:     cfg,
 		banks:   make([]bank, cfg.Shards),
 		mask:    uint64(cfg.Shards - 1),
-		segFree: max(segFreeMin, cfg.Window/cfg.Shards),
+		segFree: max(segFreeMin, 2*cfg.Window/cfg.Shards),
 		seed:    maphash.MakeSeed(),
 		funnel:  f,
 		stopped: make(chan struct{}),
@@ -909,8 +985,9 @@ func (rt *Runtime) idle() <-chan struct{} {
 }
 
 // SubmitAll enqueues a batch of tasks in order. A chunk of the batch (up to
-// chunkMax tasks) costs one window reservation, and its task nodes and
-// handles are one allocation each (admitAll); Check Deps then runs task by
+// chunkMax tasks) costs one window reservation, its task nodes are a node
+// block a drained chunk gave back — allocated only when none is free — and
+// its handles one allocation (admitAll); Check Deps then runs task by
 // task, each under its own banks exactly as in Submit, and the tasks found
 // free of dependencies go to the workers 32 at a time, the last of them when
 // the chunk ends. (Holding the union of a chunk's banks for the whole chunk
@@ -920,7 +997,9 @@ func (rt *Runtime) idle() <-chan struct{} {
 // ErrStopped/ctx.Err() mid-batch; the returned handles cover the prefix that
 // was admitted (all tasks on success). A handle the caller keeps keeps its
 // chunk's handle block — at most chunkMax × 64 B, 16 KiB — and never a task
-// node.
+// node. A chunk's node block lives until its last task finishes, then waits
+// on the runtime's free list, held weakly: the next chunk of its size class
+// reuses it, or the next collection frees it.
 func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -951,7 +1030,8 @@ func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 }
 
 // chunkMax is the most tasks an admission chunk holds: one window reservation
-// in SubmitAll, one node block and one handle block in admitAll.
+// in SubmitAll, one node block and one handle block in admitAll. It is the
+// largest node block class (blockClasses).
 const chunkMax = 256
 
 // readyBatch is the most tasks admitAll hands to the ready queue at once.
@@ -959,12 +1039,14 @@ const readyBatch = 32
 
 // admitAll admits one chunk of tasks in order under ctx, appending their
 // handles to handles; the caller holds their window tokens. The chunk's nodes
-// are built in one block and its handles in another — the Task Pool slots
-// Nexus++ writes descriptors into, allocated once per chunk instead of twice
-// per task. The node block lives as long as any task of the chunk does,
-// which is why a finished node lets go of everything it points at
-// (resolveFinished); the handle block lives as long as the caller keeps a
-// handle, and points at no node. The tasks admitAll finds free of
+// are the entries of one node block — the Task Pool slots Nexus++ writes
+// descriptors into, taken from the runtime's free list (takeBlock) — and its
+// handles one new handle block. The node block lives as long as any task of
+// the chunk does, which is why a finished node lets go of everything it
+// points at (resolveFinished), and goes back to the free list when the last
+// of them finishes, there to be reused or, if no chunk takes it before the
+// next collection, collected. The handle block lives as long as the caller
+// keeps a handle, and points at no node. The tasks admitAll finds free of
 // dependencies reach the ready queue when readyBatch of them are collected,
 // and the rest when the chunk ends — one lock, and at most one wake-up per
 // task, for the batch instead of for each — out of a buffer that stays on
@@ -973,12 +1055,13 @@ const readyBatch = 32
 // the wavefront, and the same ready-to-run tail.)
 func (rt *Runtime) admitAll(ctx context.Context, tasks []Task, handles []*Handle) []*Handle {
 	first := rt.submitted.Add(uint64(len(tasks))) - uint64(len(tasks))
-	nodes, hs := make([]taskNode, len(tasks)), make([]Handle, len(tasks))
+	blk, hs := rt.takeBlock(len(tasks)), make([]Handle, len(tasks))
 	var buf [readyBatch]*taskNode
 	batch := buf[:0]
 	for i := range tasks {
-		node, h := &nodes[i], &hs[i]
+		node, h := &blk.nodes[i], &hs[i]
 		node.init(ctx, &tasks[i])
+		node.blk = blk
 		ready := rt.admit(node, h, first+uint64(i))
 		handles = append(handles, h)
 		switch {
@@ -1296,13 +1379,17 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) (next *taskNode) 
 		rt.firstErr.CompareAndSwap(nil, &taskFailure{err: node.err})
 	}
 	rt.record(o)
-	h, err, s := node.handle, node.err, node.task.scope
+	h, err, s, blk := node.handle, node.err, node.task.scope, node.blk
 	// The finished node lets go of everything it points at: a node of a
 	// SubmitAll chunk shares its block with its chunk-mates, and one of them
 	// still running would otherwise pin this task's body, context and
 	// dependencies. Nobody reads the node from here on, and whoever the
-	// handle wakes finds it cleared.
+	// handle wakes finds it cleared — and its block listed free, when this
+	// was the chunk's last task.
 	*node = taskNode{}
+	if blk != nil && blk.live.Add(-1) == 0 {
+		rt.putBlock(blk)
+	}
 	if s != nil {
 		s.taskDone(o, err)
 	}
