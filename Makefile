@@ -24,14 +24,13 @@ race:
 # service's codec and submit-handler pins (which skip under -race), and the
 # runtime's admission pins — two allocations per Submit, two per SubmitAll
 # or TrySubmitAll chunk of up to 256 tasks, whose node block a drained chunk
-# left on the free list — on the Runtime and through a Scope, for addresses
-# and for keys of any other kind.
+# left on the free list — on the Runtime and through a Scope.
 allocs:
 	$(GO) test ./internal/sim ./internal/mem ./internal/core ./internal/service ./internal/starss
 
 # flake hammers the tests whose outcome depends on who wins a race between
 # a finishing task and its submitter — poisoning, panics, the window, scope
-# accounting, the Prefetch phase, the maestro funnel's shutdown, WaitOn's
+# accounting, the maestro funnel's shutdown, WaitOn's
 # empty task, Close shutting the window on parked submitters,
 # the kick-off lists threaded through waiting tasks, key identity and
 # namespace isolation with concurrent scopes, the ready queue's parked-worker
@@ -47,14 +46,15 @@ allocs:
 # a submit is refused or admitted by a tryAcquire on two windows (the shared
 # one, then the session's) racing the finishers' releases.
 flake:
-	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|Prefetch|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor|Retention|FinishesBefore|NodeBlock|SegmentReuse' ./internal/starss/
+	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor|Retention|FinishesBefore|NodeBlock|SegmentReuse' ./internal/starss/
 	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled' ./internal/service/
 
 # fuzz gives each fuzz target twenty seconds. Three are the service's wire:
 # the hand-written codec against encoding/json, round trips, and the real
 # handler, which may answer hostile bytes with nothing but a typed 4xx. The
 # fourth drives the runtime's dependence table beside a map model, with keys
-# of every kind and hashes the input degrades until everything collides.
+# in several namespaces and hashes the input degrades until everything
+# collides.
 # (`go test ./...` already runs their seed corpora.)
 fuzz:
 	@for t in service/FuzzSubmitRequest service/FuzzAwaitRequest service/FuzzAwaitResponse starss/FuzzAddrTable; do \

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"io"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -281,7 +280,7 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rt.Submit(ctx, starss.Task{
-			Deps: []starss.Dep{starss.InOut(i % 64)},
+			Deps: []starss.Dep{starss.InOut(uint64(i % 64))},
 			Do:   func(context.Context) error { return nil },
 		}); err != nil {
 			b.Fatal(err)
@@ -332,7 +331,7 @@ func BenchmarkShardScalability(b *testing.B) {
 					for pb.Next() {
 						i++
 						if _, err := rt.Submit(ctx, starss.Task{
-							Deps: []starss.Dep{starss.InOut([2]int64{g, i % 512})},
+							Deps: []starss.Dep{starss.InOut(uint64(g*512 + i%512))},
 							Do:   func(context.Context) error { return nil },
 						}); err != nil {
 							b.Fatal(err)
@@ -355,7 +354,7 @@ func BenchmarkShardScalability(b *testing.B) {
 				b.RunParallel(func(pb *testing.PB) {
 					for pb.Next() {
 						if _, err := rt.Submit(ctx, starss.Task{
-							Deps: []starss.Dep{starss.InOut("hot")},
+							Deps: []starss.Dep{starss.InOut(0x40)},
 							Do:   func(context.Context) error { return nil },
 						}); err != nil {
 							b.Fatal(err)
@@ -399,7 +398,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := rt.Submit(ctx, starss.Task{
-					Deps: []starss.Dep{starss.InOut(i % 64)},
+					Deps: []starss.Dep{starss.InOut(uint64(i % 64))},
 					Do:   func(context.Context) error { return nil },
 				}); err != nil {
 					b.Fatal(err)
@@ -442,7 +441,7 @@ func BenchmarkFaultOverhead(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t := tc.task
-				t.Deps = []starss.Dep{starss.InOut(i % 64)}
+				t.Deps = []starss.Dep{starss.InOut(uint64(i % 64))}
 				t.Do = func(context.Context) error { return nil }
 				if _, err := rt.Submit(ctx, t); err != nil {
 					b.Fatal(err)
@@ -462,24 +461,20 @@ func BenchmarkFaultOverhead(b *testing.B) {
 // reused from a drained chunk (Submit allocates a node and a handle for
 // every task), and one hand-off to the ready queue per 32 ready tasks. The
 // bank work is the same on both sides — SubmitAll holds each task's banks
-// for that task only, as Submit does. scoped_addr and scoped_any push the
-// same batch through Scope.SubmitAll, keyed by address and by string: the
-// per-key cost of the Dependence Table for an address and for a key of
-// another kind, namespace included, side by side. Every sub-benchmark
-// reports its allocations; the batch the benchmark builds for each round is
+// for that task only, as Submit does. scoped pushes the same batch through
+// Scope.SubmitAll, namespace included. Every sub-benchmark reports its allocations; the batch the benchmark builds for each round is
 // among them — except in prebuilt, whose batches are built before the timer
 // starts, so its B/task is admission's own: bench/'s bytes_per_task on
 // rt_independent without the harness (go test -run '^$' -bench
 // SubmitAll/prebuilt -benchtime 4000x .).
 func BenchmarkSubmitAll(b *testing.B) {
 	const batch = 256
-	type depFn func(round, i int) starss.Dep
-	pair := func(round, i int) starss.Dep { return starss.InOut([2]int{round, i}) }
-	mkTasks := func(round int, dep depFn) []starss.Task {
+	// Every task of every round has an address of its own.
+	mkTasks := func(round int) []starss.Task {
 		tasks := make([]starss.Task, batch)
 		for i := range tasks {
 			tasks[i] = starss.Task{
-				Deps: []starss.Dep{dep(round, i)},
+				Deps: []starss.Dep{starss.InOut(uint64(round*batch+i) * 64)},
 				Do:   func(context.Context) error { return nil },
 			}
 		}
@@ -492,7 +487,7 @@ func BenchmarkSubmitAll(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, t := range mkTasks(i, pair) {
+			for _, t := range mkTasks(i) {
 				if _, err := rt.Submit(ctx, t); err != nil {
 					b.Fatal(err)
 				}
@@ -510,7 +505,7 @@ func BenchmarkSubmitAll(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := rt.SubmitAll(ctx, mkTasks(i, pair)); err != nil {
+			if _, err := rt.SubmitAll(ctx, mkTasks(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -532,7 +527,7 @@ func BenchmarkSubmitAll(b *testing.B) {
 			batches[j] = make([]starss.Task, batch)
 			for i := range batches[j] {
 				batches[j][i] = starss.Task{
-					Deps: []starss.Dep{starss.Addr(uint64(j*batch+i)*64, starss.ModeInOut)},
+					Deps: []starss.Dep{starss.InOut(uint64(j*batch+i) * 64)},
 					Do:   func(context.Context) error { return nil },
 				}
 			}
@@ -554,35 +549,23 @@ func BenchmarkSubmitAll(b *testing.B) {
 		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*batch), "B/task")
 		b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "tasks/s")
 	})
-	names := make([]string, batch)
-	for i := range names {
-		names[i] = "block" + strconv.Itoa(i)
-	}
-	for _, tc := range []struct {
-		name string
-		dep  depFn
-	}{
-		{"scoped_addr", func(round, i int) starss.Dep { return starss.Addr(uint64(round*batch+i)*64, starss.ModeInOut) }},
-		{"scoped_any", func(_, i int) starss.Dep { return starss.InOut(names[i]) }},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			rt := starss.New(starss.Config{Workers: 4, Window: 1024})
-			defer rt.Close()
-			scope := rt.Scope("bench")
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := scope.SubmitAll(ctx, mkTasks(i, tc.dep)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := rt.Wait(ctx); err != nil {
+	b.Run("scoped", func(b *testing.B) {
+		rt := starss.New(starss.Config{Workers: 4, Window: 1024})
+		defer rt.Close()
+		scope := rt.Scope("bench")
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := scope.SubmitAll(ctx, mkTasks(i)); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "tasks/s")
-		})
-	}
+		}
+		if err := rt.Wait(ctx); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "tasks/s")
+	})
 }
 
 func BenchmarkRuntimeGaussian64(b *testing.B) {
@@ -593,13 +576,13 @@ func BenchmarkRuntimeGaussian64(b *testing.B) {
 		for col := 1; col < n; col++ {
 			col := col
 			rt.MustSubmit(nexuspp.Task{
-				Deps: []nexuspp.Dep{nexuspp.InOut(col)},
+				Deps: []nexuspp.Dep{nexuspp.InOut(uint64(col))},
 				Do:   func(context.Context) error { return nil },
 			})
 			for row := col + 1; row <= n; row++ {
 				row := row
 				rt.MustSubmit(nexuspp.Task{
-					Deps: []nexuspp.Dep{nexuspp.In(col), nexuspp.InOut(row)},
+					Deps: []nexuspp.Dep{nexuspp.In(uint64(col)), nexuspp.InOut(uint64(row))},
 					Do:   func(context.Context) error { return nil },
 				})
 			}

@@ -43,19 +43,20 @@
 //		Workers: 8,
 //		Shards:  64, // dependency-table banks; 0 = default, 1 = single bank
 //	})
+//	const block = 0x1000 // the data's base address, the Dependence Table key
 //	producer, _ := rt.Submit(ctx, nexuspp.Task{
-//		Deps: []nexuspp.Dep{nexuspp.Out("block")},
+//		Deps: []nexuspp.Dep{nexuspp.Out(block)},
 //		Do:   func(ctx context.Context) error { return produce(ctx) },
 //	})
 //	consumer, _ := rt.Submit(ctx, nexuspp.Task{
-//		Deps: []nexuspp.Dep{nexuspp.In("block")},
+//		Deps: []nexuspp.Dep{nexuspp.In(block)},
 //		Do:   func(ctx context.Context) error { return consume(ctx) },
 //	})
-//	<-consumer.Done()          // per-task completion, the paper's task IDs
-//	err := consumer.Err()      // wraps ErrDependencyFailed if producer failed
-//	err = rt.WaitOn(ctx, "block") // wait on: an empty task behind the key's accesses
-//	err = rt.Wait(ctx)         // barrier; returns the first root-cause failure
-//	err = rt.Close()           // refuse new work, drain, stop, report the first failure
+//	<-consumer.Done()           // per-task completion, the paper's task IDs
+//	err := consumer.Err()       // wraps ErrDependencyFailed if producer failed
+//	err = rt.WaitOn(ctx, block) // wait on: an empty task behind the address's accesses
+//	err = rt.Wait(ctx)          // barrier; returns the first root-cause failure
+//	err = rt.Close()            // refuse new work, drain, stop, report the first failure
 //	_ = producer
 //
 // Every submission returns a *Handle — the software analogue of the task
@@ -66,14 +67,15 @@
 // rt.SubmitAll(ctx, []nexuspp.Task{...}), which reserves the in-flight
 // window once per chunk on high-frequency submission paths; dependences are
 // still checked task by task, each under its own banks. rt.WaitOn(ctx,
-// keys...) is itself a task — no body, an inout access to each key — so it
-// is ordered by the same table, counted by Stats like any task, and safe to
-// call from inside a task body.
+// addrs...) is itself a task — no body, an inout access to each address —
+// so it is ordered by the same table, counted by Stats like any task, and
+// safe to call from inside a task body.
 //
-// A dependency key is any comparable value (In, Out, InOut) or — the paper's
-// own Dependence Table key — a base address: Addr(addr, ReadWrite) names the
-// same data as InOut(uint64(addr)) and boxes nothing. rt.Scope(label) makes
-// an isolated namespace on a shared runtime (one master core's address
-// space): every call makes a new one, the label is for diagnostics only,
-// and the namespace is a field of the table key, not a wrapper around it.
+// A dependency is what a Nexus++ task descriptor lists: the base address of
+// the data, which is the Dependence Table key, and a direction. In, Out and
+// InOut build one; the literal Dep{Addr: a, Mode: ReadWrite} is InOut(a).
+// rt.Scope(label) makes an isolated namespace on a shared runtime (one
+// master core's address space): every call makes a new one, the label is
+// for diagnostics only, and the namespace is a field of the table key, not
+// a wrapper around it.
 package nexuspp

@@ -148,7 +148,7 @@ func main() {
 		}
 	}
 
-	key := func(i, j int) [2]int { return [2]int{i, j} }
+	key := func(i, j int) uint64 { return uint64(i*T + j) } // tile (i, j)'s address
 	rt := nexuspp.NewRuntime(nexuspp.RuntimeConfig{Workers: *workers, Window: 4096})
 	start := time.Now()
 	for k := 0; k < T; k++ {

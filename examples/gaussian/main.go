@@ -6,7 +6,8 @@
 // since partial pivoting may swap any row up), then n-i independent update
 // tasks eliminate the column from the remaining rows. The dependency
 // declarations alone serialise the pivot against the updates and let every
-// update of one column run in parallel — no locks, no explicit waits.
+// update of one column run in parallel — no locks, no explicit waits. A row's
+// index is the address its dependencies name.
 //
 // The result is verified against a known solution vector.
 //
@@ -63,7 +64,7 @@ func main() {
 		// every update task of the previous column, the Figure 5 barrier.
 		pivotDeps := make([]nexuspp.Dep, 0, *n-col)
 		for r := col; r < *n; r++ {
-			pivotDeps = append(pivotDeps, nexuspp.InOut(r))
+			pivotDeps = append(pivotDeps, nexuspp.InOut(uint64(r)))
 		}
 		rt.MustSubmit(nexuspp.Task{
 			Name: fmt.Sprintf("pivot-%d", col),
@@ -86,7 +87,7 @@ func main() {
 			row := row
 			rt.MustSubmit(nexuspp.Task{
 				Name: fmt.Sprintf("update-%d-%d", row, col),
-				Deps: []nexuspp.Dep{nexuspp.In(col), nexuspp.InOut(row)},
+				Deps: []nexuspp.Dep{nexuspp.In(uint64(col)), nexuspp.InOut(uint64(row))},
 				Do: func(context.Context) error {
 					f := a[row][col] / a[col][col]
 					a[row][col] = 0

@@ -28,21 +28,24 @@ func main() {
 	// A tiny dataflow: two independent producers, one consumer, exactly
 	// like annotating three function calls with StarSs pragmas. Every
 	// submission returns a typed handle — the software analogue of the
-	// task IDs the Nexus++ hardware assigns and tracks.
+	// task IDs the Nexus++ hardware assigns and tracks. Dependencies name
+	// data by base address, as a Nexus++ task descriptor does: here, four
+	// made-up ones.
+	const leftAddr, rightAddr, totalAddr, cursedAddr = 0x1000, 0x2000, 0x3000, 0x4000
 	var left, right, total int
 	rt.MustSubmit(nexuspp.Task{
 		Name: "produce-left",
-		Deps: []nexuspp.Dep{nexuspp.Out("left")},
+		Deps: []nexuspp.Dep{nexuspp.Out(leftAddr)},
 		Do:   func(context.Context) error { left = 21; return nil },
 	})
 	rt.MustSubmit(nexuspp.Task{
 		Name: "produce-right",
-		Deps: []nexuspp.Dep{nexuspp.Out("right")},
+		Deps: []nexuspp.Dep{nexuspp.Out(rightAddr)},
 		Do:   func(context.Context) error { right = 21; return nil },
 	})
 	combine := rt.MustSubmit(nexuspp.Task{
 		Name: "combine",
-		Deps: []nexuspp.Dep{nexuspp.In("left"), nexuspp.In("right"), nexuspp.Out("total")},
+		Deps: []nexuspp.Dep{nexuspp.In(leftAddr), nexuspp.In(rightAddr), nexuspp.Out(totalAddr)},
 		Do:   func(context.Context) error { total = left + right; return nil },
 	})
 	if err := rt.Wait(ctx); err != nil { // the css barrier pragma, with errors
@@ -55,12 +58,12 @@ func main() {
 	// which are skipped and report ErrDependencyFailed with the root cause.
 	fail := rt.MustSubmit(nexuspp.Task{
 		Name: "flaky-producer",
-		Deps: []nexuspp.Dep{nexuspp.Out("cursed")},
+		Deps: []nexuspp.Dep{nexuspp.Out(cursedAddr)},
 		Do:   func(context.Context) error { return errors.New("sector unreadable") },
 	})
 	dep := rt.MustSubmit(nexuspp.Task{
 		Name: "doomed-consumer",
-		Deps: []nexuspp.Dep{nexuspp.In("cursed")},
+		Deps: []nexuspp.Dep{nexuspp.In(cursedAddr)},
 		Do:   func(context.Context) error { return nil }, // never runs
 	})
 	<-dep.Done()

@@ -14,7 +14,7 @@ func bad(ctx context.Context, rt *starss.Runtime) {
 }
 
 func badTODO(ctx context.Context, rt *starss.Runtime) {
-	rt.WaitOn(context.TODO(), "k") // want "WaitOn called with context.TODO"
+	rt.WaitOn(context.TODO(), 0x40) // want "WaitOn called with context.TODO"
 }
 
 // A local derived from Background is caught like the inline form.

@@ -10,8 +10,6 @@ import (
 	"nexuspp/internal/obs"
 )
 
-type Key = any
-
 type Mode uint8
 
 const (
@@ -21,15 +19,13 @@ const (
 )
 
 type Dep struct {
-	Key  Key
+	Addr uint64
 	Mode Mode
-	addr uint64
 }
 
-func In(k Key) Dep                 { return Dep{Key: k} }
-func Out(k Key) Dep                { return Dep{Key: k} }
-func InOut(k Key) Dep              { return Dep{Key: k} }
-func Addr(addr uint64, m Mode) Dep { return Dep{addr: addr, Mode: m} }
+func In(addr uint64) Dep    { return Dep{addr, ModeIn} }
+func Out(addr uint64) Dep   { return Dep{addr, ModeOut} }
+func InOut(addr uint64) Dep { return Dep{addr, ModeInOut} }
 
 type Task struct {
 	Name string
@@ -54,7 +50,7 @@ func (rt *Runtime) Submit(ctx context.Context, t Task) (*Handle, error)         
 func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) { return nil, nil }
 func (rt *Runtime) MustSubmit(t Task) *Handle                                      { return nil }
 func (rt *Runtime) Wait(ctx context.Context) error                                 { return nil }
-func (rt *Runtime) WaitOn(ctx context.Context, keys ...Key) error                  { return nil }
+func (rt *Runtime) WaitOn(ctx context.Context, addrs ...uint64) error              { return nil }
 func (rt *Runtime) Close() error                                                   { return nil }
 func (rt *Runtime) Scope(name string) *Scope                                       { return nil }
 func (rt *Runtime) Events() *obs.Recorder                                          { return nil }
@@ -64,4 +60,4 @@ type Scope struct{ rt *Runtime }
 func (s *Scope) Submit(ctx context.Context, t Task) (*Handle, error)               { return nil, nil }
 func (s *Scope) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error)    { return nil, nil }
 func (s *Scope) TrySubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) { return nil, nil }
-func (s *Scope) WaitOn(ctx context.Context, keys ...Key) error                     { return nil }
+func (s *Scope) WaitOn(ctx context.Context, addrs ...uint64) error                 { return nil }

@@ -22,7 +22,7 @@
 // reaches the same code through their MarshalJSON/UnmarshalJSON. The cold
 // messages (session creation, stats, /debug, errors) stay on encoding/json.
 // A submitted batch then becomes runtime tasks in one pass (buildTasks),
-// its parameters address dependencies (starss.Addr), and is adopted in
+// its parameters address dependencies (starss.In/Out/InOut), and is adopted in
 // place by the session's namespace (starss.Scope.TrySubmitAll). DESIGN.md,
 // "What one submitted task costs", has the numbers and the lifetime rules.
 package service
@@ -79,8 +79,8 @@ func FromTraceSpec(spec trace.TaskSpec) TaskSpec {
 
 // buildTasks converts a wire batch into runtime tasks in one pass,
 // appending them to dst. Every task's Deps are carved from one slab, the
-// batch's only allocation here — an address dependency boxes nothing; the
-// runtime reads Deps until each task finishes, so the slab is never pooled.
+// batch's only allocation here; the runtime reads Deps until each task
+// finishes, so the slab is never pooled.
 func buildTasks(dst []starss.Task, specs []TaskSpec) ([]starss.Task, error) {
 	total := 0
 	for i := range specs {
@@ -98,11 +98,11 @@ func buildTasks(dst []starss.Task, specs []TaskSpec) ([]starss.Task, error) {
 		for j, p := range ts.Params {
 			switch p.Mode {
 			case "in":
-				deps[j] = starss.Addr(p.Addr, starss.ModeIn)
+				deps[j] = starss.In(p.Addr)
 			case "out":
-				deps[j] = starss.Addr(p.Addr, starss.ModeOut)
+				deps[j] = starss.Out(p.Addr)
 			case "inout":
-				deps[j] = starss.Addr(p.Addr, starss.ModeInOut)
+				deps[j] = starss.InOut(p.Addr)
 			default:
 				return dst, fmt.Errorf("task %q param %d: unknown mode %q (valid: in, out, inout)", ts.Name, j, p.Mode)
 			}

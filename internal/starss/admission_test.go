@@ -2,16 +2,14 @@ package starss
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"unsafe"
 )
 
-// Tests for the Get Inputs phase the worker runs before a body, the
-// goroutines a runtime starts, and the allocation and size guards on the
-// admission path.
+// Tests for the goroutines a runtime starts and stops, and the allocation
+// and size guards on the admission path.
 
 // TestRuntimeGoroutines: a runtime is its workers — New starts exactly
 // Workers goroutines (NewMaestro one more, the resolver) and Close ends them.
@@ -27,50 +25,18 @@ func TestRuntimeGoroutines(t *testing.T) {
 	}
 }
 
-// TestPrefetchStagePanicFailsOnlyItsTask: a panicking Prefetch fails its own
-// task; the tasks around it, with a Prefetch or without, and the worker that
-// recovered the panic all carry on.
-func TestPrefetchStagePanicFailsOnlyItsTask(t *testing.T) {
-	rt := New(Config{Workers: 2})
-	var ran atomic.Int32
-	body := func(context.Context) error { ran.Add(1); return nil }
-	bad := rt.MustSubmit(Task{Deps: []Dep{Out("a")}, Prefetch: func() { panic("fetch exploded") }, Do: body})
-	ok := rt.MustSubmit(Task{Deps: []Dep{Out("b")}, Prefetch: func() {}, Do: body})
-	plain := rt.MustSubmit(Task{Deps: []Dep{Out("c")}, Do: body})
-	if err := rt.Wait(context.Background()); !errors.Is(err, ErrTaskPanicked) {
-		t.Fatalf("Wait = %v, want ErrTaskPanicked", err)
-	}
-	if !errors.Is(bad.Err(), ErrTaskPanicked) || ok.Err() != nil || plain.Err() != nil {
-		t.Fatalf("errs: bad=%v ok=%v plain=%v", bad.Err(), ok.Err(), plain.Err())
-	}
-	// Every worker is still alive: more fetches than workers go through.
-	for i := 0; i < 8; i++ {
-		rt.MustSubmit(Task{Deps: []Dep{Out(i)}, Prefetch: func() {}, Do: body})
-	}
-	if err := rt.Close(); !errors.Is(err, ErrTaskPanicked) {
-		t.Fatalf("Close = %v", err)
-	}
-	if got := ran.Load(); got != 10 {
-		t.Fatalf("%d bodies ran, want 10 (all but the task whose Prefetch panicked)", got)
-	}
-	if st := rt.Stats(); st.Failed != 1 || st.Skipped != 0 || st.Executed != 10 {
-		t.Fatalf("stats = %s", st)
-	}
-}
-
-// TestCloseDrainsPrefetchStage: Close right behind a burst of Prefetch tasks
-// waits for every one of them — queued, being fetched or running — and
-// leaves the ready queue empty.
-func TestCloseDrainsPrefetchStage(t *testing.T) {
+// TestCloseDrainsBurst: Close right behind a burst of tasks waits for every
+// one of them — queued, waiting on a key or running — and leaves the ready
+// queue empty.
+func TestCloseDrainsBurst(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		rt := New(Config{Workers: 2, Window: 64})
-		var fetched, ran atomic.Int32
+		var ran atomic.Int32
 		tasks := make([]Task, 200)
 		for i := range tasks {
 			tasks[i] = Task{
-				Deps:     []Dep{InOut(i % 16)},
-				Prefetch: func() { fetched.Add(1) },
-				Do:       func(context.Context) error { ran.Add(1); return nil },
+				Deps: []Dep{InOut(uint64(i % 16))},
+				Do:   func(context.Context) error { ran.Add(1); return nil },
 			}
 		}
 		handles, err := rt.SubmitAll(context.Background(), tasks)
@@ -78,8 +44,8 @@ func TestCloseDrainsPrefetchStage(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustClose(t, rt)
-		if fetched.Load() != 200 || ran.Load() != 200 {
-			t.Fatalf("round %d: fetched %d, ran %d of 200", round, fetched.Load(), ran.Load())
+		if ran.Load() != 200 {
+			t.Fatalf("round %d: ran %d of 200", round, ran.Load())
 		}
 		for _, h := range handles {
 			if !h.finished() {
@@ -124,10 +90,9 @@ func TestSubmitAllocations(t *testing.T) {
 			name string
 			task Task
 		}{
-			{"1 key", Task{Deps: []Dep{InOut(uint64(1))}, Do: nop}},
-			{"3 keys", Task{Deps: []Dep{In(uint64(2)), In(uint64(3)), Out(uint64(4))}, Do: nop}},
-			{"2 addresses", Task{Deps: []Dep{Addr(1<<40, ModeInOut), Addr(1<<41, ModeIn)}, Do: nop}},
-			{"an address and a string", Task{Deps: []Dep{Addr(1<<42, ModeIn), Out("block")}, Do: nop}},
+			{"1 address", Task{Deps: []Dep{InOut(1)}, Do: nop}},
+			{"2 addresses", Task{Deps: []Dep{InOut(1 << 40), In(1 << 41)}, Do: nop}},
+			{"3 addresses", Task{Deps: []Dep{In(2), In(3), Out(4)}, Do: nop}},
 		} {
 			submit := func() *Handle {
 				h, err := rt.Submit(ctx, tc.task)
@@ -195,16 +160,16 @@ func TestSubmitAllocations(t *testing.T) {
 	}
 }
 
-// TestTaskNodeSize pins the node at 256 bytes. Submit allocates it on its
-// own, where one byte over moves it to the allocator's 288-byte size class;
+// TestTaskNodeSize pins the node at 240 bytes. Submit allocates it on its
+// own, where one byte over moves it to the allocator's 256-byte size class;
 // SubmitAll takes a chunk's nodes from one node block, an array with no size
 // class to absorb a byte, so each byte counts chunkMax times. Either shows as
 // bytes_per_task on bench/ workloads that run starss and in the live heap of
 // a full window. The per-dependency access slots are sized to fit — see
-// taskNode — and the block pointer took the node's last free word.
+// taskNode.
 func TestTaskNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(taskNode{}); got > 256 {
-		t.Fatalf("taskNode is %d bytes, want <= 256", got)
+	if got := unsafe.Sizeof(taskNode{}); got > 240 {
+		t.Fatalf("taskNode is %d bytes, want <= 240", got)
 	}
 }
 
@@ -222,12 +187,12 @@ func TestHandleSize(t *testing.T) {
 // for: a bank is one cache line, so adjacent banks' locks never share one —
 // the table's header sits behind a pointer for that — and a segment, with
 // the key and hash it is filed under and the free-list link that keeps the
-// bank that small, stays in the 96-byte size class.
+// bank that small, stays in the 80-byte size class.
 func TestBankAndSegmentSize(t *testing.T) {
 	if got := unsafe.Sizeof(bank{}); got != 64 {
 		t.Errorf("bank is %d bytes, want 64", got)
 	}
-	if got := unsafe.Sizeof(segState{}); got > 96 {
-		t.Errorf("segState is %d bytes, want <= 96", got)
+	if got := unsafe.Sizeof(segState{}); got > 80 {
+		t.Errorf("segState is %d bytes, want <= 80", got)
 	}
 }

@@ -49,7 +49,7 @@ func BenchmarkDepTableKeyLife(b *testing.B) {
 			holders := make([]*taskNode, resident)
 			for i := range holders {
 				holders[i] = new(taskNode)
-				checkIn(holders[i], new(Handle), []Dep{Addr(uint64(i)<<6, ModeIn)})
+				checkIn(holders[i], new(Handle), []Dep{In(uint64(i) << 6)})
 			}
 			deps := make([]Dep, keys)
 			var first, second taskNode
@@ -58,7 +58,7 @@ func BenchmarkDepTableKeyLife(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := range deps {
-					deps[j] = Addr(uint64(resident+i*keys+j)<<6, ModeIn)
+					deps[j] = In(uint64(resident+i*keys+j) << 6)
 				}
 				checkIn(&first, &firstH, deps)
 				checkIn(&second, &secondH, deps)
@@ -131,7 +131,7 @@ func BenchmarkReadyHandOff(b *testing.B) {
 		ctx := context.Background()
 		tasks := make([]Task, links)
 		for i := range tasks {
-			tasks[i] = Task{Deps: []Dep{Addr(0x40, ModeInOut)}, Do: emptyBody}
+			tasks[i] = Task{Deps: []Dep{InOut(0x40)}, Do: emptyBody}
 		}
 		b.ResetTimer()
 		for done := 0; done < b.N; done += links {

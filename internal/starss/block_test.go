@@ -55,7 +55,7 @@ func TestRetentionChunkMateBody(t *testing.T) {
 			submit := func() ([]*Handle, weak.Pointer[payload], []weak.Pointer[payload]) {
 				tasks := make([]Task, n)
 				held := new(payload)
-				tasks[0] = Task{Deps: []Dep{Addr(0x40, ModeInOut)}, Do: func(context.Context) error {
+				tasks[0] = Task{Deps: []Dep{InOut(0x40)}, Do: func(context.Context) error {
 					<-gate
 					held[0]++
 					return nil
@@ -64,7 +64,7 @@ func TestRetentionChunkMateBody(t *testing.T) {
 				for i := 1; i < n; i++ {
 					p := new(payload)
 					mates = append(mates, weak.Make(p))
-					tasks[i] = Task{Deps: []Dep{Addr(0x40+uint64(i)<<6, ModeInOut)}, Do: func(context.Context) error {
+					tasks[i] = Task{Deps: []Dep{InOut(0x40 + uint64(i)<<6)}, Do: func(context.Context) error {
 						p[0]++
 						return nil
 					}}
@@ -111,19 +111,19 @@ func queuedChunk(t *testing.T, rt *Runtime, key uint64, n int, gate <-chan struc
 func queuedChunkNodes(t *testing.T, rt *Runtime, key uint64, n int, gate <-chan struct{}) ([]*Handle, []*taskNode) {
 	t.Helper()
 	ctx := context.Background()
-	if _, err := rt.Submit(ctx, Task{Deps: []Dep{Addr(key, ModeInOut)}, Do: func(context.Context) error { <-gate; return nil }}); err != nil {
+	if _, err := rt.Submit(ctx, Task{Deps: []Dep{InOut(key)}, Do: func(context.Context) error { <-gate; return nil }}); err != nil {
 		t.Fatal(err)
 	}
 	tasks := make([]Task, n)
 	for i := range tasks {
-		tasks[i] = Task{Deps: []Dep{Addr(key, ModeIn)}, Do: emptyBody}
+		tasks[i] = Task{Deps: []Dep{In(key)}, Do: emptyBody}
 	}
 	handles, err := rt.SubmitAll(ctx, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fenceMaestro(t, rt)
-	waiters := hotWaiters(t, rt, Addr(key, ModeIn))
+	waiters := hotWaiters(t, rt, key)
 	if len(waiters) != n {
 		t.Fatalf("%d tasks wait on key %#x, want %d", len(waiters), key, n)
 	}
@@ -206,7 +206,7 @@ func TestTaskFinishesBeforeSubmitReturns(t *testing.T) {
 			var handles []*Handle
 			early := 0
 			for i := range rounds {
-				key := func(j int) Dep { return Addr(uint64(4*i+j)<<6, ModeInOut) }
+				key := func(j int) Dep { return InOut(uint64(4*i+j) << 6) }
 				h, err := rt.Submit(ctx, Task{Name: "single", Deps: []Dep{key(0)}, Do: emptyBody})
 				if err != nil {
 					t.Fatal(err)
@@ -310,7 +310,7 @@ func TestNodeBlockClass(t *testing.T) {
 			for n := 1; n <= chunkMax; n++ {
 				tasks := make([]Task, n)
 				for i := range tasks {
-					tasks[i] = Task{Deps: []Dep{Addr(uint64(i)<<6, ModeInOut)}, Do: emptyBody}
+					tasks[i] = Task{Deps: []Dep{InOut(uint64(i) << 6)}, Do: emptyBody}
 				}
 				handles, err := s.TrySubmitAll(ctx, tasks)
 				if err != nil {
@@ -351,10 +351,10 @@ func TestNodeBlockListedZero(t *testing.T) {
 			// 300 tasks: a chunk of chunkMax and one of 44, then a scope's 8.
 			tasks := make([]Task, 300)
 			for i := range tasks {
-				deps := []Dep{Addr(uint64(i%7)<<6, ModeInOut)}
+				deps := []Dep{InOut(uint64(i%7) << 6)}
 				if i%5 == 0 {
 					for j := range inlineDeps + 2 {
-						deps = append(deps, In("shared"+itoa(j)))
+						deps = append(deps, In(uint64(8+j)<<6)) // shared, past the i%7 above
 					}
 				}
 				tasks[i] = Task{Name: "task" + itoa(i), Deps: deps, Do: emptyBody}
@@ -407,7 +407,7 @@ func TestNodeBlockCollectedIdle(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			tasks := make([]Task, 300)
 			for i := range tasks {
-				tasks[i] = Task{Deps: []Dep{Addr(uint64(i)<<6, ModeInOut)}, Do: emptyBody}
+				tasks[i] = Task{Deps: []Dep{InOut(uint64(i) << 6)}, Do: emptyBody}
 			}
 			if _, err := rt.SubmitAll(ctx, tasks); err != nil {
 				t.Fatal(err)
@@ -481,9 +481,9 @@ func TestSegmentReuseSecondPass(t *testing.T) {
 				for r := range side {
 					for c := range side {
 						batch = append(batch, Task{Deps: []Dep{
-							Addr(cell(r-1, c), ModeIn),
-							Addr(cell(r, c-1), ModeIn),
-							Addr(cell(r, c), ModeInOut),
+							In(cell(r-1, c)),
+							In(cell(r, c-1)),
+							InOut(cell(r, c)),
 						}, Do: emptyBody})
 					}
 				}

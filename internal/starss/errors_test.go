@@ -34,7 +34,7 @@ func TestMidChainFailurePoisonsDependents(t *testing.T) {
 				i := i
 				handles[i] = rt.MustSubmit(Task{
 					Name: "link" + itoa(i),
-					Deps: []Dep{InOut("chain")},
+					Deps: []Dep{InOut(addrChain)},
 					Do: func(context.Context) error {
 						ran[i].Store(true)
 						if i == 1 {
@@ -76,7 +76,7 @@ func TestMidChainFailurePoisonsDependents(t *testing.T) {
 			}
 			// The failure must not wedge the runtime: the key drains, and a
 			// fresh task on it runs cleanly.
-			h := rt.MustSubmit(Task{Deps: []Dep{InOut("chain")}, Do: func(context.Context) error { return nil }})
+			h := rt.MustSubmit(Task{Deps: []Dep{InOut(addrChain)}, Do: func(context.Context) error { return nil }})
 			<-h.Done()
 			if err := h.Err(); err != nil {
 				t.Errorf("fresh task on a drained key = %v, want nil", err)
@@ -94,9 +94,9 @@ func TestMidChainFailurePoisonsDependents(t *testing.T) {
 func TestFailureDrainsRuntime(t *testing.T) {
 	rt := New(Config{Workers: 2, Window: 8})
 	gate := make(chan struct{}) // holds the segment until the chain is queued
-	rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { <-gate; return errBoom }})
+	rt.MustSubmit(Task{Deps: []Dep{InOut(addrK)}, Do: func(context.Context) error { <-gate; return errBoom }})
 	for i := 0; i < 6; i++ {
-		rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: do(func() {})})
+		rt.MustSubmit(Task{Deps: []Dep{InOut(addrK)}, Do: do(func() {})})
 	}
 	close(gate)
 	if err := rt.Wait(context.Background()); !errors.Is(err, errBoom) {
@@ -119,7 +119,7 @@ func TestWriterFailsQueuedReadersSkipped(t *testing.T) {
 			gate := make(chan struct{})
 			rt.MustSubmit(Task{
 				Name: "writer",
-				Deps: []Dep{Out("k")},
+				Deps: []Dep{Out(addrK)},
 				Do: func(context.Context) error {
 					<-gate // hold the segment until the readers are queued
 					return errBoom
@@ -129,7 +129,7 @@ func TestWriterFailsQueuedReadersSkipped(t *testing.T) {
 			readers := make([]*Handle, 3)
 			for i := range readers {
 				readers[i] = rt.MustSubmit(Task{
-					Deps: []Dep{In("k")},
+					Deps: []Dep{In(addrK)},
 					Do:   func(context.Context) error { ran.Add(1); return nil },
 				})
 			}
@@ -165,7 +165,7 @@ func TestReaderFailsWaitingWriterSkipped(t *testing.T) {
 			slow := make(chan struct{})
 			failing := rt.MustSubmit(Task{
 				Name: "failing-reader",
-				Deps: []Dep{In("k")},
+				Deps: []Dep{In(addrK)},
 				Do: func(context.Context) error {
 					<-gate // hold the segment until everyone is admitted
 					return errBoom
@@ -173,7 +173,7 @@ func TestReaderFailsWaitingWriterSkipped(t *testing.T) {
 			})
 			rt.MustSubmit(Task{
 				Name: "slow-clean-reader",
-				Deps: []Dep{In("k")},
+				Deps: []Dep{In(addrK)},
 				Do: func(context.Context) error {
 					<-slow // outlive the failing reader
 					return nil
@@ -182,7 +182,7 @@ func TestReaderFailsWaitingWriterSkipped(t *testing.T) {
 			var wrote atomic.Bool
 			writer := rt.MustSubmit(Task{
 				Name: "writer",
-				Deps: []Dep{Out("k")},
+				Deps: []Dep{Out(addrK)},
 				Do:   func(context.Context) error { wrote.Store(true); return nil },
 			})
 			close(gate)
@@ -211,12 +211,12 @@ func TestPanicBecomesError(t *testing.T) {
 			gate := make(chan struct{}) // holds the segment until the dependent is queued
 			h := rt.MustSubmit(Task{
 				Name: "kaboom",
-				Deps: []Dep{Out("k")},
+				Deps: []Dep{Out(addrK)},
 				Do:   do(func() { <-gate; panic("kaboom payload") }),
 			})
 			var ran atomic.Bool
 			dep := rt.MustSubmit(Task{
-				Deps: []Dep{In("k")},
+				Deps: []Dep{In(addrK)},
 				Do:   func(context.Context) error { ran.Store(true); return nil },
 			})
 			close(gate)
@@ -245,7 +245,7 @@ func TestSubmitCancelledOnFullWindow(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 1, Window: 1}) {
 		t.Run(name, func(t *testing.T) {
 			block := make(chan struct{})
-			rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { <-block; return nil }})
+			rt.MustSubmit(Task{Deps: []Dep{InOut(addrK)}, Do: func(context.Context) error { <-block; return nil }})
 			ctx, cancel := context.WithCancel(context.Background())
 			res := make(chan error, 1)
 			go func() {
@@ -277,7 +277,7 @@ func TestSubmitCancelledOnFullWindow(t *testing.T) {
 func TestSubmitAllCancelledOnFullWindow(t *testing.T) {
 	rt := New(Config{Workers: 1, Window: 2})
 	block := make(chan struct{})
-	rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { <-block; return nil }})
+	rt.MustSubmit(Task{Deps: []Dep{InOut(addrK)}, Do: func(context.Context) error { <-block; return nil }})
 	ctx, cancel := context.WithCancel(context.Background())
 	res := make(chan error, 1)
 	go func() {
@@ -331,11 +331,11 @@ func TestCancelAfterAdmission(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 2, Window: 8}) {
 		t.Run(name, func(t *testing.T) {
 			gate := make(chan struct{})
-			rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { <-gate; return nil }})
+			rt.MustSubmit(Task{Deps: []Dep{InOut(addrK)}, Do: func(context.Context) error { <-gate; return nil }})
 			ctx, cancel := context.WithCancel(context.Background())
 			var ran atomic.Bool
 			h, err := rt.Submit(ctx, Task{
-				Deps: []Dep{InOut("k")},
+				Deps: []Dep{InOut(addrK)},
 				Do:   func(context.Context) error { ran.Store(true); return nil },
 			})
 			if err != nil {
@@ -343,7 +343,7 @@ func TestCancelAfterAdmission(t *testing.T) {
 			}
 			var depRan atomic.Bool
 			dep := rt.MustSubmit(Task{
-				Deps: []Dep{In("k")},
+				Deps: []Dep{In(addrK)},
 				Do:   func(context.Context) error { depRan.Store(true); return nil },
 			})
 			cancel()
@@ -372,7 +372,7 @@ func TestWaitCancellation(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 1, Window: 4}) {
 		t.Run(name, func(t *testing.T) {
 			block := make(chan struct{})
-			rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { <-block; return nil }})
+			rt.MustSubmit(Task{Deps: []Dep{InOut(addrK)}, Do: func(context.Context) error { <-block; return nil }})
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()
 			if err := rt.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -394,10 +394,10 @@ func TestWaitOnCancellation(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 1, Window: 4}) {
 		t.Run(name, func(t *testing.T) {
 			block := make(chan struct{})
-			rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { <-block; return nil }})
+			rt.MustSubmit(Task{Deps: []Dep{InOut(addrK)}, Do: func(context.Context) error { <-block; return nil }})
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()
-			if err := rt.WaitOn(ctx, "k"); !errors.Is(err, context.DeadlineExceeded) {
+			if err := rt.WaitOn(ctx, addrK); !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("WaitOn under deadline = %v", err)
 			}
 			if got := rt.InFlight(); got != 2 {
@@ -405,9 +405,9 @@ func TestWaitOnCancellation(t *testing.T) {
 			}
 			// A reader submitted behind the abandoned wait, under a live context.
 			var read atomic.Bool
-			reader := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Do: do(func() { read.Store(true) })})
+			reader := rt.MustSubmit(Task{Deps: []Dep{In(addrK)}, Do: do(func() { read.Store(true) })})
 			close(block)
-			if err := rt.WaitOn(context.Background(), "k"); err != nil {
+			if err := rt.WaitOn(context.Background(), addrK); err != nil {
 				t.Fatalf("WaitOn = %v", err)
 			}
 			if err := reader.Err(); err != nil || !read.Load() {
@@ -427,8 +427,8 @@ func TestWaitOnCancellation(t *testing.T) {
 func TestHandleIdentity(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 2}) {
 		t.Run(name, func(t *testing.T) {
-			named := rt.MustSubmit(Task{Name: "alpha", Deps: []Dep{Out("a")}, Do: do(func() {})})
-			anon := rt.MustSubmit(Task{Deps: []Dep{Out("b")}, Do: do(func() {})})
+			named := rt.MustSubmit(Task{Name: "alpha", Deps: []Dep{Out(addrA)}, Do: do(func() {})})
+			anon := rt.MustSubmit(Task{Deps: []Dep{Out(addrB)}, Do: do(func() {})})
 			if named.Name() != "alpha" {
 				t.Errorf("Name = %q", named.Name())
 			}
@@ -449,7 +449,7 @@ func TestHandleIdentity(t *testing.T) {
 func TestHandleErrNilWhilePending(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	block := make(chan struct{})
-	h := rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { <-block; return errBoom }})
+	h := rt.MustSubmit(Task{Deps: []Dep{InOut(addrK)}, Do: func(context.Context) error { <-block; return errBoom }})
 	if err := h.Err(); err != nil {
 		t.Fatalf("pending handle Err = %v, want nil", err)
 	}
@@ -469,7 +469,7 @@ func TestHandleErrNilWhilePending(t *testing.T) {
 func TestHandleWaitCancellation(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	block := make(chan struct{})
-	h := rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { <-block; return nil }})
+	h := rt.MustSubmit(Task{Deps: []Dep{InOut(addrK)}, Do: func(context.Context) error { <-block; return nil }})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := h.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -494,7 +494,7 @@ func TestSubmitAllHandles(t *testing.T) {
 	for i := range tasks {
 		i := i
 		tasks[i] = Task{
-			Deps: []Dep{InOut("chain")},
+			Deps: []Dep{InOut(addrChain)},
 			Do: func(context.Context) error {
 				switch i {
 				case 0:
@@ -554,66 +554,6 @@ func itoa(i int) string {
 	return string(rune('0' + i))
 }
 
-// TestWriteBackPanicBecomesError: panics in the Put Outputs phase are
-// recovered like body panics — the task fails and poisons its dependents
-// instead of crashing the worker.
-func TestWriteBackPanicBecomesError(t *testing.T) {
-	for name, rt := range newRuntimes(Config{Workers: 2}) {
-		t.Run(name, func(t *testing.T) {
-			gate := make(chan struct{}) // holds the segment until the dependent is queued
-			h := rt.MustSubmit(Task{
-				Deps:      []Dep{Out("k")},
-				Do:        do(func() { <-gate }),
-				WriteBack: func() { panic("writeback exploded") },
-			})
-			var ran atomic.Bool
-			dep := rt.MustSubmit(Task{
-				Deps: []Dep{In("k")},
-				Do:   func(context.Context) error { ran.Store(true); return nil },
-			})
-			close(gate)
-			if err := rt.Wait(context.Background()); !errors.Is(err, ErrTaskPanicked) {
-				t.Fatalf("Wait = %v, want ErrTaskPanicked", err)
-			}
-			if !errors.Is(h.Err(), ErrTaskPanicked) || !strings.Contains(h.Err().Error(), "writeback exploded") {
-				t.Errorf("handle err = %v", h.Err())
-			}
-			if ran.Load() || !errors.Is(dep.Err(), ErrDependencyFailed) {
-				t.Errorf("dependent ran=%v err=%v", ran.Load(), dep.Err())
-			}
-			rt.Close()
-		})
-	}
-}
-
-// TestPrefetchPanicBecomesError: a panic in the Get Inputs phase fails the
-// task (body never runs) rather than killing the worker that fetched.
-func TestPrefetchPanicBecomesError(t *testing.T) {
-	for name, rt := range newRuntimes(Config{Workers: 2}) {
-		t.Run(name, func(t *testing.T) {
-			var ran atomic.Bool
-			gate := make(chan struct{}) // holds the segment until the dependent is queued
-			h := rt.MustSubmit(Task{
-				Deps:     []Dep{Out("k")},
-				Prefetch: func() { <-gate; panic("prefetch exploded") },
-				Do:       func(context.Context) error { ran.Store(true); return nil },
-			})
-			dep := rt.MustSubmit(Task{Deps: []Dep{In("k")}, Do: do(func() {})})
-			close(gate)
-			if err := rt.Wait(context.Background()); !errors.Is(err, ErrTaskPanicked) {
-				t.Fatalf("Wait = %v, want ErrTaskPanicked", err)
-			}
-			if ran.Load() {
-				t.Error("body ran after its Prefetch panicked")
-			}
-			if !errors.Is(h.Err(), ErrTaskPanicked) || !errors.Is(dep.Err(), ErrDependencyFailed) {
-				t.Errorf("handle err = %v, dependent err = %v", h.Err(), dep.Err())
-			}
-			rt.Close()
-		})
-	}
-}
-
 // TestReaderJoiningPoisonedSegmentSkipped: a reader that joins a
 // still-live poisoned segment without queueing (sharing the reader group
 // with already-skipped readers) is tainted too — not just the waiters
@@ -624,7 +564,7 @@ func TestReaderJoiningPoisonedSegmentSkipped(t *testing.T) {
 			writerGate := make(chan struct{})
 			writer := rt.MustSubmit(Task{
 				Name: "writer",
-				Deps: []Dep{Out("k")},
+				Deps: []Dep{Out(addrK)},
 				Do:   func(context.Context) error { <-writerGate; return errBoom },
 			})
 			// r1 also reads k2, which a gated writer holds: when the failed
@@ -633,16 +573,16 @@ func TestReaderJoiningPoisonedSegmentSkipped(t *testing.T) {
 			// stays live, poisoned, with r1 in it until the test opens the gate.
 			gate := make(chan struct{})
 			rt.MustSubmit(Task{
-				Deps: []Dep{Out("k2")},
+				Deps: []Dep{Out(addrK2)},
 				Do:   func(context.Context) error { <-gate; return nil },
 			})
-			r1 := rt.MustSubmit(Task{Deps: []Dep{In("k"), In("k2")}, Do: do(func() {})})
+			r1 := rt.MustSubmit(Task{Deps: []Dep{In(addrK), In(addrK2)}, Do: do(func() {})})
 			close(writerGate)
 			<-writer.Done()
 			var lateRan atomic.Bool
 			late := rt.MustSubmit(Task{
 				Name: "late-reader",
-				Deps: []Dep{In("k")},
+				Deps: []Dep{In(addrK)},
 				Do:   func(context.Context) error { lateRan.Store(true); return nil },
 			})
 			close(gate)
@@ -675,7 +615,7 @@ func TestMaestroCloseSubmitRace(t *testing.T) {
 			defer close(done)
 			for j := 0; j < 500; j++ {
 				if _, err := m.Submit(context.Background(), Task{
-					Deps: []Dep{InOut(j % 4)},
+					Deps: []Dep{InOut(uint64(j % 4))},
 					Do:   do(func() {}),
 				}); err != nil {
 					if !errors.Is(err, ErrStopped) {
@@ -700,7 +640,7 @@ func TestSubmitAfterCloseUniformErrStopped(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 2, Window: 8}) {
 		t.Run(name, func(t *testing.T) {
 			h := rt.MustSubmit(Task{
-				Deps: []Dep{InOut("k")},
+				Deps: []Dep{InOut(addrK)},
 				Do:   func(context.Context) error { return nil },
 			})
 			if err := rt.Close(); err != nil {
@@ -710,7 +650,7 @@ func TestSubmitAfterCloseUniformErrStopped(t *testing.T) {
 				t.Fatalf("pre-Close task err = %v", err)
 			}
 			if _, err := rt.Submit(context.Background(), Task{
-				Deps: []Dep{InOut("k")},
+				Deps: []Dep{InOut(addrK)},
 				Do:   func(context.Context) error { return nil },
 			}); !errors.Is(err, ErrStopped) {
 				t.Errorf("Submit after Close = %v, want ErrStopped", err)
@@ -720,7 +660,7 @@ func TestSubmitAfterCloseUniformErrStopped(t *testing.T) {
 			}
 			for _, batch := range [][]Task{
 				nil, // the empty batch must not short-circuit to success
-				{{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { return nil }}},
+				{{Deps: []Dep{InOut(addrK)}, Do: func(context.Context) error { return nil }}},
 			} {
 				handles, err := rt.SubmitAll(context.Background(), batch)
 				if !errors.Is(err, ErrStopped) {

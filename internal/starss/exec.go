@@ -30,18 +30,14 @@ var ErrTaskTimeout = errors.New("starss: task deadline exceeded")
 // handle-finished path, recording the outcome on the node: skipped when a
 // transitive dependency poisoned it, failed when its context was cancelled
 // before it started, executed as it stands when it has no body (a WaitOn),
-// and otherwise the final attempt's result — panics
-// (from the body or WriteBack) recovered into ErrTaskPanicked, deadline
-// overruns surfaced as ErrTaskTimeout, and failures re-armed up to
-// Task.MaxRetries times before they stick and poison dependents.
+// and otherwise the final attempt's result — panics recovered into
+// ErrTaskPanicked, deadline overruns surfaced as ErrTaskTimeout, and
+// failures re-armed up to Task.MaxRetries times before they stick and
+// poison dependents.
 func (rt *Runtime) runNode(node *taskNode, worker int) {
 	if p := node.poison.Load(); p != nil {
 		node.wasSkipped = true
 		node.err = fmt.Errorf("%w: task %q skipped: %w", ErrDependencyFailed, node.handle.Name(), p.err)
-		return
-	}
-	if node.err != nil {
-		// The Get Inputs phase already failed the task (a Prefetch panic).
 		return
 	}
 	if err := node.ctx.Err(); err != nil {
@@ -70,9 +66,9 @@ func (rt *Runtime) runNode(node *taskNode, worker int) {
 }
 
 // runAttempt executes one attempt of the task body: injected faults first,
-// then the body under the per-task deadline, then WriteBack. Panics from
-// the body or WriteBack are recovered into ErrTaskPanicked. Config.Faults nil
-// (the default) disables injection at the cost of one branch per attempt.
+// then the body under the per-task deadline. A panic is recovered into
+// ErrTaskPanicked. Config.Faults nil (the default) disables injection at the
+// cost of one branch per attempt.
 func (rt *Runtime) runAttempt(node *taskNode, attempt, worker int) (err error) {
 	ctx := node.ctx
 	deadline := node.task.Timeout
@@ -106,9 +102,6 @@ func (rt *Runtime) runAttempt(node *taskNode, attempt, worker int) (err error) {
 	}
 	if err := node.task.Do(ctx); err != nil {
 		return timeoutCause(ctx, deadline, err)
-	}
-	if node.task.WriteBack != nil {
-		node.task.WriteBack()
 	}
 	return nil
 }

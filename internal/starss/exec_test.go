@@ -25,7 +25,7 @@ func TestRetryRecovers(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	var calls atomic.Int64
 	h := rt.MustSubmit(Task{
-		Deps:         []Dep{InOut("k")},
+		Deps:         []Dep{InOut(addrK)},
 		Do:           failNTimes(2, &calls),
 		MaxRetries:   3,
 		RetryBackoff: time.Microsecond,
@@ -48,7 +48,7 @@ func TestRetryExhausts(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
 	h := rt.MustSubmit(Task{
-		Deps:         []Dep{InOut("k")},
+		Deps:         []Dep{InOut(addrK)},
 		Do:           func(context.Context) error { calls.Add(1); return boom },
 		MaxRetries:   2,
 		RetryBackoff: time.Microsecond,
@@ -78,13 +78,13 @@ func TestRetryRearmsBeforePoison(t *testing.T) {
 	var calls atomic.Int64
 	var depRan atomic.Bool
 	rt.MustSubmit(Task{
-		Deps:         []Dep{Out("chain")},
+		Deps:         []Dep{Out(addrChain)},
 		Do:           failNTimes(2, &calls),
 		MaxRetries:   2,
 		RetryBackoff: time.Microsecond,
 	})
 	dep := rt.MustSubmit(Task{
-		Deps: []Dep{In("chain")},
+		Deps: []Dep{In(addrChain)},
 		Do:   do(func() { depRan.Store(true) }),
 	})
 	mustClose(t, rt)
@@ -102,7 +102,7 @@ func TestRetryRearmsBeforePoison(t *testing.T) {
 func TestTaskTimeout(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	h := rt.MustSubmit(Task{
-		Deps: []Dep{InOut("k")},
+		Deps: []Dep{InOut(addrK)},
 		Do: func(ctx context.Context) error {
 			<-ctx.Done()
 			return context.Cause(ctx)
@@ -123,7 +123,7 @@ func TestTimeoutRetries(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	var calls atomic.Int64
 	h := rt.MustSubmit(Task{
-		Deps: []Dep{InOut("k")},
+		Deps: []Dep{InOut(addrK)},
 		Do: func(ctx context.Context) error {
 			if calls.Add(1) == 1 {
 				<-ctx.Done()
@@ -151,7 +151,7 @@ func TestCancelledContextIsFinal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
 	h, err := rt.Submit(ctx, Task{
-		Deps: []Dep{InOut("k")},
+		Deps: []Dep{InOut(addrK)},
 		Do: func(ctx context.Context) error {
 			calls.Add(1)
 			cancel()
@@ -185,7 +185,7 @@ func TestInjectedFaultsRetried(t *testing.T) {
 	handles := make([]*Handle, n)
 	for i := 0; i < n; i++ {
 		handles[i] = rt.MustSubmit(Task{
-			Deps:         []Dep{Out(i)},
+			Deps:         []Dep{Out(uint64(i))},
 			Do:           do(func() {}),
 			MaxRetries:   maxRetries,
 			RetryBackoff: time.Microsecond,
@@ -230,7 +230,7 @@ func TestMaestroRetries(t *testing.T) {
 	m := NewMaestro(Config{Workers: 2})
 	var calls atomic.Int64
 	h := m.MustSubmit(Task{
-		Deps:         []Dep{InOut("k")},
+		Deps:         []Dep{InOut(addrK)},
 		Do:           failNTimes(2, &calls),
 		MaxRetries:   3,
 		RetryBackoff: time.Microsecond,
@@ -253,7 +253,7 @@ func TestKickoffDelayInjection(t *testing.T) {
 	rt := New(Config{Workers: 4, Faults: in})
 	var ran atomic.Int64
 	for i := 0; i < 16; i++ {
-		rt.MustSubmit(Task{Deps: []Dep{Out(i)}, Do: do(func() { ran.Add(1) })})
+		rt.MustSubmit(Task{Deps: []Dep{Out(uint64(i))}, Do: do(func() { ran.Add(1) })})
 	}
 	mustClose(t, rt)
 	if ran.Load() != 16 {

@@ -17,6 +17,28 @@ func mustClose(t testing.TB, rt interface{ Close() error }) {
 	}
 }
 
+// Named addresses for the tests' data, far above the small indices other
+// tests name theirs by, so that the two never alias.
+const (
+	addrK uint64 = 1<<32 + 64*iota
+	addrK2
+	addrA
+	addrB
+	addrC
+	addrX
+	addrY
+	addrZ
+	addrV
+	addrChain
+	addrShared
+	addrBlock
+	addrMatrix
+	addrRelay
+	addrOther
+	addrUnused
+	addrIndependent
+)
+
 // do adapts a body that takes no context and cannot fail to Task.Do.
 func do(f func()) func(context.Context) error {
 	return func(context.Context) error { f(); return nil }
@@ -32,7 +54,7 @@ func fenceMaestro(t testing.TB, rt *Runtime) {
 	if rt.funnel == nil {
 		return
 	}
-	if err := rt.Scope("fence").WaitOn(context.Background(), uint64(0)); err != nil {
+	if err := rt.Scope("fence").WaitOn(context.Background(), 0); err != nil {
 		t.Fatalf("fence: %v", err)
 	}
 }

@@ -167,11 +167,11 @@ func TestKickoffDeepMixedQueue(t *testing.T) {
 	}
 }
 
-// hotWaiters walks the kick-off list of hot's key and returns its nodes in
+// hotWaiters walks the kick-off list of address hot and returns its nodes in
 // order, checking the list's own bookkeeping on the way.
-func hotWaiters(t *testing.T, rt *Runtime, hot Dep) []*taskNode {
+func hotWaiters(t *testing.T, rt *Runtime, hot uint64) []*taskNode {
 	t.Helper()
-	key := tableKeyOf(0, hot)
+	key := tableKey{0, hot}
 	h := rt.hashKey(key)
 	idx := []int32{rt.bankOf(h)}
 	rt.lockBanks(idx)
@@ -182,8 +182,8 @@ func hotWaiters(t *testing.T, rt *Runtime, hot Dep) []*taskNode {
 	}
 	var nodes []*taskNode
 	for n, slot := seg.head, seg.headSlot; n != nil; {
-		if got := tableKeyOf(0, n.task.Deps[slot]); got != key {
-			t.Fatalf("waiter %d is linked through slot %d, which holds key %v", len(nodes), slot, got)
+		if got := n.task.Deps[slot].Addr; got != hot {
+			t.Fatalf("waiter %d is linked through slot %d, which holds address %#x", len(nodes), slot, got)
 		}
 		nodes = append(nodes, n)
 		acc, nextSlot := n.slots()
@@ -210,24 +210,19 @@ func hotWaiters(t *testing.T, rt *Runtime, hot Dep) []*taskNode {
 // pointer into its chunk's block or out of it; and once the graph has
 // drained no key is left in any bank, and every recycled segment on the bank
 // free lists is empty — no head, no tail, no reader, no poison, no key. It
-// runs over addresses and then, on the same runtime, with every address
-// boxed into a key of another kind: the banks file both in the one table,
-// and a recycled segment must not pin a boxed key.
+// runs twice on the same runtime: the second pass files its segments off the
+// free lists the first one left.
 func TestKickoffDrainLeavesNoLinks(t *testing.T) {
 	specs := deepQueue(5, 4)
-	boxed := func(addr uint64, m Mode) Dep { return Dep{Key: [2]uint64{addr, ^addr}, Mode: m} }
 	for name, rt := range newRuntimes(Config{Workers: 4, Window: 2 * len(specs)}) {
 		t.Run(name, func(t *testing.T) {
-			for _, dep := range []func(uint64, Mode) Dep{Addr, boxed} {
+			for range 2 {
 				// Every body reports that it runs and holds until released.
 				started := make(chan int)
 				release := make([]chan struct{}, len(specs))
 				tasks := make([]Task, len(specs))
 				for i, spec := range specs {
 					tasks[i] = TaskFromSpec(spec, ReplayOptions{ZeroCost: true})
-					for j, d := range tasks[i].Deps {
-						tasks[i].Deps[j] = dep(d.addr, d.Mode)
-					}
 					release[i] = make(chan struct{})
 					tasks[i].Do = func(context.Context) error { started <- i; <-release[i]; return nil }
 				}
@@ -242,7 +237,7 @@ func TestKickoffDrainLeavesNoLinks(t *testing.T) {
 					t.Fatalf("task %d runs before the gate", i)
 				}
 				fenceMaestro(t, rt)
-				nodes := hotWaiters(t, rt, dep(hotKey, ModeIn))
+				nodes := hotWaiters(t, rt, hotKey)
 				if len(nodes) != len(specs)-1 {
 					t.Fatalf("%d tasks wait on the hot key, want %d", len(nodes), len(specs)-1)
 				}

@@ -148,11 +148,11 @@ func TestEventStreamPoison(t *testing.T) {
 	rt := New(Config{Workers: 2, EventBuffer: 64})
 	gate := make(chan struct{}) // holds the segment until the dependent is queued
 	boom := rt.MustSubmit(Task{
-		Deps: []Dep{Out("k")},
+		Deps: []Dep{Out(addrK)},
 		Do:   func(context.Context) error { <-gate; return errBoom },
 	})
 	dep := rt.MustSubmit(Task{
-		Deps: []Dep{In("k")},
+		Deps: []Dep{In(addrK)},
 		Do:   func(context.Context) error { return nil },
 	})
 	close(gate)

@@ -139,7 +139,7 @@ func TestReadyQueueFullWindowPushDoesNotBlock(t *testing.T) {
 	go func() {
 		defer close(submitted)
 		for i := 1; i < window; i++ {
-			rt.MustSubmit(Task{Deps: []Dep{Out(i)}, Do: do(func() {})})
+			rt.MustSubmit(Task{Deps: []Dep{Out(uint64(i))}, Do: do(func() {})})
 		}
 	}()
 	select {
@@ -173,7 +173,7 @@ func TestReadyNoHiddenTask(t *testing.T) {
 				}
 			}}
 			for i := 1; i < n; i++ {
-				tasks[i] = Task{Deps: []Dep{Out(i)}, Do: do(func() {
+				tasks[i] = Task{Deps: []Dep{Out(uint64(i))}, Do: do(func() {
 					if ran.Add(1) == n-1 {
 						close(allRan)
 					}
@@ -193,8 +193,8 @@ func TestReadyNoHiddenTask(t *testing.T) {
 
 // TestSuccessorRunsNext: on one worker, the task a finisher releases runs
 // before a ready task that was queued earlier — it never enters the queue —
-// and it still gets what the queue's path would have given it: its Prefetch
-// and the injected kick-off delay.
+// and it still gets what the queue's path would have given it: the injected
+// kick-off delay.
 func TestSuccessorRunsNext(t *testing.T) {
 	in := faults.New(&faults.Plan{Seed: 1, Rules: []faults.Rule{
 		{Site: faults.SiteKickoffDelay, Every: 1, Delay: time.Microsecond},
@@ -206,12 +206,12 @@ func TestSuccessorRunsNext(t *testing.T) {
 		return func() { mu.Lock(); order = append(order, s); mu.Unlock() }
 	}
 	gate := make(chan struct{}) // holds the producer until everything is queued
-	rt.MustSubmit(Task{Deps: []Dep{Out("k")}, Do: do(func() { <-gate; note("producer")() })})
-	rt.MustSubmit(Task{Deps: []Dep{Out("other")}, Do: do(note("queued"))})
-	rt.MustSubmit(Task{Deps: []Dep{In("k")}, Prefetch: note("fetch"), Do: do(note("successor"))})
+	rt.MustSubmit(Task{Deps: []Dep{Out(addrK)}, Do: do(func() { <-gate; note("producer")() })})
+	rt.MustSubmit(Task{Deps: []Dep{Out(addrOther)}, Do: do(note("queued"))})
+	rt.MustSubmit(Task{Deps: []Dep{In(addrK)}, Do: do(note("successor"))})
 	close(gate)
 	mustClose(t, rt)
-	if want := []string{"producer", "fetch", "successor", "queued"}; !slices.Equal(order, want) {
+	if want := []string{"producer", "successor", "queued"}; !slices.Equal(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
 	if got := in.Fired(faults.SiteKickoffDelay); got != 3 {
@@ -231,9 +231,9 @@ func TestSuccessorBoundedRun(t *testing.T) {
 			var ran atomic.Int64
 			headRunning, gate := make(chan struct{}), make(chan struct{})
 			chain := make([]Task, links)
-			chain[0] = Task{Deps: []Dep{InOut("chain")}, Do: do(func() { ran.Add(1); close(headRunning); <-gate })}
+			chain[0] = Task{Deps: []Dep{InOut(addrChain)}, Do: do(func() { ran.Add(1); close(headRunning); <-gate })}
 			for i := 1; i < links; i++ {
-				chain[i] = Task{Deps: []Dep{InOut("chain")}, Do: do(func() { ran.Add(1) })}
+				chain[i] = Task{Deps: []Dep{InOut(addrChain)}, Do: do(func() { ran.Add(1) })}
 			}
 			ctx := context.Background()
 			if _, err := rt.SubmitAll(ctx, chain); err != nil {
@@ -241,7 +241,7 @@ func TestSuccessorBoundedRun(t *testing.T) {
 			}
 			<-headRunning
 			var ahead atomic.Int64
-			rt.MustSubmit(Task{Deps: []Dep{Out("independent")}, Do: do(func() { ahead.Store(ran.Load()) })})
+			rt.MustSubmit(Task{Deps: []Dep{Out(addrIndependent)}, Do: do(func() { ahead.Store(ran.Load()) })})
 			close(gate)
 			if err := rt.Wait(ctx); err != nil {
 				t.Fatal(err)

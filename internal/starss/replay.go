@@ -64,20 +64,13 @@ func durationOf(t sim.Time) time.Duration {
 }
 
 // TaskFromSpec synthesizes an executable Task from one traced task: the
-// parameter list becomes Addr dependencies on the parameters' base addresses,
-// and the body sleeps for the traced execution plus memory time (scaled by
-// opts.TimeScale) or does nothing under ZeroCost.
+// parameter list becomes the dependency list, base address and mode for
+// base address and mode, and the body sleeps for the traced execution plus
+// memory time (scaled by opts.TimeScale) or does nothing under ZeroCost.
 func TaskFromSpec(spec trace.TaskSpec, opts ReplayOptions) Task {
 	deps := make([]Dep, len(spec.Params))
 	for i, p := range spec.Params {
-		switch p.Mode {
-		case trace.In:
-			deps[i] = Addr(p.Addr, ModeIn)
-		case trace.Out:
-			deps[i] = Addr(p.Addr, ModeOut)
-		default:
-			deps[i] = Addr(p.Addr, ModeInOut)
-		}
+		deps[i] = Dep{p.Addr, p.Mode}
 	}
 	// No Name: the runtime derives "task<index>" on demand, and the
 	// submission index equals the trace ID under in-order replay; a

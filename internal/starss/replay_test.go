@@ -30,7 +30,7 @@ func TestTaskFromSpecMapsModes(t *testing.T) {
 		{Addr: 3, Mode: trace.InOut},
 	}}
 	task := TaskFromSpec(spec, ReplayOptions{ZeroCost: true})
-	want := []Dep{Addr(1, ModeIn), Addr(2, ModeOut), Addr(3, ModeInOut)}
+	want := []Dep{In(1), Out(2), InOut(3)}
 	if len(task.Deps) != len(want) {
 		t.Fatalf("deps = %v", task.Deps)
 	}

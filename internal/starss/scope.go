@@ -4,8 +4,8 @@ package starss
 // analogue of one master core among the many a single Nexus++ task manager
 // serves (internal/core/master.go). Every scope is a namespace of its own:
 // the number it takes from the runtime is part of the Dependence Table key
-// of every dependency submitted through it (tableKeyOf), so two scopes
-// using identical keys can never create cross-scope dependencies — they
+// of every dependency submitted through it (tableKey), so two scopes
+// using identical addresses can never create cross-scope dependencies — they
 // file distinct dependence-table segments exactly as two masters' address
 // spaces occupy distinct table entries in hardware. Nothing is rewritten:
 // a scoped task carries its scope, and Check Deps and Handle Finished read
@@ -48,7 +48,7 @@ type Scope struct {
 // Scope returns a new submission namespace on the runtime, with an unbounded
 // share of the window. Every call makes a fresh namespace, fully isolated
 // from every other scope and from the runtime's own keys even on identical
-// user keys. The name is a label for diagnostics only: two Scope calls with
+// addresses. The name is a label for diagnostics only: two Scope calls with
 // the same name are two namespaces, not one.
 func (rt *Runtime) Scope(name string) *Scope { return rt.BoundedScope(name, math.MaxInt) }
 
@@ -167,11 +167,11 @@ func (s *Scope) TrySubmitAll(ctx context.Context, tasks []Task) ([]*Handle, erro
 }
 
 // WaitOn blocks until every task previously submitted through the scope that
-// accesses any of the given keys has completed; see Runtime.WaitOn. The task
-// it submits is the scope's: it takes a token of the scope's window too, and
-// the scope's counters include it.
-func (s *Scope) WaitOn(ctx context.Context, keys ...Key) error {
-	return s.rt.waitOn(ctx, s, keys)
+// accesses any of the given addresses has completed; see Runtime.WaitOn. The
+// task it submits is the scope's: it takes a token of the scope's window
+// too, and the scope's counters include it.
+func (s *Scope) WaitOn(ctx context.Context, addrs ...uint64) error {
+	return s.rt.waitOn(ctx, s, addrs)
 }
 
 // InFlight returns the scope's current submitted-but-unfinished count —

@@ -30,7 +30,7 @@ func TestScopeIsolationIdenticalKeys(t *testing.T) {
 	openGate := sync.OnceFunc(func() { close(gate) })
 	defer openGate() // a test failure must not wedge the deferred Close
 	ha, err := a.Submit(context.Background(), Task{
-		Deps: []Dep{InOut("matrix")},
+		Deps: []Dep{InOut(addrMatrix)},
 		Do: func(ctx context.Context) error {
 			select {
 			case <-gate:
@@ -44,7 +44,7 @@ func TestScopeIsolationIdenticalKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	hb, err := b.Submit(context.Background(), Task{
-		Deps: []Dep{InOut("matrix")},
+		Deps: []Dep{InOut(addrMatrix)},
 		Do:   func(context.Context) error { return nil },
 	})
 	if err != nil {
@@ -84,7 +84,7 @@ func TestScopeOrderingWithinScope(t *testing.T) {
 	openGate := sync.OnceFunc(func() { close(gate) })
 	defer openGate()
 	first, err := s.Submit(context.Background(), Task{
-		Deps: []Dep{InOut("k")},
+		Deps: []Dep{InOut(addrK)},
 		Do: func(ctx context.Context) error {
 			select {
 			case <-gate:
@@ -98,7 +98,7 @@ func TestScopeOrderingWithinScope(t *testing.T) {
 		t.Fatal(err)
 	}
 	second, err := s.Submit(context.Background(), Task{
-		Deps: []Dep{InOut("k")},
+		Deps: []Dep{InOut(addrK)},
 		Do:   func(context.Context) error { return nil },
 	})
 	if err != nil {
@@ -135,7 +135,7 @@ func TestScopeStatsClassification(t *testing.T) {
 
 	gate := make(chan struct{}) // holds the segment until the dependent is queued
 	hFail, err := bad.Submit(context.Background(), Task{
-		Deps: []Dep{InOut("shared")},
+		Deps: []Dep{InOut(addrShared)},
 		Do:   func(context.Context) error { <-gate; return errBoom },
 	})
 	if err != nil {
@@ -143,7 +143,7 @@ func TestScopeStatsClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	hSkip, err := bad.Submit(context.Background(), Task{
-		Deps: []Dep{InOut("shared")},
+		Deps: []Dep{InOut(addrShared)},
 		Do:   func(context.Context) error { return nil },
 	})
 	close(gate)
@@ -162,7 +162,7 @@ func TestScopeStatsClassification(t *testing.T) {
 	// The other scope's task on the same user key is untouched by the
 	// poisoned segment — it lives in a different namespace.
 	hOK, err := good.Submit(context.Background(), Task{
-		Deps: []Dep{InOut("shared")},
+		Deps: []Dep{InOut(addrShared)},
 		Do:   func(context.Context) error { return nil },
 	})
 	if err != nil {
@@ -175,7 +175,7 @@ func TestScopeStatsClassification(t *testing.T) {
 	// A body that relays a dependency failure it met elsewhere.
 	relayGate := make(chan struct{}) // holds the segment until the dependent is queued
 	hWrap, err := bad.Submit(context.Background(), Task{
-		Deps: []Dep{InOut("relay")},
+		Deps: []Dep{InOut(addrRelay)},
 		Do: func(context.Context) error {
 			<-relayGate
 			return fmt.Errorf("upstream: %w", ErrDependencyFailed)
@@ -186,7 +186,7 @@ func TestScopeStatsClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	hWrapDep, err := bad.Submit(context.Background(), Task{
-		Deps: []Dep{InOut("relay")},
+		Deps: []Dep{InOut(addrRelay)},
 		Do:   func(context.Context) error { return nil },
 	})
 	close(relayGate)
@@ -230,7 +230,7 @@ func TestScopeSubmitAllAndOnDone(t *testing.T) {
 	tasks := make([]Task, 20)
 	for i := range tasks {
 		tasks[i] = Task{
-			Deps: []Dep{InOut(i % 4)},
+			Deps: []Dep{InOut(uint64(i % 4))},
 			Do:   func(context.Context) error { return nil },
 		}
 	}
@@ -278,7 +278,7 @@ func TestScopeWaitOn(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	if _, err := a.Submit(context.Background(), Task{
-		Deps: []Dep{InOut("k")},
+		Deps: []Dep{InOut(addrK)},
 		Do: func(ctx context.Context) error {
 			select {
 			case <-gate:
@@ -291,7 +291,7 @@ func TestScopeWaitOn(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, err := b.Submit(context.Background(), Task{
-		Deps: []Dep{InOut("k")},
+		Deps: []Dep{InOut(addrK)},
 		Do:   func(context.Context) error { return nil },
 	})
 	if err != nil {
@@ -302,8 +302,8 @@ func TestScopeWaitOn(t *testing.T) {
 	if err := h.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Scope B's key space is quiet even though scope A still holds "k".
-	if err := b.WaitOn(ctx, "k"); err != nil {
+	// Scope B's key space is quiet even though scope A still holds addrK.
+	if err := b.WaitOn(ctx, addrK); err != nil {
 		t.Fatalf("scoped WaitOn blocked on another scope's segment: %v", err)
 	}
 }
@@ -325,7 +325,7 @@ func TestScopeSameNameIsolated(t *testing.T) {
 				t.Fatalf("names %q and %q, want x twice", first.Name(), second.Name())
 			}
 			gate := make(chan struct{})
-			deps := []Dep{Addr(0x40, ModeInOut), InOut("matrix")}
+			deps := []Dep{InOut(0x40), InOut(addrMatrix)}
 			held, err := first.Submit(ctx, Task{Deps: deps, Do: func(context.Context) error { <-gate; return nil }})
 			if err != nil {
 				t.Fatal(err)
@@ -337,7 +337,7 @@ func TestScopeSameNameIsolated(t *testing.T) {
 			if err := free.Wait(ctx); err != nil {
 				t.Fatalf("the second scope named x waited for the first one's writer: %v", err)
 			}
-			if err := second.WaitOn(ctx, uint64(0x40), "matrix"); err != nil {
+			if err := second.WaitOn(ctx, 0x40, addrMatrix); err != nil {
 				t.Fatalf("the second scope's WaitOn saw the first one's segments: %v", err)
 			}
 			if held.finished() {
@@ -360,7 +360,7 @@ func TestScopeSameNameIsolated(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					h, err := rt.Scope("tenant").Submit(ctx, Task{
-						Deps: []Dep{Addr(7, ModeInOut), InOut("k")},
+						Deps: []Dep{InOut(7), InOut(addrK)},
 						Do:   func(context.Context) error { <-gate; return nil },
 					})
 					if err != nil {
@@ -410,8 +410,8 @@ func TestScopeSubmitAllocations(t *testing.T) {
 	for i := range tasks {
 		// A ring: each task writes its own address and reads its neighbour's.
 		tasks[i] = Task{Do: nop, Deps: []Dep{
-			Addr(0x1000+uint64(i)*64, ModeOut),
-			Addr(0x1000+uint64((i+n-1)%n)*64, ModeIn),
+			Out(0x1000 + uint64(i)*64),
+			In(0x1000 + uint64((i+n-1)%n)*64),
 		}}
 	}
 	batch := func() {
@@ -432,7 +432,7 @@ func TestScopeSubmitAllocations(t *testing.T) {
 		t.Errorf("TrySubmitAll of %d tasks: %.1f allocations, want <= %.0f", n, got, budget)
 	}
 
-	one := Task{Do: nop, Deps: []Dep{Addr(0x40, ModeInOut), In("k")}}
+	one := Task{Do: nop, Deps: []Dep{InOut(0x40), In(addrK)}}
 	var perSubmit [2]float64
 	for i, sub := range []submitter{rt, s} {
 		single := func() {
@@ -464,7 +464,7 @@ func TestScopeAccountingSettledBeforeHandle(t *testing.T) {
 	ctx := context.Background()
 	var failed uint64
 	for i := 0; i < 1000; i++ {
-		task := Task{Deps: []Dep{InOut("k")}, Do: func(context.Context) error { return nil }}
+		task := Task{Deps: []Dep{InOut(addrK)}, Do: func(context.Context) error { return nil }}
 		if i%10 == 9 {
 			task.Do = func(context.Context) error { return errBoom }
 			failed++
@@ -491,13 +491,13 @@ func TestScopeAccountingSettledBeforeHandle(t *testing.T) {
 	}
 }
 
-// gatedTasks returns n independent tasks on keys first, first+1, … whose
-// bodies wait for gate.
-func gatedTasks(n, first int, gate <-chan struct{}) []Task {
+// gatedTasks returns n independent tasks on addresses first, first+1, …
+// whose bodies wait for gate.
+func gatedTasks(n int, first uint64, gate <-chan struct{}) []Task {
 	tasks := make([]Task, n)
 	for i := range tasks {
 		tasks[i] = Task{
-			Deps: []Dep{InOut(first + i)},
+			Deps: []Dep{InOut(first + uint64(i))},
 			Do:   func(context.Context) error { <-gate; return nil },
 		}
 	}
@@ -598,7 +598,7 @@ func TestScopeWindowBoundsConcurrentSubmitters(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				batch := make([]Task, 1+(g+i)%limit)
 				for j := range batch {
-					batch[j] = Task{Deps: []Dep{InOut([3]int{g, i, j})}, Do: body}
+					batch[j] = Task{Deps: []Dep{InOut(uint64(g)<<32 | uint64(i)<<16 | uint64(j))}, Do: body}
 				}
 				var hs []*Handle
 				var err error

@@ -39,7 +39,7 @@ func TestSingleShardPreservesSemantics(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		i := i
 		rt.MustSubmit(Task{
-			Deps: []Dep{InOut("chain")},
+			Deps: []Dep{InOut(addrChain)},
 			Do: do(func() {
 				mu.Lock()
 				order = append(order, i)
@@ -58,9 +58,8 @@ func TestSingleShardPreservesSemantics(t *testing.T) {
 // TestMultiKeyTasksAcrossBanks stresses tasks whose keys hash to several
 // banks at once: the sorted bank-acquisition order must neither deadlock
 // nor break hazard exclusion. Two shards with many keys guarantees
-// cross-bank key sets. The keys are drawn from both kinds (addresses and
-// others) and the tasks from three namespaces, so one task's bank set mixes
-// the two kinds and one bank files the same key three times.
+// cross-bank key sets. The tasks come from three namespaces, so one bank
+// files the same address three times.
 func TestMultiKeyTasksAcrossBanks(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		rt := New(Config{Workers: 8, Shards: shards, Window: 128})
@@ -76,7 +75,7 @@ func TestMultiKeyTasksAcrossBanks(t *testing.T) {
 					continue
 				}
 				used[key] = true
-				deps = append(deps, mixedDep(rng, key, Mode(rng.Intn(3))))
+				deps = append(deps, Dep{uint64(key), Mode(rng.Intn(3))})
 			}
 			norm := normalizeDeps(deps)
 			who := rng.Intn(len(subs))
@@ -115,7 +114,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				rt.MustSubmit(Task{
-					Deps: []Dep{InOut([2]int{g, i}), In([2]int{g, (i + 1) % perG})},
+					Deps: []Dep{InOut(uint64(g*perG + i)), In(uint64(g*perG + (i+1)%perG))},
 					Do:   do(func() { executed.Add(1) }),
 				})
 			}
@@ -141,7 +140,7 @@ func TestSubmitAllOrdering(t *testing.T) {
 	for i := range tasks {
 		i := i
 		tasks[i] = Task{
-			Deps: []Dep{InOut("chain"), In(i % 7)},
+			Deps: []Dep{InOut(addrChain), In(uint64(i % 7))},
 			Do: do(func() {
 				mu.Lock()
 				order = append(order, i)
@@ -170,7 +169,7 @@ func TestSubmitAllLargerThanWindow(t *testing.T) {
 	tasks := make([]Task, 100)
 	for i := range tasks {
 		i := i
-		tasks[i] = Task{Deps: []Dep{Out(i)}, Do: do(func() { n.Add(1) })}
+		tasks[i] = Task{Deps: []Dep{Out(uint64(i))}, Do: do(func() { n.Add(1) })}
 	}
 	if _, err := rt.SubmitAll(context.Background(), tasks); err != nil {
 		t.Fatal(err)
@@ -215,7 +214,7 @@ func TestSubmitAllRAWAcrossBatches(t *testing.T) {
 	writers := make([]Task, len(data))
 	for i := range writers {
 		i := i
-		writers[i] = Task{Deps: []Dep{Out(i)}, Do: do(func() { data[i] = i + 1 })}
+		writers[i] = Task{Deps: []Dep{Out(uint64(i))}, Do: do(func() { data[i] = i + 1 })}
 	}
 	if _, err := rt.SubmitAll(context.Background(), writers); err != nil {
 		t.Fatal(err)
@@ -223,7 +222,7 @@ func TestSubmitAllRAWAcrossBatches(t *testing.T) {
 	sum := 0
 	deps := make([]Dep, len(data))
 	for i := range deps {
-		deps[i] = In(i)
+		deps[i] = In(uint64(i))
 	}
 	rt.MustSubmit(Task{Deps: deps, Do: do(func() {
 		for _, v := range data {
@@ -245,9 +244,8 @@ func TestSubmitAllRAWAcrossBatches(t *testing.T) {
 func TestBankIndexStable(t *testing.T) {
 	rt := New(Config{Workers: 1, Shards: 16})
 	defer mustClose(t, rt)
-	for _, k := range []Key{"a", 7, [2]int{1, 2}, 3.5, uint64(7), nil} {
-		key := tableKeyOf(3, Dep{Key: k})
-		h, again := rt.hashKey(key), rt.hashKey(key)
+	for _, k := range []tableKey{{0, 0}, {3, 7}, {3, 1 << 63}, {^uint64(0), ^uint64(0)}} {
+		h, again := rt.hashKey(k), rt.hashKey(k)
 		if h != again {
 			t.Fatalf("hashKey(%v) unstable: %#x vs %#x", k, h, again)
 		}
@@ -270,7 +268,7 @@ func TestHashKeySeeded(t *testing.T) {
 		other := New(Config{Workers: 1, Shards: 1})
 		acrossRuntimes, acrossScopes, homes := 0, 0, map[uint64]bool{}
 		for a := uint64(0); a < n; a++ {
-			key := tableKey{addrKey: addrKey{ns: 1, addr: a << 6}}
+			key := tableKey{ns: 1, addr: a << 6}
 			h := rt.hashKey(key)
 			if rt.bankOf(h) != 0 {
 				t.Fatalf("%s: bank %d on a runtime with one", name, rt.bankOf(h))
@@ -308,7 +306,7 @@ func TestMaestroBaselineSemantics(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		i := i
 		rt.MustSubmit(Task{
-			Deps: []Dep{InOut("chain"), In(i % 3)},
+			Deps: []Dep{InOut(addrChain), In(uint64(i % 3))},
 			Do: do(func() {
 				mu.Lock()
 				order = append(order, i)
@@ -351,7 +349,7 @@ func TestConcurrentSubmitAll(t *testing.T) {
 					tasks := make([]Task, perBatch)
 					for i := range tasks {
 						tasks[i] = Task{
-							Deps: []Dep{InOut([2]int{b, i % 8})},
+							Deps: []Dep{InOut(uint64(b*8 + i%8))},
 							Do:   do(func() { executed.Add(1) }),
 						}
 					}
@@ -367,11 +365,7 @@ func TestConcurrentSubmitAll(t *testing.T) {
 			case <-time.After(30 * time.Second):
 				t.Fatal("concurrent SubmitAll deadlocked on window tokens")
 			}
-			keys := make([]Key, 8)
-			for i := range keys {
-				keys[i] = [2]int{0, i}
-			}
-			if err := rt.WaitOn(context.Background(), keys...); err != nil {
+			if err := rt.WaitOn(context.Background(), 0, 1, 2, 3, 4, 5, 6, 7); err != nil {
 				t.Fatalf("WaitOn = %v", err)
 			}
 			if n := executed.Load(); n < perBatch {

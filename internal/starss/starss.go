@@ -1,9 +1,9 @@
 // Package starss is a real, executing StarSs-style task-dataflow runtime
 // for Go whose scheduler is the Nexus++ dependency-resolution algorithm.
 //
-// Tasks are Go closures annotated with the data they read and write: Addr
-// dependencies on base addresses, as in the paper, or In/Out/InOut
-// dependencies on any comparable user-chosen key. The runtime discovers RAW
+// Tasks are Go closures annotated with the data they read and write: In,
+// Out and InOut dependencies on base addresses — a Nexus++ task descriptor's
+// parameter list, a direction per address. The runtime discovers RAW
 // dependencies and enforces WAR/WAW hazards without renaming — exactly the
 // semantics of the paper's Dependence Table: concurrent readers share a
 // segment, a writer waits for all previous readers ("a writer waits" flag),
@@ -33,12 +33,12 @@
 // Handle Finished follows those pointers, a drained segment leaves the table
 // by the hash it carries, and a segment's kick-off list is threaded through
 // the waiting tasks themselves. The table is keyed as the paper's is, by
-// address: a bank files its keys — {namespace, address}, or {namespace, any
-// other comparable value} (tableKeyOf) — in one open-addressed table of its
-// own (table.go), and the namespace — 0 for the runtime, one per Scope — is
-// a field of the key, never a wrapper around it. NewMaestro
-// (maestro.go) builds the same runtime with that single resolver goroutine
-// put back, as the baseline the banks are measured against.
+// address: a bank files its keys, {namespace, address} pairs, in one
+// open-addressed table of its own (table.go), and the namespace — 0 for the
+// runtime, one per Scope — is a field of the key, never a wrapper around
+// it. NewMaestro (maestro.go) builds the same runtime with that single
+// resolver goroutine put back, as the baseline the banks are measured
+// against.
 //
 // The in-flight window — the paper's Task Pool size — is one atomic counter
 // that both admits and reports (window.go): a SubmitAll chunk reserves its
@@ -59,10 +59,12 @@
 // The free list holds its blocks weakly: an idle runtime keeps none past the
 // next collection (TestNodeBlock*).
 //
-// The three phases of the paper's Task Controllers — Get Inputs
-// (Task.Prefetch), Run Task (Task.Do), Put Outputs (Task.WriteBack) — run
-// back to back on the worker. Their double buffering, a property of private
-// per-core memory, is modelled and measured in internal/core.
+// A task has one body, Task.Do. The paper's Task Controllers copy a task's
+// inputs into a worker core's private memory before it runs (Get Inputs) and
+// its outputs back after (Put Outputs); a Go worker shares memory with the
+// submitter, so a body reads and writes its data in place. Those phases, and
+// the double buffering that overlaps them, are modelled and measured in
+// internal/core.
 //
 // The paper's conclusion notes that parts of Nexus++ "can be reused for
 // other programming models"; this package is that reuse, in library form.
@@ -84,84 +86,53 @@ import (
 
 	"nexuspp/internal/faults"
 	"nexuspp/internal/obs"
+	"nexuspp/internal/trace"
 )
 
-// Mode is a dependency direction.
-type Mode uint8
+// Mode is a dependency direction: the access mode of a traced parameter,
+// whose String is the pragma spelling.
+type Mode = trace.AccessMode
 
 const (
 	// ModeIn marks data the task only reads.
-	ModeIn Mode = iota
+	ModeIn = trace.In
 	// ModeOut marks data the task only writes.
-	ModeOut
+	ModeOut = trace.Out
 	// ModeInOut marks data the task reads and writes.
-	ModeInOut
+	ModeInOut = trace.InOut
 )
 
-// String returns the pragma spelling of the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeIn:
-		return "in"
-	case ModeOut:
-		return "out"
-	case ModeInOut:
-		return "inout"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
-// Key identifies a piece of data. Keys are compared with ==; any comparable
-// value works (strings, ints, pointers, small structs). A uint64 is a base
-// address: it names the same data as Addr of that value.
-type Key = any
-
-// Dep declares one data access of a task.
+// Dep declares one data access of a task: an entry of a Nexus++ task
+// descriptor's parameter list, the base address of the data and the
+// direction of the access. The address is the Dependence Table key.
 type Dep struct {
-	Key  Key
+	Addr uint64
 	Mode Mode
-	// isAddr marks a dependency made by Addr: addr is its key and Key is nil.
-	isAddr bool
-	addr   uint64
 }
 
-// Addr declares an access of mode m to the data at base address addr — the
-// paper's own Dependence Table key. It names the same data as a Key holding
-// uint64(addr), without boxing the address into an interface.
-func Addr(addr uint64, m Mode) Dep { return Dep{Mode: m, isAddr: true, addr: addr} }
+// In declares a read-only dependency on the data at addr.
+func In(addr uint64) Dep { return Dep{addr, ModeIn} }
 
-// In declares a read-only dependency.
-func In(k Key) Dep { return Dep{Key: k, Mode: ModeIn} }
+// Out declares a write-only dependency on the data at addr.
+func Out(addr uint64) Dep { return Dep{addr, ModeOut} }
 
-// Out declares a write-only dependency.
-func Out(k Key) Dep { return Dep{Key: k, Mode: ModeOut} }
-
-// InOut declares a read-write dependency.
-func InOut(k Key) Dep { return Dep{Key: k, Mode: ModeInOut} }
+// InOut declares a read-write dependency on the data at addr.
+func InOut(addr uint64) Dep { return Dep{addr, ModeInOut} }
 
 // Task is a unit of work with declared dependencies.
 type Task struct {
 	// Name is optional and used in diagnostics and Handle.Name.
 	Name string
-	// Deps declares the data the task accesses. Duplicate keys are merged
-	// (read + write on the same key becomes inout). The runtime reads the
-	// slice until the task finishes: do not modify it after submitting.
+	// Deps declares the data the task accesses. Duplicate addresses are
+	// merged (read + write on the same address becomes inout). The runtime
+	// reads the slice until the task finishes: do not modify it after
+	// submitting.
 	Deps []Dep
 	// Do executes the task. The context is the one the task was submitted
 	// with; bodies should honour its cancellation. A non-nil error marks
 	// the task failed and poisons its transitive dependents. Required (only
 	// WaitOn admits a task without one: see dispatch).
 	Do func(ctx context.Context) error
-	// Prefetch, when set, runs on the worker immediately before the task
-	// body (the Get Inputs phase). It must only touch the task's declared
-	// In/InOut data. It does not run for skipped or cancelled tasks, and a
-	// panic in it fails the task like a panic in the body.
-	Prefetch func()
-	// WriteBack, when set, runs after a successful task body on the worker
-	// (the Put Outputs phase). The task's outputs are only visible to
-	// dependents after it. It does not run when the body fails.
-	WriteBack func()
 	// MaxRetries re-arms a failed attempt (body error, panic, or Timeout
 	// overrun) up to this many extra times before the failure sticks and
 	// poisons dependents. The re-arm happens on the worker before the
@@ -186,8 +157,8 @@ type Task struct {
 	scope *Scope
 }
 
-// ns is the namespace of the task's keys: its scope's, or 0 — the runtime's
-// own — for a task submitted on the Runtime directly.
+// ns is the namespace of the task's addresses: its scope's, or 0 — the
+// runtime's own — for a task submitted on the Runtime directly.
 func (t *Task) ns() uint64 {
 	if t.scope != nil {
 		return t.scope.ns
@@ -195,39 +166,10 @@ func (t *Task) ns() uint64 {
 	return 0
 }
 
-// addrKey is the Dependence Table key of a parameter's base address: the
-// address and the namespace (the master core's address space) it belongs to.
-type addrKey struct{ ns, addr uint64 }
-
-// tableKey is a dependency's key as the banks file it: an address key
-// (other nil), or — for a Key that is not an address — {ns, other}, with addr
-// zero. It is derived where it is needed (a type switch, no hash) and kept
-// by the segment it files.
-type tableKey struct {
-	addrKey
-	other Key
-}
-
-// nilKey stands in for a nil Key, so that In(nil) is a key of its own and
-// not address 0.
-type nilKey struct{}
-
-// tableKeyOf derives d's table key in namespace ns — the one place a Dep
-// becomes a key. An Addr dependency and any Key holding a uint64 are the
-// same address key. (A bare Key k is derived as tableKeyOf(ns, Dep{Key: k}).)
-func tableKeyOf(ns uint64, d Dep) tableKey {
-	if d.isAddr {
-		return tableKey{addrKey: addrKey{ns, d.addr}}
-	}
-	switch k := d.Key.(type) {
-	case uint64:
-		return tableKey{addrKey: addrKey{ns, k}}
-	case nil:
-		return tableKey{addrKey: addrKey{ns: ns}, other: nilKey{}}
-	default:
-		return tableKey{addrKey: addrKey{ns: ns}, other: k}
-	}
-}
+// tableKey is the Dependence Table key of a parameter's base address: the
+// address and the namespace (the master core's address space) it belongs
+// to. The segment it files keeps it.
+type tableKey struct{ ns, addr uint64 }
 
 // Config parameterises a Runtime.
 type Config struct {
@@ -408,8 +350,7 @@ func (h *Handle) complete(o Outcome, err error) {
 // lock) but are always read atomically by Stats.
 type bank struct {
 	mu sync.Mutex
-	// table files the bank's live segments (table.go), whatever their kind of
-	// key.
+	// table files the bank's live segments (table.go).
 	table *addrTable
 	// free lists nfree drained segments for reuse (linked through
 	// segState.nextFree), guarded by mu like the table. It is bounded
@@ -445,7 +386,7 @@ func (b *bank) takeSeg(k tableKey, h uint64, at int) *segState {
 // dropSeg removes the drained segment seg and recycles it, unless the free
 // list already holds keep segments. The caller holds b.mu. A drained
 // segment's kick-off list is empty, so the free list pins no task, and the
-// reset leaves nothing of the key it served — a boxed key included.
+// reset leaves nothing of the key it served.
 func (b *bank) dropSeg(seg *segState, keep int) {
 	b.table.remove(seg)
 	if b.nfree >= keep {
@@ -469,7 +410,7 @@ type Runtime struct {
 	// per task: on the bench/ rt_* shapes (Window 4096, 8 banks) a bank's
 	// peak is 550–616 live segments, up to 1.2 times its share of 512, and
 	// wavefront tasks hold three keys. An idle runtime keeps what the lists
-	// hold, at most segFree × 96 B × banks — 2 × Window × 96 B, 48 MiB for the
+	// hold, at most segFree × 80 B × banks — 2 × Window × 80 B, 40 MiB for the
 	// service's largest derived window of 1<<18 — and only once that many
 	// segments were live at once.
 	segFree int
@@ -565,9 +506,7 @@ type taskNode struct {
 	spill    *spilled
 	dc       atomic.Int32
 	// wasSkipped and err are the node's outcome, written by its worker
-	// before resolveFinished and published through the handle. A panic
-	// recovered from Task.Prefetch lands in err, and the worker then fails
-	// the task instead of running the body.
+	// before resolveFinished and published through the handle.
 	wasSkipped bool
 	err        error
 	// poison carries the root-cause error of a failed transitive
@@ -671,7 +610,7 @@ type segState struct {
 	// is skipped. It dies with the segment: once the key drains and the
 	// segment is deleted, later submissions start clean. (The boxed record
 	// the tainted tasks share, not an error value: one word, which keeps the
-	// segment in the 96-byte size class.)
+	// segment in the 80-byte size class.)
 	poison *taskFailure
 	// nextFree links the segment into its bank's free list while it is
 	// drained and recycled; nil while it is live.
@@ -830,15 +769,8 @@ func (rt *Runtime) emit(lane int, kind obs.Kind, node *taskNode, worker int) {
 // tenants choose their addresses, so they must not be able to choose their
 // collisions. Its low bits pick the key's bank (bankOf), its high bits the
 // home slot in that bank's table, and the segment keeps it for Handle
-// Finished. This is the package's one branch on the kind of key: an address
-// is hashed as 16 flat bytes, never through the interface path. Like map
-// insertion, it panics for keys that are not comparable.
-func (rt *Runtime) hashKey(k tableKey) uint64 {
-	if k.other == nil {
-		return maphash.Comparable(rt.seed, k.addrKey)
-	}
-	return maphash.Comparable(rt.seed, k)
-}
+// Finished. A key is hashed as its 16 flat bytes.
+func (rt *Runtime) hashKey(k tableKey) uint64 { return maphash.Comparable(rt.seed, k) }
 
 // bankOf is the bank of a key whose hash is h.
 func (rt *Runtime) bankOf(h uint64) int32 { return int32(h & rt.mask) }
@@ -1158,9 +1090,9 @@ func (rt *Runtime) finish(node *taskNode, lane int) {
 // two for the hash, one for the bank.
 const hashScratch = 3
 
-// hashDeps hashes each dependency's key (in namespace ns) — the only time a
-// task's keys are hashed — into scratch, which must hold hashScratch words
-// per dependency: hashes holds the hash of deps[i] as words 2i and 2i+1
+// hashDeps hashes each dependency's address (in namespace ns) — the only
+// time a task's keys are hashed — into scratch, which must hold hashScratch
+// words per dependency: hashes holds the hash of deps[i] as words 2i and 2i+1
 // (hashAt), order the sorted, deduplicated set of their banks, the task's
 // acquisition order. (Halved, because a spilled task's scratch is the one
 // int32 block it already allocates for its other per-dependency numbers.)
@@ -1168,7 +1100,7 @@ func (rt *Runtime) hashDeps(ns uint64, deps []Dep, scratch []int32) (hashes, ord
 	n := len(deps)
 	hashes, order = scratch[:2*n:2*n], scratch[2*n:3*n]
 	for i, d := range deps {
-		h := rt.hashKey(tableKeyOf(ns, d))
+		h := rt.hashKey(tableKey{ns, d.Addr})
 		hashes[2*i], hashes[2*i+1] = int32(h), int32(h>>32)
 		order[i] = rt.bankOf(h)
 	}
@@ -1234,7 +1166,7 @@ func (rt *Runtime) checkDeps(node *taskNode, hashes []int32) int {
 	for i, d := range node.task.Deps {
 		h := hashAt(hashes, i)
 		b := &rt.banks[rt.bankOf(h)]
-		key := tableKeyOf(ns, d)
+		key := tableKey{ns, d.Addr}
 		seg, at := b.table.find(h, key)
 		wantsWrite := d.Mode != ModeIn
 		if seg == nil {
@@ -1499,24 +1431,23 @@ func (rt *Runtime) Close() error {
 	return rt.failure()
 }
 
-// shortDeps is the longest dependency list checked for duplicate keys by
-// pairwise comparison instead of through a map.
+// shortDeps is the longest dependency list checked for duplicate addresses
+// by pairwise comparison instead of through a map.
 const shortDeps = 8
 
-// normalizeDeps merges duplicate keys: any read + any write on the same key
-// becomes inout, duplicate same-mode entries collapse. A list without
+// normalizeDeps merges duplicate addresses: any read + any write on the same
+// address becomes inout, duplicate same-mode entries collapse. A list without
 // duplicates — the common case — is returned as is, not copied.
 func normalizeDeps(deps []Dep) []Dep {
-	if len(deps) <= shortDeps && !hasDuplicateKey(deps) {
+	if len(deps) <= shortDeps && !hasDuplicateAddr(deps) {
 		return deps
 	}
 	out := make([]Dep, 0, len(deps))
-	index := make(map[tableKey]int, len(deps))
+	index := make(map[uint64]int, len(deps))
 	for _, d := range deps {
-		k := tableKeyOf(0, d)
-		i, seen := index[k]
+		i, seen := index[d.Addr]
 		if !seen {
-			index[k] = len(out)
+			index[d.Addr] = len(out)
 			out = append(out, d)
 			continue
 		}
@@ -1531,18 +1462,12 @@ func normalizeDeps(deps []Dep) []Dep {
 	return out
 }
 
-// hasDuplicateKey compares every pair of table keys of at most shortDeps
-// dependencies. Like a map insertion, the comparison panics for keys that
-// are not comparable.
-func hasDuplicateKey(deps []Dep) bool {
-	if len(deps) < 2 {
-		return false
-	}
-	var keys [shortDeps]tableKey
-	for i, d := range deps {
-		keys[i] = tableKeyOf(0, d)
+// hasDuplicateAddr compares every pair of addresses of at most shortDeps
+// dependencies.
+func hasDuplicateAddr(deps []Dep) bool {
+	for i := 1; i < len(deps); i++ {
 		for j := 0; j < i; j++ {
-			if keys[i] == keys[j] {
+			if deps[i].Addr == deps[j].Addr {
 				return true
 			}
 		}
@@ -1556,10 +1481,9 @@ func hasDuplicateKey(deps []Dep) bool {
 const successorRun = 16
 
 // worker is one worker core: it takes ready tasks, one at a time, and runs
-// them — Get Inputs, then the body and Put Outputs (runBody) — and after
-// each, the successor its Handle Finished released, without a trip through
-// the queue, for up to successorRun in a row. id is the worker's index — its
-// event-stream lane.
+// them (runBody) — and after each, the successor its Handle Finished
+// released, without a trip through the queue, for up to successorRun in a
+// row. id is the worker's index — its event-stream lane.
 func (rt *Runtime) worker(id int) {
 	defer rt.workerWG.Done()
 	for {
@@ -1568,7 +1492,6 @@ func (rt *Runtime) worker(id int) {
 			return
 		}
 		for run := 0; node != nil; run++ {
-			prefetchNode(node)
 			node = rt.runBody(node, id)
 			if node != nil && run == successorRun {
 				rt.dispatch(node, id)
@@ -1576,24 +1499,6 @@ func (rt *Runtime) worker(id int) {
 			}
 		}
 	}
-}
-
-// prefetchNode runs the Get Inputs phase unless the task will not run. A
-// panicking Prefetch is recorded as the node's failure — the worker then
-// skips the body — instead of killing the goroutine it ran on.
-func prefetchNode(node *taskNode) {
-	if node.task.Prefetch == nil {
-		return
-	}
-	if node.poison.Load() != nil || node.ctx.Err() != nil {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			node.err = fmt.Errorf("%w: task %q (in Prefetch): %v", ErrTaskPanicked, node.handle.Name(), r)
-		}
-	}()
-	node.task.Prefetch()
 }
 
 // runBody executes one node on worker id and resolves its completion,

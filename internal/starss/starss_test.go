@@ -2,8 +2,6 @@ package starss
 
 import (
 	"context"
-	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,38 +21,29 @@ func TestModeString(t *testing.T) {
 }
 
 func TestDepConstructors(t *testing.T) {
-	if In("k") != (Dep{Key: "k", Mode: ModeIn}) ||
-		Out("k") != (Dep{Key: "k", Mode: ModeOut}) ||
-		InOut("k") != (Dep{Key: "k", Mode: ModeInOut}) {
+	if In(7) != (Dep{7, ModeIn}) || Out(7) != (Dep{7, ModeOut}) || InOut(7) != (Dep{7, ModeInOut}) {
 		t.Error("constructors wrong")
 	}
 }
 
 func TestNormalizeDeps(t *testing.T) {
-	deps := normalizeDeps([]Dep{In("a"), Out("a"), In("b"), In("b")})
+	deps := normalizeDeps([]Dep{In(addrA), Out(addrA), In(addrB), In(addrB)})
 	if len(deps) != 2 {
 		t.Fatalf("deps = %v", deps)
 	}
-	if deps[0].Key != "a" || deps[0].Mode != ModeInOut {
+	if deps[0].Addr != addrA || deps[0].Mode != ModeInOut {
 		t.Errorf("merged dep = %v, want a/inout", deps[0])
 	}
-	if deps[1].Key != "b" || deps[1].Mode != ModeIn {
+	if deps[1].Addr != addrB || deps[1].Mode != ModeIn {
 		t.Errorf("dep b = %v", deps[1])
 	}
 }
 
 // TestKeyIdentity pins which dependencies name the same data: the table key
-// is {namespace, address} for an Addr and for any Key holding a uint64, and
-// {namespace, Key} for everything else. The "one bank" run puts every key in
-// the same table, where nothing but the key compare keeps them apart.
+// is {namespace, address}, so one address in two namespaces is two keys. The
+// "one bank" run puts every key in the same table, where nothing but the key
+// compare keeps them apart.
 func TestKeyIdentity(t *testing.T) {
-	merged := normalizeDeps([]Dep{In(uint64(7)), Addr(7, ModeOut)})
-	if len(merged) != 1 || merged[0].Mode != ModeInOut {
-		t.Errorf("normalizeDeps(in 7, out Addr 7) = %v, want one inout", merged)
-	}
-	if kept := normalizeDeps([]Dep{In(7), In("7"), In(uint64(7)), In(nil), Addr(0, ModeIn)}); len(kept) != 5 {
-		t.Errorf("normalizeDeps merged distinct keys: %v", kept)
-	}
 	ctx := context.Background()
 	nop := func(context.Context) error { return nil }
 	runtimes := newRuntimes(Config{Workers: 4, Window: 16})
@@ -97,21 +86,13 @@ func TestKeyIdentity(t *testing.T) {
 				d2     Dep
 				serial bool
 			}{
-				{"Addr then boxed uint64", rt, Addr(7, ModeInOut), rt, In(uint64(7)), true},
-				{"boxed uint64 then Addr", rt, In(uint64(7)), rt, Addr(7, ModeOut), true},
-				{"Dep literal then Addr", rt, Dep{Key: uint64(7)}, rt, Addr(7, ModeInOut), true},
-				{"Addr then Addr", rt, Addr(7, ModeOut), rt, Addr(7, ModeIn), true},
-				{"int and string", rt, InOut(7), rt, InOut("7"), false},
-				{"int and uint64", rt, InOut(7), rt, InOut(uint64(7)), false},
-				{"string and Addr", rt, InOut("7"), rt, Addr(7, ModeInOut), false},
-				{"nil and nil", rt, InOut(nil), rt, InOut(nil), true},
-				{"nil and address 0", rt, InOut(nil), rt, Addr(0, ModeInOut), false},
-				{"nil and boxed 0", rt, InOut(nil), rt, InOut(uint64(0)), false},
-				{"unscoped and scope A", rt, Addr(7, ModeInOut), scopeA, Addr(7, ModeInOut), false},
-				{"scope A and scope B", scopeA, Addr(7, ModeInOut), scopeB, InOut(uint64(7)), false},
-				{"scope B and unscoped", scopeB, InOut("k"), rt, InOut("k"), false},
-				{"scope A and scope A", scopeA, Addr(7, ModeInOut), scopeA, InOut(uint64(7)), true},
-				{"scope B, a string key", scopeB, InOut("k"), scopeB, In("k"), true},
+				{"one address", rt, Out(7), rt, In(7), true},
+				{"two addresses", rt, InOut(7), rt, InOut(8), false},
+				{"address 0", rt, InOut(0), rt, Dep{}, true},
+				{"unscoped and scope A", rt, InOut(7), scopeA, InOut(7), false},
+				{"scope A and scope B", scopeA, InOut(7), scopeB, InOut(7), false},
+				{"scope B and unscoped", scopeB, InOut(7), rt, InOut(7), false},
+				{"scope A and scope A", scopeA, InOut(7), scopeA, In(7), true},
 			} {
 				if got := waits(tc.s1, tc.d1, tc.s2, tc.d2); got != tc.serial {
 					t.Errorf("%s: second task waited = %v, want %v", tc.name, got, tc.serial)
@@ -119,23 +100,28 @@ func TestKeyIdentity(t *testing.T) {
 			}
 
 			if len(rt.banks) == 1 {
-				// Five distinct keys, held at once, are five segments of the
-				// one table.
+				// Addresses 0 and 7 in three namespaces, held at once, are six
+				// segments of the one table.
 				gate := make(chan struct{})
-				h := submit(rt, Task{
-					Deps: []Dep{InOut(7), InOut("7"), InOut(uint64(7)), InOut(nil), Addr(0, ModeInOut)},
-					Do:   func(context.Context) error { <-gate; return nil },
-				})
+				var held []*Handle
+				for _, s := range []submitter{rt, scopeA, scopeB} {
+					held = append(held, submit(s, Task{
+						Deps: []Dep{InOut(0), InOut(7)},
+						Do:   func(context.Context) error { <-gate; return nil },
+					}))
+				}
 				fenceMaestro(t, rt)
 				rt.lockBanks([]int32{0})
 				filed := rt.banks[0].table.count
 				rt.unlockBanks([]int32{0})
-				if filed != 5 {
-					t.Errorf("the one bank files %d keys for 7, \"7\", uint64(7), nil and Addr(0), want 5", filed)
+				if filed != 6 {
+					t.Errorf("the one bank files %d keys for addresses 0 and 7 in three namespaces, want 6", filed)
 				}
 				close(gate)
-				if err := h.Wait(ctx); err != nil {
-					t.Fatal(err)
+				for _, h := range held {
+					if err := h.Wait(ctx); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 
@@ -144,7 +130,7 @@ func TestKeyIdentity(t *testing.T) {
 			// whose task has finished returns and the other times out.
 			type waiter interface {
 				submitter
-				WaitOn(ctx context.Context, keys ...Key) error
+				WaitOn(ctx context.Context, addrs ...uint64) error
 			}
 			for _, pair := range [][2]waiter{{rt, scopeA}, {scopeA, rt}, {scopeA, scopeB}} {
 				done, held := pair[0], pair[1]
@@ -153,41 +139,30 @@ func TestKeyIdentity(t *testing.T) {
 				for i, w := range pair {
 					gate := gates[i]
 					handles[i] = submit(w, Task{
-						Deps: []Dep{Addr(7, ModeInOut)},
+						Deps: []Dep{InOut(7)},
 						Do:   func(context.Context) error { <-gate; return nil },
 					})
 				}
 				close(gates[0])
-				if err := done.WaitOn(ctx, uint64(7)); err != nil {
+				if err := done.WaitOn(ctx, 7); err != nil {
 					t.Fatal(err)
 				}
 				if !handles[0].finished() {
 					t.Error("WaitOn returned before its own namespace's task finished")
 				}
 				short, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
-				if err := held.WaitOn(short, uint64(7)); err != context.DeadlineExceeded {
+				if err := held.WaitOn(short, 7); err != context.DeadlineExceeded {
 					t.Errorf("WaitOn = %v while its namespace's task is held, want a timeout", err)
 				}
 				cancel()
 				close(gates[1])
-				if err := held.WaitOn(ctx, uint64(7)); err != nil {
+				if err := held.WaitOn(ctx, 7); err != nil {
 					t.Fatal(err)
 				}
 				if !handles[1].finished() {
 					t.Error("WaitOn returned before its own namespace's task finished")
 				}
 			}
-
-			// A key that is not comparable panics as a map insertion does —
-			// here where duplicates are looked for, before anything is admitted.
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("a non-comparable key did not panic")
-					}
-				}()
-				rt.Submit(ctx, Task{Deps: []Dep{In([]int{1}), Out([]int{2})}, Do: nop})
-			}()
 		})
 	}
 }
@@ -197,7 +172,7 @@ func TestBasicExecution(t *testing.T) {
 	var count atomic.Int64
 	for i := 0; i < 100; i++ {
 		rt.MustSubmit(Task{
-			Deps: []Dep{InOut(i)},
+			Deps: []Dep{InOut(uint64(i))},
 			Do:   do(func() { count.Add(1) }),
 		})
 	}
@@ -218,7 +193,7 @@ func TestChainOrdering(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		i := i
 		rt.MustSubmit(Task{
-			Deps: []Dep{InOut("chain")},
+			Deps: []Dep{InOut(addrChain)},
 			Do: do(func() {
 				mu.Lock()
 				order = append(order, i)
@@ -243,14 +218,14 @@ func TestRAWVisibility(t *testing.T) {
 	for i := range data {
 		i := i
 		rt.MustSubmit(Task{
-			Deps: []Dep{Out(i)},
+			Deps: []Dep{Out(uint64(i))},
 			Do:   do(func() { data[i] = i * i }),
 		})
 	}
 	sum := 0
 	deps := make([]Dep, 10)
 	for i := range deps {
-		deps[i] = In(i)
+		deps[i] = In(uint64(i))
 	}
 	rt.MustSubmit(Task{
 		Deps: deps,
@@ -298,7 +273,7 @@ func TestBarrierWaitsForAll(t *testing.T) {
 	var done atomic.Int64
 	for i := 0; i < 64; i++ {
 		rt.MustSubmit(Task{
-			Deps: []Dep{InOut(i % 7)},
+			Deps: []Dep{InOut(uint64(i % 7))},
 			Do:   do(func() { done.Add(1) }),
 		})
 	}
@@ -307,7 +282,7 @@ func TestBarrierWaitsForAll(t *testing.T) {
 		t.Fatalf("barrier returned with %d of 64 done", done.Load())
 	}
 	// The runtime stays usable after a barrier.
-	rt.MustSubmit(Task{Deps: []Dep{In("x")}, Do: do(func() { done.Add(1) })})
+	rt.MustSubmit(Task{Deps: []Dep{In(addrX)}, Do: do(func() { done.Add(1) })})
 	rt.Wait(context.Background())
 	if done.Load() != 65 {
 		t.Fatal("submission after barrier did not run")
@@ -317,8 +292,7 @@ func TestBarrierWaitsForAll(t *testing.T) {
 // hazardChecker verifies reader/writer exclusion at execution time: readers
 // of a key may overlap each other but never a writer; writers are exclusive.
 // Keys are told apart as the Dependence Table tells them apart: by table key,
-// so an Addr and the same address boxed are one key, and one key in two
-// namespaces is two.
+// so one address in two namespaces is two.
 type hazardChecker struct {
 	mu      sync.Mutex
 	readers map[tableKey]int
@@ -334,7 +308,7 @@ func (h *hazardChecker) enter(ns uint64, deps []Dep) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, d := range deps {
-		k := tableKeyOf(ns, d)
+		k := tableKey{ns, d.Addr}
 		if d.Mode == ModeIn {
 			if h.writers[k] > 0 {
 				h.bad = append(h.bad, "reader overlaps writer")
@@ -353,28 +327,12 @@ func (h *hazardChecker) exit(ns uint64, deps []Dep) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, d := range deps {
-		k := tableKeyOf(ns, d)
+		k := tableKey{ns, d.Addr}
 		if d.Mode == ModeIn {
 			h.readers[k]--
 		} else {
 			h.writers[k]--
 		}
-	}
-}
-
-// mixedDep spells key id of a small key space one of four ways, at random:
-// as an Addr, as the same address boxed in a Key (both the one address key),
-// as an int and as a string (two more keys, of another kind).
-func mixedDep(rng *sim.Rand, id int, m Mode) Dep {
-	switch rng.Intn(4) {
-	case 0:
-		return Addr(uint64(id), m)
-	case 1:
-		return Dep{Key: uint64(id), Mode: m}
-	case 2:
-		return Dep{Key: id, Mode: m}
-	default:
-		return Dep{Key: strconv.Itoa(id), Mode: m}
 	}
 }
 
@@ -404,7 +362,7 @@ func TestHazardExclusion(t *testing.T) {
 				continue
 			}
 			used[key] = true
-			deps = append(deps, Dep{Key: key, Mode: Mode(rng.Intn(3))})
+			deps = append(deps, Dep{uint64(key), Mode(rng.Intn(3))})
 		}
 		if len(deps) == 0 {
 			deps = []Dep{In(99)}
@@ -428,70 +386,14 @@ func TestHazardExclusion(t *testing.T) {
 	}
 }
 
-// TestDepthOneNoPipelineOverlap: on one worker Prefetch, Do and WriteBack of
-// a task run back to back, and all three before the Prefetch of the next —
-// whether the next comes off the ready queue (independent keys) or is the
-// successor the finishing worker keeps for itself (a chain on one key).
-func TestDepthOneNoPipelineOverlap(t *testing.T) {
-	const n = 20
-	for name, dep := range map[string]func(i int) Dep{
-		"queued":    func(i int) Dep { return Out(i) },
-		"successor": func(int) Dep { return InOut("chain") },
-	} {
-		rt := New(Config{Workers: 1})
-		var got, want []string // got is written by the one worker only
-		tasks := make([]Task, n)
-		for i := range tasks {
-			phase := func(p string) func() { return func() { got = append(got, p+itoa(i)) } }
-			tasks[i] = Task{
-				Deps:      []Dep{dep(i)},
-				Prefetch:  phase("fetch"),
-				Do:        do(phase("do")),
-				WriteBack: phase("put"),
-			}
-			want = append(want, "fetch"+itoa(i), "do"+itoa(i), "put"+itoa(i))
-		}
-		if _, err := rt.SubmitAll(context.Background(), tasks); err != nil {
-			t.Fatal(err)
-		}
-		mustClose(t, rt)
-		if !slices.Equal(got, want) {
-			t.Errorf("%s: phases ran as %v, want %v", name, got, want)
-		}
-	}
-}
-
-func TestWriteBackRuns(t *testing.T) {
-	rt := New(Config{Workers: 2})
-	var wrote atomic.Int64
-	produced := 0
-	consumed := -1
-	rt.MustSubmit(Task{
-		Deps:      []Dep{Out("v")},
-		Do:        do(func() { produced = 41 }),
-		WriteBack: func() { produced++; wrote.Add(1) },
-	})
-	rt.MustSubmit(Task{
-		Deps: []Dep{In("v")},
-		Do:   do(func() { consumed = produced }),
-	})
-	mustClose(t, rt)
-	if wrote.Load() != 1 {
-		t.Fatal("WriteBack did not run")
-	}
-	if consumed != 42 {
-		t.Fatalf("consumer saw %d, want 42 (WriteBack must happen before dependents)", consumed)
-	}
-}
-
 func TestWindowBackPressure(t *testing.T) {
 	rt := New(Config{Workers: 1, Window: 4})
 	block := make(chan struct{})
-	rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: do(func() { <-block })})
+	rt.MustSubmit(Task{Deps: []Dep{InOut(addrK)}, Do: do(func() { <-block })})
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 10; i++ {
-			rt.MustSubmit(Task{Deps: []Dep{InOut("k")}, Do: do(func() {})})
+			rt.MustSubmit(Task{Deps: []Dep{InOut(addrK)}, Do: do(func() {})})
 		}
 		close(done)
 	}()
@@ -508,11 +410,10 @@ func TestWindowBackPressure(t *testing.T) {
 	}
 }
 
-// Property: random task graphs over a small key space — spelled as
-// addresses and as other keys, in the runtime's namespace and in two scopes'
-// — always execute all tasks without hazard violations, for any worker
-// count and bank count. A task may name one key twice in two spellings;
-// normalizeDeps has to merge those.
+// Property: random task graphs over a small address space — in the
+// runtime's namespace and in two scopes' — always execute all tasks without
+// hazard violations, for any worker count and bank count. A task may name
+// one address twice; normalizeDeps has to merge those.
 func TestRandomGraphsProperty(t *testing.T) {
 	prop := func(seed uint64, wRaw, sRaw uint8) bool {
 		rng := sim.NewRand(seed)
@@ -527,7 +428,7 @@ func TestRandomGraphsProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			var deps []Dep
 			for k := 0; k <= rng.Intn(3); k++ {
-				deps = append(deps, mixedDep(rng, rng.Intn(4), Mode(rng.Intn(3))))
+				deps = append(deps, Dep{uint64(rng.Intn(4)), Mode(rng.Intn(3))})
 			}
 			norm := normalizeDeps(deps)
 			who := rng.Intn(len(subs))

@@ -57,9 +57,9 @@ func TestShardedRuntimeStress(t *testing.T) {
 				return Task{
 					Name: fmt.Sprintf("s%d-t%d", s, i),
 					Deps: []Dep{
-						In(next(keyPool)),
-						In(next(keyPool)),
-						Out(next(keyPool)),
+						In(uint64(next(keyPool))),
+						In(uint64(next(keyPool))),
+						Out(uint64(next(keyPool))),
 					},
 					Do: func(context.Context) error {
 						bodyRan.Add(1)
@@ -160,7 +160,7 @@ func TestStressSubmitAfterClose(t *testing.T) {
 				<-start
 				for i := 0; i < 50; i++ {
 					h, err := rt.Submit(context.Background(), Task{
-						Deps: []Dep{InOut(s % 3)},
+						Deps: []Dep{InOut(uint64(s % 3))},
 						Do:   func(context.Context) error { return nil },
 					})
 					if err != nil {

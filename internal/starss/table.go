@@ -10,8 +10,7 @@ import "math/bits"
 // neither a key nor a second hash.
 //
 // Collisions probe linearly: a lookup compares the 8-byte hash stored in
-// the slot and touches the segment — to compare keys, address or not — only
-// on a match, so a probe walks one or two cache lines of slots. The load
+// the slot and touches the segment — to compare keys — only on a match, so a probe walks one or two cache lines of slots. The load
 // stays at or below ½, which keeps the expected probe of a miss under three
 // slots. Deletion shifts the rest of the cluster back over the hole instead
 // of leaving a tombstone: a table whose keys come and go at the rate of the

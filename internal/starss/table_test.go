@@ -2,13 +2,12 @@ package starss
 
 import (
 	"math/bits"
-	"strconv"
 	"testing"
 )
 
 // tableModel drives an addrTable beside a Go map of the same keys. The tests
 // inject the hashes — the table takes them from its caller — so they choose
-// which keys collide, whatever their kind.
+// which keys collide.
 type tableModel struct {
 	t     testing.TB
 	tab   *addrTable
@@ -81,26 +80,11 @@ func (m *tableModel) check() {
 // the table, at every table size; low tells the hashes of one home apart.
 func homeHash(home, low uint64) uint64 { return home<<61 | low }
 
-// key is the i-th test key, in one of three namespaces: two in five are
-// addresses, the others a string, an int and an array — and key(9) is the nil
-// key of namespace 0, where key(0) is address 0. The hashes being the tests'
-// to choose, keys of every kind share clusters, and only find's key compare
-// tells them apart.
-func key(i int) tableKey {
-	ns := uint64(i % 3)
-	switch {
-	case i == 9:
-		return tableKeyOf(ns, In(nil))
-	case i%5 == 1:
-		return tableKeyOf(ns, In(strconv.Itoa(i)))
-	case i%5 == 2:
-		return tableKeyOf(ns, In(i))
-	case i%5 == 3:
-		return tableKeyOf(ns, In([2]int{i, -i}))
-	default:
-		return tableKeyOf(ns, Addr(uint64(i)<<6, ModeIn))
-	}
-}
+// key is the i-th test key: address i/3 (in 64-byte units) in namespace
+// i%3, so keys 3j, 3j+1 and 3j+2 are one address in three namespaces, and
+// key(0) is address 0 of namespace 0. The hashes being the tests' to choose,
+// such keys share clusters, and only find's key compare tells them apart.
+func key(i int) tableKey { return tableKey{ns: uint64(i % 3), addr: uint64(i/3) << 6} }
 
 // TestAddrTableClusters forces every collision shape: all keys on one home
 // slot (in the middle of the table, and on its last slot at every size, so
@@ -172,8 +156,8 @@ func TestAddrTableInterleavedClusters(t *testing.T) {
 }
 
 // TestAddrTableEqualHashes files keys whose 64-bit hashes are equal: the
-// hash compare passes, so only the key compare tells them apart — an address
-// from a key of another kind included.
+// hash compare passes, so only the key compare tells them apart — one
+// address in two namespaces included.
 func TestAddrTableEqualHashes(t *testing.T) {
 	m := newTableModel(t)
 	const h = 0xdeadbeefcafef00d
@@ -182,9 +166,9 @@ func TestAddrTableEqualHashes(t *testing.T) {
 	}
 	m.check()
 	for name, k := range map[string]tableKey{
-		"a filed address in another namespace": tableKeyOf(9, Addr(key(4).addr, ModeIn)),
-		"a filed int as a string":              tableKeyOf(key(2).ns, In("2")),
-		"address 0 beside a filed string":      tableKeyOf(key(1).ns, Addr(0, ModeIn)),
+		"a filed address in another namespace": {9, key(4).addr},
+		"another address in a filed namespace": {key(2).ns, 1},
+		"address 0 in another namespace":       {3, 0},
 	} {
 		if got, _ := m.tab.find(h, k); got != nil {
 			t.Fatalf("%s: found %+v for a key that was never filed", name, *got)
@@ -263,7 +247,7 @@ func TestAddrTableChurn(t *testing.T) {
 // table and on the map model, with hashes the stream itself degrades: byte 0
 // chooses how many home slots the keys share, byte 1 whether all hashes of a
 // home are equal. Then two bytes an operation: what, and on which of 256 keys
-// — the second byte so also draws the kind of key (key).
+// — the second byte so also draws the key's namespace (key).
 func FuzzAddrTable(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 2, 1, 1, 2, 2, 3, 2, 2})
 	f.Add([]byte{7, 1, 0, 9, 0, 17, 0, 25, 0, 33, 2, 17, 1, 25, 2, 9, 0, 9})

@@ -15,15 +15,15 @@ func TestWaitOnKeys(t *testing.T) {
 			var aDone, bDone atomic.Bool
 			block := make(chan struct{})
 			rt.MustSubmit(Task{
-				Deps: []Dep{Out("a")},
+				Deps: []Dep{Out(addrA)},
 				Do:   do(func() { aDone.Store(true) }),
 			})
 			rt.MustSubmit(Task{
-				Deps: []Dep{Out("b")},
+				Deps: []Dep{Out(addrB)},
 				Do:   do(func() { <-block; bDone.Store(true) }),
 			})
 			// Waiting on "a" must not wait for the blocked "b" task.
-			rt.WaitOn(context.Background(), "a")
+			rt.WaitOn(context.Background(), addrA)
 			if !aDone.Load() {
 				t.Fatal("WaitOn(a) returned before a's task finished")
 			}
@@ -31,7 +31,7 @@ func TestWaitOnKeys(t *testing.T) {
 				t.Fatal("b finished unexpectedly early")
 			}
 			close(block)
-			rt.WaitOn(context.Background(), "b")
+			rt.WaitOn(context.Background(), addrB)
 			if !bDone.Load() {
 				t.Fatal("WaitOn(b) returned before b's task finished")
 			}
@@ -42,8 +42,8 @@ func TestWaitOnKeys(t *testing.T) {
 func TestWaitOnUnusedKeyReturnsImmediately(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	defer mustClose(t, rt)
-	rt.WaitOn(context.Background(), "never-used") // must not hang
-	rt.WaitOn(context.Background())               // empty key set is a no-op
+	rt.WaitOn(context.Background(), addrUnused) // must not hang
+	rt.WaitOn(context.Background())             // empty key set is a no-op
 }
 
 func TestWaitOnAfterClose(t *testing.T) {
@@ -51,7 +51,7 @@ func TestWaitOnAfterClose(t *testing.T) {
 	// report ErrStopped instead of pretending the keys went quiet.
 	rt := New(Config{Workers: 1})
 	mustClose(t, rt)
-	if err := rt.WaitOn(context.Background(), "x"); err != ErrStopped {
+	if err := rt.WaitOn(context.Background(), addrX); err != ErrStopped {
 		t.Fatalf("WaitOn after Close = %v, want ErrStopped", err)
 	}
 	if err := rt.Wait(context.Background()); err != ErrStopped {
@@ -68,10 +68,10 @@ func TestWaitOnFromTaskBody(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			var wrote atomic.Bool
-			rt.MustSubmit(Task{Deps: []Dep{Out("x")}, Do: do(func() { wrote.Store(true) })})
-			h := rt.MustSubmit(Task{Deps: []Dep{Out("y")}, Do: func(context.Context) error {
-				// On the worker: "x" is behind us in the ready queue or done, "z" unused.
-				if err := rt.WaitOn(ctx, "x", "z"); err != nil {
+			rt.MustSubmit(Task{Deps: []Dep{Out(addrX)}, Do: do(func() { wrote.Store(true) })})
+			h := rt.MustSubmit(Task{Deps: []Dep{Out(addrY)}, Do: func(context.Context) error {
+				// On the worker: addrX is behind us in the ready queue or done, addrZ unused.
+				if err := rt.WaitOn(ctx, addrX, addrZ); err != nil {
 					return err
 				}
 				if !wrote.Load() {
@@ -99,9 +99,9 @@ func TestWaitOnPoisonedKey(t *testing.T) {
 			ctx := context.Background()
 			boom := errors.New("boom")
 			gate := make(chan struct{})
-			failed := rt.MustSubmit(Task{Deps: []Dep{Out("k")}, Do: func(context.Context) error { <-gate; return boom }})
+			failed := rt.MustSubmit(Task{Deps: []Dep{Out(addrK)}, Do: func(context.Context) error { <-gate; return boom }})
 			waited := make(chan error, 1)
-			go func() { waited <- rt.WaitOn(ctx, "k") }()
+			go func() { waited <- rt.WaitOn(ctx, addrK) }()
 			waitFor(t, "the WaitOn's task to queue behind the writer", func() bool { return rt.Stats().Hazards == 1 })
 			close(gate)
 			if err := <-waited; err != nil {

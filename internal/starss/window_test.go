@@ -267,14 +267,14 @@ func TestInFlightNeverExceedsWindow(t *testing.T) {
 					if (s+i)%3 == 0 {
 						batch := make([]Task, 2*window+1) // forces chunking
 						for j := range batch {
-							batch[j] = Task{Deps: []Dep{Out([3]int{s, i, j})}, Do: body}
+							batch[j] = Task{Deps: []Dep{Out(uint64(s)<<32 | uint64(i)<<16 | uint64(j))}, Do: body}
 						}
 						if _, err := rt.SubmitAll(ctx, batch); err != nil {
 							t.Error(err)
 						}
 						continue
 					}
-					if _, err := rt.Submit(ctx, Task{Deps: []Dep{Out([2]int{s, i})}, Do: body}); err != nil {
+					if _, err := rt.Submit(ctx, Task{Deps: []Dep{Out(uint64(s)<<32 | uint64(i)<<16)}, Do: body}); err != nil {
 						t.Error(err)
 					}
 				}
@@ -306,7 +306,7 @@ func TestCloseWakesParkedSubmitters(t *testing.T) {
 			gate := make(chan struct{})
 			held := func(context.Context) error { <-gate; return nil }
 			for i := 0; i < window; i++ {
-				rt.MustSubmit(Task{Deps: []Dep{Out(i)}, Do: held})
+				rt.MustSubmit(Task{Deps: []Dep{Out(uint64(i))}, Do: held})
 			}
 			scope := rt.Scope("tenant")
 			parked := []func() error{

@@ -193,7 +193,8 @@ type RuntimeStats = starss.Stats
 // is Do (context-aware, may fail).
 type Task = starss.Task
 
-// Dep declares one data access of a Task.
+// Dep declares one data access of a Task: the base address of the data and
+// the AccessMode of the access, one entry of a Nexus++ task descriptor.
 type Dep = starss.Dep
 
 // Runtime lifecycle errors, re-exported for errors.Is against handle and
@@ -211,29 +212,14 @@ var (
 	ErrTaskTimeout = starss.ErrTaskTimeout
 )
 
-// In declares a read-only dependency on k.
-func In(k any) Dep { return starss.In(k) }
+// In declares a read-only dependency on the data at base address addr.
+func In(addr uint64) Dep { return starss.In(addr) }
 
-// Out declares a write-only dependency on k.
-func Out(k any) Dep { return starss.Out(k) }
+// Out declares a write-only dependency on the data at base address addr.
+func Out(addr uint64) Dep { return starss.Out(addr) }
 
-// InOut declares a read-write dependency on k.
-func InOut(k any) Dep { return starss.InOut(k) }
-
-// Addr declares an access to the data at base address addr — the paper's
-// own Dependence Table key — in the direction m (ReadOnly, WriteOnly or
-// ReadWrite, as in a traced Param). It names the same data as a key holding
-// uint64(addr) and, unlike In/Out/InOut, boxes nothing.
-func Addr(addr uint64, m AccessMode) Dep {
-	switch m {
-	case ReadOnly:
-		return starss.Addr(addr, starss.ModeIn)
-	case WriteOnly:
-		return starss.Addr(addr, starss.ModeOut)
-	default:
-		return starss.Addr(addr, starss.ModeInOut)
-	}
-}
+// InOut declares a read-write dependency on the data at base address addr.
+func InOut(addr uint64) Dep { return starss.InOut(addr) }
 
 // NewRuntime starts an executing runtime.
 func NewRuntime(cfg RuntimeConfig) *Runtime { return starss.New(cfg) }

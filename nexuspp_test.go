@@ -50,12 +50,13 @@ func TestFacadeRuntime(t *testing.T) {
 	rt := nexuspp.NewRuntime(nexuspp.RuntimeConfig{Workers: 2})
 	var order []string
 	var n atomic.Int64
+	const x, y = 0x40, 0x80
 	rt.MustSubmit(nexuspp.Task{
-		Deps: []nexuspp.Dep{nexuspp.Out("x")},
+		Deps: []nexuspp.Dep{nexuspp.Out(x)},
 		Do:   func(context.Context) error { order = append(order, "w"); n.Add(1); return nil },
 	})
 	rt.MustSubmit(nexuspp.Task{
-		Deps: []nexuspp.Dep{nexuspp.In("x"), nexuspp.InOut("y")},
+		Deps: []nexuspp.Dep{nexuspp.In(x), nexuspp.InOut(y)},
 		Do:   func(context.Context) error { order = append(order, "r"); n.Add(1); return nil },
 	})
 	if err := rt.Close(); err != nil {
@@ -69,16 +70,17 @@ func TestFacadeRuntime(t *testing.T) {
 func TestFacadeErrorPropagation(t *testing.T) {
 	rt := nexuspp.NewRuntime(nexuspp.RuntimeConfig{Workers: 2})
 	boom := errors.New("boom")
+	const x = 0x40
 	fail, err := rt.Submit(context.Background(), nexuspp.Task{
 		Name: "producer",
-		Deps: []nexuspp.Dep{nexuspp.Out("x")},
+		Deps: []nexuspp.Dep{nexuspp.Out(x)},
 		Do:   func(context.Context) error { return boom },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dep := rt.MustSubmit(nexuspp.Task{
-		Deps: []nexuspp.Dep{nexuspp.In("x")},
+		Deps: []nexuspp.Dep{nexuspp.In(x)},
 		Do:   func(context.Context) error { t.Error("dependent of failed producer ran"); return nil },
 	})
 	if err := rt.Wait(context.Background()); !errors.Is(err, boom) {
@@ -123,12 +125,13 @@ func ExampleNewRuntime() {
 		Shards:  8, // dependency-table banks; 0 selects a default
 	})
 	var block int
+	const blockAddr = 0x1000 // the dependency names block by an address
 	rt.MustSubmit(nexuspp.Task{
-		Deps: []nexuspp.Dep{nexuspp.Out("block")},
+		Deps: []nexuspp.Dep{nexuspp.Out(blockAddr)},
 		Do:   func(context.Context) error { block = 41; return nil },
 	})
 	rt.MustSubmit(nexuspp.Task{
-		Deps: []nexuspp.Dep{nexuspp.InOut("block")},
+		Deps: []nexuspp.Dep{nexuspp.InOut(blockAddr)},
 		Do:   func(context.Context) error { block++; return nil },
 	})
 	if err := rt.Wait(context.Background()); err != nil {
@@ -147,12 +150,13 @@ func ExampleNewRuntime() {
 // wrapping the root cause.
 func ExampleHandle() {
 	rt := nexuspp.NewRuntime(nexuspp.RuntimeConfig{Workers: 2})
-	// The gate keeps the producer from finishing — and "data" from draining,
+	// The gate keeps the producer from finishing — and data from draining,
 	// its failure with it — before the consumer is submitted behind it.
+	const data = 0x1000
 	submitted := make(chan struct{})
 	producer, _ := rt.Submit(context.Background(), nexuspp.Task{
 		Name: "producer",
-		Deps: []nexuspp.Dep{nexuspp.Out("data")},
+		Deps: []nexuspp.Dep{nexuspp.Out(data)},
 		Do: func(context.Context) error {
 			<-submitted
 			return errors.New("disk on fire")
@@ -160,7 +164,7 @@ func ExampleHandle() {
 	})
 	consumer, _ := rt.Submit(context.Background(), nexuspp.Task{
 		Name: "consumer",
-		Deps: []nexuspp.Dep{nexuspp.In("data")},
+		Deps: []nexuspp.Dep{nexuspp.In(data)},
 		Do:   func(context.Context) error { return nil }, // never runs
 	})
 	close(submitted)
@@ -185,7 +189,7 @@ func ExampleRuntime_SubmitAll() {
 	for i := range tasks {
 		i := i
 		tasks[i] = nexuspp.Task{
-			Deps: []nexuspp.Dep{nexuspp.Out(i)},
+			Deps: []nexuspp.Dep{nexuspp.Out(uint64(i))},
 			Do:   func(context.Context) error { squares[i] = i * i; return nil },
 		}
 	}
