@@ -413,24 +413,20 @@ func BenchmarkObsOverhead(b *testing.B) {
 }
 
 // BenchmarkFaultOverhead is the fault-injection overhead guard, the
-// BenchmarkObsOverhead discipline applied to internal/faults: the same
-// Submit→completion loop with injection off (nil injector — one nil check
-// per task, must stay within noise), with an armed injector whose rule
-// never fires (the hash is paid, the fault is not), and with live injection
-// plus retries recovering every injected failure.
+// BenchmarkObsOverhead discipline applied to internal/faults, on the one
+// site left inside the runtime, kickoff_delay: the same Submit→completion
+// loop with injection off (nil injector — one nil check per task, must stay
+// within noise) and with an armed rule that never fires (the hash is paid,
+// the delay is not). Faults in a body, and the retries that recover them,
+// are the body's own code (starss.Retry), so the runtime has no injection
+// plus re-arm path left to measure.
 func BenchmarkFaultOverhead(b *testing.B) {
 	configs := []struct {
 		name string
 		in   *faults.Plan
-		task starss.Task
 	}{
-		{"off", nil, starss.Task{}},
-		{"armed_cold", &faults.Plan{Seed: 1, Rules: []faults.Rule{{Site: faults.SiteTaskError, Prob: 0}}}, starss.Task{}},
-		// Injected errors at 0.5% with a deep retry budget: every failure
-		// recovers, so the loop measures injection + re-arm cost, not a
-		// different workload.
-		{"active", &faults.Plan{Seed: 1, Rules: []faults.Rule{{Site: faults.SiteTaskError, Prob: 0.005}}},
-			starss.Task{MaxRetries: 8, RetryBackoff: time.Microsecond, RetryMaxBackoff: 2 * time.Microsecond}},
+		{"off", nil},
+		{"armed_cold", &faults.Plan{Seed: 1, Rules: []faults.Rule{{Site: faults.SiteKickoffDelay, Prob: 0, Delay: time.Millisecond}}}},
 	}
 	for _, tc := range configs {
 		tc := tc
@@ -440,10 +436,10 @@ func BenchmarkFaultOverhead(b *testing.B) {
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				t := tc.task
-				t.Deps = []starss.Dep{starss.InOut(uint64(i % 64))}
-				t.Do = func(context.Context) error { return nil }
-				if _, err := rt.Submit(ctx, t); err != nil {
+				if _, err := rt.Submit(ctx, starss.Task{
+					Deps: []starss.Dep{starss.InOut(uint64(i % 64))},
+					Do:   func(context.Context) error { return nil },
+				}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,10 +11,11 @@
 // -window is the Task Pool every session shares and -session-window each
 // session's share of it; a submit that does not fit its session's share
 // gets 429 + Retry-After, one that does not fit the pool 503 + Retry-After,
-// and neither ever waits. -faults arms deterministic, seeded server-side
-// fault injection for chaos drills (e.g. -faults
-// server_delay:0.01:5ms,server_drop:every=100); off by default and
-// zero-cost when disabled.
+// and neither ever waits. -faults arms deterministic, seeded fault
+// injection at the server edge for chaos drills, at its two sites,
+// server_delay and server_drop (e.g. -faults
+// server_delay:0.01:5ms,server_drop:every=100); any other site exits 2.
+// Off by default and zero-cost when disabled.
 //
 // API (JSON everywhere; see internal/service for the wire types):
 //
@@ -40,6 +41,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -48,6 +50,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"syscall"
 	"time"
 
@@ -56,7 +59,7 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
 // Connection timeouts. Without them one client that never finishes its
@@ -76,22 +79,28 @@ func newHTTPServer(h http.Handler) *http.Server {
 	}
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("nexusd", flag.ContinueOnError)
 	var (
-		addr          = flag.String("addr", "127.0.0.1:8037", "listen address")
-		workers       = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		window        = flag.Int("window", 0, "shared runtime in-flight window (0 = derived)")
-		sessionWindow = flag.Int("session-window", 256, "per-session in-flight window (backpressure threshold)")
-		sessionTTL    = flag.Duration("session-ttl", 2*time.Minute, "idle time before a session is drained")
-		maxSessions   = flag.Int("max-sessions", 256, "maximum live sessions")
-		faultSpec     = flag.String("faults", "", "server-side fault injection spec, e.g. server_delay:0.01:5ms (empty = disabled)")
-		faultSeed     = flag.Uint64("fault-seed", 1, "seed for the -faults schedule")
+		addr          = fs.String("addr", "127.0.0.1:8037", "listen address")
+		workers       = fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+		window        = fs.Int("window", 0, "shared runtime in-flight window (0 = derived)")
+		sessionWindow = fs.Int("session-window", 256, "per-session in-flight window (backpressure threshold)")
+		sessionTTL    = fs.Duration("session-ttl", 2*time.Minute, "idle time before a session is drained")
+		maxSessions   = fs.Int("max-sessions", 256, "maximum live sessions")
+		faultSpec     = fs.String("faults", "", "server-edge fault injection spec over server_delay and server_drop, e.g. server_delay:0.01:5ms (empty = disabled)")
+		faultSeed     = fs.Uint64("fault-seed", 1, "seed for the -faults schedule")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	log.SetPrefix("nexusd: ")
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 
-	injector, err := faults.ParseSpec(*faultSeed, *faultSpec)
+	injector, err := parseFaults(*faultSeed, *faultSpec)
 	if err != nil {
 		log.Printf("%v", err)
 		return 2
@@ -153,6 +162,25 @@ func run() int {
 	}
 	log.Printf("clean shutdown")
 	return 0
+}
+
+// serverSites are the sites -faults may arm: the injector reaches only the
+// server edge (faults.Middleware), which consults these two.
+var serverSites = []faults.Site{faults.SiteServerDelay, faults.SiteServerDrop}
+
+// parseFaults compiles the -faults spec and refuses any site the daemon
+// never consults, so a drill cannot arm a fault that will not fire.
+func parseFaults(seed uint64, spec string) (*faults.Injector, error) {
+	in, err := faults.ParseSpec(seed, spec)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range in.Armed() {
+		if !slices.Contains(serverSites, s) {
+			return nil, fmt.Errorf("-faults: site %v never fires in nexusd (valid: %v, %v)", s, serverSites[0], serverSites[1])
+		}
+	}
+	return in, nil
 }
 
 // waitGoroutines polls until the goroutine count returns to the baseline

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"time"
 
 	"nexuspp/internal/depgraph"
@@ -107,8 +108,8 @@ func runTaskPanic(ctx context.Context, seed uint64) (*Report, error) {
 	}, nil
 }
 
-// runTaskHangDeadline injects hung bodies into independent tasks bounded by
-// a per-task deadline, and verifies every hung task fails with
+// runTaskHangDeadline injects hung bodies into independent tasks, each body
+// wrapped in a starss.Deadline, and verifies every hung task fails with
 // ErrTaskTimeout — the deadline, not a wedge, ends the hang — while the
 // rest execute.
 func runTaskHangDeadline(ctx context.Context, seed uint64) (*Report, error) {
@@ -120,14 +121,20 @@ func runTaskHangDeadline(ctx context.Context, seed uint64) (*Report, error) {
 			wantFailed++
 		}
 	}
-	rt := starss.New(starss.Config{Workers: 8, Window: n + 1, Faults: in})
+	rt := starss.New(starss.Config{Workers: 8, Window: n + 1})
 	handles := make([]*starss.Handle, n)
 	for i := 0; i < n; i++ {
+		idx := uint64(i)
+		hang := func(ctx context.Context) error {
+			if in.Should(faults.SiteTaskHang, faults.TaskKey(idx, 0)) {
+				<-ctx.Done() // only the deadline ends a hang
+			}
+			return ctx.Err()
+		}
 		h, err := rt.Submit(ctx, starss.Task{
-			Name:    fmt.Sprintf("hang%d", i),
-			Deps:    []starss.Dep{starss.Out(uint64(i))},
-			Timeout: 30 * time.Millisecond,
-			Do:      func(ctx context.Context) error { return ctx.Err() },
+			Name: fmt.Sprintf("hang%d", i),
+			Deps: []starss.Dep{starss.Out(uint64(i))},
+			Do:   starss.Deadline(hang, 30*time.Millisecond),
 		})
 		if err != nil {
 			_ = rt.Close()
@@ -163,9 +170,9 @@ func runTaskHangDeadline(ctx context.Context, seed uint64) (*Report, error) {
 }
 
 // runRetryRecovers injects body errors at 50% per attempt into independent
-// tasks carrying MaxRetries=4, and verifies the retry policy recovers
-// exactly the tasks the seeded schedule says it should: expected failures
-// and expected re-arms are both computed from Peek before running.
+// tasks whose bodies starss.Retry re-arms up to 4 times, and verifies the
+// retry recovers exactly the tasks the seeded schedule says it should:
+// expected failures and expected re-arms are both computed from Peek.
 func runRetryRecovers(ctx context.Context, seed uint64) (*Report, error) {
 	const (
 		n       = 64
@@ -185,16 +192,23 @@ func runRetryRecovers(ctx context.Context, seed uint64) (*Report, error) {
 			wantRetried += uint64(a)
 		}
 	}
-	rt := starss.New(starss.Config{Workers: 8, Window: n + 1, Faults: in})
+	rt := starss.New(starss.Config{Workers: 8, Window: n + 1})
+	var retried atomic.Uint64
 	handles := make([]*starss.Handle, n)
 	for i := 0; i < n; i++ {
+		idx, attempts := uint64(i), 0 // Retry makes one call at a time
+		flaky := func(ctx context.Context) error {
+			a := attempts
+			attempts++
+			if in.Should(faults.SiteTaskError, faults.TaskKey(idx, a)) {
+				return fmt.Errorf("%w: task %d attempt %d", faults.ErrInjected, idx, a)
+			}
+			return ctx.Err()
+		}
 		h, err := rt.Submit(ctx, starss.Task{
-			Name:            fmt.Sprintf("retry%d", i),
-			Deps:            []starss.Dep{starss.Out(uint64(i))},
-			MaxRetries:      retries,
-			RetryBackoff:    100 * time.Microsecond,
-			RetryMaxBackoff: time.Millisecond,
-			Do:              func(ctx context.Context) error { return ctx.Err() },
+			Name: fmt.Sprintf("retry%d", i),
+			Deps: []starss.Dep{starss.Out(uint64(i))},
+			Do:   starss.Retry(flaky, retries, &retried),
 		})
 		if err != nil {
 			_ = rt.Close()
@@ -211,15 +225,15 @@ func runRetryRecovers(ctx context.Context, seed uint64) (*Report, error) {
 	}
 	st := rt.Stats()
 	_ = rt.Close()
-	if st.Failed != wantFailed || st.Retried != wantRetried || st.Executed != n-wantFailed {
+	if st.Failed != wantFailed || retried.Load() != wantRetried || st.Executed != n-wantFailed {
 		return nil, fmt.Errorf("executed=%d failed=%d retried=%d, want %d/%d/%d",
-			st.Executed, st.Failed, st.Retried, n-wantFailed, wantFailed, wantRetried)
+			st.Executed, st.Failed, retried.Load(), n-wantFailed, wantFailed, wantRetried)
 	}
 	counts := in.Counts()
 	return &Report{
-		Tasks: n, Executed: st.Executed, Failed: st.Failed, Retried: st.Retried,
+		Tasks: n, Executed: st.Executed, Failed: st.Failed, Retried: retried.Load(),
 		Faults:      counts,
-		Fingerprint: fingerprint("retry_recovers", seed, st.Executed, st.Failed, st.Retried, faultLine(counts)),
+		Fingerprint: fingerprint("retry_recovers", seed, st.Executed, st.Failed, retried.Load(), faultLine(counts)),
 	}, nil
 }
 

@@ -42,7 +42,7 @@ const (
 	// ErrTaskPanicked and poisons dependents like any failure.
 	SiteTaskPanic
 	// SiteTaskHang makes a task body block until its context is cancelled —
-	// the stuck-worker case that per-task deadlines exist to bound.
+	// the stuck-worker case that a body's deadline exists to bound.
 	SiteTaskHang
 	// SiteKickoffDelay delays a ready task's dispatch to a worker — a slow
 	// dependence bank / kick-off list.
@@ -239,6 +239,20 @@ func (in *Injector) Fired(site Site) uint64 {
 		return 0
 	}
 	return in.fired[site].Load()
+}
+
+// Armed lists the sites a rule arms, in Site order. Nil-safe.
+func (in *Injector) Armed() []Site {
+	if in == nil {
+		return nil
+	}
+	var sites []Site
+	for s := Site(0); s < numSites; s++ {
+		if in.rules[s].armed {
+			sites = append(sites, s)
+		}
+	}
+	return sites
 }
 
 // Counts returns every site that has fired with its count, sorted by site

@@ -63,7 +63,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	var openOrder []uint64
 	for _, ev := range sorted {
 		switch ev.Kind {
-		case KindSubmit, KindReady, KindRetry, KindFault:
+		case KindSubmit, KindReady:
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 				Name: ev.Kind.String(),
 				Cat:  "lifecycle",

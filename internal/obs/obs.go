@@ -39,13 +39,6 @@ const (
 	// KindPoison records a task skipped because a transitive dependency
 	// failed: it occupied a worker only long enough to be classified.
 	KindPoison
-	// KindRetry records a failed attempt being re-armed under the task's
-	// retry policy: the task will run again after backoff.
-	KindRetry
-	// KindFault records an injected fault firing inside the task's body
-	// (internal/faults) — the ground truth a chaos scenario's invariant
-	// checks reconcile against.
-	KindFault
 )
 
 // String returns the lowercase event name used in exports.
@@ -61,10 +54,6 @@ func (k Kind) String() string {
 		return "finish"
 	case KindPoison:
 		return "poison"
-	case KindRetry:
-		return "retry"
-	case KindFault:
-		return "fault"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

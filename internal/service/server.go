@@ -82,6 +82,9 @@ type Server struct {
 	// shed counts submits refused because the shared window had no room
 	// for them (errShed), exported through /metrics.
 	shed atomic.Uint64
+	// retried counts the re-arms of every session's max_retries bodies
+	// (starss.Retry), exported through /metrics.
+	retried atomic.Uint64
 
 	janitorStop chan struct{}
 	janitorWG   sync.WaitGroup
@@ -354,7 +357,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	id := newSessionID()
 	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
-	ss := newSession(context.Background(), id, s.rt.BoundedScope(id, s.cfg.SessionWindow), s.cfg.SessionWindow, deadline)
+	ss := newSession(context.Background(), id, s.rt.BoundedScope(id, s.cfg.SessionWindow), s.cfg.SessionWindow, deadline, &s.retried)
 	s.sessions[id] = ss
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, SessionInfo{Session: id, Window: ss.window, DeadlineMS: req.DeadlineMS})
@@ -525,7 +528,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{Name: "nexuspp_hazards_total", Help: "Tasks that waited on at least one dependence.", Type: "counter",
 			Samples: []obs.Sample{{Value: float64(st.Hazards)}}},
 		{Name: "nexuspp_tasks_retried_total", Help: "Task attempts re-armed under a retry policy.", Type: "counter",
-			Samples: []obs.Sample{{Value: float64(st.Retried)}}},
+			Samples: []obs.Sample{{Value: float64(s.retried.Load())}}},
 		{Name: "nexuspp_submits_shed_total", Help: "Submits shed because the shared window had no room (503 + Retry-After).", Type: "counter",
 			Samples: []obs.Sample{{Value: float64(s.shed.Load())}}},
 		{Name: "nexuspp_bank_acquisitions_total", Help: "Dependence-bank lock acquisitions.", Type: "counter",

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"nexuspp/internal/service"
+	"nexuspp/internal/starss"
 )
 
 // The suite drives a real in-process nexusd — service.Server behind an
@@ -418,6 +419,69 @@ func TestServiceFailurePropagation(t *testing.T) {
 			t.Fatal("drain did not complete")
 		}
 		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// retriedTotal reads nexuspp_tasks_retried_total off /metrics.
+func retriedTotal(t *testing.T, d *testDaemon) float64 {
+	t.Helper()
+	body, err := d.client.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, "nexuspp_tasks_retried_total "); ok {
+			var n float64
+			if _, err := fmt.Sscan(v, &n); err != nil {
+				t.Fatalf("retried counter %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no nexuspp_tasks_retried_total\n%s", body)
+	return 0
+}
+
+// TestServiceWirePolicy pins what timeout_ms and max_retries mean on the
+// wire: every attempt of a body that outlives timeout_ms fails with the
+// task-timeout error, each re-arm counts once in
+// nexuspp_tasks_retried_total, and a task that sets neither field never
+// moves the counter.
+func TestServiceWirePolicy(t *testing.T) {
+	d := startDaemon(t, service.Config{Workers: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	s, err := d.client.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := retriedTotal(t, d)
+
+	ids, err := s.Submit(ctx, []service.TaskSpec{specOn(2, "out", 1000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Await(ctx, ids); err != nil || st[0].State != service.StateOK {
+		t.Fatalf("plain task: %+v, %v", st, err)
+	}
+	if got := retriedTotal(t, d); got != before {
+		t.Fatalf("a task with no policy moved the retried counter %v -> %v", before, got)
+	}
+
+	slow := specOn(1, "out", 10_000_000)
+	slow.TimeoutMS, slow.MaxRetries = 20, 2
+	if ids, err = s.Submit(ctx, []service.TaskSpec{slow}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Await(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st[0].State != service.StateFailed || !strings.Contains(st[0].Error, starss.ErrTaskTimeout.Error()) {
+		t.Fatalf("slow task = %+v, want failed with %q", st[0], starss.ErrTaskTimeout)
+	}
+	if got := retriedTotal(t, d) - before; got != 2 {
+		t.Fatalf("retried counter rose by %v, want 2 (max_retries)", got)
 	}
 }
 

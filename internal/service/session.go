@@ -39,7 +39,9 @@ type session struct {
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 	// window is the scope's limit, kept for reporting.
-	window     int
+	window int
+	// retried is the server's count of max_retries re-arms (buildTasks).
+	retried    *atomic.Uint64
 	lastActive atomic.Int64 // unix nanoseconds
 	closed     atomic.Bool
 
@@ -68,7 +70,7 @@ type idemEntry struct {
 // entries are evicted first.
 const idemWindowCap = 1024
 
-func newSession(parent context.Context, id string, scope *starss.Scope, window int, deadline time.Duration) *session {
+func newSession(parent context.Context, id string, scope *starss.Scope, window int, deadline time.Duration, retried *atomic.Uint64) *session {
 	var cancelT context.CancelFunc
 	if deadline > 0 {
 		parent, cancelT = context.WithDeadlineCause(parent, time.Now().Add(deadline), ErrSessionDeadline)
@@ -83,12 +85,13 @@ func newSession(parent context.Context, id string, scope *starss.Scope, window i
 		}()
 	}
 	ss := &session{
-		id:     id,
-		scope:  scope,
-		ctx:    ctx,
-		cancel: cancel,
-		window: window,
-		idem:   make(map[string]*idemEntry),
+		id:      id,
+		scope:   scope,
+		ctx:     ctx,
+		cancel:  cancel,
+		window:  window,
+		retried: retried,
+		idem:    make(map[string]*idemEntry),
 	}
 	ss.touch()
 	// Completions count as activity: a session with live work never expires.
@@ -190,7 +193,7 @@ func (ss *session) submitOnce(specs []TaskSpec) (*SubmitResponse, *httpError) {
 		taskSlices.Put(buf)
 	}()
 	var err error
-	if *buf, err = buildTasks((*buf)[:0], specs); err != nil {
+	if *buf, err = buildTasks((*buf)[:0], specs, ss.retried); err != nil {
 		return nil, badRequest("submit: " + err.Error())
 	}
 	handles, err := ss.scope.TrySubmitAll(ss.ctx, *buf)

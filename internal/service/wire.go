@@ -29,6 +29,7 @@ package service
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"nexuspp/internal/starss"
@@ -47,12 +48,13 @@ type TaskSpec struct {
 	// (honouring cancellation). Zero or negative means an empty body.
 	ExecUS int64 `json:"exec_us,omitempty"`
 	// TimeoutMS bounds each execution attempt of the task body; an attempt
-	// exceeding it fails with the runtime's task-timeout error. 0 means no
-	// per-task deadline (the session deadline, if any, still applies).
+	// exceeding it fails with starss.ErrTaskTimeout. 0 means no per-task
+	// deadline (the session deadline, if any, still applies).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// MaxRetries re-arms a failed body up to this many times (with the
-	// runtime's capped exponential backoff) before the failure sticks and
-	// poisons dependents. 0 means fail fast.
+	// MaxRetries re-arms a failed body up to this many times (after a
+	// capped exponential backoff, 1 ms doubling to 250 ms, with full
+	// jitter) before the failure sticks and poisons dependents. 0 means
+	// fail fast.
 	MaxRetries int `json:"max_retries,omitempty"`
 }
 
@@ -80,8 +82,11 @@ func FromTraceSpec(spec trace.TaskSpec) TaskSpec {
 // buildTasks converts a wire batch into runtime tasks in one pass,
 // appending them to dst. Every task's Deps are carved from one slab, the
 // batch's only allocation here; the runtime reads Deps until each task
-// finishes, so the slab is never pooled.
-func buildTasks(dst []starss.Task, specs []TaskSpec) ([]starss.Task, error) {
+// finishes, so the slab is never pooled. A task that sets timeout_ms or
+// max_retries gets its body wrapped, starss.Retry(starss.Deadline(body)),
+// and its re-arms counted in retried; one that sets neither gets no
+// closure.
+func buildTasks(dst []starss.Task, specs []TaskSpec, retried *atomic.Uint64) ([]starss.Task, error) {
 	total := 0
 	for i := range specs {
 		total += len(specs[i].Params)
@@ -110,14 +115,14 @@ func buildTasks(dst []starss.Task, specs []TaskSpec) ([]starss.Task, error) {
 		if ts.MaxRetries < 0 || ts.MaxRetries > 16 {
 			return dst, fmt.Errorf("task %q: max_retries %d out of range [0,16]", ts.Name, ts.MaxRetries)
 		}
-		t := starss.Task{
-			Name:       ts.Name,
-			Deps:       deps,
-			Do:         starss.SleepBody(time.Duration(ts.ExecUS) * time.Microsecond),
-			MaxRetries: ts.MaxRetries,
-			Timeout:    time.Duration(ts.TimeoutMS) * time.Millisecond,
+		do := starss.SleepBody(time.Duration(ts.ExecUS) * time.Microsecond)
+		if d := time.Duration(ts.TimeoutMS) * time.Millisecond; d > 0 {
+			do = starss.Deadline(do, d)
 		}
-		dst = append(dst, t)
+		if ts.MaxRetries > 0 {
+			do = starss.Retry(do, ts.MaxRetries, retried)
+		}
+		dst = append(dst, starss.Task{Name: ts.Name, Deps: deps, Do: do})
 	}
 	return dst, nil
 }

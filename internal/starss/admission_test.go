@@ -160,16 +160,25 @@ func TestSubmitAllocations(t *testing.T) {
 	}
 }
 
-// TestTaskNodeSize pins the node at 240 bytes. Submit allocates it on its
-// own, where one byte over moves it to the allocator's 256-byte size class;
+// TestTaskNodeSize pins the node at 208 bytes. Submit allocates it on its
+// own, where one byte over moves it to the allocator's 224-byte size class;
 // SubmitAll takes a chunk's nodes from one node block, an array with no size
 // class to absorb a byte, so each byte counts chunkMax times. Either shows as
 // bytes_per_task on bench/ workloads that run starss and in the live heap of
 // a full window. The per-dependency access slots are sized to fit — see
 // taskNode.
 func TestTaskNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(taskNode{}); got > 240 {
-		t.Fatalf("taskNode is %d bytes, want <= 240", got)
+	if got := unsafe.Sizeof(taskNode{}); got > 208 {
+		t.Fatalf("taskNode is %d bytes, want <= 208", got)
+	}
+}
+
+// TestTaskSize pins the descriptor the node embeds at 56 bytes: a name, the
+// (address, mode) list, the body and the scope. Policy around the body
+// wraps Do (Retry, Deadline) and costs a task that has none nothing.
+func TestTaskSize(t *testing.T) {
+	if got := unsafe.Sizeof(Task{}); got != 56 {
+		t.Fatalf("Task is %d bytes, want 56", got)
 	}
 }
 

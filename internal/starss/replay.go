@@ -51,7 +51,6 @@ func statsDelta(before, after Stats) Stats {
 	d.Executed -= before.Executed
 	d.Failed -= before.Failed
 	d.Skipped -= before.Skipped
-	d.Retried -= before.Retried
 	d.Hazards -= before.Hazards
 	d.BankAcquisitions -= before.BankAcquisitions
 	d.BankContended -= before.BankContended
@@ -82,28 +81,6 @@ func TaskFromSpec(spec trace.TaskSpec, opts ReplayOptions) Task {
 	}
 	return Task{Deps: deps, Do: SleepBody(d)}
 }
-
-// SleepBody synthesizes the body of a task that stands for d of work: it
-// sleeps for d, honouring cancellation, or — for d <= 0 — only observes
-// cancellation. The empty body is one shared function: it costs a task no
-// allocation.
-func SleepBody(d time.Duration) func(context.Context) error {
-	if d <= 0 {
-		return emptyBody
-	}
-	return func(ctx context.Context) error {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
-func emptyBody(ctx context.Context) error { return ctx.Err() }
 
 // replayBatch is Replay's SubmitAll chunk size.
 const replayBatch = 256

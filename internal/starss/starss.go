@@ -130,26 +130,10 @@ type Task struct {
 	Deps []Dep
 	// Do executes the task. The context is the one the task was submitted
 	// with; bodies should honour its cancellation. A non-nil error marks
-	// the task failed and poisons its transitive dependents. Required (only
-	// WaitOn admits a task without one: see dispatch).
+	// the task failed and poisons its transitive dependents. Called once
+	// (Retry wraps it for more). Required (only WaitOn admits a task
+	// without one: see dispatch).
 	Do func(ctx context.Context) error
-	// MaxRetries re-arms a failed attempt (body error, panic, or Timeout
-	// overrun) up to this many extra times before the failure sticks and
-	// poisons dependents. The re-arm happens on the worker before the
-	// handle-finished path runs, so a recovered task never taints its
-	// dependents. A dead submission context is final and never retried.
-	MaxRetries int
-	// RetryBackoff is the base delay between attempts; backoff grows
-	// exponentially per attempt with full jitter, capped by
-	// RetryMaxBackoff. 0 selects 1ms.
-	RetryBackoff time.Duration
-	// RetryMaxBackoff caps the per-attempt backoff. 0 selects 250ms.
-	RetryMaxBackoff time.Duration
-	// Timeout bounds each execution attempt of the body: the attempt's
-	// context expires after this budget and the failure surfaces as an
-	// error wrapping ErrTaskTimeout (retryable — each attempt gets a fresh
-	// budget). 0 means no per-task deadline.
-	Timeout time.Duration
 	// scope is the Scope the task was submitted through, if any. It names
 	// the namespace the task's keys live in, and the finishing worker settles
 	// its accounting (Scope.taskDone) just before the handle is published:
@@ -197,20 +181,16 @@ type Config struct {
 	// Stats. Off by default: the counting replaces the plain bank Lock with
 	// a TryLock-then-Lock pair on every acquisition.
 	BankCounters bool
-	// Faults injects deterministic, seeded faults into task execution and
-	// dispatch (see internal/faults): task_error/task_panic/task_hang on
-	// bodies, kickoff_delay on the ready→run path. Nil (the default)
-	// disables injection; the hot path then pays one nil check, the same
-	// discipline as the event stream.
+	// Faults injects deterministic, seeded faults (see internal/faults) at
+	// the one site inside the runtime: kickoff_delay, on the ready→run path.
+	// Nil (the default) disables injection; the hot path then pays one nil
+	// check, the same discipline as the event stream.
 	Faults *faults.Injector
 }
 
 // Stats reports runtime counters; the JSON keys are the service's.
 type Stats struct {
 	TaskCounts
-	// Retried counts re-armed execution attempts: a task with MaxRetries
-	// whose attempt failed and ran again. A task retried twice counts 2.
-	Retried uint64 `json:"retried"`
 	// MaxInFlight is the high-water mark of submitted-but-unfinished tasks;
 	// it never exceeds Config.Window (for a Scope, its own limit).
 	MaxInFlight int `json:"max_in_flight"`
@@ -230,8 +210,8 @@ type Stats struct {
 // String renders the counters in one line, for reports and logs.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"submitted=%d executed=%d failed=%d skipped=%d retried=%d hazards=%d max-in-flight=%d",
-		s.Submitted, s.Executed, s.Failed, s.Skipped, s.Retried, s.Hazards, s.MaxInFlight)
+		"submitted=%d executed=%d failed=%d skipped=%d hazards=%d max-in-flight=%d",
+		s.Submitted, s.Executed, s.Failed, s.Skipped, s.Hazards, s.MaxInFlight)
 }
 
 // Handle tracks one submitted task — the software analogue of the task ID
@@ -430,7 +410,6 @@ type Runtime struct {
 	lastNS atomic.Uint64
 
 	tally
-	retried  atomic.Uint64
 	hazards  atomic.Uint64
 	firstErr atomic.Pointer[taskFailure]
 
@@ -499,7 +478,7 @@ type taskNode struct {
 	// access of acc[i].next is the one queued on the same segment, so a walk
 	// down a kick-off list never searches a node for its link. (Kept as two
 	// arrays because a {seg, next, slot} triple pads to 24 bytes, and four of
-	// them push the node out of its 256-byte size class.) Both are written
+	// them push the node out of its 208-byte size class.) Both are written
 	// under the bank lock of acc[i].seg only, and unused once spill is set.
 	acc      [inlineDeps]access
 	nextSlot [inlineDeps]int32
@@ -1390,7 +1369,6 @@ func (rt *Runtime) WindowSize() int { return rt.cfg.Window }
 func (rt *Runtime) Stats() Stats {
 	s := Stats{
 		TaskCounts:  rt.counts(),
-		Retried:     rt.retried.Load(),
 		MaxInFlight: int(rt.win.max.Load()),
 		Hazards:     rt.hazards.Load(),
 	}
@@ -1521,11 +1499,10 @@ func (rt *Runtime) runBody(node *taskNode, id int) (next *taskNode) {
 // execute runs the node's lifecycle up to Handle Finished, bracketed with run
 // and finish (or poison, for skipped tasks) events on one lane — the
 // per-worker ordering the Chrome exporter's timeline nesting relies on.
-// Execution itself (fault injection, deadlines, retries) lives in runNode
-// (exec.go).
+// Execution itself lives in runNode (exec.go).
 func (rt *Runtime) execute(node *taskNode, lane int) {
 	rt.emit(lane, obs.KindRun, node, lane)
-	rt.runNode(node, lane)
+	runNode(node)
 	if node.wasSkipped {
 		rt.emit(lane, obs.KindPoison, node, lane)
 	} else {

@@ -190,7 +190,7 @@ type RuntimeConfig = starss.Config
 type RuntimeStats = starss.Stats
 
 // Task is a unit of executable work with declared dependencies. The body
-// is Do (context-aware, may fail).
+// is Do (context-aware, may fail), which the runtime calls once.
 type Task = starss.Task
 
 // Dep declares one data access of a Task: the base address of the data and
@@ -208,7 +208,8 @@ var (
 	ErrDependencyFailed = starss.ErrDependencyFailed
 	// ErrTaskPanicked marks a task whose body panicked.
 	ErrTaskPanicked = starss.ErrTaskPanicked
-	// ErrTaskTimeout marks a task attempt that exceeded Task.Timeout.
+	// ErrTaskTimeout marks a body call that outlived its budget: a service
+	// task's attempt past its timeout_ms.
 	ErrTaskTimeout = starss.ErrTaskTimeout
 )
 
@@ -257,10 +258,6 @@ const (
 	EventRun    = obs.KindRun
 	EventFinish = obs.KindFinish
 	EventPoison = obs.KindPoison
-	// EventRetry records a failed attempt re-armed under the task's retry
-	// policy; EventFault records an injected fault firing in the body.
-	EventRetry = obs.KindRetry
-	EventFault = obs.KindFault
 )
 
 // WriteChromeTrace converts a drained event log to Chrome trace-viewer
@@ -311,7 +308,7 @@ func ServiceTaskFromSpec(spec TaskSpec) ServiceTaskSpec { return service.FromTra
 // fault fires at a given site for a given key. A nil injector is the
 // disabled state: every layer that consults one pays a single nil check,
 // and schedules are reproducible per seed. Wire one into RuntimeConfig or
-// ServiceConfig, or onto the client side with FaultTransport.
+// ServiceConfig, onto the client side with FaultTransport, or into a body.
 type FaultInjector = faults.Injector
 
 // FaultPlan is a seed plus the armed rules — one reproducible schedule.
