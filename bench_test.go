@@ -15,11 +15,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"nexuspp"
 	"nexuspp/internal/core"
-	"nexuspp/internal/faults"
 	"nexuspp/internal/service"
 	"nexuspp/internal/sim"
 	"nexuspp/internal/softrts"
@@ -295,7 +293,7 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 // scalability benchmark for the sharded dependency banks, against the
 // single-maestro baseline (every Submit and finish funnels
 // through one resolver goroutine — the serialization the paper motivates
-// against) and against the sharded table clamped to one bank. On
+// against). On
 // independent keys (each submitter goroutine owns a disjoint key range)
 // sharding must win; on one globally contended key the dependency chain
 // itself is serial and no resolver design can help. Both are measured as
@@ -309,9 +307,6 @@ func BenchmarkShardScalability(b *testing.B) {
 	}{
 		{"maestro", func(w int) *starss.Runtime {
 			return starss.NewMaestro(starss.Config{Workers: w, Window: 4096})
-		}},
-		{"single_bank", func(w int) *starss.Runtime {
-			return starss.New(starss.Config{Workers: w, Shards: 1, Window: 4096})
 		}},
 		{"sharded", func(w int) *starss.Runtime {
 			return starss.New(starss.Config{Workers: w, Window: 4096})
@@ -393,45 +388,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			rt := starss.New(tc.cfg)
-			defer rt.Close()
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rt.Submit(ctx, starss.Task{
-					Deps: []starss.Dep{starss.InOut(uint64(i % 64))},
-					Do:   func(context.Context) error { return nil },
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := rt.Wait(ctx); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tasks/s")
-		})
-	}
-}
-
-// BenchmarkFaultOverhead is the fault-injection overhead guard, the
-// BenchmarkObsOverhead discipline applied to internal/faults, on the one
-// site left inside the runtime, kickoff_delay: the same Submit→completion
-// loop with injection off (nil injector — one nil check per task, must stay
-// within noise) and with an armed rule that never fires (the hash is paid,
-// the delay is not). Faults in a body, and the retries that recover them,
-// are the body's own code (starss.Retry), so the runtime has no injection
-// plus re-arm path left to measure.
-func BenchmarkFaultOverhead(b *testing.B) {
-	configs := []struct {
-		name string
-		in   *faults.Plan
-	}{
-		{"off", nil},
-		{"armed_cold", &faults.Plan{Seed: 1, Rules: []faults.Rule{{Site: faults.SiteKickoffDelay, Prob: 0, Delay: time.Millisecond}}}},
-	}
-	for _, tc := range configs {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			rt := starss.New(starss.Config{Workers: 4, Window: 256, Faults: faults.New(tc.in)})
 			defer rt.Close()
 			ctx := context.Background()
 			b.ResetTimer()

@@ -117,7 +117,6 @@ func runCmd(args []string) int {
 		seed        = fs.Uint64("seed", 42, "trace generator seed")
 		zerocost    = fs.Bool("zerocost", false, "executing runtimes: empty task bodies (pure resolver throughput)")
 		timescale   = fs.Int("timescale", 1, "executing runtimes: divide synthesized body durations")
-		shards      = fs.Int("shards", 0, "runtime backend: dependency-table banks (0 default, 1 single bank)")
 		csv         = fs.Bool("csv", false, "emit CSV instead of aligned text")
 	)
 	fs.Parse(args)
@@ -147,7 +146,6 @@ func runCmd(args []string) int {
 		Workers:   *workers,
 		ZeroCost:  *zerocost,
 		TimeScale: *timescale,
-		Shards:    *shards,
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Unified run: workload %s, %d workers", wl.Name, *workers),

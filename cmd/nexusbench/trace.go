@@ -24,7 +24,6 @@ func traceCmd(args []string) int {
 		workName  = fs.String("workload", "wavefront", "workload name (see 'nexusbench list')")
 		out       = fs.String("o", "trace.json", "output path for the Chrome trace")
 		workers   = fs.Int("workers", 4, "worker goroutines")
-		shards    = fs.Int("shards", 0, "dependency-table banks (0 default)")
 		seed      = fs.Uint64("seed", 42, "trace generator seed")
 		zerocost  = fs.Bool("zerocost", false, "empty task bodies (pure resolver throughput)")
 		timescale = fs.Int("timescale", 100, "divide synthesized body durations (1 = traced timing)")
@@ -44,7 +43,6 @@ func traceCmd(args []string) int {
 
 	rt := starss.New(starss.Config{
 		Workers:      *workers,
-		Shards:       *shards,
 		EventBuffer:  *buffer,
 		BankCounters: true,
 	})

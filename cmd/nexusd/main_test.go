@@ -61,7 +61,7 @@ func TestFaultsOnlyServerSites(t *testing.T) {
 			t.Errorf("parseFaults(%q) = %v, want accepted", spec, err)
 		}
 	}
-	for _, spec := range []string{"task_panic:0.5", "req_drop:every=2", "server_drop:every=3,kickoff_delay:1:1ms"} {
+	for _, spec := range []string{"task_panic:0.5", "req_drop:every=2", "server_drop:every=3,task_hang:1"} {
 		_, err := parseFaults(1, spec)
 		if err == nil || !strings.Contains(err.Error(), "server_delay, server_drop") {
 			t.Errorf("parseFaults(%q) = %v, want a refusal naming server_delay and server_drop", spec, err)

@@ -39,10 +39,7 @@
 //
 // Running real Go tasks with StarSs semantics:
 //
-//	rt := nexuspp.NewRuntime(nexuspp.RuntimeConfig{
-//		Workers: 8,
-//		Shards:  64, // dependency-table banks; 0 = default, 1 = single bank
-//	})
+//	rt := nexuspp.NewRuntime(nexuspp.RuntimeConfig{Workers: 8})
 //	const block = 0x1000 // the data's base address, the Dependence Table key
 //	producer, _ := rt.Submit(ctx, nexuspp.Task{
 //		Deps: []nexuspp.Dep{nexuspp.Out(block)},

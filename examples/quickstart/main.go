@@ -19,10 +19,9 @@ import (
 
 func main() {
 	// --- 1. Executing runtime -------------------------------------------
-	// Shards is the number of dependency-table banks (the software
-	// analogue of the Nexus++ Dependence Table banks); 0 picks a default
-	// scaled to Workers.
-	rt := nexuspp.NewRuntime(nexuspp.RuntimeConfig{Workers: 4, Shards: 16})
+	// The runtime sizes its dependency-table banks (the software analogue
+	// of the Nexus++ Dependence Table banks) from Workers.
+	rt := nexuspp.NewRuntime(nexuspp.RuntimeConfig{Workers: 4})
 	ctx := context.Background()
 
 	// A tiny dataflow: two independent producers, one consumer, exactly

@@ -44,9 +44,6 @@ type Config struct {
 	// engines: 1 (or 0) replays traced timing unscaled. Simulated engines
 	// ignore it.
 	TimeScale int
-	// Shards overrides the sharded runtime's dependency-table bank count
-	// (0 = scaled to Workers, 1 = single bank). Other engines ignore it.
-	Shards int
 }
 
 // withDefaults fills the zero values.

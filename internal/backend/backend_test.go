@@ -162,21 +162,3 @@ func TestExecutingBackendsReplayTracedTiming(t *testing.T) {
 		})
 	}
 }
-
-// TestShardsKnobReachesRuntime pins that Config.Shards reaches the sharded
-// runtime: a single-bank run must still execute everything correctly.
-func TestShardsKnobReachesRuntime(t *testing.T) {
-	b, err := Lookup("runtime")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := workload.Wavefront(3)
-	rep, err := b.Run(context.Background(),
-		Config{Workers: 4, ZeroCost: true, Shards: 1}, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TasksExecuted != uint64(src.Total()) {
-		t.Errorf("TasksExecuted = %d, want %d", rep.TasksExecuted, src.Total())
-	}
-}

@@ -119,9 +119,9 @@ func (b replayBackend) Run(ctx context.Context, cfg Config, src workload.Source)
 	cfg = cfg.withDefaults()
 	newRuntime := starss.New
 	if b.maestro {
-		newRuntime = starss.NewMaestro // ignores Shards
+		newRuntime = starss.NewMaestro
 	}
-	rt := newRuntime(starss.Config{Workers: cfg.Workers, Window: 4096, Shards: cfg.Shards})
+	rt := newRuntime(starss.Config{Workers: cfg.Workers, Window: 4096})
 	res, err := starss.Replay(ctx, rt, src, starss.ReplayOptions{
 		ZeroCost:  cfg.ZeroCost,
 		TimeScale: cfg.TimeScale,

@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/csv"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -205,21 +208,40 @@ func TestProgressLogging(t *testing.T) {
 	}
 }
 
+// TestShardScalingQuick runs the experiment on one row and pins its speedup
+// cell to that row's sharded ÷ maestro striped throughput, so a column that
+// shifts under the index fails.
 func TestShardScalingQuick(t *testing.T) {
 	tbl, err := ShardScaling(Options{Cores: []int{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.NumRows() != 1 {
-		t.Fatalf("rows = %d", tbl.NumRows())
-	}
 	var buf bytes.Buffer
-	if err := tbl.Render(&buf); err != nil {
+	if err := tbl.RenderCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"maestro", "sharded"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("missing column %q in:\n%s", want, buf.String())
+	r := csv.NewReader(&buf)
+	r.Comment = '#'
+	rows, err := r.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || len(rows[1]) != len(rows[0]) {
+		t.Fatalf("want a header and one row of as many cells:\n%v", rows)
+	}
+	cell := map[string]float64{}
+	for i, name := range rows[0] {
+		v, err := strconv.ParseFloat(rows[1][i], 64)
+		if err != nil {
+			t.Fatalf("column %q: %v", name, err)
 		}
+		cell[name] = v
+	}
+	maestro, sharded, speedup := cell["maestro striped"], cell["sharded striped"], cell["speedup vs maestro"]
+	if maestro <= 0 || sharded <= 0 {
+		t.Fatalf("striped throughputs missing: %v", rows)
+	}
+	if want := sharded / maestro; math.Abs(speedup-want) > 0.006 {
+		t.Errorf("speedup vs maestro = %v, want sharded/maestro = %.3f (%v)", speedup, want, rows)
 	}
 }

@@ -13,14 +13,14 @@ import (
 )
 
 // ShardScaling measures the executing runtime's replay throughput under
-// three dependency resolvers, all driven through the unified backend
+// two dependency resolvers, both driven through the unified backend
 // interface in zero-cost mode (empty task bodies, so the resolver is the
 // only cost): the single-maestro baseline backend (every submit
 // and finish funnels through one resolver goroutine — the software
-// bottleneck of the paper's SSI motivation), the sharded runtime backend
-// clamped to one bank, and the sharded default. Striped keys is the
-// workload sharding exists for; a single contended key is serial by
-// construction and bounds what any resolver can do.
+// bottleneck of the paper's SSI motivation) and the sharded runtime
+// backend. Striped keys is the workload sharding exists for; a single
+// contended key is serial by construction and bounds what any resolver can
+// do.
 func ShardScaling(opts Options) (*report.Table, error) {
 	tasks := 100_000
 	if opts.Full {
@@ -33,38 +33,23 @@ func ShardScaling(opts Options) (*report.Table, error) {
 			cores = append(cores, 16)
 		}
 	}
-	type resolver struct {
-		name   string
-		b      backend.Backend
-		shards int
-	}
-	maestro := mustBackend("maestro")
-	sharded := mustBackend("runtime")
-	resolvers := []resolver{
-		{"maestro", maestro, 0},
-		{"1 bank", sharded, 1},
-		{"sharded", sharded, 0},
-	}
-	run := func(r resolver, workers int, src workload.Source) (float64, starss.Stats, error) {
-		opts.logf("run %-28s workers=%-3d resolver=%s", src.Name(), workers, r.name)
-		rep, err := r.b.Run(context.Background(), backend.Config{
-			Workers:  workers,
-			ZeroCost: true,
-			Shards:   r.shards,
-		}, src)
+	resolvers := []backend.Backend{mustBackend("maestro"), mustBackend("runtime")}
+	run := func(b backend.Backend, workers int, src workload.Source) (float64, starss.Stats, error) {
+		opts.logf("run %-28s workers=%-3d resolver=%s", src.Name(), workers, b.Name())
+		rep, err := b.Run(context.Background(), backend.Config{Workers: workers, ZeroCost: true}, src)
 		if err != nil {
 			return 0, starss.Stats{}, err
 		}
 		detail, ok := rep.Detail.(*starss.ReplayResult)
 		if !ok {
-			return 0, starss.Stats{}, fmt.Errorf("shard scaling: %s reported %T, want *starss.ReplayResult", r.name, rep.Detail)
+			return 0, starss.Stats{}, fmt.Errorf("shard scaling: %s reported %T, want *starss.ReplayResult", b.Name(), rep.Detail)
 		}
 		return rep.Throughput(), detail.Stats, nil
 	}
 
 	t := report.NewTable(
 		fmt.Sprintf("Dependency-resolution scaling: single maestro vs sharded banks (%d striped / %d contended empty tasks replayed, tasks/s)", tasks, tasks/10),
-		"workers", "maestro striped", "1-bank striped", "sharded striped", "speedup vs maestro",
+		"workers", "maestro striped", "sharded striped", "speedup vs maestro",
 		"maestro contended", "sharded contended")
 	var health starss.Stats
 	for _, w := range cores {
@@ -79,9 +64,9 @@ func ShardScaling(opts Options) (*report.Table, error) {
 			striped = append(striped, thr)
 			row = append(row, thr)
 		}
-		row = append(row, striped[2]/striped[0])
-		for _, i := range []int{0, 2} {
-			thr, st, err := run(resolvers[i], w, contendedSource(tasks/10))
+		row = append(row, striped[1]/striped[0])
+		for _, r := range resolvers {
+			thr, st, err := run(r, w, contendedSource(tasks/10))
 			if err != nil {
 				return nil, err
 			}

@@ -4,14 +4,14 @@
 // lists always drain, task IDs are never duplicated — but the software
 // service reproducing it runs on a fabric where task bodies panic, clients
 // retry, and requests vanish mid-flight. This package makes those failures
-// injectable at every layer (task bodies, the runtime's dispatch path, and
-// the HTTP wire) so the recovery paths can be exercised deterministically.
+// injectable at task bodies and the HTTP wire so the recovery paths can be
+// exercised deterministically.
 //
 // Design rules, in priority order:
 //
 //   - Off means free. A nil *Injector disables everything; every injection
-//     point in the runtime and the service pays exactly one nil check, the
-//     same discipline internal/obs uses for the event stream.
+//     point pays exactly one nil check, the same discipline internal/obs
+//     uses for the event stream.
 //   - Deterministic per seed. Decisions are pure functions of (seed, site,
 //     key) — a hash, not a stateful PRNG — so a fault schedule is
 //     reproducible regardless of goroutine interleaving as long as the
@@ -44,9 +44,6 @@ const (
 	// SiteTaskHang makes a task body block until its context is cancelled —
 	// the stuck-worker case that a body's deadline exists to bound.
 	SiteTaskHang
-	// SiteKickoffDelay delays a ready task's dispatch to a worker — a slow
-	// dependence bank / kick-off list.
-	SiteKickoffDelay
 	// SiteReqDrop drops a client request before it is sent; the server
 	// never sees it.
 	SiteReqDrop
@@ -68,7 +65,7 @@ const (
 )
 
 var siteNames = [numSites]string{
-	"task_error", "task_panic", "task_hang", "kickoff_delay",
+	"task_error", "task_panic", "task_hang",
 	"req_drop", "req_dup", "req_delay", "resp_drop",
 	"server_delay", "server_drop",
 }
@@ -98,7 +95,7 @@ type Rule struct {
 	// Prob when nonzero.
 	Every uint64
 	// Delay is the injected latency for the delay-flavoured sites
-	// (kickoff_delay, req_delay, server_delay); ignored elsewhere.
+	// (req_delay, server_delay); ignored elsewhere.
 	Delay time.Duration
 }
 
@@ -212,25 +209,13 @@ func (in *Injector) ShouldSeq(site Site) bool {
 	return in.Should(site, in.seq[site].Add(1)-1)
 }
 
-// Delay returns the site's injected latency when its rule fires for key,
-// and zero otherwise. Nil-safe.
-func (in *Injector) Delay(site Site, key uint64) time.Duration {
-	if in == nil {
-		return 0
-	}
-	if !in.decide(site, key) {
-		return 0
-	}
-	in.fired[site].Add(1)
-	return in.rules[site].delay
-}
-
-// DelaySeq is Delay keyed by the site's call sequence number. Nil-safe.
+// DelaySeq returns the site's injected latency when its rule fires for the
+// site's next call sequence number, and zero otherwise. Nil-safe.
 func (in *Injector) DelaySeq(site Site) time.Duration {
-	if in == nil {
+	if !in.ShouldSeq(site) {
 		return 0
 	}
-	return in.Delay(site, in.seq[site].Add(1)-1)
+	return in.rules[site].delay
 }
 
 // Fired returns the number of times the site's rule has fired. Nil-safe.

@@ -111,7 +111,7 @@ func TestNilInjector(t *testing.T) {
 	if in.Should(SiteTaskError, 0) || in.Peek(SiteTaskError, 0) || in.ShouldSeq(SiteReqDrop) {
 		t.Error("nil injector fired")
 	}
-	if in.Delay(SiteKickoffDelay, 0) != 0 || in.DelaySeq(SiteReqDelay) != 0 {
+	if in.DelaySeq(SiteReqDelay) != 0 {
 		t.Error("nil injector delayed")
 	}
 	if in.Fired(SiteTaskError) != 0 || in.Counts() != nil {
@@ -128,14 +128,14 @@ func TestNilInjector(t *testing.T) {
 // TestDelaySite: a delay rule returns its configured latency when it fires
 // and zero otherwise, and counts only the firings.
 func TestDelaySite(t *testing.T) {
-	in := New(&Plan{Seed: 3, Rules: []Rule{{Site: SiteKickoffDelay, Every: 2, Delay: 5 * time.Millisecond}}})
-	if d := in.Delay(SiteKickoffDelay, 0); d != 5*time.Millisecond {
-		t.Errorf("key 0 delay = %v, want 5ms", d)
+	in := New(&Plan{Seed: 3, Rules: []Rule{{Site: SiteReqDelay, Every: 2, Delay: 5 * time.Millisecond}}})
+	if d := in.DelaySeq(SiteReqDelay); d != 5*time.Millisecond {
+		t.Errorf("call 0 delay = %v, want 5ms", d)
 	}
-	if d := in.Delay(SiteKickoffDelay, 1); d != 0 {
-		t.Errorf("key 1 delay = %v, want 0", d)
+	if d := in.DelaySeq(SiteReqDelay); d != 0 {
+		t.Errorf("call 1 delay = %v, want 0", d)
 	}
-	if got := in.Fired(SiteKickoffDelay); got != 1 {
+	if got := in.Fired(SiteReqDelay); got != 1 {
 		t.Errorf("fired = %d, want 1", got)
 	}
 }
@@ -151,7 +151,7 @@ func TestParseSpec(t *testing.T) {
 	if !in.Peek(SiteRespDrop, 8) || in.Peek(SiteRespDrop, 9) {
 		t.Error("resp_drop:every=4 not armed as a modulo rule")
 	}
-	if d := in.Delay(SiteRespDrop, 4); d != 2*time.Millisecond {
+	if d := in.DelaySeq(SiteRespDrop); d != 2*time.Millisecond {
 		t.Errorf("resp_drop delay = %v, want 2ms", d)
 	}
 	if got := in.String(); !strings.Contains(got, "seed=11") || !strings.Contains(got, "task_panic:0.05") {

@@ -326,8 +326,8 @@ func TestNodeBlockClass(t *testing.T) {
 				if blk == nil {
 					t.Fatalf("chunk of %d: its block was collected", n)
 				}
-				if got := len(blk.nodes); got < n || got > nextPow2(n) {
-					t.Errorf("chunk of %d took a block of %d nodes, want %d to %d", n, got, n, nextPow2(n))
+				if got, most := len(blk.nodes), 1<<blockClassOf(n); got < n || got > most {
+					t.Errorf("chunk of %d took a block of %d nodes, want %d to %d", n, got, n, most)
 				}
 			}
 			for c := range blockClasses {
@@ -472,7 +472,8 @@ func TestSegmentReuseSecondPass(t *testing.T) {
 	const keys = tasks + 2*side
 	ctx := context.Background()
 	cell := func(r, c int) uint64 { return uint64((r+1)*(side+1)+c+1) << 6 }
-	for name, rt := range newRuntimes(Config{Workers: 2, Window: tasks + 8, Shards: 4}) {
+	cfg := Config{Workers: 2, Window: tasks + 8}
+	for name, rt := range map[string]*Runtime{"sharded": newRuntime(cfg, 4, nil), "maestro": NewMaestro(cfg)} {
 		t.Run(name, func(t *testing.T) {
 			free := map[*segState]bool{}
 			for pass := range 2 {

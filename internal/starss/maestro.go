@@ -23,15 +23,13 @@ type funnel struct {
 
 // NewMaestro starts the single-maestro baseline: a Runtime with one
 // dependence bank whose every resolution funnels through one goroutine.
-// cfg.Shards is ignored.
 func NewMaestro(cfg Config) *Runtime {
-	cfg.Shards = 1
 	f := &funnel{
 		submitCh: make(chan *taskNode),
 		doneCh:   make(chan *taskNode),
 		quit:     make(chan struct{}),
 	}
-	rt := newRuntime(cfg, f)
+	rt := newRuntime(cfg, 1, f)
 	go f.run(rt)
 	return rt
 }

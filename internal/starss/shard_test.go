@@ -13,27 +13,33 @@ import (
 // Tests for the sharded dependency-resolution banks and the batch
 // submission API.
 
+// TestShardsRoundedToPowerOfTwo pins the derived bank count — four banks a
+// worker within [8, 512], rounded up to a power of two — and the maestro's
+// single bank.
 func TestShardsRoundedToPowerOfTwo(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {100, 128},
+	for _, tc := range []struct{ workers, want int }{
+		{1, 8}, {2, 8}, {3, 16}, {4, 16}, {8, 32}, {200, 512},
 	} {
-		rt := New(Config{Workers: 1, Shards: tc.in})
-		if got := len(rt.banks); got != tc.want {
-			t.Errorf("Shards %d rounded to %d banks, want %d", tc.in, got, tc.want)
+		if got := banksFor(tc.workers); got != tc.want {
+			t.Errorf("banksFor(%d) = %d, want %d", tc.workers, got, tc.want)
 		}
-		mustClose(t, rt)
 	}
-	rt := New(Config{Workers: 4})
-	if got := len(rt.banks); got != nextPow2(defaultShards(4)) {
-		t.Errorf("default shards = %d", got)
+	rt := New(Config{Workers: 3})
+	if got := len(rt.banks); got != 16 {
+		t.Errorf("New with 3 workers has %d banks, want 16", got)
+	}
+	mustClose(t, rt)
+	rt = NewMaestro(Config{Workers: 4})
+	if got := len(rt.banks); got != 1 {
+		t.Errorf("NewMaestro has %d banks, want 1", got)
 	}
 	mustClose(t, rt)
 }
 
 func TestSingleShardPreservesSemantics(t *testing.T) {
-	// Shards=1 is one bank every caller locks itself; the full ordering
+	// One bank is one lock every caller takes itself; the full ordering
 	// semantics must hold there too.
-	rt := New(Config{Workers: 8, Shards: 1})
+	rt := newRuntime(Config{Workers: 8}, 1, nil)
 	var order []int
 	var mu sync.Mutex
 	for i := 0; i < 50; i++ {
@@ -57,12 +63,12 @@ func TestSingleShardPreservesSemantics(t *testing.T) {
 
 // TestMultiKeyTasksAcrossBanks stresses tasks whose keys hash to several
 // banks at once: the sorted bank-acquisition order must neither deadlock
-// nor break hazard exclusion. Two shards with many keys guarantees
+// nor break hazard exclusion. Two banks with many keys guarantees
 // cross-bank key sets. The tasks come from three namespaces, so one bank
 // files the same address three times.
 func TestMultiKeyTasksAcrossBanks(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
-		rt := New(Config{Workers: 8, Shards: shards, Window: 128})
+	for _, banks := range []int{1, 2, 8} {
+		rt := newRuntime(Config{Workers: 8, Window: 128}, banks, nil)
 		h := newHazardChecker()
 		subs, nss := namespaces(rt)
 		rng := sim.NewRand(11)
@@ -92,10 +98,10 @@ func TestMultiKeyTasksAcrossBanks(t *testing.T) {
 		}
 		mustClose(t, rt)
 		if len(h.bad) > 0 {
-			t.Fatalf("shards=%d: hazard violations: %v", shards, h.bad[:min(5, len(h.bad))])
+			t.Fatalf("banks=%d: hazard violations: %v", banks, h.bad[:min(5, len(h.bad))])
 		}
 		if rt.Stats().Executed != 400 {
-			t.Fatalf("shards=%d: executed = %d", shards, rt.Stats().Executed)
+			t.Fatalf("banks=%d: executed = %d", banks, rt.Stats().Executed)
 		}
 	}
 }
@@ -242,7 +248,7 @@ func TestSubmitAllRAWAcrossBatches(t *testing.T) {
 // TestBankIndexStable: a key hashes the same way every time it is asked, and
 // its bank is one the runtime has.
 func TestBankIndexStable(t *testing.T) {
-	rt := New(Config{Workers: 1, Shards: 16})
+	rt := New(Config{Workers: 4}) // 16 banks
 	defer mustClose(t, rt)
 	for _, k := range []tableKey{{0, 0}, {3, 7}, {3, 1 << 63}, {^uint64(0), ^uint64(0)}} {
 		h, again := rt.hashKey(k), rt.hashKey(k)
@@ -260,12 +266,15 @@ func TestBankIndexStable(t *testing.T) {
 // two of them; and the namespace is part of what is hashed, so one address
 // in two scopes has two homes — over a thousand addresses the top bits
 // (a 256-slot table's home) differ far more often than not. A single bank
-// (Shards: 1, and the maestro) still hashes: the home slot needs the bits
+// (a one-bank runtime, and the maestro) still hashes: the home slot needs the bits
 // the bank index does not.
 func TestHashKeySeeded(t *testing.T) {
 	const n = 1000
-	for name, rt := range newRuntimes(Config{Workers: 1, Shards: 1}) {
-		other := New(Config{Workers: 1, Shards: 1})
+	for name, rt := range map[string]*Runtime{
+		"one bank": newRuntime(Config{Workers: 1}, 1, nil),
+		"maestro":  NewMaestro(Config{Workers: 1}),
+	} {
+		other := newRuntime(Config{Workers: 1}, 1, nil)
 		acrossRuntimes, acrossScopes, homes := 0, 0, map[uint64]bool{}
 		for a := uint64(0); a < n; a++ {
 			key := tableKey{ns: 1, addr: a << 6}

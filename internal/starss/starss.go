@@ -81,10 +81,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 	"weak"
 
-	"nexuspp/internal/faults"
 	"nexuspp/internal/obs"
 	"nexuspp/internal/trace"
 )
@@ -163,14 +161,6 @@ type Config struct {
 	// the analogue of the Task Pool size; Submit blocks when it is full,
 	// and blocked submitters are served in arrival order. 0 selects 1024.
 	Window int
-	// Shards is the number of dependency-table banks the key space is
-	// hashed across — the software analogue of the Nexus++ Dependence
-	// Table banks. Tasks on keys in different banks resolve concurrently;
-	// 1 is one bank, whose lock every submitter and finisher takes itself
-	// (the single-resolver baseline is NewMaestro, not Shards: 1). Values
-	// are rounded up to a power of two; 0 selects a default scaled to
-	// Workers.
-	Shards int
 	// EventBuffer enables the lifecycle event stream (submit/ready/run/
 	// finish/poison) and sets the per-lane ring capacity; 0 (the default)
 	// disables it, leaving a single nil check on every emission point.
@@ -181,11 +171,6 @@ type Config struct {
 	// Stats. Off by default: the counting replaces the plain bank Lock with
 	// a TryLock-then-Lock pair on every acquisition.
 	BankCounters bool
-	// Faults injects deterministic, seeded faults (see internal/faults) at
-	// the one site inside the runtime: kickoff_delay, on the ready→run path.
-	// Nil (the default) disables injection; the hot path then pays one nil
-	// check, the same discipline as the event stream.
-	Faults *faults.Injector
 }
 
 // Stats reports runtime counters; the JSON keys are the service's.
@@ -649,49 +634,37 @@ var ErrDependencyFailed = errors.New("starss: dependency failed")
 // in the wrapping error, and dependents are poisoned as for any failure.
 var ErrTaskPanicked = errors.New("starss: task panicked")
 
-// defaultShards picks a bank count that gives low collision probability at
-// full worker concurrency.
-func defaultShards(workers int) int {
-	n := 4 * workers
-	if n < 8 {
-		n = 8
-	}
-	if n > 512 {
-		n = 512
-	}
-	return n
-}
-
-// nextPow2 rounds n up to a power of two.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
+// banksFor is the dependence-bank count of a runtime with the given number
+// of workers: four banks a worker, for a low collision probability at full
+// worker concurrency, within [8, 512] and rounded up to a power of two. Like
+// the Nexus++ Dependence Table's banking, it is fixed by design, not by the
+// program.
+func banksFor(workers int) int {
+	return 1 << bits.Len(uint(min(max(4*workers, 8), 512)-1))
 }
 
 // New starts a runtime with the given configuration.
-func New(cfg Config) *Runtime { return newRuntime(cfg, nil) }
+func New(cfg Config) *Runtime { return newRuntime(cfg, 0, nil) }
 
-// newRuntime applies the defaults and starts the workers. A non-nil funnel
-// (NewMaestro) takes over all dependency resolution; the caller starts it.
-func newRuntime(cfg Config, f *funnel) *Runtime {
+// newRuntime applies the defaults and starts the workers. banks is the
+// dependence-bank count, a power of two; 0 derives it from Workers
+// (banksFor). A non-nil funnel (NewMaestro) takes over all dependency
+// resolution; the caller starts it.
+func newRuntime(cfg Config, banks int, f *funnel) *Runtime {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 1024
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = defaultShards(cfg.Workers)
+	if banks == 0 {
+		banks = banksFor(cfg.Workers)
 	}
-	cfg.Shards = nextPow2(cfg.Shards)
 	rt := &Runtime{
 		cfg:     cfg,
-		banks:   make([]bank, cfg.Shards),
-		mask:    uint64(cfg.Shards - 1),
-		segFree: max(segFreeMin, 2*cfg.Window/cfg.Shards),
+		banks:   make([]bank, banks),
+		mask:    uint64(banks - 1),
+		segFree: max(segFreeMin, 2*cfg.Window/banks),
 		seed:    maphash.MakeSeed(),
 		funnel:  f,
 		stopped: make(chan struct{}),
@@ -1482,12 +1455,6 @@ func (rt *Runtime) worker(id int) {
 // runBody executes one node on worker id and resolves its completion,
 // returning the successor the worker is to run next, if it released one.
 func (rt *Runtime) runBody(node *taskNode, id int) (next *taskNode) {
-	if inj := rt.cfg.Faults; inj != nil {
-		// A slow bank: the task is ready but its kick-off is delayed.
-		if d := inj.Delay(faults.SiteKickoffDelay, node.handle.index); d > 0 {
-			time.Sleep(d)
-		}
-	}
 	rt.execute(node, id)
 	if f := rt.funnel; f != nil {
 		f.doneCh <- node

@@ -47,7 +47,7 @@ func TestKeyIdentity(t *testing.T) {
 	ctx := context.Background()
 	nop := func(context.Context) error { return nil }
 	runtimes := newRuntimes(Config{Workers: 4, Window: 16})
-	runtimes["one bank"] = New(Config{Workers: 4, Window: 16, Shards: 1})
+	runtimes["one bank"] = newRuntime(Config{Workers: 4, Window: 16}, 1, nil)
 	for name, rt := range runtimes {
 		t.Run(name, func(t *testing.T) {
 			defer mustClose(t, rt)
@@ -417,11 +417,8 @@ func TestWindowBackPressure(t *testing.T) {
 func TestRandomGraphsProperty(t *testing.T) {
 	prop := func(seed uint64, wRaw, sRaw uint8) bool {
 		rng := sim.NewRand(seed)
-		rt := New(Config{
-			Workers: int(wRaw%4) + 1,
-			Window:  64,
-			Shards:  int(sRaw % 5), // 0 (default), 1, 2, 3→4, 4
-		})
+		banks := []int{0, 1, 2, 4}[sRaw%4] // 0 derives the count from Workers
+		rt := newRuntime(Config{Workers: int(wRaw%4) + 1, Window: 64}, banks, nil)
 		h := newHazardChecker()
 		subs, nss := namespaces(rt)
 		n := 120

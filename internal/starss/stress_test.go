@@ -22,7 +22,7 @@ func TestShardedRuntimeStress(t *testing.T) {
 		tasksPerSubmitter = 300
 		keyPool           = 24
 	)
-	rt := New(Config{Workers: 8, Window: 64, Shards: 4})
+	rt := newRuntime(Config{Workers: 8, Window: 64}, 4, nil)
 
 	var (
 		mu      sync.Mutex
@@ -148,7 +148,7 @@ func TestShardedRuntimeStress(t *testing.T) {
 // admitted (and drained) or get ErrStopped — no third outcome, no hang.
 func TestStressSubmitAfterClose(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		rt := New(Config{Workers: 4, Window: 16, Shards: 2})
+		rt := newRuntime(Config{Workers: 4, Window: 16}, 2, nil)
 		var wg sync.WaitGroup
 		var admitted atomic.Uint64
 		start := make(chan struct{})

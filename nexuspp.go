@@ -179,10 +179,9 @@ type Runtime = starss.Runtime
 // Handle tracks one submitted task: Done, Err, Name, Index, Wait.
 type Handle = starss.Handle
 
-// RuntimeConfig parameterises a Runtime. The Shards field sets the number
-// of dependency-table banks, 0 selecting a default scaled to Workers. 1 is
-// one bank lock taken by each caller, not the single-resolver baseline: that
-// is the maestro runtime (backend "maestro").
+// RuntimeConfig parameterises a Runtime: workers, in-flight window and
+// instrumentation. The number of dependency-table banks is not a setting:
+// the runtime derives it from Workers.
 type RuntimeConfig = starss.Config
 
 // RuntimeStats reports the runtime counters, including the Failed and
@@ -307,8 +306,8 @@ func ServiceTaskFromSpec(spec TaskSpec) ServiceTaskSpec { return service.FromTra
 // FaultInjector decides, deterministically per seed, whether an injected
 // fault fires at a given site for a given key. A nil injector is the
 // disabled state: every layer that consults one pays a single nil check,
-// and schedules are reproducible per seed. Wire one into RuntimeConfig or
-// ServiceConfig, onto the client side with FaultTransport, or into a body.
+// and schedules are reproducible per seed. Wire one into ServiceConfig, onto
+// the client side with FaultTransport, or into a body.
 type FaultInjector = faults.Injector
 
 // FaultPlan is a seed plus the armed rules — one reproducible schedule.
@@ -318,8 +317,8 @@ type FaultPlan = faults.Plan
 // discipline, plus an optional injected delay.
 type FaultRule = faults.Rule
 
-// FaultSite is one injection point (task error/panic/hang, kick-off delay,
-// and the wire's drop/duplicate/delay sites).
+// FaultSite is one injection point (task error/panic/hang, and the wire's
+// drop/duplicate/delay sites).
 type FaultSite = faults.Site
 
 // FaultTransport is an http.RoundTripper injecting client-side wire faults

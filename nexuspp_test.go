@@ -120,10 +120,7 @@ func ExampleSimulate() {
 // semantics on the sharded runtime: the consumer is only released once
 // the producer's output is visible.
 func ExampleNewRuntime() {
-	rt := nexuspp.NewRuntime(nexuspp.RuntimeConfig{
-		Workers: 4,
-		Shards:  8, // dependency-table banks; 0 selects a default
-	})
+	rt := nexuspp.NewRuntime(nexuspp.RuntimeConfig{Workers: 4})
 	var block int
 	const blockAddr = 0x1000 // the dependency names block by an address
 	rt.MustSubmit(nexuspp.Task{
