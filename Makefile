@@ -44,10 +44,11 @@ allocs:
 # race detector. The second line
 # does the same for the service's admission:
 # a submit is refused or admitted by a tryAcquire on two windows (the shared
-# one, then the session's) racing the finishers' releases.
+# one, then the session's) racing the finishers' releases, and a submit
+# sweeps the session's finished tasks while others finish (Sweep|Swept).
 flake:
 	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor|Retention|FinishesBefore|NodeBlock|SegmentReuse' ./internal/starss/
-	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled' ./internal/service/
+	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled|Sweep|Swept' ./internal/service/
 
 # fuzz gives each fuzz target twenty seconds. Three are the service's wire:
 # the hand-written codec against encoding/json, round trips, and the real

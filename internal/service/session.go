@@ -1,9 +1,11 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +30,9 @@ var (
 
 // session is one client's isolated slice of the shared runtime: a bounded
 // starss.Scope — keyspace isolation, the session's admission window (which
-// refuses, never blocks the HTTP handler) and its counters — and the handles
-// of every task it has submitted, indexed by session-local ID for await.
+// refuses, never blocks the HTTP handler) and its counters — and what await
+// needs of every task it has submitted, by session-local ID: the handle of a
+// task that may still be running, the outcome of one that did not end ok.
 type session struct {
 	id    string
 	scope *starss.Scope
@@ -46,16 +49,43 @@ type session struct {
 	closed     atomic.Bool
 
 	mu sync.Mutex
-	// handles[id] is task id's handle: IDs are dense, assigned under mu in
-	// admission order. Never pruned while the session lives — a retried
-	// await may name IDs that were already awaited.
-	handles []*starss.Handle
+	// next is the ID the next admitted task gets: IDs are dense, assigned
+	// under mu in admission order.
+	next uint64
+	// live holds, in ID order, the handles of the tasks that were unfinished
+	// at the last sweep or admitted since. A finished task leaves at the next
+	// sweep (sweepLocked), so the session keeps what is in flight — a few
+	// windows' worth at most — not every handle it ever made.
+	live []liveTask
+	// sweepAt is the length of live at which the next admission sweeps it.
+	sweepAt int
+	// ended remembers each swept task that did not end ok; a swept ID not in
+	// it ended ok. A retried await for an ID already swept — a dropped
+	// response, say — is answered from it.
+	ended map[uint64]endedTask
 	// idem is the session's dedup window: idempotency key -> the submit it
 	// named. Entries for admitted batches are memoized (a retried POST gets
 	// the original IDs); failed submits are removed so a retry re-attempts.
 	idem     map[string]*idemEntry
 	idemKeys []string // insertion order, for capped eviction
 }
+
+// liveTask is a task await may still have to wait for.
+type liveTask struct {
+	id uint64
+	h  *starss.Handle
+}
+
+// endedTask is how a swept task that did not end ok ended.
+type endedTask struct {
+	outcome starss.Outcome
+	err     error
+}
+
+// sweepMin is the smallest sweepAt: a sweep costs a pass over live, so it
+// waits for at least this many entries, and for twice what the last sweep
+// kept, which makes sweeping O(1) per task.
+const sweepMin = 64
 
 // idemEntry is one idempotency key's state. done closes when the first
 // carrier of the key has a result; concurrent duplicates wait on it instead
@@ -204,13 +234,37 @@ func (ss *session) submitOnce(specs []TaskSpec) (*SubmitResponse, *httpError) {
 	// it is a fresh exact-size allocation, never pooled.
 	resp := &SubmitResponse{IDs: make([]uint64, len(handles))}
 	ss.mu.Lock()
-	first := uint64(len(ss.handles))
-	ss.handles = append(ss.handles, handles...)
-	ss.mu.Unlock()
-	for i := range resp.IDs {
-		resp.IDs[i] = first + uint64(i)
+	if len(ss.live) >= ss.sweepAt {
+		ss.sweepLocked()
 	}
+	for i, h := range handles {
+		resp.IDs[i] = ss.next
+		ss.live = append(ss.live, liveTask{ss.next, h})
+		ss.next++
+	}
+	ss.mu.Unlock()
 	return resp, nil
+}
+
+// sweepLocked drops the finished tasks from live, remembering the outcome
+// of each that did not end ok. Caller holds ss.mu.
+func (ss *session) sweepLocked() {
+	kept := ss.live[:0]
+	for _, t := range ss.live {
+		switch o := t.h.Outcome(); o {
+		case starss.Pending:
+			kept = append(kept, t)
+		case starss.Executed:
+		default:
+			if ss.ended == nil {
+				ss.ended = make(map[uint64]endedTask)
+			}
+			ss.ended[t.id] = endedTask{o, t.h.Err()}
+		}
+	}
+	clear(ss.live[len(kept):])
+	ss.live = kept
+	ss.sweepAt = max(2*len(kept), sweepMin)
 }
 
 // taskSlices pools the []starss.Task a batch is built in.
@@ -254,47 +308,70 @@ func (ss *session) await(ctx context.Context, sc *awaitScratch) *httpError {
 	if timeout > 2*time.Minute {
 		timeout = 2 * time.Minute
 	}
+	// sc.handles[i] is the handle of the task sc.resp.Tasks[i] reports, or
+	// nil when the task was swept and the status is already final.
 	ss.mu.Lock()
 	if len(ids) == 0 {
-		sc.handles = append(sc.handles[:0], ss.handles...)
+		for id := range ss.next {
+			ss.resolveLocked(sc, id)
+		}
 	} else {
-		sc.handles = sc.handles[:0]
 		for _, id := range ids {
-			if id >= uint64(len(ss.handles)) {
+			if id >= ss.next {
 				ss.mu.Unlock()
 				return badRequest(fmt.Sprintf("await: unknown task id %d", id))
 			}
-			sc.handles = append(sc.handles, ss.handles[id])
+			ss.resolveLocked(sc, id)
 		}
 	}
 	ss.mu.Unlock()
 
 	wctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	sc.resp.Done, sc.resp.Tasks = true, sc.resp.Tasks[:0]
+	sc.resp.Done = true
 	for i, h := range sc.handles {
+		if h == nil {
+			continue
+		}
 		// Block on the first still-pending task; once the deadline fires,
 		// the remaining handles resolve instantly to pending or done.
 		_ = h.Wait(wctx)
-		st := TaskStatus{ID: uint64(i)}
-		if len(ids) > 0 {
-			st.ID = ids[i]
-		}
-		switch h.Outcome() {
-		case starss.Executed:
-			st.State = StateOK
-		case starss.Failed:
-			st.State, st.Error = StateFailed, h.Err().Error()
-		case starss.Skipped:
-			st.State, st.Error = StateSkipped, h.Err().Error()
-		default:
-			st.State = StatePending
+		st := &sc.resp.Tasks[i]
+		*st = taskStatus(st.ID, h.Outcome(), h.Err())
+		if st.State == StatePending {
 			sc.resp.Done = false
 		}
-		sc.resp.Tasks = append(sc.resp.Tasks, st)
 	}
 	ss.touch()
 	return nil
+}
+
+// resolveLocked appends task id to sc: its handle while it is live, its
+// final status once it was swept. Caller holds ss.mu.
+func (ss *session) resolveLocked(sc *awaitScratch, id uint64) {
+	var h *starss.Handle
+	st := TaskStatus{ID: id, State: StateOK}
+	if i, ok := slices.BinarySearchFunc(ss.live, id, func(t liveTask, id uint64) int { return cmp.Compare(t.id, id) }); ok {
+		h = ss.live[i].h
+	} else if e, ok := ss.ended[id]; ok {
+		st = taskStatus(id, e.outcome, e.err)
+	}
+	sc.resp.Tasks = append(sc.resp.Tasks, st)
+	sc.handles = append(sc.handles, h)
+}
+
+// taskStatus is the wire form of a task's outcome.
+func taskStatus(id uint64, o starss.Outcome, err error) TaskStatus {
+	switch o {
+	case starss.Executed:
+		return TaskStatus{ID: id, State: StateOK}
+	case starss.Failed:
+		return TaskStatus{ID: id, State: StateFailed, Error: err.Error()}
+	case starss.Skipped:
+		return TaskStatus{ID: id, State: StateSkipped, Error: err.Error()}
+	default:
+		return TaskStatus{ID: id, State: StatePending}
+	}
 }
 
 // stats snapshots the session counters.
