@@ -22,9 +22,10 @@ race:
 # instrumentation changes what escapes: the zero-allocation pins on
 # sim.Engine / sim.Server, the allocations-per-task budget on core.Run, the
 # service's codec and submit-handler pins (which skip under -race), and the
-# runtime's admission pins — two allocations per Submit, two per SubmitAll
-# or TrySubmitAll chunk of up to 256 tasks, whose node block a drained chunk
-# left on the free list — on the Runtime and through a Scope.
+# runtime's admission pins — two allocations per Submit, a chunk of one that
+# takes a node of its own, and two per SubmitAll or TrySubmitAll chunk of up
+# to 256 tasks, whose node block a drained chunk left on the free list — on
+# the Runtime and through a Scope.
 allocs:
 	$(GO) test ./internal/sim ./internal/mem ./internal/core ./internal/service ./internal/starss
 

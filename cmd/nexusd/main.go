@@ -122,14 +122,13 @@ func run(args []string) int {
 		SessionWindow: *sessionWindow,
 		SessionTTL:    *sessionTTL,
 		MaxSessions:   *maxSessions,
-		Faults:        injector,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Printf("listen: %v", err)
 		return 1
 	}
-	httpSrv := newHTTPServer(srv.Handler())
+	httpSrv := newHTTPServer(faults.Middleware(srv.Handler(), injector))
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	log.Printf("listening on http://%s (session window %d, ttl %v, max sessions %d)",

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nexuspp/internal/faults"
 	"nexuspp/internal/obs"
 	"nexuspp/internal/starss"
 )
@@ -41,10 +40,6 @@ type Config struct {
 	// MaxSessions bounds the number of live sessions; creation beyond it
 	// gets 503. 0 selects 256.
 	MaxSessions int
-	// Faults, when non-nil, injects server-side wire faults (delays,
-	// dropped connections) around every request; nil — the default — adds
-	// no wrapper and no per-request cost.
-	Faults *faults.Injector
 }
 
 func (c Config) withDefaults() Config {
@@ -118,10 +113,8 @@ func New(cfg Config) *Server {
 // embedding).
 func (s *Server) Runtime() *starss.Runtime { return s.rt }
 
-// Handler returns the HTTP handler serving the service API, wrapped with
-// server-side fault injection when Config.Faults is set (a nil injector
-// returns the mux unwrapped).
-func (s *Server) Handler() http.Handler { return faults.Middleware(s.mux, s.cfg.Faults) }
+// Handler returns the HTTP handler serving the service API.
+func (s *Server) Handler() http.Handler { return s.mux }
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()

@@ -60,17 +60,18 @@ func TestCloseDrainsBurst(t *testing.T) {
 
 // TestSubmitAllocations pins the admission diet: in steady state (keys
 // recycled, segments coming off the bank free lists) one Submit of a
-// nameless task costs its node and its handle, nothing else — whether the
-// task is free to run or has to wait — and a SubmitAll chunk of chunkMax
-// such tasks costs its handle block and the handle slice it returns, nothing
-// per task: its node block is the one the previous chunk drained, off the
-// runtime's free list. (The budget has room for one more: a collection may
-// take the listed block, and the chunk after it allocates a new one — three
-// allocations, the block, its node array and its weak pointer, once in
-// AllocsPerRun's twenty runs.) A waiting task queues through the access slots
-// inside its node (the kick-off list is intrusive), so the "held" rows
-// submit a writer that blocks on every key, then the measured task or chunk
-// behind it, and must come out at the budget for both. (A chunk of tasks
+// nameless task — a chunk of one — costs its node and its handle, nothing
+// else, whether the task is free to run or has to wait, and a SubmitAll
+// chunk of chunkMax such tasks costs its handle block and the handle slice
+// it returns, nothing per task: its node block is the one the previous chunk
+// drained, off the runtime's free list. (The chunk budget has room for one
+// more: a collection may take the listed block, and the chunk after it
+// allocates a new one — three allocations, the block, its node array and its
+// weak pointer, once in AllocsPerRun's twenty runs.) A waiting task queues
+// through the access slots inside its node (the kick-off list is
+// intrusive), so the "held" rows submit a writer that blocks on every key,
+// then the measured task or chunk behind it, and must come out at the
+// budget for both. (A chunk of tasks
 // on the same keys waits on itself too: each task queues behind the one
 // before it.) The maestro baseline is held to the same budget: its two
 // rendezvous move the node, they do not copy it.
@@ -160,10 +161,10 @@ func TestSubmitAllocations(t *testing.T) {
 	}
 }
 
-// TestTaskNodeSize pins the node at 208 bytes. Submit allocates it on its
-// own, where one byte over moves it to the allocator's 224-byte size class;
-// SubmitAll takes a chunk's nodes from one node block, an array with no size
-// class to absorb a byte, so each byte counts chunkMax times. Either shows as
+// TestTaskNodeSize pins the node at 208 bytes. A chunk of one allocates its
+// node on its own, where one byte over moves it to the allocator's 224-byte
+// size class; a larger chunk's block is an array with no size class to
+// absorb a byte, so each byte counts chunkMax times. Either shows as
 // bytes_per_task on bench/ workloads that run starss and in the live heap of
 // a full window. The per-dependency access slots are sized to fit — see
 // taskNode.
@@ -173,12 +174,13 @@ func TestTaskNodeSize(t *testing.T) {
 	}
 }
 
-// TestTaskSize pins the descriptor the node embeds at 56 bytes: a name, the
-// (address, mode) list, the body and the scope. Policy around the body
-// wraps Do (Retry, Deadline) and costs a task that has none nothing.
+// TestTaskSize pins the descriptor the node embeds at 48 bytes: a name, the
+// (address, mode) list and the body. The scope rides on the node; policy
+// around the body wraps Do (Retry, Deadline) and costs a task that has none
+// nothing.
 func TestTaskSize(t *testing.T) {
-	if got := unsafe.Sizeof(Task{}); got != 56 {
-		t.Fatalf("Task is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(Task{}); got != 48 {
+		t.Fatalf("Task is %d bytes, want 48", got)
 	}
 }
 

@@ -297,10 +297,11 @@ func TestNodeBlockReused(t *testing.T) {
 	}
 }
 
-// TestNodeBlockClass: a chunk of n tasks — through Scope.TrySubmitAll here,
-// which admits like SubmitAll — takes a block of at most the next power of
-// two nodes, so an 8-task chunk holds 8 nodes, not chunkMax; and chunks run
-// one after another share one block per class.
+// TestNodeBlockClass: a chunk of n ≥ 2 tasks — through Scope.TrySubmitAll
+// here, which admits like SubmitAll — takes a block of at most the next
+// power of two nodes, so an 8-task chunk holds 8 nodes, not chunkMax; chunks
+// run one after another share one block per class; and a chunk of one takes
+// none.
 func TestNodeBlockClass(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ctx := context.Background()
@@ -317,6 +318,14 @@ func TestNodeBlockClass(t *testing.T) {
 					t.Fatal(err)
 				}
 				waitAll(t, handles)
+				if n == 1 {
+					for c := range blockClasses {
+						if free := listed(rt, c); len(free) != 0 {
+							t.Fatalf("a chunk of one listed a block in class %d", c)
+						}
+					}
+					continue
+				}
 				// The block the chunk drained is the one its class listed last.
 				free := listed(rt, blockClassOf(n))
 				if len(free) == 0 {
@@ -326,7 +335,7 @@ func TestNodeBlockClass(t *testing.T) {
 				if blk == nil {
 					t.Fatalf("chunk of %d: its block was collected", n)
 				}
-				if got, most := len(blk.nodes), 1<<blockClassOf(n); got < n || got > most {
+				if got, most := len(blk.nodes), 2<<blockClassOf(n); got < n || got > most {
 					t.Errorf("chunk of %d took a block of %d nodes, want %d to %d", n, got, n, most)
 				}
 			}

@@ -21,8 +21,8 @@ func newReadyQueue(window int) *readyQueue {
 	return q
 }
 
-// newNodes returns n distinct nodes to queue.
-func newNodes(n int) []*taskNode {
+// queueNodes returns n distinct nodes to queue.
+func queueNodes(n int) []*taskNode {
 	nodes := make([]*taskNode, n)
 	for i := range nodes {
 		nodes[i] = new(taskNode)
@@ -49,7 +49,7 @@ func TestReadyQueueMatchesSliceModel(t *testing.T) {
 	}
 	for step := 0; step < 5000; step++ {
 		if free := window - len(model); free > 0 && rng.IntN(2) == 0 {
-			batch := newNodes(1 + rng.IntN(free))
+			batch := queueNodes(1 + rng.IntN(free))
 			q.push(batch)
 			model = append(model, batch...)
 		} else if len(model) > 0 {
@@ -64,13 +64,13 @@ func TestReadyQueueMatchesSliceModel(t *testing.T) {
 	}
 	// Move the head to the middle of the ring, then fill every slot with one
 	// push that has to wrap.
-	half := newNodes(window / 2)
+	half := queueNodes(window / 2)
 	q.push(half)
 	model = append(model, half...)
 	for len(model) > 0 {
 		pop()
 	}
-	full := newNodes(window)
+	full := queueNodes(window)
 	q.push(full)
 	model = append(model, full...)
 	if q.len() != window {
@@ -111,7 +111,7 @@ func TestReadyQueueClose(t *testing.T) {
 	wg.Wait()
 
 	q = newReadyQueue(8)
-	left := newNodes(3)
+	left := queueNodes(3)
 	q.push(left)
 	q.close()
 	for i, want := range left {

@@ -8,8 +8,8 @@ package starss
 // using identical addresses can never create cross-scope dependencies — they
 // file distinct dependence-table segments exactly as two masters' address
 // spaces occupy distinct table entries in hardware. Nothing is rewritten:
-// a scoped task carries its scope, and Check Deps and Handle Finished read
-// the namespace off it.
+// a scoped task's node carries its scope, and Check Deps and Handle Finished
+// read the namespace off it.
 // A scope also has a window of the runtime's own type (window.go), its
 // share of the shared Task Pool — a scoped task holds one token of each
 // from admission to Handle Finished — and its own tally, fed the outcome
@@ -22,9 +22,7 @@ package starss
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
-	"slices"
 )
 
 // Scope is a labelled, isolated submission namespace over a shared Runtime.
@@ -82,45 +80,25 @@ func (s *Scope) taskDone(o Outcome, err error) {
 	}
 }
 
-// adopt makes tasks the scope's own — and with that puts their keys in its
-// namespace. The caller must own the tasks slice.
-func (s *Scope) adopt(tasks []Task) {
-	for i := range tasks {
-		tasks[i].scope = s
-	}
-}
-
 // Submit submits one task through the scope: its keys live in the scope's
 // namespace, and the scope's window and counters track the task's
 // lifecycle. Semantics (and cost) otherwise match Runtime.Submit.
 func (s *Scope) Submit(ctx context.Context, t Task) (*Handle, error) {
-	t.scope = s
-	return s.rt.Submit(ctx, t)
+	return s.rt.submitOne(ctx, s, t)
 }
 
 // SubmitAll submits a batch through the scope with the same partial-prefix
 // contract as Runtime.SubmitAll: on error the returned handles cover the
 // admitted prefix, and the scope's window and counters cover exactly that
-// prefix. A batch larger than a bounded scope's limit is an error. The
-// caller's tasks are not mutated: the batch is copied, the Deps slices are
-// shared (the runtime reads them until their task finishes).
+// prefix. The scope's tokens for the whole batch are taken first; a batch
+// larger than a bounded scope's limit is an error. The caller's tasks are
+// neither mutated nor copied (the runtime reads the Deps slices until their
+// task finishes).
 func (s *Scope) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	n := int64(len(tasks))
-	if n > s.win.limit {
-		return nil, fmt.Errorf("starss: batch of %d exceeds the scope window of %d", n, s.win.limit)
-	}
-	owned := slices.Clone(tasks)
-	s.adopt(owned)
-	if err := s.win.acquire(ctx, s.rt.stopped, n); err != nil {
+	if err := validate(tasks); err != nil {
 		return nil, err
 	}
-	handles, err := s.rt.SubmitAll(ctx, owned)
-	s.win.release(n - int64(len(handles))) // tokens of tasks never admitted
-	s.submitted.Add(uint64(len(handles)))
-	return handles, err
+	return s.rt.submit(ctx, ctx, s, tasks, nil, false)
 }
 
 // TrySubmitAll's refusals: the batch does not fit the runtime's window right
@@ -134,36 +112,14 @@ var (
 // admitted, in order, or none of it is and no token is kept. It gives way
 // to any submitter already blocked on either window, and tries the shared
 // one first, so that a scope whose limit is the whole window hears
-// ErrWindowFull, not ErrScopeFull, once it has filled both. Unlike
-// SubmitAll it takes the batch over and copies nothing: the tasks are
-// adopted in place; the tasks slice is the caller's again once the call
-// returns, the Deps slices belong to the runtime until their task finishes.
-// ctx must not be nil.
+// ErrWindowFull, not ErrScopeFull, once it has filled both. The tasks slice
+// is the caller's again once the call returns, untouched; the Deps slices
+// belong to the runtime until their task finishes.
 func (s *Scope) TrySubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
-	s.adopt(tasks)
-	if err := validate(ctx, tasks); err != nil {
+	if err := validate(tasks); err != nil {
 		return nil, err
 	}
-	rt, n := s.rt, len(tasks)
-	if !rt.win.tryAcquire(int64(n)) {
-		if rt.win.isShut() {
-			return nil, ErrStopped
-		}
-		return nil, ErrWindowFull
-	}
-	if !s.win.tryAcquire(int64(n)) {
-		rt.returnTokens(n)
-		return nil, ErrScopeFull
-	}
-	s.submitted.Add(uint64(n))
-	// The chunks SubmitAll would reserve one by one, admitted back to back.
-	handles := make([]*Handle, 0, n)
-	for len(tasks) > 0 {
-		c := min(len(tasks), chunkMax)
-		handles = rt.admitAll(ctx, tasks[:c], handles)
-		tasks = tasks[c:]
-	}
-	return handles, nil
+	return s.rt.submit(ctx, ctx, s, tasks, nil, true)
 }
 
 // WaitOn blocks until every task previously submitted through the scope that

@@ -49,15 +49,14 @@
 // up to 32 tasks at a time and which wakes a worker only when one is parked —
 // or not through any queue: the worker that finishes a task runs the first
 // successor it released itself, for a bounded run. No task costs a channel
-// operation, and no batched task an allocation of its own: Submit and WaitOn
-// allocate a task's node and its handle, two allocations whether it waits or
-// not, but SubmitAll and Scope.TrySubmitAll take the nodes of a chunk of up
-// to 256 tasks from a node block a drained chunk left on the runtime's free
-// list, and carve its handles out of one new block — two allocations per
-// chunk, the handle slice included (TestSubmitAllocations,
-// TestScopeSubmitAllocations: go test -run Allocations ./internal/starss).
-// The free list holds its blocks weakly: an idle runtime keeps none past the
-// next collection (TestNodeBlock*).
+// operation. Every admission is a chunk of up to 256 tasks. Submit and
+// WaitOn are chunks of one, which allocate their node and their handle; a
+// larger chunk takes its nodes from a node block a drained chunk left on the
+// runtime's free list and carves its handles out of one new block, so a
+// batch costs that handle block and the handle slice it returns, nothing per
+// task (TestSubmitAllocations, TestScopeSubmitAllocations: go test -run
+// Allocations ./internal/starss). The free list holds its blocks weakly: an
+// idle runtime keeps none past the next collection (TestNodeBlock*).
 //
 // A task has one body, Task.Do. The paper's Task Controllers copy a task's
 // inputs into a worker core's private memory before it runs (Get Inputs) and
@@ -132,20 +131,6 @@ type Task struct {
 	// (Retry wraps it for more). Required (only WaitOn admits a task
 	// without one: see dispatch).
 	Do func(ctx context.Context) error
-	// scope is the Scope the task was submitted through, if any. It names
-	// the namespace the task's keys live in, and the finishing worker settles
-	// its accounting (Scope.taskDone) just before the handle is published:
-	// whoever the handle wakes finds it settled.
-	scope *Scope
-}
-
-// ns is the namespace of the task's addresses: its scope's, or 0 — the
-// runtime's own — for a task submitted on the Runtime directly.
-func (t *Task) ns() uint64 {
-	if t.scope != nil {
-		return t.scope.ns
-	}
-	return 0
 }
 
 // tableKey is the Dependence Table key of a parameter's base address: the
@@ -450,15 +435,20 @@ type spilled struct {
 	scratch, order []int32
 }
 
-// taskNode is a task's slot in the Task Pool: an allocation of its own for
-// Submit and WaitOn, an element of its chunk's node block for SubmitAll. It
-// is zeroed when the task finishes (resolveFinished).
+// taskNode is a task's slot in the Task Pool: an entry of its chunk's node
+// block, or an allocation of its own for a chunk of one (admitAll). It is
+// zeroed when the task finishes (resolveFinished).
 type taskNode struct {
 	// task is the submitted task; task.Deps is normalised (no duplicate
-	// keys) by init.
+	// keys) by admitAll.
 	task   Task
 	ctx    context.Context
 	handle *Handle
+	// scope is the Scope the task was submitted through, nil for the
+	// runtime's own: it names the namespace the task's keys live in (ns), and
+	// the finishing worker settles its accounting (Scope.taskDone) just before
+	// the handle is published, so whoever the handle wakes finds it settled.
+	scope *Scope
 	// acc[i] is the node's access to task.Deps[i]; nextSlot[i] says which
 	// access of acc[i].next is the one queued on the same segment, so a walk
 	// down a kick-off list never searches a node for its link. (Kept as two
@@ -482,10 +472,19 @@ type taskNode struct {
 	blk *nodeBlock
 }
 
-// nodeBlock holds the task nodes of one SubmitAll chunk: a run of Task Pool
-// entries, reused chunk after chunk the way Nexus++ reuses its fixed pool.
-// A chunk of n tasks takes a block of the smallest class — 1, 2, 4, …
-// chunkMax nodes — that holds n, so a short chunk never pins a full one.
+// ns is the namespace of the node's addresses: its scope's, or 0 — the
+// runtime's own — for a task submitted on the Runtime directly.
+func (node *taskNode) ns() uint64 {
+	if node.scope != nil {
+		return node.scope.ns
+	}
+	return 0
+}
+
+// nodeBlock holds the task nodes of one admission chunk of two or more tasks:
+// a run of Task Pool entries, reused chunk after chunk the way Nexus++ reuses
+// its fixed pool. A chunk of n tasks takes a block of the smallest class — 2,
+// 4, … chunkMax nodes — that holds n, so a short chunk never pins a full one.
 type nodeBlock struct {
 	// live counts the chunk's tasks that have not finished. admitAll sets it
 	// before it admits the first, so the block cannot drain while it is still
@@ -495,11 +494,12 @@ type nodeBlock struct {
 	nodes []taskNode
 }
 
-// blockClasses is the number of node block sizes, 1 to chunkMax nodes.
-const blockClasses = 9
+// blockClasses is the number of node block sizes, 2 to chunkMax nodes.
+const blockClasses = 8
 
-// blockClassOf is the class of the smallest block that holds n ≥ 1 nodes.
-func blockClassOf(n int) int { return bits.Len(uint(n - 1)) }
+// blockClassOf is the class of the smallest block that holds n ≥ 2 nodes:
+// class c holds 2<<c.
+func blockClassOf(n int) int { return bits.Len(uint(n-1)) - 1 }
 
 // blockList is one class's free node blocks. Every node of a listed block is
 // zero, so a listed block pins nothing, and the list holds its blocks only
@@ -526,7 +526,7 @@ func (rt *Runtime) takeBlock(n int) *nodeBlock {
 	}
 	l.mu.Unlock()
 	if blk == nil {
-		blk = &nodeBlock{nodes: make([]taskNode, 1<<c)}
+		blk = &nodeBlock{nodes: make([]taskNode, 2<<c)}
 		blk.self = weak.Make(blk)
 	}
 	blk.live.Store(int32(n))
@@ -794,46 +794,21 @@ func (rt *Runtime) unlockBanks(banks []int32) {
 // (the StarSs sequential-semantics contract). Tasks submitted concurrently
 // from several goroutines are ordered by bank acquisition.
 func (rt *Runtime) Submit(ctx context.Context, t Task) (*Handle, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	return rt.submitOne(ctx, nil, t)
+}
+
+// submitOne is Submit through scope s, nil for the runtime's namespace: a
+// chunk of one, whose handle slice stays on this stack.
+func (rt *Runtime) submitOne(ctx context.Context, s *Scope, t Task) (*Handle, error) {
 	if t.Do == nil {
 		return nil, errNoDo
 	}
-	return rt.submitNode(ctx, newNode(ctx, &t))
-}
-
-// submitNode admits one node, waiting under ctx for its window token — and
-// first for its scope's, when it has one — and gives it a handle of its own.
-// A granted token is the licence to admit: from there on the path takes no
-// lock and never looks at the stop, because Close cannot finish while the
-// token is out.
-func (rt *Runtime) submitNode(ctx context.Context, node *taskNode) (*Handle, error) {
-	// Check cancellation before reserving, so a dead context is rejected
-	// deterministically rather than sometimes admitted.
-	if err := ctx.Err(); err != nil {
+	var hs [1]*Handle
+	handles, err := rt.submit(ctx, ctx, s, []Task{t}, hs[:0], false)
+	if err != nil {
 		return nil, err
 	}
-	s := node.task.scope
-	if s != nil {
-		if err := s.win.acquire(ctx, rt.stopped, 1); err != nil {
-			return nil, err
-		}
-	}
-	if err := rt.win.acquire(ctx, rt.stopped, 1); err != nil {
-		if s != nil {
-			s.win.release(1)
-		}
-		return nil, err
-	}
-	if s != nil {
-		s.submitted.Add(1)
-	}
-	h := new(Handle)
-	if rt.admit(node, h, rt.submitted.Add(1)-1) {
-		rt.dispatch(node, -1)
-	}
-	return h, nil
+	return handles[0], nil
 }
 
 // returnTokens gives n window tokens back — one per finished task, or a
@@ -885,67 +860,141 @@ func (rt *Runtime) idle() <-chan struct{} {
 // on the runtime's free list, held weakly: the next chunk of its size class
 // reuses it, or the next collection frees it.
 func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
+	if err := validate(tasks); err != nil {
+		return nil, err
+	}
+	return rt.submit(ctx, ctx, nil, tasks, nil, false)
+}
+
+// submit is the one road into the Task Pool, where every admission entry
+// ends: Submit, MustSubmit, SubmitAll and WaitOn on the Runtime, Submit,
+// SubmitAll, TrySubmitAll and WaitOn on a Scope. It reserves the batch's
+// window tokens and admits it chunk by chunk (admitAll), appending the
+// handles to handles (nil: a new slice). s is the scope the tasks are filed
+// under, nil for the runtime's namespace; ctx bounds the reservation and
+// taskCtx is what the bodies receive (WaitOn's task keeps
+// context.Background()); a nil one of either means context.Background().
+//
+// With try the batch never waits: it takes all its tokens, the runtime's and
+// then the scope's, or none and ErrWindowFull or ErrScopeFull. Otherwise it
+// takes the scope's for the whole batch first (a batch over the limit is an
+// error), then the runtime's a chunk at a time, all or nothing, so that two
+// submitters never each hold part of the window and wait forever for the
+// rest; on error the handles cover the admitted prefix and the scope gets
+// the rest's tokens back. A granted token is the licence to admit: from
+// there on the path never looks at the stop, because Close cannot finish
+// while the token is out.
+func (rt *Runtime) submit(ctx, taskCtx context.Context, s *Scope, tasks []Task, handles []*Handle, try bool) ([]*Handle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := validate(ctx, tasks); err != nil {
+	if taskCtx == nil {
+		taskCtx = ctx
+	}
+	// A dead context is rejected before anything is reserved, rather than
+	// sometimes admitted; after Close every admission reports ErrStopped, a
+	// zero-length batch, which reserves nothing, included.
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// After Close every admission path must uniformly report ErrStopped —
-	// including a zero-length batch, which reserves nothing and would
-	// otherwise return success.
 	if rt.win.isShut() {
 		return nil, ErrStopped
 	}
-	handles := make([]*Handle, 0, len(tasks))
+	n := int64(len(tasks))
+	switch {
+	case try:
+		if !rt.win.tryAcquire(n) {
+			if rt.win.isShut() {
+				return nil, ErrStopped
+			}
+			return nil, ErrWindowFull
+		}
+		if s != nil && !s.win.tryAcquire(n) {
+			rt.returnTokens(int(n))
+			return nil, ErrScopeFull
+		}
+	case s != nil:
+		if n > s.win.limit {
+			return nil, fmt.Errorf("starss: batch of %d exceeds the scope window of %d", n, s.win.limit)
+		}
+		if err := s.win.acquire(ctx, rt.stopped, n); err != nil {
+			return nil, err
+		}
+	}
+	if handles == nil {
+		handles = make([]*Handle, 0, n)
+	}
 	for len(tasks) > 0 {
 		// Chunk so one reservation never asks for more tokens than exist.
-		n := min(len(tasks), rt.cfg.Window, chunkMax)
-		// The whole chunk's tokens are reserved in one step, all or nothing,
-		// so two concurrent SubmitAll calls can never each hold a fraction of
-		// the window and wait forever for the rest.
-		if err := rt.win.acquire(ctx, rt.stopped, int64(n)); err != nil {
-			return handles, err
+		c := min(len(tasks), rt.cfg.Window, chunkMax)
+		if !try {
+			if err := rt.win.acquire(ctx, rt.stopped, int64(c)); err != nil {
+				if s != nil {
+					s.win.release(int64(len(tasks)))
+				}
+				return handles, err
+			}
 		}
-		handles = rt.admitAll(ctx, tasks[:n], handles)
-		tasks = tasks[n:]
+		handles = rt.admitAll(taskCtx, s, tasks[:c], handles)
+		tasks = tasks[c:]
 	}
 	return handles, nil
 }
 
 // chunkMax is the most tasks an admission chunk holds: one window reservation
-// in SubmitAll, one node block and one handle block in admitAll. It is the
+// in submit, one node block and one handle block in admitAll. It is the
 // largest node block class (blockClasses).
 const chunkMax = 256
 
 // readyBatch is the most tasks admitAll hands to the ready queue at once.
 const readyBatch = 32
 
-// admitAll admits one chunk of tasks in order under ctx, appending their
-// handles to handles; the caller holds their window tokens. The chunk's nodes
-// are the entries of one node block — the Task Pool slots Nexus++ writes
-// descriptors into, taken from the runtime's free list (takeBlock) — and its
-// handles one new handle block. The node block lives as long as any task of
-// the chunk does, which is why a finished node lets go of everything it
-// points at (resolveFinished), and goes back to the free list when the last
-// of them finishes, there to be reused or, if no chunk takes it before the
-// next collection, collected. The handle block lives as long as the caller
-// keeps a handle, and points at no node. The tasks admitAll finds free of
+// admitAll admits one chunk of tasks in order under ctx through scope s (nil:
+// the runtime's namespace), appending their handles to handles; the caller
+// holds their window tokens. The chunk is counted submitted — on the runtime
+// and on s — before its first task is admitted, so no counter ever shows a
+// task finished that it has not counted submitted.
+//
+// A chunk of one — Submit, WaitOn — allocates its node and its handle and
+// takes no free-list lock: recycling its node cost more than allocating it,
+// through a one-node block class (concurrent submitters, up to +36 % ns/op
+// in BenchmarkShardScalability) and through a sync.Pool before that.
+//
+// A larger chunk's nodes are the entries of one node block — the Task Pool
+// slots Nexus++ writes descriptors into, taken from the runtime's free list
+// (takeBlock) — and its handles one new handle block. The node block lives
+// as long as any task of the chunk does, which is why a finished node lets
+// go of everything it points at (resolveFinished), and goes back to the free
+// list when the last of them finishes, there to be reused or, if no chunk
+// takes it before the next collection, collected. The handle block lives as
+// long as the caller keeps a handle, and points at no node. The tasks of a
+// larger chunk admitAll finds free of
 // dependencies reach the ready queue when readyBatch of them are collected,
 // and the rest when the chunk ends — one lock, and at most one wake-up per
 // task, for the batch instead of for each — out of a buffer that stays on
 // this stack. (Handing over every readyBatch checks instead, however few
 // were ready, was measured: more pushes, 2–4 % fewer tasks per second on
 // the wavefront, and the same ready-to-run tail.)
-func (rt *Runtime) admitAll(ctx context.Context, tasks []Task, handles []*Handle) []*Handle {
-	first := rt.submitted.Add(uint64(len(tasks))) - uint64(len(tasks))
+func (rt *Runtime) admitAll(ctx context.Context, s *Scope, tasks []Task, handles []*Handle) []*Handle {
+	n := uint64(len(tasks))
+	first := rt.submitted.Add(n) - n
+	if s != nil {
+		s.submitted.Add(n)
+	}
+	if len(tasks) == 1 {
+		node, h := new(taskNode), new(Handle)
+		node.init(ctx, s, nil, &tasks[0])
+		if rt.admit(node, h, first) {
+			rt.dispatch(node, -1)
+		}
+		return append(handles, h)
+	}
 	blk, hs := rt.takeBlock(len(tasks)), make([]Handle, len(tasks))
 	var buf [readyBatch]*taskNode
 	batch := buf[:0]
 	for i := range tasks {
 		node, h := &blk.nodes[i], &hs[i]
-		node.init(ctx, &tasks[i])
-		node.blk = blk
+		node.init(ctx, s, blk, &tasks[i])
 		ready := rt.admit(node, h, first+uint64(i))
 		handles = append(handles, h)
 		switch {
@@ -970,27 +1019,20 @@ func (rt *Runtime) admitAll(ctx context.Context, tasks []Task, handles []*Handle
 var errNoDo = errors.New("starss: task has no Do function")
 
 // validate rejects a batch holding a task without a body, naming the first,
-// and a dead context — before anything is reserved.
-func validate(ctx context.Context, tasks []Task) error {
+// before anything is reserved.
+func validate(tasks []Task) error {
 	for i := range tasks {
 		if tasks[i].Do == nil {
 			return fmt.Errorf("task %d: %w", i, errNoDo)
 		}
 	}
-	return ctx.Err()
+	return nil
 }
 
-// newNode is the node of one task admitted on its own, in an allocation of
-// its own.
-func newNode(ctx context.Context, t *Task) *taskNode {
-	node := new(taskNode)
-	node.init(ctx, t)
-	return node
-}
-
-// init normalises task t, submitted under ctx, into the zero node.
-func (node *taskNode) init(ctx context.Context, t *Task) {
-	node.task, node.ctx = *t, ctx
+// init normalises task t, submitted under ctx through scope s, into the zero
+// node, an entry of block blk.
+func (node *taskNode) init(ctx context.Context, s *Scope, blk *nodeBlock, t *Task) {
+	node.task, node.ctx, node.scope, node.blk = *t, ctx, s, blk
 	node.task.Deps = normalizeDeps(t.Deps)
 	if n := len(node.task.Deps); n > inlineDeps {
 		ints := make([]int32, (1+hashScratch)*n)
@@ -1068,7 +1110,7 @@ func hashAt(hashes []int32, i int) uint64 {
 // banks for this one task only, and reports whether the task came out free
 // of dependencies: ready, for the caller to dispatch.
 func (rt *Runtime) resolveNew(node *taskNode) (ready bool) {
-	deps, ns := node.task.Deps, node.task.ns()
+	deps, ns := node.task.Deps, node.ns()
 	var buf [hashScratch * inlineDeps]int32
 	var hashes, order []int32
 	if sp := node.spill; sp != nil {
@@ -1113,7 +1155,7 @@ func (rt *Runtime) noteQueueDepth(b *bank, depth int32) {
 // name. One probe per key either finds its segment or the slot to file a new
 // one in.
 func (rt *Runtime) checkDeps(node *taskNode, hashes []int32) int {
-	dc, ns := 0, node.task.ns()
+	dc, ns := 0, node.ns()
 	acc, _ := node.slots()
 	for i, d := range node.task.Deps {
 		h := hashAt(hashes, i)
@@ -1263,13 +1305,12 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) (next *taskNode) 
 		rt.firstErr.CompareAndSwap(nil, &taskFailure{err: node.err})
 	}
 	rt.record(o)
-	h, err, s, blk := node.handle, node.err, node.task.scope, node.blk
+	h, err, s, blk := node.handle, node.err, node.scope, node.blk
 	// The finished node lets go of everything it points at: a node of a
-	// SubmitAll chunk shares its block with its chunk-mates, and one of them
-	// still running would otherwise pin this task's body, context and
-	// dependencies. Nobody reads the node from here on, and whoever the
-	// handle wakes finds it cleared — and its block listed free, when this
-	// was the chunk's last task.
+	// block shares it with its chunk-mates, and one of them still running
+	// would otherwise pin this task's body, context and dependencies. Nobody
+	// reads the node from here on, and whoever the handle wakes finds it
+	// cleared — and its block listed free, when this was the chunk's last task.
 	*node = taskNode{}
 	if blk != nil && blk.live.Add(-1) == 0 {
 		rt.putBlock(blk)

@@ -40,10 +40,12 @@ func (rt *Runtime) waitOn(ctx context.Context, s *Scope, addrs []uint64) error {
 	for i, a := range addrs {
 		deps[i] = InOut(a)
 	}
-	h, err := rt.submitNode(ctx, newNode(context.Background(), &Task{Deps: deps, scope: s}))
+	var hs [1]*Handle
+	handles, err := rt.submit(ctx, context.Background(), s, []Task{{Deps: deps}}, hs[:0], false)
 	if err != nil {
 		return err
 	}
+	h := handles[0]
 	// Once the task has finished the wait is over, whatever its own outcome:
 	// skipped behind a failed task is the runtime's to count, not an error here.
 	if err := h.Wait(ctx); !h.finished() {

@@ -306,8 +306,9 @@ func ServiceTaskFromSpec(spec TaskSpec) ServiceTaskSpec { return service.FromTra
 // FaultInjector decides, deterministically per seed, whether an injected
 // fault fires at a given site for a given key. A nil injector is the
 // disabled state: every layer that consults one pays a single nil check,
-// and schedules are reproducible per seed. Wire one into ServiceConfig, onto
-// the client side with FaultTransport, or into a body.
+// and schedules are reproducible per seed. Wrap a service's Handler with it
+// (as nexusd -faults does), put it on the client side with FaultTransport,
+// or consult it in a body.
 type FaultInjector = faults.Injector
 
 // FaultPlan is a seed plus the armed rules — one reproducible schedule.
