@@ -25,7 +25,9 @@ race:
 # runtime's admission pins — two allocations per Submit, a chunk of one that
 # takes a node of its own, and two per SubmitAll or TrySubmitAll chunk of up
 # to 256 tasks, whose node block a drained chunk left on the free list — on
-# the Runtime and through a Scope.
+# the Runtime and through a Scope, and the bytes of such a chunk: its 32-byte
+# handles and the handle slice, 256 × (32 + 8) B plus the allocator's slack
+# (TestSubmitAllBytes, read off runtime.MemStats with the collector off).
 allocs:
 	$(GO) test ./internal/sim ./internal/mem ./internal/core ./internal/service ./internal/starss
 
@@ -41,14 +43,16 @@ allocs:
 # finishing, its node cleared, before the call that admitted it returns
 # (FinishesBefore), a drained node block going back to the free list and out
 # to the next chunk (NodeBlock), and a second pass over a graph filing its
-# segments off the bank free lists (SegmentReuse) — twenty times under the
-# race detector. The second line
+# segments off the bank free lists (SegmentReuse), and a handle publishing
+# its end — one pointer swap to a shared ok cell or a cell of its own —
+# against Done, Wait, Err and Outcome callers (Handle) — twenty times under
+# the race detector. The second line
 # does the same for the service's admission:
 # a submit is refused or admitted by a tryAcquire on two windows (the shared
 # one, then the session's) racing the finishers' releases, and a submit
 # sweeps the session's finished tasks while others finish (Sweep|Swept).
 flake:
-	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor|Retention|FinishesBefore|NodeBlock|SegmentReuse' ./internal/starss/
+	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor|Retention|FinishesBefore|NodeBlock|SegmentReuse|Handle' ./internal/starss/
 	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled|Sweep|Swept' ./internal/service/
 
 # fuzz gives each fuzz target twenty seconds. Three are the service's wire:

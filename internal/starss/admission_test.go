@@ -3,6 +3,7 @@ package starss
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -161,6 +162,56 @@ func TestSubmitAllocations(t *testing.T) {
 	}
 }
 
+// TestSubmitAllBytes pins the bytes of a SubmitAll chunk, not only their
+// count: a prebuilt chunk of chunkMax dependency-free tasks, admitted with the
+// collector off so every chunk reuses the node block the one before drained,
+// costs its handle block and the handle slice it returns — chunkMax × (32 + 8)
+// B, 10 KiB — and nothing else. The slack, 2 KiB a chunk, is the allocator's:
+// it puts an 8-byte header on each of the two, which contain pointers, and
+// rounds them up to its 9472- and 2304-byte size classes, 11776 B in all. A
+// 56-byte handle would take a 16 KiB block: 18688 B a chunk. TotalAlloc
+// counts every byte the heap hands out, so the pin needs no quiet host.
+func TestSubmitAllBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins hold only without the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const chunks, slack = 64, 2048
+	ctx := context.Background()
+	rt := New(Config{Workers: 1, Window: chunkMax})
+	tasks := make([]Task, chunkMax)
+	for i := range tasks {
+		tasks[i] = Task{Do: emptyBody}
+	}
+	run := func() {
+		handles, err := rt.SubmitAll(ctx, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range handles {
+			for !h.finished() {
+				runtime.Gosched()
+			}
+		}
+	}
+	for range 8 {
+		run() // warm-up: the node block, the ready queue, goroutine stacks
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range chunks {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	mustClose(t, rt)
+	got := (after.TotalAlloc - before.TotalAlloc) / chunks
+	const want = chunkMax * (32 + 8)
+	t.Logf("%d B per %d-task chunk (handle block and slice: %d B)", got, chunkMax, want)
+	if got > want+slack {
+		t.Errorf("a %d-task SubmitAll chunk costs %d B, want <= %d + %d", chunkMax, got, want, slack)
+	}
+}
+
 // TestTaskNodeSize pins the node at 208 bytes. A chunk of one allocates its
 // node on its own, where one byte over moves it to the allocator's 224-byte
 // size class; a larger chunk's block is an array with no size class to
@@ -184,13 +235,14 @@ func TestTaskSize(t *testing.T) {
 	}
 }
 
-// TestHandleSize pins the handle at 64 bytes: a Submit's own allocation in
-// the 64-byte size class, and an element of a SubmitAll chunk's handle block,
-// which a handle the caller keeps keeps whole — chunkMax × 64 B, 16 KiB. The
-// completion channel sits behind one typed pointer, not in an interface.
+// TestHandleSize pins the handle at 32 bytes — the task ID, the name, and
+// one pointer to how the task ended (an end cell, shared by every task that
+// executed): a Submit's own allocation in the 32-byte size class, and an
+// element of a SubmitAll chunk's handle block, which a handle the caller
+// keeps keeps whole — chunkMax × 32 B, 8 KiB.
 func TestHandleSize(t *testing.T) {
-	if got := unsafe.Sizeof(Handle{}); got > 64 {
-		t.Fatalf("Handle is %d bytes, want <= 64", got)
+	if got := unsafe.Sizeof(Handle{}); got != 32 {
+		t.Fatalf("Handle is %d bytes, want 32", got)
 	}
 }
 

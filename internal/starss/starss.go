@@ -186,54 +186,59 @@ func (s Stats) String() string {
 
 // Handle tracks one submitted task — the software analogue of the task ID
 // the Nexus++ hardware assigns at submission and tracks through Handle
-// Finished. Handles are returned by Submit/SubmitAll and stay valid after
-// the runtime is closed.
+// Finished: the ID, the name, and how the task ended, 32 bytes in all.
+// Handles are returned by Submit/SubmitAll and stay valid after the runtime
+// is closed.
 type Handle struct {
 	index uint64
 	name  string // Task.Name; empty for a nameless task
-	// done holds the task's completion channel: nil until someone asks for
-	// it or the task finishes, doneClosed from then on. Most handles are
-	// never selected on, so the channel is made lazily (as
-	// context.cancelCtx does) and the finished state doubles as the Err/Wait
-	// fast path.
-	done    atomic.Pointer[doneCell]
-	err     error // err and outcome are written before done becomes doneClosed
-	outcome Outcome
+	// end is nil while the task is pending, and the task's end is published
+	// by one pointer swap (complete): okEnd for a task that executed, an end
+	// cell of its own for one that failed or was skipped. Before that, a
+	// Done caller may install a pending cell, whose channel complete closes.
+	// Most handles are never selected on, so that channel is made lazily (as
+	// context.cancelCtx does), and an ok end allocates nothing. index and
+	// name are written once, at admission.
+	end atomic.Pointer[endCell]
 }
 
-// doneCell is a completion channel behind a pointer, so that publishing a
-// handle is one pointer exchange.
-type doneCell struct{ ch chan struct{} }
+// endCell is how a task ended and the channel that says it has. A pending
+// cell (made by Done) has an open channel and the zero outcome, Pending; a
+// final cell is never written after it is published.
+type endCell struct {
+	ch      chan struct{}
+	outcome Outcome
+	err     error
+}
 
-// closedChan is the channel every finished handle shares.
+// closedChan is the channel every final end cell shares.
 var closedChan = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
 	return c
 }()
 
-// doneClosed is the cell of every finished handle: the finished check is a
-// pointer comparison.
-var doneClosed = &doneCell{ch: closedChan}
+// okEnd is the end cell every task that executed shares.
+var okEnd = &endCell{ch: closedChan, outcome: Executed}
 
-// finished reports whether the outcome is published; h.err may be read
-// after it returns true.
-func (h *Handle) finished() bool { return h.done.Load() == doneClosed }
+// finished reports whether the task's end is published; from then on the
+// handle's end cell does not change.
+func (h *Handle) finished() bool { return h.Outcome() != Pending }
 
 // Done returns a channel closed when the task completes: executed, failed,
 // or skipped because a dependency failed. Every call returns a channel that
 // is (or will be) closed, whether it is first requested before or after the
 // task finished.
 func (h *Handle) Done() <-chan struct{} {
-	if d := h.done.Load(); d != nil {
-		return d.ch
+	if c := h.end.Load(); c != nil {
+		return c.ch
 	}
-	c := &doneCell{ch: make(chan struct{})}
-	if h.done.CompareAndSwap(nil, c) {
+	c := &endCell{ch: make(chan struct{})}
+	if h.end.CompareAndSwap(nil, c) {
 		return c.ch
 	}
 	// Lost to another Done call or to complete; either left a channel.
-	return h.done.Load().ch
+	return h.end.Load().ch
 }
 
 // Err returns the task's final status: nil while the task is still pending
@@ -241,8 +246,8 @@ func (h *Handle) Done() <-chan struct{} {
 // failure; an error wrapping ErrDependencyFailed and the root cause when
 // the task was skipped.
 func (h *Handle) Err() error {
-	if h.finished() {
-		return h.err
+	if c := h.end.Load(); c != nil {
+		return c.err // nil in a pending cell
 	}
 	return nil
 }
@@ -250,8 +255,8 @@ func (h *Handle) Err() error {
 // Outcome reports how the task ended, as the runtime classified it and
 // counted it, or Pending while it has not.
 func (h *Handle) Outcome() Outcome {
-	if h.finished() {
-		return h.outcome
+	if c := h.end.Load(); c != nil {
+		return c.outcome // Pending in a pending cell
 	}
 	return Pending
 }
@@ -270,26 +275,34 @@ func (h *Handle) Name() string {
 }
 
 // Wait blocks until the task completes or ctx is cancelled, returning the
-// task's final error or ctx.Err().
+// task's final error or ctx.Err(). A nil ctx means context.Background().
 func (h *Handle) Wait(ctx context.Context) error {
 	if h.finished() {
-		return h.err
+		return h.Err()
+	}
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	select {
 	case <-h.Done():
-		return h.err
+		return h.Err()
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// complete publishes the task's outcome: o and err are visible to any
-// reader that observes the handle finished, and so is everything the
-// finishing worker did before the call.
+// complete publishes the task's end in one pointer swap: o and err are
+// visible to any reader that observes the handle finished, and so is
+// everything the finishing worker did before the call. An executed task
+// publishes the shared okEnd and allocates nothing; a failed or skipped one,
+// whose error was formatted on its way here, allocates its own cell.
 func (h *Handle) complete(o Outcome, err error) {
-	h.err, h.outcome = err, o
-	if c := h.done.Swap(doneClosed); c != nil {
-		close(c.ch)
+	c := okEnd
+	if o != Executed {
+		c = &endCell{ch: closedChan, outcome: o, err: err}
+	}
+	if p := h.end.Swap(c); p != nil {
+		close(p.ch)
 	}
 }
 
@@ -855,7 +868,7 @@ func (rt *Runtime) idle() <-chan struct{} {
 // and returns the first validation error before admitting anything, or
 // ErrStopped/ctx.Err() mid-batch; the returned handles cover the prefix that
 // was admitted (all tasks on success). A handle the caller keeps keeps its
-// chunk's handle block — at most chunkMax × 64 B, 16 KiB — and never a task
+// chunk's handle block — at most chunkMax × 32 B, 8 KiB — and never a task
 // node. A chunk's node block lives until its last task finishes, then waits
 // on the runtime's free list, held weakly: the next chunk of its size class
 // reuses it, or the next collection frees it.

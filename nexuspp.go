@@ -176,7 +176,7 @@ func FromSpecs(name string, specs []TaskSpec) Source {
 // which are skipped with an error wrapping ErrDependencyFailed.
 type Runtime = starss.Runtime
 
-// Handle tracks one submitted task: Done, Err, Name, Index, Wait.
+// Handle tracks one submitted task: Done, Err, Outcome, Name, Index, Wait.
 type Handle = starss.Handle
 
 // RuntimeConfig parameterises a Runtime: workers, in-flight window and
