@@ -45,7 +45,10 @@ allocs:
 # to the next chunk (NodeBlock), and a second pass over a graph filing its
 # segments off the bank free lists (SegmentReuse), and a handle publishing
 # its end — one pointer swap to a shared ok cell or a cell of its own —
-# against Done, Wait, Err and Outcome callers (Handle) — twenty times under
+# against Done, Wait, Err and Outcome callers (Handle), and Handle Finished's
+# one order — clear the node, publish the handle, release the segments,
+# return the token — against a WaitOn admitted mid-finish and a caller
+# reusing Deps once Wait returns (WaitOn, Handle) — twenty times under
 # the race detector. The second line
 # does the same for the service's admission:
 # a submit is refused or admitted by a tryAcquire on two windows (the shared

@@ -1,7 +1,7 @@
 // Package handleleak finds silently swallowed task failures. Every
 // submission returns a *Handle — the software analogue of the hardware
 // task ID — and the runtime's error story assumes each failure is observed
-// somewhere: on the handle itself (Err/Done/Wait) or collectively at a
+// somewhere: on the handle itself (Err/Done/Wait/Outcome) or collectively at a
 // barrier (Runtime.Wait, Close, WaitOn all return the first root-cause
 // failure). A handle that is dropped in a function that never consults any
 // of those sinks is a task whose poison vanishes; an ignored Close() error
@@ -13,7 +13,7 @@
 //     bound to the blank identifier, unless the function consults a
 //     barrier-level error (Wait/WaitOn/Close/Err used as a value) or hands
 //     the runtime itself to another function (delegated shutdown);
-//   - a named handle variable whose Err/Done/Wait is never consulted and
+//   - a named handle variable whose Err/Done/Wait/Outcome is never consulted and
 //     which escapes no further;
 //   - a bare or deferred x.Close() statement on one of this module's
 //     error-returning Close methods, unless the function consults a
@@ -38,7 +38,7 @@ const (
 // Analyzer flags dropped task handles and ignored runtime Close errors.
 var Analyzer = &analysis.Analyzer{
 	Name: "handleleak",
-	Doc:  "task handles must be consulted (Err/Done/Wait) or their failures observed via Wait/Close; Close errors must not be silently dropped",
+	Doc:  "task handles must be consulted (Err/Done/Wait/Outcome) or their failures observed via Wait/Close; Close errors must not be silently dropped",
 	Run:  run,
 }
 
@@ -47,7 +47,7 @@ var Analyzer = &analysis.Analyzer{
 // error carries the first task failure.
 var (
 	submitters = map[string]bool{"Submit": true, "SubmitAll": true, "TrySubmitAll": true, "MustSubmit": true}
-	consulters = map[string]bool{"Err": true, "Done": true, "Wait": true}
+	consulters = map[string]bool{"Err": true, "Done": true, "Wait": true, "Outcome": true}
 	sinks      = map[string]bool{"Wait": true, "WaitOn": true, "Close": true}
 )
 
@@ -120,7 +120,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		case *ast.ExprStmt:
 			if !excused {
 				pass.Reportf(call.Pos(),
-					"task handle from %s dropped and no task failure is observed in this function; consult the handle (Err/Done/Wait) or check the error of Runtime.Wait/Close",
+					"task handle from %s dropped and no task failure is observed in this function; consult the handle (Err/Done/Wait/Outcome) or check the error of Runtime.Wait/Close",
 					sel.Sel.Name)
 			}
 		case *ast.AssignStmt:
@@ -180,7 +180,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		for obj, site := range tracked {
 			if verdict[obj] == "" {
 				pass.Reportf(site.Pos(),
-					"handle %q is never consulted (Err/Done/Wait) and does not escape; its task's failure would be silently swallowed",
+					"handle %q is never consulted (Err/Done/Wait/Outcome) and does not escape; its task's failure would be silently swallowed",
 					obj.Name())
 			}
 		}

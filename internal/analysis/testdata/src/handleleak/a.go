@@ -36,6 +36,12 @@ func consulted(rt *starss.Runtime) error {
 	return h.Err()
 }
 
+// Reading how the task ended is consulting it too.
+func consultedByOutcome(rt *starss.Runtime) bool {
+	h := rt.MustSubmit(starss.Task{})
+	return h.Outcome() == starss.Executed
+}
+
 // So does escaping: the caller inherits the handle.
 func escapes(rt *starss.Runtime) *starss.Handle {
 	return rt.MustSubmit(starss.Task{})

@@ -33,12 +33,22 @@ type Task struct {
 	Do   func(context.Context) error
 }
 
+type Outcome uint8
+
+const (
+	Pending Outcome = iota
+	Executed
+	Failed
+	Skipped
+)
+
 type Handle struct{ name string }
 
 func (h *Handle) Name() string                   { return h.name }
 func (h *Handle) Err() error                     { return nil }
 func (h *Handle) Done() <-chan struct{}          { return nil }
 func (h *Handle) Wait(ctx context.Context) error { return nil }
+func (h *Handle) Outcome() Outcome               { return Pending }
 
 type Config struct{ Workers int }
 

@@ -194,3 +194,35 @@ func TestHandleNameOnDemand(t *testing.T) {
 		t.Errorf("failure message %q does not name %s", h.Err(), want)
 	}
 }
+
+// TestHandleDoneFreesDeps: the runtime reads a task's Deps until the task's
+// handle reports done, and not after, so a caller may overwrite the slice
+// once Wait returns. In each round the second task queues behind the first
+// on both keys, so the first's Handle Finished releases it; under -race, a
+// finish path that read Deps after publishing the handle races with the
+// overwrite.
+func TestHandleDoneFreesDeps(t *testing.T) {
+	for name, rt := range newRuntimes(Config{Workers: 2}) {
+		t.Run(name, func(t *testing.T) {
+			defer mustClose(t, rt)
+			ctx := context.Background()
+			for round := range 200 {
+				first := []Dep{InOut(addrA), In(addrB)}
+				second := []Dep{In(addrA), InOut(addrB)}
+				h1 := rt.MustSubmit(Task{Deps: first, Do: do(func() {})})
+				h2 := rt.MustSubmit(Task{Deps: second, Do: do(func() {})})
+				for _, w := range []struct {
+					h    *Handle
+					deps []Dep
+				}{{h1, first}, {h2, second}} {
+					if err := w.h.Wait(ctx); err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+					for i := range w.deps {
+						w.deps[i] = Dep{Addr: ^uint64(0), Mode: ModeOut}
+					}
+				}
+			}
+		})
+	}
+}

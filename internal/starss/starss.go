@@ -122,8 +122,8 @@ type Task struct {
 	Name string
 	// Deps declares the data the task accesses. Duplicate addresses are
 	// merged (read + write on the same address becomes inout). The runtime
-	// reads the slice until the task finishes: do not modify it after
-	// submitting.
+	// reads the slice until the task's handle reports done: do not modify it
+	// before then.
 	Deps []Dep
 	// Do executes the task. The context is the one the task was submitted
 	// with; bodies should honour its cancellation. A non-nil error marks
@@ -752,17 +752,21 @@ func sortedUnique(banks []int32) []int32 {
 	return slices.Compact(banks)
 }
 
-// lockOrder is the node's bank acquisition order for Handle Finished, read
-// off the segments in acc (the node's access slots) into buf. A spilled
-// node kept the one Check Deps derived.
-func (rt *Runtime) lockOrder(node *taskNode, acc []access, buf []int32) []int32 {
+// holds is what Handle Finished's bank pass needs of the node, taken off it
+// before the node is cleared: its access slots — an inline node's copied into
+// slots, a spilled node's spill, which is not in the node — and its bank
+// acquisition order, read off their segments into buf (a spilled node kept
+// the one Check Deps derived).
+func (rt *Runtime) holds(node *taskNode, slots *[inlineDeps]access, buf []int32) (acc []access, order []int32) {
 	if sp := node.spill; sp != nil {
-		return sp.order
+		return sp.acc, sp.order
 	}
-	for i := range node.task.Deps {
-		buf = append(buf, rt.bankOf(acc[i].seg.hash))
+	*slots = node.acc
+	acc = slots[:len(node.task.Deps)]
+	for _, a := range acc {
+		buf = append(buf, rt.bankOf(a.seg.hash))
 	}
-	return sortedUnique(buf)
+	return acc, sortedUnique(buf)
 }
 
 // lockBanks acquires the given sorted bank set; the global ascending order
@@ -1229,36 +1233,87 @@ func (node *taskNode) rootCause() *taskFailure {
 	return &taskFailure{err: node.err}
 }
 
-// resolveFinished runs the Handle Finished path (SSIII-B) for one task:
-// releases its segments, pops kick-off lists and dispatches any task whose
-// dependence count reaches zero. It starts from the task and follows the
-// segment pointers Check Deps left in its access slots: no key is hashed
-// or even derived here — a drained segment is removed from the table by its
-// own pointer and the hash it carries. A failed (or skipped) finisher
-// poisons the segments it releases, so every waiter popped behind it — now
-// or by a later finisher — is skipped as a transitive dependent while the
-// kick-off lists drain normally. worker is the finishing worker's index, for
-// the event stream.
+// resolveFinished runs the Handle Finished path (§III-B) for one task, in one
+// pass; worker is the finishing goroutine's event lane. Each step happens
+// before the next, and the tests named with a step pin its edge:
 //
-// The first task it releases that has a body is not dispatched but returned:
-// the caller runs it next — its data is what
-// this task just touched — or, when it runs no bodies, queues it (finish).
+//  1. Decide the outcome — executed, failed or skipped, by what the runtime
+//     did with the task, never by what its error looks like — and count it.
+//  2. Take what the bank pass needs off the node (holds): its segment
+//     pointers, its bank order and the root cause it propagates. Then clear
+//     the node, and list its block free if it was its chunk's last task: a
+//     node of a block shares it with its chunk-mates, and one of them still
+//     running would otherwise pin this task's body, context and
+//     dependencies. Whoever the handle wakes finds the node cleared
+//     (TestRetentionChunkMateBody, TestKickoffDrainLeavesNoLinks,
+//     TestNodeBlockClass).
+//  3. Settle the scope: its counters, its token and its hook, so whoever the
+//     handle wakes finds them settled (TestScopeAccountingSettledBeforeHandle,
+//     TestServiceTokensSettledBeforeAwaitReturns).
+//  4. Lock the task's banks and publish the handle. The task's segments are
+//     still filed, so a task admitted before the publish — a WaitOn above
+//     all — queues behind this one rather than finding its keys free
+//     (TestWaitOnSeesPublishedTask, TestWaitOnPoisonedKey, TestKeyIdentity).
+//     Under the locks, no task is admitted on those keys between the publish
+//     and the release: one submitted once the handle reports done finds them
+//     as step 5 leaves them, so a failed task's poison still dies with its
+//     drained segment instead of tainting a task submitted after the failure
+//     was seen (TestScopeAccountingSettledBeforeHandle, TestNodeBlockReused).
+//     The caller may now reuse the task's Deps: nothing below reads them
+//     (TestHandleDoneFreesDeps).
+//  5. Run the bank pass and unlock: release each segment and pop its
+//     kick-off list. It follows the segment pointers Check Deps left — no key
+//     is hashed or even derived here, and a drained segment leaves the table
+//     by its own pointer and the hash it carries. A failed (or skipped)
+//     finisher poisons the segments it releases, so every waiter popped
+//     behind it — now or by a later finisher — is skipped as a transitive
+//     dependent while the kick-off lists drain normally.
+//  6. Pass the released tasks on. The first with a body is returned as next:
+//     the caller runs it — its data is what this task just touched — or,
+//     when it runs no bodies, queues it (finish). Every other one, a WaitOn
+//     included, is dispatched at once.
+//  7. Return the window token, last: a barrier that sees in-flight reach zero
+//     finds every handle published (TestBarrierWaitsForAll).
 func (rt *Runtime) resolveFinished(node *taskNode, worker int) (next *taskNode) {
+	o := Executed
+	switch {
+	case node.wasSkipped:
+		o = Skipped
+	case node.err != nil:
+		o = Failed
+		rt.firstErr.CompareAndSwap(nil, &taskFailure{err: node.err})
+	}
+	rt.record(o)
+
 	root := node.rootCause()
+	var slots [inlineDeps]access
+	var orderBuf [inlineDeps]int32
+	acc, order := rt.holds(node, &slots, orderBuf[:0])
+	h, err, s, blk := node.handle, node.err, node.scope, node.blk
+	*node = taskNode{}
+	if blk != nil && blk.live.Add(-1) == 0 {
+		rt.putBlock(blk)
+	}
+
+	if s != nil {
+		s.taskDone(o, err)
+	}
+
+	rt.lockBanks(order)
+	h.complete(o, err)
+
 	// Most finishers release at most a few waiters; keep them off the heap.
 	var buf [8]*taskNode
 	released := buf[:0]
-	acc, _ := node.slots()
-	var orderBuf [inlineDeps]int32
-	order := rt.lockOrder(node, acc, orderBuf[:0])
-	rt.lockBanks(order)
-	for i, d := range node.task.Deps {
-		seg := acc[i].seg
+	for _, a := range acc {
+		seg := a.seg
 		b := &rt.banks[rt.bankOf(seg.hash)]
 		if root != nil && seg.poison == nil {
 			seg.poison = root
 		}
-		if d.Mode == ModeIn {
+		// A segment is held by one writer (isOut) or by readers, never both,
+		// so isOut says which side this task held.
+		if !seg.isOut {
 			seg.rdrs--
 			if seg.rdrs > 0 {
 				continue
@@ -1291,53 +1346,17 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) (next *taskNode) 
 		}
 	}
 	rt.unlockBanks(order)
-	// A released task goes to the workers at once — except the caller's
-	// successor, and a WaitOn, which dispatch would finish on the spot: its
-	// caller expects to find this task done, so it is held back until this
-	// task's handle is published.
-	held := released[:0]
+
 	for _, n := range released {
 		rt.emit(worker, obs.KindReady, n, worker)
-		switch {
-		case n.task.Do == nil:
-			held = append(held, n)
-		case next == nil:
+		if next == nil && n.task.Do != nil {
 			next = n
-		default:
-			rt.dispatch(n, worker)
+			continue
 		}
-	}
-	// The one place a task is declared executed, failed or skipped: by what
-	// the runtime did with it, never by what its error looks like.
-	o := Executed
-	switch {
-	case node.wasSkipped:
-		o = Skipped
-	case node.err != nil:
-		o = Failed
-		rt.firstErr.CompareAndSwap(nil, &taskFailure{err: node.err})
-	}
-	rt.record(o)
-	h, err, s, blk := node.handle, node.err, node.scope, node.blk
-	// The finished node lets go of everything it points at: a node of a
-	// block shares it with its chunk-mates, and one of them still running
-	// would otherwise pin this task's body, context and dependencies. Nobody
-	// reads the node from here on, and whoever the handle wakes finds it
-	// cleared — and its block listed free, when this was the chunk's last task.
-	*node = taskNode{}
-	if blk != nil && blk.live.Add(-1) == 0 {
-		rt.putBlock(blk)
-	}
-	if s != nil {
-		s.taskDone(o, err)
-	}
-	// Publish the handle before the token goes back: a barrier that sees
-	// in-flight reach zero must find every handle complete.
-	h.complete(o, err)
-	rt.returnTokens(1)
-	for _, n := range held {
 		rt.dispatch(n, worker)
 	}
+
+	rt.returnTokens(1)
 	return next
 }
 

@@ -3,6 +3,8 @@ package starss
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,6 +117,66 @@ func TestWaitOnPoisonedKey(t *testing.T) {
 			}
 			if st := rt.Stats(); st.Failed != 1 || st.Skipped != 1 || st.Executed != 0 {
 				t.Fatalf("stats = %v, want the writer failed and the WaitOn skipped", st)
+			}
+		})
+	}
+}
+
+// TestWaitOnSeesPublishedTask: a task's keys stay filed until its handle is
+// published, so a WaitOn admitted while the task sits between its scope hook
+// and its handle queues behind it instead of finding its key free and
+// returning early. The scope's hook holds the writer exactly there. On the
+// maestro, which runs the hook itself, the WaitOn is not even admitted until
+// the hook lets go.
+func TestWaitOnSeesPublishedTask(t *testing.T) {
+	for name, rt := range newRuntimes(Config{Workers: 2}) {
+		t.Run(name, func(t *testing.T) {
+			defer mustClose(t, rt)
+			ctx := context.Background()
+			held, release := make(chan struct{}), make(chan struct{})
+			letGo := sync.OnceFunc(func() { close(release) })
+			defer letGo()
+			var first atomic.Bool
+			s := rt.Scope("held")
+			s.SetOnDone(func(error) {
+				if first.CompareAndSwap(false, true) {
+					close(held)
+					<-release
+				}
+			})
+			writer, err := s.Submit(ctx, Task{Deps: []Dep{Out(7)}, Do: do(func() {})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-held
+			type result struct {
+				err    error
+				writer Outcome // the writer's outcome as the WaitOn returned
+			}
+			waited := make(chan result, 1)
+			go func() {
+				err := s.WaitOn(ctx, 7)
+				waited <- result{err, writer.Outcome()}
+			}()
+			// The sharded runtime admits the WaitOn at once, and it must queue:
+			// a hazard. The maestro admits nothing while it is in the hook, so
+			// it gets the time an early return would take.
+			deadline := time.Now().Add(100 * time.Millisecond)
+			for rt.Stats().Hazards == 0 && len(waited) == 0 && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			select {
+			case r := <-waited:
+				t.Fatalf("Scope.WaitOn returned (err %v) before the writer's handle was published", r.err)
+			default:
+			}
+			letGo()
+			r := <-waited
+			if r.err != nil {
+				t.Fatalf("Scope.WaitOn = %v, want nil", r.err)
+			}
+			if r.writer != Executed {
+				t.Fatalf("the writer's outcome was %d when Scope.WaitOn returned, want Executed (%d)", r.writer, Executed)
 			}
 		})
 	}
