@@ -20,7 +20,10 @@ race:
 
 # allocs runs the allocation pins without the race detector, whose
 # instrumentation changes what escapes: the zero-allocation pins on
-# sim.Engine / sim.Server, the allocations-per-task budget on core.Run, the
+# sim.Engine / sim.Server, the allocations-per-task budget on core.Run and
+# its run-loop marginal pin (at most 0.1 allocations per extra task between
+# Gaussian N = 40 and N = 80), the generator pin (one pass of every
+# workload's Next within Total()/64 allocations, parameters off a slab), the
 # service's codec and submit-handler pins (which skip under -race), and the
 # runtime's admission pins — two allocations per Submit, a chunk of one that
 # takes a node of its own, and two per SubmitAll or TrySubmitAll chunk of up
@@ -29,7 +32,7 @@ race:
 # handles and the handle slice, 256 × (32 + 8) B plus the allocator's slack
 # (TestSubmitAllBytes, read off runtime.MemStats with the collector off).
 allocs:
-	$(GO) test ./internal/sim ./internal/mem ./internal/core ./internal/service ./internal/starss
+	$(GO) test ./internal/sim ./internal/mem ./internal/core ./internal/workload ./internal/service ./internal/starss
 
 # flake hammers the tests whose outcome depends on who wins a race between
 # a finishing task and its submitter — poisoning, panics, the window, scope

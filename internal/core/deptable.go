@@ -26,6 +26,9 @@ func (e FatalModelError) Error() string { return "core: " + e.Reason }
 // Semantics implement Listing 2 (Check Deps) and the Handle Finished rules
 // of SSIII-B, including WAR/WAW enforcement via the ww flag (Nexus++
 // supports the false dependencies "as a safe guard" instead of renaming).
+//
+// The bucket chains are the table's only index, as in the hardware: a
+// lookup walks its bucket, and the walk is what the access count charges.
 type DepTable struct {
 	slots    int // total entry capacity, parents + dummy segments
 	koSlots  int
@@ -34,11 +37,12 @@ type DepTable struct {
 
 	renamedVersions uint64
 	used            int
+	live            int       // current entries: one per live address
 	buckets         [][]int32 // collision chains of live entry indices
 	nBuckets        int
 	entries         []dtEntry
 	freeIdx         []int32
-	addrIdx         map[uint64]int32
+	grants          []Grant // ProcessFinished's result, reused by every call
 	onFree          []func()
 
 	// Statistics.
@@ -63,16 +67,25 @@ type dtEntry struct {
 	rdrs   int
 	ww     bool
 	bucket int32
-	// current marks the newest version of an address in renaming mode;
-	// demoted versions serve their remaining users and then retire.
+	// current marks the version of an address a lookup finds: every
+	// entry is current until renaming demotes it, and a demoted version
+	// serves its remaining users and then retires.
 	current bool
-	// Kick-off list state. ko is the logical queue; segs is the number of
-	// physical segments (1 parent + segs-1 dummy entries), frontDrained the
-	// number of already-read slots in the front segment.
+	// Kick-off list state. ko[koHead:] is the logical queue (the popped
+	// front stays as spare capacity until the queue empties); segs is the
+	// number of physical segments (1 parent + segs-1 dummy entries),
+	// frontDrained the number of already-read slots in the front segment.
 	ko           []koItem
+	koHead       int
 	segs         int
 	frontDrained int
 }
+
+// waiters returns the number of tasks on e's kick-off list.
+func (e *dtEntry) waiters() int { return len(e.ko) - e.koHead }
+
+// head returns the first waiter on e's kick-off list.
+func (e *dtEntry) head() koItem { return e.ko[e.koHead] }
 
 // Grant reports a task released from a kick-off list by Handle Finished.
 type Grant struct {
@@ -87,13 +100,12 @@ func NewDepTable(slots, koSlots int) *DepTable {
 		koSlots:  koSlots,
 		nBuckets: slots,
 		buckets:  make([][]int32, slots),
-		addrIdx:  make(map[uint64]int32, slots),
 	}
 	return dt
 }
 
-// Live returns the number of live addresses (parent entries).
-func (dt *DepTable) Live() int { return len(dt.addrIdx) }
+// Live returns the number of live addresses (current parent entries).
+func (dt *DepTable) Live() int { return dt.live }
 
 // HasFree reports whether at least one slot is unoccupied.
 func (dt *DepTable) HasFree() bool { return dt.used < dt.slots }
@@ -162,29 +174,27 @@ func (dt *DepTable) releaseSlots(n int) {
 }
 
 // lookup finds the *current* entry index of addr and the number of chain
-// positions walked (>= 1 when the bucket is non-empty). In renaming mode a
+// positions walked (>= 1 even when the bucket is empty). In renaming mode a
 // bucket may also hold demoted versions of the address; only the current
-// one (tracked by the index map) matches.
+// one matches.
 func (dt *DepTable) lookup(addr uint64) (idx int32, walk int, found bool) {
 	dt.lookups++
-	b := dt.hash(addr)
-	if cur, ok := dt.addrIdx[addr]; ok {
-		for i, ei := range dt.buckets[b] {
-			if ei == cur {
-				return cur, i + 1, true
-			}
-		}
-		panic(fmt.Sprintf("core: index map for %#x points outside its bucket", addr))
-	}
-	walk = len(dt.buckets[b])
-	if walk == 0 {
-		walk = 1
-	}
-	return -1, walk, false
+	return dt.find(addr)
 }
 
-// insert creates a parent entry for addr; the caller must have verified
-// space with takeSlot.
+// find is lookup without the statistic.
+func (dt *DepTable) find(addr uint64) (idx int32, walk int, found bool) {
+	chain := dt.buckets[dt.hash(addr)]
+	for i, ei := range chain {
+		if e := &dt.entries[ei]; e.addr == addr && e.current {
+			return ei, i + 1, true
+		}
+	}
+	return -1, max(len(chain), 1), false
+}
+
+// insert creates the current parent entry for addr; the caller must have
+// verified space with takeSlot.
 func (dt *DepTable) insert(addr uint64, size uint32) int32 {
 	var idx int32
 	if n := len(dt.freeIdx); n > 0 {
@@ -195,20 +205,25 @@ func (dt *DepTable) insert(addr uint64, size uint32) int32 {
 		dt.entries = append(dt.entries, dtEntry{})
 	}
 	b := dt.hash(addr)
-	dt.entries[idx] = dtEntry{live: true, addr: addr, size: size, bucket: int32(b), segs: 1}
+	// A reused entry keeps its kick-off storage.
+	ko := dt.entries[idx].ko[:0]
+	dt.entries[idx] = dtEntry{live: true, addr: addr, size: size, bucket: int32(b), current: true, ko: ko, segs: 1}
 	dt.buckets[b] = append(dt.buckets[b], idx)
 	if l := len(dt.buckets[b]); l > dt.maxChain {
 		dt.maxChain = l
 	}
-	dt.addrIdx[addr] = idx
+	dt.live++
 	return idx
 }
 
-// remove deletes the entry and releases all its slots.
+// remove deletes the entry, current or demoted, and releases all its slots.
 func (dt *DepTable) remove(idx int32) {
 	e := &dt.entries[idx]
-	if len(e.ko) != 0 || e.ww {
+	if e.waiters() != 0 || e.ww {
 		panic("core: removing Dependence Table entry with waiting tasks")
+	}
+	if e.current {
+		dt.live--
 	}
 	segs := e.segs
 	b := e.bucket
@@ -219,8 +234,7 @@ func (dt *DepTable) remove(idx int32) {
 			break
 		}
 	}
-	delete(dt.addrIdx, e.addr)
-	*e = dtEntry{}
+	*e = dtEntry{ko: e.ko[:0]}
 	dt.freeIdx = append(dt.freeIdx, idx)
 	dt.releaseSlots(segs)
 }
@@ -230,11 +244,17 @@ func (dt *DepTable) koCapacity(e *dtEntry) int {
 	return e.segs*dt.koSlots - e.frontDrained
 }
 
+// grant returns dt.grants holding task alone.
+func (dt *DepTable) grant(task int32) []Grant {
+	dt.grants = append(dt.grants[:0], Grant{Task: task})
+	return dt.grants
+}
+
 // koAppend enqueues a waiter, growing the chain with a dummy entry when the
 // current segments are full. It reports (ok=false) without mutating when a
 // new segment is needed but the table is full.
 func (dt *DepTable) koAppend(e *dtEntry, it koItem) (grew bool, ok bool) {
-	if len(e.ko) >= dt.koCapacity(e) {
+	if e.waiters() >= dt.koCapacity(e) {
 		if dt.strictKO {
 			panic(FatalModelError{Reason: fmt.Sprintf(
 				"kick-off list of segment %#x exceeds its %d fixed slots and dummy entries are disabled (original-Nexus limit)",
@@ -250,6 +270,11 @@ func (dt *DepTable) koAppend(e *dtEntry, it koItem) (grew bool, ok bool) {
 		}
 		grew = true
 	}
+	if len(e.ko) == cap(e.ko) && e.koHead > 0 {
+		// Reuse the popped front before growing.
+		e.ko = e.ko[:copy(e.ko, e.ko[e.koHead:])]
+		e.koHead = 0
+	}
 	e.ko = append(e.ko, it)
 	return grew, true
 }
@@ -259,8 +284,10 @@ func (dt *DepTable) koAppend(e *dtEntry, it koItem) (grew bool, ok bool) {
 // becomes the new parent and a slot is released. It returns the item and
 // whether a promotion (an extra copy access) happened.
 func (dt *DepTable) koPop(e *dtEntry) (koItem, bool) {
-	it := e.ko[0]
-	e.ko = e.ko[1:]
+	it := e.head()
+	if e.koHead++; e.koHead == len(e.ko) {
+		e.ko, e.koHead = e.ko[:0], 0
+	}
 	e.frontDrained++
 	if e.frontDrained >= dt.koSlots && e.segs > 1 {
 		e.segs--
@@ -268,7 +295,7 @@ func (dt *DepTable) koPop(e *dtEntry) (koItem, bool) {
 		dt.releaseSlots(1)
 		return it, true
 	}
-	if len(e.ko) == 0 && e.frontDrained > 0 && e.segs == 1 {
+	if e.waiters() == 0 && e.frontDrained > 0 && e.segs == 1 {
 		// Empty single-segment list: reset the drain cursor.
 		e.frontDrained = 0
 	}
@@ -337,6 +364,8 @@ func (dt *DepTable) ProcessNew(task int32, addr uint64, size uint32, wantsWrite 
 // a completed task. It returns the tasks granted access from the kick-off
 // list (the caller decrements their dependence counters) and the number of
 // table accesses performed. It never stalls: draining only releases slots.
+// The returned slice is reused by the next ProcessFinished or
+// ProcessFinishedVersioned call.
 func (dt *DepTable) ProcessFinished(task int32, addr uint64, wasWriter bool) (grants []Grant, accesses int) {
 	idx, walk, found := dt.lookup(addr)
 	accesses = 1 + walk
@@ -355,7 +384,7 @@ func (dt *DepTable) ProcessFinished(task int32, addr uint64, wasWriter bool) (gr
 			return nil, accesses
 		}
 		if !e.ww {
-			if len(e.ko) != 0 {
+			if e.waiters() != 0 {
 				panic(fmt.Sprintf("core: segment %#x has waiters but no writer-waits flag", addr))
 			}
 			dt.remove(idx)
@@ -373,11 +402,11 @@ func (dt *DepTable) ProcessFinished(task int32, addr uint64, wasWriter bool) (gr
 		}
 		e.isOut = true
 		e.ww = false
-		return []Grant{{Task: it.task}}, accesses
+		return dt.grant(it.task), accesses
 	}
 	// Writer finished.
 	e.isOut = false
-	if len(e.ko) == 0 {
+	if e.waiters() == 0 {
 		dt.remove(idx)
 		accesses++
 		return nil, accesses
@@ -385,16 +414,17 @@ func (dt *DepTable) ProcessFinished(task int32, addr uint64, wasWriter bool) (gr
 	// Read waiters off the list while they are readers; stop at a writer
 	// (which then waits on the new readers) or grant a writer immediately
 	// when it is first.
-	if e.ko[0].wantsWrite {
+	if e.head().wantsWrite {
 		it, promoted := dt.koPop(e)
 		accesses++
 		if promoted {
 			accesses++
 		}
 		e.isOut = true
-		return []Grant{{Task: it.task}}, accesses
+		return dt.grant(it.task), accesses
 	}
-	for len(e.ko) > 0 && !e.ko[0].wantsWrite {
+	grants = dt.grants[:0]
+	for e.waiters() > 0 && !e.head().wantsWrite {
 		it, promoted := dt.koPop(e)
 		accesses += 2 // pop + readers-count increment
 		if promoted {
@@ -403,7 +433,8 @@ func (dt *DepTable) ProcessFinished(task int32, addr uint64, wasWriter bool) (gr
 		e.rdrs++
 		grants = append(grants, Grant{Task: it.task})
 	}
-	if len(e.ko) > 0 {
+	dt.grants = grants
+	if e.waiters() > 0 {
 		// A writer remains behind the newly granted readers.
 		e.ww = true
 		accesses++
@@ -412,45 +443,65 @@ func (dt *DepTable) ProcessFinished(task int32, addr uint64, wasWriter bool) (gr
 }
 
 // checkInvariants verifies internal consistency; tests call it after
-// mutation sequences.
+// mutation sequences, and System.Run after every run. Every entry of an
+// address hashes to the same bucket, so "one current entry per address"
+// is checked chain by chain.
 func (dt *DepTable) checkInvariants() error {
-	for a, idx := range dt.addrIdx {
-		e := &dt.entries[idx]
-		if !e.live || e.addr != a {
-			return fmt.Errorf("deptable: index map corrupt for %#x", a)
-		}
-		if dt.renaming && !e.current {
-			return fmt.Errorf("deptable: index map for %#x points at a demoted version", a)
+	used, live, chained := 0, 0, 0
+	for b, chain := range dt.buckets {
+		chained += len(chain)
+		for i, ei := range chain {
+			e := &dt.entries[ei]
+			if !e.live || int(e.bucket) != b || dt.hash(e.addr) != b {
+				return fmt.Errorf("deptable: bucket %d holds entry %d (live %v, bucket %d)", b, ei, e.live, e.bucket)
+			}
+			if !e.current {
+				continue
+			}
+			live++
+			for _, ej := range chain[i+1:] {
+				if o := &dt.entries[ej]; o.current && o.addr == e.addr {
+					return fmt.Errorf("deptable: %#x has two current entries", e.addr)
+				}
+			}
+			if idx, _, ok := dt.find(e.addr); !ok || idx != ei {
+				return fmt.Errorf("deptable: lookup of %#x misses its current entry %d", e.addr, ei)
+			}
 		}
 	}
-	used := 0
+	if live != dt.live {
+		return fmt.Errorf("deptable: Live() = %d but %d entries are current", dt.live, live)
+	}
 	for i := range dt.entries {
 		e := &dt.entries[i]
 		if !e.live {
 			continue
 		}
+		chained--
 		used += e.segs
 		a := e.addr
-		if !dt.renaming || e.current {
-			if cur, ok := dt.addrIdx[a]; !ok || cur != int32(i) {
-				return fmt.Errorf("deptable: live entry %d for %#x missing from the index map", i, a)
-			}
-		} else if e.rdrs == 0 && !e.isOut && len(e.ko) == 0 && !e.ww {
+		if !dt.renaming && !e.current {
+			return fmt.Errorf("deptable: entry %d for %#x demoted without renaming", i, a)
+		}
+		if !e.current && e.rdrs == 0 && !e.isOut && e.waiters() == 0 && !e.ww {
 			return fmt.Errorf("deptable: demoted version of %#x is empty but not retired", a)
 		}
-		if e.ww && len(e.ko) == 0 {
+		if e.ww && e.waiters() == 0 {
 			return fmt.Errorf("deptable: %#x has ww without waiters", a)
 		}
-		if !e.isOut && !e.ww && len(e.ko) > 0 {
+		if !e.isOut && !e.ww && e.waiters() > 0 {
 			return fmt.Errorf("deptable: %#x has waiters with no owner conflict", a)
 		}
 		if e.isOut && e.rdrs > 0 {
 			return fmt.Errorf("deptable: %#x is owned by a writer but has readers", a)
 		}
-		need := len(e.ko) + e.frontDrained
+		need := e.waiters() + e.frontDrained
 		if need > e.segs*dt.koSlots {
 			return fmt.Errorf("deptable: %#x kick-off accounting broken", a)
 		}
+	}
+	if chained != 0 {
+		return fmt.Errorf("deptable: bucket chains and live entries differ by %d", chained)
 	}
 	if used != dt.used {
 		return fmt.Errorf("deptable: used = %d but entries account for %d", dt.used, used)

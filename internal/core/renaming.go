@@ -55,7 +55,6 @@ func (dt *DepTable) ProcessNewVersioned(task int32, addr uint64, size uint32, mo
 		}
 		idx = dt.insert(addr, size)
 		e := &dt.entries[idx]
-		e.current = true
 		accesses++
 		if mode == paramIn {
 			e.rdrs = 1
@@ -103,8 +102,8 @@ func (dt *DepTable) ProcessNewVersioned(task int32, addr uint64, size uint32, mo
 			return -1, false, accesses, true
 		}
 		e.current = false
+		dt.live--
 		nv := dt.insert(addr, size)
-		dt.entries[nv].current = true
 		dt.entries[nv].isOut = true
 		dt.renamedVersions++
 		accesses += 2 // demote + insert
@@ -114,7 +113,8 @@ func (dt *DepTable) ProcessNewVersioned(task int32, addr uint64, size uint32, mo
 
 // ProcessFinishedVersioned retires one parameter access of a finished task
 // against the version it was bound to, with the classic grant rules; empty
-// versions retire whether current or demoted.
+// versions retire whether current or demoted. Its grants, like
+// ProcessFinished's, are reused by the next call.
 func (dt *DepTable) ProcessFinishedVersioned(task int32, version int32, wasWriter bool) (grants []Grant, accesses int) {
 	if !dt.renaming {
 		panic("core: ProcessFinishedVersioned without renaming mode")
@@ -148,25 +148,26 @@ func (dt *DepTable) ProcessFinishedVersioned(task int32, version int32, wasWrite
 		}
 		e.isOut = true
 		e.ww = false
-		return []Grant{{Task: it.task}}, accesses
+		return dt.grant(it.task), accesses
 	}
 	// Writer finished on this version.
 	e.isOut = false
-	if len(e.ko) == 0 {
+	if e.waiters() == 0 {
 		dt.retireIfEmpty(version)
 		accesses++
 		return nil, accesses
 	}
-	if e.ko[0].wantsWrite {
+	if e.head().wantsWrite {
 		it, promoted := dt.koPop(e)
 		accesses++
 		if promoted {
 			accesses++
 		}
 		e.isOut = true
-		return []Grant{{Task: it.task}}, accesses
+		return dt.grant(it.task), accesses
 	}
-	for len(e.ko) > 0 && !e.ko[0].wantsWrite {
+	grants = dt.grants[:0]
+	for e.waiters() > 0 && !e.head().wantsWrite {
 		it, promoted := dt.koPop(e)
 		accesses += 2
 		if promoted {
@@ -175,7 +176,8 @@ func (dt *DepTable) ProcessFinishedVersioned(task int32, version int32, wasWrite
 		e.rdrs++
 		grants = append(grants, Grant{Task: it.task})
 	}
-	if len(e.ko) > 0 {
+	dt.grants = grants
+	if e.waiters() > 0 {
 		e.ww = true
 		accesses++
 	}
@@ -185,33 +187,10 @@ func (dt *DepTable) ProcessFinishedVersioned(task int32, version int32, wasWrite
 // retireIfEmpty removes a version with no users and no waiters.
 func (dt *DepTable) retireIfEmpty(version int32) {
 	e := &dt.entries[version]
-	if e.isOut || e.rdrs > 0 || len(e.ko) > 0 || e.ww {
+	if e.isOut || e.rdrs > 0 || e.waiters() > 0 || e.ww {
 		return
 	}
-	if e.current {
-		dt.remove(version)
-		return
-	}
-	dt.removeStale(version)
-}
-
-// removeStale deletes a demoted (non-current) version; addrIdx already
-// points at a newer version, so only the bucket chain and slot accounting
-// are touched.
-func (dt *DepTable) removeStale(idx int32) {
-	e := &dt.entries[idx]
-	segs := e.segs
-	b := e.bucket
-	chain := dt.buckets[b]
-	for i, ei := range chain {
-		if ei == idx {
-			dt.buckets[b] = append(chain[:i], chain[i+1:]...)
-			break
-		}
-	}
-	*e = dtEntry{}
-	dt.freeIdx = append(dt.freeIdx, idx)
-	dt.releaseSlots(segs)
+	dt.remove(version)
 }
 
 // paramMode is the three-way access mode used by the renaming paths.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -212,5 +213,60 @@ func TestRenamingRandomProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDepTableSharedBucketRenaming puts two addresses in one bucket chain,
+// with a demoted version of A ahead of its current one: the chain is the
+// table's only index, so the walk must skip the demoted version and report
+// the current one's position.
+func TestDepTableSharedBucketRenaming(t *testing.T) {
+	dt := NewDepTable(16, 8)
+	dt.EnableRenaming()
+	ab := sameBucket(dt, 2)
+	a, b := ab[0], ab[1]
+	old, _, _, _ := dt.ProcessNewVersioned(1, a, 4, paramIn) // reader keeps it alive
+	dt.ProcessNewVersioned(2, b, 4, paramOut)
+	cur, g, _, _ := dt.ProcessNewVersioned(3, a, 4, paramOut) // demotes old
+	if !g || cur == old {
+		t.Fatalf("pure writer: granted %v, version %d (old %d)", g, cur, old)
+	}
+	// Chain: old A (demoted), B, current A.
+	if idx, walk, found := dt.lookup(a); !found || idx != cur || walk != 3 {
+		t.Fatalf("lookup(A) = %d, walk %d, found %v; want %d, walk 3", idx, walk, found, cur)
+	}
+	if dt.Live() != 2 || dt.Used() != 3 {
+		t.Fatalf("live/used = %d/%d, want 2/3 (the demoted version is not live)", dt.Live(), dt.Used())
+	}
+	if dt.MaxChain() != 3 { // what the table reported when it also kept an index map
+		t.Fatalf("max chain = %d, want 3", dt.MaxChain())
+	}
+	lookups := dt.lookups
+	if err := dt.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if dt.lookups != lookups {
+		t.Fatal("checkInvariants counted its walks as lookups")
+	}
+
+	// A second current entry for A must be caught.
+	dt.entries[old].current = true
+	dt.live++
+	if err := dt.checkInvariants(); err == nil || !strings.Contains(err.Error(), "two current entries") {
+		t.Fatalf("checkInvariants with two current versions of A: %v", err)
+	}
+	dt.entries[old].current = false
+	dt.live--
+
+	// The demoted version retires with its reader; A is found one step sooner.
+	dt.ProcessFinishedVersioned(1, old, false)
+	if idx, walk, found := dt.lookup(a); !found || idx != cur || walk != 2 {
+		t.Fatalf("after retiring the demoted version: lookup(A) = %d, walk %d, found %v", idx, walk, found)
+	}
+	if dt.Live() != 2 || dt.Used() != 2 {
+		t.Fatalf("live/used = %d/%d, want 2/2", dt.Live(), dt.Used())
+	}
+	if err := dt.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

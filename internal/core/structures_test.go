@@ -390,9 +390,14 @@ func TestDepTableLifecycleProperty(t *testing.T) {
 		addr  uint64
 		write bool
 	}
-	prop := func(seed uint64, opsRaw uint8) bool {
+	// shared puts all six addresses in one bucket chain.
+	prop := func(seed uint64, opsRaw uint8, shared bool) bool {
 		rng := sim.NewRand(seed)
 		dt := NewDepTable(64, 2)
+		addrs := []uint64{1, 2, 3, 4, 5, 6}
+		if shared {
+			addrs = sameBucket(dt, 6)
+		}
 		active := map[int32]hold{}  // granted tasks
 		waiting := map[int32]hold{} // queued tasks
 		nextID := int32(1)
@@ -400,7 +405,7 @@ func TestDepTableLifecycleProperty(t *testing.T) {
 		for i := 0; i < ops; i++ {
 			if rng.Intn(2) == 0 || len(active) == 0 {
 				// Submit a new single-param task.
-				addr := uint64(rng.Intn(6) + 1)
+				addr := addrs[rng.Intn(6)]
 				write := rng.Intn(2) == 0
 				id := nextID
 				nextID++
@@ -459,4 +464,15 @@ func TestDepTableLifecycleProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
+}
+
+// sameBucket returns n addresses that dt hashes into one bucket.
+func sameBucket(dt *DepTable, n int) []uint64 {
+	var addrs []uint64
+	for a := uint64(64); len(addrs) < n; a += 64 {
+		if dt.hash(a) == dt.hash(64) {
+			addrs = append(addrs, a)
+		}
+	}
+	return addrs
 }

@@ -318,6 +318,11 @@ func TestNodeBlockClass(t *testing.T) {
 					t.Fatal(err)
 				}
 				waitAll(t, handles)
+				// A task returns its window token after its handle is
+				// published; the next all-or-nothing chunk needs them all.
+				if err := rt.Wait(ctx); err != nil {
+					t.Fatal(err)
+				}
 				if n == 1 {
 					for c := range blockClasses {
 						if free := listed(rt, c); len(free) != 0 {

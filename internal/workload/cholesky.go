@@ -81,6 +81,7 @@ type choleskySource struct {
 	id  uint64
 	// Cursor over the k-major generation order.
 	k, phase, i, j int
+	params         paramSlab
 }
 
 // Cholesky returns the tiled Cholesky task graph for cfg.
@@ -142,35 +143,32 @@ func (s *choleskySource) Next() (trace.TaskSpec, bool) {
 	case 0: // POTRF(k)
 		t.Func = CholPOTRF
 		t.Exec, t.MemRead, t.MemWrite = s.kernelTimes(b*b*b/3, 1, 1)
-		t.Params = []trace.Param{{Addr: s.tileAddr(k, k), Size: size, Mode: trace.InOut}}
+		t.Params = append(s.params.take(1), trace.Param{Addr: s.tileAddr(k, k), Size: size, Mode: trace.InOut})
 		s.phase, s.i = 1, k+1
 	case 1: // TRSM(i,k)
 		i := s.i
 		t.Func = CholTRSM
 		t.Exec, t.MemRead, t.MemWrite = s.kernelTimes(b*b*b, 2, 1)
-		t.Params = []trace.Param{
-			{Addr: s.tileAddr(k, k), Size: size, Mode: trace.In},
-			{Addr: s.tileAddr(i, k), Size: size, Mode: trace.InOut},
-		}
+		t.Params = append(s.params.take(2),
+			trace.Param{Addr: s.tileAddr(k, k), Size: size, Mode: trace.In},
+			trace.Param{Addr: s.tileAddr(i, k), Size: size, Mode: trace.InOut})
 		s.i++
 	case 2: // SYRK(i,k)
 		i := s.i
 		t.Func = CholSYRK
 		t.Exec, t.MemRead, t.MemWrite = s.kernelTimes(b*b*b, 2, 1)
-		t.Params = []trace.Param{
-			{Addr: s.tileAddr(i, k), Size: size, Mode: trace.In},
-			{Addr: s.tileAddr(i, i), Size: size, Mode: trace.InOut},
-		}
+		t.Params = append(s.params.take(2),
+			trace.Param{Addr: s.tileAddr(i, k), Size: size, Mode: trace.In},
+			trace.Param{Addr: s.tileAddr(i, i), Size: size, Mode: trace.InOut})
 		s.i++
 	case 3: // GEMM(i,j,k)
 		i, j := s.i, s.j
 		t.Func = CholGEMM
 		t.Exec, t.MemRead, t.MemWrite = s.kernelTimes(2*b*b*b, 3, 1)
-		t.Params = []trace.Param{
-			{Addr: s.tileAddr(i, k), Size: size, Mode: trace.In},
-			{Addr: s.tileAddr(j, k), Size: size, Mode: trace.In},
-			{Addr: s.tileAddr(i, j), Size: size, Mode: trace.InOut},
-		}
+		t.Params = append(s.params.take(3),
+			trace.Param{Addr: s.tileAddr(i, k), Size: size, Mode: trace.In},
+			trace.Param{Addr: s.tileAddr(j, k), Size: size, Mode: trace.In},
+			trace.Param{Addr: s.tileAddr(i, j), Size: size, Mode: trace.InOut})
 		s.j++
 		if s.j >= i {
 			s.i++

@@ -120,9 +120,10 @@ func GaussianMeanWeight(n int) float64 {
 }
 
 type gaussianSource struct {
-	cfg  GaussianConfig
-	id   uint64
-	i, j int // next task: T(j,i); j == i means diagonal
+	cfg    GaussianConfig
+	id     uint64
+	i, j   int // next task: T(j,i); j == i means diagonal
+	params paramSlab
 }
 
 // Gaussian returns the Gaussian elimination task graph for cfg.
@@ -191,18 +192,16 @@ func (s *gaussianSource) Next() (trace.TaskSpec, bool) {
 				nIn = s.cfg.MaxPivotParams - 1
 			}
 		}
-		t.Params = make([]trace.Param, 0, nIn+1)
-		t.Params = append(t.Params, trace.Param{Addr: s.rowAddr(i), Size: s.rowSize(), Mode: trace.InOut})
+		t.Params = append(s.params.take(nIn+1), trace.Param{Addr: s.rowAddr(i), Size: s.rowSize(), Mode: trace.InOut})
 		for k := i + 1; k <= i+nIn; k++ {
 			t.Params = append(t.Params, trace.Param{Addr: s.rowAddr(k), Size: s.rowSize(), Mode: trace.In})
 		}
 	} else {
 		// Row-update task: in pivot row(i), inout row(j).
 		t.Func = 2
-		t.Params = []trace.Param{
-			{Addr: s.rowAddr(i), Size: s.rowSize(), Mode: trace.In},
-			{Addr: s.rowAddr(j), Size: s.rowSize(), Mode: trace.InOut},
-		}
+		t.Params = append(s.params.take(2),
+			trace.Param{Addr: s.rowAddr(i), Size: s.rowSize(), Mode: trace.In},
+			trace.Param{Addr: s.rowAddr(j), Size: s.rowSize(), Mode: trace.InOut})
 	}
 	// Advance (j,i): diagonal, then j = i+1..n, then next column.
 	if s.j == s.i {

@@ -79,9 +79,10 @@ func (c *GridConfig) fill() {
 }
 
 type gridSource struct {
-	cfg   GridConfig
-	times trace.TimeSampler
-	next  int
+	cfg    GridConfig
+	times  trace.TimeSampler
+	next   int
+	params paramSlab
 }
 
 // Grid returns a Source for one of the Figure 4 patterns.
@@ -152,25 +153,26 @@ func (s *gridSource) Next() (trace.TaskSpec, bool) {
 	self := trace.Param{Addr: s.blockAddr(r, c), Size: BlockBytes, Mode: trace.InOut}
 	switch s.cfg.Pattern {
 	case PatternIndependent:
-		t.Params = []trace.Param{self}
+		t.Params = append(s.params.take(1), self)
 	case PatternWavefront:
 		// decode(left=X[r][c-1], upright=X[r-1][c+1], this=X[r][c])
-		t.Params = make([]trace.Param, 0, 3)
-		if c > 0 {
+		left, upright := c > 0, r > 0 && c < s.cfg.Cols-1
+		t.Params = s.params.take(1 + b2i(left) + b2i(upright))
+		if left {
 			t.Params = append(t.Params, trace.Param{Addr: s.blockAddr(r, c-1), Size: BlockBytes, Mode: trace.In})
 		}
-		if r > 0 && c < s.cfg.Cols-1 {
+		if upright {
 			t.Params = append(t.Params, trace.Param{Addr: s.blockAddr(r-1, c+1), Size: BlockBytes, Mode: trace.In})
 		}
 		t.Params = append(t.Params, self)
 	case PatternHorizontal:
-		t.Params = make([]trace.Param, 0, 2)
+		t.Params = s.params.take(1 + b2i(c > 0))
 		if c > 0 {
 			t.Params = append(t.Params, trace.Param{Addr: s.blockAddr(r, c-1), Size: BlockBytes, Mode: trace.In})
 		}
 		t.Params = append(t.Params, self)
 	case PatternVertical:
-		t.Params = make([]trace.Param, 0, 2)
+		t.Params = s.params.take(1 + b2i(r > 0))
 		if r > 0 {
 			t.Params = append(t.Params, trace.Param{Addr: s.blockAddr(r-1, c), Size: BlockBytes, Mode: trace.In})
 		}
@@ -179,4 +181,12 @@ func (s *gridSource) Next() (trace.TaskSpec, bool) {
 		panic("workload: unknown pattern " + s.cfg.Pattern.String())
 	}
 	return t, true
+}
+
+// b2i counts a condition as one.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"nexuspp/internal/sim"
 	"nexuspp/internal/trace"
@@ -61,9 +62,10 @@ func (c *RandomDAGConfig) fill() {
 }
 
 type randDAGSource struct {
-	cfg  RandomDAGConfig
-	rng  *sim.Rand
-	next int
+	cfg    RandomDAGConfig
+	rng    *sim.Rand
+	next   int
+	params paramSlab
 }
 
 // RandomDAG returns the seeded random-DAG workload for cfg.
@@ -107,24 +109,20 @@ func (s *randDAGSource) Next() (trace.TaskSpec, bool) {
 	if want > window {
 		want = window
 	}
-	t.Params = make([]trace.Param, 0, want+1)
-	if want > 0 {
-		// Draw distinct predecessors from [id-window, id-1]. want is tiny
-		// relative to the window in any sane configuration, so rejection
-		// sampling terminates quickly; a duplicate draw is simply redrawn.
-		seen := make(map[int]struct{}, want)
-		for len(seen) < want && len(seen) < window {
-			p := id - 1 - s.rng.Intn(window)
-			if _, dup := seen[p]; dup {
-				continue
-			}
-			seen[p] = struct{}{}
-			t.Params = append(t.Params, trace.Param{
-				Addr: s.segAddr(p),
-				Size: randDAGCellBytes,
-				Mode: trace.In,
-			})
+	t.Params = s.params.take(want + 1)
+	// Draw distinct predecessors from [id-window, id-1]. want is tiny
+	// relative to the window in any sane configuration, so rejection
+	// sampling terminates quickly; a duplicate draw is simply redrawn.
+	for len(t.Params) < want {
+		addr := s.segAddr(id - 1 - s.rng.Intn(window))
+		if slices.ContainsFunc(t.Params, func(p trace.Param) bool { return p.Addr == addr }) {
+			continue
 		}
+		t.Params = append(t.Params, trace.Param{
+			Addr: addr,
+			Size: randDAGCellBytes,
+			Mode: trace.In,
+		})
 	}
 	t.Params = append(t.Params, trace.Param{
 		Addr: s.segAddr(id),

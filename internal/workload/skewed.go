@@ -69,9 +69,10 @@ func (c *SpatialSkewConfig) fill() {
 }
 
 type spatialSkewSource struct {
-	cfg  SpatialSkewConfig
-	rng  *sim.Rand
-	next int
+	cfg    SpatialSkewConfig
+	rng    *sim.Rand
+	next   int
+	params paramSlab
 }
 
 // SpatialSkew returns the skewed-cost spatial-decomposition workload for
@@ -129,7 +130,7 @@ func (s *spatialSkewSource) Next() (trace.TaskSpec, bool) {
 		MemRead:  sim.Time(skewTileBytes/128) * 12 * sim.Nanosecond,
 		MemWrite: sim.Time(skewTileBytes/128) * 12 * sim.Nanosecond,
 	}
-	t.Params = make([]trace.Param, 0, 5)
+	t.Params = s.params.take(1 + b2i(r > 0) + b2i(r < s.cfg.Rows-1) + b2i(c > 0) + b2i(c < s.cfg.Cols-1))
 	for _, d := range [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
 		nr, nc := r+d[0], c+d[1]
 		if nr < 0 || nr >= s.cfg.Rows || nc < 0 || nc >= s.cfg.Cols {

@@ -22,11 +22,34 @@ type Source interface {
 	// Total returns the number of tasks the source will produce.
 	Total() int
 	// Next returns the next task in submission order; ok is false after the
-	// last task.
+	// last task. Each spec's Params is its own: the caller may keep it, and
+	// no later Next or Reset writes to it. The generators here hand it out
+	// with len == cap, so an append by the caller copies it.
 	Next() (t trace.TaskSpec, ok bool)
 	// Reset rewinds the source to the first task, reproducing the identical
 	// stream (generators reseed their PRNGs).
 	Reset()
+}
+
+// paramSlabLen is how many parameters one slab holds: a generator makes
+// one allocation per paramSlabLen parameters instead of one per task.
+const paramSlabLen = 1024
+
+// paramSlab carves task parameter lists out of shared blocks. Each list is
+// a fresh slab[:0:n] that the generator fills with exactly n parameters, so
+// len == cap and an append by a consumer never reaches the next task's
+// list. The slab only moves forward, Reset included, so no spec a consumer
+// still holds ever shares memory with a later one.
+type paramSlab []trace.Param
+
+// take returns an empty list with room for exactly n parameters.
+func (s *paramSlab) take(n int) []trace.Param {
+	if len(*s) < n {
+		*s = make([]trace.Param, max(n, paramSlabLen))
+	}
+	p := (*s)[:0:n]
+	*s = (*s)[n:]
+	return p
 }
 
 // traceSource replays an in-memory trace.

@@ -63,8 +63,9 @@ func (c *StarPUDepsConfig) fill() {
 }
 
 type starpuSource struct {
-	cfg  StarPUDepsConfig
-	next int
+	cfg    StarPUDepsConfig
+	next   int
+	params paramSlab
 }
 
 // StarPUDeps returns the wait-chain grid workload for cfg. The stream is
@@ -106,7 +107,7 @@ func (s *starpuSource) Next() (trace.TaskSpec, bool) {
 	if j > 0 {
 		nDeps = s.cfg.Edges
 	}
-	t.Params = make([]trace.Param, 0, nDeps+1)
+	t.Params = s.params.take(nDeps + 1)
 	for k := 0; k < nDeps; k++ {
 		iBefore := s.cfg.Rows - (((s.cfg.Rows - i - 1) + k) % s.cfg.Rows) - 1
 		t.Params = append(t.Params, trace.Param{
