@@ -24,7 +24,10 @@ race:
 # its run-loop marginal pin (at most 0.1 allocations per extra task between
 # Gaussian N = 40 and N = 80), the generator pin (one pass of every
 # workload's Next within Total()/64 allocations, parameters off a slab), the
-# service's codec and submit-handler pins (which skip under -race), and the
+# service's codec pins (nothing allocated decoding a request on a kept
+# decoder, whether the compact path or the grammar reads it) and its submit-
+# and await-handler pins (an await of finished tasks arms no timer), which
+# skip under -race, and the
 # runtime's admission pins — two allocations per Submit, a chunk of one that
 # takes a node of its own, and two per SubmitAll or TrySubmitAll chunk of up
 # to 256 tasks, whose node block a drained chunk left on the free list — on
@@ -55,11 +58,13 @@ allocs:
 # the race detector. The second line
 # does the same for the service's admission:
 # a submit is refused or admitted by a tryAcquire on two windows (the shared
-# one, then the session's) racing the finishers' releases, and a submit
-# sweeps the session's finished tasks while others finish (Sweep|Swept).
+# one, then the session's) racing the finishers' releases, a submit
+# sweeps the session's finished tasks while others finish (Sweep|Swept), and
+# the janitor reads a session's idle clock while finishing tasks write it
+# (Expiry: TestServiceSessionExpiry, TestServiceSessionExpiryRace).
 flake:
 	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor|Retention|FinishesBefore|NodeBlock|SegmentReuse|Handle' ./internal/starss/
-	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled|Sweep|Swept' ./internal/service/
+	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled|Sweep|Swept|Expiry' ./internal/service/
 
 # fuzz gives each fuzz target twenty seconds. Three are the service's wire:
 # the hand-written codec against encoding/json, round trips, and the real

@@ -11,8 +11,9 @@ import (
 
 // TestCodecAllocations pins the codec's allocation behaviour on the
 // benchmark's 64-task batch: decoding allocates nothing per task — nothing
-// at all on a decoder and request that are kept, as the server keeps them
-// — and encoding into a buffer with room allocates nothing.
+// at all on a decoder and request that are kept, as the server keeps them,
+// whether the compact path or the grammar reads the body — and encoding
+// into a buffer with room allocates nothing.
 func TestCodecAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins hold only without the race detector")
@@ -22,12 +23,14 @@ func TestCodecAllocations(t *testing.T) {
 
 	var dec decoder
 	var req SubmitRequest
-	if got := testing.AllocsPerRun(200, func() {
-		if err := dec.decodeSubmit(body, &req); err != nil {
-			t.Fatal(err)
+	for name, body := range map[string][]byte{"compact": body, "indented": indent(body)} {
+		if got := testing.AllocsPerRun(200, func() {
+			if err := dec.decodeSubmit(body, &req); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("decodeSubmit of the %s body on a kept decoder: %.1f allocations per 64-task request, want 0", name, got)
 		}
-	}); got != 0 {
-		t.Errorf("decodeSubmit on a kept decoder: %.1f allocations per 64-task request, want 0", got)
 	}
 	// A fresh decoder grows its params slab from nothing: a doubling
 	// series per request, still nothing per task.
@@ -98,12 +101,7 @@ func TestSubmitHandlerAllocations(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	h := srv.Handler()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", nil))
-	var info SessionInfo
-	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
-		t.Fatal(err)
-	}
+	path := openSessionPath(t, h) + "/submit"
 	batch := make([]TaskSpec, tasks)
 	for i := range batch {
 		batch[i] = TaskSpec{Params: []Param{
@@ -112,7 +110,6 @@ func TestSubmitHandlerAllocations(t *testing.T) {
 		}}
 	}
 	body := SubmitRequest{Tasks: batch}.appendJSON(nil)
-	path := "/v1/sessions/" + info.Session + "/submit"
 	round := func() {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
@@ -133,10 +130,70 @@ func TestSubmitHandlerAllocations(t *testing.T) {
 	}
 }
 
+// TestAwaitHandlerAllocations is the budget for one await request through the
+// in-memory handler on 64 tasks that have all finished, the common case of
+// the benchmark's closed loop: 27 allocations (25 measured) — the recorder,
+// the request, the response writer's own — and nothing per task, the scratch
+// that holds the ids, handles and statuses being pooled. Nor is there a
+// timeout context, which is armed only for a task still pending and would
+// cost four more.
+func TestAwaitHandlerAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins hold only without the race detector")
+	}
+	const tasks = 64
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	h := srv.Handler()
+	path := openSessionPath(t, h)
+	batch := make([]TaskSpec, tasks)
+	for i := range batch {
+		batch[i] = TaskSpec{Params: []Param{{Addr: 0x1000 + uint64(i)*64, Size: 64, Mode: "out"}}}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path+"/submit", bytes.NewReader(SubmitRequest{Tasks: batch}.appendJSON(nil))))
+	var sub SubmitResponse
+	if err := sub.parseJSON(rec.Body.Bytes()); err != nil || len(sub.IDs) != tasks {
+		t.Fatalf("submit: HTTP %d %s", rec.Code, rec.Body)
+	}
+	if err := srv.Runtime().Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	body := AwaitRequest{IDs: sub.IDs}.appendJSON(nil)
+	round := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path+"/await", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("await: HTTP %d %s", rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		round() // warm-up: pools
+	}
+	got := testing.AllocsPerRun(100, round)
+	t.Logf("%.1f allocations per %d-task await of finished tasks", got, tasks)
+	if budget := 27.0; got > budget {
+		t.Errorf("%.1f allocations per %d-task await of finished tasks, want <= %.0f", got, tasks, budget)
+	}
+}
+
+// openSessionPath opens a session through h and returns its URL path.
+func openSessionPath(t *testing.T, h http.Handler) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", nil))
+	var info SessionInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+		t.Fatal(err)
+	}
+	return "/v1/sessions/" + info.Session
+}
+
 // BenchmarkCodec times the codec as the server and client call it — on
-// buffers and scratch they keep — for the benchmark's two request bodies.
-// The root package's BenchmarkWireCodec times the same messages through
-// encoding/json's entry points.
+// buffers and scratch they keep — for the benchmark's two request bodies,
+// and the decoders on an indented copy too, which the grammar reads without
+// the compact path. The root package's BenchmarkWireCodec times the same
+// messages through encoding/json's entry points.
 func BenchmarkCodec(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
@@ -152,17 +209,21 @@ func BenchmarkCodec(b *testing.B) {
 		perTask := func(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tc.batch)), "ns/task")
 		}
-		b.Run(tc.name+"/decode", func(b *testing.B) {
-			b.ReportAllocs()
-			var dec decoder
-			var got SubmitRequest
-			for i := 0; i < b.N; i++ {
-				if err := dec.decodeSubmit(body, &got); err != nil {
-					b.Fatal(err)
+		decode := func(body []byte) func(*testing.B) {
+			return func(b *testing.B) {
+				b.ReportAllocs()
+				var dec decoder
+				var got SubmitRequest
+				for i := 0; i < b.N; i++ {
+					if err := dec.decodeSubmit(body, &got); err != nil {
+						b.Fatal(err)
+					}
 				}
+				perTask(b)
 			}
-			perTask(b)
-		})
+		}
+		b.Run(tc.name+"/decode", decode(body))
+		b.Run(tc.name+"/decode/indented", decode(indent(body)))
 		b.Run(tc.name+"/encode", func(b *testing.B) {
 			b.ReportAllocs()
 			dst := make([]byte, 0, len(body))
@@ -179,15 +240,19 @@ func BenchmarkCodec(b *testing.B) {
 			}
 			perTask(b)
 		})
-		b.Run(tc.name+"/await_decode", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var got AwaitResponse
-				if err := got.parseJSON(respBody); err != nil {
-					b.Fatal(err)
+		awaitDecode := func(respBody []byte) func(*testing.B) {
+			return func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var got AwaitResponse
+					if err := got.parseJSON(respBody); err != nil {
+						b.Fatal(err)
+					}
 				}
+				perTask(b)
 			}
-			perTask(b)
-		})
+		}
+		b.Run(tc.name+"/await_decode", awaitDecode(respBody))
+		b.Run(tc.name+"/await_decode/indented", awaitDecode(indent(respBody)))
 	}
 }

@@ -25,6 +25,19 @@ package service
 //   - a repeated "tasks" or "params" key replaces the earlier array
 //     (encoding/json decoded the later elements over the earlier ones,
 //     field by field).
+//
+// The decoder reads the compact form appendJSON emits — the bytes every
+// server and client here sends — on a fast path beside the grammar: a Param,
+// a TaskStatus or an element of an id array in exactly the encoder's layout
+// is matched key by key with one literal compare each, its integers
+// accumulated as their digits are scanned, its strings read as plain ASCII up
+// to the closing quote. Anything else — whitespace, another key order, a
+// repeated key or one the layout lacks, an escape, a control or non-ASCII
+// byte, a leading zero, a 20th digit, a fraction, an exponent, a value wider
+// than its field — leaves the cursor on the value's first byte for the
+// grammar, so the fast path only ever accepts what the grammar would decode
+// to the same value. A task's object that opens with its params key takes
+// the brace and the key in one compare, the rest through the grammar.
 
 import (
 	"strconv"
@@ -428,7 +441,13 @@ func (d *decoder) object(member func(key []byte) error) error {
 	if err != nil || null {
 		return err
 	}
-	for first := true; ; first = false {
+	return d.members(true, member)
+}
+
+// members decodes the rest of an object whose brace open has consumed;
+// first is true while none of its members has been read.
+func (d *decoder) members(first bool, member func(key []byte) error) error {
+	for ; ; first = false {
 		key, done, err := d.key(first)
 		if err != nil || done {
 			return err
@@ -815,11 +834,114 @@ func (d *decoder) uints(dst *[]uint64, presize bool) error {
 		out = []uint64{}
 	}
 	err = d.elems(func() error {
+		if v, ok := d.compactID(); ok {
+			out = append(out, v)
+			return nil
+		}
 		out = append(out, 0)
 		return d.uint(&out[len(out)-1], 64)
 	})
 	*dst = out
 	return err
+}
+
+// --- the compact form --------------------------------------------------------
+
+// at reports whether src holds lit at index i.
+func at(src []byte, i int, lit string) bool {
+	return len(src)-i >= len(lit) && string(src[i:i+len(lit)]) == lit
+}
+
+// compactUint reads the integer at src[i:] when it is 1 to 19 digits
+// without a leading zero, which always fits a uint64, and returns it and the
+// index past its digits. A sign, a leading zero or a 20th digit is not ok;
+// the caller rejects a fraction or an exponent by the byte it expects next.
+func compactUint(src []byte, i int) (v uint64, end int, ok bool) {
+	start := i
+	for ; i < len(src) && '0' <= src[i] && src[i] <= '9'; i++ {
+		if i-start == 19 {
+			return 0, i, false
+		}
+		v = v*10 + uint64(src[i]-'0')
+	}
+	return v, i, i > start && (src[start] != '0' || i == start+1)
+}
+
+// compactText reads the string whose opening quote is just before src[i:]
+// when it is plain ASCII, and returns its bytes and the index past its
+// closing quote. An escape, a control or non-ASCII byte, or the end of input
+// is not ok.
+func compactText(src []byte, i int) (b []byte, end int, ok bool) {
+	start := i
+	for i < len(src) && plainChar[src[i]] {
+		i++
+	}
+	if i == len(src) || src[i] != '"' {
+		return nil, i, false
+	}
+	return src[start:i], i + 1, true
+}
+
+// closes reports whether src holds the closing brace of a compact object at i.
+func closes(src []byte, i int) bool { return i < len(src) && src[i] == '}' }
+
+// compactParam decodes the Param at the cursor when it is laid out as
+// Param.appendJSON emits it, {"addr":N[,"size":N],"mode":"..."}, and reports
+// whether it was; when not, neither the cursor nor p has moved. A param's
+// braces sit at depth 5 (request, tasks, task, params, param), far inside
+// maxDepth, and close again, so the depth count is left alone.
+func (d *decoder) compactParam(p *Param) bool {
+	src := d.src
+	if !at(src, d.pos, `{"addr":`) {
+		return false
+	}
+	addr, i, ok := compactUint(src, d.pos+len(`{"addr":`))
+	var size uint64
+	if ok && at(src, i, `,"size":`) {
+		size, i, ok = compactUint(src, i+len(`,"size":`))
+	}
+	if !ok || size > 1<<32-1 || !at(src, i, `,"mode":"`) {
+		return false
+	}
+	mode, i, ok := compactText(src, i+len(`,"mode":"`))
+	if !ok || !closes(src, i) {
+		return false
+	}
+	p.Addr, p.Size, p.Mode = addr, uint32(size), internMode(mode)
+	d.pos = i + 1
+	return true
+}
+
+// compactStatus is compactParam for a TaskStatus without an error,
+// {"id":N,"state":"..."}, at depth 3 (response, tasks, status).
+func (d *decoder) compactStatus(st *TaskStatus) bool {
+	src := d.src
+	if !at(src, d.pos, `{"id":`) {
+		return false
+	}
+	id, i, ok := compactUint(src, d.pos+len(`{"id":`))
+	if !ok || !at(src, i, `,"state":"`) {
+		return false
+	}
+	state, i, ok := compactText(src, i+len(`,"state":"`))
+	if !ok || !closes(src, i) {
+		return false
+	}
+	st.ID, st.State = id, internState(state)
+	d.pos = i + 1
+	return true
+}
+
+// compactID reads the element of an id array at the cursor when it is an
+// integer compactUint takes directly followed by the comma or bracket after
+// it; when not, the cursor has not moved.
+func (d *decoder) compactID() (uint64, bool) {
+	v, end, ok := compactUint(d.src, d.pos)
+	if !ok || end == len(d.src) || d.src[end] != ',' && d.src[end] != ']' {
+		return 0, false
+	}
+	d.pos = end
+	return v, true
 }
 
 func internMode(b []byte) string {
@@ -866,7 +988,7 @@ func (d *decoder) param(p *Param) error {
 }
 
 func (d *decoder) taskSpec(t *TaskSpec) error {
-	return d.object(func(key []byte) error {
+	member := func(key []byte) error {
 		switch string(key) {
 		case "name":
 			return d.str(&t.Name)
@@ -883,7 +1005,21 @@ func (d *decoder) taskSpec(t *TaskSpec) error {
 			return err
 		}
 		return d.skip()
-	})
+	}
+	// The compact form of a nameless task opens with its params: the brace
+	// and the key are one compare, and whatever follows the array is read
+	// by the grammar.
+	if at(d.src, d.pos, `{"params":`) {
+		if _, err := d.open('{'); err != nil {
+			return err
+		}
+		d.pos += len(`"params":`)
+		if err := d.taskParams(t); err != nil {
+			return err
+		}
+		return d.members(false, member)
+	}
+	return d.object(member)
 }
 
 // taskParams decodes one task's params onto the end of the request's slab.
@@ -903,7 +1039,10 @@ func (d *decoder) taskParams(t *TaskSpec) error {
 	start := len(d.params)
 	err = d.elems(func() error {
 		d.params = append(d.params, Param{})
-		return d.param(&d.params[len(d.params)-1])
+		if p := &d.params[len(d.params)-1]; !d.compactParam(p) {
+			return d.param(p)
+		}
+		return nil
 	})
 	if t.Params = d.params[start:]; len(t.Params) == 0 {
 		t.Params = []Param{} // an empty array is not null
@@ -1020,7 +1159,10 @@ func (d *decoder) statuses(dst *[]TaskStatus) error {
 	}
 	err = d.elems(func() error {
 		out = append(out, TaskStatus{})
-		return d.taskStatus(&out[len(out)-1])
+		if st := &out[len(out)-1]; !d.compactStatus(st) {
+			return d.taskStatus(st)
+		}
+		return nil
 	})
 	*dst = out
 	return err

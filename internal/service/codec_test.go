@@ -226,6 +226,24 @@ var grammarSeeds = []string{
 	`{"done":false,"tasks":null}`, `{"done":true,"tasks":[]}`, `{"tasks":[{"id":1,"state":"ok"}],"tasks":[{"id":2}]}`,
 	`{"done":true,"tasks":[{"id":"0"}]}`, `{"done":true,"tasks":[{"state":0}]}`, `{"done":true,"tasks":[null,{}]}`,
 	`{"done":true,"tasks":[{"id":0,"state":"ok","error":null}]}`,
+	// The compact path's edges: each is the encoder's layout but for one
+	// thing the fast path must leave to the grammar.
+	`{"tasks":[{"params":[{"addr":1,"mode":"in"}]}]}`, `{"tasks":[{"params":[{"addr":0,"size":0,"mode":""}]}]}`,
+	`{"tasks":[{"params":[{"addr":1,"size":01,"mode":"in"}]}]}`, `{"tasks":[{"params":[{"addr":1,"size":4e2,"mode":"in"}]}]}`,
+	`{"tasks":[{"params":[{"addr":99999999999999999999,"mode":"in"}]}]}`,
+	`{"tasks":[{"params":[{"size":8,"addr":1,"mode":"in"}]}]}`, `{"tasks":[{"params":[{"addr":1,"addr":2,"mode":"in"}]}]}`,
+	`{"tasks":[{"params":[{"addr":1,"mode":"in","mode":"out"}]}]}`, `{"tasks":[{"params":[{"addr":1,"mode":"in","size":8}]}]}`,
+	"{\"tasks\":[{\"params\":[{\"addr\":1,\"mode\":\"\u00efn\"}]}]}", "{\"tasks\":[{\"params\":[{\"addr\":1,\"mode\":\"i\xffn\"}]}]}",
+	"{\"tasks\":[{\"params\":[{\"addr\":1,\"mode\":\"i\tn\"}]}]}", `{"tasks":[{"params":[{"addr":1,"mode":"in\""}]}]}`,
+	`{"tasks":[{"params":[{"addr":1,"mode":"in"}],"exec_us":5,"name":"late"}]}`,
+	`{"tasks":[{"params":[{"addr":1,"mode":"in"}],"params":[{"addr":2,"mode":"out"}]}]}`,
+	`{"tasks":[{"params":null,"timeout_ms":3}]}`, `{"tasks":[{"params":[{"addr":1,"mode":"in"}]`,
+	`{"tasks":[{"params":[{"addr":1,"size":8,"mo`, `{"tasks":[{"params":[{"addr":1,"size":8,"mode":"inou`, `{"tasks":[{"params":[{"addr":12`,
+	`{"ids":[1, 2,3]}`, `{"ids":[1 ,2]}`, `{"ids":[01]}`, `{"ids":[0,1e2]}`, `{"ids":[18446744073709551615,18446744073709551616]}`,
+	`{"ids":[7,-0]}`, `{"ids":[1,2`, `{"ids":[1,]}`,
+	`{"done":true,"tasks":[{"id":01,"state":"ok"}]}`, `{"done":true,"tasks":[{"id":1,"state":"o\u006b"}]}`,
+	`{"done":true,"tasks":[{"id":1,"state":"ok","state":"failed"}]}`, `{"done":true,"tasks":[{"state":"ok","id":1}]}`,
+	`{"done":true,"tasks":[{"id":1,"state":"ok"},{"id":2,"state":"o`,
 }
 
 // checkCodec is the differential and round-trip check of one document as
@@ -337,6 +355,90 @@ func TestCodecGrammar(t *testing.T) {
 	checkSubmitRequest(t, []byte(deep))
 	if err := req.parseJSON([]byte(deep)); err == nil {
 		t.Errorf("nesting beyond %d must be rejected", maxDepth)
+	}
+}
+
+// indent spreads doc over lines as json.Indent does — a newline after every
+// brace, bracket and comma outside a string, a space after every colon — but
+// also when doc is not JSON, which json.Indent refuses. Whitespace between
+// tokens changes no document's meaning, valid or not, and the compact path
+// takes no object or element that opens with it: the indented copy is read
+// by the grammar alone.
+func indent(doc []byte) []byte {
+	out := make([]byte, 0, 2*len(doc))
+	for i := 0; i < len(doc); i++ {
+		switch c := doc[i]; c {
+		case '"':
+			j := i + 1
+			for ; j < len(doc) && doc[j] != '"'; j++ {
+				if doc[j] == '\\' {
+					j++
+				}
+			}
+			j = min(j+1, len(doc))
+			out = append(out, doc[i:j]...)
+			i = j - 1
+		case '{', '[', ',':
+			out = append(out, c, '\n', '\t')
+		case ':':
+			out = append(out, c, ' ')
+		default:
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// sameDecode decodes a document and its indented copy as a T: both must be
+// accepted or both rejected, to equal values.
+func sameDecode[T any, PT interface {
+	*T
+	parseJSON([]byte) error
+}](t *testing.T, doc, indented []byte) {
+	t.Helper()
+	var compact, general T
+	cerr, gerr := PT(&compact).parseJSON(doc), PT(&general).parseJSON(indented)
+	if (cerr == nil) != (gerr == nil) {
+		t.Fatalf("%T: %q: %v, but indented %v", compact, doc, cerr, gerr)
+	}
+	if cerr == nil && !reflect.DeepEqual(compact, general) {
+		t.Fatalf("%T: %q\n   compact %+v\n  indented %+v", compact, doc, compact, general)
+	}
+	if r, ok := any(&compact).(*SubmitRequest); ok {
+		for i := range r.Tasks {
+			if p := r.Tasks[i].Params; cap(p) != len(p) {
+				t.Fatalf("%q: task %d: params len %d cap %d", doc, i, len(p), cap(p))
+			}
+		}
+	}
+}
+
+// TestCodecCompactMatchesGeneral holds the compact path to the grammar: every
+// corpus document — the grammar seeds and what the encoder makes of the
+// benchmark's messages — decodes, as each of the four types, exactly as its
+// indented copy does.
+func TestCodecCompactMatchesGeneral(t *testing.T) {
+	statuses := make([]TaskStatus, 64)
+	for i := range statuses {
+		statuses[i] = TaskStatus{ID: uint64(i) << 40, State: StateOK}
+	}
+	statuses[7] = TaskStatus{ID: 7, State: StateFailed, Error: nasty}
+	corpus := [][]byte{
+		SubmitRequest{Tasks: dagBatch()}.appendJSON(nil),
+		SubmitRequest{Tasks: chainBatch(), IdempotencyKey: nasty}.appendJSON(nil),
+		SubmitResponse{IDs: []uint64{0, 9, 1<<64 - 1}, Deduped: true}.appendJSON(nil),
+		AwaitRequest{IDs: []uint64{0, 1, 2, 3, 1e18}, TimeoutMS: 1}.appendJSON(nil),
+		AwaitResponse{Done: true, Tasks: statuses}.appendJSON(nil),
+	}
+	for _, doc := range grammarSeeds {
+		corpus = append(corpus, []byte(doc))
+	}
+	for _, doc := range corpus {
+		indented := indent(doc)
+		sameDecode[SubmitRequest](t, doc, indented)
+		sameDecode[SubmitResponse](t, doc, indented)
+		sameDecode[AwaitRequest](t, doc, indented)
+		sameDecode[AwaitResponse](t, doc, indented)
 	}
 }
 

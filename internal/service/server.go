@@ -350,7 +350,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	id := newSessionID()
 	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
-	ss := newSession(context.Background(), id, s.rt.BoundedScope(id, s.cfg.SessionWindow), s.cfg.SessionWindow, deadline, &s.retried)
+	ss := newSession(context.Background(), id, s.rt.BoundedScope(id, s.cfg.SessionWindow), s.cfg.SessionWindow, deadline, s.start, &s.retried)
 	s.sessions[id] = ss
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, SessionInfo{Session: id, Window: ss.window, DeadlineMS: req.DeadlineMS})

@@ -44,8 +44,12 @@ type session struct {
 	// window is the scope's limit, kept for reporting.
 	window int
 	// retried is the server's count of max_retries re-arms (buildTasks).
-	retried    *atomic.Uint64
-	lastActive atomic.Int64 // unix nanoseconds
+	retried *atomic.Uint64
+	// start is the zero of the idle clock, the server's start; lastActive
+	// is the clock's reading at the last activity, in nanoseconds. The
+	// clock is monotonic, so a step of the wall clock expires nothing.
+	start      time.Time
+	lastActive atomic.Int64
 	closed     atomic.Bool
 
 	mu sync.Mutex
@@ -100,7 +104,7 @@ type idemEntry struct {
 // entries are evicted first.
 const idemWindowCap = 1024
 
-func newSession(parent context.Context, id string, scope *starss.Scope, window int, deadline time.Duration, retried *atomic.Uint64) *session {
+func newSession(parent context.Context, id string, scope *starss.Scope, window int, deadline time.Duration, start time.Time, retried *atomic.Uint64) *session {
 	var cancelT context.CancelFunc
 	if deadline > 0 {
 		parent, cancelT = context.WithDeadlineCause(parent, time.Now().Add(deadline), ErrSessionDeadline)
@@ -121,6 +125,7 @@ func newSession(parent context.Context, id string, scope *starss.Scope, window i
 		cancel:  cancel,
 		window:  window,
 		retried: retried,
+		start:   start,
 		idem:    make(map[string]*idemEntry),
 	}
 	ss.touch()
@@ -129,9 +134,12 @@ func newSession(parent context.Context, id string, scope *starss.Scope, window i
 	return ss
 }
 
-func (ss *session) touch() { ss.lastActive.Store(time.Now().UnixNano()) }
+// touch and idleFor read the idle clock with time.Since, one read of the
+// monotonic clock; time.Now would read the wall clock as well, on every
+// finished task.
+func (ss *session) touch() { ss.lastActive.Store(int64(time.Since(ss.start))) }
 func (ss *session) idleFor() time.Duration {
-	return time.Duration(time.Now().UnixNano() - ss.lastActive.Load())
+	return time.Since(ss.start) - time.Duration(ss.lastActive.Load())
 }
 
 // submit admits a batch, deduplicating on the idempotency key when one is
@@ -326,8 +334,9 @@ func (ss *session) await(ctx context.Context, sc *awaitScratch) *httpError {
 	}
 	ss.mu.Unlock()
 
-	wctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
+	// The timeout is armed at the first task still pending, so an await
+	// whose tasks have all finished costs no timer.
+	wctx, armed := ctx, false
 	sc.resp.Done = true
 	for i, h := range sc.handles {
 		if h == nil {
@@ -335,6 +344,12 @@ func (ss *session) await(ctx context.Context, sc *awaitScratch) *httpError {
 		}
 		// Block on the first still-pending task; once the deadline fires,
 		// the remaining handles resolve instantly to pending or done.
+		if !armed && h.Outcome() == starss.Pending {
+			var cancel context.CancelFunc
+			wctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+			armed = true
+		}
 		_ = h.Wait(wctx)
 		st := &sc.resp.Tasks[i]
 		*st = taskStatus(st.ID, h.Outcome(), h.Err())
