@@ -123,9 +123,6 @@ type Config struct {
 	// validate the run against the dependency-graph oracle. It costs
 	// memory proportional to the task count.
 	RecordSchedule bool
-	// SampleEvery enables periodic occupancy snapshots (Result.Timeline)
-	// at the given simulated-time period; zero disables sampling.
-	SampleEvery sim.Time
 
 	// HardParamLimit disables the dummy-task mechanism: a task with more
 	// than MaxParamsPerTD parameters aborts the run, reproducing the

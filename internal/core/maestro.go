@@ -89,12 +89,6 @@ type Maestro struct {
 	tasksSent     uint64
 	tasksFinished uint64
 	readyAtCheck  uint64 // tasks ready immediately after dependency check
-
-	// expectTotal and finishedAt let the system read the exact completion
-	// time of the final task, independent of any later bookkeeping events
-	// (for example timeline samples).
-	expectTotal uint64
-	finishedAt  sim.Time
 }
 
 func newMaestro(eng *sim.Engine, cfg *Config) *Maestro {
@@ -520,8 +514,5 @@ func (m *Maestro) handleFinishedDone() {
 	m.tp.Free(m.hfTask)
 	m.workerIDs.MustPush(m.hfCore)
 	m.tasksFinished++
-	if m.tasksFinished == m.expectTotal {
-		m.finishedAt = m.eng.Now()
-	}
 	m.kickHandleFinished()
 }

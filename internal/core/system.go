@@ -26,9 +26,6 @@ type System struct {
 	fetchAt  map[int32]sim.Time  // task-pool index -> fetch start
 	schedule []depgraph.Interval // by trace task ID
 	execIv   []depgraph.Interval // by trace task ID (pure execution)
-
-	// Periodic occupancy snapshots (optional, Config.SampleEvery).
-	timeline []TimelineSample
 }
 
 // Result reports the outcome and the key observables of one simulation.
@@ -72,10 +69,6 @@ type Result struct {
 	// pure execution phase.
 	Schedule      []depgraph.Interval
 	ExecIntervals []depgraph.Interval
-
-	// Timeline holds periodic occupancy snapshots when Config.SampleEvery
-	// is set.
-	Timeline []TimelineSample
 }
 
 // NewSystem builds a system for cfg. The source is attached by Run.
@@ -137,18 +130,10 @@ func (s *System) run(src workload.Source) (*Result, error) {
 	s.master = newMasterCore(s.eng, s, src)
 	// Un-stall the master when the TDs Sizes list drains.
 	s.maestro.tdsSizes.OnSpace(s.master.trySubmit)
-	s.maestro.expectTotal = uint64(total)
-	s.startSampler(uint64(total))
 	s.master.start()
 	makespan, err := s.drive()
 	if err != nil {
 		return nil, err
-	}
-	// With timeline sampling the engine may process one final snapshot
-	// after the last task retires; the makespan is the completion time of
-	// the final task, recorded by the Handle Finished block.
-	if total > 0 && s.maestro.finishedAt > 0 {
-		makespan = s.maestro.finishedAt
 	}
 
 	if s.maestro.tasksFinished != uint64(total) {
@@ -205,9 +190,6 @@ func (s *System) run(src workload.Source) (*Result, error) {
 	if s.record {
 		res.Schedule = s.schedule
 		res.ExecIntervals = s.execIv
-	}
-	if len(s.timeline) > 0 {
-		res.Timeline = s.timeline
 	}
 	return res, nil
 }

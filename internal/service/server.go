@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -323,19 +324,30 @@ func newSessionID() string {
 // --- Handlers ------------------------------------------------------------
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	// The body is optional: an empty body means default options.
-	var req CreateSessionRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil && err != io.EOF {
-		herr := badRequest("create session: invalid JSON: " + err.Error())
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			herr = tooLarge("create session")
-		}
+	body, herr := readBody(w, r, "create session")
+	if herr != nil {
 		writeError(w, herr)
+		return
+	}
+	// The body is optional: an empty body means default options. Unlike a
+	// json.Decoder, json.Unmarshal rejects bytes after the value.
+	var req CreateSessionRequest
+	var err error
+	if len(bytes.TrimSpace(body.b)) > 0 {
+		err = json.Unmarshal(body.b, &req)
+	}
+	bufPool.Put(body)
+	if err != nil {
+		writeError(w, badRequest("create session: invalid JSON: "+err.Error()))
 		return
 	}
 	if req.DeadlineMS < 0 {
 		writeError(w, badRequest("create session: negative deadline_ms"))
+		return
+	}
+	deadline, err := wireDuration("deadline_ms", req.DeadlineMS, time.Millisecond)
+	if err != nil {
+		writeError(w, badRequest("create session: "+err.Error()))
 		return
 	}
 	s.mu.Lock()
@@ -349,7 +361,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := newSessionID()
-	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
 	ss := newSession(context.Background(), id, s.rt.BoundedScope(id, s.cfg.SessionWindow), s.cfg.SessionWindow, deadline, s.start, &s.retried)
 	s.sessions[id] = ss
 	s.mu.Unlock()

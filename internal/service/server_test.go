@@ -634,6 +634,11 @@ func TestServiceMalformedBodies(t *testing.T) {
 		{"unknown mode, escaped name", "/submit", strings.NewReader(`{"tasks":[{"name":"bad \"q\"","params":[{"addr":1,"mode":"rw"}]}]}`),
 			400, `submit: task "bad \"q\"" param 0: unknown mode "rw"`},
 		{"null batch", "/submit", strings.NewReader(`{"tasks":null}`), 400, "submit: empty task list"},
+		// Counts whose product in nanoseconds wraps around time.Duration.
+		{"exec_us past time.Duration", "/submit", strings.NewReader(`{"tasks":[{"params":[{"addr":1,"mode":"in"}],"exec_us":9300000000000000}]}`),
+			400, `submit: task "": exec_us 9300000000000000 out of range`},
+		{"timeout_ms past time.Duration", "/submit", strings.NewReader(`{"tasks":[{"params":[{"addr":1,"mode":"in"}],"timeout_ms":18446744073710}]}`),
+			400, `submit: task "": timeout_ms 18446744073710 out of range`},
 		{"oversized, length declared", "/submit", strings.NewReader(huge), 413, "submit: request body exceeds"},
 		// Not a *strings.Reader: no Content-Length, so the body is chunked
 		// and only reading it finds the bound.
@@ -645,8 +650,19 @@ func TestServiceMalformedBodies(t *testing.T) {
 			t.Errorf("%s: HTTP %d %q, want %d %q...", tc.name, status, msg, tc.status, tc.message)
 		}
 	}
-	if status, _ := rawPost(t, d.http.URL+"/v1/sessions", strings.NewReader(huge)); status != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized create-session body: HTTP %d, want 413", status)
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		message    string
+	}{
+		{"trailing bytes", `{"deadline_ms":5} garbage`, 400, "create session: invalid JSON: "},
+		{"deadline_ms past time.Duration", `{"deadline_ms":18446744073710}`, 400, "create session: deadline_ms 18446744073710 out of range"},
+		{"oversized", huge, 413, "create session: request body exceeds"},
+	} {
+		status, msg := rawPost(t, d.http.URL+"/v1/sessions", strings.NewReader(tc.body))
+		if status != tc.status || !strings.HasPrefix(msg, tc.message) {
+			t.Errorf("create session, %s: HTTP %d %q, want %d %q...", tc.name, status, msg, tc.status, tc.message)
+		}
 	}
 
 	// A body cut short of its declared length: the connection half-closes
@@ -685,6 +701,37 @@ func TestServiceMalformedBodies(t *testing.T) {
 	}
 	if _, err := s.Await(ctx, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServiceAwaitTimeoutClamp sends await timeouts too large for a
+// time.Duration. Each is clamped to the two-minute cap, so the await waits
+// for a 50 ms task instead of answering pending at once on a wrapped-around
+// short or negative wait.
+func TestServiceAwaitTimeoutClamp(t *testing.T) {
+	d := startDaemon(t, service.Config{Workers: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	s, err := d.client.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ms := range []int64{1 << 62, 9300000000000} {
+		ids, err := s.Submit(ctx, []service.TaskSpec{specOn(uint64(i), "inout", 50_000)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := fmt.Sprintf(`{"ids":[%d],"timeout_ms":%d}`, ids[0], ms)
+		resp, err := http.Post(d.http.URL+"/v1/sessions/"+s.ID+"/await", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ar service.AwaitResponse
+		err = json.NewDecoder(resp.Body).Decode(&ar)
+		resp.Body.Close()
+		if err != nil || !ar.Done || len(ar.Tasks) != 1 || ar.Tasks[0].State != "ok" {
+			t.Errorf("await timeout_ms %d: HTTP %d %+v (%v), want the task done ok", ms, resp.StatusCode, ar, err)
+		}
 	}
 }
 

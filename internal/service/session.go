@@ -309,12 +309,11 @@ func submitError(err error) *httpError {
 func (ss *session) await(ctx context.Context, sc *awaitScratch) *httpError {
 	ss.touch()
 	ids := sc.req.IDs
+	const maxWait = 2 * time.Minute
 	timeout := 30 * time.Second
-	if sc.req.TimeoutMS > 0 {
-		timeout = time.Duration(sc.req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > 2*time.Minute {
-		timeout = 2 * time.Minute
+	if ms := sc.req.TimeoutMS; ms > 0 {
+		// Clamped before the multiply, which wraps past 2^63 ns.
+		timeout = time.Duration(min(ms, maxWait.Milliseconds())) * time.Millisecond
 	}
 	// sc.handles[i] is the handle of the task sc.resp.Tasks[i] reports, or
 	// nil when the task was swept and the status is already final.

@@ -29,6 +29,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -115,9 +116,17 @@ func buildTasks(dst []starss.Task, specs []TaskSpec, retried *atomic.Uint64) ([]
 		if ts.MaxRetries < 0 || ts.MaxRetries > 16 {
 			return dst, fmt.Errorf("task %q: max_retries %d out of range [0,16]", ts.Name, ts.MaxRetries)
 		}
-		do := starss.SleepBody(time.Duration(ts.ExecUS) * time.Microsecond)
-		if d := time.Duration(ts.TimeoutMS) * time.Millisecond; d > 0 {
-			do = starss.Deadline(do, d)
+		exec, err := wireDuration("exec_us", ts.ExecUS, time.Microsecond)
+		if err != nil {
+			return dst, fmt.Errorf("task %q: %w", ts.Name, err)
+		}
+		timeout, err := wireDuration("timeout_ms", ts.TimeoutMS, time.Millisecond)
+		if err != nil {
+			return dst, fmt.Errorf("task %q: %w", ts.Name, err)
+		}
+		do := starss.SleepBody(exec)
+		if timeout > 0 {
+			do = starss.Deadline(do, timeout)
 		}
 		if ts.MaxRetries > 0 {
 			do = starss.Retry(do, ts.MaxRetries, retried)
@@ -125,6 +134,16 @@ func buildTasks(dst []starss.Task, specs []TaskSpec, retried *atomic.Uint64) ([]
 		dst = append(dst, starss.Task{Name: ts.Name, Deps: deps, Do: do})
 	}
 	return dst, nil
+}
+
+// wireDuration converts a wire count of unit into a time.Duration. A count
+// whose product would wrap around int64 nanoseconds is an error, not a
+// short or negative duration.
+func wireDuration(field string, n int64, unit time.Duration) (time.Duration, error) {
+	if n > math.MaxInt64/int64(unit) || n < math.MinInt64/int64(unit) {
+		return 0, fmt.Errorf("%s %d out of range", field, n)
+	}
+	return time.Duration(n) * unit, nil
 }
 
 // SubmitRequest is the body of POST /v1/sessions/{id}/submit.

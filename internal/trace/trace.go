@@ -1,14 +1,15 @@
 // Package trace defines the task model consumed by every simulator in this
-// repository and (de)serialises task traces.
+// repository.
 //
 // The Nexus++ paper drives its SystemC model from a trace of a parallel
 // H.264 decoder captured on a Cell processor: per task, the trace records
 // the input/output list (base address, size, access mode), the execution
 // time, and the time spent reading/writing inputs/outputs from/to memory.
-// That trace is not publicly available, so this package also provides a
-// synthetic generator (see times.go) that reproduces its published
-// statistics: 8160 tasks (one full-HD frame of 120x68 macroblocks), an
-// average execution time of 11.8us and an average memory time of 7.5us.
+// That trace is not publicly available, so every workload here is
+// generated from a seed, and this package provides the timing samplers
+// (see times.go) that reproduce its published statistics: 8160 tasks (one
+// full-HD frame of 120x68 macroblocks), an average execution time of
+// 11.8us and an average memory time of 7.5us.
 package trace
 
 import (
@@ -111,49 +112,8 @@ func (t *TaskSpec) Validate() error {
 
 // Trace is an in-memory task trace in submission order.
 type Trace struct {
-	// Name describes the workload the trace was captured from.
+	// Name describes the workload the trace was generated from.
 	Name string
 	// Tasks holds the task descriptors in submission order.
 	Tasks []TaskSpec
-}
-
-// Stats summarises a trace.
-type Stats struct {
-	Tasks       int
-	TotalExec   sim.Time
-	TotalMem    sim.Time
-	MeanExec    sim.Time
-	MeanMem     sim.Time
-	MaxParams   int
-	TotalParams int
-}
-
-// Stats computes summary statistics over the trace.
-func (tr *Trace) Stats() Stats {
-	var s Stats
-	s.Tasks = len(tr.Tasks)
-	for i := range tr.Tasks {
-		t := &tr.Tasks[i]
-		s.TotalExec += t.Exec
-		s.TotalMem += t.MemRead + t.MemWrite
-		s.TotalParams += len(t.Params)
-		if len(t.Params) > s.MaxParams {
-			s.MaxParams = len(t.Params)
-		}
-	}
-	if s.Tasks > 0 {
-		s.MeanExec = s.TotalExec / sim.Time(s.Tasks)
-		s.MeanMem = s.TotalMem / sim.Time(s.Tasks)
-	}
-	return s
-}
-
-// Validate checks every task in the trace.
-func (tr *Trace) Validate() error {
-	for i := range tr.Tasks {
-		if err := tr.Tasks[i].Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

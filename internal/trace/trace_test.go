@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"nexuspp/internal/sim"
 )
@@ -63,144 +61,6 @@ func TestTaskValidate(t *testing.T) {
 	dup.Params = append(dup.Params, Param{Addr: 0x1000, Mode: Out})
 	if dup.Validate() == nil {
 		t.Error("duplicate address accepted")
-	}
-}
-
-func TestTraceStats(t *testing.T) {
-	tr := &Trace{Name: "s", Tasks: []TaskSpec{
-		{ID: 0, Params: []Param{{Addr: 1}}, Exec: 10, MemRead: 2, MemWrite: 2},
-		{ID: 1, Params: []Param{{Addr: 2}, {Addr: 3}, {Addr: 4}}, Exec: 20, MemRead: 3, MemWrite: 3},
-	}}
-	st := tr.Stats()
-	if st.Tasks != 2 || st.TotalExec != 30 || st.TotalMem != 10 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.MeanExec != 15 || st.MeanMem != 5 {
-		t.Fatalf("means = %v/%v", st.MeanExec, st.MeanMem)
-	}
-	if st.MaxParams != 3 || st.TotalParams != 4 {
-		t.Fatalf("params = %d/%d", st.MaxParams, st.TotalParams)
-	}
-	if (&Trace{}).Stats().Tasks != 0 {
-		t.Error("empty trace stats")
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	tr := &Trace{Name: "round-trip", Tasks: []TaskSpec{validTask()}}
-	tr.Tasks[0].ID = 42
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got.Name != tr.Name || len(got.Tasks) != 1 {
-		t.Fatalf("round trip: %+v", got)
-	}
-	a, b := tr.Tasks[0], got.Tasks[0]
-	if a.ID != b.ID || a.Func != b.Func || a.Exec != b.Exec ||
-		a.MemRead != b.MemRead || a.MemWrite != b.MemWrite || len(a.Params) != len(b.Params) {
-		t.Fatalf("task mismatch: %+v vs %+v", a, b)
-	}
-	for i := range a.Params {
-		if a.Params[i] != b.Params[i] {
-			t.Fatalf("param %d mismatch", i)
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a trace file....."))); err != ErrBadMagic {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
-	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	// Truncated after the magic.
-	if _, err := Read(bytes.NewReader(traceMagic[:])); err == nil {
-		t.Fatal("truncated input accepted")
-	}
-}
-
-func TestReadRejectsInvalidMode(t *testing.T) {
-	tr := &Trace{Name: "x", Tasks: []TaskSpec{validTask()}}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[len(raw)-1] = 99 // last byte is the final param's mode
-	if _, err := Read(bytes.NewReader(raw)); err == nil {
-		t.Fatal("invalid mode accepted")
-	}
-}
-
-// Property: Write/Read round-trips arbitrary generated traces exactly.
-func TestRoundTripProperty(t *testing.T) {
-	prop := func(seed uint64, nRaw uint8) bool {
-		rng := sim.NewRand(seed)
-		n := int(nRaw % 40)
-		tr := &Trace{Name: "prop"}
-		for i := 0; i < n; i++ {
-			task := TaskSpec{
-				ID:       uint64(i),
-				Func:     uint32(rng.Intn(100)),
-				Exec:     sim.Time(rng.Intn(1 << 30)),
-				MemRead:  sim.Time(rng.Intn(1 << 20)),
-				MemWrite: sim.Time(rng.Intn(1 << 20)),
-			}
-			for p := 0; p <= rng.Intn(12); p++ {
-				task.Params = append(task.Params, Param{
-					Addr: rng.Uint64() >> 16,
-					Size: uint32(rng.Intn(1 << 16)),
-					Mode: AccessMode(rng.Intn(3)),
-				})
-			}
-			tr.Tasks = append(tr.Tasks, task)
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil || got.Name != tr.Name || len(got.Tasks) != len(tr.Tasks) {
-			return false
-		}
-		for i := range tr.Tasks {
-			a, b := &tr.Tasks[i], &got.Tasks[i]
-			if a.ID != b.ID || a.Func != b.Func || a.Exec != b.Exec ||
-				a.MemRead != b.MemRead || a.MemWrite != b.MemWrite ||
-				len(a.Params) != len(b.Params) {
-				return false
-			}
-			for j := range a.Params {
-				if a.Params[j] != b.Params[j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDump(t *testing.T) {
-	tr := &Trace{Name: "dump", Tasks: []TaskSpec{validTask(), validTask(), validTask()}}
-	var buf bytes.Buffer
-	if err := Dump(&buf, tr, 2); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, `trace "dump": 3 tasks`) {
-		t.Errorf("missing header: %s", out)
-	}
-	if !strings.Contains(out, "1 more tasks") {
-		t.Errorf("missing truncation note: %s", out)
 	}
 }
 

@@ -59,11 +59,6 @@ type GaussianConfig struct {
 	// PivotObservesAll selects the literal partial-pivoting data flow in
 	// which T(i,i) reads every remaining row (see the package comment).
 	PivotObservesAll bool
-	// TruncatedPivot (with PivotObservesAll) trims the diagonal input list
-	// to at most MaxPivotParams parameters, an ablation used to bound
-	// descriptor chains.
-	TruncatedPivot bool
-	MaxPivotParams int
 }
 
 func (c *GaussianConfig) fill() {
@@ -81,9 +76,6 @@ func (c *GaussianConfig) fill() {
 	}
 	if c.BaseAddr == 0 {
 		c.BaseAddr = 0x4000_0000
-	}
-	if c.TruncatedPivot && c.MaxPivotParams == 0 {
-		c.MaxPivotParams = 8
 	}
 }
 
@@ -188,9 +180,6 @@ func (s *gaussianSource) Next() (trace.TaskSpec, bool) {
 		nIn := 0
 		if s.cfg.PivotObservesAll {
 			nIn = n - i
-			if s.cfg.TruncatedPivot && nIn > s.cfg.MaxPivotParams-1 {
-				nIn = s.cfg.MaxPivotParams - 1
-			}
 		}
 		t.Params = append(s.params.take(nIn+1), trace.Param{Addr: s.rowAddr(i), Size: s.rowSize(), Mode: trace.InOut})
 		for k := i + 1; k <= i+nIn; k++ {

@@ -75,8 +75,8 @@ func (s *traceSource) Next() (trace.TaskSpec, bool) {
 }
 
 // Collect materialises a source into a Trace (the source is Reset first and
-// left exhausted). Intended for tests, small workloads and cmd/tracegen;
-// do not call it on multi-million-task Gaussian sources.
+// left exhausted). Intended for tests and small workloads; do not call it
+// on multi-million-task Gaussian sources.
 func Collect(s Source) *trace.Trace {
 	s.Reset()
 	tr := &trace.Trace{Name: s.Name()}
