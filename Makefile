@@ -66,21 +66,20 @@ flake:
 	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor|Retention|FinishesBefore|NodeBlock|SegmentReuse|Handle' ./internal/starss/
 	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled|Sweep|Swept|Expiry' ./internal/service/
 
-# fuzz gives every fuzz target FUZZTIME. `go test -list` finds the targets,
-# printing each package's names before its "ok" line, so a new one needs no
-# entry here. Today three are the service's wire: the hand-written codec
-# against encoding/json, round trips, and the real handler, which may answer
-# hostile bytes with nothing but a typed 4xx. The fourth drives the
+# fuzz gives every fuzz target twenty seconds. `go test -list` finds the
+# targets, printing each package's names before its "ok" line, so a new one
+# needs no entry here. Today three are the service's wire: the hand-written
+# codec against encoding/json, round trips, and the real handler, which may
+# answer hostile bytes with nothing but a typed 4xx. The fourth drives the
 # runtime's dependence table beside a map model, with keys in several
 # namespaces and hashes the input degrades until everything collides.
 # (`go test ./...` already runs their seed corpora.)
-FUZZTIME ?= 20s
 fuzz:
 	@list=$$($(GO) test -list '^Fuzz' ./...) || exit 1; \
 	echo "$$list" | awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
 	while read pkg t; do \
 		echo "fuzz $$pkg $$t"; \
-		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime=$(FUZZTIME) $$pkg || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime=20s $$pkg || exit 1; \
 	done
 
 # bench-check vets and tests the nested benchmark module. Root `go test
