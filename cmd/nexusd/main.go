@@ -6,16 +6,12 @@
 // Usage:
 //
 //	nexusd [-addr host:port] [-workers N] [-window N] [-session-window N]
-//	       [-session-ttl D] [-max-sessions N] [-faults spec] [-fault-seed N]
+//	       [-session-ttl D] [-max-sessions N]
 //
 // -window is the Task Pool every session shares and -session-window each
 // session's share of it; a submit that does not fit its session's share
 // gets 429 + Retry-After, one that does not fit the pool 503 + Retry-After,
-// and neither ever waits. -faults arms deterministic, seeded fault
-// injection at the server edge for chaos drills, at its two sites,
-// server_delay and server_drop (e.g. -faults
-// server_delay:0.01:5ms,server_drop:every=100); any other site exits 2.
-// Off by default and zero-cost when disabled.
+// and neither ever waits.
 //
 // API (JSON everywhere; see internal/service for the wire types):
 //
@@ -50,11 +46,9 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"slices"
 	"syscall"
 	"time"
 
-	"nexuspp/internal/faults"
 	"nexuspp/internal/service"
 )
 
@@ -88,8 +82,6 @@ func run(args []string) int {
 		sessionWindow = fs.Int("session-window", 256, "per-session in-flight window (backpressure threshold)")
 		sessionTTL    = fs.Duration("session-ttl", 2*time.Minute, "idle time before a session is drained")
 		maxSessions   = fs.Int("max-sessions", 256, "maximum live sessions")
-		faultSpec     = fs.String("faults", "", "server-edge fault injection spec over server_delay and server_drop, e.g. server_delay:0.01:5ms (empty = disabled)")
-		faultSeed     = fs.Uint64("fault-seed", 1, "seed for the -faults schedule")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -99,15 +91,6 @@ func run(args []string) int {
 	}
 	log.SetPrefix("nexusd: ")
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
-
-	injector, err := parseFaults(*faultSeed, *faultSpec)
-	if err != nil {
-		log.Printf("%v", err)
-		return 2
-	}
-	if injector != nil {
-		log.Printf("fault injection armed: %v", injector)
-	}
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
@@ -128,7 +111,7 @@ func run(args []string) int {
 		log.Printf("listen: %v", err)
 		return 1
 	}
-	httpSrv := newHTTPServer(faults.Middleware(srv.Handler(), injector))
+	httpSrv := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	log.Printf("listening on http://%s (session window %d, ttl %v, max sessions %d)",
@@ -161,25 +144,6 @@ func run(args []string) int {
 	}
 	log.Printf("clean shutdown")
 	return 0
-}
-
-// serverSites are the sites -faults may arm: the injector reaches only the
-// server edge (faults.Middleware), which consults these two.
-var serverSites = []faults.Site{faults.SiteServerDelay, faults.SiteServerDrop}
-
-// parseFaults compiles the -faults spec and refuses any site the daemon
-// never consults, so a drill cannot arm a fault that will not fire.
-func parseFaults(seed uint64, spec string) (*faults.Injector, error) {
-	in, err := faults.ParseSpec(seed, spec)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range in.Armed() {
-		if !slices.Contains(serverSites, s) {
-			return nil, fmt.Errorf("-faults: site %v never fires in nexusd (valid: %v, %v)", s, serverSites[0], serverSites[1])
-		}
-	}
-	return in, nil
 }
 
 // waitGoroutines polls until the goroutine count returns to the baseline

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 )
@@ -49,25 +48,5 @@ func TestHalfWrittenHeaderIsClosed(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	if _, err := io.Copy(io.Discard, conn); err != nil {
 		t.Fatalf("server kept the half-open request alive: %v", err)
-	}
-}
-
-// TestFaultsOnlyServerSites: the injector reaches only the server edge, so
-// -faults accepts server_delay and server_drop and exits 2 on any other
-// site, naming the two valid ones, before it listens on anything.
-func TestFaultsOnlyServerSites(t *testing.T) {
-	for _, spec := range []string{"", "server_delay:0.01:5ms,server_drop:every=100"} {
-		if _, err := parseFaults(1, spec); err != nil {
-			t.Errorf("parseFaults(%q) = %v, want accepted", spec, err)
-		}
-	}
-	for _, spec := range []string{"task_panic:0.5", "req_drop:every=2", "server_drop:every=3,task_hang:1"} {
-		_, err := parseFaults(1, spec)
-		if err == nil || !strings.Contains(err.Error(), "server_delay, server_drop") {
-			t.Errorf("parseFaults(%q) = %v, want a refusal naming server_delay and server_drop", spec, err)
-		}
-		if code := run([]string{"-addr", "127.0.0.1:0", "-faults", spec}); code != 2 {
-			t.Errorf("nexusd -faults %q exited %d, want 2", spec, code)
-		}
 	}
 }

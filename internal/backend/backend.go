@@ -8,17 +8,16 @@
 // Nexus++ vs. original Nexus vs. the software runtime. A Backend takes the
 // same workload.Source every engine consumes and returns a Report with the
 // same headline observables (tasks executed, makespan or wall time), plus a
-// typed Detail for engine-specific depth. Backends register themselves in a
-// package-level registry; cmd/nexusbench and internal/experiments resolve
-// them by name.
+// typed Detail for engine-specific depth. The five engines and the named
+// workloads sit in two package-level slices sorted by name;
+// cmd/nexusbench and internal/experiments resolve them by name.
 package backend
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"nexuspp/internal/sim"
@@ -116,46 +115,13 @@ type Backend interface {
 	Run(ctx context.Context, cfg Config, src workload.Source) (*Report, error)
 }
 
-var registry struct {
-	mu     sync.RWMutex
-	byName map[string]Backend
-}
+// All returns every backend sorted by name.
+func All() []Backend { return slices.Clone(backends) }
 
-// Register adds a backend to the registry; it panics on a duplicate or
-// empty name. The five built-in engines register themselves at init.
-func Register(b Backend) {
-	name := b.Name()
-	if name == "" {
-		panic("backend: Register with empty name")
-	}
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if registry.byName == nil {
-		registry.byName = make(map[string]Backend)
-	}
-	if _, dup := registry.byName[name]; dup {
-		panic(fmt.Sprintf("backend: duplicate registration of %q", name))
-	}
-	registry.byName[name] = b
-}
-
-// All returns every registered backend sorted by name.
-func All() []Backend {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	out := make([]Backend, 0, len(registry.byName))
-	for _, b := range registry.byName {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
-}
-
-// Names returns the sorted registered backend names.
+// Names returns the sorted backend names.
 func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, b := range all {
+	names := make([]string, len(backends))
+	for i, b := range backends {
 		names[i] = b.Name()
 	}
 	return names
@@ -164,12 +130,11 @@ func Names() []string {
 // Lookup resolves a backend by name; an unknown name fails with an error
 // listing every valid name.
 func Lookup(name string) (Backend, error) {
-	registry.mu.RLock()
-	b, ok := registry.byName[name]
-	registry.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("backend: unknown backend %q (valid: %s)",
-			name, strings.Join(Names(), ", "))
+	for _, b := range backends {
+		if b.Name() == name {
+			return b, nil
+		}
 	}
-	return b, nil
+	return nil, fmt.Errorf("backend: unknown backend %q (valid: %s)",
+		name, strings.Join(Names(), ", "))
 }

@@ -45,14 +45,21 @@ func TestLookupUnknownListsValidNames(t *testing.T) {
 	}
 }
 
+// TestWorkloadRegistry: every workload is named, described and builds a
+// non-empty source, and the names are sorted and unique, so listings and
+// Lookup errors enumerate them in one order and a lookup cannot shadow an
+// entry.
 func TestWorkloadRegistry(t *testing.T) {
 	ws := Workloads()
 	if len(ws) == 0 {
 		t.Fatal("no workloads registered")
 	}
-	for _, w := range ws {
-		if w.Description == "" {
-			t.Errorf("workload %q has an empty description", w.Name)
+	for i, w := range ws {
+		if i > 0 && ws[i-1].Name >= w.Name {
+			t.Errorf("workload %q follows %q: names must be sorted and unique", w.Name, ws[i-1].Name)
+		}
+		if w.Name == "" || w.Description == "" {
+			t.Errorf("workload %q has an empty name or description", w.Name)
 		}
 		src := w.New(1)
 		if src.Total() <= 0 {

@@ -18,28 +18,28 @@ import (
 	"nexuspp/internal/workload"
 )
 
-func init() {
-	Register(simBackend{
-		name: "nexuspp",
-		desc: "Nexus++ hardware task-management simulator (the paper's SSIII model, Table IV defaults)",
-		conf: core.DefaultConfig,
-	})
-	Register(simBackend{
-		name: "nexus",
-		desc: "original-Nexus simulator (hard 5-param/kick-off limits, no double buffering; may reject workloads)",
-		conf: nexus1.Config,
-	})
-	Register(softrtsBackend{})
-	Register(replayBackend{
-		name:    "runtime",
-		desc:    "executing sharded StarSs runtime replaying the trace with synthesized Go task bodies",
-		maestro: false,
-	})
-	Register(replayBackend{
+// backends is the registry, sorted by name.
+var backends = []Backend{
+	replayBackend{
 		name:    "maestro",
 		desc:    "executing single-resolver baseline runtime (every submit/finish funnels through one goroutine)",
 		maestro: true,
-	})
+	},
+	simBackend{
+		name: "nexus",
+		desc: "original-Nexus simulator (hard 5-param/kick-off limits, no double buffering; may reject workloads)",
+		conf: nexus1.Config,
+	},
+	simBackend{
+		name: "nexuspp",
+		desc: "Nexus++ hardware task-management simulator (the paper's SSIII model, Table IV defaults)",
+		conf: core.DefaultConfig,
+	},
+	replayBackend{
+		name: "runtime",
+		desc: "executing sharded StarSs runtime replaying the trace with synthesized Go task bodies",
+	},
+	softrtsBackend{},
 }
 
 // simBackend adapts the shared hardware model (package core) under a

@@ -2,9 +2,8 @@ package backend
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"nexuspp/internal/workload"
 )
@@ -21,129 +20,84 @@ type WorkloadInfo struct {
 	New func(seed uint64) workload.Source
 }
 
-var workloadReg struct {
-	mu     sync.RWMutex
-	byName map[string]WorkloadInfo
-	// names is the sorted key list, rebuilt on registration, so every
-	// error message and listing enumerates the valid names in one
-	// deterministic order regardless of map iteration.
-	names []string
-}
-
-// RegisterWorkload adds a named workload to the registry; it panics on a
-// duplicate or empty name or a nil constructor. The built-in workloads
-// register themselves at init.
-func RegisterWorkload(w WorkloadInfo) {
-	if w.Name == "" {
-		panic("backend: RegisterWorkload with empty name")
-	}
-	if w.New == nil {
-		panic(fmt.Sprintf("backend: RegisterWorkload(%q) with nil constructor", w.Name))
-	}
-	workloadReg.mu.Lock()
-	defer workloadReg.mu.Unlock()
-	if workloadReg.byName == nil {
-		workloadReg.byName = make(map[string]WorkloadInfo)
-	}
-	if _, dup := workloadReg.byName[w.Name]; dup {
-		panic(fmt.Sprintf("backend: duplicate registration of workload %q", w.Name))
-	}
-	workloadReg.byName[w.Name] = w
-	workloadReg.names = append(workloadReg.names, w.Name)
-	sort.Strings(workloadReg.names)
-}
-
-// The built-in evaluation workloads: the paper's Figure 4 patterns, its
-// Gaussian graph, the Cholesky extension, and the irregular family (the
-// TaskTorrent/StarPU wait-chain grid, seeded random DAGs, and the
-// skewed-cost spatial decomposition).
-func init() {
-	RegisterWorkload(WorkloadInfo{
-		Name:        "independent",
-		Description: "8160 H.264-sized tasks, no dependencies (paper Figure 4, independent)",
-		New:         workload.Independent,
-	})
-	RegisterWorkload(WorkloadInfo{
-		Name:        "wavefront",
-		Description: "H.264 macroblock wavefront, 8160 tasks (paper Figure 4a)",
-		New:         workload.Wavefront,
-	})
-	RegisterWorkload(WorkloadInfo{
-		Name:        "horizontal",
-		Description: "horizontal chains along the task-generation order (paper Figure 4b)",
-		New:         workload.HorizontalChains,
-	})
-	RegisterWorkload(WorkloadInfo{
-		Name:        "vertical",
-		Description: "vertical chains across the task-generation order (paper Figure 4c)",
-		New:         workload.VerticalChains,
-	})
-	RegisterWorkload(WorkloadInfo{
-		Name:        "gaussian",
-		Description: "Gaussian elimination with partial pivoting, n=250, 31374 tasks (paper Figure 5 / Table II)",
-		New: func(uint64) workload.Source {
-			return workload.Gaussian(workload.GaussianConfig{N: 250})
-		},
-	})
-	RegisterWorkload(WorkloadInfo{
+// workloads is the registry, sorted by name: the paper's Figure 4
+// patterns, its Gaussian graph, the Cholesky extension, and the irregular
+// family (the TaskTorrent/StarPU wait-chain grid, seeded random DAGs, and
+// the skewed-cost spatial decomposition).
+var workloads = []WorkloadInfo{
+	{
 		Name:        "cholesky",
 		Description: "tiled Cholesky factorisation, 16x16 tiles of 32 (DESIGN.md extension workload)",
 		New: func(uint64) workload.Source {
 			return workload.Cholesky(workload.CholeskyConfig{Tiles: 16, TileSize: 32})
 		},
-	})
-	RegisterWorkload(WorkloadInfo{
-		Name:        "starpu_deps",
-		Description: "TaskTorrent/StarPU wait-chain grid, 32x64 tasks with 3 wrap-around in-deps, 5us spin",
+	},
+	{
+		Name:        "gaussian",
+		Description: "Gaussian elimination with partial pivoting, n=250, 31374 tasks (paper Figure 5 / Table II)",
 		New: func(uint64) workload.Source {
-			return workload.StarPUDeps(workload.StarPUDepsConfig{})
+			return workload.Gaussian(workload.GaussianConfig{N: 250})
 		},
-	})
-	RegisterWorkload(WorkloadInfo{
+	},
+	{
+		Name:        "horizontal",
+		Description: "horizontal chains along the task-generation order (paper Figure 4b)",
+		New:         workload.HorizontalChains,
+	},
+	{
+		Name:        "independent",
+		Description: "8160 H.264-sized tasks, no dependencies (paper Figure 4, independent)",
+		New:         workload.Independent,
+	},
+	{
 		Name:        "randdag",
 		Description: "seeded random DAG, 4096 tasks, fan-in <= 3 over a 64-task window",
 		New: func(seed uint64) workload.Source {
 			return workload.RandomDAG(workload.RandomDAGConfig{Seed: seed})
 		},
-	})
-	RegisterWorkload(WorkloadInfo{
+	},
+	{
 		Name:        "skewed",
 		Description: "skewed-cost spatial decomposition, 16x16 tiles x 4 sweeps, bounded-Pareto costs",
 		New: func(seed uint64) workload.Source {
 			return workload.SpatialSkew(workload.SpatialSkewConfig{Seed: seed})
 		},
-	})
+	},
+	{
+		Name:        "starpu_deps",
+		Description: "TaskTorrent/StarPU wait-chain grid, 32x64 tasks with 3 wrap-around in-deps, 5us spin",
+		New: func(uint64) workload.Source {
+			return workload.StarPUDeps(workload.StarPUDepsConfig{})
+		},
+	},
+	{
+		Name:        "vertical",
+		Description: "vertical chains across the task-generation order (paper Figure 4c)",
+		New:         workload.VerticalChains,
+	},
+	{
+		Name:        "wavefront",
+		Description: "H.264 macroblock wavefront, 8160 tasks (paper Figure 4a)",
+		New:         workload.Wavefront,
+	},
 }
 
-// Workloads returns every registered workload sorted by name.
-func Workloads() []WorkloadInfo {
-	workloadReg.mu.RLock()
-	defer workloadReg.mu.RUnlock()
-	out := make([]WorkloadInfo, 0, len(workloadReg.names))
-	for _, name := range workloadReg.names {
-		out = append(out, workloadReg.byName[name])
-	}
-	return out
-}
-
-// WorkloadNames returns the sorted registered workload names.
-func WorkloadNames() []string {
-	workloadReg.mu.RLock()
-	defer workloadReg.mu.RUnlock()
-	return append([]string(nil), workloadReg.names...)
-}
+// Workloads returns every workload sorted by name.
+func Workloads() []WorkloadInfo { return slices.Clone(workloads) }
 
 // LookupWorkload resolves a workload by name; an unknown name fails with an
 // error listing every valid name in sorted order, so the message is stable
 // for golden error-message tests.
 func LookupWorkload(name string) (WorkloadInfo, error) {
-	workloadReg.mu.RLock()
-	w, ok := workloadReg.byName[name]
-	names := workloadReg.names
-	workloadReg.mu.RUnlock()
-	if !ok {
-		return WorkloadInfo{}, fmt.Errorf("backend: unknown workload %q (valid: %s)",
-			name, strings.Join(names, ", "))
+	for _, w := range workloads {
+		if w.Name == name {
+			return w, nil
+		}
 	}
-	return w, nil
+	names := make([]string, len(workloads))
+	for i, w := range workloads {
+		names[i] = w.Name
+	}
+	return WorkloadInfo{}, fmt.Errorf("backend: unknown workload %q (valid: %s)",
+		name, strings.Join(names, ", "))
 }

@@ -24,14 +24,12 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
-	"time"
 )
 
-// Site is one fault-injection point.
+// Site is one fault-injection point. The task sites are numbered 0–2, and
+// decide hashes the number, so renumbering them changes every
+// probability-keyed schedule.
 type Site uint8
 
 const (
@@ -44,33 +42,22 @@ const (
 	// SiteTaskHang makes a task body block until its context is cancelled —
 	// the stuck-worker case that a body's deadline exists to bound.
 	SiteTaskHang
-	// SiteReqDrop drops a client request before it is sent; the server
-	// never sees it.
-	SiteReqDrop
 	// SiteReqDup sends a client request twice; the duplicate's response is
 	// discarded. Exercises server-side idempotent submission.
 	SiteReqDup
-	// SiteReqDelay delays a client request before it is sent.
-	SiteReqDelay
 	// SiteRespDrop drops a response after the server has fully processed
 	// the request — the case where a retried POST would double-execute
 	// without idempotency keys.
 	SiteRespDrop
-	// SiteServerDelay delays a request inside the server before handling.
-	SiteServerDelay
-	// SiteServerDrop aborts a request inside the server before handling
-	// (the connection is reset; the handler never runs).
-	SiteServerDrop
 	numSites
 )
 
 var siteNames = [numSites]string{
-	"task_error", "task_panic", "task_hang",
-	"req_drop", "req_dup", "req_delay", "resp_drop",
-	"server_delay", "server_drop",
+	"task_error", "task_panic", "task_hang", "req_dup", "resp_drop",
 }
 
-// String returns the site's spec-file spelling (e.g. "task_error").
+// String returns the site's name (e.g. "task_error"), the key Counts
+// reports it under.
 func (s Site) String() string {
 	if int(s) < len(siteNames) {
 		return siteNames[s]
@@ -94,9 +81,6 @@ type Rule struct {
 	// Every fires the rule when key%Every == 0; it takes precedence over
 	// Prob when nonzero.
 	Every uint64
-	// Delay is the injected latency for the delay-flavoured sites
-	// (req_delay, server_delay); ignored elsewhere.
-	Delay time.Duration
 }
 
 // Plan is a seed plus the armed rules — one reproducible fault schedule.
@@ -110,7 +94,6 @@ type compiled struct {
 	armed bool
 	prob  float64
 	every uint64
-	delay time.Duration
 }
 
 // Injector decides, deterministically per seed, whether a fault fires at a
@@ -134,7 +117,7 @@ func New(plan *Plan) *Injector {
 		if int(r.Site) >= int(numSites) {
 			continue
 		}
-		in.rules[r.Site] = compiled{armed: true, prob: r.Prob, every: r.Every, delay: r.Delay}
+		in.rules[r.Site] = compiled{armed: true, prob: r.Prob, every: r.Every}
 	}
 	return in
 }
@@ -209,15 +192,6 @@ func (in *Injector) ShouldSeq(site Site) bool {
 	return in.Should(site, in.seq[site].Add(1)-1)
 }
 
-// DelaySeq returns the site's injected latency when its rule fires for the
-// site's next call sequence number, and zero otherwise. Nil-safe.
-func (in *Injector) DelaySeq(site Site) time.Duration {
-	if !in.ShouldSeq(site) {
-		return 0
-	}
-	return in.rules[site].delay
-}
-
 // Fired returns the number of times the site's rule has fired. Nil-safe.
 func (in *Injector) Fired(site Site) uint64 {
 	if in == nil {
@@ -226,22 +200,8 @@ func (in *Injector) Fired(site Site) uint64 {
 	return in.fired[site].Load()
 }
 
-// Armed lists the sites a rule arms, in Site order. Nil-safe.
-func (in *Injector) Armed() []Site {
-	if in == nil {
-		return nil
-	}
-	var sites []Site
-	for s := Site(0); s < numSites; s++ {
-		if in.rules[s].armed {
-			sites = append(sites, s)
-		}
-	}
-	return sites
-}
-
-// Counts returns every site that has fired with its count, sorted by site
-// name — the chaos report's injected-fault summary. Nil-safe.
+// Counts maps the name of every site that has fired to its count — the
+// chaos report's injected-fault summary. Nil-safe.
 func (in *Injector) Counts() map[string]uint64 {
 	if in == nil {
 		return nil
@@ -253,90 +213,4 @@ func (in *Injector) Counts() map[string]uint64 {
 		}
 	}
 	return m
-}
-
-// String renders the armed rules in spec syntax.
-func (in *Injector) String() string {
-	if in == nil {
-		return "faults: disabled"
-	}
-	var parts []string
-	for s := Site(0); s < numSites; s++ {
-		r := &in.rules[s]
-		if !r.armed {
-			continue
-		}
-		p := s.String()
-		if r.every > 0 {
-			p += fmt.Sprintf(":every=%d", r.every)
-		} else {
-			p += fmt.Sprintf(":%g", r.prob)
-		}
-		if r.delay > 0 {
-			p += ":" + r.delay.String()
-		}
-		parts = append(parts, p)
-	}
-	sort.Strings(parts)
-	return "faults: seed=" + strconv.FormatUint(in.seed, 10) + " " + strings.Join(parts, ",")
-}
-
-// ParseSpec compiles a textual fault plan, the nexusd / nexusbench flag
-// syntax: a comma-separated list of rules, each
-//
-//	<site>:<prob>[:<delay>]      probability-keyed, e.g. task_panic:0.05
-//	<site>:every=<n>[:<delay>]   sequence-keyed,   e.g. resp_drop:every=4:2ms
-//
-// Site names are the Site.String spellings. An empty spec returns a nil
-// (disabled) injector.
-func ParseSpec(seed uint64, spec string) (*Injector, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	var plan Plan
-	plan.Seed = seed
-	for _, part := range strings.Split(spec, ",") {
-		fields := strings.Split(strings.TrimSpace(part), ":")
-		if len(fields) < 2 || len(fields) > 3 {
-			return nil, fmt.Errorf("faults: bad rule %q (want site:prob[:delay] or site:every=N[:delay])", part)
-		}
-		site, err := siteByName(fields[0])
-		if err != nil {
-			return nil, err
-		}
-		r := Rule{Site: site}
-		if ev, ok := strings.CutPrefix(fields[1], "every="); ok {
-			n, err := strconv.ParseUint(ev, 10, 64)
-			if err != nil || n == 0 {
-				return nil, fmt.Errorf("faults: bad every count %q in rule %q", ev, part)
-			}
-			r.Every = n
-		} else {
-			p, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || p < 0 || p > 1 {
-				return nil, fmt.Errorf("faults: bad probability %q in rule %q (want [0,1])", fields[1], part)
-			}
-			r.Prob = p
-		}
-		if len(fields) == 3 {
-			d, err := time.ParseDuration(fields[2])
-			if err != nil || d < 0 {
-				return nil, fmt.Errorf("faults: bad delay %q in rule %q", fields[2], part)
-			}
-			r.Delay = d
-		}
-		plan.Rules = append(plan.Rules, r)
-	}
-	return New(&plan), nil
-}
-
-// siteByName resolves a spec-file site name.
-func siteByName(name string) (Site, error) {
-	for s := Site(0); s < numSites; s++ {
-		if siteNames[s] == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("faults: unknown site %q (valid: %s)", name, strings.Join(siteNames[:], ", "))
 }

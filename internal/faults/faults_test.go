@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestDecisionDeterminism is the core contract: the same (seed, site, key)
@@ -108,76 +107,20 @@ func TestTaskKeyRerolls(t *testing.T) {
 // TestNilInjector: the disabled state must be inert through every method.
 func TestNilInjector(t *testing.T) {
 	var in *Injector
-	if in.Should(SiteTaskError, 0) || in.Peek(SiteTaskError, 0) || in.ShouldSeq(SiteReqDrop) {
+	if in.Should(SiteTaskError, 0) || in.Peek(SiteTaskError, 0) || in.ShouldSeq(SiteReqDup) {
 		t.Error("nil injector fired")
-	}
-	if in.DelaySeq(SiteReqDelay) != 0 {
-		t.Error("nil injector delayed")
 	}
 	if in.Fired(SiteTaskError) != 0 || in.Counts() != nil {
 		t.Error("nil injector counted")
-	}
-	if in.String() != "faults: disabled" {
-		t.Errorf("nil injector String = %q", in.String())
 	}
 	if New(nil) != nil || New(&Plan{Seed: 1}) != nil {
 		t.Error("empty plan compiled to a non-nil injector")
 	}
 }
 
-// TestDelaySite: a delay rule returns its configured latency when it fires
-// and zero otherwise, and counts only the firings.
-func TestDelaySite(t *testing.T) {
-	in := New(&Plan{Seed: 3, Rules: []Rule{{Site: SiteReqDelay, Every: 2, Delay: 5 * time.Millisecond}}})
-	if d := in.DelaySeq(SiteReqDelay); d != 5*time.Millisecond {
-		t.Errorf("call 0 delay = %v, want 5ms", d)
-	}
-	if d := in.DelaySeq(SiteReqDelay); d != 0 {
-		t.Errorf("call 1 delay = %v, want 0", d)
-	}
-	if got := in.Fired(SiteReqDelay); got != 1 {
-		t.Errorf("fired = %d, want 1", got)
-	}
-}
-
-func TestParseSpec(t *testing.T) {
-	in, err := ParseSpec(11, "task_panic:0.05, resp_drop:every=4:2ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in == nil {
-		t.Fatal("valid spec compiled to nil")
-	}
-	if !in.Peek(SiteRespDrop, 8) || in.Peek(SiteRespDrop, 9) {
-		t.Error("resp_drop:every=4 not armed as a modulo rule")
-	}
-	if d := in.DelaySeq(SiteRespDrop); d != 2*time.Millisecond {
-		t.Errorf("resp_drop delay = %v, want 2ms", d)
-	}
-	if got := in.String(); !strings.Contains(got, "seed=11") || !strings.Contains(got, "task_panic:0.05") {
-		t.Errorf("String = %q, want seed and rule spelled out", got)
-	}
-
-	if in, err := ParseSpec(1, ""); err != nil || in != nil {
-		t.Errorf("empty spec = (%v, %v), want (nil, nil)", in, err)
-	}
-	for _, bad := range []string{
-		"task_panic",          // no rule body
-		"nosuchsite:0.5",      // unknown site
-		"task_panic:1.5",      // probability out of range
-		"task_panic:every=0",  // zero modulo
-		"task_panic:0.1:-3ms", // negative delay
-		"task_panic:0.1:2ms:x",
-	} {
-		if _, err := ParseSpec(1, bad); err == nil {
-			t.Errorf("ParseSpec(%q) succeeded, want error", bad)
-		}
-	}
-}
-
 // TestTransportWire exercises the client-side RoundTripper against a real
-// server: a duplicated request arrives twice, a dropped response is still
-// fully served, and a dropped request never arrives.
+// server: a duplicated request arrives twice, and a dropped response is
+// still fully served.
 func TestTransportWire(t *testing.T) {
 	var served atomic.Uint64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -224,19 +167,6 @@ func TestTransportWire(t *testing.T) {
 		}
 	})
 
-	t.Run("req_drop", func(t *testing.T) {
-		served.Store(0)
-		in := New(&Plan{Seed: 1, Rules: []Rule{{Site: SiteReqDrop, Every: 1}}})
-		err := do(&Transport{In: in})
-		var de *DropError
-		if !errors.As(err, &de) || de.Phase != "request" {
-			t.Fatalf("err = %v, want request DropError", err)
-		}
-		if served.Load() != 0 {
-			t.Errorf("server saw %d requests, want 0", served.Load())
-		}
-	})
-
 	t.Run("disabled", func(t *testing.T) {
 		served.Store(0)
 		if err := do(&Transport{In: nil}); err != nil {
@@ -246,36 +176,4 @@ func TestTransportWire(t *testing.T) {
 			t.Errorf("server saw %d requests, want 1", served.Load())
 		}
 	})
-}
-
-// TestMiddleware: server_drop aborts the connection before the handler runs,
-// and a nil injector wraps nothing at all.
-func TestMiddleware(t *testing.T) {
-	var served atomic.Uint64
-	next := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		served.Add(1)
-	})
-	if got := Middleware(next, nil); got == nil {
-		t.Fatal("nil-injector middleware returned nil handler")
-	}
-
-	in := New(&Plan{Seed: 1, Rules: []Rule{{Site: SiteServerDrop, Every: 2}}})
-	hs := httptest.NewServer(Middleware(next, in))
-	defer hs.Close()
-
-	// Seq keys 0, 1: the first request is dropped, the second served.
-	if _, err := http.Get(hs.URL); err == nil {
-		t.Error("server_drop request succeeded, want transport error")
-	}
-	resp, err := http.Get(hs.URL)
-	if err != nil {
-		t.Fatalf("second request: %v", err)
-	}
-	_ = resp.Body.Close()
-	if served.Load() != 1 {
-		t.Errorf("handler ran %d times, want 1", served.Load())
-	}
-	if in.Fired(SiteServerDrop) != 1 {
-		t.Errorf("server_drop fired %d times, want 1", in.Fired(SiteServerDrop))
-	}
 }

@@ -1,26 +1,24 @@
 package faults
 
-// HTTP wire injection: a client-side http.RoundTripper that drops,
-// duplicates and delays requests or drops fully-served responses, and a
-// server-side middleware that delays or aborts requests before handling.
-// Together they reproduce the partial-failure modes a distributed StarSs
-// deployment (the Hybrid MPI/StarSs case study, arXiv 1204.4086) layers on
-// top of the node-local runtime: a lost submit, a retried submit that
-// arrives twice, and the nastiest one — a submit the server fully executed
-// whose response never reached the client.
+// HTTP wire injection: a client-side http.RoundTripper that duplicates
+// requests or drops fully-served responses. Its two sites reproduce two
+// partial-failure modes a distributed StarSs deployment (the Hybrid
+// MPI/StarSs case study, arXiv 1204.4086) layers on top of the node-local
+// runtime: a retried submit that arrives twice, and the nastiest one — a
+// submit the server fully executed whose response never reached the
+// client.
 
 import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 )
 
-// DropError is the transport error surfaced for an injected request or
-// response drop; it wraps ErrInjected and is retryable by the service
-// client's idempotent submit path.
+// DropError is the transport error surfaced for an injected response
+// drop; it wraps ErrInjected and is retryable by the service client's
+// idempotent submit path.
 type DropError struct {
-	// Phase is "request" (never sent) or "response" (served, then lost).
+	// Phase is "response": the request was served, then its response lost.
 	Phase string
 }
 
@@ -40,10 +38,10 @@ type Transport struct {
 	In *Injector
 }
 
-// RoundTrip applies, in order: req_delay, req_drop, req_dup (the duplicate
-// is sent first and its response discarded — the server sees two requests),
-// the real round trip, then resp_drop (the response body is consumed and
-// discarded so the server observes a completed exchange).
+// RoundTrip applies, in order: req_dup (the duplicate is sent first and its
+// response discarded — the server sees two requests), the real round trip,
+// then resp_drop (the response body is consumed and discarded so the server
+// observes a completed exchange).
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	base := t.Base
 	if base == nil {
@@ -52,14 +50,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	in := t.In
 	if in == nil {
 		return base.RoundTrip(req)
-	}
-	if d := in.DelaySeq(SiteReqDelay); d > 0 {
-		if err := sleepCtx(req, d); err != nil {
-			return nil, err
-		}
-	}
-	if in.ShouldSeq(SiteReqDrop) {
-		return nil, &DropError{Phase: "request"}
 	}
 	if in.ShouldSeq(SiteReqDup) {
 		if dup := cloneRequest(req); dup != nil {
@@ -98,38 +88,4 @@ func cloneRequest(req *http.Request) *http.Request {
 	}
 	dup.Body = body
 	return dup
-}
-
-// sleepCtx blocks for d, honouring the request's context.
-func sleepCtx(req *http.Request, d time.Duration) error {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-req.Context().Done():
-		return req.Context().Err()
-	}
-}
-
-// Middleware wraps an http.Handler with server-side fault injection:
-// server_delay stalls the request before handling and server_drop aborts
-// the connection without running the handler (the client sees a transport
-// error; the server provably never executed the request). A nil Injector
-// returns next unchanged — no wrapper, no per-request cost.
-func Middleware(next http.Handler, in *Injector) http.Handler {
-	if in == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if d := in.DelaySeq(SiteServerDelay); d > 0 {
-			if err := sleepCtx(r, d); err != nil {
-				return
-			}
-		}
-		if in.ShouldSeq(SiteServerDrop) {
-			panic(http.ErrAbortHandler)
-		}
-		next.ServeHTTP(w, r)
-	})
 }

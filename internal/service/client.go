@@ -216,7 +216,7 @@ func (c *Client) Open(ctx context.Context) (*Session, error) {
 // and its unfinished tasks drain. Zero means no deadline (plain Open).
 func (c *Client) OpenWithDeadline(ctx context.Context, deadline time.Duration) (*Session, error) {
 	var info SessionInfo
-	req := CreateSessionRequest{DeadlineMS: deadline.Milliseconds()}
+	req := CreateSessionRequest{DeadlineMS: wireMS(deadline)}
 	if err := c.do(ctx, http.MethodPost, "/v1/sessions", req, &info); err != nil {
 		return nil, err
 	}
@@ -360,11 +360,21 @@ func sleepJitter(ctx context.Context, base, max time.Duration, attempt int) bool
 	}
 }
 
+// wireMS converts d to the wire's whole milliseconds. A positive duration
+// under 1 ms becomes 1: sent as 0 it would mean the server's default.
+func wireMS(d time.Duration) int64 {
+	if d > 0 && d < time.Millisecond {
+		return 1
+	}
+	return d.Milliseconds()
+}
+
 // AwaitOnce issues a single bounded server-side wait and returns the raw
 // response, pending states included (Await loops until everything is done).
+// A timeout of 0 selects the server's default.
 func (s *Session) AwaitOnce(ctx context.Context, ids []uint64, timeout time.Duration) (*AwaitResponse, error) {
 	var resp AwaitResponse
-	req := AwaitRequest{IDs: ids, TimeoutMS: timeout.Milliseconds()}
+	req := AwaitRequest{IDs: ids, TimeoutMS: wireMS(timeout)}
 	if err := s.c.do(ctx, http.MethodPost, s.path("/await"), req, &resp); err != nil {
 		return nil, err
 	}
@@ -391,13 +401,8 @@ func (s *Session) Await(ctx context.Context, ids []uint64) ([]TaskStatus, error)
 				return nil, context.DeadlineExceeded
 			}
 		}
-		tms := timeout.Milliseconds()
-		if tms < 1 {
-			tms = 1 // 0 would select the server default, not "almost none"
-		}
-		var resp AwaitResponse
-		req := AwaitRequest{IDs: ids, TimeoutMS: tms}
-		if err := s.c.do(ctx, http.MethodPost, s.path("/await"), req, &resp); err != nil {
+		resp, err := s.AwaitOnce(ctx, ids, timeout)
+		if err != nil {
 			return nil, err
 		}
 		if resp.Done {

@@ -138,6 +138,46 @@ func TestServiceIdempotencyFailureNotMemoized(t *testing.T) {
 	}
 }
 
+// TestClientSubMillisecondDurations: a positive duration under 1 ms goes on
+// the wire as 1 ms, not as 0, which the server reads as "use the default".
+// Sent as 0, AwaitOnce on a pending task would wait out the server's 30 s
+// default instead of answering pending, and OpenWithDeadline would open a
+// session with no deadline at all.
+func TestClientSubMillisecondDurations(t *testing.T) {
+	d := startDaemon(t, service.Config{Workers: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	s, err := d.client.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := s.Submit(ctx, []service.TaskSpec{specOn(1, "inout", 500_000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitCtx, cancelAwait := context.WithTimeout(ctx, 3*time.Second)
+	resp, err := s.AwaitOnce(awaitCtx, ids, 500*time.Microsecond)
+	cancelAwait()
+	if err != nil || resp.Done {
+		t.Fatalf("AwaitOnce(500µs) on a 500 ms task = (%+v, %v), want pending at once", resp, err)
+	}
+	if _, err := s.Await(ctx, ids); err != nil {
+		t.Fatal(err)
+	}
+
+	short, err := d.client.OpenWithDeadline(ctx, 500*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	_, err = short.Submit(ctx, []service.TaskSpec{specOn(2, "inout", 0)})
+	var apiErr *service.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusGone {
+		t.Fatalf("submit 20 ms into a 500µs session = %v, want 410", err)
+	}
+}
+
 func TestServiceSessionDeadline(t *testing.T) {
 	d := startDaemon(t, service.Config{Workers: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -26,14 +26,6 @@ type CholeskyConfig struct {
 	Tiles int
 	// TileSize is B, the tile dimension; zero selects 64.
 	TileSize int
-	// CoreGFLOPS converts tile FLOP counts into durations; zero selects 2.
-	CoreGFLOPS float64
-	// FloatBytes is the element size; zero selects 4.
-	FloatBytes int
-	// MemChunkBytes/MemChunkTime give the off-chip quantum; zero selects
-	// the paper's 128 bytes / 12 ns.
-	MemChunkBytes int
-	MemChunkTime  sim.Time
 	// BaseAddr is the address of tile (0,0).
 	BaseAddr uint64
 }
@@ -41,18 +33,6 @@ type CholeskyConfig struct {
 func (c *CholeskyConfig) fill() {
 	if c.TileSize == 0 {
 		c.TileSize = 64
-	}
-	if c.CoreGFLOPS == 0 {
-		c.CoreGFLOPS = 2.0
-	}
-	if c.FloatBytes == 0 {
-		c.FloatBytes = 4
-	}
-	if c.MemChunkBytes == 0 {
-		c.MemChunkBytes = 128
-	}
-	if c.MemChunkTime == 0 {
-		c.MemChunkTime = 12 * sim.Nanosecond
 	}
 	if c.BaseAddr == 0 {
 		c.BaseAddr = 0x8000_0000
@@ -110,20 +90,20 @@ func (s *choleskySource) Reset() {
 }
 
 func (s *choleskySource) tileAddr(i, j int) uint64 {
-	bytes := uint64(s.cfg.TileSize * s.cfg.TileSize * s.cfg.FloatBytes)
+	bytes := uint64(s.cfg.TileSize * s.cfg.TileSize * floatBytes)
 	return s.cfg.BaseAddr + uint64(i*s.cfg.Tiles+j)*bytes
 }
 
 func (s *choleskySource) tileBytes() int {
-	return s.cfg.TileSize * s.cfg.TileSize * s.cfg.FloatBytes
+	return s.cfg.TileSize * s.cfg.TileSize * floatBytes
 }
 
 // kernelTimes converts kernel FLOPs and moved tiles into durations.
 func (s *choleskySource) kernelTimes(flops float64, tilesRead, tilesWritten int) (exec, mr, mw sim.Time) {
-	exec = sim.Time(flops / s.cfg.CoreGFLOPS * float64(sim.Nanosecond))
+	exec = sim.Time(flops / coreGFLOPS * float64(sim.Nanosecond))
 	chunk := func(bytes int) sim.Time {
-		n := (bytes + s.cfg.MemChunkBytes - 1) / s.cfg.MemChunkBytes
-		return sim.Time(n) * s.cfg.MemChunkTime
+		n := (bytes + memChunkBytes - 1) / memChunkBytes
+		return sim.Time(n) * memChunkTime
 	}
 	mr = chunk(tilesRead * s.tileBytes())
 	mw = chunk(tilesWritten * s.tileBytes())

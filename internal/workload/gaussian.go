@@ -43,17 +43,9 @@ import (
 type GaussianConfig struct {
 	// N is the matrix dimension.
 	N int
-	// CoreGFLOPS is the floating-point rate of one worker core; the paper
-	// assumes 2 GFLOPS. Zero selects 2.
-	CoreGFLOPS float64
-	// FloatBytes is the size of one matrix element; the paper's Cell-era
-	// cores work in single precision. Zero selects 4.
-	FloatBytes int
-	// MemChunkBytes and MemChunkTime give the off-chip transfer quantum;
-	// the paper's CACTI model yields 12ns per 128-byte chunk. Zero selects
-	// those values.
-	MemChunkBytes int
-	MemChunkTime  sim.Time
+	// MemChunkTime is the time to move one 128-byte chunk off chip; zero
+	// selects the paper's 12 ns (its CACTI model).
+	MemChunkTime sim.Time
 	// BaseAddr is the address of row 1; rows are laid out consecutively.
 	BaseAddr uint64
 	// PivotObservesAll selects the literal partial-pivoting data flow in
@@ -61,18 +53,20 @@ type GaussianConfig struct {
 	PivotObservesAll bool
 }
 
+// The paper's per-core cost model, shared by the dense kernels (Gaussian,
+// Cholesky): a 2 GFLOPS core working in single precision (the Cell-era
+// element size), moving data off chip in 128-byte chunks, each 12 ns by
+// the paper's CACTI model.
+const (
+	coreGFLOPS    = 2.0
+	floatBytes    = 4
+	memChunkBytes = 128
+	memChunkTime  = 12 * sim.Nanosecond
+)
+
 func (c *GaussianConfig) fill() {
-	if c.CoreGFLOPS == 0 {
-		c.CoreGFLOPS = 2.0
-	}
-	if c.FloatBytes == 0 {
-		c.FloatBytes = 4
-	}
-	if c.MemChunkBytes == 0 {
-		c.MemChunkBytes = 128
-	}
 	if c.MemChunkTime == 0 {
-		c.MemChunkTime = 12 * sim.Nanosecond
+		c.MemChunkTime = memChunkTime
 	}
 	if c.BaseAddr == 0 {
 		c.BaseAddr = 0x4000_0000
@@ -141,20 +135,20 @@ func (s *gaussianSource) Reset() {
 }
 
 func (s *gaussianSource) rowAddr(j int) uint64 {
-	return s.cfg.BaseAddr + uint64(j-1)*uint64(s.cfg.N*s.cfg.FloatBytes)
+	return s.cfg.BaseAddr + uint64(j-1)*uint64(s.cfg.N*floatBytes)
 }
 
 func (s *gaussianSource) rowSize() uint32 {
-	return uint32(s.cfg.N * s.cfg.FloatBytes)
+	return uint32(s.cfg.N * floatBytes)
 }
 
 // taskTimes converts a FLOP weight into the three phase durations.
 func (s *gaussianSource) taskTimes(w int) (exec, memRead, memWrite sim.Time) {
 	// exec = W / GFLOPS; with W in FLOPs and GFLOPS in 1e9 FLOP/s the
 	// duration in nanoseconds is W / GFLOPS.
-	exec = sim.Time(float64(w) / s.cfg.CoreGFLOPS * float64(sim.Nanosecond))
-	bytes := w * s.cfg.FloatBytes
-	chunks := (bytes + s.cfg.MemChunkBytes - 1) / s.cfg.MemChunkBytes
+	exec = sim.Time(float64(w) / coreGFLOPS * float64(sim.Nanosecond))
+	bytes := w * floatBytes
+	chunks := (bytes + memChunkBytes - 1) / memChunkBytes
 	if chunks < 1 {
 		chunks = 1
 	}

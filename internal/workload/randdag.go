@@ -33,15 +33,17 @@ type RandomDAGConfig struct {
 	Window int
 	// Seed drives both the structure and the per-task durations.
 	Seed uint64
-	// ExecMean is the mean execution time (truncated normal, sigma =
-	// mean/2, clamped to [mean/8, mean*4]); zero selects 2us.
-	ExecMean sim.Time
 	// BaseAddr is the address of task 0's output segment.
 	BaseAddr uint64
 }
 
-// randDAGCellBytes is the size of one task's output segment.
-const randDAGCellBytes = 64
+const (
+	// randDAGCellBytes is the size of one task's output segment.
+	randDAGCellBytes = 64
+	// randDAGExecMean is the mean execution time: a truncated normal with
+	// sigma = mean/2, clamped to [mean/8, mean*4].
+	randDAGExecMean = 2 * sim.Microsecond
+)
 
 func (c *RandomDAGConfig) fill() {
 	if c.Tasks <= 0 {
@@ -52,9 +54,6 @@ func (c *RandomDAGConfig) fill() {
 	}
 	if c.Window <= 0 {
 		c.Window = 64
-	}
-	if c.ExecMean == 0 {
-		c.ExecMean = 2 * sim.Microsecond
 	}
 	if c.BaseAddr == 0 {
 		c.BaseAddr = 0x3000_0000
@@ -98,8 +97,8 @@ func (s *randDAGSource) Next() (trace.TaskSpec, bool) {
 	id := s.next
 	s.next++
 	exec := sim.Time(s.rng.TruncNorm(
-		float64(s.cfg.ExecMean), float64(s.cfg.ExecMean)/2,
-		float64(s.cfg.ExecMean)/8, float64(s.cfg.ExecMean)*4))
+		float64(randDAGExecMean), float64(randDAGExecMean)/2,
+		float64(randDAGExecMean)/8, float64(randDAGExecMean)*4))
 	t := trace.TaskSpec{ID: uint64(id), Exec: exec}
 	window := s.cfg.Window
 	if window > id {

@@ -6,7 +6,6 @@ import (
 	"nexuspp/internal/backend"
 	"nexuspp/internal/core"
 	"nexuspp/internal/depgraph"
-	"nexuspp/internal/faults"
 	"nexuspp/internal/obs"
 	"nexuspp/internal/service"
 	"nexuspp/internal/starss"
@@ -18,7 +17,7 @@ import (
 
 // Backend is one execution engine driving a traced workload to completion
 // behind the unified API: Name, Describe, and
-// Run(ctx, BackendConfig, Source) -> *Report. Five engines are registered:
+// Run(ctx, BackendConfig, Source) -> *Report. There are five engines:
 //
 //	nexuspp  the Nexus++ hardware simulator (the paper's SSIII model)
 //	nexus    the original-Nexus simulator (hard limits; may reject workloads)
@@ -39,28 +38,19 @@ type Report = backend.Report
 // WorkloadInfo is one named entry of the workload registry.
 type WorkloadInfo = backend.WorkloadInfo
 
-// Backends returns every registered backend sorted by name.
+// Backends returns the five engines sorted by name.
 func Backends() []Backend { return backend.All() }
 
 // LookupBackend resolves a backend by name; an unknown name fails with an
 // error listing every valid name.
 func LookupBackend(name string) (Backend, error) { return backend.Lookup(name) }
 
-// RegisterBackend adds a custom engine to the registry; it panics on a
-// duplicate or empty name.
-func RegisterBackend(b Backend) { backend.Register(b) }
-
-// Workloads returns the registered named workloads sorted by name.
+// Workloads returns the named workloads sorted by name.
 func Workloads() []WorkloadInfo { return backend.Workloads() }
 
 // LookupWorkload resolves a named workload; an unknown name fails with an
 // error listing every valid name in sorted order.
 func LookupWorkload(name string) (WorkloadInfo, error) { return backend.LookupWorkload(name) }
-
-// RegisterWorkload adds a named workload to the registry, making it
-// available to the unified CLI and the golden conformance corpus; it panics
-// on a duplicate or empty name or a nil constructor.
-func RegisterWorkload(w WorkloadInfo) { backend.RegisterWorkload(w) }
 
 // --- Hardware simulation -----------------------------------------------
 
@@ -300,41 +290,3 @@ func NewServiceClient(base string) *ServiceClient { return service.NewClient(bas
 // ServiceTaskFromSpec converts a traced task into its wire form, so traced
 // workloads can be submitted to a live daemon.
 func ServiceTaskFromSpec(spec TaskSpec) ServiceTaskSpec { return service.FromTraceSpec(spec) }
-
-// --- Fault injection ------------------------------------------------------
-
-// FaultInjector decides, deterministically per seed, whether an injected
-// fault fires at a given site for a given key. A nil injector is the
-// disabled state: every layer that consults one pays a single nil check,
-// and schedules are reproducible per seed. Wrap a service's Handler with it
-// (as nexusd -faults does), put it on the client side with FaultTransport,
-// or consult it in a body.
-type FaultInjector = faults.Injector
-
-// FaultPlan is a seed plus the armed rules — one reproducible schedule.
-type FaultPlan = faults.Plan
-
-// FaultRule arms one injection site with a probability or a fire-every-N
-// discipline, plus an optional injected delay.
-type FaultRule = faults.Rule
-
-// FaultSite is one injection point (task error/panic/hang, and the wire's
-// drop/duplicate/delay sites).
-type FaultSite = faults.Site
-
-// FaultTransport is an http.RoundTripper injecting client-side wire faults
-// (dropped, duplicated, delayed requests and responses).
-type FaultTransport = faults.Transport
-
-// ErrFaultInjected is the root of every injected fault, for errors.Is.
-var ErrFaultInjected = faults.ErrInjected
-
-// NewFaultInjector compiles a plan; nil or empty plans yield the disabled
-// (nil) injector.
-func NewFaultInjector(plan *FaultPlan) *FaultInjector { return faults.New(plan) }
-
-// ParseFaultSpec compiles the textual rule syntax used by the nexusd and
-// nexusbench flags, e.g. "task_panic:0.05,resp_drop:every=4".
-func ParseFaultSpec(seed uint64, spec string) (*FaultInjector, error) {
-	return faults.ParseSpec(seed, spec)
-}
