@@ -21,9 +21,11 @@ race:
 # allocs runs the allocation pins without the race detector, whose
 # instrumentation changes what escapes: the zero-allocation pins on
 # sim.Engine / sim.Server, the allocations-per-task budget on core.Run and
-# its run-loop marginal pin (at most 0.1 allocations per extra task between
-# Gaussian N = 40 and N = 80), the generator pin (one pass of every
-# workload's Next within Total()/64 allocations, parameters off a slab), the
+# its run-loop marginal pin (allocations per extra task between Gaussian
+# N = 40 and N = 80: at most 0.1 with the safe guard, 0.2 with renaming,
+# whose Task Pool entries keep their version tags), the generator pin (one
+# pass of every workload's Next within Total()/64 allocations, parameters
+# off a slab), the
 # service's codec pins (nothing allocated decoding a request on a kept
 # decoder, whether the compact path or the grammar reads it) and its submit-
 # and await-handler pins (an await of finished tasks arms no timer), which
@@ -72,7 +74,10 @@ flake:
 # codec against encoding/json, round trips, and the real handler, which may
 # answer hostile bytes with nothing but a typed 4xx. The fourth drives the
 # runtime's dependence table beside a map model, with keys in several
-# namespaces and hashes the input degrades until everything collides.
+# namespaces and hashes the input degrades until everything collides. The
+# fifth replays one access sequence without pure writers on the simulator's
+# Dependence Table with renaming off and on, which must agree on everything
+# but the chain walk Handle Finished skips under renaming.
 # (`go test ./...` already runs their seed corpora.)
 fuzz:
 	@list=$$($(GO) test -list '^Fuzz' ./...) || exit 1; \

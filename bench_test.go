@@ -22,6 +22,7 @@ import (
 	"nexuspp/internal/sim"
 	"nexuspp/internal/softrts"
 	"nexuspp/internal/starss"
+	"nexuspp/internal/trace"
 	"nexuspp/internal/workload"
 )
 
@@ -264,9 +265,9 @@ func BenchmarkDepTableProcessNew(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr := uint64(i%2048+1) * 1024
-		granted, _, _ := dt.ProcessNew(int32(i), addr, 1024, true)
+		_, granted, _, _ := dt.ProcessNew(int32(i), addr, 1024, trace.Out)
 		if granted {
-			dt.ProcessFinished(int32(i), addr, true)
+			dt.ProcessFinished(int32(i), addr, -1, true)
 		}
 	}
 }

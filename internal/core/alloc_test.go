@@ -42,17 +42,33 @@ func TestRunAllocationsPerTask(t *testing.T) {
 // TestRunLoopAllocationsPerExtraTask pins the event loop apart from the
 // set-up: the same configuration on Gaussian N = 40 and N = 80 has the
 // same set-up, so the difference in allocations over the difference in
-// tasks is what one more task costs.
+// tasks is what one more task costs. Under renaming a Task Pool entry
+// keeps its versions slice from task to task, or every task would
+// allocate one. The 0.08 renaming still costs above the safe guard (0.11
+// against 0.024) is first-touch growth: N = 80 reaches Task Pool entries,
+// bucket chains and kick-off lists that N = 40 never grows, and renaming's
+// extra live versions reach more of them. Between N = 80 and N = 120 the
+// two configurations cost the same, 0.016.
 func TestRunLoopAllocationsPerExtraTask(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins do not hold under the race detector")
 	}
-	cfg := DefaultConfig(16)
-	a40, t40 := runAllocs(t, cfg, 40)
-	a80, t80 := runAllocs(t, cfg, 80)
-	marginal := (a80 - a40) / float64(t80-t40)
-	t.Logf("%.4f allocations per extra task (%.0f over %d tasks, %.0f over %d)", marginal, a40, t40, a80, t80)
-	if marginal > 0.1 {
-		t.Errorf("core.Run: %.4f allocations per extra task, want <= 0.1", marginal)
+	renaming := DefaultConfig(16)
+	renaming.RenameFalseDeps = true
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		budget float64
+	}{
+		{"safe-guard", DefaultConfig(16), 0.1},
+		{"renaming", renaming, 0.2},
+	} {
+		a40, t40 := runAllocs(t, c.cfg, 40)
+		a80, t80 := runAllocs(t, c.cfg, 80)
+		marginal := (a80 - a40) / float64(t80-t40)
+		t.Logf("%s: %.4f allocations per extra task (%.0f over %d tasks, %.0f over %d)", c.name, marginal, a40, t40, a80, t80)
+		if marginal > c.budget {
+			t.Errorf("core.Run, %s: %.4f allocations per extra task, want <= %g", c.name, marginal, c.budget)
+		}
 	}
 }

@@ -138,7 +138,7 @@ type Config struct {
 	// opening fresh segment versions instead of waiting — the renaming
 	// alternative the paper mentions and deliberately does not implement.
 	// Each live version occupies a Dependence Table slot; see
-	// internal/core/renaming.go and the ablation-renaming experiment.
+	// DepTable.ProcessNew and the ablation-renaming experiment.
 	RenameFalseDeps bool
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+
+	"nexuspp/internal/trace"
 )
 
 // FatalModelError aborts a simulation from deep inside a hardware block:
@@ -25,7 +27,8 @@ func (e FatalModelError) Error() string { return "core: " + e.Reason }
 //
 // Semantics implement Listing 2 (Check Deps) and the Handle Finished rules
 // of SSIII-B, including WAR/WAW enforcement via the ww flag (Nexus++
-// supports the false dependencies "as a safe guard" instead of renaming).
+// supports the false dependencies "as a safe guard" instead of renaming;
+// renaming is an ablation, see ProcessNew).
 //
 // The bucket chains are the table's only index, as in the hardware: a
 // lookup walks its bucket, and the walk is what the access count charges.
@@ -33,17 +36,18 @@ type DepTable struct {
 	slots    int // total entry capacity, parents + dummy segments
 	koSlots  int
 	strictKO bool // original-Nexus mode: no dummy entries, overflow is fatal
-	renaming bool // WAR/WAW elimination for pure writers (see renaming.go)
+	// renaming lets a pure writer open a fresh version of a busy segment
+	// instead of waiting (Config.RenameFalseDeps, see ProcessNew).
+	renaming bool
 
-	renamedVersions uint64
-	used            int
-	live            int       // current entries: one per live address
-	buckets         [][]int32 // collision chains of live entry indices
-	nBuckets        int
-	entries         []dtEntry
-	freeIdx         []int32
-	grants          []Grant // ProcessFinished's result, reused by every call
-	onFree          []func()
+	used     int
+	live     int       // current entries: one per live address
+	buckets  [][]int32 // collision chains of live entry indices
+	nBuckets int
+	entries  []dtEntry
+	freeIdx  []int32
+	grants   []Grant // ProcessFinished's result, reused by every call
+	onFree   func()  // called whenever slots are released
 
 	// Statistics.
 	maxOccupancy  int
@@ -51,7 +55,6 @@ type DepTable struct {
 	maxKOSegments int
 	dummySegments uint64
 	fullStalls    uint64
-	lookups       uint64
 }
 
 type koItem struct {
@@ -128,15 +131,9 @@ func (dt *DepTable) DummySegments() uint64 { return dt.dummySegments }
 // FullStalls returns how many operations stalled on a full table.
 func (dt *DepTable) FullStalls() uint64 { return dt.fullStalls }
 
-// OnFree registers a callback invoked whenever slots are released, used by
+// OnFree sets the callback invoked whenever slots are released, used by
 // the Check Deps block to retry stalled operations.
-func (dt *DepTable) OnFree(fn func()) { dt.onFree = append(dt.onFree, fn) }
-
-func (dt *DepTable) notifyFree() {
-	for _, fn := range dt.onFree {
-		fn()
-	}
-}
+func (dt *DepTable) OnFree(fn func()) { dt.onFree = fn }
 
 func (dt *DepTable) hash(addr uint64) int {
 	// Full-avalanche mix (splitmix64 finalizer) over the segment base
@@ -170,7 +167,9 @@ func (dt *DepTable) releaseSlots(n int) {
 	if dt.used < 0 {
 		panic("core: Dependence Table slot accounting went negative")
 	}
-	dt.notifyFree()
+	if dt.onFree != nil {
+		dt.onFree()
+	}
 }
 
 // lookup finds the *current* entry index of addr and the number of chain
@@ -178,12 +177,6 @@ func (dt *DepTable) releaseSlots(n int) {
 // bucket may also hold demoted versions of the address; only the current
 // one matches.
 func (dt *DepTable) lookup(addr uint64) (idx int32, walk int, found bool) {
-	dt.lookups++
-	return dt.find(addr)
-}
-
-// find is lookup without the statistic.
-func (dt *DepTable) find(addr uint64) (idx int32, walk int, found bool) {
 	chain := dt.buckets[dt.hash(addr)]
 	for i, ei := range chain {
 		if e := &dt.entries[ei]; e.addr == addr && e.current {
@@ -303,52 +296,76 @@ func (dt *DepTable) koPop(e *dtEntry) (koItem, bool) {
 }
 
 // ProcessNew implements Listing 2 for one parameter of a newly submitted
-// task. It returns whether the task was granted immediate access to the
-// segment (granted == false means it was enqueued on the kick-off list and
-// the caller must increment the task's dependence counter), the number of
-// table accesses performed (for service-time accounting), and whether the
-// operation stalled on a full table (nothing is mutated in that case).
-func (dt *DepTable) ProcessNew(task int32, addr uint64, size uint32, wantsWrite bool) (granted bool, accesses int, stalled bool) {
+// task. It returns the entry the task was bound to, whether the task was
+// granted immediate access to the segment (granted == false means it was
+// enqueued on the kick-off list and the caller must increment the task's
+// dependence counter), the number of table accesses performed (for
+// service-time accounting), and whether the operation stalled on a full
+// table (nothing is mutated in that case).
+func (dt *DepTable) ProcessNew(task int32, addr uint64, size uint32, mode trace.AccessMode) (entry int32, granted bool, accesses int, stalled bool) {
 	idx, walk, found := dt.lookup(addr)
 	accesses = 1 + walk // hash + chain walk
 	if !found {
 		if !dt.takeSlot() {
 			dt.fullStalls++
-			return false, accesses, true
+			return -1, false, accesses, true
 		}
-		e := &dt.entries[dt.insert(addr, size)]
+		idx = dt.insert(addr, size)
+		e := &dt.entries[idx]
 		accesses++
-		if wantsWrite {
+		if mode.Writes() {
 			e.isOut = true // Listing 2 branch 2'
 		} else {
 			e.rdrs = 1 // Listing 2 branch 2
 		}
-		return true, accesses, false
+		return idx, true, accesses, false
 	}
 	e := &dt.entries[idx]
-	if !wantsWrite {
+	if !mode.Writes() {
 		if !e.isOut && !e.ww { // Listing 2 branch 4: read granted
 			e.rdrs++
 			accesses++
-			return true, accesses, false
+			return idx, true, accesses, false
 		}
 		// Branch 4': wait behind the writer.
 		grew, ok := dt.koAppend(e, koItem{task: task})
 		if !ok {
 			dt.fullStalls++
-			return false, accesses, true
+			return -1, false, accesses, true
 		}
 		accesses++
 		if grew {
 			accesses++
 		}
-		return false, accesses, false
+		return idx, false, accesses, false
+	}
+	if mode == trace.Out && dt.renaming {
+		// Renaming, the alternative the paper names in SSIII-B ("the WAR
+		// hazards and the write-after-write WAW hazards are false
+		// dependencies and are normally resolved using renaming
+		// techniques"): a pure writer does not wait. It demotes the busy
+		// segment, which keeps serving the users bound to it and retires
+		// after the last of them, and opens a fresh current version it
+		// owns. Readers and inout writers keep Listing 2 on the current
+		// version, since their dependencies are real. Every live version
+		// holds a slot, the table pressure that makes a small hardware
+		// table prefer the safe guard; ablation-renaming measures it.
+		if !dt.takeSlot() {
+			dt.fullStalls++
+			return -1, false, accesses, true
+		}
+		e.current = false
+		dt.live--
+		idx = dt.insert(addr, size)
+		dt.entries[idx].isOut = true
+		accesses += 2 // demote + insert
+		return idx, true, accesses, false
 	}
 	// Branch 3': writers always wait behind the current owner.
 	grew, ok := dt.koAppend(e, koItem{task: task, wantsWrite: true})
 	if !ok {
 		dt.fullStalls++
-		return false, accesses, true
+		return -1, false, accesses, true
 	}
 	accesses++
 	if grew {
@@ -357,21 +374,28 @@ func (dt *DepTable) ProcessNew(task int32, addr uint64, size uint32, wantsWrite 
 	if !e.isOut {
 		e.ww = true // a writer waits behind active readers (WAR)
 	}
-	return false, accesses, false
+	return idx, false, accesses, false
 }
 
 // ProcessFinished implements the Handle Finished rules for one parameter of
 // a completed task. It returns the tasks granted access from the kick-off
 // list (the caller decrements their dependence counters) and the number of
 // table accesses performed. It never stalls: draining only releases slots.
-// The returned slice is reused by the next ProcessFinished or
-// ProcessFinishedVersioned call.
-func (dt *DepTable) ProcessFinished(task int32, addr uint64, wasWriter bool) (grants []Grant, accesses int) {
-	idx, walk, found := dt.lookup(addr)
-	accesses = 1 + walk
-	if !found {
+// The returned slice is reused by the next call.
+//
+// Without renaming the segment is found by address, at the cost of the
+// chain walk, and entry is ignored. Under renaming the task passes back the
+// entry ProcessNew bound it to (hardware would carry a version tag in the
+// descriptor), which may be a demoted version, and no chain is walked.
+func (dt *DepTable) ProcessFinished(task int32, addr uint64, entry int32, wasWriter bool) (grants []Grant, accesses int) {
+	idx, walk := entry, 0
+	if !dt.renaming {
+		idx, walk, _ = dt.lookup(addr)
+	}
+	if idx < 0 || !dt.entries[idx].live || dt.entries[idx].addr != addr {
 		panic(fmt.Sprintf("core: finished task %d references unknown segment %#x", task, addr))
 	}
+	accesses = 1 + walk
 	e := &dt.entries[idx]
 	if !wasWriter {
 		// Reader finished.
@@ -464,7 +488,7 @@ func (dt *DepTable) checkInvariants() error {
 					return fmt.Errorf("deptable: %#x has two current entries", e.addr)
 				}
 			}
-			if idx, _, ok := dt.find(e.addr); !ok || idx != ei {
+			if idx, _, ok := dt.lookup(e.addr); !ok || idx != ei {
 				return fmt.Errorf("deptable: lookup of %#x misses its current entry %d", e.addr, ei)
 			}
 		}

@@ -100,9 +100,7 @@ func newMaestro(eng *sim.Engine, cfg *Config) *Maestro {
 		cdTask: -1,
 	}
 	m.dt.strictKO = cfg.HardKickOffLimit
-	if cfg.RenameFalseDeps {
-		m.dt.EnableRenaming()
-	}
+	m.dt.renaming = cfg.RenameFalseDeps
 	var tpPort, dtPort *sim.Resource
 	if cfg.TablePorts > 0 {
 		tpPort = sim.NewResource("task-pool-ports", cfg.TablePorts)
@@ -336,21 +334,14 @@ func (m *Maestro) startCheckDeps() {
 	stalled := false
 	for m.cdParam < len(params) {
 		p := params[m.cdParam]
-		var granted, st bool
-		var acc int
-		if m.dt.Renaming() {
-			var version int32
-			version, granted, acc, st = m.dt.ProcessNewVersioned(m.cdTask, p.Addr, p.Size, toParamMode(p.Mode))
-			if !st {
-				e.versions = append(e.versions, version)
-			}
-		} else {
-			granted, acc, st = m.dt.ProcessNew(m.cdTask, p.Addr, p.Size, p.Mode.Writes())
-		}
+		entry, granted, acc, st := m.dt.ProcessNew(m.cdTask, p.Addr, p.Size, p.Mode)
 		accesses += acc
 		if st {
 			stalled = true
 			break
+		}
+		if m.dt.renaming {
+			e.versions = append(e.versions, entry)
 		}
 		if !granted {
 			m.tp.AddDC(m.cdTask, 1)
@@ -448,18 +439,6 @@ func (m *Maestro) taskFinished(core int) {
 	m.finishNotif.MustPush(core)
 }
 
-// toParamMode converts a trace access mode to the renaming-path mode.
-func toParamMode(m trace.AccessMode) paramMode {
-	switch m {
-	case trace.In:
-		return paramIn
-	case trace.Out:
-		return paramOut
-	default:
-		return paramInOut
-	}
-}
-
 // --- Handle Finished block --------------------------------------------------
 
 func (m *Maestro) kickHandleFinished() {
@@ -487,13 +466,11 @@ func (m *Maestro) startHandleFinished() {
 	accesses := 0
 	m.hfReady = m.hfReady[:0]
 	for i, p := range e.spec.Params {
-		var grants []Grant
-		var acc int
-		if m.dt.Renaming() {
-			grants, acc = m.dt.ProcessFinishedVersioned(task, e.versions[i], p.Mode.Writes())
-		} else {
-			grants, acc = m.dt.ProcessFinished(task, p.Addr, p.Mode.Writes())
+		entry := int32(-1) // ignored without renaming
+		if m.dt.renaming {
+			entry = e.versions[i]
 		}
+		grants, acc := m.dt.ProcessFinished(task, p.Addr, entry, p.Mode.Writes())
 		accesses += acc
 		for _, g := range grants {
 			waiter := m.tp.Entry(g.Task)

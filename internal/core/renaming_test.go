@@ -13,25 +13,25 @@ import (
 
 func TestRenamingPureWriterNeverWaits(t *testing.T) {
 	dt := NewDepTable(16, 8)
-	dt.EnableRenaming()
-	v1, g, _, st := dt.ProcessNewVersioned(1, 0xA, 4, paramOut)
+	dt.renaming = true
+	v1, g, _, st := dt.ProcessNew(1, 0xA, 4, trace.Out)
 	if !g || st {
 		t.Fatal("first writer not granted")
 	}
 	// A second pure writer forks a version instead of waiting (WAW gone).
-	v2, g, _, st := dt.ProcessNewVersioned(2, 0xA, 4, paramOut)
+	v2, g, _, st := dt.ProcessNew(2, 0xA, 4, trace.Out)
 	if !g || st {
 		t.Fatal("renamed writer had to wait")
 	}
 	if v1 == v2 {
 		t.Fatal("no fresh version created")
 	}
-	if dt.RenamedVersions() != 1 || dt.Used() != 2 {
-		t.Fatalf("versions=%d used=%d", dt.RenamedVersions(), dt.Used())
+	if dt.Used() != 2 {
+		t.Fatalf("used = %d, want 2", dt.Used())
 	}
 	// Finishing in either order retires both versions.
-	dt.ProcessFinishedVersioned(2, v2, true)
-	dt.ProcessFinishedVersioned(1, v1, true)
+	dt.ProcessFinished(2, 0xA, v2, true)
+	dt.ProcessFinished(1, 0xA, v1, true)
 	if dt.Used() != 0 {
 		t.Fatalf("used = %d after drain", dt.Used())
 	}
@@ -42,30 +42,30 @@ func TestRenamingPureWriterNeverWaits(t *testing.T) {
 
 func TestRenamingWAREliminated(t *testing.T) {
 	dt := NewDepTable(16, 8)
-	dt.EnableRenaming()
-	vr, g, _, _ := dt.ProcessNewVersioned(1, 0xB, 4, paramIn)
+	dt.renaming = true
+	vr, g, _, _ := dt.ProcessNew(1, 0xB, 4, trace.In)
 	if !g {
 		t.Fatal("reader not granted")
 	}
 	// A pure writer does not wait for the reader (WAR gone).
-	vw, g, _, _ := dt.ProcessNewVersioned(2, 0xB, 4, paramOut)
+	vw, g, _, _ := dt.ProcessNew(2, 0xB, 4, trace.Out)
 	if !g {
 		t.Fatal("writer waited for a reader despite renaming")
 	}
 	// A reader submitted now binds to the new version and waits for the
 	// writer (RAW preserved).
-	_, g, _, _ = dt.ProcessNewVersioned(3, 0xB, 4, paramIn)
+	_, g, _, _ = dt.ProcessNew(3, 0xB, 4, trace.In)
 	if g {
 		t.Fatal("RAW hazard lost under renaming")
 	}
 	// Old reader finishes -> old version retires.
-	dt.ProcessFinishedVersioned(1, vr, false)
+	dt.ProcessFinished(1, 0xB, vr, false)
 	// Writer finishes -> waiting reader granted on the new version.
-	grants, _ := dt.ProcessFinishedVersioned(2, vw, true)
+	grants, _ := dt.ProcessFinished(2, 0xB, vw, true)
 	if len(grants) != 1 || grants[0].Task != 3 {
 		t.Fatalf("grants = %v", grants)
 	}
-	dt.ProcessFinishedVersioned(3, vw, false)
+	dt.ProcessFinished(3, 0xB, vw, false)
 	if dt.Used() != 0 {
 		t.Fatalf("used = %d", dt.Used())
 	}
@@ -76,18 +76,18 @@ func TestRenamingWAREliminated(t *testing.T) {
 
 func TestRenamingInOutKeepsTrueDependency(t *testing.T) {
 	dt := NewDepTable(16, 8)
-	dt.EnableRenaming()
-	v1, _, _, _ := dt.ProcessNewVersioned(1, 0xC, 4, paramOut)
+	dt.renaming = true
+	v1, _, _, _ := dt.ProcessNew(1, 0xC, 4, trace.Out)
 	// An inout must wait: it reads the current value.
-	_, g, _, _ := dt.ProcessNewVersioned(2, 0xC, 4, paramInOut)
+	_, g, _, _ := dt.ProcessNew(2, 0xC, 4, trace.InOut)
 	if g {
 		t.Fatal("inout bypassed its RAW dependency")
 	}
-	grants, _ := dt.ProcessFinishedVersioned(1, v1, true)
+	grants, _ := dt.ProcessFinished(1, 0xC, v1, true)
 	if len(grants) != 1 || grants[0].Task != 2 {
 		t.Fatalf("grants = %v", grants)
 	}
-	dt.ProcessFinishedVersioned(2, v1, true)
+	dt.ProcessFinished(2, 0xC, v1, true)
 	if dt.Used() != 0 {
 		t.Fatal("leak")
 	}
@@ -164,17 +164,6 @@ func TestRenamingOnWavefront(t *testing.T) {
 	}
 }
 
-func TestEnableRenamingOnDirtyTablePanics(t *testing.T) {
-	dt := NewDepTable(8, 8)
-	dt.ProcessNew(1, 0xA, 4, true)
-	defer func() {
-		if recover() == nil {
-			t.Error("EnableRenaming on a non-empty table did not panic")
-		}
-	}()
-	dt.EnableRenaming()
-}
-
 // Property: random workloads under renaming complete, validate against the
 // renamed oracle, and never leak table slots.
 func TestRenamingRandomProperty(t *testing.T) {
@@ -222,12 +211,12 @@ func TestRenamingRandomProperty(t *testing.T) {
 // the current one's position.
 func TestDepTableSharedBucketRenaming(t *testing.T) {
 	dt := NewDepTable(16, 8)
-	dt.EnableRenaming()
+	dt.renaming = true
 	ab := sameBucket(dt, 2)
 	a, b := ab[0], ab[1]
-	old, _, _, _ := dt.ProcessNewVersioned(1, a, 4, paramIn) // reader keeps it alive
-	dt.ProcessNewVersioned(2, b, 4, paramOut)
-	cur, g, _, _ := dt.ProcessNewVersioned(3, a, 4, paramOut) // demotes old
+	old, _, _, _ := dt.ProcessNew(1, a, 4, trace.In) // reader keeps it alive
+	dt.ProcessNew(2, b, 4, trace.Out)
+	cur, g, _, _ := dt.ProcessNew(3, a, 4, trace.Out) // demotes old
 	if !g || cur == old {
 		t.Fatalf("pure writer: granted %v, version %d (old %d)", g, cur, old)
 	}
@@ -241,12 +230,8 @@ func TestDepTableSharedBucketRenaming(t *testing.T) {
 	if dt.MaxChain() != 3 { // what the table reported when it also kept an index map
 		t.Fatalf("max chain = %d, want 3", dt.MaxChain())
 	}
-	lookups := dt.lookups
 	if err := dt.checkInvariants(); err != nil {
 		t.Fatal(err)
-	}
-	if dt.lookups != lookups {
-		t.Fatal("checkInvariants counted its walks as lookups")
 	}
 
 	// A second current entry for A must be caught.
@@ -259,7 +244,7 @@ func TestDepTableSharedBucketRenaming(t *testing.T) {
 	dt.live--
 
 	// The demoted version retires with its reader; A is found one step sooner.
-	dt.ProcessFinishedVersioned(1, old, false)
+	dt.ProcessFinished(1, a, old, false)
 	if idx, walk, found := dt.lookup(a); !found || idx != cur || walk != 2 {
 		t.Fatalf("after retiring the demoted version: lookup(A) = %d, walk %d, found %v", idx, walk, found)
 	}

@@ -36,8 +36,9 @@ type tpEntry struct {
 	spec     trace.TaskSpec
 	dc       int     // Dependence Counter
 	extra    []int32 // chained dummy descriptor indices (nD = len(extra))
-	// versions binds each parameter to the Dependence Table version it was
-	// granted (renaming mode only; parallel to spec.Params).
+	// versions binds each parameter to the Dependence Table entry it was
+	// granted (renaming mode only; parallel to spec.Params). Alloc and Free
+	// keep its storage, as the Dependence Table keeps its kick-off lists.
 	versions []int32
 }
 
@@ -115,7 +116,7 @@ func (tp *TaskPool) Alloc(spec trace.TaskSpec) (id int32, ok bool) {
 	}
 	parent, _ := tp.free.Pop()
 	e := &tp.entries[parent]
-	*e = tpEntry{live: true, spec: spec, parent: parent}
+	*e = tpEntry{live: true, spec: spec, parent: parent, versions: e.versions[:0]}
 	for i := 1; i < need; i++ {
 		idx, _ := tp.free.Pop()
 		tp.entries[idx] = tpEntry{live: true, isDummy: true, parent: parent}
@@ -167,7 +168,7 @@ func (tp *TaskPool) Free(id int32) {
 		tp.entries[idx] = tpEntry{}
 		tp.free.MustPush(idx)
 	}
-	*e = tpEntry{}
+	*e = tpEntry{versions: e.versions[:0]}
 	tp.free.MustPush(id)
 	tp.occupancy -= n
 }

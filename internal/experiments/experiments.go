@@ -272,7 +272,7 @@ func AblationRenaming(opts Options) (*report.Table, error) {
 			t.AddRow(c.name, mode, res.Makespan.String(), res.MaxDTOccupancy)
 		}
 	}
-	t.AddNote("renaming helps only workloads with pure-writer WAW/WAR conflicts; StarSs wavefront codes use inout and are unaffected, supporting the paper's choice to keep tables small")
+	t.AddNote("renaming helps only workloads with pure-writer WAW/WAR conflicts, supporting the paper's choice to keep tables small; StarSs wavefront codes use inout and open no versions, and their small shift is renaming's Handle Finished reading each task's version tag instead of walking the bucket chain")
 	return t, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The experiment drivers run full simulations; the tests here use trimmed
@@ -82,6 +83,54 @@ func TestAblationDummiesShowsNexusFailure(t *testing.T) {
 	}
 	if !strings.Contains(out, "completes") {
 		t.Errorf("expected Nexus++ success rows:\n%s", out)
+	}
+}
+
+// TestAblationRenamingQuick pins the ablation's two findings: renaming
+// more than halves the hot-output rewrite's makespan at the price of a
+// fuller Dependence Table, and leaves the inout wavefront within 0.5 %.
+func TestAblationRenamingQuick(t *testing.T) {
+	tbl, err := AblationRenaming(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tbl.RenderCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r := csv.NewReader(&buf)
+	r.Comment = '#'
+	rows, err := r.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cell struct {
+		makespan  time.Duration
+		occupancy int
+	}
+	got := map[string]cell{} // by workload and mode
+	for _, row := range rows[1:] {
+		ms, err := time.ParseDuration(row[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		occ, err := strconv.Atoi(row[3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[row[0]+"/"+row[1]] = cell{ms, occ}
+	}
+	if len(got) != 4 {
+		t.Fatalf("want four rows, got %v", got)
+	}
+	safe, ren := got["hot-output rewrite/safe-guard (paper)"], got["hot-output rewrite/renaming"]
+	if ren.makespan >= safe.makespan/2 || ren.occupancy <= safe.occupancy {
+		t.Errorf("hot-output rewrite: renaming %v with %d DT slots, safe guard %v with %d; want under half the makespan on more slots",
+			ren.makespan, ren.occupancy, safe.makespan, safe.occupancy)
+	}
+	safe, ren = got["wavefront/safe-guard (paper)"], got["wavefront/renaming"]
+	if d := math.Abs(float64(ren.makespan-safe.makespan)) / float64(safe.makespan); d > 0.005 {
+		t.Errorf("wavefront: renaming %v against safe guard %v, %.2f %% apart; want within 0.5 %%", ren.makespan, safe.makespan, 100*d)
 	}
 }
 
