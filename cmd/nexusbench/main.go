@@ -8,7 +8,7 @@
 //	nexusbench list
 //	nexusbench golden [-check|-regen] [-dir=<path>] [-case=<name>]
 //	nexusbench exp    [flags] [experiment...]
-//	nexusbench serve  [-addr=<url>] [-clients=N] [-tasks=N] [flags]
+//	nexusbench serve  [-addr=<url>] [-clients=N] [-tasks=N]
 //	nexusbench chaos  [-seed=N] [-scenarios=all] [-repeat=N] [-json=<path>]
 //	nexusbench trace  [-workload=<name>] [-o=trace.json] [flags]
 //
@@ -28,9 +28,10 @@
 // fig8, headline, ablation-buffering, ablation-dummies, ablation-ports,
 // ablation-renaming, rts, nexus, cholesky, shards, all (default).
 //
-// `serve` is the service smoke: concurrent clients drive a nexusd daemon
-// (a running one via -addr, or an in-process loopback server) with
-// overlapping-address task graphs and verify per-session accounting.
+// `serve` is the service smoke: -clients concurrent clients drive a nexusd
+// daemon (a running one via -addr, or an in-process loopback server) with
+// -tasks overlapping-address tasks each, in fixed 64-task batches over 32
+// shared addresses, and verify per-session accounting.
 //
 // `chaos` runs the seeded fault-injection scenarios of internal/chaos —
 // task panics, hangs under deadlines, retry recovery, duplicated and
@@ -99,7 +100,7 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "       nexusbench list")
 	fmt.Fprintln(w, "       nexusbench golden [-check|-regen] [-dir=<path>] [-case=<name>]")
 	fmt.Fprintln(w, "       nexusbench exp [flags] [experiment...]")
-	fmt.Fprintln(w, "       nexusbench serve [-addr=<url>] [-clients=N] [-tasks=N] [flags]")
+	fmt.Fprintln(w, "       nexusbench serve [-addr=<url>] [-clients=N] [-tasks=N]")
 	fmt.Fprintln(w, "       nexusbench chaos [-seed=N] [-scenarios=all] [-repeat=N] [-json=<path>]")
 	fmt.Fprintln(w, "       nexusbench trace [-workload=<name>] [-o=trace.json] [flags]")
 	fmt.Fprintln(w, "run 'nexusbench list' for backends and workloads,")

@@ -20,17 +20,20 @@ import (
 // graphs through it (riding out 429 backpressure), await completion, and
 // verify their per-session accounting. With -addr it targets a running
 // daemon (the CI path); without, it spins up an in-process server on a
-// loopback port so the smoke is self-contained.
+// loopback port so the smoke is self-contained. -clients and -tasks size
+// the run; the shape of the graphs is fixed.
 func serveCmd(args []string) int {
+	const (
+		batch  = 64  // tasks per submit request
+		keys   = 32  // distinct addresses per client, shared across clients
+		execUS = 0   // synthesized body duration per task, microseconds
+		window = 128 // in-process server: per-session admission window
+	)
 	fs := flag.NewFlagSet("nexusbench serve", flag.ExitOnError)
 	var (
 		addr    = fs.String("addr", "", "daemon base URL (e.g. http://127.0.0.1:8037); empty starts an in-process server")
 		clients = fs.Int("clients", 2, "concurrent client sessions")
 		tasks   = fs.Int("tasks", 500, "tasks per client")
-		batch   = fs.Int("batch", 64, "tasks per submit request")
-		keys    = fs.Int("keys", 32, "distinct addresses per client (shared across clients)")
-		execUS  = fs.Int64("exec_us", 0, "synthesized body duration per task, microseconds")
-		window  = fs.Int("session_window", 128, "in-process server: per-session admission window")
 	)
 	fs.Parse(args)
 	if fs.NArg() > 0 {
@@ -40,7 +43,7 @@ func serveCmd(args []string) int {
 
 	base := *addr
 	if base == "" {
-		srv := service.New(service.Config{SessionWindow: *window})
+		srv := service.New(service.Config{SessionWindow: window})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nexusbench serve: %v\n", err)
@@ -93,7 +96,7 @@ func serveCmd(args []string) int {
 				// teardown is best-effort.
 				defer func() { _ = s.Close(context.Background()) }()
 				for sent := 0; sent < *tasks; {
-					n := *batch
+					n := batch
 					if rem := *tasks - sent; n > rem {
 						n = rem
 					}
@@ -104,8 +107,8 @@ func serveCmd(args []string) int {
 						// dependencies if isolation holds.
 						mode := [...]string{"in", "inout", "out"}[(sent+i)%3]
 						specs[i] = service.TaskSpec{
-							Params: []service.Param{{Addr: uint64((sent + i) % *keys), Size: 64, Mode: mode}},
-							ExecUS: *execUS,
+							Params: []service.Param{{Addr: uint64((sent + i) % keys), Size: 64, Mode: mode}},
+							ExecUS: execUS,
 						}
 					}
 					_, retries, err := s.SubmitWait(ctx, specs)

@@ -89,6 +89,10 @@ func run(args []string) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "nexusd: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 	log.SetPrefix("nexusd: ")
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 

@@ -50,3 +50,19 @@ func TestHalfWrittenHeaderIsClosed(t *testing.T) {
 		t.Fatalf("server kept the half-open request alive: %v", err)
 	}
 }
+
+// TestStrayArgumentRejected: a positional argument (say, an address given
+// without -addr) exits 2 instead of being ignored while the daemon listens
+// on the default address.
+func TestStrayArgumentRejected(t *testing.T) {
+	code := make(chan int, 1)
+	go func() { code <- run([]string{"127.0.0.1:0"}) }()
+	select {
+	case c := <-code:
+		if c != 2 {
+			t.Errorf("run exited %d, want 2", c)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("run ignored the stray argument and started serving")
+	}
+}

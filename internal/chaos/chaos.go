@@ -1,14 +1,17 @@
 // Package chaos is the scenario runner behind `nexusbench chaos`: it
-// executes irregular workloads under seeded fault schedules
-// (internal/faults) and verifies, after every run, the invariants the
-// paper's hardware gets for free and the software service must earn —
-// counters balance, the skipped set matches the dependency-graph oracle,
-// no window wedges, and no goroutine leaks.
+// executes irregular workloads under seeded faults and verifies, after
+// every run, the invariants the paper's hardware gets for free and the
+// software service must earn — counters balance, the skipped set matches
+// the dependency-graph oracle, no window wedges, and no goroutine leaks.
 //
-// Every scenario is deterministic per seed: fault decisions are pure
-// functions of (seed, site, key), workload structure is seeded, and each
-// report carries a fingerprint over the deterministic observables so CI can
-// run a scenario twice and assert bit-equal outcomes.
+// The package owns its faults (inject.go): task bodies consult decide, a
+// pure function of (seed, site, key), and the wire scenarios install a
+// client transport that duplicates requests or drops responses on a fixed
+// period. Nothing outside this package has a fault hook.
+//
+// Every scenario is deterministic per seed: workload structure is seeded,
+// and each report carries a fingerprint over the deterministic observables
+// so CI can run a scenario twice and assert bit-equal outcomes.
 package chaos
 
 import (
@@ -16,7 +19,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 )
@@ -32,7 +34,8 @@ type Report struct {
 	Failed   uint64 `json:"failed"`
 	Skipped  uint64 `json:"skipped"`
 	Retried  uint64 `json:"retried,omitempty"`
-	// Faults is the per-site injected-fault count reported by the injector.
+	// Faults is the count of faults the scenario injected, under its site's
+	// name (task_error, task_panic, task_hang, req_dup, resp_drop).
 	Faults map[string]uint64 `json:"faults,omitempty"`
 	// ClientRetries counts client-side retry rounds (SubmitWait), where the
 	// scenario exercises them. Timing-dependent sites make this
@@ -57,18 +60,22 @@ func fingerprint(parts ...any) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// faultLine renders a fault-count map deterministically for fingerprints.
-func faultLine(m map[string]uint64) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// injected is a scenario's Report.Faults: its one site's count, or nil
+// when nothing fired.
+func injected(site string, n uint64) map[string]uint64 {
+	if n == 0 {
+		return nil
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%d,", k, m[k])
+	return map[string]uint64{site: n}
+}
+
+// faultLine renders a site's count for a fingerprint: "site=n,", or ""
+// when nothing fired.
+func faultLine(site string, n uint64) string {
+	if n == 0 {
+		return ""
 	}
-	return b.String()
+	return fmt.Sprintf("%s=%d,", site, n)
 }
 
 // scenario is one named chaos experiment.

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"nexuspp/internal/depgraph"
-	"nexuspp/internal/faults"
 	"nexuspp/internal/service"
 	"nexuspp/internal/starss"
 	"nexuspp/internal/workload"
@@ -28,13 +27,13 @@ import (
 // runTaskPanic injects body panics into an irregular random DAG with
 // admission gated ahead of execution, and verifies the skipped set matches
 // the dependency-graph oracle exactly: a task is skipped iff a transitive
-// predecessor failed, failed iff the seeded injector picked it (and nothing
+// predecessor failed, failed iff decide picked it under the seed (and nothing
 // upstream failed first), executed otherwise.
 func runTaskPanic(ctx context.Context, seed uint64) (*Report, error) {
 	const n = 200
 	src := workload.RandomDAG(workload.RandomDAGConfig{Tasks: n, Seed: seed})
 	g := depgraph.Build(src)
-	in := faults.New(&faults.Plan{Seed: seed, Rules: []faults.Rule{{Site: faults.SiteTaskPanic, Prob: 0.05}}})
+	panics := func(i uint64) bool { return decide(seed, siteTaskPanic, taskKey(i, 0), 0.05) }
 
 	// Oracle pass in ID order (a topological order): skipped dominates a
 	// task's own injected panic, because the runtime classifies poison
@@ -52,7 +51,7 @@ func runTaskPanic(ctx context.Context, seed uint64) (*Report, error) {
 				break
 			}
 		}
-		if want[i] == wantExec && in.Peek(faults.SiteTaskPanic, faults.TaskKey(uint64(i), 0)) {
+		if want[i] == wantExec && panics(uint64(i)) {
 			want[i] = wantFail
 		}
 	}
@@ -60,13 +59,15 @@ func runTaskPanic(ctx context.Context, seed uint64) (*Report, error) {
 	rt := starss.New(starss.Config{Workers: 4, Window: n + 1})
 	tr := workload.Collect(src)
 	gate := make(chan struct{})
+	var fired atomic.Uint64
 	handles := make([]*starss.Handle, n)
 	for i := range tr.Tasks {
 		t := starss.TaskFromSpec(tr.Tasks[i], starss.ReplayOptions{ZeroCost: true})
 		idx := uint64(i)
 		t.Do = func(ctx context.Context) error {
 			<-gate
-			if in.Should(faults.SiteTaskPanic, faults.TaskKey(idx, 0)) {
+			if panics(idx) {
+				fired.Add(1)
 				panic(fmt.Sprintf("chaos: injected panic in task %d", idx))
 			}
 			return ctx.Err()
@@ -100,11 +101,10 @@ func runTaskPanic(ctx context.Context, seed uint64) (*Report, error) {
 	if st.Executed+st.Failed+st.Skipped != st.Submitted || st.Submitted != n {
 		return nil, fmt.Errorf("counters unbalanced: %+v", st)
 	}
-	counts := in.Counts()
 	return &Report{
 		Tasks: n, Executed: st.Executed, Failed: st.Failed, Skipped: st.Skipped,
-		Faults:      counts,
-		Fingerprint: fingerprint("task_panic", seed, st.Executed, st.Failed, st.Skipped, faultLine(counts)),
+		Faults:      injected("task_panic", fired.Load()),
+		Fingerprint: fingerprint("task_panic", seed, st.Executed, st.Failed, st.Skipped, faultLine("task_panic", fired.Load())),
 	}, nil
 }
 
@@ -114,19 +114,21 @@ func runTaskPanic(ctx context.Context, seed uint64) (*Report, error) {
 // rest execute.
 func runTaskHangDeadline(ctx context.Context, seed uint64) (*Report, error) {
 	const n = 64
-	in := faults.New(&faults.Plan{Seed: seed, Rules: []faults.Rule{{Site: faults.SiteTaskHang, Prob: 0.2}}})
+	hangs := func(i uint64) bool { return decide(seed, siteTaskHang, taskKey(i, 0), 0.2) }
 	var wantFailed uint64
 	for i := 0; i < n; i++ {
-		if in.Peek(faults.SiteTaskHang, faults.TaskKey(uint64(i), 0)) {
+		if hangs(uint64(i)) {
 			wantFailed++
 		}
 	}
 	rt := starss.New(starss.Config{Workers: 8, Window: n + 1})
+	var fired atomic.Uint64
 	handles := make([]*starss.Handle, n)
 	for i := 0; i < n; i++ {
 		idx := uint64(i)
 		hang := func(ctx context.Context) error {
-			if in.Should(faults.SiteTaskHang, faults.TaskKey(idx, 0)) {
+			if hangs(idx) {
+				fired.Add(1)
 				<-ctx.Done() // only the deadline ends a hang
 			}
 			return ctx.Err()
@@ -145,7 +147,7 @@ func runTaskHangDeadline(ctx context.Context, seed uint64) (*Report, error) {
 	_ = rt.Wait(ctx)
 	for i, h := range handles {
 		err := h.Err()
-		if hung := in.Peek(faults.SiteTaskHang, faults.TaskKey(uint64(i), 0)); hung {
+		if hangs(uint64(i)) {
 			if !errors.Is(err, starss.ErrTaskTimeout) {
 				_ = rt.Close()
 				return nil, fmt.Errorf("hung task %d: err=%v, want ErrTaskTimeout", i, err)
@@ -161,28 +163,27 @@ func runTaskHangDeadline(ctx context.Context, seed uint64) (*Report, error) {
 		return nil, fmt.Errorf("outcomes executed=%d failed=%d skipped=%d, want %d/%d/0",
 			st.Executed, st.Failed, st.Skipped, n-wantFailed, wantFailed)
 	}
-	counts := in.Counts()
 	return &Report{
 		Tasks: n, Executed: st.Executed, Failed: st.Failed,
-		Faults:      counts,
-		Fingerprint: fingerprint("task_hang_deadline", seed, st.Executed, st.Failed, faultLine(counts)),
+		Faults:      injected("task_hang", fired.Load()),
+		Fingerprint: fingerprint("task_hang_deadline", seed, st.Executed, st.Failed, faultLine("task_hang", fired.Load())),
 	}, nil
 }
 
 // runRetryRecovers injects body errors at 50% per attempt into independent
 // tasks whose bodies starss.Retry re-arms up to 4 times, and verifies the
 // retry recovers exactly the tasks the seeded schedule says it should:
-// expected failures and expected re-arms are both computed from Peek.
+// expected failures and expected re-arms are both computed from decide.
 func runRetryRecovers(ctx context.Context, seed uint64) (*Report, error) {
 	const (
 		n       = 64
 		retries = 4
 	)
-	in := faults.New(&faults.Plan{Seed: seed, Rules: []faults.Rule{{Site: faults.SiteTaskError, Prob: 0.5}}})
+	fails := func(i uint64, attempt int) bool { return decide(seed, siteTaskError, taskKey(i, attempt), 0.5) }
 	var wantFailed, wantRetried uint64
 	for i := 0; i < n; i++ {
 		a := 0
-		for a <= retries && in.Peek(faults.SiteTaskError, faults.TaskKey(uint64(i), a)) {
+		for a <= retries && fails(uint64(i), a) {
 			a++
 		}
 		if a > retries {
@@ -193,15 +194,16 @@ func runRetryRecovers(ctx context.Context, seed uint64) (*Report, error) {
 		}
 	}
 	rt := starss.New(starss.Config{Workers: 8, Window: n + 1})
-	var retried atomic.Uint64
+	var retried, fired atomic.Uint64
 	handles := make([]*starss.Handle, n)
 	for i := 0; i < n; i++ {
 		idx, attempts := uint64(i), 0 // Retry makes one call at a time
 		flaky := func(ctx context.Context) error {
 			a := attempts
 			attempts++
-			if in.Should(faults.SiteTaskError, faults.TaskKey(idx, a)) {
-				return fmt.Errorf("%w: task %d attempt %d", faults.ErrInjected, idx, a)
+			if fails(idx, a) {
+				fired.Add(1)
+				return fmt.Errorf("%w: task %d attempt %d", errInjected, idx, a)
 			}
 			return ctx.Err()
 		}
@@ -218,7 +220,7 @@ func runRetryRecovers(ctx context.Context, seed uint64) (*Report, error) {
 	}
 	_ = rt.Wait(ctx)
 	for i, h := range handles {
-		if err := h.Err(); err != nil && !errors.Is(err, faults.ErrInjected) {
+		if err := h.Err(); err != nil && !errors.Is(err, errInjected) {
 			_ = rt.Close()
 			return nil, fmt.Errorf("task %d: unexpected error %v", i, err)
 		}
@@ -229,11 +231,10 @@ func runRetryRecovers(ctx context.Context, seed uint64) (*Report, error) {
 		return nil, fmt.Errorf("executed=%d failed=%d retried=%d, want %d/%d/%d",
 			st.Executed, st.Failed, retried.Load(), n-wantFailed, wantFailed, wantRetried)
 	}
-	counts := in.Counts()
 	return &Report{
 		Tasks: n, Executed: st.Executed, Failed: st.Failed, Retried: retried.Load(),
-		Faults:      counts,
-		Fingerprint: fingerprint("retry_recovers", seed, st.Executed, st.Failed, retried.Load(), faultLine(counts)),
+		Faults:      injected("task_error", fired.Load()),
+		Fingerprint: fingerprint("retry_recovers", seed, st.Executed, st.Failed, retried.Load(), faultLine("task_error", fired.Load())),
 	}, nil
 }
 
@@ -266,9 +267,9 @@ func runDupSubmit(ctx context.Context, seed uint64) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("open: %w", err)
 	}
-	in := faults.New(&faults.Plan{Seed: seed, Rules: []faults.Rule{{Site: faults.SiteReqDup, Every: 2}}})
+	dups := &wire{every: 2}
 	clean := client.HTTP
-	client.HTTP = &http.Client{Transport: &faults.Transport{In: in}}
+	client.HTTP = &http.Client{Transport: dups}
 	deduped := 0
 	for i := 0; i < n; i++ {
 		_, dup, err := sess.SubmitIdem(ctx, fmt.Sprintf("batch-%d", i), soloSpec(i, 100))
@@ -303,7 +304,7 @@ func runDupSubmit(ctx context.Context, seed uint64) (*Report, error) {
 	}
 	return &Report{
 		Tasks: n, Executed: stats.Executed, Deduped: deduped,
-		Faults:      in.Counts(),
+		Faults:      injected("req_dup", dups.fired.Load()),
 		Fingerprint: fingerprint("dup_submit", seed, stats.Executed, stats.Submitted, deduped),
 	}, nil
 }
@@ -320,9 +321,9 @@ func runDroppedResponse(ctx context.Context, seed uint64) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("open: %w", err)
 	}
-	in := faults.New(&faults.Plan{Seed: seed, Rules: []faults.Rule{{Site: faults.SiteRespDrop, Every: 3}}})
+	drops := &wire{every: 3, drop: true}
 	clean := client.HTTP
-	client.HTTP = &http.Client{Transport: &faults.Transport{In: in}}
+	client.HTTP = &http.Client{Transport: drops}
 	sess.RetryBase = time.Millisecond
 	sess.RetryMaxBackoff = 5 * time.Millisecond
 	totalRetries := 0
@@ -345,8 +346,8 @@ func runDroppedResponse(ctx context.Context, seed uint64) (*Report, error) {
 		return nil, fmt.Errorf("executed=%d submitted=%d, want exactly %d each (dropped responses double-executed?)",
 			stats.Executed, stats.Submitted, n)
 	}
-	if drops := in.Fired(faults.SiteRespDrop); uint64(totalRetries) != drops {
-		return nil, fmt.Errorf("client retries=%d, want one per dropped response (%d)", totalRetries, drops)
+	if uint64(totalRetries) != drops.fired.Load() {
+		return nil, fmt.Errorf("client retries=%d, want one per dropped response (%d)", totalRetries, drops.fired.Load())
 	}
 	if totalRetries == 0 {
 		return nil, fmt.Errorf("no responses dropped; the scenario exercised nothing")
@@ -356,7 +357,7 @@ func runDroppedResponse(ctx context.Context, seed uint64) (*Report, error) {
 	}
 	return &Report{
 		Tasks: n, Executed: stats.Executed, ClientRetries: totalRetries,
-		Faults:      in.Counts(),
+		Faults:      injected("resp_drop", drops.fired.Load()),
 		Fingerprint: fingerprint("dropped_response", seed, stats.Executed, stats.Submitted, totalRetries),
 	}, nil
 }

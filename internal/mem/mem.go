@@ -186,7 +186,7 @@ type Bus struct {
 	line *timedSlots
 }
 
-// NewBus builds a bus bound to eng; zero config fields select defaults.
+// NewBus builds a bus bound to eng; a zero config field selects its default.
 func NewBus(eng *sim.Engine, cfg BusConfig) *Bus {
 	def := DefaultBusConfig()
 	if cfg.CycleTime == 0 {

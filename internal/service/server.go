@@ -54,9 +54,10 @@ func (c Config) withDefaults() Config {
 		c.MaxSessions = 256
 	}
 	if c.Window <= 0 {
-		c.Window = c.MaxSessions * c.SessionWindow
-		if c.Window > 1<<18 {
-			c.Window = 1 << 18
+		// Compare by division: the product itself can wrap.
+		c.Window = 1 << 18
+		if c.SessionWindow <= c.Window/c.MaxSessions {
+			c.Window = c.MaxSessions * c.SessionWindow
 		}
 	}
 	c.SessionWindow = min(c.SessionWindow, c.Window)

@@ -202,6 +202,30 @@ func TestServiceBackpressure(t *testing.T) {
 	}
 }
 
+// TestServiceDerivedWindowDoesNotWrap: a shared window derived from
+// MaxSessions × SessionWindow is capped, never wrapped. 2^32 × 2^32 wraps
+// an int to 0, which clamped both windows to 0 and turned every submit
+// into a 400.
+func TestServiceDerivedWindowDoesNotWrap(t *testing.T) {
+	d := startDaemon(t, service.Config{Workers: 2, MaxSessions: 1 << 32, SessionWindow: 1 << 32})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	s, err := d.client.Open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Window != 1<<18 {
+		t.Errorf("session window = %d, want it clamped to the capped shared window of %d", s.Window, 1<<18)
+	}
+	ids, err := s.Submit(ctx, []service.TaskSpec{specOn(1, "inout", 0)})
+	if err != nil {
+		t.Fatalf("one-task submit: %v", err)
+	}
+	if sts, err := s.Await(ctx, ids); err != nil || sts[0].State != service.StateOK {
+		t.Fatalf("await = %+v, %v", sts, err)
+	}
+}
+
 // TestServiceTokensSettledBeforeAwaitReturns pins the accounting order on a
 // one-token session: the scope's completion hook runs before a task's
 // handle is published, so by the time an await has answered, the admission
