@@ -521,6 +521,55 @@ func BenchmarkSubmitAll(b *testing.B) {
 	})
 }
 
+// BenchmarkGridSubmitAll runs bench/'s rt_independent and rt_wavefront
+// shapes without the harness: the 300×340 workload.Grid graph of
+// empty-bodied tasks, submitted through SubmitAll in 256-task batches to a
+// runtime of 2 workers and a 4096-task window, one graph an iteration,
+// Wait included, after one untimed graph that grows the banks' tables and
+// fills their free lists. Its tasks/s is raw, not scaled by host speed as
+// bench/'s.
+//
+//	go test -run '^$' -bench GridSubmitAll -count 6 -cpu 1,2 .
+func BenchmarkGridSubmitAll(b *testing.B) {
+	nop := func(context.Context) error { return nil }
+	run := func(b *testing.B, rt *starss.Runtime, tasks []starss.Task) {
+		ctx := context.Background()
+		for len(tasks) > 0 {
+			n := min(256, len(tasks))
+			if _, err := rt.SubmitAll(ctx, tasks[:n]); err != nil {
+				b.Fatal(err)
+			}
+			tasks = tasks[n:]
+		}
+		if err := rt.Wait(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, g := range []struct {
+		name    string
+		pattern workload.Pattern
+	}{
+		{"independent", workload.PatternIndependent},
+		{"wavefront", workload.PatternWavefront},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			tr := workload.Collect(workload.Grid(workload.GridConfig{Pattern: g.pattern, Rows: 300, Cols: 340}))
+			tasks := make([]starss.Task, len(tr.Tasks))
+			for i, spec := range tr.Tasks {
+				tasks[i] = starss.TaskFromSpec(spec, starss.ReplayOptions{ZeroCost: true})
+				tasks[i].Do = nop
+			}
+			rt := starss.New(starss.Config{Workers: 2, Window: 4096})
+			defer rt.Close()
+			run(b, rt, tasks)
+			for b.Loop() {
+				run(b, rt, tasks)
+			}
+			b.ReportMetric(float64(b.N*len(tasks))/b.Elapsed().Seconds(), "tasks/s")
+		})
+	}
+}
+
 func BenchmarkRuntimeGaussian64(b *testing.B) {
 	// End-to-end: the real runtime solving the Gaussian task graph shape.
 	for i := 0; i < b.N; i++ {

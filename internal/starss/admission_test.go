@@ -259,3 +259,68 @@ func TestBankAndSegmentSize(t *testing.T) {
 		t.Errorf("segState is %d bytes, want <= 80", got)
 	}
 }
+
+// TestHotWordsOwnCacheLines pins the layout of Runtime and Scope: the words
+// every task only reads, and each group of words that finishing workers
+// write on every task, lie at least a cache line apart, so no line holds
+// bytes of two groups whatever the allocation's alignment, and Check Deps
+// never fetches again a line a finisher dirtied.
+func TestHotWordsOwnCacheLines(t *testing.T) {
+	const line = 64
+	type group struct {
+		name       string
+		start, end uintptr
+	}
+	span := func(name string, fields ...[2]uintptr) group {
+		g := group{name, ^uintptr(0), 0}
+		for _, f := range fields {
+			g.start, g.end = min(g.start, f[0]), max(g.end, f[0]+f[1])
+		}
+		return g
+	}
+	var rt Runtime
+	var s Scope
+	for typ, groups := range map[string][]group{
+		"Runtime": {
+			span("read-mostly",
+				[2]uintptr{unsafe.Offsetof(rt.cfg), unsafe.Sizeof(rt.cfg)},
+				[2]uintptr{unsafe.Offsetof(rt.banks), unsafe.Sizeof(rt.banks)},
+				[2]uintptr{unsafe.Offsetof(rt.mask), unsafe.Sizeof(rt.mask)},
+				[2]uintptr{unsafe.Offsetof(rt.segFree), unsafe.Sizeof(rt.segFree)},
+				[2]uintptr{unsafe.Offsetof(rt.seed), unsafe.Sizeof(rt.seed)},
+				[2]uintptr{unsafe.Offsetof(rt.rec), unsafe.Sizeof(rt.rec)},
+				[2]uintptr{unsafe.Offsetof(rt.bankStats), unsafe.Sizeof(rt.bankStats)},
+				[2]uintptr{unsafe.Offsetof(rt.funnel), unsafe.Sizeof(rt.funnel)},
+				[2]uintptr{unsafe.Offsetof(rt.stopped), unsafe.Sizeof(rt.stopped)}),
+			span("win", [2]uintptr{unsafe.Offsetof(rt.win), unsafe.Sizeof(rt.win)}),
+			span("ready", [2]uintptr{unsafe.Offsetof(rt.ready), unsafe.Sizeof(rt.ready)}),
+			span("tally and hazards",
+				[2]uintptr{unsafe.Offsetof(rt.tally), unsafe.Sizeof(rt.tally)},
+				[2]uintptr{unsafe.Offsetof(rt.hazards), unsafe.Sizeof(rt.hazards)},
+				[2]uintptr{unsafe.Offsetof(rt.firstErr), unsafe.Sizeof(rt.firstErr)}),
+		},
+		"Scope": {
+			span("read-mostly",
+				[2]uintptr{unsafe.Offsetof(s.rt), unsafe.Sizeof(s.rt)},
+				[2]uintptr{unsafe.Offsetof(s.name), unsafe.Sizeof(s.name)},
+				[2]uintptr{unsafe.Offsetof(s.ns), unsafe.Sizeof(s.ns)},
+				[2]uintptr{unsafe.Offsetof(s.onDone), unsafe.Sizeof(s.onDone)}),
+			span("win and tally",
+				[2]uintptr{unsafe.Offsetof(s.win), unsafe.Sizeof(s.win)},
+				[2]uintptr{unsafe.Offsetof(s.tally), unsafe.Sizeof(s.tally)}),
+		},
+	} {
+		for i, a := range groups {
+			for _, b := range groups[i+1:] {
+				first, second := a, b
+				if b.start < a.start {
+					first, second = b, a
+				}
+				if second.start < first.end+line {
+					t.Errorf("%s: %s ends at %d and %s starts at %d: want a %d-byte gap",
+						typ, first.name, first.end, second.name, second.start, line)
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package starss
 
 import (
 	"context"
+	"hash/maphash"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -144,3 +145,30 @@ func BenchmarkReadyHandOff(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkHashKey times the hash of one key, in ns per key: maphash is
+// maphash.Comparable over the 16-byte key, what hashKey took before the
+// multiply-fold; fold is hashKey itself. Keys walk a grid's macroblocks.
+//
+//	go test -run '^$' -bench HashKey -count 6 ./internal/starss
+func BenchmarkHashKey(b *testing.B) {
+	b.Run("maphash", func(b *testing.B) {
+		seed := maphash.MakeSeed()
+		k := tableKey{ns: 1}
+		for b.Loop() {
+			k.addr += 1024
+			hashSink += maphash.Comparable(seed, k)
+		}
+	})
+	b.Run("fold", func(b *testing.B) {
+		rt := &Runtime{seed: newSeed()}
+		k := tableKey{ns: 1}
+		for b.Loop() {
+			k.addr += 1024
+			hashSink += rt.hashKey(k)
+		}
+	})
+}
+
+// hashSink keeps BenchmarkHashKey's hashes live.
+var hashSink uint64

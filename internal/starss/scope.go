@@ -28,6 +28,8 @@ import (
 // Scope is a labelled, isolated submission namespace over a shared Runtime.
 // Create one per tenant with Runtime.Scope or BoundedScope. Methods are safe
 // for concurrent use; SetOnDone must be called before the first submission.
+// As in Runtime, what every scoped task reads and what every finisher writes
+// sit on cache lines of their own.
 type Scope struct {
 	rt   *Runtime
 	name string
@@ -37,6 +39,8 @@ type Scope struct {
 	// onDone, when set, observes every scoped task's completion after the
 	// scope's own accounting is settled.
 	onDone func(err error)
+
+	_ [cacheLine]byte
 	// win is the scope's share of rt.win: used is its in-flight count, max
 	// that count's high-water mark.
 	win window

@@ -2,12 +2,14 @@ package starss
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"nexuspp/internal/sim"
+	"nexuspp/internal/workload"
 )
 
 // Tests for the sharded dependency-resolution banks and the batch
@@ -301,6 +303,47 @@ func TestHashKeySeeded(t *testing.T) {
 			t.Errorf("%s: %d keys share %d of 256 homes: a single bank must still hash", name, n, len(homes))
 		}
 		mustClose(t, other)
+		mustClose(t, rt)
+	}
+}
+
+// TestHashKeySpread holds hashKey to the address layouts tasks use: runs at
+// strides of a word, a cache line, a grid macroblock (workload.BlockBytes,
+// the rt_* grids' layout), a page and a MiB, in the runtime's namespace and
+// two scopes', on 8, 64 and 512 banks. The fullest bank may hold at most
+// 1.5 times its mean share, and the top 8 bits of the run's first 4096
+// hashes — a 256-slot table's home — must reach at least 200 homes. A run is
+// 256 keys a bank long, and at least 4096: a uniformly random hash of 4096
+// keys onto 512 banks, eight a bank, almost surely fills some bank with 13,
+// so the 1.5 bound tells a hash that spreads from one that clusters only
+// where a bank's share is large.
+func TestHashKeySpread(t *testing.T) {
+	const homeKeys = 4096
+	for _, banks := range []int{8, 64, 512} {
+		rt := newRuntime(Config{Workers: 1}, banks, nil)
+		n := max(homeKeys, 256*banks)
+		perBank := make([]int, banks)
+		for _, stride := range []uint64{8, 64, workload.BlockBytes, 4 << 10, 1 << 20} {
+			for ns := uint64(0); ns < 3; ns++ {
+				clear(perBank)
+				homes := map[uint64]bool{}
+				for i := 0; i < n; i++ {
+					h := rt.hashKey(tableKey{ns, 0x1000_0000 + uint64(i)*stride})
+					perBank[rt.bankOf(h)]++
+					if i < homeKeys {
+						homes[h>>56] = true
+					}
+				}
+				if fullest, bound := slices.Max(perBank), 3*n/banks/2; fullest > bound {
+					t.Errorf("%d banks, stride %d, namespace %d: the fullest bank holds %d of %d keys, want <= %d",
+						banks, stride, ns, fullest, n, bound)
+				}
+				if len(homes) < 200 {
+					t.Errorf("%d banks, stride %d, namespace %d: %d keys reach %d of 256 homes, want >= 200",
+						banks, stride, ns, homeKeys, len(homes))
+				}
+			}
+		}
 		mustClose(t, rt)
 	}
 }

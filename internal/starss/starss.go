@@ -360,7 +360,12 @@ func (b *bank) dropSeg(seg *segState, keep int) {
 	b.nfree++
 }
 
-// Runtime schedules and executes tasks.
+// Runtime schedules and executes tasks. Its fields are grouped by who writes
+// them, each group on cache lines of its own: first the words set at
+// construction that every task only reads, then the window, the ready queue
+// and the counters, which finishing workers write on every task. A
+// finisher's write to a line Check Deps reads would make the submitter fetch
+// that line again on every task (TestHotWordsOwnCacheLines).
 type Runtime struct {
 	cfg   Config
 	banks []bank
@@ -377,24 +382,39 @@ type Runtime struct {
 	// service's largest derived window of 1<<18 — and only once that many
 	// segments were live at once.
 	segFree int
-	seed    maphash.Seed
-	win     window
-	ready   readyQueue
-	// blocks lists the drained SubmitAll node blocks, by class.
-	blocks   [blockClasses]blockList
-	stopOnce sync.Once
+	// seed is hashKey's three secret words, drawn per runtime (newSeed).
+	seed [3]uint64
+	// rec is the lifecycle event stream (nil unless Config.EventBuffer is
+	// set); bankStats gates the per-bank lock counters. Both are fixed at
+	// construction, so emission points pay one predictable branch.
+	rec       *obs.Recorder
+	bankStats bool
+	// funnel, when non-nil (NewMaestro), is the one goroutine that performs
+	// every Check Deps and Handle Finished: admit and runBody hand it their
+	// nodes instead of resolving in place.
+	funnel *funnel
 	// stopped is closed by Close, once the window is shut, to wake submitters
 	// queued on a full window — the runtime's or a scope's — with ErrStopped.
 	// Whether the runtime is stopped is the window's to say (win.isShut).
-	stopped  chan struct{}
+	stopped chan struct{}
+
+	_     [cacheLine]byte
+	win   window
+	_     [cacheLine]byte
+	ready readyQueue
+	_     [cacheLine]byte
+	tally
+	hazards  atomic.Uint64
+	firstErr atomic.Pointer[taskFailure]
+	_        [cacheLine]byte
+
+	// blocks lists the drained SubmitAll node blocks, by class.
+	blocks   [blockClasses]blockList
+	stopOnce sync.Once
 	workerWG sync.WaitGroup
 
 	// lastNS is the namespace of the newest Scope; 0 is the runtime's own.
 	lastNS atomic.Uint64
-
-	tally
-	hazards  atomic.Uint64
-	firstErr atomic.Pointer[taskFailure]
 
 	// coord guards idleCh, the barrier every Wait and Close parks on: made by
 	// the first of them to find tasks in flight, closed and dropped by the
@@ -402,18 +422,12 @@ type Runtime struct {
 	// only when in-flight hits zero, so it stays off the steady-state hot path.
 	coord  sync.Mutex
 	idleCh chan struct{}
-
-	// rec is the lifecycle event stream (nil unless Config.EventBuffer is
-	// set); bankStats gates the per-bank lock counters. Both are fixed at
-	// construction, so emission points pay one predictable branch.
-	rec       *obs.Recorder
-	bankStats bool
-
-	// funnel, when non-nil (NewMaestro), is the one goroutine that performs
-	// every Check Deps and Handle Finished: admit and runBody hand it their
-	// nodes instead of resolving in place.
-	funnel *funnel
 }
+
+// cacheLine is the padding that keeps a group of Runtime or Scope fields
+// off its neighbours' cache lines: whatever the allocation's alignment, no
+// line holds bytes of two groups.
+const cacheLine = 64
 
 // taskFailure is the boxed root-cause record behind firstErr and every
 // poison mark: a failed task's is made once and shared by the segments it
@@ -678,7 +692,7 @@ func newRuntime(cfg Config, banks int, f *funnel) *Runtime {
 		banks:   make([]bank, banks),
 		mask:    uint64(banks - 1),
 		segFree: max(segFreeMin, 2*cfg.Window/banks),
-		seed:    maphash.MakeSeed(),
+		seed:    newSeed(),
 		funnel:  f,
 		stopped: make(chan struct{}),
 	}
@@ -732,10 +746,30 @@ func (rt *Runtime) emit(lane int, kind obs.Kind, node *taskNode, worker int) {
 
 // hashKey is the one hash of a key in a task's life, seeded per runtime —
 // tenants choose their addresses, so they must not be able to choose their
-// collisions. Its low bits pick the key's bank (bankOf), its high bits the
-// home slot in that bank's table, and the segment keeps it for Handle
-// Finished. A key is hashed as its 16 flat bytes.
-func (rt *Runtime) hashKey(k tableKey) uint64 { return maphash.Comparable(rt.seed, k) }
+// collisions. It is two rounds of wyhash's multiply-fold (mix) over the
+// key's two words and the runtime's three secret words: the step Go's own
+// map hash takes for an 8-byte key where it has no AES (memhash64Fallback),
+// at under a quarter of maphash.Comparable's cost (BenchmarkHashKey). Its
+// low bits pick the key's bank (bankOf), its high bits the home slot in
+// that bank's table, and the segment keeps it for Handle Finished.
+func (rt *Runtime) hashKey(k tableKey) uint64 {
+	return mix(rt.seed[2], mix(k.addr^rt.seed[0], k.ns^rt.seed[1]))
+}
+
+// mix multiplies a by b into 128 bits and folds the halves together.
+func mix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// newSeed draws hashKey's secret words from a fresh maphash seed.
+func newSeed() (seed [3]uint64) {
+	s := maphash.MakeSeed()
+	for i := range seed {
+		seed[i] = maphash.Comparable(s, i)
+	}
+	return seed
+}
 
 // bankOf is the bank of a key whose hash is h.
 func (rt *Runtime) bankOf(h uint64) int32 { return int32(h & rt.mask) }
