@@ -26,8 +26,10 @@ race:
 # whose Task Pool entries keep their version tags), the generator pin (one
 # pass of every workload's Next within Total()/64 allocations, parameters
 # off a slab), the
-# service's codec pins (nothing allocated decoding a request on a kept
-# decoder, whether the compact path or the grammar reads it) and its submit-
+# service's codec pins (every message shape the client and server send is
+# read by the compact reader, not the encoding/json fallback: nothing
+# allocated decoding a request on a kept decoder, one exact-size slice per
+# response) and its submit-
 # and await-handler pins (an await of finished tasks arms no timer), which
 # skip under -race, and the
 # runtime's admission pins — two allocations per Submit, a chunk of one that
@@ -70,8 +72,8 @@ flake:
 
 # fuzz gives every fuzz target twenty seconds. `go test -list` finds the
 # targets, printing each package's names before its "ok" line, so a new one
-# needs no entry here. Today three are the service's wire: the hand-written
-# codec against encoding/json, round trips, and the real handler, which may
+# needs no entry here. Today three are the service's wire: the codec's
+# values and verdicts against encoding/json, round trips, and the real handler, which may
 # answer hostile bytes with nothing but a typed 4xx. The fourth drives the
 # runtime's dependence table beside a map model, with keys in several
 # namespaces and hashes the input degrades until everything collides. The

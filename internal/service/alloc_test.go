@@ -4,36 +4,95 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 )
 
-// TestCodecAllocations pins the codec's allocation behaviour on the
-// benchmark's 64-task batch: decoding allocates nothing per task — nothing
-// at all on a decoder and request that are kept, as the server keeps them,
-// whether the compact path or the grammar reads the body — and encoding
-// into a buffer with room allocates nothing.
+// TestCodecAllocations pins every message shape the client and the server
+// send to the compact reader, by its allocations: a document it stopped
+// taking would go to encoding/json, whose decode of the 64-task batch costs
+// about 316 allocations. A submit or an await decodes with nothing allocated
+// on a decoder and request that are kept, as the server keeps them, but for
+// the copy of an idempotency key; a response costs one exact-size allocation
+// per slice, and the copy of each error's text. Encoding into a buffer with
+// room allocates nothing.
 func TestCodecAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins hold only without the race detector")
 	}
-	batch := dagBatch()
-	body := SubmitRequest{Tasks: batch}.appendJSON(nil)
+	// sent is a request as Client.do sends it, encoded into a pooled body;
+	// written a response as writeWire answers with it, newline included.
+	sent := func(msg wireEncoder) []byte {
+		body := newPooledBody(msg)
+		b, err := io.ReadAll(body)
+		_ = body.Close() // only frees the buffer
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	written := func(msg wireEncoder) []byte {
+		rec := httptest.NewRecorder()
+		writeWire(rec, http.StatusOK, msg)
+		return rec.Body.Bytes()
+	}
+	pin := func(what string, body []byte, want float64, decode func([]byte) error) {
+		t.Helper()
+		if got := testing.AllocsPerRun(200, func() {
+			if err := decode(body); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}); got != want {
+			t.Errorf("%s %q...: %.1f allocations, want %.0f", what, body[:min(len(body), 48)], got, want)
+		}
+	}
 
 	var dec decoder
 	var req SubmitRequest
-	for name, body := range map[string][]byte{"compact": body, "indented": indent(body)} {
-		if got := testing.AllocsPerRun(200, func() {
-			if err := dec.decodeSubmit(body, &req); err != nil {
-				t.Fatal(err)
-			}
-		}); got != 0 {
-			t.Errorf("decodeSubmit of the %s body on a kept decoder: %.1f allocations per 64-task request, want 0", name, got)
+	var await AwaitRequest
+	decodeSubmit := func(b []byte) error { return dec.decodeSubmit(b, &req) }
+	for name, batch := range map[string][]TaskSpec{"dag64": dagBatch(), "chain8": chainBatch()} {
+		pin(name+" submit", sent(SubmitRequest{Tasks: batch}), 0, decodeSubmit)
+		pin(name+" submit with an idempotency key", sent(SubmitRequest{Tasks: batch, IdempotencyKey: newIdempotencyKey()}), 1, decodeSubmit)
+
+		ids := make([]uint64, len(batch))
+		statuses := make([]TaskStatus, len(batch))
+		for i := range ids {
+			ids[i] = uint64(i)
+			statuses[i] = TaskStatus{ID: uint64(i), State: StateOK}
 		}
+		pin(name+" await", sent(AwaitRequest{IDs: ids, TimeoutMS: 10_000}), 0, await.parseJSON)
+		pin(name+" await of everything", sent(AwaitRequest{TimeoutMS: 10_000}), 0, await.parseJSON)
+
+		submitResponse := func(b []byte) error {
+			var r SubmitResponse
+			if err := r.parseJSON(b); err != nil || cap(r.IDs) != len(ids) {
+				return fmt.Errorf("%d ids in %d, %v", len(r.IDs), cap(r.IDs), err)
+			}
+			return nil
+		}
+		pin(name+" submit response", written(&SubmitResponse{IDs: ids}), 1, submitResponse)
+		pin(name+" deduped submit response", written(&SubmitResponse{IDs: ids, Deduped: true}), 1, submitResponse)
+		awaitResponse := func(b []byte) error {
+			var r AwaitResponse
+			if err := r.parseJSON(b); err != nil || cap(r.Tasks) != len(statuses) {
+				return fmt.Errorf("%d statuses in %d, %v", len(r.Tasks), cap(r.Tasks), err)
+			}
+			return nil
+		}
+		pin(name+" await response", written(&AwaitResponse{Done: true, Tasks: statuses}), 1, awaitResponse)
+		statuses[len(statuses)-1].State = StatePending
+		pin(name+" await response with a pending task", written(&AwaitResponse{Tasks: statuses}), 1, awaitResponse)
+		statuses[0] = TaskStatus{ID: 0, State: StateFailed, Error: "starss: task deadline exceeded after 5ms"}
+		pin(name+" await response with a failed task", written(&AwaitResponse{Tasks: statuses}), 2, awaitResponse)
 	}
+
 	// A fresh decoder grows its params slab from nothing: a doubling
 	// series per request, still nothing per task.
+	body := SubmitRequest{Tasks: dagBatch()}.appendJSON(nil)
 	if got := testing.AllocsPerRun(200, func() {
 		if err := req.parseJSON(body); err != nil {
 			t.Fatal(err)
@@ -42,15 +101,9 @@ func TestCodecAllocations(t *testing.T) {
 		t.Errorf("parseJSON into a kept request: %.1f allocations per 64-task request, want <= 10", got)
 	}
 	// A named task costs its name, an unknown mode its text.
-	named := []byte(`{"tasks":[{"name":"named","params":[{"addr":1,"mode":"in"},{"addr":2,"mode":"rw"}]}]}`)
-	if got := testing.AllocsPerRun(200, func() {
-		if err := dec.decodeSubmit(named, &req); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 2 {
-		t.Errorf("decodeSubmit of a name and an unknown mode: %.1f allocations, want 2", got)
-	}
+	pin("a name and an unknown mode", []byte(`{"tasks":[{"name":"named","params":[{"addr":1,"mode":"in"},{"addr":2,"mode":"rw"}]}]}`), 2, decodeSubmit)
 
+	batch := dagBatch()
 	ids := make([]uint64, len(batch))
 	statuses := make([]TaskStatus, len(batch))
 	for i := range ids {
@@ -67,19 +120,6 @@ func TestCodecAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(200, func() { dst = msg.appendJSON(dst[:0]) }); got != 0 {
 			t.Errorf("%s.appendJSON into a sized buffer: %.1f allocations, want 0", name, got)
 		}
-	}
-
-	// Responses are handed to the caller, so each slice in one is a single
-	// exact-size allocation; states are interned.
-	sub, aw := SubmitResponse{IDs: ids}.appendJSON(nil), AwaitResponse{Done: true, Tasks: statuses}.appendJSON(nil)
-	if got := testing.AllocsPerRun(200, func() {
-		var s SubmitResponse
-		var a AwaitResponse
-		if s.parseJSON(sub) != nil || a.parseJSON(aw) != nil || cap(s.IDs) != len(ids) || cap(a.Tasks) != len(ids) {
-			t.Fatal("response decode")
-		}
-	}); got != 2 {
-		t.Errorf("decoding a submit and an await response: %.1f allocations, want 2", got)
 	}
 }
 
@@ -191,8 +231,8 @@ func openSessionPath(t *testing.T, h http.Handler) string {
 
 // BenchmarkCodec times the codec as the server and client call it — on
 // buffers and scratch they keep — for the benchmark's two request bodies,
-// and the decoders on an indented copy too, which the grammar reads without
-// the compact path. The root package's BenchmarkWireCodec times the same
+// and the decoders on an indented copy too, which the compact reader hands
+// to encoding/json: the /indented variants time that fallback. The root package's BenchmarkWireCodec times the same
 // messages through encoding/json's entry points.
 func BenchmarkCodec(b *testing.B) {
 	for _, tc := range []struct {

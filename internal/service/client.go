@@ -145,6 +145,8 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	case nil:
 		return nil
 	case wireDecoder:
+		// Read whole, as a request is, and bounded as one: at most
+		// maxBodyBytes, or errBodyTooLarge.
 		buf := bufPool.Get().(*wireBuf)
 		defer bufPool.Put(buf)
 		if buf.b, err = readAll(buf.b[:0], resp.Body, resp.ContentLength); err != nil {

@@ -1,48 +1,30 @@
 package service
 
-// The hand-written JSON codec for the four messages on the per-task path:
-// SubmitRequest, SubmitResponse, AwaitRequest and AwaitResponse. It is the
-// only encoder and decoder these types have — the server's handlers and
+// The JSON codec for the four messages on the per-task path: SubmitRequest,
+// SubmitResponse, AwaitRequest and AwaitResponse. The server's handlers and
 // the client call appendJSON/parseJSON on pooled buffers, and
 // MarshalJSON/UnmarshalJSON hand every encoding/json caller to the same
-// code — and it speaks the schema the struct tags in wire.go declare,
-// nothing else.
+// code. It speaks the schema the struct tags in wire.go declare.
 //
 // Emitted bytes are what json.Marshal produced for these types: field
 // order, omitempty, null for a nil slice, HTML-safe string escaping.
 //
-// The accepted language is encoding/json's: RFC 8259 with any whitespace
-// and key order, unknown keys skipped whatever their value, a repeated
-// scalar key's last value winning, null leaving a field at its zero value,
-// \uXXXX escapes with surrogate pairs, invalid UTF-8 coerced to U+FFFD,
-// integers rejected when they carry a fraction, an exponent, a sign on an
-// unsigned field or do not fit, nesting capped at 10000. It differs in
-// three places, all stricter or plainer than the standard library:
-//
-//   - keys match case-sensitively; "Tasks" is an unknown key;
-//   - anything but whitespace after the top-level value is an error
-//     (json.Decoder left it unread);
-//   - a repeated "tasks" or "params" key replaces the earlier array
-//     (encoding/json decoded the later elements over the earlier ones,
-//     field by field).
-//
-// The decoder reads the compact form appendJSON emits — the bytes every
-// server and client here sends — on a fast path beside the grammar: a Param,
-// a TaskStatus or an element of an id array in exactly the encoder's layout
-// is matched key by key with one literal compare each, its integers
-// accumulated as their digits are scanned, its strings read as plain ASCII up
-// to the closing quote. Anything else — whitespace, another key order, a
-// repeated key or one the layout lacks, an escape, a control or non-ASCII
-// byte, a leading zero, a 20th digit, a fraction, an exponent, a value wider
-// than its field — leaves the cursor on the value's first byte for the
-// grammar, so the fast path only ever accepts what the grammar would decode
-// to the same value. A task's object that opens with its params key takes
-// the brace and the key in one compare, the rest through the grammar.
+// The accepted language is encoding/json's, and encoding/json defines it.
+// parseJSON reads the compact form appendJSON emits — the bytes every
+// server and client here sends — whole, in one forward pass: every key the
+// encoder writes, in its order, matched with one literal compare; integers
+// of up to 19 digits without a leading zero, accumulated as they are
+// scanned; plain-ASCII strings; null for a nil slice; whitespace only after
+// the document. On any other byte it stops, and json.Unmarshal decodes the
+// whole document afresh into the message's method-less twin. A compact
+// document decodes to what json.Unmarshal makes of it, so which of the two
+// reads a document changes its cost, never its value or its verdict.
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"strconv"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 )
 
@@ -52,9 +34,6 @@ type (
 	wireEncoder interface{ appendJSON(dst []byte) []byte }
 	wireDecoder interface{ parseJSON(src []byte) error }
 )
-
-// maxDepth is encoding/json's nesting limit.
-const maxDepth = 10000
 
 // --- encoding ----------------------------------------------------------------
 
@@ -270,252 +249,267 @@ func (r *AwaitResponse) UnmarshalJSON(b []byte) error  { return r.parseJSON(b) }
 
 // --- decoding ----------------------------------------------------------------
 
+// Method-less twins of the four messages: the same fields and tags, so
+// encoding/json decodes them by reflection and never calls parseJSON. A
+// document not in the compact form is decoded into one.
+type (
+	shadowSubmitRequest  SubmitRequest
+	shadowSubmitResponse SubmitResponse
+	shadowAwaitRequest   AwaitRequest
+	shadowAwaitResponse  AwaitResponse
+)
+
 func (r *SubmitRequest) parseJSON(src []byte) error {
 	var d decoder
 	return d.decodeSubmit(src, r)
 }
 
-func (r *SubmitResponse) parseJSON(src []byte) error {
-	d := decoder{src: src}
-	return d.document(d.submitResponse(r))
-}
-
-func (r *AwaitRequest) parseJSON(src []byte) error {
-	d := decoder{src: src}
-	return d.document(d.awaitRequest(r))
-}
-
-func (r *AwaitResponse) parseJSON(src []byte) error {
-	d := decoder{src: src}
-	return d.document(d.awaitResponse(r))
-}
-
-// decoder is a cursor over one JSON document. Decoded strings are copies
-// (or interned constants), never views of src, so src may be a pooled
-// buffer; decoded slices reuse the capacity their destination already has.
-type decoder struct {
-	src   []byte
-	pos   int
-	depth int
-	// params is the slab every TaskSpec.Params of one SubmitRequest is
-	// carved from. A decoder that lives across requests (the server's
-	// pooled scratch) reuses it; the params of the previous request die
-	// with the next decodeSubmit call.
-	params []Param
-}
+// decoder holds the slab every TaskSpec.Params of one SubmitRequest is
+// carved from. A decoder that lives across requests (the server's pooled
+// scratch) reuses it; the params of the previous request die with the next
+// decodeSubmit call.
+type decoder struct{ params []Param }
 
 // decodeSubmit is SubmitRequest.parseJSON on a decoder the caller keeps,
 // reusing r.Tasks' capacity and the decoder's params slab.
 func (d *decoder) decodeSubmit(src []byte, r *SubmitRequest) error {
-	d.src, d.pos, d.depth = src, 0, 0
-	err := d.document(d.submitRequest(r))
-	d.src = nil
+	c := cursor{src: src}
+	c.want(`{"tasks":`)
+	r.Tasks = d.tasks(&c, r.Tasks)
+	r.IdempotencyKey = ""
+	if c.lit(`,"idempotency_key":"`) {
+		r.IdempotencyKey = string(c.text())
+	}
+	c.want("}")
+	if c.whole() {
+		return nil
+	}
+	var twin shadowSubmitRequest
+	err := json.Unmarshal(src, &twin)
+	*r = SubmitRequest(twin)
 	return err
 }
 
-// syntaxError is any reason a document is rejected: malformed JSON or a
-// value of the wrong type for its field.
-type syntaxError struct {
-	off int
-	msg string
-}
-
-func (e *syntaxError) Error() string { return "offset " + strconv.Itoa(e.off) + ": " + e.msg }
-
-func (d *decoder) fail(msg string) error { return &syntaxError{off: d.pos, msg: msg} }
-
-// peek skips whitespace and returns the byte at the cursor, 0 at the end
-// of input (a NUL is not valid anywhere peek is used, so 0 never matches).
-func (d *decoder) peek() byte {
-	if d.pos < len(d.src) && d.src[d.pos] > ' ' {
-		return d.src[d.pos] // no whitespace to skip: the compact encoding
+func (r *SubmitResponse) parseJSON(src []byte) error {
+	c := cursor{src: src}
+	c.want(`{"ids":`)
+	r.IDs = c.ids(r.IDs)
+	r.Deduped = c.lit(`,"deduped":true`)
+	c.want("}")
+	if c.whole() {
+		return nil
 	}
-	return d.peekSlow()
+	var twin shadowSubmitResponse
+	err := json.Unmarshal(src, &twin)
+	*r = SubmitResponse(twin)
+	return err
 }
 
-func (d *decoder) peekSlow() byte {
-	for d.pos < len(d.src) {
-		switch c := d.src[d.pos]; c {
-		case ' ', '\t', '\r', '\n':
-			d.pos++
-		default:
-			return c
+func (r *AwaitRequest) parseJSON(src []byte) error {
+	c := cursor{src: src}
+	c.want("{")
+	r.IDs, r.TimeoutMS = r.IDs[:0], 0
+	timeout := `"timeout_ms":`
+	if c.lit(`"ids":`) {
+		r.IDs = c.ids(r.IDs)
+		timeout = `,"timeout_ms":`
+	}
+	if c.lit(timeout) {
+		r.TimeoutMS = c.int(math.MaxInt64)
+	}
+	c.want("}")
+	if c.whole() {
+		return nil
+	}
+	var twin shadowAwaitRequest
+	err := json.Unmarshal(src, &twin)
+	*r = AwaitRequest(twin)
+	return err
+}
+
+func (r *AwaitResponse) parseJSON(src []byte) error {
+	c := cursor{src: src}
+	if r.Done = c.lit(`{"done":true,"tasks":`); !r.Done {
+		c.want(`{"done":false,"tasks":`)
+	}
+	out := sized(r.Tasks, &c, len(`{"id":0,"state":""},`))
+	if c.array(func() {
+		c.want(`{"id":`)
+		st := TaskStatus{ID: c.uint(math.MaxUint64)}
+		c.want(`,"state":"`)
+		st.State = internState(c.text())
+		if c.lit(`,"error":"`) {
+			st.Error = string(c.text())
+		}
+		c.want("}")
+		out = append(out, st)
+	}) {
+		out = nil
+	}
+	r.Tasks = out
+	c.want("}")
+	if c.whole() {
+		return nil
+	}
+	var twin shadowAwaitResponse
+	err := json.Unmarshal(src, &twin)
+	*r = AwaitResponse(twin)
+	return err
+}
+
+// tasks reads a request's task array, reusing dst's capacity, with every
+// task's params carved from the decoder's slab.
+func (d *decoder) tasks(c *cursor, dst []TaskSpec) []TaskSpec {
+	d.params = d.params[:0]
+	out := sized(dst, c, len(`{"params":null},`))
+	if c.array(func() {
+		out = append(out, TaskSpec{})
+		d.task(c, &out[len(out)-1])
+	}) {
+		return nil
+	}
+	// The slab may have moved as it grew: each task's params are re-sliced
+	// off its final place, capacity-clipped, so that appending to one
+	// cannot reach its neighbour's.
+	off := 0
+	for i := range out {
+		if n := len(out[i].Params); n > 0 {
+			out[i].Params = d.params[off : off+n : off+n]
+			off += n
 		}
 	}
-	return 0
+	return out
 }
 
-// document finishes a top-level value: only whitespace may follow it.
-func (d *decoder) document(err error) error {
-	if err != nil {
-		return err
+// task reads one TaskSpec onto the end of the slab; t.Params is good only
+// for its length until tasks re-slices it.
+func (d *decoder) task(c *cursor, t *TaskSpec) {
+	if !c.lit(`{"params":`) {
+		c.want(`{"name":"`)
+		t.Name = string(c.text())
+		c.want(`,"params":`)
 	}
-	if d.peek(); d.pos < len(d.src) {
-		return d.fail("invalid character after top-level value")
-	}
-	return nil
-}
-
-func (d *decoder) literal(lit string) error {
-	if len(d.src)-d.pos < len(lit) || string(d.src[d.pos:d.pos+len(lit)]) != lit {
-		return d.fail("invalid literal, want " + lit)
-	}
-	d.pos += len(lit)
-	return nil
-}
-
-// open consumes the opening bracket of an object or array, or the null
-// that may stand in its place.
-func (d *decoder) open(bracket byte) (null bool, err error) {
-	switch d.peek() {
-	case bracket:
-		d.pos++
-		if d.depth++; d.depth > maxDepth {
-			return false, d.fail("exceeded max depth")
+	start := len(d.params)
+	if !c.array(func() { d.params = append(d.params, c.param()) }) {
+		if t.Params = d.params[start:]; len(t.Params) == 0 {
+			t.Params = []Param{} // an empty array is not null
 		}
-		return false, nil
-	case 'n':
-		return true, d.literal("null")
 	}
-	return false, d.fail("want " + string(bracket) + " or null")
+	if c.lit("}") {
+		return
+	}
+	if c.lit(`,"exec_us":`) {
+		t.ExecUS = c.int(math.MaxInt64)
+	}
+	if c.lit(`,"timeout_ms":`) {
+		t.TimeoutMS = c.int(math.MaxInt64)
+	}
+	if c.lit(`,"max_retries":`) {
+		t.MaxRetries = int(c.int(math.MaxInt))
+	}
+	c.want("}")
 }
 
-// key consumes up to and including the colon of the next member of the
-// object being decoded and returns the member's name, or reports done at
-// the closing brace. first is true for the first call after open.
-func (d *decoder) key(first bool) (name []byte, done bool, err error) {
-	c := d.peek()
-	if c == '}' {
-		d.pos++
-		d.depth--
-		return nil, true, nil
+func (c *cursor) param() Param {
+	c.want(`{"addr":`)
+	p := Param{Addr: c.uint(math.MaxUint64)}
+	if c.lit(`,"size":`) {
+		p.Size = uint32(c.uint(math.MaxUint32))
 	}
-	if !first {
-		if c != ',' {
-			return nil, false, d.fail("want , or } after object member")
-		}
-		d.pos++
-		c = d.peek()
-	}
-	if c != '"' {
-		return nil, false, d.fail("want object key")
-	}
-	name, plain, err := d.scanString()
-	if err != nil {
-		return nil, false, err
-	}
-	if !plain {
-		name = unquote(name)
-	}
-	if d.peek() != ':' {
-		return nil, false, d.fail("want : after object key")
-	}
-	d.pos++
-	return name, false, nil
+	c.want(`,"mode":"`)
+	p.Mode = internMode(c.text())
+	c.want("}")
+	return p
 }
 
-// elem moves to the next element of the array being decoded, or reports
-// done at the closing bracket. Every value parser rejects a ']', so a
-// trailing comma fails there.
-func (d *decoder) elem(first bool) (done bool, err error) {
-	c := d.peek()
-	if c == ']' {
-		d.pos++
-		d.depth--
-		return true, nil
+// ids reads an id array, reusing dst's capacity.
+func (c *cursor) ids(dst []uint64) []uint64 {
+	out := sized(dst, c, len(`0,`))
+	if c.array(func() { out = append(out, c.uint(math.MaxUint64)) }) {
+		return nil
 	}
-	if first {
-		return false, nil
-	}
-	if c != ',' {
-		return false, d.fail("want , or ] after array element")
-	}
-	d.pos++
-	return false, nil
+	return out
 }
 
-// object decodes the object at the cursor, or the null that may stand in
-// its place, calling member for each key with the cursor on its value.
-func (d *decoder) object(member func(key []byte) error) error {
-	null, err := d.open('{')
-	if err != nil || null {
-		return err
-	}
-	return d.members(true, member)
+// --- the compact form --------------------------------------------------------
+
+// cursor reads one document in the compact form appendJSON emits. A miss is
+// sticky: after the first read that fails, every read fails and returns a
+// zero value, so a reader runs straight through and asks whole once.
+type cursor struct {
+	src []byte
+	pos int
+	bad bool
 }
 
-// members decodes the rest of an object whose brace open has consumed;
-// first is true while none of its members has been read.
-func (d *decoder) members(first bool, member func(key []byte) error) error {
-	for ; ; first = false {
-		key, done, err := d.key(first)
-		if err != nil || done {
-			return err
-		}
-		if err := member(key); err != nil {
-			return err
-		}
+// lit consumes s when the input continues with it.
+func (c *cursor) lit(s string) bool {
+	src, i := c.src, c.pos
+	// The first byte alone settles most misses, and all of a one-byte s.
+	if c.bad || len(src)-i < len(s) || src[i] != s[0] || len(s) > 1 && string(src[i+1:i+len(s)]) != s[1:] {
+		return false
+	}
+	c.pos = i + len(s)
+	return true
+}
+
+// want is lit for what the layout requires.
+func (c *cursor) want(s string) {
+	if !c.lit(s) {
+		c.bad = true
 	}
 }
 
-// elems decodes the rest of an array whose bracket open has consumed,
-// calling element with the cursor on each one.
-func (d *decoder) elems(element func() error) error {
-	for first := true; ; first = false {
-		done, err := d.elem(first)
-		if err != nil || done {
-			return err
-		}
-		if err := element(); err != nil {
-			return err
+// whole reports whether the cursor has read the whole document: nothing
+// missed, and only whitespace after it (writeWire ends with a newline).
+func (c *cursor) whole() bool {
+	for ; !c.bad && c.pos < len(c.src); c.pos++ {
+		if b := c.src[c.pos]; b != ' ' && b != '\t' && b != '\r' && b != '\n' {
+			return false
 		}
 	}
+	return !c.bad
 }
 
-// scanString consumes the string literal at the cursor, validating it,
-// and returns the bytes between the quotes. plain reports that they are
-// printable ASCII without escapes, i.e. already the string's value.
-func (d *decoder) scanString() (raw []byte, plain bool, err error) {
-	src, start := d.src, d.pos+1
-	plain = true
-	for i := start; i < len(src); i++ {
-		for i < len(src) && plainChar[src[i]] {
-			i++
-		}
-		if i == len(src) {
-			break
-		}
-		switch c := src[i]; {
-		case c == '"':
-			d.pos = i + 1
-			return src[start:i], plain, nil
-		case c == '\\':
-			plain = false
-			i++
-			if i >= len(src) {
-				break
-			}
-			switch src[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if getu4(src[i-1:]) < 0 {
-					d.pos = i
-					return nil, false, d.fail("invalid \\u escape")
-				}
-				i += 4
-			default:
-				d.pos = i
-				return nil, false, d.fail("invalid escape in string")
-			}
-		case c < ' ':
-			d.pos = i
-			return nil, false, d.fail("control character in string")
-		default: // not ASCII: unquote checks it is UTF-8
-			plain = false
-		}
+// uint reads an integer no larger than max: 1 to 19 digits, which always
+// fit a uint64, without a leading zero. A 20th digit, a fraction or an
+// exponent misses at the token the layout has next, which is never a digit.
+func (c *cursor) uint(max uint64) uint64 {
+	src, start, i := c.src, c.pos, c.pos
+	var v uint64
+	for end := min(len(src), i+19); i < end && src[i]-'0' <= 9; i++ {
+		v = v*10 + uint64(src[i]-'0')
 	}
-	d.pos = len(src)
-	return nil, false, d.fail("unterminated string")
+	if c.bad || i == start || v > max || src[start] == '0' && i > start+1 {
+		c.bad = true
+		return 0
+	}
+	c.pos = i
+	return v
+}
+
+// int reads an integer from -max-1 to max.
+func (c *cursor) int(max int64) int64 {
+	if c.lit("-") {
+		return -int64(c.uint(uint64(max) + 1))
+	}
+	return int64(c.uint(uint64(max)))
+}
+
+// text reads a string, whose opening quote ends the literal before it, up to
+// its closing quote, when it is plain ASCII: no escape, control or non-ASCII
+// byte. The bytes are a view of src, which the caller copies or interns.
+func (c *cursor) text() []byte {
+	src, start, i := c.src, c.pos, c.pos
+	for i < len(src) && plainChar[src[i]] {
+		i++
+	}
+	if c.bad || i == len(src) || src[i] != '"' {
+		c.bad = true
+		return nil
+	}
+	c.pos = i + 1
+	return src[start:i]
 }
 
 // plainChar marks the bytes that stand for themselves inside a string
@@ -527,281 +521,58 @@ var plainChar = func() (t [256]bool) {
 	return t
 }()
 
-// getu4 decodes the \uXXXX at the start of s, or returns -1.
-func getu4(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
+// array reads an array, calling elem with the cursor on each element, and
+// reports whether it was the null that stands for a nil slice.
+func (c *cursor) array(elem func()) (null bool) {
+	if c.lit("null") {
+		return true
 	}
-	var r rune
-	for _, c := range s[2:6] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r*16 + rune(c)
+	c.want("[")
+	if c.lit("]") {
+		return false
 	}
-	return r
+	elem()
+	for c.lit(",") {
+		elem()
+	}
+	c.want("]")
+	return false
 }
 
-// unquote returns the value of a string literal scanString has validated:
-// escapes resolved, surrogate pairs joined, lone surrogates and invalid
-// UTF-8 replaced by U+FFFD, exactly as encoding/json does.
-func unquote(s []byte) []byte {
-	b := make([]byte, 0, len(s)+2*utf8.UTFMax)
-	for r := 0; r < len(s); {
-		switch c := s[r]; {
-		case c == '\\':
-			r++
-			switch s[r] {
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				rr := getu4(s[r-1:])
-				r += 4
-				if utf16.IsSurrogate(rr) {
-					if dec := utf16.DecodeRune(rr, getu4(s[r+1:])); dec != unicode.ReplacementChar {
-						r += 6
-						rr = dec
-					} else {
-						rr = unicode.ReplacementChar
-					}
-				}
-				b = utf8.AppendRune(b, rr)
-			default: // " \ /
-				b = append(b, s[r])
-			}
-			r++
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			r++
-		default:
-			rr, size := utf8.DecodeRune(s[r:])
-			r += size
-			b = utf8.AppendRune(b, rr)
-		}
+// sized returns dst emptied for the array at the cursor. A dst without
+// capacity — a response's slice, handed to its caller — gets the array's
+// length in one allocation: count's, which is exact for the compact form,
+// but never more elements of at least least bytes than the rest of src holds.
+func sized[E any](dst []E, c *cursor, least int) []E {
+	if cap(dst) > 0 {
+		return dst[:0]
 	}
-	return b
+	return make([]E, 0, min(c.count(), (len(c.src)-c.pos)/least))
 }
 
-// text decodes a string value and returns its bytes — a view of src when
-// the literal is plain, so the caller copies or interns them — or null.
-func (d *decoder) text() (b []byte, null bool, err error) {
-	switch d.peek() {
-	case '"':
-		b, plain, err := d.scanString()
-		if err == nil && !plain {
-			b = unquote(b)
-		}
-		return b, false, err
-	case 'n':
-		return nil, true, d.literal("null")
+// count returns the number of elements of the array at the cursor: one more
+// than the commas outside its strings and inner brackets. A compact string
+// has no escape, so the next quote closes it.
+func (c *cursor) count() int {
+	src := c.src
+	if c.pos+1 >= len(src) || src[c.pos] != '[' || src[c.pos+1] == ']' {
+		return 0
 	}
-	return nil, false, d.fail("want string")
-}
-
-// str decodes a string value into dst; null leaves dst alone.
-func (d *decoder) str(dst *string) error {
-	b, null, err := d.text()
-	if err == nil && !null {
-		*dst = string(b)
-	}
-	return err
-}
-
-// interned is str for a field with a few expected values: intern returns
-// the constant for those, so decoding them does not allocate.
-func (d *decoder) interned(dst *string, intern func([]byte) string) error {
-	b, null, err := d.text()
-	if err == nil && !null {
-		*dst = intern(b)
-	}
-	return err
-}
-
-// number consumes the JSON number at the cursor and returns its digits:
-// the literal without its sign. integer is false when it has a fraction
-// or an exponent.
-func (d *decoder) number() (digits []byte, neg, integer bool, err error) {
-	src, i := d.src, d.pos
-	if i < len(src) && src[i] == '-' {
-		neg = true
-		i++
-	}
-	start := i
-	switch {
-	case i < len(src) && src[i] == '0':
-		i++
-	case i < len(src) && '1' <= src[i] && src[i] <= '9':
-		for i < len(src) && '0' <= src[i] && src[i] <= '9' {
-			i++
-		}
-	default:
-		return nil, false, false, d.fail("want number")
-	}
-	end := i
-	integer = true
-	if i < len(src) && src[i] == '.' {
-		integer = false
-		i++
-		if i >= len(src) || src[i] < '0' || src[i] > '9' {
-			d.pos = i
-			return nil, false, false, d.fail("want digit after decimal point")
-		}
-		for i < len(src) && '0' <= src[i] && src[i] <= '9' {
-			i++
-		}
-	}
-	if i < len(src) && (src[i] == 'e' || src[i] == 'E') {
-		integer = false
-		i++
-		if i < len(src) && (src[i] == '+' || src[i] == '-') {
-			i++
-		}
-		if i >= len(src) || src[i] < '0' || src[i] > '9' {
-			d.pos = i
-			return nil, false, false, d.fail("want digit in exponent")
-		}
-		for i < len(src) && '0' <= src[i] && src[i] <= '9' {
-			i++
-		}
-	}
-	d.pos = i
-	return src[start:end], neg, integer, nil
-}
-
-// magnitude decodes an integer no larger than max, the only numbers the
-// schema has; null reports as such and a value of 0.
-func (d *decoder) magnitude(max uint64, signed bool) (v uint64, neg, null bool, err error) {
-	if d.peek() == 'n' {
-		return 0, false, true, d.literal("null")
-	}
-	at := d.pos
-	digits, neg, integer, err := d.number()
-	if err != nil {
-		return 0, false, false, err
-	}
-	if neg && signed {
-		max++ // two's complement: one more below zero than above
-	}
-	// 19 digits cannot overflow a uint64; a 20th can, once.
-	ok := integer && (signed || !neg) && len(digits) <= 20
-	for _, c := range digits {
-		next := v*10 + uint64(c-'0')
-		if len(digits) == 20 && (v > (1<<64-1)/10 || next < v) {
-			ok = false
-		}
-		v = next
-	}
-	if !ok || v > max {
-		d.pos = at
-		return 0, false, false, d.fail("number is not an integer the field can hold")
-	}
-	return v, neg, false, nil
-}
-
-// uint decodes an unsigned integer of the given width into dst; null
-// leaves dst alone.
-func (d *decoder) uint(dst *uint64, bits uint) error {
-	v, _, null, err := d.magnitude(1<<bits-1, false)
-	if err == nil && !null {
-		*dst = v
-	}
-	return err
-}
-
-// int decodes a signed integer of the given width into dst; null leaves
-// dst alone.
-func (d *decoder) int(dst *int64, bits uint) error {
-	v, neg, null, err := d.magnitude(1<<(bits-1)-1, true)
-	if err != nil || null {
-		return err
-	}
-	if *dst = int64(v); neg {
-		*dst = -int64(v)
-	}
-	return nil
-}
-
-// boolean decodes true or false into dst; null leaves dst alone.
-func (d *decoder) boolean(dst *bool) error {
-	switch d.peek() {
-	case 't':
-		*dst = true
-		return d.literal("true")
-	case 'f':
-		*dst = false
-		return d.literal("false")
-	case 'n':
-		return d.literal("null")
-	}
-	return d.fail("want true or false")
-}
-
-// skip consumes and validates one value of any type: an unknown key's.
-func (d *decoder) skip() error {
-	switch c := d.peek(); {
-	case c == '{':
-		return d.object(func([]byte) error { return d.skip() })
-	case c == '[':
-		if _, err := d.open('['); err != nil {
-			return err
-		}
-		return d.elems(d.skip)
-	case c == '"':
-		_, _, err := d.scanString()
-		return err
-	case c == 't':
-		return d.literal("true")
-	case c == 'f':
-		return d.literal("false")
-	case c == 'n':
-		return d.literal("null")
-	case c == '-' || ('0' <= c && c <= '9'):
-		_, _, _, err := d.number()
-		return err
-	}
-	return d.fail("want a value")
-}
-
-// countElems counts the elements of the array whose opening bracket was
-// just consumed, without consuming them. It is the capacity for the slice
-// that will hold them, and only as right as the input is well-formed.
-func (d *decoder) countElems() int {
-	n, depth, seen := 0, 0, false
-	for i := d.pos; i < len(d.src); i++ {
-		switch d.src[i] {
-		case ' ', '\t', '\r', '\n':
+	n, depth := 1, 0
+	for i := c.pos + 1; i < len(src); i++ {
+		switch src[i] {
 		case '"':
-			for i++; i < len(d.src) && d.src[i] != '"'; i++ {
-				if d.src[i] == '\\' {
-					i++
-				}
+			j := bytes.IndexByte(src[i+1:], '"')
+			if j < 0 {
+				return n
 			}
-			seen = true
+			i += j + 1
 		case '{', '[':
 			depth++
-			seen = true
 		case '}':
 			depth--
 		case ']':
 			if depth == 0 {
-				if seen {
-					n++
-				}
 				return n
 			}
 			depth--
@@ -809,139 +580,9 @@ func (d *decoder) countElems() int {
 			if depth == 0 {
 				n++
 			}
-		default:
-			seen = true
 		}
 	}
 	return n
-}
-
-// uints decodes an array of unsigned integers into dst, reusing its
-// capacity. presize allocates a destination without capacity at the exact
-// length in one step — for the slices a response hands to its caller.
-func (d *decoder) uints(dst *[]uint64, presize bool) error {
-	null, err := d.open('[')
-	if null {
-		*dst = nil
-	}
-	if err != nil || null {
-		return err
-	}
-	out := (*dst)[:0]
-	if presize && cap(out) == 0 {
-		out = make([]uint64, 0, d.countElems())
-	} else if out == nil {
-		out = []uint64{}
-	}
-	err = d.elems(func() error {
-		if v, ok := d.compactID(); ok {
-			out = append(out, v)
-			return nil
-		}
-		out = append(out, 0)
-		return d.uint(&out[len(out)-1], 64)
-	})
-	*dst = out
-	return err
-}
-
-// --- the compact form --------------------------------------------------------
-
-// at reports whether src holds lit at index i.
-func at(src []byte, i int, lit string) bool {
-	return len(src)-i >= len(lit) && string(src[i:i+len(lit)]) == lit
-}
-
-// compactUint reads the integer at src[i:] when it is 1 to 19 digits
-// without a leading zero, which always fits a uint64, and returns it and the
-// index past its digits. A sign, a leading zero or a 20th digit is not ok;
-// the caller rejects a fraction or an exponent by the byte it expects next.
-func compactUint(src []byte, i int) (v uint64, end int, ok bool) {
-	start := i
-	for ; i < len(src) && '0' <= src[i] && src[i] <= '9'; i++ {
-		if i-start == 19 {
-			return 0, i, false
-		}
-		v = v*10 + uint64(src[i]-'0')
-	}
-	return v, i, i > start && (src[start] != '0' || i == start+1)
-}
-
-// compactText reads the string whose opening quote is just before src[i:]
-// when it is plain ASCII, and returns its bytes and the index past its
-// closing quote. An escape, a control or non-ASCII byte, or the end of input
-// is not ok.
-func compactText(src []byte, i int) (b []byte, end int, ok bool) {
-	start := i
-	for i < len(src) && plainChar[src[i]] {
-		i++
-	}
-	if i == len(src) || src[i] != '"' {
-		return nil, i, false
-	}
-	return src[start:i], i + 1, true
-}
-
-// closes reports whether src holds the closing brace of a compact object at i.
-func closes(src []byte, i int) bool { return i < len(src) && src[i] == '}' }
-
-// compactParam decodes the Param at the cursor when it is laid out as
-// Param.appendJSON emits it, {"addr":N[,"size":N],"mode":"..."}, and reports
-// whether it was; when not, neither the cursor nor p has moved. A param's
-// braces sit at depth 5 (request, tasks, task, params, param), far inside
-// maxDepth, and close again, so the depth count is left alone.
-func (d *decoder) compactParam(p *Param) bool {
-	src := d.src
-	if !at(src, d.pos, `{"addr":`) {
-		return false
-	}
-	addr, i, ok := compactUint(src, d.pos+len(`{"addr":`))
-	var size uint64
-	if ok && at(src, i, `,"size":`) {
-		size, i, ok = compactUint(src, i+len(`,"size":`))
-	}
-	if !ok || size > 1<<32-1 || !at(src, i, `,"mode":"`) {
-		return false
-	}
-	mode, i, ok := compactText(src, i+len(`,"mode":"`))
-	if !ok || !closes(src, i) {
-		return false
-	}
-	p.Addr, p.Size, p.Mode = addr, uint32(size), internMode(mode)
-	d.pos = i + 1
-	return true
-}
-
-// compactStatus is compactParam for a TaskStatus without an error,
-// {"id":N,"state":"..."}, at depth 3 (response, tasks, status).
-func (d *decoder) compactStatus(st *TaskStatus) bool {
-	src := d.src
-	if !at(src, d.pos, `{"id":`) {
-		return false
-	}
-	id, i, ok := compactUint(src, d.pos+len(`{"id":`))
-	if !ok || !at(src, i, `,"state":"`) {
-		return false
-	}
-	state, i, ok := compactText(src, i+len(`,"state":"`))
-	if !ok || !closes(src, i) {
-		return false
-	}
-	st.ID, st.State = id, internState(state)
-	d.pos = i + 1
-	return true
-}
-
-// compactID reads the element of an id array at the cursor when it is an
-// integer compactUint takes directly followed by the comma or bracket after
-// it; when not, the cursor has not moved.
-func (d *decoder) compactID() (uint64, bool) {
-	v, end, ok := compactUint(d.src, d.pos)
-	if !ok || end == len(d.src) || d.src[end] != ',' && d.src[end] != ']' {
-		return 0, false
-	}
-	d.pos = end
-	return v, true
 }
 
 func internMode(b []byte) string {
@@ -968,202 +609,4 @@ func internState(b []byte) string {
 		return StatePending
 	}
 	return string(b)
-}
-
-func (d *decoder) param(p *Param) error {
-	return d.object(func(key []byte) error {
-		switch string(key) {
-		case "addr":
-			return d.uint(&p.Addr, 64)
-		case "size":
-			v := uint64(p.Size)
-			err := d.uint(&v, 32)
-			p.Size = uint32(v)
-			return err
-		case "mode":
-			return d.interned(&p.Mode, internMode)
-		}
-		return d.skip()
-	})
-}
-
-func (d *decoder) taskSpec(t *TaskSpec) error {
-	member := func(key []byte) error {
-		switch string(key) {
-		case "name":
-			return d.str(&t.Name)
-		case "params":
-			return d.taskParams(t)
-		case "exec_us":
-			return d.int(&t.ExecUS, 64)
-		case "timeout_ms":
-			return d.int(&t.TimeoutMS, 64)
-		case "max_retries":
-			v := int64(t.MaxRetries)
-			err := d.int(&v, strconv.IntSize)
-			t.MaxRetries = int(v)
-			return err
-		}
-		return d.skip()
-	}
-	// The compact form of a nameless task opens with its params: the brace
-	// and the key are one compare, and whatever follows the array is read
-	// by the grammar.
-	if at(d.src, d.pos, `{"params":`) {
-		if _, err := d.open('{'); err != nil {
-			return err
-		}
-		d.pos += len(`"params":`)
-		if err := d.taskParams(t); err != nil {
-			return err
-		}
-		return d.members(false, member)
-	}
-	return d.object(member)
-}
-
-// taskParams decodes one task's params onto the end of the request's slab.
-// The slab may move as it grows, so t.Params is only good for its length
-// until tasks re-slices every task's params at the end.
-func (d *decoder) taskParams(t *TaskSpec) error {
-	// t is the task being decoded, so any params it already has — a
-	// repeated key — are the slab's tail: drop them.
-	d.params = d.params[:len(d.params)-len(t.Params)]
-	null, err := d.open('[')
-	if null {
-		t.Params = nil
-	}
-	if err != nil || null {
-		return err
-	}
-	start := len(d.params)
-	err = d.elems(func() error {
-		d.params = append(d.params, Param{})
-		if p := &d.params[len(d.params)-1]; !d.compactParam(p) {
-			return d.param(p)
-		}
-		return nil
-	})
-	if t.Params = d.params[start:]; len(t.Params) == 0 {
-		t.Params = []Param{} // an empty array is not null
-	}
-	return err
-}
-
-func (d *decoder) tasks(dst *[]TaskSpec) error {
-	// A repeated "tasks" key replaces the earlier array, params included.
-	clear(*dst)
-	d.params = d.params[:0]
-	null, err := d.open('[')
-	if null {
-		*dst = nil
-	}
-	if err != nil || null {
-		return err
-	}
-	// *dst is kept current as it grows, so whoever resets it after a
-	// failed decode sees every element that was written.
-	if *dst = (*dst)[:0]; *dst == nil {
-		*dst = []TaskSpec{}
-	}
-	err = d.elems(func() error {
-		*dst = append(*dst, TaskSpec{})
-		return d.taskSpec(&(*dst)[len(*dst)-1])
-	})
-	off := 0
-	for i := range *dst {
-		t := &(*dst)[i]
-		if n := len(t.Params); n > 0 {
-			t.Params = d.params[off : off+n : off+n]
-			off += n
-		}
-	}
-	return err
-}
-
-func (d *decoder) submitRequest(r *SubmitRequest) error {
-	return d.object(func(key []byte) error {
-		switch string(key) {
-		case "tasks":
-			return d.tasks(&r.Tasks)
-		case "idempotency_key":
-			return d.str(&r.IdempotencyKey)
-		}
-		return d.skip()
-	})
-}
-
-func (d *decoder) submitResponse(r *SubmitResponse) error {
-	return d.object(func(key []byte) error {
-		switch string(key) {
-		case "ids":
-			return d.uints(&r.IDs, true)
-		case "deduped":
-			return d.boolean(&r.Deduped)
-		}
-		return d.skip()
-	})
-}
-
-func (d *decoder) awaitRequest(r *AwaitRequest) error {
-	return d.object(func(key []byte) error {
-		switch string(key) {
-		case "ids":
-			return d.uints(&r.IDs, false)
-		case "timeout_ms":
-			return d.int(&r.TimeoutMS, 64)
-		}
-		return d.skip()
-	})
-}
-
-func (d *decoder) taskStatus(st *TaskStatus) error {
-	return d.object(func(key []byte) error {
-		switch string(key) {
-		case "id":
-			return d.uint(&st.ID, 64)
-		case "state":
-			return d.interned(&st.State, internState)
-		case "error":
-			return d.str(&st.Error)
-		}
-		return d.skip()
-	})
-}
-
-func (d *decoder) awaitResponse(r *AwaitResponse) error {
-	return d.object(func(key []byte) error {
-		switch string(key) {
-		case "done":
-			return d.boolean(&r.Done)
-		case "tasks":
-			return d.statuses(&r.Tasks)
-		}
-		return d.skip()
-	})
-}
-
-// statuses decodes the tasks of an AwaitResponse: the slice Session.Await
-// returns, so without capacity to reuse it is one exact-size allocation.
-func (d *decoder) statuses(dst *[]TaskStatus) error {
-	null, err := d.open('[')
-	if null {
-		*dst = nil
-	}
-	if err != nil || null {
-		return err
-	}
-	out := (*dst)[:0]
-	if cap(out) == 0 {
-		out = make([]TaskStatus, 0, d.countElems())
-	}
-	err = d.elems(func() error {
-		out = append(out, TaskStatus{})
-		if st := &out[len(out)-1]; !d.compactStatus(st) {
-			return d.taskStatus(st)
-		}
-		return nil
-	})
-	*dst = out
-	return err
 }

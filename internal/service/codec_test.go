@@ -14,17 +14,6 @@ import (
 	"nexuspp/internal/workload"
 )
 
-// Method-less twins of the four codec types: same fields and tags, so
-// encoding/json handles them by reflection exactly as it handled the real
-// types before they had a codec. They are the reference the codec is held
-// to, on both emitted bytes and decoded values.
-type (
-	shadowSubmitRequest  SubmitRequest
-	shadowSubmitResponse SubmitResponse
-	shadowAwaitRequest   AwaitRequest
-	shadowAwaitResponse  AwaitResponse
-)
-
 // dagBatch and chainBatch are the two request shapes the benchmark sends:
 // a 64-task cut of a random DAG (svc_closed) and an 8-task inout chain on
 // one address (svc_open).
@@ -121,67 +110,9 @@ func TestCodecEmitsWhatEncodingJSONDid(t *testing.T) {
 	}
 }
 
-// wireKeys is every key the four schemas know.
-var wireKeys = []string{
-	"tasks", "idempotency_key", "name", "params", "exec_us", "timeout_ms", "max_retries",
-	"addr", "size", "mode", "ids", "deduped", "done", "id", "state", "error",
-}
-
-// divergent reports whether data exercises one of the codec's documented
-// departures from encoding/json's decoding: a key that matches a known
-// one only case-insensitively, or a repeated "tasks" or "params" key in
-// one object. The differential check skips such inputs.
-func divergent(data []byte) bool {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	found := false
-	var walk func() bool
-	walk = func() bool {
-		tok, err := dec.Token()
-		if err != nil {
-			return false
-		}
-		switch tok {
-		case json.Delim('{'):
-			seen := map[string]bool{}
-			for dec.More() {
-				kt, err := dec.Token()
-				if err != nil {
-					return false
-				}
-				key, _ := kt.(string)
-				for _, known := range wireKeys {
-					if key != known && strings.EqualFold(key, known) {
-						found = true
-					}
-				}
-				if (key == "tasks" || key == "params") && seen[key] {
-					found = true
-				}
-				seen[key] = true
-				if !walk() {
-					return false
-				}
-			}
-			_, err = dec.Token()
-			return err == nil
-		case json.Delim('['):
-			for dec.More() {
-				if !walk() {
-					return false
-				}
-			}
-			_, err = dec.Token()
-			return err == nil
-		}
-		return true
-	}
-	walk()
-	return found
-}
-
-// grammarSeeds are documents around every rule of the accepted language;
-// the fuzz targets start from them and TestCodecGrammar runs them all
-// against all four types.
+// grammarSeeds are documents around every rule of the accepted language and
+// every edge of the compact form; the fuzz targets start from them and
+// TestCodecGrammar runs them all against all four types.
 var grammarSeeds = []string{
 	``, ` `, `null`, ` null `, `nul`, `{}`, `[]`, `5`, `"x"`, `true`, `{`, `}`, `{}x`, `{} {}`, "{}\n\t\r ",
 	`{"tasks":null}`, `{"tasks":[]}`, `{"tasks":{}}`, `{"tasks":5}`, `{"tasks":[null]}`, `{"tasks":[5]}`,
@@ -226,8 +157,8 @@ var grammarSeeds = []string{
 	`{"done":false,"tasks":null}`, `{"done":true,"tasks":[]}`, `{"tasks":[{"id":1,"state":"ok"}],"tasks":[{"id":2}]}`,
 	`{"done":true,"tasks":[{"id":"0"}]}`, `{"done":true,"tasks":[{"state":0}]}`, `{"done":true,"tasks":[null,{}]}`,
 	`{"done":true,"tasks":[{"id":0,"state":"ok","error":null}]}`,
-	// The compact path's edges: each is the encoder's layout but for one
-	// thing the fast path must leave to the grammar.
+	// The compact form's edges: each is the encoder's layout but for one
+	// thing the compact reader must leave to encoding/json.
 	`{"tasks":[{"params":[{"addr":1,"mode":"in"}]}]}`, `{"tasks":[{"params":[{"addr":0,"size":0,"mode":""}]}]}`,
 	`{"tasks":[{"params":[{"addr":1,"size":01,"mode":"in"}]}]}`, `{"tasks":[{"params":[{"addr":1,"size":4e2,"mode":"in"}]}]}`,
 	`{"tasks":[{"params":[{"addr":99999999999999999999,"mode":"in"}]}]}`,
@@ -244,13 +175,26 @@ var grammarSeeds = []string{
 	`{"done":true,"tasks":[{"id":01,"state":"ok"}]}`, `{"done":true,"tasks":[{"id":1,"state":"o\u006b"}]}`,
 	`{"done":true,"tasks":[{"id":1,"state":"ok","state":"failed"}]}`, `{"done":true,"tasks":[{"state":"ok","id":1}]}`,
 	`{"done":true,"tasks":[{"id":1,"state":"ok"},{"id":2,"state":"o`,
+	// Whole documents in the compact form, and one change away from it.
+	`{"tasks":[{"name":"n","params":[{"addr":1,"size":8,"mode":"in"}],"exec_us":-5,"timeout_ms":7,"max_retries":-3}],"idempotency_key":"0123abcd"}`,
+	`{"tasks":[{"params":[],"exec_us":9223372036854775807,"timeout_ms":-9223372036854775808}]}`,
+	`{"tasks":[{"params":[{"addr":1,"mode":"in"}],"max_retries":-9223372036854775809}]}`, `{"tasks":[{"params":[],"exec_us":-}]}`,
+	`{"tasks":[{"params":[{"addr":1,"mode":"in"}]},{"name":"b","params":null}],"idempotency_key":"k"}` + "\n",
+	` {"tasks":null}`, "{\"tasks\":null}\r\n\t ", "{\"tasks\":null}\n}", `{"idempotency_key":"k","tasks":null}`,
+	`{"tasks":[{"name":"a","exec_us":1,"params":[]}]}`, `{"tasks":[{"params":[],"timeout_ms":1,"exec_us":2}]}`,
+	"{\"ids\":[0,1,2]}\n", "{\"ids\":[0],\"deduped\":true}\n", `{"ids":[0],"deduped":false}`, "{\"ids\":null}\n",
+	`{"timeout_ms":10000}`, `{"ids":[5],"timeout_ms":-9223372036854775808}`, `{"timeout_ms":5,"ids":[1]}`, `{"ids":[],"timeout_ms":0}`,
+	"{\"done\":false,\"tasks\":[{\"id\":1,\"state\":\"failed\",\"error\":\"starss: task deadline exceeded after 5ms\"},{\"id\":2,\"state\":\"pending\"}]}\n",
+	`{"done":true,"tasks":[{"id":1,"state":"ok","error":"a,b]c{d\"e"},{"id":2,"state":"ok"}]}`,
+	`{"done":true,"tasks":[{"id":1,"state":"failed","error":"task \"x\" skipped"}]}`,
+	`{"done":true,"tasks":[{"id":1,"state":"ok"}]}x`, `{"done":true,"tasks":[{"id":1,"state":"ok"}],"done":false}`,
+	`{"ids":[,,,,,,1]}`, `{"done":true,"tasks":[,,,,{"id":1,"state":"ok"}]}`,
 }
 
 // checkCodec is the differential and round-trip check of one document as
 // a T, whose method-less twin is S: the codec and encoding/json agree on
-// accept or reject and on the decoded value (unless the document is
-// divergent), the value re-encodes to the bytes encoding/json emits, and
-// those bytes decode back to the value.
+// accept or reject and on the decoded value, the value re-encodes to the
+// bytes encoding/json emits, and those bytes decode back to the value.
 func checkCodec[T wireEncoder, S any, PT interface {
 	*T
 	parseJSON([]byte) error
@@ -259,13 +203,11 @@ func checkCodec[T wireEncoder, S any, PT interface {
 	var got T
 	err := PT(&got).parseJSON(data)
 	var want S
-	if werr := json.Unmarshal(data, &want); !divergent(data) {
-		if (err == nil) != (werr == nil) {
-			t.Fatalf("accept/reject split on %q: codec %v, encoding/json %v", data, err, werr)
-		}
-		if wantT := reflect.ValueOf(want).Convert(reflect.TypeFor[T]()).Interface(); err == nil && !reflect.DeepEqual(got, wantT) {
-			t.Fatalf("decoded value of %q:\n got %+v\nwant %+v", data, got, wantT)
-		}
+	if werr := json.Unmarshal(data, &want); (err == nil) != (werr == nil) {
+		t.Fatalf("accept/reject split on %q: codec %v, encoding/json %v", data, err, werr)
+	}
+	if wantT := reflect.ValueOf(want).Convert(reflect.TypeFor[T]()).Interface(); err == nil && !reflect.DeepEqual(got, wantT) {
+		t.Fatalf("decoded value of %q:\n got %+v\nwant %+v", data, got, wantT)
 	}
 	if err != nil {
 		return
@@ -305,7 +247,9 @@ func checkAwaitResponse(t *testing.T, data []byte) {
 }
 
 // TestCodecGrammar runs every seed document through all four decoders
-// against encoding/json, and pins the three documented divergences.
+// against encoding/json, and pins three of its rules a hand-written decoder
+// would easily miss: keys match case-insensitively, a repeated array key
+// decodes over the earlier array, and bytes after the value are an error.
 func TestCodecGrammar(t *testing.T) {
 	for _, doc := range grammarSeeds {
 		data := []byte(doc)
@@ -315,21 +259,29 @@ func TestCodecGrammar(t *testing.T) {
 		checkAwaitResponse(t, data)
 	}
 
+	// A key matches its field case-insensitively.
 	var req SubmitRequest
-	if err := req.parseJSON([]byte(`{"Tasks":[{}],"IDEMPOTENCY_KEY":"k"}`)); err != nil || req.Tasks != nil || req.IdempotencyKey != "" {
-		t.Errorf("case-variant keys must be unknown keys: %+v, %v", req, err)
+	want := SubmitRequest{Tasks: []TaskSpec{{Params: []Param{{Addr: 1, Mode: "in"}}}}, IdempotencyKey: "k"}
+	if err := req.parseJSON([]byte(`{"Tasks":[{"PARAMS":[{"Addr":1,"mode":"in"}]}],"IDEMPOTENCY_KEY":"k"}`)); err != nil || !reflect.DeepEqual(req, want) {
+		t.Errorf("case-variant keys: %+v, %v; want %+v", req, err, want)
 	}
-	for _, doc := range []string{`{} x`, `{}{}`, `null 1`, `{"tasks":[]}]`} {
+	// A repeated array key decodes the later array over the earlier one.
+	for _, doc := range []string{
+		`{"tasks":[{"name":"old","params":[{"addr":1,"size":8,"mode":"in"},{"addr":2,"mode":"out"}],"params":[{"addr":3}]}],
+		  "tasks":[{"params":[{"addr":4,"mode":"inout"}]},{"params":[]}]}`,
+		`{"tasks":[{"params":[{"addr":1,"mode":"in"}]}],"tasks":[{"params":[{"addr":2,"size":8,"mode":"out"}],"params":[{"mode":"in"}]}]}`,
+	} {
+		var want shadowSubmitRequest
+		werr := json.Unmarshal([]byte(doc), &want)
+		req = SubmitRequest{}
+		if err := req.parseJSON([]byte(doc)); err != nil || werr != nil || !reflect.DeepEqual(req, SubmitRequest(want)) {
+			t.Errorf("repeated array key: %+v, %v; encoding/json %+v, %v", req, err, want, werr)
+		}
+	}
+	for _, doc := range []string{`{} x`, `{}{}`, `null 1`, `{"tasks":[]}]`, `{"tasks":[{"params":[{"addr":1,"mode":"in"}]}]} x`} {
 		if err := req.parseJSON([]byte(doc)); err == nil {
 			t.Errorf("%q: bytes after the top-level value must be rejected", doc)
 		}
-	}
-	req = SubmitRequest{}
-	doc := `{"tasks":[{"name":"old","params":[{"addr":1,"size":8,"mode":"in"},{"addr":2,"mode":"out"}],"params":[{"addr":3}]}],
-	         "tasks":[{"params":[{"addr":4,"mode":"inout"}]},{"params":[]}]}`
-	want := []TaskSpec{{Params: []Param{{Addr: 4, Mode: "inout"}}}, {Params: []Param{}}}
-	if err := req.parseJSON([]byte(doc)); err != nil || !reflect.DeepEqual(req.Tasks, want) {
-		t.Errorf("a repeated array key must replace the earlier array: %+v, %v", req.Tasks, err)
 	}
 
 	// Every task's params are one slab's consecutive, capacity-clipped
@@ -346,6 +298,8 @@ func TestCodecGrammar(t *testing.T) {
 		t.Error("64-task batch did not survive the slab re-slice")
 	}
 
+	// encoding/json caps nesting at 10000.
+	const maxDepth = 10000
 	deep := `{"x":` + strings.Repeat("[", maxDepth-1) + strings.Repeat("]", maxDepth-1) + `}`
 	checkSubmitRequest(t, []byte(deep))
 	if err := req.parseJSON([]byte(deep)); err != nil {
@@ -361,9 +315,8 @@ func TestCodecGrammar(t *testing.T) {
 // indent spreads doc over lines as json.Indent does — a newline after every
 // brace, bracket and comma outside a string, a space after every colon — but
 // also when doc is not JSON, which json.Indent refuses. Whitespace between
-// tokens changes no document's meaning, valid or not, and the compact path
-// takes no object or element that opens with it: the indented copy is read
-// by the grammar alone.
+// tokens changes no document's meaning, valid or not, and the compact reader
+// takes none: the indented copy is read by encoding/json alone.
 func indent(doc []byte) []byte {
 	out := make([]byte, 0, 2*len(doc))
 	for i := 0; i < len(doc); i++ {
@@ -404,17 +357,10 @@ func sameDecode[T any, PT interface {
 	if cerr == nil && !reflect.DeepEqual(compact, general) {
 		t.Fatalf("%T: %q\n   compact %+v\n  indented %+v", compact, doc, compact, general)
 	}
-	if r, ok := any(&compact).(*SubmitRequest); ok {
-		for i := range r.Tasks {
-			if p := r.Tasks[i].Params; cap(p) != len(p) {
-				t.Fatalf("%q: task %d: params len %d cap %d", doc, i, len(p), cap(p))
-			}
-		}
-	}
 }
 
-// TestCodecCompactMatchesGeneral holds the compact path to the grammar: every
-// corpus document — the grammar seeds and what the encoder makes of the
+// TestCodecCompactMatchesGeneral holds the compact reader to encoding/json:
+// every corpus document — the grammar seeds and what the encoder makes of the
 // benchmark's messages — decodes, as each of the four types, exactly as its
 // indented copy does.
 func TestCodecCompactMatchesGeneral(t *testing.T) {

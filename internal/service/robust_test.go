@@ -569,6 +569,29 @@ func TestClientAwaitDeadlineClamp(t *testing.T) {
 	}
 }
 
+// TestClientBoundsResponseBody: the client reads an await or submit
+// response whole into a pooled buffer, so a server that sends more than the
+// 8 MiB a request may carry gets an error, whether it declares the length or
+// not, instead of a buffer grown without bound. The body is a valid response
+// padded with whitespace: only its length is wrong.
+func TestClientBoundsResponseBody(t *testing.T) {
+	const maxBody = 8 << 20
+	body := []byte(`{"done":true,"tasks":[]}` + strings.Repeat(" ", maxBody))
+	for _, declared := range []bool{true, false} {
+		hs := newStubServer(t, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			if declared {
+				w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+			}
+			_, _ = w.Write(body)
+		})
+		_, err := service.NewClient(hs.URL).Session("x").AwaitOnce(context.Background(), nil, 0)
+		if err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("Content-Length declared %v: a %d-byte response decoded with %v, want an error", declared, len(body), err)
+		}
+	}
+}
+
 // newStubServer runs a canned handler in place of a real daemon, for
 // pinning client-side behaviour against fixed server responses.
 func newStubServer(t *testing.T, h http.HandlerFunc) *httptest.Server {

@@ -220,8 +220,13 @@ type wireBuf struct{ b []byte }
 
 var bufPool = sync.Pool{New: func() any { return new(wireBuf) }}
 
+// errBodyTooLarge is readAll's error for a body longer than maxBodyBytes.
+var errBodyTooLarge = fmt.Errorf("service: body exceeds %d bytes", maxBodyBytes)
+
 // readAll reads r to its end onto dst, which is grown once, up front, when
-// size — a Content-Length — says how much is coming.
+// size — a Content-Length — says how much is coming. It reads at most one
+// byte past maxBodyBytes and stops there with errBodyTooLarge, so no body
+// grows a pooled buffer without bound.
 func readAll(dst []byte, r io.Reader, size int64) ([]byte, error) {
 	if size > 0 && size <= maxBodyBytes {
 		dst = slices.Grow(dst, int(size)+1) // +1: room to read the EOF without growing
@@ -230,8 +235,11 @@ func readAll(dst []byte, r io.Reader, size int64) ([]byte, error) {
 		if len(dst) == cap(dst) {
 			dst = append(dst, 0)[:len(dst)]
 		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
+		n, err := r.Read(dst[len(dst):min(cap(dst), maxBodyBytes+1)])
 		dst = dst[:len(dst)+n]
+		if len(dst) > maxBodyBytes {
+			return dst, errBodyTooLarge
+		}
 		if err == io.EOF {
 			return dst, nil
 		}

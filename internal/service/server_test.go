@@ -629,8 +629,8 @@ func rawPost(t *testing.T, url string, body io.Reader) (int, string) {
 	return resp.StatusCode, er.Error
 }
 
-// TestServiceMalformedBodies covers what the hand-written decoder and the
-// body bound reject — each with a typed 4xx, its endpoint's message prefix,
+// TestServiceMalformedBodies covers what the decoder and the body bound
+// reject — each with a typed 4xx, its endpoint's message prefix,
 // and the session's admission tokens untouched.
 func TestServiceMalformedBodies(t *testing.T) {
 	const window = 4

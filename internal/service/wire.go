@@ -15,12 +15,14 @@
 // live daemon with a trivial transform (see cmd/nexusbench serve).
 //
 // It is JSON, and one format: the structs and tags in this file are the
-// schema. The four messages a task passes through — SubmitRequest,
-// SubmitResponse, AwaitRequest, AwaitResponse — are encoded and decoded by
-// the hand-written codec in codec.go, on both the server and the client,
-// through pooled buffers and without a per-task allocation; encoding/json
-// reaches the same code through their MarshalJSON/UnmarshalJSON. The cold
-// messages (session creation, stats, /debug, errors) stay on encoding/json.
+// schema, and encoding/json defines what is accepted. The four messages a
+// task passes through — SubmitRequest, SubmitResponse, AwaitRequest,
+// AwaitResponse — are encoded and decoded by the codec in codec.go, on both
+// the server and the client, through pooled buffers and without a per-task
+// allocation: it reads the compact form it emits by hand and hands any
+// other document to encoding/json. encoding/json reaches the same code
+// through their MarshalJSON/UnmarshalJSON. The cold messages (session
+// creation, stats, /debug, errors) stay on encoding/json.
 // A submitted batch then becomes runtime tasks in one pass (buildTasks),
 // its parameters address dependencies (starss.In/Out/InOut), and is adopted in
 // place by the session's namespace (starss.Scope.TrySubmitAll). DESIGN.md,
