@@ -26,12 +26,15 @@ race:
 # whose Task Pool entries keep their version tags), the generator pin (one
 # pass of every workload's Next within Total()/64 allocations, parameters
 # off a slab), the
-# service's codec pins (every message shape the client and server send is
+# service's codec pins (every message shape the client and server send,
+# an await response carrying a skipped task's real error among them, is
 # read by the compact reader, not the encoding/json fallback: nothing
 # allocated decoding a request on a kept decoder, one exact-size slice per
 # response) and its submit-
 # and await-handler pins (an await of finished tasks arms no timer), which
-# skip under -race, and the
+# skip under -race, the window's park pin (a submitter parked on a full
+# window and granted reuses its waiter, its channel and the list's storage:
+# nothing allocated), and the
 # runtime's admission pins — two allocations per Submit, a chunk of one that
 # takes a node of its own, and two per SubmitAll or TrySubmitAll chunk of up
 # to 256 tasks, whose node block a drained chunk left on the free list — on
@@ -58,7 +61,11 @@ allocs:
 # against Done, Wait, Err and Outcome callers (Handle), and Handle Finished's
 # one order — clear the node, publish the handle, release the segments,
 # return the token — against a WaitOn admitted mid-finish and a caller
-# reusing Deps once Wait returns (WaitOn, Handle) — twenty times under
+# reusing Deps once Wait returns (WaitOn, Handle), and concurrent
+# submitters of one namespace, the runtime's and a Scope's, whose chunks
+# cross two banks in opposite orders, checked for deadlock and against the
+# dependency graph in index order (Chunk), and parked submitters cancelled
+# while a release grants them (Window) — twenty times under
 # the race detector. The second line
 # does the same for the service's admission:
 # a submit is refused or admitted by a tryAcquire on two windows (the shared
@@ -67,7 +74,7 @@ allocs:
 # the janitor reads a session's idle clock while finishing tasks write it
 # (Expiry: TestServiceSessionExpiry, TestServiceSessionExpiryRace).
 flake:
-	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor|Retention|FinishesBefore|NodeBlock|SegmentReuse|Handle' ./internal/starss/
+	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor|Retention|FinishesBefore|NodeBlock|SegmentReuse|Handle|Chunk' ./internal/starss/
 	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled|Sweep|Swept|Expiry' ./internal/service/
 
 # fuzz gives every fuzz target twenty seconds. `go test -list` finds the

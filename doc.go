@@ -62,8 +62,8 @@
 // transitive dependents, which are skipped (never run) while the
 // dependence table drains normally. Batches of tasks can be admitted with
 // rt.SubmitAll(ctx, []nexuspp.Task{...}), which reserves the in-flight
-// window once per chunk on high-frequency submission paths; dependences are
-// still checked task by task, each under its own banks. rt.WaitOn(ctx,
+// window once per chunk on high-frequency submission paths and checks a
+// chunk's dependences with each bank locked once. rt.WaitOn(ctx,
 // addrs...) is itself a task — no body, an inout access to each address —
 // so it is ordered by the same table, counted by Stats like any task, and
 // safe to call from inside a task body.

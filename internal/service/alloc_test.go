@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"nexuspp/internal/starss"
 )
 
 // TestCodecAllocations pins every message shape the client and the server
@@ -17,8 +20,8 @@ import (
 // about 316 allocations. A submit or an await decodes with nothing allocated
 // on a decoder and request that are kept, as the server keeps them, but for
 // the copy of an idempotency key; a response costs one exact-size allocation
-// per slice, and the copy of each error's text. Encoding into a buffer with
-// room allocates nothing.
+// per slice, and the copy of each error's text — a skipped task's real error
+// among them. Encoding into a buffer with room allocates nothing.
 func TestCodecAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins hold only without the race detector")
@@ -48,6 +51,20 @@ func TestCodecAllocations(t *testing.T) {
 		}); got != want {
 			t.Errorf("%s %q...: %.1f allocations, want %.0f", what, body[:min(len(body), 48)], got, want)
 		}
+	}
+
+	// A skipped task's error as the runtime words it: it names the task, and
+	// a name in quotes would be escaped on the wire and leave the compact form.
+	boom := errors.New("boom")
+	rt := starss.New(starss.Config{Workers: 1})
+	rt.MustSubmit(starss.Task{Deps: []starss.Dep{starss.Out(1)}, Do: func(context.Context) error { return boom }})
+	dependent := rt.MustSubmit(starss.Task{Deps: []starss.Dep{starss.In(1)}, Do: func(context.Context) error { return nil }})
+	if err := rt.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close = %v, want the first task's failure", err)
+	}
+	skipped := dependent.Err().Error()
+	if dependent.Outcome() != starss.Skipped {
+		t.Fatalf("dependent ended %v (%q), want skipped", dependent.Outcome(), skipped)
 	}
 
 	var dec decoder
@@ -88,6 +105,8 @@ func TestCodecAllocations(t *testing.T) {
 		pin(name+" await response with a pending task", written(&AwaitResponse{Tasks: statuses}), 1, awaitResponse)
 		statuses[0] = TaskStatus{ID: 0, State: StateFailed, Error: "starss: task deadline exceeded after 5ms"}
 		pin(name+" await response with a failed task", written(&AwaitResponse{Tasks: statuses}), 2, awaitResponse)
+		statuses[1] = TaskStatus{ID: 1, State: StateSkipped, Error: skipped}
+		pin(name+" await response with a skipped task", written(&AwaitResponse{Tasks: statuses}), 3, awaitResponse)
 	}
 
 	// A fresh decoder grows its params slab from nothing: a doubling

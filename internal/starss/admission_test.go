@@ -1,6 +1,7 @@
 package starss
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"runtime/debug"
@@ -14,16 +15,37 @@ import (
 
 // TestRuntimeGoroutines: a runtime is its workers — New starts exactly
 // Workers goroutines (NewMaestro one more, the resolver) and Close ends them.
+// They are told by their stacks: runtime.NumGoroutine would count whatever
+// goroutine an earlier test left to exit later, too.
 func TestRuntimeGoroutines(t *testing.T) {
 	for want, start := range map[int]func(Config) *Runtime{3: New, 4: NewMaestro} {
-		base := runtime.NumGoroutine()
+		// An earlier test's maestro may still be on its way out of run.
+		waitFor(t, "earlier runtimes' goroutines to exit", func() bool { return runtimeGoroutines() == 0 })
 		rt := start(Config{Workers: 3})
-		if got := runtime.NumGoroutine() - base; got != want {
+		if got := runtimeGoroutines(); got != want {
 			t.Errorf("%d goroutines started for 3 workers, want %d", got, want)
 		}
 		mustClose(t, rt)
-		waitFor(t, "the runtime's goroutines to exit", func() bool { return runtime.NumGoroutine() == base })
+		waitFor(t, "the runtime's goroutines to exit", func() bool { return runtimeGoroutines() == 0 })
 	}
+}
+
+// runtimeGoroutines counts the goroutines a runtime starts — its workers, at
+// (*Runtime).worker, and the maestro's resolver, at (*funnel).run — in the
+// whole process, by the function that started them: a goroutine that has not
+// run yet shows only a wrapper frame and that line.
+func runtimeGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	return bytes.Count(buf, []byte("\ncreated by nexuspp/internal/starss.newRuntime in ")) +
+		bytes.Count(buf, []byte("\ncreated by nexuspp/internal/starss.NewMaestro in "))
 }
 
 // TestCloseDrainsBurst: Close right behind a burst of tasks waits for every
@@ -261,8 +283,9 @@ func TestBankAndSegmentSize(t *testing.T) {
 }
 
 // TestHotWordsOwnCacheLines pins the layout of Runtime and Scope: the words
-// every task only reads, and each group of words that finishing workers
-// write on every task, lie at least a cache line apart, so no line holds
+// every task only reads, the admission lock submitters write, and each group
+// of words that finishing workers write on every task, lie at least a cache
+// line apart, so no line holds
 // bytes of two groups whatever the allocation's alignment, and Check Deps
 // never fetches again a line a finisher dirtied.
 func TestHotWordsOwnCacheLines(t *testing.T) {
@@ -292,6 +315,7 @@ func TestHotWordsOwnCacheLines(t *testing.T) {
 				[2]uintptr{unsafe.Offsetof(rt.bankStats), unsafe.Sizeof(rt.bankStats)},
 				[2]uintptr{unsafe.Offsetof(rt.funnel), unsafe.Sizeof(rt.funnel)},
 				[2]uintptr{unsafe.Offsetof(rt.stopped), unsafe.Sizeof(rt.stopped)}),
+			span("admission", [2]uintptr{unsafe.Offsetof(rt.adm), unsafe.Sizeof(rt.adm)}),
 			span("win", [2]uintptr{unsafe.Offsetof(rt.win), unsafe.Sizeof(rt.win)}),
 			span("ready", [2]uintptr{unsafe.Offsetof(rt.ready), unsafe.Sizeof(rt.ready)}),
 			span("tally and hazards",
@@ -305,6 +329,7 @@ func TestHotWordsOwnCacheLines(t *testing.T) {
 				[2]uintptr{unsafe.Offsetof(s.name), unsafe.Sizeof(s.name)},
 				[2]uintptr{unsafe.Offsetof(s.ns), unsafe.Sizeof(s.ns)},
 				[2]uintptr{unsafe.Offsetof(s.onDone), unsafe.Sizeof(s.onDone)}),
+			span("admission", [2]uintptr{unsafe.Offsetof(s.adm), unsafe.Sizeof(s.adm)}),
 			span("win and tally",
 				[2]uintptr{unsafe.Offsetof(s.win), unsafe.Sizeof(s.win)},
 				[2]uintptr{unsafe.Offsetof(s.tally), unsafe.Sizeof(s.tally)}),

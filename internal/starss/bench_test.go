@@ -28,32 +28,29 @@ func BenchmarkDepTableKeyLife(b *testing.B) {
 			rt := New(Config{Workers: 1, Window: resident + 2})
 			defer mustClose(b, rt)
 			ctx := context.Background()
-			// checkIn is resolveNew without the dispatch: these tasks have
-			// no body to run, only keys to take and give back. It fills the
-			// node in again each time — Handle Finished leaves it zero —
-			// around a reused handle: the loop allocates nothing.
-			checkIn := func(node *taskNode, h *Handle, deps []Dep) {
+			// checkIn is resolveNew on a chunk of one without the dispatch:
+			// these tasks have no body to run, only keys to take and give
+			// back. It fills the node in again each time — Handle Finished
+			// leaves it zero — around a reused handle: the loop allocates
+			// nothing. The benchmark is the namespace's only submitter, so it
+			// takes no admission lock.
+			checkIn := func(node *[1]taskNode, h *Handle, deps []Dep) {
 				if err := rt.win.acquire(ctx, rt.stopped, 1); err != nil {
 					b.Fatal(err)
 				}
 				*h = Handle{}
-				*node = taskNode{ctx: ctx, task: Task{Deps: deps}, handle: h}
-				var buf [hashScratch * inlineDeps]int32
-				hashes, order := rt.hashDeps(0, node.task.Deps, buf[:])
-				rt.lockBanks(order)
-				dc := rt.checkDeps(node, hashes)
-				rt.unlockBanks(order)
-				if dc != 0 {
-					b.Fatalf("a reader of a fresh key waits on %d segments", dc)
+				node[0] = taskNode{ctx: ctx, task: Task{Deps: deps}, handle: h}
+				if waiting := rt.checkDeps(&rt.adm, node[:]); waiting.len() != 0 {
+					b.Fatal("a reader of a fresh key waits")
 				}
 			}
-			holders := make([]*taskNode, resident)
+			holders := make([]*[1]taskNode, resident)
 			for i := range holders {
-				holders[i] = new(taskNode)
+				holders[i] = new([1]taskNode)
 				checkIn(holders[i], new(Handle), []Dep{In(uint64(i) << 6)})
 			}
 			deps := make([]Dep, keys)
-			var first, second taskNode
+			var first, second [1]taskNode
 			var firstH, secondH Handle
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -63,12 +60,12 @@ func BenchmarkDepTableKeyLife(b *testing.B) {
 				}
 				checkIn(&first, &firstH, deps)
 				checkIn(&second, &secondH, deps)
-				rt.resolveFinished(&first, -1)
-				rt.resolveFinished(&second, -1)
+				rt.resolveFinished(&first[0], -1)
+				rt.resolveFinished(&second[0], -1)
 			}
 			b.StopTimer()
 			for _, node := range holders {
-				rt.resolveFinished(node, -1)
+				rt.resolveFinished(&node[0], -1)
 			}
 			for i := range rt.banks {
 				if n := rt.banks[i].table.count; n != 0 {

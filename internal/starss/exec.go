@@ -16,11 +16,11 @@ import "fmt"
 func runNode(node *taskNode) {
 	if p := node.poison.Load(); p != nil {
 		node.wasSkipped = true
-		node.err = fmt.Errorf("%w: task %q skipped: %w", ErrDependencyFailed, node.handle.Name(), p.err)
+		node.err = fmt.Errorf("%w: task %s skipped: %w", ErrDependencyFailed, node.handle.Name(), p.err)
 		return
 	}
 	if err := node.ctx.Err(); err != nil {
-		node.err = fmt.Errorf("starss: task %q cancelled before start: %w", node.handle.Name(), err)
+		node.err = fmt.Errorf("starss: task %s cancelled before start: %w", node.handle.Name(), err)
 		return
 	}
 	if node.task.Do == nil {
@@ -29,7 +29,7 @@ func runNode(node *taskNode) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			node.err = fmt.Errorf("%w: task %q: %v", ErrTaskPanicked, node.handle.Name(), r)
+			node.err = fmt.Errorf("%w: task %s: %v", ErrTaskPanicked, node.handle.Name(), r)
 		}
 	}()
 	node.err = node.task.Do(node.ctx)

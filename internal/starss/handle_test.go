@@ -190,7 +190,7 @@ func TestHandleNameOnDemand(t *testing.T) {
 	if h.name != "" || h.Name() != "task1" {
 		t.Errorf("stored name %q, Name() %q; want empty and task1", h.name, h.Name())
 	}
-	if want := `task "task1"`; !strings.Contains(h.Err().Error(), want) {
+	if want := "task task1: x"; !strings.Contains(h.Err().Error(), want) {
 		t.Errorf("failure message %q does not name %s", h.Err(), want)
 	}
 }

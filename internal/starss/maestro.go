@@ -6,8 +6,9 @@ package starss
 // task at a time over two unbuffered channels — the software serialization
 // bottleneck the paper's SSI motivation describes and the banked Runtime
 // removes. Everything else is the shared Runtime, and the maestro calls the
-// same resolveNew/resolveFinished, so a throughput ratio between New and
-// NewMaestro isolates the two channel rendezvous per task — and what only a
+// same resolveNew/resolveFinished — Check Deps on a chunk of one — so a
+// throughput ratio between New and NewMaestro isolates the two channel
+// rendezvous per task, the per-task bank locking — and what only a
 // worker resolving its own finish can do: keep the successor it released,
 // which the maestro has to queue (finish). Use NewMaestro
 // only to measure against it (nexusbench exp shards,
@@ -16,16 +17,16 @@ package starss
 // funnel routes all dependency resolution of a Runtime through one
 // goroutine. A Runtime with a nil funnel resolves in the calling goroutine.
 type funnel struct {
-	submitCh chan *taskNode // admitted tasks, for Check Deps
-	doneCh   chan *taskNode // finished tasks, for Handle Finished
-	quit     chan struct{}  // see stop
+	submitCh chan []taskNode // admitted tasks, one a rendezvous, for Check Deps
+	doneCh   chan *taskNode  // finished tasks, for Handle Finished
+	quit     chan struct{}   // see stop
 }
 
 // NewMaestro starts the single-maestro baseline: a Runtime with one
 // dependence bank whose every resolution funnels through one goroutine.
 func NewMaestro(cfg Config) *Runtime {
 	f := &funnel{
-		submitCh: make(chan *taskNode),
+		submitCh: make(chan []taskNode),
 		doneCh:   make(chan *taskNode),
 		quit:     make(chan struct{}),
 	}
@@ -43,10 +44,8 @@ func NewMaestro(cfg Config) *Runtime {
 func (f *funnel) run(rt *Runtime) {
 	for {
 		select {
-		case node := <-f.submitCh:
-			if rt.resolveNew(node) {
-				rt.dispatch(node, -1)
-			}
+		case nodes := <-f.submitCh:
+			rt.resolveNew(nodes)
 		case node := <-f.doneCh:
 			rt.finish(node, -1) // not a worker: submit-side event lane
 		case <-f.quit:

@@ -91,9 +91,8 @@ const replayBatch = 256
 // runtime is left open (the caller owns its lifecycle), so several replays
 // can share one runtime as long as their key spaces are disjoint or drained.
 //
-// Tasks are fed through SubmitAll in chunks of replayBatch. A chunk shares
-// only its window reservation and its node and handle blocks: the banked
-// runtime checks it task by task under each task's own banks, and on the
+// Tasks are fed through SubmitAll in chunks of replayBatch. The banked
+// runtime checks a chunk with each of its banks locked once; on the
 // single-maestro baseline every task still crosses to the resolver goroutine
 // on its own — exactly the serialization it exists to measure.
 func Replay(ctx context.Context, rt *Runtime, src workload.Source, opts ReplayOptions) (*ReplayResult, error) {

@@ -28,8 +28,8 @@ import (
 // Scope is a labelled, isolated submission namespace over a shared Runtime.
 // Create one per tenant with Runtime.Scope or BoundedScope. Methods are safe
 // for concurrent use; SetOnDone must be called before the first submission.
-// As in Runtime, what every scoped task reads and what every finisher writes
-// sit on cache lines of their own.
+// As in Runtime, what every scoped task reads, what only its submitters
+// write and what every finisher writes sit on cache lines of their own.
 type Scope struct {
 	rt   *Runtime
 	name string
@@ -41,6 +41,9 @@ type Scope struct {
 	onDone func(err error)
 
 	_ [cacheLine]byte
+	// adm is the scope's namespace's admission lock.
+	adm admission
+	_   [cacheLine]byte
 	// win is the scope's share of rt.win: used is its in-flight count, max
 	// that count's high-water mark.
 	win window

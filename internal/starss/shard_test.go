@@ -16,19 +16,19 @@ import (
 // submission API.
 
 // TestShardsRoundedToPowerOfTwo pins the derived bank count — four banks a
-// worker within [8, 512], rounded up to a power of two — and the maestro's
+// worker within [64, 512], rounded up to a power of two — and the maestro's
 // single bank.
 func TestShardsRoundedToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ workers, want int }{
-		{1, 8}, {2, 8}, {3, 16}, {4, 16}, {8, 32}, {200, 512},
+		{1, 64}, {2, 64}, {16, 64}, {17, 128}, {32, 128}, {33, 256}, {100, 512}, {200, 512},
 	} {
 		if got := banksFor(tc.workers); got != tc.want {
 			t.Errorf("banksFor(%d) = %d, want %d", tc.workers, got, tc.want)
 		}
 	}
-	rt := New(Config{Workers: 3})
-	if got := len(rt.banks); got != 16 {
-		t.Errorf("New with 3 workers has %d banks, want 16", got)
+	rt := New(Config{Workers: 17})
+	if got := len(rt.banks); got != 128 {
+		t.Errorf("New with 17 workers has %d banks, want 128", got)
 	}
 	mustClose(t, rt)
 	rt = NewMaestro(Config{Workers: 4})
@@ -250,14 +250,14 @@ func TestSubmitAllRAWAcrossBatches(t *testing.T) {
 // TestBankIndexStable: a key hashes the same way every time it is asked, and
 // its bank is one the runtime has.
 func TestBankIndexStable(t *testing.T) {
-	rt := New(Config{Workers: 4}) // 16 banks
+	rt := New(Config{Workers: 4})
 	defer mustClose(t, rt)
 	for _, k := range []tableKey{{0, 0}, {3, 7}, {3, 1 << 63}, {^uint64(0), ^uint64(0)}} {
 		h, again := rt.hashKey(k), rt.hashKey(k)
 		if h != again {
 			t.Fatalf("hashKey(%v) unstable: %#x vs %#x", k, h, again)
 		}
-		if i := rt.bankOf(h); i < 0 || i >= 16 {
+		if i := rt.bankOf(h); i < 0 || int(i) >= len(rt.banks) {
 			t.Fatalf("bankOf(hashKey(%v)) = %d out of range", k, i)
 		}
 	}

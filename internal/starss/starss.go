@@ -24,10 +24,11 @@
 // software analogue of the multiple Dependence Table banks of the Nexus++
 // hardware — so independent keys resolve concurrently on both the Submit
 // and the handle-finished path instead of funnelling through a single
-// resolver goroutine. Multi-key tasks acquire their banks in sorted index
-// order, which keeps the runtime deadlock-free, and no bank is held for
-// longer than one task's Check Deps or Handle Finished: SubmitAll reserves
-// a chunk's window tokens at once but checks it task by task. Each key is
+// resolver goroutine. Check Deps runs a whole admission chunk at a time: it
+// sorts the chunk's keys by bank and locks each bank once, in ascending
+// order, filing that bank's keys in program order, under its namespace's
+// admission lock, which orders a namespace's concurrent submitters chunk by
+// chunk. Handle Finished locks one task's sorted bank set. Each key is
 // hashed once in a task's life (hashKey) and probed for once, by Check Deps —
 // the task keeps, per dependency, the segment Check Deps found or filed,
 // Handle Finished follows those pointers, a drained segment leaves the table
@@ -154,7 +155,8 @@ type Config struct {
 	// BankCounters enables per-bank lock instrumentation (acquisitions,
 	// contended acquisitions, max kick-off queue depth), surfaced through
 	// Stats. Off by default: the counting replaces the plain bank Lock with
-	// a TryLock-then-Lock pair on every acquisition.
+	// a TryLock-then-Lock pair on every acquisition. On the admission side
+	// an acquisition is one bank of one chunk, not one bank of one task.
 	BankCounters bool
 }
 
@@ -166,7 +168,8 @@ type Stats struct {
 	MaxInFlight int `json:"max_in_flight"`
 	// Hazards counts tasks that had to wait at least once (DC > 0).
 	Hazards uint64 `json:"hazards"`
-	// BankAcquisitions counts dependence-bank lock acquisitions; zero
+	// BankAcquisitions counts dependence-bank lock acquisitions — one per
+	// bank of each admission chunk and per bank of each finished task; zero
 	// unless Config.BankCounters is set.
 	BankAcquisitions uint64 `json:"bank_acquisitions"`
 	// BankContended counts the subset of BankAcquisitions that had to
@@ -262,7 +265,8 @@ func (h *Handle) Outcome() Outcome {
 }
 
 // Index is the task's submission index, assigned in admission order — the
-// task-ID analogue.
+// task-ID analogue. Within a namespace it is the order Check Deps saw the
+// tasks in (on the maestro, the order their submitters numbered them).
 func (h *Handle) Index() uint64 { return h.index }
 
 // Name is the task's resolved name: Task.Name, or "task<index>" when the
@@ -362,25 +366,27 @@ func (b *bank) dropSeg(seg *segState, keep int) {
 
 // Runtime schedules and executes tasks. Its fields are grouped by who writes
 // them, each group on cache lines of its own: first the words set at
-// construction that every task only reads, then the window, the ready queue
-// and the counters, which finishing workers write on every task. A
-// finisher's write to a line Check Deps reads would make the submitter fetch
-// that line again on every task (TestHotWordsOwnCacheLines).
+// construction that every task only reads, then the admission lock, which
+// only submitters write, then the window, the ready queue and the counters,
+// which finishing workers write on every task. A finisher's write to a line
+// Check Deps reads would make the submitter fetch that line again on every
+// task (TestHotWordsOwnCacheLines).
 type Runtime struct {
 	cfg   Config
 	banks []bank
 	mask  uint64
 	// segFree bounds each bank's free list at twice the bank's share of a
-	// full window. The in-flight count swings between empty and full many
-	// times in a long run, and a list smaller than the live segments of a
-	// full window turns every swing into garbage on the way down and
-	// allocations on the way up. A task files up to one segment per key, not
-	// per task: on the bench/ rt_* shapes (Window 4096, 8 banks) a bank's
-	// peak is 550–616 live segments, up to 1.2 times its share of 512, and
-	// wavefront tasks hold three keys. An idle runtime keeps what the lists
-	// hold, at most segFree × 80 B × banks — 2 × Window × 80 B, 40 MiB for the
-	// service's largest derived window of 1<<18 — and only once that many
-	// segments were live at once.
+	// full window, and at least segFreeMin. The in-flight count swings
+	// between empty and full many times in a long run, and a list smaller
+	// than the live segments of a full window turns every swing into garbage
+	// on the way down and allocations on the way up. A task files up to one
+	// segment per key, not per task: on the bench/ rt_* shapes (Window 4096,
+	// then 8 banks) a bank's peak was 550–616 live segments, up to 1.2 times
+	// its share of 512, and wavefront tasks hold three keys. An idle runtime
+	// keeps what the lists hold, at most segFree × 80 B × banks: the larger of
+	// 2 × Window × 80 B — 40 MiB for the service's largest derived window of
+	// 1<<18 — and segFreeMin × 80 B × banks, 320 KiB at 64 banks; and only
+	// once that many segments were live at once.
 	segFree int
 	// seed is hashKey's three secret words, drawn per runtime (newSeed).
 	seed [3]uint64
@@ -398,6 +404,10 @@ type Runtime struct {
 	// Whether the runtime is stopped is the window's to say (win.isShut).
 	stopped chan struct{}
 
+	_ [cacheLine]byte
+	// adm is the runtime's own namespace's admission lock (a Scope has its
+	// own).
+	adm   admission
 	_     [cacheLine]byte
 	win   window
 	_     [cacheLine]byte
@@ -456,10 +466,10 @@ type access struct {
 type spilled struct {
 	acc      []access
 	nextSlot []int32
-	// scratch is hashDeps' space. order, a window onto it, is the sorted,
-	// deduplicated bank set, kept from Check Deps for Handle Finished:
-	// deriving it again would cost such a task a sort and an allocation.
-	scratch, order []int32
+	// order is the sorted, deduplicated bank set of the task's keys, derived
+	// by Check Deps and kept for Handle Finished: deriving it again would
+	// cost such a task a sort and an allocation.
+	order []int32
 }
 
 // taskNode is a task's slot in the Task Pool: an entry of its chunk's node
@@ -485,7 +495,10 @@ type taskNode struct {
 	acc      [inlineDeps]access
 	nextSlot [inlineDeps]int32
 	spill    *spilled
-	dc       atomic.Int32
+	// dc is the dependence count: the kick-off lists the task waits in, plus
+	// the admission guard while Check Deps still runs (resolveNew). It stays
+	// zero for a task that never waits.
+	dc atomic.Int32
 	// wasSkipped and err are the node's outcome, written by its worker
 	// before resolveFinished and published through the handle.
 	wasSkipped bool
@@ -662,12 +675,17 @@ var ErrDependencyFailed = errors.New("starss: dependency failed")
 var ErrTaskPanicked = errors.New("starss: task panicked")
 
 // banksFor is the dependence-bank count of a runtime with the given number
-// of workers: four banks a worker, for a low collision probability at full
-// worker concurrency, within [8, 512] and rounded up to a power of two. Like
-// the Nexus++ Dependence Table's banking, it is fixed by design, not by the
-// program.
+// of workers: four banks a worker, within [64, 512] and rounded up to a
+// power of two. A submitter holds one bank of its chunk at a time, and a
+// finisher that needs the same one waits for it: at 8 banks that was 3
+// finishers in 8. The floor of 64 is the smallest count within 3 % of the
+// best rt_wavefront tasks/s at Workers 2 (DESIGN.md "Sharded
+// dependency-resolution banks"); above 16 workers the slope and the cap are
+// the ones that held before chunked Check Deps, not yet measured against it.
+// Like the Nexus++ Dependence Table's banking, it is fixed by design, not by
+// the program.
 func banksFor(workers int) int {
-	return 1 << bits.Len(uint(min(max(4*workers, 8), 512)-1))
+	return 1 << bits.Len(uint(min(max(4*workers, 64), 512)-1))
 }
 
 // New starts a runtime with the given configuration.
@@ -804,24 +822,25 @@ func (rt *Runtime) holds(node *taskNode, slots *[inlineDeps]access, buf []int32)
 }
 
 // lockBanks acquires the given sorted bank set; the global ascending order
-// makes multi-bank acquisition deadlock-free. With BankCounters on, each
-// acquisition first tries the uncontended fast path so blocked acquisitions
-// can be counted separately; the acquisition order is identical.
+// makes multi-bank acquisition deadlock-free.
 func (rt *Runtime) lockBanks(banks []int32) {
 	if rt.bankStats {
 		for _, i := range banks {
-			b := &rt.banks[i]
-			b.acquisitions.Add(1)
-			if b.mu.TryLock() {
-				continue
-			}
-			b.contended.Add(1)
-			b.mu.Lock()
+			rt.banks[i].lockCounted()
 		}
 		return
 	}
 	for _, i := range banks {
-		b := &rt.banks[i]
+		rt.banks[i].mu.Lock()
+	}
+}
+
+// lockCounted acquires the bank with BankCounters on: it first tries the
+// uncontended fast path so blocked acquisitions can be counted separately.
+func (b *bank) lockCounted() {
+	b.acquisitions.Add(1)
+	if !b.mu.TryLock() {
+		b.contended.Add(1)
 		b.mu.Lock()
 	}
 }
@@ -843,7 +862,8 @@ func (rt *Runtime) unlockBanks(banks []int32) {
 // Dependency resolution happens synchronously in the caller: tasks
 // submitted from one goroutine acquire segments in exact program order
 // (the StarSs sequential-semantics contract). Tasks submitted concurrently
-// from several goroutines are ordered by bank acquisition.
+// from several goroutines are ordered chunk by chunk, by their namespace's
+// admission lock, and take their indices in that order.
 func (rt *Runtime) Submit(ctx context.Context, t Task) (*Handle, error) {
 	return rt.submitOne(ctx, nil, t)
 }
@@ -897,13 +917,11 @@ func (rt *Runtime) idle() <-chan struct{} {
 // SubmitAll enqueues a batch of tasks in order. A chunk of the batch (up to
 // chunkMax tasks) costs one window reservation, its task nodes are a node
 // block a drained chunk gave back — allocated only when none is free — and
-// its handles one allocation (admitAll); Check Deps then runs task by
-// task, each under its own banks exactly as in Submit, and the tasks found
-// free of dependencies go to the workers 32 at a time, the last of them when
-// the chunk ends. (Holding the union of a chunk's banks for the whole chunk
-// was measured: every finishing worker parked behind the submitter for the
-// duration.) It blocks while the window is full (cancelling ctx unblocks it)
-// and returns the first validation error before admitting anything, or
+// its handles one allocation (admitAll); Check Deps then locks each bank the
+// chunk's keys live in once, one bank at a time (resolveNew), and the tasks
+// found free of dependencies go to the workers 32 at a time. It blocks while
+// the window is full (cancelling ctx unblocks it) and returns the first
+// validation error before admitting anything, or
 // ErrStopped/ctx.Err() mid-batch; the returned handles cover the prefix that
 // was admitted (all tasks on success). A handle the caller keeps keeps its
 // chunk's handle block — at most chunkMax × 32 B, 8 KiB — and never a task
@@ -997,14 +1015,12 @@ func (rt *Runtime) submit(ctx, taskCtx context.Context, s *Scope, tasks []Task, 
 // largest node block class (blockClasses).
 const chunkMax = 256
 
-// readyBatch is the most tasks admitAll hands to the ready queue at once.
+// readyBatch is the most tasks resolveNew hands to the ready queue at once.
 const readyBatch = 32
 
 // admitAll admits one chunk of tasks in order under ctx through scope s (nil:
 // the runtime's namespace), appending their handles to handles; the caller
-// holds their window tokens. The chunk is counted submitted — on the runtime
-// and on s — before its first task is admitted, so no counter ever shows a
-// task finished that it has not counted submitted.
+// holds their window tokens.
 //
 // A chunk of one — Submit, WaitOn — allocates its node and its handle and
 // takes no free-list lock: recycling its node cost more than allocating it,
@@ -1018,52 +1034,53 @@ const readyBatch = 32
 // go of everything it points at (resolveFinished), and goes back to the free
 // list when the last of them finishes, there to be reused or, if no chunk
 // takes it before the next collection, collected. The handle block lives as
-// long as the caller keeps a handle, and points at no node. The tasks of a
-// larger chunk admitAll finds free of
-// dependencies reach the ready queue when readyBatch of them are collected,
-// and the rest when the chunk ends — one lock, and at most one wake-up per
-// task, for the batch instead of for each — out of a buffer that stays on
-// this stack. (Handing over every readyBatch checks instead, however few
-// were ready, was measured: more pushes, 2–4 % fewer tasks per second on
-// the wavefront, and the same ready-to-run tail.)
+// long as the caller keeps a handle, and points at no node.
+//
+// The chunk then goes through Check Deps whole (resolveNew) — or, on the
+// maestro, one task per rendezvous. Either way the caller may not read a
+// node afterwards: it may finish, and be cleared, before admitAll returns.
 func (rt *Runtime) admitAll(ctx context.Context, s *Scope, tasks []Task, handles []*Handle) []*Handle {
-	n := uint64(len(tasks))
+	var nodes []taskNode
+	var hs []Handle
+	var blk *nodeBlock
+	if len(tasks) == 1 {
+		nodes, hs = new([1]taskNode)[:], new([1]Handle)[:]
+	} else {
+		blk = rt.takeBlock(len(tasks))
+		nodes, hs = blk.nodes[:len(tasks)], make([]Handle, len(tasks))
+	}
+	for i := range tasks {
+		node, h := &nodes[i], &hs[i]
+		node.init(ctx, s, blk, &tasks[i])
+		node.handle, h.name = h, node.task.Name
+		handles = append(handles, h)
+	}
+	if f := rt.funnel; f != nil {
+		// The maestro checks tasks in the order they reach it, so they are
+		// numbered here.
+		rt.number(s, nodes)
+		for i := range nodes {
+			f.submitCh <- nodes[i : i+1]
+		}
+		return handles
+	}
+	rt.resolveNew(nodes)
+	return handles
+}
+
+// number counts the chunk submitted — on the runtime and on s — and gives
+// its tasks their submission indices, before Check Deps sees the first of
+// them, so no counter ever shows a task finished that it has not counted
+// submitted.
+func (rt *Runtime) number(s *Scope, nodes []taskNode) {
+	n := uint64(len(nodes))
 	first := rt.submitted.Add(n) - n
 	if s != nil {
 		s.submitted.Add(n)
 	}
-	if len(tasks) == 1 {
-		node, h := new(taskNode), new(Handle)
-		node.init(ctx, s, nil, &tasks[0])
-		if rt.admit(node, h, first) {
-			rt.dispatch(node, -1)
-		}
-		return append(handles, h)
+	for i := range nodes {
+		nodes[i].handle.index = first + uint64(i)
 	}
-	blk, hs := rt.takeBlock(len(tasks)), make([]Handle, len(tasks))
-	var buf [readyBatch]*taskNode
-	batch := buf[:0]
-	for i := range tasks {
-		node, h := &blk.nodes[i], &hs[i]
-		node.init(ctx, s, blk, &tasks[i])
-		ready := rt.admit(node, h, first+uint64(i))
-		handles = append(handles, h)
-		switch {
-		case !ready:
-		case node.task.Do == nil:
-			rt.dispatch(node, -1)
-		default:
-			batch = append(batch, node)
-			if len(batch) == len(buf) {
-				rt.ready.push(batch)
-				batch = batch[:0]
-			}
-		}
-	}
-	if len(batch) > 0 {
-		rt.ready.push(batch)
-	}
-	return handles
 }
 
 // errNoDo rejects a task submitted without a body.
@@ -1086,25 +1103,9 @@ func (node *taskNode) init(ctx context.Context, s *Scope, blk *nodeBlock, t *Tas
 	node.task, node.ctx, node.scope, node.blk = *t, ctx, s, blk
 	node.task.Deps = normalizeDeps(t.Deps)
 	if n := len(node.task.Deps); n > inlineDeps {
-		ints := make([]int32, (1+hashScratch)*n)
-		node.spill = &spilled{acc: make([]access, n), nextSlot: ints[:n:n], scratch: ints[n:]}
+		ints := make([]int32, 2*n)
+		node.spill = &spilled{acc: make([]access, n), nextSlot: ints[:n:n], order: ints[n:]}
 	}
-}
-
-// admit gives the task its ID (submission index idx) and its handle h and
-// hands it to Check Deps: in place, or through the maestro, which takes one
-// task per rendezvous. The caller already holds the task's window token, and
-// dispatches the task when admit reports it ready (the maestro dispatches its
-// own). Otherwise the node is no longer the caller's to read: it may finish,
-// and be cleared, before admit returns — the caller keeps h instead.
-func (rt *Runtime) admit(node *taskNode, h *Handle, idx uint64) (ready bool) {
-	h.name, h.index = node.task.Name, idx
-	node.handle = h
-	if f := rt.funnel; f != nil {
-		f.submitCh <- node
-		return false
-	}
-	return rt.resolveNew(node)
 }
 
 // dispatch hands a ready task (dependence count zero) to the workers. A task
@@ -1131,61 +1132,218 @@ func (rt *Runtime) finish(node *taskNode, lane int) {
 	}
 }
 
-// hashScratch is the int32 words of scratch hashDeps needs per dependency:
-// two for the hash, one for the bank.
-const hashScratch = 3
+// admission is one namespace's side of Check Deps: the lock that orders the
+// namespace's concurrent submitters chunk by chunk, and the scratch of the
+// chunk's counting sort, which only its holder touches and which is kept, so
+// a steady stream of chunks allocates nothing. The runtime has one for its
+// own namespace, each Scope one for its. Scopes never share a key, so one
+// scope's submitters never wait for another's.
+//
+// Without it, bank-by-bank filing could deadlock two submitters of one
+// namespace: each could file a writer on one key ahead of the other's and
+// queue a writer on a second key behind it (TestConcurrentChunksNoDeadlock).
+// It is held only across a chunk's Check Deps — never across a window wait,
+// a dispatch or a hook — and taken before any bank, never by a finisher.
+type admission struct {
+	mu sync.Mutex
+	// at is, per bank, the chunk's key count, then where the bank's keys
+	// start in keys, then where they end; zero between chunks.
+	at []int32
+	// banks is the set of banks the chunk's keys live in, a bit a bank;
+	// empty between chunks.
+	banks []uint64
+	// hashes are the chunk's key hashes in program order; keys are the same
+	// keys grouped by bank, in program order within each bank.
+	hashes []uint64
+	keys   []chunkKey
+}
 
-// hashDeps hashes each dependency's address (in namespace ns) — the only
-// time a task's keys are hashed — into scratch, which must hold hashScratch
-// words per dependency: hashes holds the hash of deps[i] as words 2i and 2i+1
-// (hashAt), order the sorted, deduplicated set of their banks, the task's
-// acquisition order. (Halved, because a spilled task's scratch is the one
-// int32 block it already allocates for its other per-dependency numbers.)
-func (rt *Runtime) hashDeps(ns uint64, deps []Dep, scratch []int32) (hashes, order []int32) {
-	n := len(deps)
-	hashes, order = scratch[:2*n:2*n], scratch[2*n:3*n]
-	for i, d := range deps {
-		h := rt.hashKey(tableKey{ns, d.Addr})
-		hashes[2*i], hashes[2*i+1] = int32(h), int32(h>>32)
-		order[i] = rt.bankOf(h)
+// chunkKey is one key of a chunk: its hash and which dependency of which
+// task of the chunk it is.
+type chunkKey struct {
+	hash      uint64
+	task, dep int32
+}
+
+// chunkSet is a set of a chunk's tasks, by index.
+type chunkSet [chunkMax / 64]uint64
+
+func (c *chunkSet) add(i int)      { c[i>>6] |= 1 << (i & 63) }
+func (c *chunkSet) has(i int) bool { return c[i>>6]&(1<<(i&63)) != 0 }
+
+func (c *chunkSet) len() (n int) {
+	for _, w := range c {
+		n += bits.OnesCount64(w)
 	}
-	return hashes, sortedUnique(order)
+	return n
 }
 
-// hashAt reads hash i back out of hashDeps' words.
-func hashAt(hashes []int32, i int) uint64 {
-	return uint64(uint32(hashes[2*i])) | uint64(uint32(hashes[2*i+1]))<<32
+// resolveNew runs Check Deps (Listing 2) for one chunk — every task of it in
+// one namespace — and dispatches the tasks it finds free, in order. Under the
+// namespace's admission lock it numbers the chunk (unless its submitter
+// already did, for the maestro) and files or queues its keys (checkDeps);
+// then, holding nothing, it drops each waiting task's admission guard in
+// program order. Whoever brings a task's count to zero dispatches it:
+// resolveNew dropping the guard, or the finisher that pops the task's last
+// kick-off entry after that. The free tasks reach the ready queue readyBatch
+// at a time, out of a buffer on this stack: one lock, and at most one
+// wake-up per task, for the batch instead of for each.
+func (rt *Runtime) resolveNew(nodes []taskNode) {
+	s := nodes[0].scope
+	adm := &rt.adm
+	if s != nil {
+		adm = &s.adm
+	}
+	adm.mu.Lock()
+	if rt.funnel == nil {
+		// Numbered under the lock, a namespace's tasks take their indices in
+		// the order Check Deps sees them.
+		rt.number(s, nodes)
+	}
+	waiting := rt.checkDeps(adm, nodes)
+	adm.mu.Unlock()
+	if n := waiting.len(); n > 0 {
+		rt.hazards.Add(uint64(n))
+	}
+	var buf [readyBatch]*taskNode
+	batch := buf[:0]
+	for i := range nodes {
+		node := &nodes[i]
+		if waiting.has(i) && node.dc.Add(-1) != 0 {
+			continue // no longer ours to read
+		}
+		rt.emit(-1, obs.KindReady, node, -1)
+		if node.task.Do == nil {
+			rt.dispatch(node, -1)
+			continue
+		}
+		batch = append(batch, node)
+		if len(batch) == len(buf) {
+			rt.ready.push(batch)
+			batch = batch[:0]
+		}
+	}
+	if len(batch) > 0 {
+		rt.ready.push(batch)
+	}
 }
 
-// resolveNew runs Check Deps (Listing 2) for one task, holding the task's
-// banks for this one task only, and reports whether the task came out free
-// of dependencies: ready, for the caller to dispatch.
-func (rt *Runtime) resolveNew(node *taskNode) (ready bool) {
-	deps, ns := node.task.Deps, node.ns()
-	var buf [hashScratch * inlineDeps]int32
-	var hashes, order []int32
-	if sp := node.spill; sp != nil {
-		hashes, sp.order = rt.hashDeps(ns, deps, sp.scratch)
-		order = sp.order
-	} else {
-		hashes, order = rt.hashDeps(ns, deps, buf[:])
+// checkDeps files or queues every key of the chunk and reports which tasks
+// queued on at least one. The caller holds adm, the chunk's namespace's
+// admission lock.
+//
+// It hashes each key once and counting-sorts the keys by bank, then locks the
+// banks one at a time, in ascending order, and files each bank's keys in
+// program order: one probe per key finds its segment or the slot to file a
+// new one in. A task that queues holds an admission guard, one extra count
+// taken with its first queued key, that resolveNew drops once every bank is
+// done: a finisher that pops the task from a bank already unlocked cannot
+// bring its count to zero while a later bank may still queue it.
+func (rt *Runtime) checkDeps(adm *admission, nodes []taskNode) (waiting chunkSet) {
+	if adm.at == nil {
+		adm.at = make([]int32, len(rt.banks))
+		adm.banks = make([]uint64, (len(rt.banks)+63)/64)
+	}
+	at, banks, ns := adm.at, adm.banks, nodes[0].ns()
+	n := 0
+	for i := range nodes {
+		n += len(nodes[i].task.Deps)
+	}
+	hashes := slices.Grow(adm.hashes[:0], n)
+	for i := range nodes {
+		deps := nodes[i].task.Deps
+		for _, d := range deps {
+			h := rt.hashKey(tableKey{ns, d.Addr})
+			b := rt.bankOf(h)
+			if at[b] == 0 {
+				banks[b>>6] |= 1 << (b & 63)
+			}
+			at[b]++
+			hashes = append(hashes, h)
+		}
+		if nodes[i].spill != nil || rt.rec != nil {
+			rt.noteBanks(&nodes[i], hashes[len(hashes)-len(deps):])
+		}
+	}
+	adm.hashes = hashes
+	// at[b] becomes where bank b's keys start, and then, as they are placed,
+	// where they end.
+	var start int32
+	for w, word := range banks {
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			at[b], start = start, start+at[b]
+		}
+	}
+	keys := slices.Grow(adm.keys[:0], n)[:n]
+	k := 0
+	for i := range nodes {
+		for j := range nodes[i].task.Deps {
+			h := hashes[k]
+			b := rt.bankOf(h)
+			keys[at[b]] = chunkKey{h, int32(i), int32(j)}
+			at[b]++
+			k++
+		}
+	}
+	adm.keys = keys
+	start = 0
+	for w, word := range banks {
+		banks[w] = 0
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			end := at[b]
+			at[b] = 0
+			bk := &rt.banks[b]
+			if rt.bankStats {
+				bk.lockCounted()
+			} else {
+				bk.mu.Lock()
+			}
+			for _, key := range keys[start:end] {
+				node := &nodes[key.task]
+				if !rt.file(bk, ns, node, int(key.dep), key.hash) {
+					continue
+				}
+				// The count is published before the bank is unlocked: a
+				// finisher may pop the task the moment it is.
+				if waiting.has(int(key.task)) {
+					node.dc.Add(1)
+				} else {
+					waiting.add(int(key.task))
+					node.dc.Add(2) // this key and the guard
+				}
+			}
+			bk.mu.Unlock()
+			start = end
+		}
+	}
+	return waiting
+}
+
+// noteBanks records what the task's bank set is needed for before its keys
+// are filed, given their hashes: a spilled task keeps the set for Handle
+// Finished, and the event stream records its lowest bank with the submit.
+func (rt *Runtime) noteBanks(node *taskNode, hashes []uint64) {
+	var buf [inlineDeps]int32
+	order, sp := buf[:0], node.spill
+	if sp != nil {
+		order = sp.order[:0]
+	}
+	for _, h := range hashes {
+		order = append(order, rt.bankOf(h))
+	}
+	order = sortedUnique(order)
+	if sp != nil {
+		sp.order = order
 	}
 	if rt.rec != nil {
 		first := -1
 		if len(order) > 0 {
 			first = int(order[0])
 		}
-		rt.rec.Emit(-1, obs.KindSubmit, node.handle.index, len(deps), first, -1)
+		rt.rec.Emit(-1, obs.KindSubmit, node.handle.index, len(hashes), first, -1)
 	}
-	rt.lockBanks(order)
-	dc := rt.checkDeps(node, hashes)
-	rt.unlockBanks(order)
-	if dc > 0 {
-		rt.hazards.Add(1)
-		return false
-	}
-	rt.emit(-1, obs.KindReady, node, -1)
-	return true
 }
 
 // noteQueueDepth raises the bank's kick-off high-water mark. The caller
@@ -1200,57 +1358,45 @@ func (rt *Runtime) noteQueueDepth(b *bank, depth int32) {
 	}
 }
 
-// checkDeps acquires or queues on every segment of the node, recording each
-// in the node's access slots, and returns the resulting dependence count.
-// hashes are hashDeps' words for task.Deps; the caller holds every bank they
-// name. One probe per key either finds its segment or the slot to file a new
-// one in.
-func (rt *Runtime) checkDeps(node *taskNode, hashes []int32) int {
-	dc, ns := 0, node.ns()
+// file acquires or queues on the segment of dependency i of the node in
+// namespace ns, whose key hashes to h and lives in bank b, recording the
+// segment in the node's access slot, and reports whether the task queued.
+// The caller holds b.
+func (rt *Runtime) file(b *bank, ns uint64, node *taskNode, i int, h uint64) (queued bool) {
+	d := node.task.Deps[i]
+	key := tableKey{ns, d.Addr}
 	acc, _ := node.slots()
-	for i, d := range node.task.Deps {
-		h := hashAt(hashes, i)
-		b := &rt.banks[rt.bankOf(h)]
-		key := tableKey{ns, d.Addr}
-		seg, at := b.table.find(h, key)
-		wantsWrite := d.Mode != ModeIn
-		if seg == nil {
-			seg = b.takeSeg(key, h, at)
-			if wantsWrite {
-				seg.isOut = true
-			} else {
-				seg.rdrs = 1
-			}
-			acc[i].seg = seg
-			continue
+	seg, at := b.table.find(h, key)
+	wantsWrite := d.Mode != ModeIn
+	if seg == nil {
+		seg = b.takeSeg(key, h, at)
+		if wantsWrite {
+			seg.isOut = true
+		} else {
+			seg.rdrs = 1
 		}
 		acc[i].seg = seg
-		// A still-live poisoned segment taints every task that joins it —
-		// reader or writer, queued or not — until the key drains and the
-		// segment is deleted. Without this a reader sharing the segment
-		// with already-skipped readers would run against data its failed
-		// producer never wrote.
-		if seg.poison != nil {
-			node.poison.CompareAndSwap(nil, seg.poison)
-		}
-		if !wantsWrite && !seg.isOut && !seg.ww {
-			seg.rdrs++
-			continue
-		}
-		seg.enqueue(node, int32(i))
-		dc++
-		rt.noteQueueDepth(b, seg.waiting)
-		if wantsWrite && !seg.isOut {
-			seg.ww = true
-		}
+		return false
 	}
-	// The count must be published before the banks are released: a
-	// finisher may pop this node from a kick-off list the moment the
-	// bank unlocks. (A free task keeps the zero it was made with.)
-	if dc > 0 {
-		node.dc.Store(int32(dc))
+	acc[i].seg = seg
+	// A still-live poisoned segment taints every task that joins it —
+	// reader or writer, queued or not — until the key drains and the
+	// segment is deleted. Without this a reader sharing the segment
+	// with already-skipped readers would run against data its failed
+	// producer never wrote.
+	if seg.poison != nil {
+		node.poison.CompareAndSwap(nil, seg.poison)
 	}
-	return dc
+	if !wantsWrite && !seg.isOut && !seg.ww {
+		seg.rdrs++
+		return false
+	}
+	seg.enqueue(node, int32(i))
+	rt.noteQueueDepth(b, seg.waiting)
+	if wantsWrite && !seg.isOut {
+		seg.ww = true
+	}
+	return true
 }
 
 // rootCause is the failure a finished node propagates to its dependents: its

@@ -29,14 +29,21 @@ type window struct {
 	// need is the head waiter's demand, 0 while nobody is queued. It is the
 	// only thing the fast paths read: tryAcquire bypasses the list when it
 	// is 0, release takes mu only when the head would now fit.
-	need  atomic.Int64
-	mu    sync.Mutex
-	queue []*windowWaiter // FIFO, guarded by mu
+	need atomic.Int64
+	mu   sync.Mutex
+	// queue is the FIFO of parked submitters and spare the waiters that
+	// parked before, kept for the next to park: a park allocates nothing
+	// once as many submitters have parked at once before. Both keep their
+	// storage. Guarded by mu.
+	queue []*windowWaiter
+	spare []*windowWaiter
 }
 
 type windowWaiter struct {
-	n     int64
-	ready chan struct{} // closed once n tokens are reserved for the waiter
+	n int64
+	// ready holds the grant: one send, once n tokens are reserved for the
+	// waiter. It is empty whenever the waiter is spare.
+	ready chan struct{}
 }
 
 // windowShut is the bit of used that marks the window shut, above any count.
@@ -85,8 +92,14 @@ func (w *window) acquire(ctx context.Context, stopped <-chan struct{}, n int64) 
 	if w.tryAcquire(n) {
 		return nil
 	}
-	wt := &windowWaiter{n: n, ready: make(chan struct{})}
 	w.mu.Lock()
+	var wt *windowWaiter
+	if k := len(w.spare); k > 0 {
+		wt, w.spare = w.spare[k-1], w.spare[:k-1]
+		wt.n = n
+	} else {
+		wt = &windowWaiter{n: n, ready: make(chan struct{}, 1)}
+	}
 	w.queue = append(w.queue, wt)
 	// Publishing need and then re-trying the head closes the lost-wake-up
 	// window: a release that read need == 0 happened before this retry
@@ -96,6 +109,9 @@ func (w *window) acquire(ctx context.Context, stopped <-chan struct{}, n int64) 
 	var err error
 	select {
 	case <-wt.ready:
+		w.mu.Lock()
+		w.spare = append(w.spare, wt)
+		w.mu.Unlock()
 		return nil
 	case <-ctx.Done():
 		err = ctx.Err()
@@ -104,16 +120,18 @@ func (w *window) acquire(ctx context.Context, stopped <-chan struct{}, n int64) 
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for i, q := range w.queue {
-		if q == wt {
-			w.queue = slices.Delete(w.queue, i, i+1)
-			// A departing head may have been all that held back the
-			// smaller demands queued behind it.
-			w.grantLocked()
-			return err
-		}
+	w.spare = append(w.spare, wt)
+	if i := slices.Index(w.queue, wt); i >= 0 {
+		w.queue = slices.Delete(w.queue, i, i+1)
+		// A departing head may have been all that held back the
+		// smaller demands queued behind it.
+		w.grantLocked()
+		return err
 	}
-	return nil // granted concurrently
+	// Granted concurrently: the grant was sent under mu, so it is in the
+	// channel now, and must leave it before the waiter parks anyone again.
+	<-wt.ready
+	return nil
 }
 
 // grantLocked serves waiters from the head for as long as they fit and
@@ -127,11 +145,9 @@ func (w *window) grantLocked() {
 		if !w.tryReserve(head.n) {
 			return
 		}
-		w.queue[0] = nil
-		w.queue = w.queue[1:]
-		close(head.ready)
+		w.queue = slices.Delete(w.queue, 0, 1)
+		head.ready <- struct{}{}
 	}
-	w.queue = nil
 	w.need.Store(0)
 }
 

@@ -346,3 +346,94 @@ func TestCloseWakesParkedSubmitters(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowParkAllocations: a submitter parked on a full window and granted
+// by a release allocates nothing once a submitter has parked before — its
+// waiter, the waiter's channel and the wait list's storage are all kept.
+func TestWindowParkAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins hold only without the race detector")
+	}
+	w := newWindow(1)
+	ctx := context.Background()
+	if !w.tryAcquire(1) {
+		t.Fatal("an empty window refused a token")
+	}
+	start, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		for range start {
+			if err := w.acquire(ctx, nil, 1); err != nil {
+				t.Error(err)
+			}
+			w.release(1)
+			done <- struct{}{}
+		}
+	}()
+	defer close(start)
+	// One cycle: the helper parks behind the held token, the release grants
+	// it, it hands the token back, and the test takes it again.
+	cycle := func() {
+		start <- struct{}{}
+		for w.need.Load() == 0 {
+			runtime.Gosched()
+		}
+		w.release(1)
+		<-done
+		if !w.tryAcquire(1) {
+			t.Fatal("the token did not come back")
+		}
+	}
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("a park and its grant cost %.2f allocations, want 0", got)
+	}
+}
+
+// TestWindowCancelRacesGrant cancels parked submitters while releases grant
+// them, so some cancellations lose to a grant already sent. A grant left in a
+// reused waiter's channel would let its next park through without tokens;
+// the window would admit more than its limit or end with tokens unaccounted.
+func TestWindowCancelRacesGrant(t *testing.T) {
+	w := newWindow(1)
+	var wg sync.WaitGroup
+	var granted, refused atomic.Int64
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				switch (g + i) % 3 {
+				case 0:
+					cancel()
+				case 1:
+					go cancel()
+				}
+				err := w.acquire(ctx, nil, 1)
+				cancel()
+				if err != nil {
+					refused.Add(1)
+					continue
+				}
+				granted.Add(1)
+				if u := w.count(); u > w.limit {
+					t.Errorf("%d tokens out of %d", u, w.limit)
+				}
+				runtime.Gosched() // hold the token while others park
+				w.release(1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if w.used.Load() != 0 || w.need.Load() != 0 || w.queued() != 0 {
+		t.Fatalf("used %d need %d queued %d at the end", w.used.Load(), w.need.Load(), w.queued())
+	}
+	if got := w.max.Load(); got > w.limit {
+		t.Fatalf("max %d exceeded the limit", got)
+	}
+	for _, wt := range w.spare {
+		if len(wt.ready) != 0 {
+			t.Fatal("a spare waiter still holds a grant")
+		}
+	}
+	t.Logf("%d granted, %d refused", granted.Load(), refused.Load())
+}
