@@ -64,8 +64,12 @@ allocs:
 # reusing Deps once Wait returns (WaitOn, Handle), and concurrent
 # submitters of one namespace, the runtime's and a Scope's, whose chunks
 # cross two banks in opposite orders, checked for deadlock and against the
-# dependency graph in index order (Chunk), and parked submitters cancelled
-# while a release grants them (Window) — twenty times under
+# dependency graph in index order (Chunk), finishers giving up segments with
+# one compare-and-swap and no bank lock while Check Deps joins, queues on and
+# restarts them, checked against the dependency graph; a retired segment's
+# poison dying with its last holder; and the idle sweep that leaves no
+# retired segment filed once Wait returns (Retire), and parked submitters
+# cancelled while a release grants them (Window) — twenty times under
 # the race detector. The second line
 # does the same for the service's admission:
 # a submit is refused or admitted by a tryAcquire on two windows (the shared
@@ -74,7 +78,7 @@ allocs:
 # the janitor reads a session's idle clock while finishing tasks write it
 # (Expiry: TestServiceSessionExpiry, TestServiceSessionExpiryRace).
 flake:
-	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor|Retention|FinishesBefore|NodeBlock|SegmentReuse|Handle|Chunk' ./internal/starss/
+	$(GO) test -race -count=20 -run 'Poison|Panic|Window|Scope|FailureDrains|Maestro|Close|WaitOn|Kickoff|Key|SameName|Ready|Successor|Retention|FinishesBefore|NodeBlock|SegmentReuse|Handle|Chunk|Retire' ./internal/starss/
 	$(GO) test -race -count=20 -run 'Backpressure|OverloadShed|NeverBlocks|TokensSettled|Sweep|Swept|Expiry' ./internal/service/
 
 # fuzz gives every fuzz target twenty seconds. `go test -list` finds the

@@ -55,10 +55,14 @@ func TestCodecAllocations(t *testing.T) {
 
 	// A skipped task's error as the runtime words it: it names the task, and
 	// a name in quotes would be escaped on the wire and leave the compact form.
+	// The writer fails only once the dependent is queued behind it: a writer
+	// that finished first would leave the key free and the dependent unskipped.
 	boom := errors.New("boom")
 	rt := starss.New(starss.Config{Workers: 1})
-	rt.MustSubmit(starss.Task{Deps: []starss.Dep{starss.Out(1)}, Do: func(context.Context) error { return boom }})
+	gate := make(chan struct{})
+	rt.MustSubmit(starss.Task{Deps: []starss.Dep{starss.Out(1)}, Do: func(context.Context) error { <-gate; return boom }})
 	dependent := rt.MustSubmit(starss.Task{Deps: []starss.Dep{starss.In(1)}, Do: func(context.Context) error { return nil }})
+	close(gate)
 	if err := rt.Close(); !errors.Is(err, boom) {
 		t.Fatalf("Close = %v, want the first task's failure", err)
 	}

@@ -17,7 +17,8 @@ import (
 // drained chunk leave reachable — with weak pointers, which a collection
 // clears once nothing else reaches their object — that no admission path
 // reads a node it has handed over, and how drained node blocks are reused:
-// by the next chunk of their class, zeroed, and never past a collection.
+// by the next chunk of their class, zeroed, and never past a collection once
+// the runtime is idle.
 // Tests that pin a block's identity across chunks turn the collector off,
 // which would otherwise be free to take the block in between.
 
@@ -107,13 +108,17 @@ func queuedChunk(t *testing.T, rt *Runtime, key uint64, n int, gate <-chan struc
 }
 
 // queuedChunkNodes is queuedChunk returning the waiting nodes themselves, in
-// submission order.
+// submission order. The writer runs before the readers are submitted: a
+// reader of an earlier round may not have given the key up yet when its
+// handle reports done, and the writer would queue behind it.
 func queuedChunkNodes(t *testing.T, rt *Runtime, key uint64, n int, gate <-chan struct{}) ([]*Handle, []*taskNode) {
 	t.Helper()
 	ctx := context.Background()
-	if _, err := rt.Submit(ctx, Task{Deps: []Dep{InOut(key)}, Do: func(context.Context) error { <-gate; return nil }}); err != nil {
+	started := make(chan struct{})
+	if _, err := rt.Submit(ctx, Task{Deps: []Dep{InOut(key)}, Do: func(context.Context) error { close(started); <-gate; return nil }}); err != nil {
 		t.Fatal(err)
 	}
+	<-started
 	tasks := make([]Task, n)
 	for i := range tasks {
 		tasks[i] = Task{Deps: []Dep{In(key)}, Do: emptyBody}
@@ -156,9 +161,10 @@ func TestRetentionKeptHandle(t *testing.T) {
 	}
 }
 
-// TestRetentionDrainedChunk: a chunk's node block is garbage once the chunk
-// has drained, on a runtime that stays open and busy — while the block of a
-// later chunk, still queued, is not.
+// TestRetentionDrainedChunk: a chunk's node block outlives its chunk only on
+// the free list. While the runtime stays busy — a later chunk still queued —
+// the list holds the drained block for the next chunk of its class, across
+// collections; once the runtime is idle, neither block is reachable.
 func TestRetentionDrainedChunk(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 2, Window: 64}) {
 		t.Run(name, func(t *testing.T) {
@@ -171,8 +177,8 @@ func TestRetentionDrainedChunk(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !collected(drained) {
-				t.Error("a drained chunk's node block is still reachable")
+			if collected(drained) {
+				t.Error("the free list let a drained chunk's node block go while tasks were in flight")
 			}
 			if queued.Value() == nil {
 				t.Error("a queued chunk's node block was collected")
@@ -181,8 +187,8 @@ func TestRetentionDrainedChunk(t *testing.T) {
 			if err := rt.Wait(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if !collected(queued) {
-				t.Error("the later chunk's node block is still reachable once it drained")
+			if !collected(drained, queued) {
+				t.Error("an idle runtime keeps a drained chunk's node block")
 			}
 			mustClose(t, rt)
 		})
@@ -251,12 +257,17 @@ func TestTaskFinishesBeforeSubmitReturns(t *testing.T) {
 	}
 }
 
-// listed copies node block class c's free list, oldest entry first.
+// listed copies node block class c's free list, oldest entry first, as the
+// weak pointers it keeps once the runtime is idle.
 func listed(rt *Runtime, c int) []weak.Pointer[nodeBlock] {
 	l := &rt.blocks[c]
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return slices.Clone(l.free)
+	free := make([]weak.Pointer[nodeBlock], len(l.free))
+	for i, e := range l.free {
+		free[i] = e.weak
+	}
+	return free
 }
 
 // waitAll waits for every handle, failing the test on a task error.
@@ -472,9 +483,10 @@ func TestNodeBlockListBounded(t *testing.T) {
 	}
 }
 
-// TestSegmentReuseSecondPass: the bank free lists keep every segment a
-// window of multi-key tasks files, so the second pass of a graph finds them
-// all there. The graph is a wavefront whose first row and column also read
+// TestSegmentReuseSecondPass: the banks keep every segment a window of
+// multi-key tasks files, so the second pass of a graph allocates none: it
+// takes each off a free list, or restarts in place one still filed retired.
+// The graph is a wavefront whose first row and column also read
 // an input row and column nobody writes — one segment per key, more keys
 // than tasks — held whole behind its first task, so every key is live at
 // once; the window has room for the grid and a maestro fence. Free lists
@@ -512,7 +524,7 @@ func TestSegmentReuseSecondPass(t *testing.T) {
 					b := &rt.banks[i]
 					b.mu.Lock()
 					for _, s := range b.table.slots {
-						if s.seg != nil {
+						if s.seg != nil && s.seg.state.Load() != segRetired {
 							live++
 							if !free[s.seg] {
 								fresh++
@@ -531,11 +543,18 @@ func TestSegmentReuseSecondPass(t *testing.T) {
 				if err := rt.Wait(ctx); err != nil {
 					t.Fatal(err)
 				}
+				// What the second pass may file without allocating: the free
+				// lists, and any segment still filed, to be restarted in place.
 				for i := range rt.banks {
 					b := &rt.banks[i]
 					b.mu.Lock()
 					for seg := b.free; seg != nil; seg = seg.nextFree {
 						free[seg] = true
+					}
+					for _, s := range b.table.slots {
+						if s.seg != nil {
+							free[s.seg] = true
+						}
 					}
 					b.mu.Unlock()
 				}

@@ -2,6 +2,7 @@ package starss
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -57,4 +58,26 @@ func fenceMaestro(t testing.TB, rt *Runtime) {
 	if err := rt.Scope("fence").WaitOn(context.Background(), 0); err != nil {
 		t.Fatalf("fence: %v", err)
 	}
+}
+
+// segFields formats a segment field by field: the struct holds an atomic,
+// which is not to be copied, not even into a print call.
+func segFields(seg *segState) string {
+	return fmt.Sprintf("{key:%v hash:%#x state:%#x waiting:%d head:%p/%d tail:%p/%d poison:%v nextFree:%p}",
+		seg.key, seg.hash, seg.state.Load(), seg.waiting, seg.head, seg.headSlot, seg.tail, seg.tailSlot, seg.poison, seg.nextFree)
+}
+
+// liveKeys counts the segments bank b files for keys with a holder or a
+// waiter, leaving out the retired ones no sweep has taken out yet.
+func liveKeys(rt *Runtime, b int) int {
+	bk := &rt.banks[b]
+	bk.mu.Lock()
+	defer bk.mu.Unlock()
+	n := 0
+	for _, s := range bk.table.slots {
+		if s.seg != nil && s.seg.state.Load() != segRetired {
+			n++
+		}
+	}
+	return n
 }

@@ -297,7 +297,7 @@ func TestKickoffDrainLeavesNoLinks(t *testing.T) {
 					for seg := b.free; seg != nil; seg = seg.nextFree {
 						listed++
 						if *seg != (segState{nextFree: seg.nextFree}) {
-							t.Errorf("bank %d recycles a segment that is not empty: %+v", i, *seg)
+							t.Errorf("bank %d recycles a segment that is not empty: %s", i, segFields(seg))
 						}
 					}
 					if listed != b.nfree {

@@ -28,12 +28,18 @@
 // sorts the chunk's keys by bank and locks each bank once, in ascending
 // order, filing that bank's keys in program order, under its namespace's
 // admission lock, which orders a namespace's concurrent submitters chunk by
-// chunk. Handle Finished locks one task's sorted bank set. Each key is
-// hashed once in a task's life (hashKey) and probed for once, by Check Deps —
-// the task keeps, per dependency, the segment Check Deps found or filed,
-// Handle Finished follows those pointers, a drained segment leaves the table
-// by the hash it carries, and a segment's kick-off list is threaded through
-// the waiting tasks themselves. The table is keyed as the paper's is, by
+// chunk. Handle Finished takes no bank lock for an access that frees no
+// waiter: a segment's holder state is one atomic word, and an executed task
+// gives up such an access with one compare-and-swap — the last holder marks
+// the segment retired and leaves it filed, for the key's next task to
+// restart in place or for a sweep to take back to the bank's free list. It
+// locks, in ascending order, only the banks of the accesses that must
+// release a waiter, or every bank of a failed or skipped task, which poisons
+// what it releases. Each key is hashed once in a task's life (hashKey) and
+// probed for once, by Check Deps — the task keeps, per dependency, the
+// segment Check Deps found or filed, Handle Finished follows those pointers,
+// and a segment's kick-off list is threaded through the waiting tasks
+// themselves. The table is keyed as the paper's is, by
 // address: a bank files its keys, {namespace, address} pairs, in one
 // open-addressed table of its own (table.go), and the namespace — 0 for the
 // runtime, one per Scope — is a field of the key, never a wrapper around
@@ -56,7 +62,8 @@
 // runtime's free list and carves its handles out of one new block, so a
 // batch costs that handle block and the handle slice it returns, nothing per
 // task (TestSubmitAllocations, TestScopeSubmitAllocations: go test -run
-// Allocations ./internal/starss). The free list holds its blocks weakly: an
+// Allocations ./internal/starss). The free list holds its blocks strongly
+// while tasks are in flight and only weakly once the runtime is idle: an
 // idle runtime keeps none past the next collection (TestNodeBlock*).
 //
 // A task has one body, Task.Do. The paper's Task Controllers copy a task's
@@ -156,7 +163,9 @@ type Config struct {
 	// contended acquisitions, max kick-off queue depth), surfaced through
 	// Stats. Off by default: the counting replaces the plain bank Lock with
 	// a TryLock-then-Lock pair on every acquisition. On the admission side
-	// an acquisition is one bank of one chunk, not one bank of one task.
+	// an acquisition is one bank of one chunk, not one bank of one task; on
+	// the finish side only the banks Handle Finished locks count, and an
+	// access it gives up without the lock counts none.
 	BankCounters bool
 }
 
@@ -169,8 +178,9 @@ type Stats struct {
 	// Hazards counts tasks that had to wait at least once (DC > 0).
 	Hazards uint64 `json:"hazards"`
 	// BankAcquisitions counts dependence-bank lock acquisitions — one per
-	// bank of each admission chunk and per bank of each finished task; zero
-	// unless Config.BankCounters is set.
+	// bank of each admission chunk, and one per bank a finished task locks:
+	// those of its accesses that release a waiter, or all of a failed or
+	// skipped task's; zero unless Config.BankCounters is set.
 	BankAcquisitions uint64 `json:"bank_acquisitions"`
 	// BankContended counts the subset of BankAcquisitions that had to
 	// block because another goroutine held the bank.
@@ -317,27 +327,40 @@ func (h *Handle) complete(o Outcome, err error) {
 // lock) but are always read atomically by Stats.
 type bank struct {
 	mu sync.Mutex
-	// table files the bank's live segments (table.go).
+	// table files the bank's segments, live and retired (table.go).
 	table *addrTable
-	// free lists nfree drained segments for reuse (linked through
+	// free lists nfree swept segments for reuse (linked through
 	// segState.nextFree), guarded by mu like the table. It is bounded
 	// (Runtime.segFree) because an idle runtime keeps it: an unbounded list
 	// would pin a burst's worth of segments for the runtime's life.
-	free         *segState
-	nfree        int
+	free  *segState
+	nfree int
+	// filed counts the segments takeSeg filed since the table was last swept.
+	filed        int32
 	acquisitions atomic.Uint64
 	contended    atomic.Uint64
 	maxQueue     atomic.Uint64
-	_            [8]byte // pad to the cache line
 }
 
 // segFreeMin is the least a bank's free list may hold.
 const segFreeMin = 64
 
 // takeSeg returns an empty segment for key k, whose hash is h, and files it
-// in slot at of the bank's table, where a find of k just missed it. The
-// caller holds b.mu.
-func (b *bank) takeSeg(k tableKey, h uint64, at int) *segState {
+// in slot at of the bank's table, where a find of k just missed it; keep
+// bounds the free list (recycle). The caller holds b.mu.
+//
+// Finishers retire segments without the lock and leave them filed, so this
+// is where they leave the table (sweep): when the free list is empty and the
+// table has had a sixteenth of its slots' worth of segments filed since the
+// last sweep — a sweep reads every slot, and a table filling with keys
+// still in flight must not read them all again for every key — and when the
+// load passes ½, where the table grows only if the sweep left it above ⅓.
+func (b *bank) takeSeg(k tableKey, h uint64, at int, keep int) *segState {
+	t := b.table
+	if b.free == nil && 16*int(b.filed) >= len(t.slots) {
+		b.sweep(keep)
+		_, at = t.find(h, k) // the sweep moved the slots
+	}
 	seg := b.free
 	if seg != nil {
 		b.free, seg.nextFree = seg.nextFree, nil
@@ -346,16 +369,29 @@ func (b *bank) takeSeg(k tableKey, h uint64, at int) *segState {
 		seg = &segState{}
 	}
 	seg.key, seg.hash = k, h
-	b.table.put(at, seg)
+	t.put(at, seg)
+	b.filed++
+	if 2*t.count > len(t.slots) {
+		b.sweep(keep)
+		if 3*t.count > len(t.slots) {
+			t.grow()
+		}
+	}
 	return seg
 }
 
-// dropSeg removes the drained segment seg and recycles it, unless the free
-// list already holds keep segments. The caller holds b.mu. A drained
-// segment's kick-off list is empty, so the free list pins no task, and the
-// reset leaves nothing of the key it served.
-func (b *bank) dropSeg(seg *segState, keep int) {
-	b.table.remove(seg)
+// sweep takes the bank's retired segments out of its table and recycles
+// them. The caller holds b.mu.
+func (b *bank) sweep(keep int) {
+	b.table.sweep(func(seg *segState) { b.recycle(seg, keep) })
+	b.filed = 0
+}
+
+// recycle lists a segment that left the table free, unless the free list
+// already holds keep segments. The caller holds b.mu. A retired segment's
+// kick-off list is empty, so the free list pins no task, and the reset
+// leaves nothing of the key it served.
+func (b *bank) recycle(seg *segState, keep int) {
 	if b.nfree >= keep {
 		return
 	}
@@ -430,8 +466,11 @@ type Runtime struct {
 	// the first of them to find tasks in flight, closed and dropped by the
 	// finisher that returns the last token. The token-return path takes coord
 	// only when in-flight hits zero, so it stays off the steady-state hot path.
+	// It also guards swept, the submitted count when settle last swept the
+	// banks.
 	coord  sync.Mutex
 	idleCh chan struct{}
+	swept  uint64
 }
 
 // cacheLine is the padding that keeps a group of Runtime or Scope fields
@@ -462,13 +501,12 @@ type access struct {
 }
 
 // spilled holds the per-dependency slots of a task with more than inlineDeps
-// dependencies, and its bank mapping.
+// dependencies.
 type spilled struct {
 	acc      []access
 	nextSlot []int32
-	// order is the sorted, deduplicated bank set of the task's keys, derived
-	// by Check Deps and kept for Handle Finished: deriving it again would
-	// cost such a task a sort and an allocation.
+	// order is room for the bank order Handle Finished derives (holds), so
+	// that it costs such a task no allocation.
 	order []int32
 }
 
@@ -530,7 +568,7 @@ type nodeBlock struct {
 	// before it admits the first, so the block cannot drain while it is still
 	// being filled; the finisher that takes it to zero lists the block free.
 	live  atomic.Int32
-	self  weak.Pointer[nodeBlock] // made once, with the block: what the free list holds
+	self  weak.Pointer[nodeBlock] // made once, with the block: what the free list keeps of it once idle
 	nodes []taskNode
 }
 
@@ -541,15 +579,26 @@ const blockClasses = 8
 // class c holds 2<<c.
 func blockClassOf(n int) int { return bits.Len(uint(n-1)) - 1 }
 
-// blockList is one class's free node blocks. Every node of a listed block is
-// zero, so a listed block pins nothing, and the list holds its blocks only
-// weakly: a block no chunk takes before the next collection is collected, so
-// an idle runtime keeps none, and the list drops its entry when it meets it.
-// (A list that holds blocks strongly pins an idle runtime's peak; a sync.Pool
-// keeps its victims across the collection after which a runtime is idle.)
+// blockList is one class's free node blocks. Every node of a listed block
+// is zero, so a listed block pins nothing. While tasks are in flight the list
+// holds its blocks strongly, so a steady stream of chunks reuses the same
+// blocks whatever the collector does; the runtime going idle (settle) lets
+// go of them, leaving only weak entries: a block no chunk takes before the
+// next collection is collected, so an idle runtime keeps none, and the list
+// drops its entry when it meets it. (A list that holds blocks strongly for
+// good pins an idle runtime's peak; one that holds them only weakly loses
+// them to every collection under load; a sync.Pool keeps its victims across
+// the collection after which a runtime is idle.)
 type blockList struct {
 	mu   sync.Mutex
-	free []weak.Pointer[nodeBlock]
+	free []listedBlock
+}
+
+// listedBlock is an entry of a blockList: the block, weakly, and strongly
+// until the runtime is next idle.
+type listedBlock struct {
+	weak weak.Pointer[nodeBlock]
+	held *nodeBlock
 }
 
 // takeBlock returns a block for a chunk of n tasks with its live count set
@@ -561,7 +610,10 @@ func (rt *Runtime) takeBlock(n int) *nodeBlock {
 	l.mu.Lock()
 	for blk == nil && len(l.free) > 0 {
 		last := len(l.free) - 1
-		blk = l.free[last].Value()
+		if blk = l.free[last].held; blk == nil {
+			blk = l.free[last].weak.Value()
+		}
+		l.free[last] = listedBlock{}
 		l.free = l.free[:last]
 	}
 	l.mu.Unlock()
@@ -578,7 +630,16 @@ func (rt *Runtime) takeBlock(n int) *nodeBlock {
 func (rt *Runtime) putBlock(blk *nodeBlock) {
 	l := &rt.blocks[blockClassOf(len(blk.nodes))]
 	l.mu.Lock()
-	l.free = append(l.free, blk.self)
+	l.free = append(l.free, listedBlock{blk.self, blk})
+	l.mu.Unlock()
+}
+
+// letGo drops the list's strong hold on its blocks.
+func (l *blockList) letGo() {
+	l.mu.Lock()
+	for i := range l.free {
+		l.free[i].held = nil
+	}
 	l.mu.Unlock()
 }
 
@@ -590,20 +651,25 @@ func (node *taskNode) slots() (acc []access, nextSlot []int32) {
 	return node.acc[:], node.nextSlot[:]
 }
 
+// segState is one key's entry in its bank's Dependence Table: who holds the
+// key, the kick-off list of who waits for it, and its poison.
 type segState struct {
 	// key and hash are what the segment is filed under: its key and that
 	// key's hash (Runtime.hashKey). They are set when the segment is filed and
-	// do not change while it is live, so a task may read them through its
+	// do not change until it is swept, so a holder may read them through its
 	// access without holding the bank: the hash's low bits are how Handle
 	// Finished learns which banks to lock.
-	key   tableKey
-	hash  uint64
-	isOut bool
-	ww    bool
-	rdrs  int32
+	key  tableKey
+	hash uint64
+	// state is the holder state, one word (segOut … segReader) so that a
+	// finisher can give up an access with one compare-and-swap and no lock
+	// (retire). Check Deps, which holds the bank lock, changes it by
+	// compare-and-swap too, for a finisher may retire the segment under it.
+	state atomic.Uint64
 	// head and tail delimit the kick-off list: tasks waiting for the segment,
 	// in arrival order, linked through the access each has on it (slot
-	// headSlot of head, slot tailSlot of tail). waiting is its length.
+	// headSlot of head, slot tailSlot of tail). waiting is its length. All
+	// three are zero whenever the list is empty.
 	waiting  int32
 	headSlot int32
 	tailSlot int32
@@ -611,14 +677,118 @@ type segState struct {
 	tail     *taskNode
 	// poison records that a task ordered in this segment's history failed,
 	// and why; every waiter popped afterwards is a transitive dependent and
-	// is skipped. It dies with the segment: once the key drains and the
-	// segment is deleted, later submissions start clean. (The boxed record
-	// the tainted tasks share, not an error value: one word, which keeps the
-	// segment in the 80-byte size class.)
+	// is skipped. It dies with the segment's holders: once the key has no
+	// holder and no waiter, the next task on it starts clean, on a recycled
+	// segment or on this one restarted in place. (The boxed record the
+	// tainted tasks share, not an error value: one word, which keeps the
+	// segment in the 80-byte size class.) Guarded by the bank lock.
 	poison *taskFailure
 	// nextFree links the segment into its bank's free list while it is
-	// drained and recycled; nil while it is live.
+	// swept and recycled; nil while it is filed.
 	nextFree *segState
+}
+
+// The bits of segState.state. A segment is held by one writer (segOut) or
+// by readers (a count of segReader), never both; segQueued says its
+// kick-off list is not empty. While readers hold it that makes it the
+// paper's "a writer waits" flag: the head of the list is a writer, and a
+// reader that arrives queues behind it. A segment nobody holds or waits for
+// is exactly segRetired: it stays filed, under the bank lock, until Check
+// Deps restarts it for its key's next task or a sweep takes it out.
+const (
+	segOut     = 1 << 0
+	segQueued  = 1 << 1
+	segRetired = 1 << 2
+	segReader  = 1 << 3
+)
+
+// join takes hold as a holder's access to the segment for a task Check Deps
+// files — segOut for a writer, segReader for a reader — or queues it behind
+// the holders: it restarts a retired segment, adds a reader to readers no
+// writer waits behind, and otherwise sets segQueued before the caller
+// enqueues, so that no holder retires the segment under the waiter. The
+// caller holds the bank lock; the loop is for a finisher retiring an access
+// meanwhile.
+func (seg *segState) join(hold uint64) (restarted, queued bool) {
+	for {
+		s := seg.state.Load()
+		next := s | segQueued
+		switch {
+		case s == segRetired:
+			next = hold
+		case hold == segReader && s&(segOut|segQueued) == 0:
+			next = s + segReader
+		}
+		if next == s || seg.state.CompareAndSwap(s, next) {
+			return s == segRetired, next&segQueued != 0
+		}
+	}
+}
+
+// retire gives up a holder's access to the segment without the bank lock,
+// and reports whether it could: a reader that is not the last takes itself
+// off the count, and a last holder that no task waits behind marks the
+// segment retired. A last holder with waiters must release them under the
+// bank lock (release). The caller must not touch the segment once it has
+// retired it.
+func (seg *segState) retire() bool {
+	for {
+		s := seg.state.Load()
+		next := uint64(segRetired)
+		switch {
+		case s&segOut == 0 && s >= 2*segReader:
+			next = s - segReader
+		case s&segQueued != 0:
+			return false
+		}
+		if seg.state.CompareAndSwap(s, next) {
+			return true
+		}
+	}
+}
+
+// release gives up a holder's access to the segment under the bank lock, and
+// appends the waiters whose last dependence that was to released. A non-nil
+// root is the failure the holder propagates: it poisons the segment, so that
+// every waiter popped behind it — now or by a later finisher — is skipped as
+// a transitive dependent while the kick-off list drains normally.
+//
+// Only the last holder releases anyone: a writer is followed by the next
+// writer or by the run of readers at the head of the list, the last reader
+// by the writer at its head. A waiter popped becomes a holder, and one whose
+// last dependence is elsewhere may start, finish and retire its access
+// before this returns: so the new holders' state is published whole, in one
+// store, before the first of them is popped.
+func (seg *segState) release(root *taskFailure, released []*taskNode) []*taskNode {
+	if root != nil && seg.poison == nil {
+		seg.poison = root
+	}
+	if seg.retire() {
+		return released
+	}
+	// This is the last holder and the list is not empty; nobody else writes
+	// the word until the first waiter is popped. Count the waiters that
+	// become holders, up to the first that stays queued (w).
+	writer := seg.headWrites()
+	n := 0
+	w, i := seg.head, seg.headSlot
+	for w != nil && (n == 0 || !writer && w.task.Deps[i].Mode == ModeIn) {
+		n++
+		acc, nextSlot := w.slots()
+		w, i = acc[i].next, nextSlot[i]
+	}
+	hold := uint64(n) * segReader
+	if writer {
+		hold = segOut
+	}
+	if w != nil {
+		hold |= segQueued
+	}
+	seg.state.Store(hold)
+	for ; n > 0; n-- {
+		released = seg.pop(released)
+	}
+	return released
 }
 
 // enqueue appends the node to the kick-off list, waiting with its access i.
@@ -650,7 +820,7 @@ func (seg *segState) pop(released []*taskNode) []*taskNode {
 	seg.head, seg.headSlot = a.next, nextSlot[seg.headSlot]
 	a.next = nil
 	if seg.head == nil {
-		seg.tail = nil
+		seg.tail, seg.headSlot, seg.tailSlot = nil, 0, 0
 	}
 	seg.waiting--
 	if seg.poison != nil {
@@ -806,19 +976,15 @@ func sortedUnique(banks []int32) []int32 {
 
 // holds is what Handle Finished's bank pass needs of the node, taken off it
 // before the node is cleared: its access slots — an inline node's copied into
-// slots, a spilled node's spill, which is not in the node — and its bank
-// acquisition order, read off their segments into buf (a spilled node kept
-// the one Check Deps derived).
-func (rt *Runtime) holds(node *taskNode, slots *[inlineDeps]access, buf []int32) (acc []access, order []int32) {
+// slots, a spilled node's spill, which is not in the node and is the pass's
+// to overwrite — and room for the bank order of as many accesses, buf's or
+// the spill's.
+func (node *taskNode) holds(slots *[inlineDeps]access, buf *[inlineDeps]int32) (acc []access, order []int32) {
 	if sp := node.spill; sp != nil {
-		return sp.acc, sp.order
+		return sp.acc, sp.order[:0]
 	}
 	*slots = node.acc
-	acc = slots[:len(node.task.Deps)]
-	for _, a := range acc {
-		buf = append(buf, rt.bankOf(a.seg.hash))
-	}
-	return acc, sortedUnique(buf)
+	return slots[:len(node.task.Deps)], buf[:0]
 }
 
 // lockBanks acquires the given sorted bank set; the global ascending order
@@ -893,19 +1059,61 @@ func (rt *Runtime) returnTokens(n int) {
 	// Re-read under coord: the count may be stale — a task submitted (and a
 	// barrier registered for it) after the release must not be signalled
 	// past.
-	if rt.idleCh != nil && rt.win.count() == 0 {
-		close(rt.idleCh)
-		rt.idleCh = nil
+	if rt.win.count() == 0 {
+		rt.settle(rt.idleCh != nil)
+		if rt.idleCh != nil {
+			close(rt.idleCh)
+			rt.idleCh = nil
+		}
 	}
 	rt.coord.Unlock()
 }
 
+// settle lets go of what the runtime keeps only for tasks in flight, once
+// none is. It runs whenever the runtime goes idle, before the barrier opens,
+// and drops the node-block free lists' strong hold. It sweeps every bank's
+// retired segments back to its free list when sweep is set — a Wait or Close
+// is about to return, so nothing retired is filed once Wait returns — and
+// otherwise at most once every settleEvery tasks a bank. The caller holds
+// coord and has seen in-flight at zero, so every finished task has given up
+// its accesses; a submitter admitted meanwhile is only swept around.
+func (rt *Runtime) settle(sweep bool) {
+	for c := range rt.blocks {
+		rt.blocks[c].letGo()
+	}
+	n := rt.submitted.Load()
+	if !sweep && n-rt.swept < settleEvery*uint64(len(rt.banks)) {
+		return
+	}
+	rt.swept = n
+	for i := range rt.banks {
+		b := &rt.banks[i]
+		b.mu.Lock()
+		if b.table.count > 0 {
+			b.sweep(rt.segFree)
+		}
+		b.mu.Unlock()
+	}
+}
+
+// settleEvery is how many tasks a bank must have had, on average, since its
+// last sweep for a runtime going idle with nobody waiting to sweep again. A
+// sweep visits every bank, and a runtime that goes idle between every small
+// batch — a service's sessions submitting and awaiting — would otherwise pay
+// that visit every few tasks: svc_closed read −2.8 % tasks/s with a sweep at
+// every idle point. Segments left filed meanwhile are bounded by the tables,
+// which sweep themselves as they fill (bank.takeSeg).
+const settleEvery = 16
+
 // idle returns a channel that is closed once no task is in flight: at the
-// next idle transition, or already when there is none now.
+// next idle transition, or already when there is none now — settled first,
+// for the finisher that returned the last token may not have taken coord
+// yet.
 func (rt *Runtime) idle() <-chan struct{} {
 	rt.coord.Lock()
 	defer rt.coord.Unlock()
 	if rt.win.count() == 0 {
+		rt.settle(true)
 		return closedChan
 	}
 	if rt.idleCh == nil {
@@ -926,8 +1134,9 @@ func (rt *Runtime) idle() <-chan struct{} {
 // was admitted (all tasks on success). A handle the caller keeps keeps its
 // chunk's handle block — at most chunkMax × 32 B, 8 KiB — and never a task
 // node. A chunk's node block lives until its last task finishes, then waits
-// on the runtime's free list, held weakly: the next chunk of its size class
-// reuses it, or the next collection frees it.
+// on the runtime's free list — held strongly until the runtime is next idle,
+// weakly after: the next chunk of its size class reuses it, or a collection
+// while the runtime is idle frees it.
 func (rt *Runtime) SubmitAll(ctx context.Context, tasks []Task) ([]*Handle, error) {
 	if err := validate(tasks); err != nil {
 		return nil, err
@@ -1033,8 +1242,9 @@ const readyBatch = 32
 // as long as any task of the chunk does, which is why a finished node lets
 // go of everything it points at (resolveFinished), and goes back to the free
 // list when the last of them finishes, there to be reused or, if no chunk
-// takes it before the next collection, collected. The handle block lives as
-// long as the caller keeps a handle, and points at no node.
+// takes it before a collection while the runtime is idle, collected. The
+// handle block lives as long as the caller keeps a handle, and points at no
+// node.
 //
 // The chunk then goes through Check Deps whole (resolveNew) — or, on the
 // maestro, one task per rendezvous. Either way the caller may not read a
@@ -1261,8 +1471,8 @@ func (rt *Runtime) checkDeps(adm *admission, nodes []taskNode) (waiting chunkSet
 			at[b]++
 			hashes = append(hashes, h)
 		}
-		if nodes[i].spill != nil || rt.rec != nil {
-			rt.noteBanks(&nodes[i], hashes[len(hashes)-len(deps):])
+		if rt.rec != nil {
+			rt.emitSubmit(&nodes[i], hashes[len(hashes)-len(deps):])
 		}
 	}
 	adm.hashes = hashes
@@ -1321,29 +1531,16 @@ func (rt *Runtime) checkDeps(adm *admission, nodes []taskNode) (waiting chunkSet
 	return waiting
 }
 
-// noteBanks records what the task's bank set is needed for before its keys
-// are filed, given their hashes: a spilled task keeps the set for Handle
-// Finished, and the event stream records its lowest bank with the submit.
-func (rt *Runtime) noteBanks(node *taskNode, hashes []uint64) {
-	var buf [inlineDeps]int32
-	order, sp := buf[:0], node.spill
-	if sp != nil {
-		order = sp.order[:0]
-	}
+// emitSubmit records the task's submit event, with the lowest bank of its
+// keys, given their hashes, before they are filed.
+func (rt *Runtime) emitSubmit(node *taskNode, hashes []uint64) {
+	first := -1
 	for _, h := range hashes {
-		order = append(order, rt.bankOf(h))
-	}
-	order = sortedUnique(order)
-	if sp != nil {
-		sp.order = order
-	}
-	if rt.rec != nil {
-		first := -1
-		if len(order) > 0 {
-			first = int(order[0])
+		if b := int(rt.bankOf(h)); first < 0 || b < first {
+			first = b
 		}
-		rt.rec.Emit(-1, obs.KindSubmit, node.handle.index, len(hashes), first, -1)
 	}
+	rt.rec.Emit(-1, obs.KindSubmit, node.handle.index, len(hashes), first, -1)
 }
 
 // noteQueueDepth raises the bank's kick-off high-water mark. The caller
@@ -1366,37 +1563,35 @@ func (rt *Runtime) file(b *bank, ns uint64, node *taskNode, i int, h uint64) (qu
 	d := node.task.Deps[i]
 	key := tableKey{ns, d.Addr}
 	acc, _ := node.slots()
+	hold := uint64(segReader)
+	if d.Mode != ModeIn {
+		hold = segOut
+	}
 	seg, at := b.table.find(h, key)
-	wantsWrite := d.Mode != ModeIn
 	if seg == nil {
-		seg = b.takeSeg(key, h, at)
-		if wantsWrite {
-			seg.isOut = true
-		} else {
-			seg.rdrs = 1
-		}
+		seg = b.takeSeg(key, h, at, rt.segFree)
+		seg.state.Store(hold)
 		acc[i].seg = seg
 		return false
 	}
 	acc[i].seg = seg
-	// A still-live poisoned segment taints every task that joins it —
-	// reader or writer, queued or not — until the key drains and the
-	// segment is deleted. Without this a reader sharing the segment
-	// with already-skipped readers would run against data its failed
-	// producer never wrote.
-	if seg.poison != nil {
+	restarted, queued := seg.join(hold)
+	switch {
+	case restarted:
+		// The key's last holder retired the segment: its history is over.
+		seg.poison = nil
+	case seg.poison != nil:
+		// A still-held poisoned segment taints every task that joins it —
+		// reader or writer, queued or not — until its holders are gone.
+		// Without this a reader sharing the segment with already-skipped
+		// readers would run against data its failed producer never wrote.
 		node.poison.CompareAndSwap(nil, seg.poison)
 	}
-	if !wantsWrite && !seg.isOut && !seg.ww {
-		seg.rdrs++
-		return false
+	if queued {
+		seg.enqueue(node, int32(i))
+		rt.noteQueueDepth(b, seg.waiting)
 	}
-	seg.enqueue(node, int32(i))
-	rt.noteQueueDepth(b, seg.waiting)
-	if wantsWrite && !seg.isOut {
-		seg.ww = true
-	}
-	return true
+	return queued
 }
 
 // rootCause is the failure a finished node propagates to its dependents: its
@@ -1420,40 +1615,42 @@ func (node *taskNode) rootCause() *taskFailure {
 //  1. Decide the outcome — executed, failed or skipped, by what the runtime
 //     did with the task, never by what its error looks like — and count it.
 //  2. Take what the bank pass needs off the node (holds): its segment
-//     pointers, its bank order and the root cause it propagates. Then clear
-//     the node, and list its block free if it was its chunk's last task: a
-//     node of a block shares it with its chunk-mates, and one of them still
-//     running would otherwise pin this task's body, context and
-//     dependencies. Whoever the handle wakes finds the node cleared
-//     (TestRetentionChunkMateBody, TestKickoffDrainLeavesNoLinks,
-//     TestNodeBlockClass).
+//     pointers and the root cause it propagates. Then clear the node, and
+//     list its block free if it was its chunk's last task: a node of a block
+//     shares it with its chunk-mates, and one of them still running would
+//     otherwise pin this task's body, context and dependencies. Whoever the
+//     handle wakes finds the node cleared (TestRetentionChunkMateBody,
+//     TestKickoffDrainLeavesNoLinks, TestNodeBlockClass).
 //  3. Settle the scope: its counters, its token and its hook, so whoever the
 //     handle wakes finds them settled (TestScopeAccountingSettledBeforeHandle,
 //     TestServiceTokensSettledBeforeAwaitReturns).
-//  4. Lock the task's banks and publish the handle. The task's segments are
-//     still filed, so a task admitted before the publish — a WaitOn above
-//     all — queues behind this one rather than finding its keys free
-//     (TestWaitOnSeesPublishedTask, TestWaitOnPoisonedKey, TestKeyIdentity).
-//     Under the locks, no task is admitted on those keys between the publish
-//     and the release: one submitted once the handle reports done finds them
-//     as step 5 leaves them, so a failed task's poison still dies with its
-//     drained segment instead of tainting a task submitted after the failure
-//     was seen (TestScopeAccountingSettledBeforeHandle, TestNodeBlockReused).
+//  4. An executed task publishes its handle, then gives up each access that
+//     frees no waiter with one compare-and-swap and no lock (retire). Its
+//     segments are still held at the publish, so a task admitted before it —
+//     a WaitOn above all — queues behind this one rather than finding its
+//     keys free (TestWaitOnSeesPublishedTask, TestKeyIdentity); one admitted
+//     between the publish and the retire queues too, and step 5 releases
+//     it. A failed or skipped task publishes under every one of its bank
+//     locks instead: no task is admitted on its keys between the publish and
+//     the release, so one submitted once the handle reports done finds them
+//     as step 5 leaves them, and a failed task's poison still dies with its
+//     holders instead of tainting a task submitted after the failure was seen
+//     (TestScopeAccountingSettledBeforeHandle, TestRetiredSegmentStartsClean).
 //     The caller may now reuse the task's Deps: nothing below reads them
 //     (TestHandleDoneFreesDeps).
-//  5. Run the bank pass and unlock: release each segment and pop its
-//     kick-off list. It follows the segment pointers Check Deps left — no key
-//     is hashed or even derived here, and a drained segment leaves the table
-//     by its own pointer and the hash it carries. A failed (or skipped)
-//     finisher poisons the segments it releases, so every waiter popped
-//     behind it — now or by a later finisher — is skipped as a transitive
-//     dependent while the kick-off lists drain normally.
+//  5. Lock, in ascending order, the banks of the accesses left — for an
+//     executed task the ones whose release frees a waiter — release each
+//     segment and pop its kick-off list (release), and unlock. The pass
+//     follows the segment pointers Check Deps left: no key is hashed or even
+//     derived here. A failed (or skipped) finisher poisons the segments it
+//     releases.
 //  6. Pass the released tasks on. The first with a body is returned as next:
 //     the caller runs it — its data is what this task just touched — or,
 //     when it runs no bodies, queues it (finish). Every other one, a WaitOn
 //     included, is dispatched at once.
 //  7. Return the window token, last: a barrier that sees in-flight reach zero
-//     finds every handle published (TestBarrierWaitsForAll).
+//     finds every handle published and every access given up
+//     (TestBarrierWaitsForAll, TestIdleRuntimeFilesNoRetired).
 func (rt *Runtime) resolveFinished(node *taskNode, worker int) (next *taskNode) {
 	o := Executed
 	switch {
@@ -1468,7 +1665,7 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) (next *taskNode) 
 	root := node.rootCause()
 	var slots [inlineDeps]access
 	var orderBuf [inlineDeps]int32
-	acc, order := rt.holds(node, &slots, orderBuf[:0])
+	acc, order := node.holds(&slots, &orderBuf)
 	h, err, s, blk := node.handle, node.err, node.scope, node.blk
 	*node = taskNode{}
 	if blk != nil && blk.live.Add(-1) == 0 {
@@ -1479,51 +1676,29 @@ func (rt *Runtime) resolveFinished(node *taskNode, worker int) (next *taskNode) 
 		s.taskDone(o, err)
 	}
 
+	if o == Executed {
+		h.complete(o, err)
+		left := acc[:0]
+		for _, a := range acc {
+			if !a.seg.retire() {
+				left = append(left, a)
+			}
+		}
+		acc = left
+	}
+	for _, a := range acc {
+		order = append(order, rt.bankOf(a.seg.hash))
+	}
+	order = sortedUnique(order)
 	rt.lockBanks(order)
-	h.complete(o, err)
-
+	if o != Executed {
+		h.complete(o, err)
+	}
 	// Most finishers release at most a few waiters; keep them off the heap.
 	var buf [8]*taskNode
 	released := buf[:0]
 	for _, a := range acc {
-		seg := a.seg
-		b := &rt.banks[rt.bankOf(seg.hash)]
-		if root != nil && seg.poison == nil {
-			seg.poison = root
-		}
-		// A segment is held by one writer (isOut) or by readers, never both,
-		// so isOut says which side this task held.
-		if !seg.isOut {
-			seg.rdrs--
-			if seg.rdrs > 0 {
-				continue
-			}
-			if !seg.ww {
-				b.dropSeg(seg, rt.segFree)
-				continue
-			}
-			seg.isOut = true
-			seg.ww = false
-			released = seg.pop(released)
-			continue
-		}
-		seg.isOut = false
-		if seg.head == nil {
-			b.dropSeg(seg, rt.segFree)
-			continue
-		}
-		if seg.headWrites() {
-			seg.isOut = true
-			released = seg.pop(released)
-			continue
-		}
-		for seg.head != nil && !seg.headWrites() {
-			seg.rdrs++
-			released = seg.pop(released)
-		}
-		if seg.head != nil {
-			seg.ww = true
-		}
+		released = a.seg.release(root, released)
 	}
 	rt.unlockBanks(order)
 

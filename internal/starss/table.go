@@ -3,7 +3,7 @@ package starss
 import "math/bits"
 
 // addrTable is one bank's Dependence Table proper: an open-addressed hash
-// table of the bank's live segments, written for this one job. The
+// table of the bank's filed segments, written for this one job. The
 // caller supplies each key's 64-bit hash (Runtime.hashKey, computed once in
 // a task's life), whose high bits choose the home slot — the low bits chose
 // the bank. A segment carries its own key and hash, so removing one needs
@@ -15,9 +15,9 @@ import "math/bits"
 // slots. Deletion shifts the rest of the cluster back over the hole instead
 // of leaving a tombstone: a table whose keys come and go at the rate of the
 // task stream would otherwise fill with tombstones and have to be rebuilt.
-// The table doubles when it must and never shrinks; it is bounded by the
-// keys in flight — Window × keys per task, spread over the banks. All of it,
-// growth included, runs under the bank lock.
+// The table holds the keys in flight and the retired segments no sweep has
+// taken out yet (bank.takeSeg decides when it sweeps and when it grows); it
+// never shrinks. All of it runs under the bank lock.
 type addrTable struct {
 	slots []slot // len is a power of two
 	shift uint8  // 64 − log2(len(slots)): home = hash >> shift
@@ -62,14 +62,12 @@ func (t *addrTable) find(h uint64, k tableKey) (*segState, int) {
 }
 
 // put files seg, under the key and hash it carries, in slot at: the slot a
-// find of that key just missed on. The load is restored afterwards, so the
-// next find always has an empty slot to end on.
+// find of that key just missed on. It leaves the load to its caller, who
+// must bring it back to ½ or below (bank.takeSeg) before the next find, so
+// that every probe has an empty slot to end on.
 func (t *addrTable) put(at int, seg *segState) {
 	t.slots[at] = slot{seg.hash, seg}
 	t.count++
-	if 2*t.count > len(t.slots) {
-		t.grow()
-	}
 }
 
 // grow doubles the table. No two slots hold the same key, so re-filing a
@@ -94,7 +92,10 @@ func (t *addrTable) grow() {
 // later member of the cluster that the hole would cut off from its home
 // moves back into it, by the hashes the slots store. The last slot vacated
 // is zeroed, so the table keeps no pointer to a segment it no longer files.
-// Removing a segment that is not filed is a bug in the caller and panics.
+// Members only move back, towards their homes, and the slot seg left may
+// receive one: a scan that removes as it goes looks at that slot again
+// (sweep). Removing a segment that is not filed is a bug in the caller and
+// panics.
 func (t *addrTable) remove(seg *segState) {
 	mask := len(t.slots) - 1
 	i := int(seg.hash >> t.shift)
@@ -115,4 +116,22 @@ func (t *addrTable) remove(seg *segState) {
 	}
 	t.slots[i] = slot{}
 	t.count--
+}
+
+// sweep takes every retired segment out of the table and hands each to
+// recycle, in one pass over the slots that looks at a slot again after
+// emptying it (remove, which also checks the segment is where its hash says).
+// A retired segment stays retired under the bank lock, which the caller
+// holds; a segment a finisher retires while the pass runs may be left for
+// the next.
+func (t *addrTable) sweep(recycle func(*segState)) {
+	for i := 0; i < len(t.slots); {
+		seg := t.slots[i].seg
+		if seg == nil || seg.state.Load() != segRetired {
+			i++
+			continue
+		}
+		t.remove(seg)
+		recycle(seg)
+	}
 }

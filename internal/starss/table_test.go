@@ -2,6 +2,7 @@ package starss
 
 import (
 	"math/bits"
+	"math/rand"
 	"testing"
 )
 
@@ -27,6 +28,9 @@ func (m *tableModel) insert(k tableKey, h uint64) {
 	}
 	seg := &segState{key: k, hash: h}
 	m.tab.put(at, seg)
+	if 2*m.tab.count > len(m.tab.slots) {
+		m.tab.grow()
+	}
 	m.model[k] = seg
 }
 
@@ -63,7 +67,7 @@ func (m *tableModel) check() {
 		}
 		filed++
 		if s.hash != s.seg.hash || m.model[s.seg.key] != s.seg {
-			m.t.Fatalf("slot %d files %+v under hash %#x; the model has %p for its key", i, *s.seg, s.hash, m.model[s.seg.key])
+			m.t.Fatalf("slot %d files %s under hash %#x; the model has %p for its key", i, segFields(s.seg), s.hash, m.model[s.seg.key])
 		}
 		for j := int(s.hash >> tab.shift); j != i; j = (j + 1) & mask {
 			if tab.slots[j].seg == nil {
@@ -171,7 +175,7 @@ func TestAddrTableEqualHashes(t *testing.T) {
 		"address 0 in another namespace":       {3, 0},
 	} {
 		if got, _ := m.tab.find(h, k); got != nil {
-			t.Fatalf("%s: found %+v for a key that was never filed", name, *got)
+			t.Fatalf("%s: found %s for a key that was never filed", name, segFields(got))
 		}
 	}
 	for _, i := range []int{4, 0, 9} {
@@ -243,11 +247,75 @@ func TestAddrTableChurn(t *testing.T) {
 	}
 }
 
-// FuzzAddrTable replays a byte stream as insert/find/remove operations on a
-// table and on the map model, with hashes the stream itself degrades: byte 0
-// chooses how many home slots the keys share, byte 1 whether all hashes of a
-// home are equal. Then two bytes an operation: what, and on which of 256 keys
-// — the second byte so also draws the key's namespace (key).
+// TestBankSweepKeepsLiveKeys files keys through bank.takeSeg — which sweeps
+// the retired segments out when the free list is empty and when the load
+// passes ½, moving the slots under the key it is filing — on hashes that
+// share three homes, so clusters are long and every removal shifts one. A
+// share of the filed segments is retired as it goes, as finishers do. After
+// every filing, the table files exactly the segments that are live or
+// retired and not yet swept, every live one where find looks for it
+// (check), and no swept segment is still filed.
+func TestBankSweepKeepsLiveKeys(t *testing.T) {
+	const keep = 4
+	b := &bank{table: newAddrTable()}
+	r := rand.New(rand.NewSource(1))
+	live := map[tableKey]*segState{}
+	var liveKeys []tableKey
+	sweeps := 0
+	for i := 0; i < 20000; i++ {
+		k, h := key(i), homeHash(uint64(r.Intn(3)), uint64(i))
+		got, at := b.table.find(h, k)
+		if got != nil {
+			t.Fatalf("key %d is found before it was filed", i)
+		}
+		before := b.filed
+		seg := b.takeSeg(k, h, at, keep)
+		seg.state.Store(segOut)
+		if b.filed <= before {
+			sweeps++
+		}
+		live[k] = seg
+		liveKeys = append(liveKeys, k)
+		for len(liveKeys) > 0 && r.Intn(8) < 5 {
+			j := r.Intn(len(liveKeys))
+			live[liveKeys[j]].state.Store(segRetired)
+			delete(live, liveKeys[j])
+			liveKeys[j] = liveKeys[len(liveKeys)-1]
+			liveKeys = liveKeys[:len(liveKeys)-1]
+		}
+		m := &tableModel{t: t, tab: b.table, model: map[tableKey]*segState{}}
+		for _, s := range b.table.slots {
+			if s.seg != nil {
+				m.model[s.seg.key] = s.seg
+			}
+		}
+		m.check()
+		for k, seg := range live {
+			if m.model[k] != seg {
+				t.Fatalf("filing key %d lost live key %v", i, k)
+			}
+		}
+		for seg := b.free; seg != nil; seg = seg.nextFree {
+			if m.model[seg.key] == seg {
+				t.Fatalf("filing key %d: a free segment is still filed", i)
+			}
+		}
+		if b.nfree > keep {
+			t.Fatalf("%d free segments, bound %d", b.nfree, keep)
+		}
+	}
+	if sweeps < 100 {
+		t.Fatalf("%d sweeps in 20000 filings", sweeps)
+	}
+}
+
+// FuzzAddrTable replays a byte stream as insert/find/remove/retire/sweep
+// operations on a table and on the map model, with hashes the stream itself
+// degrades: byte 0 chooses how many home slots the keys share, byte 1 whether
+// all hashes of a home are equal. Then two bytes an operation: what, and on
+// which of 256 keys — the second byte so also draws the key's namespace
+// (key). A retired key stays filed until a sweep, which must take out
+// exactly the retired ones.
 func FuzzAddrTable(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 2, 1, 1, 2, 2, 3, 2, 2})
 	f.Add([]byte{7, 1, 0, 9, 0, 17, 0, 25, 0, 33, 2, 17, 1, 25, 2, 9, 0, 9})
@@ -260,6 +328,7 @@ func FuzzAddrTable(f *testing.F) {
 		wrap = append(wrap, 2, 7+8*i)
 	}
 	f.Add(wrap)
+	f.Add(append(wrap[:len(wrap):len(wrap)], 3, 7, 3, 31, 3, 111, 4, 0, 1, 15, 3, 15, 3, 23, 4, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -276,7 +345,7 @@ func FuzzAddrTable(f *testing.F) {
 			id := int(ops[1])
 			k := key(id)
 			_, filed := m.model[k]
-			switch ops[0] % 3 {
+			switch ops[0] % 5 {
 			case 0:
 				if !filed {
 					m.insert(k, hash(id))
@@ -288,6 +357,22 @@ func FuzzAddrTable(f *testing.F) {
 			case 2:
 				if filed {
 					m.remove(k)
+				}
+			case 3:
+				if filed {
+					m.model[k].state.Store(segRetired)
+				}
+			case 4:
+				m.tab.sweep(func(seg *segState) {
+					if seg.state.Load() != segRetired || m.model[seg.key] != seg {
+						t.Fatalf("the sweep took out %s", segFields(seg))
+					}
+					delete(m.model, seg.key)
+				})
+				for _, seg := range m.model {
+					if seg.state.Load() == segRetired {
+						t.Fatalf("the sweep left %s filed", segFields(seg))
+					}
 				}
 			}
 			m.check()

@@ -127,7 +127,9 @@ func TestWaitOnPoisonedKey(t *testing.T) {
 // and its handle queues behind it instead of finding its key free and
 // returning early. The scope's hook holds the writer exactly there. On the
 // maestro, which runs the hook itself, the WaitOn is not even admitted until
-// the hook lets go.
+// the hook lets go. The writer's finisher releases the WaitOn and finishes it
+// on the spot, so the WaitOn's own pass through the hook, on that same
+// goroutine, sees whether the writer published before it released.
 func TestWaitOnSeesPublishedTask(t *testing.T) {
 	for name, rt := range newRuntimes(Config{Workers: 2}) {
 		t.Run(name, func(t *testing.T) {
@@ -137,12 +139,16 @@ func TestWaitOnSeesPublishedTask(t *testing.T) {
 			letGo := sync.OnceFunc(func() { close(release) })
 			defer letGo()
 			var first atomic.Bool
+			var writer *Handle
+			var inHook Outcome // the writer's outcome as the WaitOn passed the hook
 			s := rt.Scope("held")
 			s.SetOnDone(func(error) {
 				if first.CompareAndSwap(false, true) {
 					close(held)
 					<-release
+					return
 				}
+				inHook = writer.Outcome()
 			})
 			writer, err := s.Submit(ctx, Task{Deps: []Dep{Out(7)}, Do: do(func() {})})
 			if err != nil {
@@ -175,8 +181,8 @@ func TestWaitOnSeesPublishedTask(t *testing.T) {
 			if r.err != nil {
 				t.Fatalf("Scope.WaitOn = %v, want nil", r.err)
 			}
-			if r.writer != Executed {
-				t.Fatalf("the writer's outcome was %d when Scope.WaitOn returned, want Executed (%d)", r.writer, Executed)
+			if r.writer != Executed || inHook != Executed {
+				t.Fatalf("the writer's outcome was %d when Scope.WaitOn returned and %d when it finished, want Executed (%d)", r.writer, inHook, Executed)
 			}
 		})
 	}
